@@ -12,7 +12,12 @@ cd "$(dirname "$0")"
 # the worktree dirty. INT/TERM/HUP are trapped explicitly because bash does
 # not run the EXIT trap when killed by an untrapped signal.
 cp BENCH_experiments.json /tmp/bench_committed.json
-cp experiments_summary.json /tmp/summary_committed.json
+# experiments_summary.json is git-ignored: a fresh clone has none to put back
+# (and must not be handed the snapshot of some earlier checkout).
+rm -f /tmp/summary_committed.json
+if [ -f experiments_summary.json ]; then
+    cp experiments_summary.json /tmp/summary_committed.json
+fi
 restore_artifacts() {
     [ -f /tmp/bench_committed.json ] && cp /tmp/bench_committed.json BENCH_experiments.json
     [ -f /tmp/summary_committed.json ] && cp /tmp/summary_committed.json experiments_summary.json
@@ -173,5 +178,8 @@ if fresh > 2.0 * committed:
              f'2x the committed baseline {committed:.2f}s')
 print('bench smoke OK')
 EOF
+
+echo "==> benchmark/check.sh (the repo benchmark: lints, unit tests, smoke of every path)"
+benchmark/check.sh
 
 echo "==> OK"

@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks of the building blocks: event queue, entropy
-//! computation, blame-model sampling, verifier handling and audit of a full
-//! history.
+//! computation, blame-model sampling, verifier handling, history lookups and
+//! audit of a full history.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use lifting_analysis::{shannon_entropy, BlameModel, FreeridingDegree, ProtocolParams};
@@ -124,6 +124,37 @@ fn bench_verifier_confirm(c: &mut Criterion) {
     });
 }
 
+/// `NodeHistory::received_proposal_with` on a full 50-period window of 7
+/// proposals a period, for the two proposer distributions that bound the
+/// per-proposer chain walk: uniform over a PlanetLab-size population (1.17
+/// live proposals per proposer) and the same 7 proposers every period (50
+/// each — the shape a closed coalition produces, and the walk's worst case).
+fn bench_received_lookup(c: &mut Criterion) {
+    let mut rng = derive_rng(6, 0);
+    let uniform: Vec<u32> = (0..350).map(|_| rng.gen_range(1..=300)).collect();
+    let recurring: Vec<u32> = (0..350).map(|i| 1 + i % 7).collect();
+    for (name, proposers) in [
+        ("received_lookup_350_from_300_uniform", uniform),
+        ("received_lookup_7_proposers_x_50_periods", recurring),
+    ] {
+        let mut history = NodeHistory::new(NodeId::new(0), 50);
+        let mut lookups = Vec::new();
+        for (i, proposer) in (0u64..).zip(proposers) {
+            let chunks: Vec<ChunkId> = (0..5).map(|k| ChunkId::primary(i * 5 + k)).collect();
+            lookups.push((NodeId::new(proposer), chunks[2]));
+            history.record_proposal_received(i / 7, NodeId::new(proposer), chunks.into());
+        }
+        let mut next = 0;
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let (proposer, chunk) = lookups[next % lookups.len()];
+                next += 1;
+                history.received_proposal_with(proposer, &[chunk])
+            })
+        });
+    }
+}
+
 struct YesOracle;
 impl AuditOracle for YesOracle {
     fn confirm_proposal(&mut self, _w: NodeId, _s: NodeId, _c: &[ChunkId]) -> bool {
@@ -160,6 +191,7 @@ criterion_group!(
     bench_entropy,
     bench_blame_model,
     bench_verifier_confirm,
+    bench_received_lookup,
     bench_audit
 );
 criterion_main!(benches);

@@ -17,7 +17,7 @@
 //! into blames. The thresholds are scaled to the amount of history actually
 //! available so that freshly joined nodes are not wrongfully expelled.
 
-use lifting_analysis::shannon_entropy;
+use lifting_analysis::shannon_entropy_of_counts;
 use lifting_gossip::ChunkId;
 use lifting_sim::NodeId;
 use serde::{Deserialize, Serialize};
@@ -140,25 +140,24 @@ impl Auditor {
     pub fn audit(&self, history: &NodeHistory, oracle: &mut dyn AuditOracle) -> AuditReport {
         let subject = history.owner();
 
-        // 1. Entropy of the fanout multiset Fh.
-        let fanout_multiset = history.fanout_multiset();
-        let fanout_entropy = shannon_entropy(fanout_multiset.iter().copied());
-        let fanout_threshold = self.scaled_threshold(fanout_multiset.len());
+        // 1. Entropy of the fanout multiset Fh. Sorted once: the runs give
+        // the entropy, and deduplicated it is the witness list of step 2.
+        let mut witnesses = history.fanout_multiset();
+        witnesses.sort_unstable();
+        let fanout_entries = witnesses.len();
+        let fanout_entropy = entropy_of_sorted(&witnesses);
+        let fanout_threshold = self.scaled_threshold(fanout_entries);
         let fanout_fails = fanout_threshold
             .map(|thr| fanout_entropy < thr)
             .unwrap_or(false);
 
         // 2. Entropy of the fanin multiset F'h, gathered from the witnesses.
-        // The entropy and size of Fh are already taken, so the multiset
-        // buffer itself becomes the deduplicated witness list — no per-audit
-        // clone of the whole multiset.
-        let mut witnesses = fanout_multiset;
-        witnesses.sort_unstable();
         witnesses.dedup();
         let mut fanin_multiset: Vec<NodeId> = Vec::new();
         for w in &witnesses {
             fanin_multiset.extend(oracle.confirm_askers(*w, subject));
         }
+        fanin_multiset.sort_unstable();
         // The fanin multiset is intrinsically noisier than the fanout one: its
         // size fluctuates, each serve contributes several identical asker
         // entries, and in small systems the dissemination tree concentrates a
@@ -174,7 +173,7 @@ impl Auditor {
         let (fanin_entropy, fanin_threshold, fanin_fails) = if fanin_multiset.is_empty() {
             (None, None, false)
         } else {
-            let h = shannon_entropy(fanin_multiset.iter().copied());
+            let h = entropy_of_sorted(&fanin_multiset);
             let thr = if fanin_applicable {
                 self.scaled_threshold(fanin_multiset.len())
                     .map(|t| t * FANIN_THRESHOLD_FRACTION)
@@ -187,12 +186,10 @@ impl Auditor {
 
         // 3. A-posteriori cross-check of every logged push.
         let mut unconfirmed = 0usize;
-        for period in history.periods() {
-            for proposal in &period.proposals_sent {
-                for partner in &proposal.partners {
-                    if !oracle.confirm_proposal(*partner, subject, &proposal.chunks) {
-                        unconfirmed += 1;
-                    }
+        for proposal in history.proposals_sent() {
+            for partner in &proposal.partners {
+                if !oracle.confirm_proposal(*partner, subject, &proposal.chunks) {
+                    unconfirmed += 1;
                 }
             }
         }
@@ -227,6 +224,14 @@ impl Auditor {
             verdict,
         }
     }
+}
+
+/// Shannon entropy of a sorted multiset, from the lengths of its runs of
+/// equal items. Bit-identical to [`lifting_analysis::shannon_entropy`] on the
+/// same multiset: both hand the occurrence counts to
+/// [`shannon_entropy_of_counts`], which fixes the summation order itself.
+fn entropy_of_sorted(sorted: &[NodeId]) -> f64 {
+    shannon_entropy_of_counts(sorted.chunk_by(|a, b| a == b).map(|run| run.len() as u64))
 }
 
 #[cfg(test)]
@@ -445,5 +450,22 @@ mod tests {
         let report = auditor.audit(&h, &mut oracle);
         assert_eq!(report.verdict, AuditVerdict::Pass);
         assert_eq!(report.applied_fanout_threshold, 0.0);
+    }
+
+    #[test]
+    fn sorted_run_entropy_is_bit_identical_to_the_hashed_one() {
+        let mut rng = derive_rng(6, 0);
+        for (entries, population) in [(0, 1), (1, 1), (350, 300), (350, 10_000), (2_000, 40)] {
+            let mut multiset: Vec<NodeId> = (0..entries)
+                .map(|_| NodeId::new(rng.gen_range(0..population)))
+                .collect();
+            let hashed = lifting_analysis::shannon_entropy(multiset.iter().copied());
+            multiset.sort_unstable();
+            assert_eq!(
+                entropy_of_sorted(&multiset).to_bits(),
+                hashed.to_bits(),
+                "{entries} entries over {population} nodes"
+            );
+        }
     }
 }

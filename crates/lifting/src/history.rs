@@ -1,12 +1,19 @@
 //! Accountability: the bounded local history every node maintains
 //! (Section 5, "each node maintains a digest of its past interactions").
 //!
-//! The history covers the last `nh` gossip periods and records, per period,
-//! the proposals sent (partners and chunk ids), the serves received (source
-//! and chunk), the proposals received (needed to answer confirm requests and
-//! audit polls truthfully) and the confirm requests received (needed to build
-//! the fanin multiset `F'h` during audits of *other* nodes).
+//! The history covers the last `nh` gossip periods and records the proposals
+//! sent (partners and chunk ids), the serves received (source and chunk), the
+//! proposals received (needed to answer confirm requests and audit polls
+//! truthfully) and the confirm requests received (needed to build the fanin
+//! multiset `F'h` during audits of *other* nodes).
+//!
+//! Layout: one flat arrival-order log per kind of entry, and a ring of
+//! [`PeriodRecord`] headers that says how many entries of each log belong to
+//! each period. Recording appends to a log and bumps a counter; evicting the
+//! oldest period pops that many entries off the front of each log; the
+//! audit-side readers are straight scans of one log.
 
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -16,6 +23,15 @@ use lifting_sim::{InlineVec, NodeId};
 use serde::{Deserialize, Serialize, Value};
 
 use crate::messages::{CHUNK_ID_BYTES, NODE_ID_BYTES};
+
+/// Wire bytes of an empty history (the period count).
+const WIRE_BASE_BYTES: u64 = 8;
+/// Wire bytes of one period header.
+const WIRE_PERIOD_BYTES: u64 = 16;
+/// Wire bytes of one serve-received entry.
+const WIRE_SERVE_BYTES: u64 = NODE_ID_BYTES + CHUNK_ID_BYTES;
+/// Wire bytes of one confirm-received entry.
+const WIRE_CONFIRM_BYTES: u64 = 2 * NODE_ID_BYTES;
 
 /// One proposal sent during a period.
 ///
@@ -30,21 +46,60 @@ pub struct ProposalRecord {
     pub chunks: InlineVec<ChunkId, 8>,
 }
 
-/// Everything recorded during one gossip period.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+impl ProposalRecord {
+    fn wire_bytes(&self) -> u64 {
+        4 + NODE_ID_BYTES * self.partners.len() as u64 + CHUNK_ID_BYTES * self.chunks.len() as u64
+    }
+}
+
+/// Header of one recorded gossip period: the node's period counter and how
+/// many entries of each log were recorded during it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PeriodRecord {
     /// The node's period counter.
     pub period: u64,
     /// Proposals sent during this period (at most one per the protocol, but
     /// the record does not enforce it).
-    pub proposals_sent: Vec<ProposalRecord>,
-    /// Chunks received, with the node that served each.
-    pub serves_received: Vec<(NodeId, ChunkId)>,
-    /// Proposals received: `(proposer, chunk ids)`. The chunk lists are
-    /// shared with the propose payloads they arrived in.
-    pub proposals_received: Vec<(NodeId, Arc<[ChunkId]>)>,
-    /// Confirm requests received: `(asker, subject)`.
-    pub confirms_received: Vec<(NodeId, NodeId)>,
+    pub proposals_sent: u32,
+    /// Serves received during this period.
+    pub serves_received: u32,
+    /// Proposals received during this period.
+    pub proposals_received: u32,
+    /// Confirm requests received during this period.
+    pub confirms_received: u32,
+}
+
+/// One proposal received, linked to the previous one from the same proposer.
+#[derive(Debug, Clone)]
+struct ReceivedProposal {
+    proposer: NodeId,
+    /// Shared with the propose payload the list arrived in.
+    chunks: Arc<[ChunkId]>,
+    /// Sequence number of the proposer's previous proposal. Only read while
+    /// walking the proposer's live chain, so it needs no "none" value.
+    prev_seq: u32,
+}
+
+impl PartialEq for ReceivedProposal {
+    fn eq(&self, other: &Self) -> bool {
+        // The link is derived from the log's past, not part of the record.
+        self.proposer == other.proposer && self.chunks == other.chunks
+    }
+}
+
+impl ReceivedProposal {
+    fn wire_bytes(&self) -> u64 {
+        NODE_ID_BYTES + 4 + CHUNK_ID_BYTES * self.chunks.len() as u64
+    }
+}
+
+/// A proposer's chain through the received-proposal log.
+#[derive(Debug, Clone, Copy)]
+struct Chain {
+    /// Sequence number of the proposer's newest proposal.
+    newest_seq: u32,
+    /// How many of its proposals are still in the log.
+    live: u32,
 }
 
 /// The bounded history of one node.
@@ -52,40 +107,95 @@ pub struct PeriodRecord {
 pub struct NodeHistory {
     owner: NodeId,
     capacity_periods: usize,
+    /// One header per recorded period, oldest first.
     periods: VecDeque<PeriodRecord>,
-    /// Live count of each `(proposer, chunk)` pair among the recorded
-    /// `proposals_received`, maintained incrementally as periods are recorded
-    /// and evicted. [`received_proposal_with`] answers from this index in
-    /// O(chunks) — it used to scan every proposal of every period, and that
-    /// scan (run once per confirm request, i.e. per cross-check witness)
-    /// dominated whole-system runs at `pdcc = 1`.
+    /// The four logs, each in arrival order; the headers' counts partition
+    /// them into periods.
+    proposals_sent: VecDeque<ProposalRecord>,
+    /// `(source, chunk)`.
+    serves_received: VecDeque<(NodeId, ChunkId)>,
+    proposals_received: VecDeque<ReceivedProposal>,
+    /// `(asker, subject)`.
+    confirms_received: VecDeque<(NodeId, NodeId)>,
+    /// Sequence number of `proposals_received[0]`. Sequence numbers wrap;
+    /// only differences between live ones are ever taken.
+    received_base: u32,
+    /// Per proposer, the newest received proposal and the number still live:
+    /// [`received_proposal_with`] walks that many `prev_seq` links. Recording
+    /// a proposal touches one entry whatever the number of chunks, and so
+    /// does evicting one (the evicted proposal is always its chain's oldest).
+    /// A proposer recurs rarely inside the window under uniform partner
+    /// selection (`nh·f/n` live proposals on average), so chains are short.
     ///
-    /// Derived state: deliberately excluded from equality and serialization.
+    /// Derived state: excluded from equality and serialization.
     ///
     /// [`received_proposal_with`]: NodeHistory::received_proposal_with
-    received_index: FastHashMap<(NodeId, ChunkId), u32>,
+    chains: FastHashMap<NodeId, Chain>,
+    /// Running [`wire_size`](NodeHistory::wire_size), kept on record/evict.
+    wire_bytes: u64,
 }
 
 impl PartialEq for NodeHistory {
     fn eq(&self, other: &Self) -> bool {
-        // The index is derived from `periods`; comparing it would be
-        // redundant (and needlessly order-sensitive).
         self.owner == other.owner
             && self.capacity_periods == other.capacity_periods
             && self.periods == other.periods
+            && self.proposals_sent == other.proposals_sent
+            && self.serves_received == other.serves_received
+            && self.proposals_received == other.proposals_received
+            && self.confirms_received == other.confirms_received
     }
 }
 
 impl Serialize for NodeHistory {
     fn to_json_value(&self) -> Value {
-        // Same shape the derive produced before the index existed.
+        // One object per period holding its slice of each log: the shape the
+        // derive produced when every period owned four lists.
+        fn take<T>(
+            log: &mut impl Iterator<Item = T>,
+            n: u32,
+            render: impl Fn(T) -> Value,
+        ) -> Value {
+            Value::Array(log.take(n as usize).map(render).collect())
+        }
+        let mut sent = self.proposals_sent.iter();
+        let mut serves = self.serves_received.iter();
+        let mut received = self.proposals_received.iter();
+        let mut confirms = self.confirms_received.iter();
+        let periods = self
+            .periods
+            .iter()
+            .map(|p| {
+                Value::Object(vec![
+                    ("period".to_string(), p.period.to_json_value()),
+                    (
+                        "proposals_sent".to_string(),
+                        take(&mut sent, p.proposals_sent, Serialize::to_json_value),
+                    ),
+                    (
+                        "serves_received".to_string(),
+                        take(&mut serves, p.serves_received, Serialize::to_json_value),
+                    ),
+                    (
+                        "proposals_received".to_string(),
+                        take(&mut received, p.proposals_received, |r| {
+                            (r.proposer, &r.chunks).to_json_value()
+                        }),
+                    ),
+                    (
+                        "confirms_received".to_string(),
+                        take(&mut confirms, p.confirms_received, Serialize::to_json_value),
+                    ),
+                ])
+            })
+            .collect();
         Value::Object(vec![
             ("owner".to_string(), self.owner.to_json_value()),
             (
                 "capacity_periods".to_string(),
                 self.capacity_periods.to_json_value(),
             ),
-            ("periods".to_string(), self.periods.to_json_value()),
+            ("periods".to_string(), Value::Array(periods)),
         ])
     }
 }
@@ -108,7 +218,13 @@ impl NodeHistory {
             owner,
             capacity_periods,
             periods: VecDeque::new(),
-            received_index: FastHashMap::default(),
+            proposals_sent: VecDeque::new(),
+            serves_received: VecDeque::new(),
+            proposals_received: VecDeque::new(),
+            confirms_received: VecDeque::new(),
+            received_base: 0,
+            chains: FastHashMap::default(),
+            wire_bytes: WIRE_BASE_BYTES,
         }
     }
 
@@ -117,26 +233,26 @@ impl NodeHistory {
         self.owner
     }
 
-    /// Heap bytes held by the recorded periods and the derived index
-    /// (capacity walk, deterministic; shared `Arc` chunk lists are attributed
-    /// to every holder).
+    /// Heap bytes held by the period headers, the four logs and the chain
+    /// index (capacity walk, deterministic; shared `Arc` chunk lists are
+    /// attributed to every holder).
     pub fn estimated_heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        let mut bytes = self.periods.capacity() * size_of::<PeriodRecord>()
+        let chunk_lists: usize = self
+            .proposals_received
+            .iter()
+            .map(|r| r.chunks.len() * size_of::<ChunkId>())
+            .sum();
+        self.periods.capacity() * size_of::<PeriodRecord>()
+            + self.proposals_sent.capacity() * size_of::<ProposalRecord>()
+            + self.serves_received.capacity() * size_of::<(NodeId, ChunkId)>()
+            + self.proposals_received.capacity() * size_of::<ReceivedProposal>()
+            + self.confirms_received.capacity() * size_of::<(NodeId, NodeId)>()
             + self
-                .received_index
+                .chains
                 .capacity()
-                .saturating_mul(size_of::<((NodeId, ChunkId), u32)>());
-        for p in &self.periods {
-            bytes += p.proposals_sent.capacity() * size_of::<ProposalRecord>()
-                + p.serves_received.capacity() * size_of::<(NodeId, ChunkId)>()
-                + p.proposals_received.capacity() * size_of::<(NodeId, Arc<[ChunkId]>)>()
-                + p.confirms_received.capacity() * size_of::<(NodeId, NodeId)>();
-            for (_, chunks) in &p.proposals_received {
-                bytes += chunks.len() * size_of::<ChunkId>();
-            }
-        }
-        bytes
+                .saturating_mul(size_of::<(NodeId, Chain)>())
+            + chunk_lists
     }
 
     /// Number of periods currently recorded.
@@ -154,51 +270,68 @@ impl NodeHistory {
         self.capacity_periods
     }
 
+    /// The header to count a new entry of `period` in: the newest one if it
+    /// is for `period`, else a fresh one (evicting the oldest period when the
+    /// history is full).
     fn current_mut(&mut self, period: u64) -> &mut PeriodRecord {
-        let needs_new = match self.periods.back() {
-            Some(last) => last.period != period,
-            None => true,
-        };
-        if needs_new {
+        if self.periods.back().map(|last| last.period) != Some(period) {
             self.periods.push_back(PeriodRecord {
                 period,
                 ..PeriodRecord::default()
             });
-            while self.periods.len() > self.capacity_periods {
-                if let Some(evicted) = self.periods.pop_front() {
-                    // Keep the received-proposal index in sync with eviction.
-                    for (proposer, ids) in &evicted.proposals_received {
-                        for id in ids.iter() {
-                            if let Some(count) = self.received_index.get_mut(&(*proposer, *id)) {
-                                *count -= 1;
-                                if *count == 0 {
-                                    self.received_index.remove(&(*proposer, *id));
-                                }
-                            }
-                        }
-                    }
-                }
+            self.wire_bytes += WIRE_PERIOD_BYTES;
+            if self.periods.len() > self.capacity_periods {
+                self.evict_oldest();
             }
         }
         self.periods.back_mut().expect("just pushed")
     }
 
+    fn evict_oldest(&mut self) {
+        let evicted = self.periods.pop_front().expect("a full history");
+        self.wire_bytes -= WIRE_PERIOD_BYTES
+            + WIRE_SERVE_BYTES * u64::from(evicted.serves_received)
+            + WIRE_CONFIRM_BYTES * u64::from(evicted.confirms_received);
+        for sent in self.proposals_sent.drain(..evicted.proposals_sent as usize) {
+            self.wire_bytes -= sent.wire_bytes();
+        }
+        self.serves_received
+            .drain(..evicted.serves_received as usize);
+        self.confirms_received
+            .drain(..evicted.confirms_received as usize);
+        for received in self
+            .proposals_received
+            .drain(..evicted.proposals_received as usize)
+        {
+            self.wire_bytes -= received.wire_bytes();
+            // The evicted proposal is the oldest of its proposer's chain.
+            if let Entry::Occupied(mut chain) = self.chains.entry(received.proposer) {
+                chain.get_mut().live -= 1;
+                if chain.get().live == 0 {
+                    chain.remove();
+                }
+            }
+        }
+        self.received_base = self.received_base.wrapping_add(evicted.proposals_received);
+    }
+
     /// Records a proposal sent during `period`. The lists are copied into
     /// inline storage, so callers pass borrowed slices instead of cloning.
     pub fn record_proposal_sent(&mut self, period: u64, partners: &[NodeId], chunks: &[ChunkId]) {
-        self.current_mut(period)
-            .proposals_sent
-            .push(ProposalRecord {
-                partners: InlineVec::from_slice(partners),
-                chunks: InlineVec::from_slice(chunks),
-            });
+        self.current_mut(period).proposals_sent += 1;
+        let record = ProposalRecord {
+            partners: InlineVec::from_slice(partners),
+            chunks: InlineVec::from_slice(chunks),
+        };
+        self.wire_bytes += record.wire_bytes();
+        self.proposals_sent.push_back(record);
     }
 
     /// Records a chunk served to this node by `source` during `period`.
     pub fn record_serve_received(&mut self, period: u64, source: NodeId, chunk: ChunkId) {
-        self.current_mut(period)
-            .serves_received
-            .push((source, chunk));
+        self.current_mut(period).serves_received += 1;
+        self.wire_bytes += WIRE_SERVE_BYTES;
+        self.serves_received.push_back((source, chunk));
     }
 
     /// Records a proposal received from `proposer` during `period`.
@@ -208,33 +341,48 @@ impl NodeHistory {
         proposer: NodeId,
         chunks: Arc<[ChunkId]>,
     ) {
-        for id in chunks.iter() {
-            *self.received_index.entry((proposer, *id)).or_insert(0) += 1;
-        }
-        self.current_mut(period)
-            .proposals_received
-            .push((proposer, chunks));
+        self.current_mut(period).proposals_received += 1;
+        let seq = self
+            .received_base
+            .wrapping_add(self.proposals_received.len() as u32);
+        let chain = self.chains.entry(proposer).or_insert(Chain {
+            newest_seq: seq,
+            live: 0,
+        });
+        let record = ReceivedProposal {
+            proposer,
+            chunks,
+            prev_seq: chain.newest_seq,
+        };
+        chain.newest_seq = seq;
+        chain.live += 1;
+        self.wire_bytes += record.wire_bytes();
+        self.proposals_received.push_back(record);
     }
 
     /// Records a confirm request received from `asker` about `subject` during
     /// `period`.
     pub fn record_confirm_received(&mut self, period: u64, asker: NodeId, subject: NodeId) {
-        self.current_mut(period)
-            .confirms_received
-            .push((asker, subject));
+        self.current_mut(period).confirms_received += 1;
+        self.wire_bytes += WIRE_CONFIRM_BYTES;
+        self.confirms_received.push_back((asker, subject));
     }
 
-    /// Iterates over the recorded periods, oldest first.
+    /// Iterates over the headers of the recorded periods, oldest first.
     pub fn periods(&self) -> impl Iterator<Item = &PeriodRecord> + '_ {
         self.periods.iter()
+    }
+
+    /// Iterates over every proposal sent in the history, oldest first.
+    pub fn proposals_sent(&self) -> impl Iterator<Item = &ProposalRecord> + '_ {
+        self.proposals_sent.iter()
     }
 
     /// The fanout multiset `Fh`: every partner of every proposal sent in the
     /// history (with multiplicity).
     pub fn fanout_multiset(&self) -> Vec<NodeId> {
-        self.periods
+        self.proposals_sent
             .iter()
-            .flat_map(|p| p.proposals_sent.iter())
             .flat_map(|pr| pr.partners.iter().copied())
             .collect()
     }
@@ -242,18 +390,14 @@ impl NodeHistory {
     /// The fanin multiset recorded locally: the node that served each received
     /// chunk (with multiplicity).
     pub fn fanin_multiset(&self) -> Vec<NodeId> {
-        self.periods
-            .iter()
-            .flat_map(|p| p.serves_received.iter().map(|(s, _)| *s))
-            .collect()
+        self.serves_received.iter().map(|(s, _)| *s).collect()
     }
 
     /// The nodes that asked this node to confirm proposals of `subject`
-    /// (used by an auditor of `subject` to build `F'h`).
+    /// (used by an auditor of `subject` to build `F'h`), in arrival order.
     pub fn confirm_askers_about(&self, subject: NodeId) -> Vec<NodeId> {
-        self.periods
+        self.confirms_received
             .iter()
-            .flat_map(|p| p.confirms_received.iter())
             .filter(|(_, s)| *s == subject)
             .map(|(asker, _)| *asker)
             .collect()
@@ -261,42 +405,34 @@ impl NodeHistory {
 
     /// Number of propose phases recorded (gossip-period check of Section 5.3).
     pub fn propose_phase_count(&self) -> usize {
-        self.periods
-            .iter()
-            .filter(|p| !p.proposals_sent.is_empty())
-            .count()
+        self.periods.iter().filter(|p| p.proposals_sent > 0).count()
+    }
+
+    /// The chunk lists of a proposer's live proposals, newest first.
+    fn walk(&self, chain: Chain) -> impl Iterator<Item = &[ChunkId]> + '_ {
+        let mut seq = chain.newest_seq;
+        (0..chain.live).map(move |_| {
+            let record = &self.proposals_received[seq.wrapping_sub(self.received_base) as usize];
+            seq = record.prev_seq;
+            &*record.chunks
+        })
     }
 
     /// True if this node received a proposal from `proposer` containing every
     /// chunk in `chunks` (possibly across several proposals). Used to answer
     /// confirm requests and a-posteriori audit polls.
-    ///
-    /// Answered from the incremental index in O(|chunks|); the set of live
-    /// `(proposer, chunk)` pairs is identical to what a scan over
-    /// `proposals_received` would find.
     pub fn received_proposal_with(&self, proposer: NodeId, chunks: &[ChunkId]) -> bool {
+        let Some(&chain) = self.chains.get(&proposer) else {
+            return chunks.is_empty();
+        };
         chunks
             .iter()
-            .all(|needle| self.received_index.contains_key(&(proposer, *needle)))
+            .all(|needle| self.walk(chain).any(|ids| ids.contains(needle)))
     }
 
     /// Approximate wire size of the history when uploaded for an audit.
     pub fn wire_size(&self) -> u64 {
-        let mut bytes = 8; // period count
-        for p in &self.periods {
-            bytes += 16; // period header
-            for pr in &p.proposals_sent {
-                bytes += 4
-                    + NODE_ID_BYTES * pr.partners.len() as u64
-                    + CHUNK_ID_BYTES * pr.chunks.len() as u64;
-            }
-            bytes += (NODE_ID_BYTES + CHUNK_ID_BYTES) * p.serves_received.len() as u64;
-            for (_, ids) in &p.proposals_received {
-                bytes += NODE_ID_BYTES + 4 + CHUNK_ID_BYTES * ids.len() as u64;
-            }
-            bytes += 2 * NODE_ID_BYTES * p.confirms_received.len() as u64;
-        }
-        bytes
+        self.wire_bytes
     }
 }
 
@@ -391,36 +527,26 @@ mod tests {
         let _ = NodeHistory::new(NodeId::new(0), 0);
     }
 
-    /// The incremental received-proposal index must agree with a full scan of
-    /// `proposals_received` at every step, including across period eviction.
+    /// Sequence numbers wrap at `u32::MAX`; chains only ever subtract live
+    /// ones, so a log that straddles the wrap answers like any other.
     #[test]
-    fn received_index_matches_a_full_scan_across_eviction() {
+    fn proposer_chains_survive_sequence_wraparound() {
         let mut h = NodeHistory::new(NodeId::new(0), 3);
-        let scan = |h: &NodeHistory, proposer: NodeId, needle: ChunkId| {
-            h.periods().any(|p| {
-                p.proposals_received
-                    .iter()
-                    .any(|(from, ids)| *from == proposer && ids.contains(&needle))
-            })
-        };
-        for period in 0..10u64 {
-            let proposer = NodeId::new((period % 4) as u32 + 1);
-            h.record_proposal_received(period, proposer, ids(&[period, period + 100]).into());
-            // A second proposal repeating an old chunk id from the same
-            // proposer (duplicate index entries must survive one eviction).
-            if period >= 2 {
-                h.record_proposal_received(period, proposer, ids(&[period - 2]).into());
+        h.received_base = u32::MAX - 2;
+        for period in 0..8u64 {
+            for proposer in [1, 2] {
+                let chunk = period * 10 + u64::from(proposer);
+                h.record_proposal_received(period, NodeId::new(proposer), ids(&[chunk]).into());
             }
-            for probe_period in 0..10u64 {
-                for probe_proposer in 1..=4u32 {
-                    for probe in [probe_period, probe_period + 100] {
-                        let (p, c) = (NodeId::new(probe_proposer), ChunkId::primary(probe));
-                        assert_eq!(
-                            h.received_proposal_with(p, &[c]),
-                            scan(&h, p, c),
-                            "index and scan disagree on ({p}, {c}) at period {period}"
-                        );
-                    }
+            for probe in 0..8u64 {
+                let live = probe + 3 > period && probe <= period;
+                for proposer in [1, 2] {
+                    let chunk = probe * 10 + u64::from(proposer);
+                    assert_eq!(
+                        h.received_proposal_with(NodeId::new(proposer), &ids(&[chunk])),
+                        live,
+                        "proposer {proposer}, chunk {chunk} at period {period}"
+                    );
                 }
             }
         }

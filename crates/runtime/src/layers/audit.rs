@@ -177,20 +177,6 @@ impl AuditCoordinator {
             (report, oracle.missing_witness)
         };
 
-        if std::env::var_os("LIFTING_AUDIT_DEBUG").is_some() {
-            eprintln!(
-                "audit of {target}: fanout H={:.2}/thr {:.2} ({} entries), fanin H={:?}/thr {:?}, unconfirmed={}, phases {}/{}, verdict {:?}, missing witness {missing_witness}",
-                report.fanout_entropy,
-                report.applied_fanout_threshold,
-                history.fanout_multiset().len(),
-                report.fanin_entropy.map(|h| (h * 100.0).round() / 100.0),
-                report.applied_fanin_threshold.map(|h| (h * 100.0).round() / 100.0),
-                report.unconfirmed_pushes,
-                report.observed_propose_phases,
-                report.expected_propose_phases,
-                report.verdict
-            );
-        }
         match report.verdict {
             // Missing witnesses weaken the evidence (unconfirmed pushes, a
             // thinner fanin multiset): give the target the benefit of the

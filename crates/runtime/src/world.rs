@@ -580,22 +580,6 @@ impl SystemWorld {
 
     fn handle_period_end(&mut self, _now: SimTime, ctx: &mut Context<Event>) {
         self.periods_elapsed += 1;
-        if std::env::var_os("LIFTING_AUDIT_DEBUG").is_some() {
-            let snap = self.score_snapshot(_now);
-            let min = snap
-                .outcomes
-                .iter()
-                .filter_map(|o| o.score)
-                .fold(f64::INFINITY, f64::min);
-            let fr_mean = {
-                let v = snap.freerider_scores();
-                v.iter().sum::<f64>() / v.len().max(1) as f64
-            };
-            eprintln!(
-                "period end at {_now}: min score {min:.2}, freerider mean {fr_mean:.2}, expelled {}",
-                self.expelled_count()
-            );
-        }
         if self.lifting_on() {
             let min_periods = self.config.lifting.min_periods_before_expulsion;
             // Score aging is churn-aware: a departed node is not being
