@@ -39,6 +39,9 @@ cargo build --release --workspace
 
 echo "==> cargo test -q"
 cargo test -q --workspace
+# The event queue's allocation and footprint contracts are about optimized
+# code (capacity growth, inlined pushes): pin them in release as well.
+cargo test -q --release -p lifting-sim --test zero_alloc --test queue_footprint
 
 echo "==> examples smoke (quick scale)"
 # Clippy only *compiles* the examples; actually execute the two entry-point
@@ -150,6 +153,25 @@ health = (a.get('stream_health') or {}).get('fraction_clear') or []
 if not health or health[-1] <= 0.2:
     sys.exit(f'scale smoke: stream collapsed at n=1000 ({health[-1:]})')
 print(f'scale smoke OK (sharded == sequential, {mem/1024:.1f} KiB/node)')
+EOF
+
+echo "==> queue footprint gate (headline/planetlab, quick scale)"
+# Exact, not timed: the heap the event queue retains at the end of the run
+# is a capacity walk, so the same build always prints the same three numbers.
+./target/release/profile_scenario --scenario headline/planetlab > /tmp/profile_headline.txt
+python3 - <<'EOF'
+import re, sys
+text = open('/tmp/profile_headline.txt').read()
+m = re.search(r'^pending events (\d+)  queue heap bytes (\d+)  \(\S+ pending x (\d+)-byte entry\)$',
+              text, re.M)
+if not m:
+    sys.exit('queue footprint gate: profile_scenario printed no queue readout')
+pending, heap, entry = map(int, m.groups())
+if pending == 0 or heap > 8 * pending * entry:
+    sys.exit(f'queue footprint gate FAILED: {heap} B retained for {pending} pending '
+             f'{entry}-byte entries (more than 8x)')
+print(f'queue footprint OK ({heap} B for {pending} pending entries, '
+      f'{heap / (pending * entry):.2f}x)')
 EOF
 
 echo "==> bench smoke (quick wall-clock vs committed baseline)"

@@ -8,8 +8,67 @@ use lifting_core::{
     AuditOracle, Auditor, CollusionConfig, ConfirmPayload, LiftingConfig, NodeHistory, Verifier,
 };
 use lifting_gossip::ChunkId;
-use lifting_sim::{derive_rng, EventQueue, NodeId, SimTime};
+use lifting_sim::{derive_rng, Context, Engine, EventQueue, NodeId, SimDuration, SimTime, World};
+use rand::rngs::SmallRng;
 use rand::Rng;
+
+/// The traffic mix of `crates/sim/tests/queue_footprint.rs` — deliveries
+/// 1–200 ms out, 0.5 s ticks, 0.5 / 1.0 / 1.5 s timers, 4 s audit ticks —
+/// padded so that a queued entry is the runtime's 56 bytes.
+#[derive(Clone, Copy)]
+enum MixKind {
+    Tick,
+    Deliver,
+    Timer,
+    Audit,
+}
+
+#[derive(Clone, Copy)]
+struct MixEvent {
+    kind: MixKind,
+    _pad: [u64; 4],
+}
+
+fn mix(kind: MixKind) -> MixEvent {
+    MixEvent { kind, _pad: [0; 4] }
+}
+
+struct MixedHorizon(SmallRng);
+
+impl MixedHorizon {
+    fn deliveries(&mut self, n: usize, ctx: &mut Context<MixEvent>) {
+        for _ in 0..n {
+            let latency = SimDuration::from_micros(self.0.gen_range(1_000..200_000));
+            ctx.schedule_after(latency, mix(MixKind::Deliver));
+        }
+    }
+}
+
+impl World for MixedHorizon {
+    type Event = MixEvent;
+
+    fn handle_event(&mut self, _now: SimTime, event: MixEvent, ctx: &mut Context<MixEvent>) {
+        match event.kind {
+            MixKind::Tick => {
+                ctx.schedule_after(SimDuration::from_millis(500), event);
+                self.deliveries(3, ctx);
+            }
+            MixKind::Audit => {
+                ctx.schedule_after(SimDuration::from_secs(4), event);
+                self.deliveries(2, ctx);
+            }
+            MixKind::Deliver => {
+                let draw = self.0.gen_range(0u32..6);
+                self.deliveries((draw < 3) as usize, ctx);
+                if draw % 3 == 0 {
+                    let wait = SimDuration::from_millis(500 * self.0.gen_range(1u64..=3));
+                    ctx.schedule_after(wait, mix(MixKind::Timer));
+                }
+            }
+            MixKind::Timer => {}
+        }
+    }
+}
 
 fn bench_event_queue(c: &mut Criterion) {
     c.bench_function("event_queue_push_pop_10k", |b| {
@@ -42,6 +101,22 @@ fn bench_event_queue(c: &mut Criterion) {
             },
             BatchSize::SmallInput,
         )
+    });
+    // One event through the engine (pop, handler, batched re-push) with
+    // about 300 000 entries pending across the front, the ring and the far
+    // list: the queue's steady state at `scale/10k`, far beyond cache.
+    c.bench_function("event_queue_mixed_horizon_300k", |b| {
+        let mut phases = derive_rng(1, 2);
+        let mut engine = Engine::new(MixedHorizon(derive_rng(1, 3)));
+        for _ in 0..38_000 {
+            let phase = SimTime::from_micros(phases.gen_range(0..500_000));
+            engine.schedule(phase, mix(MixKind::Tick));
+            let phase = SimTime::from_micros(phases.gen_range(0..4_000_000));
+            engine.schedule(phase, mix(MixKind::Audit));
+        }
+        engine.run_until(SimTime::from_secs(3));
+        assert!((250_000..350_000).contains(&engine.pending_events()));
+        b.iter(|| engine.run_to_completion(1))
     });
 }
 

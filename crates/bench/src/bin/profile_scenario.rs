@@ -7,6 +7,9 @@
 //! This is the harness that guided the time-wheel / flat-index / Arc-payload
 //! optimization pass; keep it honest when touching the hot path.
 //!
+//! The quick run also reads out the scheduler: pending events, the heap bytes
+//! the event queue retains, and their ratio to `pending x entry size`.
+//!
 //! Flags: `--scenario NAME` picks the profiled scenario (default
 //! `headline/planetlab`); `--shards K` additionally re-runs it through the
 //! shard-parallel wave executor and prints the per-shard event and mailbox
@@ -71,6 +74,16 @@ fn headline_breakdown(base: &ScenarioConfig) -> u64 {
         outcome.traffic.total_messages_sent,
         run_secs * 1e9 / events as f64,
         allocs as f64 / events as f64,
+    );
+    // What the scheduler retains against what it holds at the end of the run
+    // (`ci.sh` gates this line).
+    let pending = engine.pending_events();
+    let entry = lifting_sim::EventQueue::<lifting_runtime::Event>::ENTRY_BYTES;
+    let queue_bytes = engine.queue_heap_bytes();
+    println!(
+        "pending events {pending}  queue heap bytes {queue_bytes}  \
+         ({:.2}x pending x {entry}-byte entry)",
+        queue_bytes as f64 / (pending * entry).max(1) as f64
     );
     for (cat, stats) in &outcome.traffic.per_category {
         if stats.messages_sent > 0 {
@@ -260,7 +273,7 @@ fn engine_machinery() {
     for i in 0..2_000u64 {
         engine.schedule(SimTime::from_micros(i * 37), Fat(i, [0; 5]));
     }
-    engine.run_until(SimTime::from_secs(5)); // warm up the wheel
+    engine.run_until(SimTime::from_secs(5)); // warm up the queue
     let start = Instant::now();
     let report = engine.run_until(SimTime::from_secs(35));
     println!(

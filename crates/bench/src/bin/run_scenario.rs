@@ -19,12 +19,33 @@
 //!   against `tests/scenario_manifest.txt`);
 //! * `--validate-registry` instantiates every registered component of every
 //!   kind with default parameters and exits non-zero on any failure.
+//!
+//! A missing or unknown scenario name, a flag without its value and an
+//! unknown exporter are usage errors: one line on stderr (the typed
+//! `ComponentError` for the exporter) plus the usage line, exit status 2.
 
 use lifting_bench::experiments::{Scale, PAPER_ETA};
 use lifting_bench::listing;
 use lifting_runtime::{exporter_components, run_scenario_sharded, ScenarioRegistry};
 use lifting_sim::{ParamMap, SeedSplitter};
 use serde_json::{json, to_value};
+
+const USAGE: &str = "usage: run_scenario <scenario-name> [--quick] [--seed N] [--shards K] \
+                     [--exporter NAME] | --list | --list-names | --validate-registry";
+
+fn usage_error(problem: impl std::fmt::Display) -> ! {
+    eprintln!("run_scenario: {problem}\n{USAGE}");
+    std::process::exit(2)
+}
+
+/// The parsed value following `flag`, `None` when the flag is absent.
+fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str, what: &str) -> Option<T> {
+    let at = args.iter().position(|a| a == flag)?;
+    match args.get(at + 1).map(|value| value.parse()) {
+        Some(Ok(value)) => Some(value),
+        _ => usage_error(format_args!("{flag} needs {what}")),
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -42,40 +63,32 @@ fn main() {
         println!("validated {validated} components across 6 registries");
         return;
     }
-    let name = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .expect("usage: run_scenario <scenario-name> [--quick] [--seed N] [--list]");
+    let Some(name) = args.iter().find(|a| !a.starts_with("--")) else {
+        usage_error("no scenario name given");
+    };
     let scale = if args.iter().any(|a| a == "--quick") {
         Scale::Quick
     } else {
         Scale::Paper
     };
-    let seed: u64 = args
-        .iter()
-        .position(|a| a == "--seed")
-        .map(|i| args[i + 1].parse().expect("--seed needs an integer"))
-        .unwrap_or(55);
-    let shards: usize = args
-        .iter()
-        .position(|a| a == "--shards")
-        .map(|i| args[i + 1].parse().expect("--shards needs an integer"))
-        .unwrap_or(1);
-    let exporter = args
-        .iter()
-        .position(|a| a == "--exporter")
-        .map(|i| args[i + 1].as_str());
-    assert!(
-        registry.contains(name),
-        "unknown scenario {name:?}; see --list"
-    );
+    let seed: u64 = flag_value(&args, "--seed", "an integer").unwrap_or(55);
+    let shards: usize = flag_value(&args, "--shards", "an integer").unwrap_or(1);
+    let exporter: Option<String> = flag_value(&args, "--exporter", "an exporter name");
+    let Some(config) = registry.try_build(name, scale, seed) else {
+        usage_error(format_args!("unknown scenario {name:?}; see --list"));
+    };
+    let exporter = exporter.map(|exporter_name| {
+        exporter_components()
+            .build(
+                &exporter_name,
+                &ParamMap::new(),
+                &mut SeedSplitter::new(seed),
+            )
+            .unwrap_or_else(|e| usage_error(format_args!("--exporter: {e}")))
+    });
 
-    let outcome = run_scenario_sharded(registry.build(name, scale, seed), shards);
-    if let Some(exporter_name) = exporter {
-        let mut seeds = SeedSplitter::new(seed);
-        let exporter = exporter_components()
-            .build(exporter_name, &ParamMap::new(), &mut seeds)
-            .unwrap_or_else(|e| panic!("--exporter: {e}"));
+    let outcome = run_scenario_sharded(config, shards);
+    if let Some(exporter) = exporter {
         println!("{}", exporter.export(name, PAPER_ETA, &outcome));
         return;
     }

@@ -8,7 +8,7 @@
 //! too) and heals after a fixed outage. [`FaultPlan::generate`] expands the
 //! schedule into per-node membership of each wave from a seeded RNG, exactly
 //! mirroring `ChurnPlan` in `lifting-membership`: the runtime schedules one
-//! begin and one heal event per wave through its time wheel and flips the
+//! begin and one heal event per wave through its event queue and flips the
 //! network's partition flags when they fire, so fault scenarios stay
 //! bit-for-bit deterministic and parallel == sequential like everything else.
 

@@ -34,7 +34,7 @@ pub trait World {
 /// event a wave member schedules carries a later sequence number than every
 /// event already queued at that instant, so it sorts after the entire wave —
 /// nothing can be scheduled *between* two wave members. (A world whose
-/// cross-node effects all carry a minimum lookahead of one wheel slot could
+/// cross-node effects all carry a minimum lookahead of one ring slot could
 /// widen the window to the slot; the runtimes here keep the conservative
 /// single-timestamp window, which needs no lookahead assumption at all.)
 pub trait ShardedWorld: World {
@@ -155,6 +155,12 @@ impl<W: World> Engine<W> {
     /// Number of pending events.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
+    }
+
+    /// Heap bytes retained by the event queue
+    /// ([`EventQueue::heap_bytes`]): scheduler state, not world state.
+    pub fn queue_heap_bytes(&self) -> usize {
+        self.queue.heap_bytes()
     }
 
     /// Immutable access to the world.

@@ -1,122 +1,108 @@
-//! Time-ordered event queue: a deterministic hierarchical time wheel.
+//! Time-ordered event queue: a sorted front, one ring of ~1 ms slots and one
+//! far list.
 //!
-//! The queue used to be a single `BinaryHeap`, which made every push and pop
-//! an `O(log n)` sift over the whole pending set. Simulation workloads are
-//! heavily skewed towards the near future (network latencies of a few
-//! milliseconds, gossip periods of half a second), so the queue is now a
-//! two-level time wheel:
+//! Simulation traffic is skewed towards the near future (network latencies
+//! of a few milliseconds, gossip periods of half a second), so the pending
+//! set is split by distance from the cursor instead of kept in one heap:
 //!
-//! * a **front heap** holding only the events of the slot currently being
-//!   drained — pops are `O(log k)` with `k` the events of one ~1 ms slot;
-//! * **level 0**: 256 slots of 1.024 ms each (~0.26 s of horizon), plain FIFO
-//!   `Vec` buckets — pushes are `O(1)`, no ordering work until the slot is
-//!   promoted;
-//! * **level 1**: 64 buckets of ~0.26 s each (~16.8 s of horizon), scattered
-//!   into level 0 when the cursor reaches them;
-//! * an **overflow heap** for events beyond the level-1 horizon (periodic
-//!   timers many seconds out), refilled into the wheels when reached.
+//! * the **front**: the events of the slot currently being drained, sorted
+//!   descending so a pop is `Vec::pop`;
+//! * the **ring**: 256 slots of 1.024 ms (~0.26 s of horizon) from `base`,
+//!   plain unordered `Vec`s — a push is O(1) and does no ordering work until
+//!   the cursor reaches the slot and sorts it into the front;
+//! * the **far list**: one `Vec` for everything at or beyond the ring's end.
+//!   When the ring has drained it is re-based at the earliest far event and
+//!   the far events inside the new horizon are scattered over the slots.
+//!
+//! A re-base reads the unordered part of the far list, which pays for itself
+//! while a good share of it lands in the ring (a dense timeline moves a
+//! quarter or more). When a re-base leaves behind more than eight times what
+//! it moved — events seconds apart — the list is sorted once: it becomes a
+//! descending **sorted head**, and later pushes form an unordered **tail**
+//! behind it. Re-bases then pop the head's end and read only the tail; the
+//! two are sorted together again only once the tail is the longer one, which
+//! keeps the sorting amortised, and no regime reads more than the plain scan.
 //!
 //! # Ordering contract
 //!
-//! Pop order is *exactly* the order the old `BinaryHeap` produced: strictly
-//! increasing `(time, seq)` where `seq` is the global push counter. Buckets
-//! keep FIFO push order and are only ordered (by promotion into the front
-//! heap) when the cursor reaches them; since `seq` is monotone, FIFO within a
-//! bucket and the `(time, seq)` sort agree. Events pushed for instants that
-//! already passed go straight into the front heap, so arbitrary push/pop
-//! interleavings — including pushes "in the past" — pop in the same order a
-//! reference heap would produce (see the property test in
-//! `tests/wheel_vs_heap.rs`). This is what keeps every golden digest
-//! bit-identical across the data-structure swap.
+//! Pop order is *exactly* that of a `BinaryHeap` keyed by `(time, seq)`, with
+//! `seq` the global push counter: strictly increasing `(time, seq)`, FIFO at
+//! equal times. The ring slots partition time, every slot is sorted by the
+//! full key when it is promoted, and an event pushed for an instant the
+//! cursor has already passed is inserted into the sorted front, so arbitrary
+//! push/pop interleavings — pushes "in the past" included — agree with the
+//! reference heap (`tests/wheel_vs_heap.rs`). The order in which slots and
+//! the far list hold their entries is therefore free, and every golden digest
+//! is independent of this layout.
 //!
 //! # Allocation contract
 //!
-//! At steady state the queue allocates nothing: bucket `Vec`s and the two
-//! heaps retain their capacity across promotions, so once every ring index
-//! has been touched at its peak occupancy (one full level-0 rotation of the
-//! hottest phase), the event loop runs allocation-free (pinned by
-//! `tests/zero_alloc.rs`).
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! At steady state the queue allocates nothing (`tests/zero_alloc.rs`), and
+//! what it retains follows the pending set (`tests/queue_footprint.rs`,
+//! [`EventQueue::heap_bytes`]). Both hold because capacity never migrates
+//! between tiers: the far list is one buffer that stays the far list, and
+//! the front trades buffers with the slot it promotes, so the 257 buffers of
+//! front and ring only ever hold one slot's worth of traffic. A buffer grown
+//! for 0.26 s of events is never parked where a 1 ms slot picks it up: a pool
+//! shared between tiers of different width would, over a run, grow every
+//! bucket to the widest tier's size.
 
 use crate::time::SimTime;
 
-/// Log2 of the level-0 slot width in microseconds (1024 µs per slot).
-const L0_SHIFT: u32 = 10;
-/// Number of level-0 slots; must be `1 << (L1_SHIFT - L0_SHIFT)` so one
-/// level-1 bucket scatters exactly over the level-0 ring.
-const L0_SLOTS: usize = 256;
-/// Log2 of the level-1 bucket width in microseconds (~262 ms per bucket).
-const L1_SHIFT: u32 = 18;
-/// Number of level-1 buckets (~16.8 s of horizon beyond level 0).
-const L1_SLOTS: usize = 64;
+/// Log2 of the slot width in microseconds (1024 µs per slot).
+const SLOT_SHIFT: u32 = 10;
+/// Number of ring slots (~262 ms of horizon).
+const SLOTS: usize = 256;
 
-/// An entry in the queue. Ordered by time, with a monotonically increasing
-/// sequence number as a tie-breaker so that events scheduled for the same
-/// instant are delivered in scheduling order (FIFO), which keeps runs
-/// deterministic.
+/// An entry in the queue: `seq`, the global push counter, breaks ties so that
+/// events scheduled for the same instant are delivered in scheduling order
+/// (FIFO), which keeps runs deterministic.
 struct Scheduled<E> {
     time: SimTime,
     seq: u64,
     event: E,
 }
 
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+impl<E> Scheduled<E> {
+    fn key(&self) -> (SimTime, u64) {
+        (self.time, self.seq)
     }
-}
-impl<E> Eq for Scheduled<E> {}
 
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event is popped first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+    /// Absolute index of the slot this entry belongs to.
+    fn slot(&self) -> u64 {
+        self.time.as_micros() >> SLOT_SHIFT
     }
 }
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+
+/// Sorts `entries` descending by `(time, seq)`, so the next event pops from
+/// the back. Keys are unique, so the unstable (in-place) sort is exact.
+fn sort_descending<E>(entries: &mut [Scheduled<E>]) {
+    entries.sort_unstable_by_key(|e| std::cmp::Reverse(e.key()));
 }
 
 /// A priority queue of events keyed by simulated time.
 ///
 /// Events at equal times are delivered in the order they were pushed.
 pub struct EventQueue<E> {
-    /// Events earlier than `window_end`, sorted by `(time, seq)` in
-    /// *descending* order so the next event is popped from the back in O(1).
-    /// Mid-window pushes (events landing before `window_end`) are rare —
-    /// latencies are longer than a slot — and insert by binary search.
+    /// Events earlier than `window_end`, sorted descending by `(time, seq)`.
+    /// Pushes landing before `window_end` are rare — latencies are longer
+    /// than a slot — and insert by binary search.
     front: Vec<Scheduled<E>>,
-    /// Exclusive upper bound (µs) of the front heap's coverage. Every event
+    /// Exclusive upper bound (µs) of the front's coverage. Every event
     /// stored outside `front` is at `window_end` or later.
     window_end: u64,
-    /// Level-0 ring: FIFO buckets for absolute slots
-    /// `[l0_base, l0_base + L0_SLOTS)` where `slot = micros >> L0_SHIFT`.
-    l0: Vec<Vec<Scheduled<E>>>,
-    /// Absolute slot index of `l0[0]`.
-    l0_base: u64,
-    /// First level-0 index not yet promoted into the front heap.
-    l0_cursor: usize,
-    /// Level-1 ring: FIFO buckets for absolute slots
-    /// `[l1_base, l1_base + L1_SLOTS)` where `slot = micros >> L1_SHIFT`.
-    l1: Vec<Vec<Scheduled<E>>>,
-    /// Absolute slot index of `l1[0]`.
-    l1_base: u64,
-    /// First level-1 index not yet scattered into level 0.
-    l1_cursor: usize,
-    /// Events at or beyond the level-1 horizon.
-    overflow: BinaryHeap<Scheduled<E>>,
-    /// Warmed, empty bucket `Vec`s recycled across ring indices. Promoting a
-    /// bucket parks its capacity here and the next occupied index picks it
-    /// up, so steady-state capacity follows the cursor around the rings
-    /// instead of being re-grown (allocated) at every first-touched index.
-    pool: Vec<Vec<Scheduled<E>>>,
+    /// Unordered buckets for the absolute slots `[base, base + SLOTS)`.
+    ring: Vec<Vec<Scheduled<E>>>,
+    /// Absolute slot index of `ring[0]`.
+    base: u64,
+    /// First ring index not yet promoted into the front.
+    cursor: usize,
+    /// Events at or beyond the ring's end: `far[..far_sorted]` descending by
+    /// `(time, seq)`, the rest in no order.
+    far: Vec<Scheduled<E>>,
+    far_sorted: usize,
+    /// Earliest time (µs) in the unordered tail, `u64::MAX` when it is empty.
+    tail_min: u64,
     len: usize,
     next_seq: u64,
 }
@@ -128,73 +114,44 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
+    /// Size of one queued entry: the event plus its `(time, seq)` key.
+    pub const ENTRY_BYTES: usize = std::mem::size_of::<Scheduled<E>>();
+
     /// Creates an empty queue.
     pub fn new() -> Self {
-        // Invariant wiring: the level-0 range must end exactly where the next
-        // unscattered level-1 bucket begins, i.e.
-        // `(l0_base + L0_SLOTS) << L0_SHIFT == (l1_base + l1_cursor) << L1_SHIFT`.
-        // Starting at slot 0 on both levels, that makes bucket 0 of level 1
-        // permanently covered by level 0, so the cursor starts past it.
         EventQueue {
             front: Vec::new(),
             window_end: 0,
-            l0: std::iter::repeat_with(Vec::new).take(L0_SLOTS).collect(),
-            l0_base: 0,
-            l0_cursor: 0,
-            l1: std::iter::repeat_with(Vec::new).take(L1_SLOTS).collect(),
-            l1_base: 0,
-            l1_cursor: 1,
-            overflow: BinaryHeap::new(),
-            pool: Vec::new(),
+            ring: std::iter::repeat_with(Vec::new).take(SLOTS).collect(),
+            base: 0,
+            cursor: 0,
+            far: Vec::new(),
+            far_sorted: 0,
+            tail_min: u64::MAX,
             len: 0,
             next_seq: 0,
         }
     }
 
-    /// Appends `s` to `bucket`, seeding the bucket with a warmed `Vec` from
-    /// the pool when it has never been touched (or was just promoted).
+    /// Appends `s` to its ring slot, which must lie in `[cursor, SLOTS)`.
     #[inline]
-    fn bucket_push(
-        pool: &mut Vec<Vec<Scheduled<E>>>,
-        bucket: &mut Vec<Scheduled<E>>,
-        s: Scheduled<E>,
-    ) {
-        if bucket.capacity() == 0 {
-            if let Some(warm) = pool.pop() {
-                *bucket = warm;
-            }
-        }
-        bucket.push(s);
-    }
-
-    /// End (µs, exclusive) of the level-1 coverage.
-    #[inline]
-    fn l1_end(&self) -> u64 {
-        (self.l1_base + L1_SLOTS as u64) << L1_SHIFT
-    }
-
-    /// Inserts `s` into the sorted front at its ordered position.
-    fn front_insert(front: &mut Vec<Scheduled<E>>, s: Scheduled<E>) {
-        let key = (s.time, s.seq);
-        let idx = front.partition_point(|e| (e.time, e.seq) > key);
-        front.insert(idx, s);
+    fn ring_push(&mut self, s: Scheduled<E>) {
+        self.ring[(s.slot() - self.base) as usize].push(s);
     }
 
     #[inline]
     fn route(&mut self, s: Scheduled<E>) {
         let m = s.time.as_micros();
         if m < self.window_end {
-            Self::front_insert(&mut self.front, s);
-        } else if (m >> L0_SHIFT) < self.l0_base + L0_SLOTS as u64 {
-            // `m >= window_end >= l0_base << L0_SHIFT`, so the subtraction
-            // cannot underflow and the slot is at or past the cursor.
-            let idx = ((m >> L0_SHIFT) - self.l0_base) as usize;
-            Self::bucket_push(&mut self.pool, &mut self.l0[idx], s);
-        } else if (m >> L1_SHIFT) < self.l1_base + L1_SLOTS as u64 {
-            let idx = ((m >> L1_SHIFT) - self.l1_base) as usize;
-            Self::bucket_push(&mut self.pool, &mut self.l1[idx], s);
+            let idx = self.front.partition_point(|e| e.key() > s.key());
+            self.front.insert(idx, s);
+        } else if s.slot() < self.base + SLOTS as u64 {
+            // `m >= window_end >= base << SLOT_SHIFT`: the slot is at or
+            // past the cursor.
+            self.ring_push(s);
         } else {
-            self.overflow.push(s);
+            self.tail_min = self.tail_min.min(m);
+            self.far.push(s);
         }
     }
 
@@ -210,11 +167,10 @@ impl<E> EventQueue<E> {
     /// events with equal times keep the iterator's order (FIFO, like
     /// consecutive [`push`](Self::push) calls).
     ///
-    /// Wheel buckets absorb pushes in O(1) with pooled capacity, so the only
-    /// tier whose insertions are not pre-sized is the front buffer (events
-    /// landing inside the already-promoted window — rare, since latencies
-    /// exceed a slot). Reserving the size hint there — including for
-    /// single-event batches, which the old heap-based code skipped — bounds
+    /// Ring slots and the far list absorb pushes in O(1) with retained
+    /// capacity, so the only tier whose insertions are not pre-sized is the
+    /// front (events landing inside the already-promoted window — rare,
+    /// since latencies exceed a slot). Reserving the size hint there bounds
     /// the worst case where a whole batch lands sub-window.
     pub fn push_batch<I>(&mut self, events: I)
     where
@@ -230,73 +186,65 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Moves the cursor forward until the front heap holds the earliest
-    /// pending events. No-op when the front heap is already non-empty or the
-    /// queue holds nothing outside it.
+    /// Promotes the earliest occupied slot into the empty front, re-basing
+    /// the ring first when it has drained. No-op on an empty queue.
     fn advance(&mut self) {
         debug_assert!(self.front.is_empty());
         if self.len == 0 {
             return;
         }
-        loop {
-            // Level 0: promote the next non-empty slot into the front heap.
-            while self.l0_cursor < L0_SLOTS {
-                let i = self.l0_cursor;
-                self.l0_cursor += 1;
-                if !self.l0[i].is_empty() {
-                    self.window_end = (self.l0_base + i as u64 + 1) << L0_SHIFT;
-                    // The front is empty here (advance's precondition), so
-                    // the whole slot becomes the new front after one sort.
-                    std::mem::swap(&mut self.front, &mut self.l0[i]);
-                    self.front.sort_unstable_by_key(|e| {
-                        (std::cmp::Reverse(e.time), std::cmp::Reverse(e.seq))
-                    });
-                    let slot = std::mem::take(&mut self.l0[i]);
-                    self.pool.push(slot); // recycle the warmed capacity
-                    return;
+        if self.len == self.far.len() {
+            self.rebase();
+        }
+        let occupied = self.ring[self.cursor..].iter().position(|s| !s.is_empty());
+        let i = self.cursor + occupied.expect("a pending event outside front and far");
+        self.cursor = i + 1;
+        self.window_end = (self.base + i as u64 + 1) << SLOT_SHIFT;
+        // The slot's buffer becomes the front; the front's old one, empty
+        // and slot-sized, becomes the slot's.
+        std::mem::swap(&mut self.front, &mut self.ring[i]);
+        sort_descending(&mut self.front);
+    }
+
+    /// Re-bases the drained ring at the earliest far event, moves every far
+    /// event inside the new horizon into its slot, and sorts what is left if
+    /// reading it moved too little (see the module docs).
+    fn rebase(&mut self) {
+        let head = &self.far[..self.far_sorted];
+        let head_min = head.last().map_or(u64::MAX, |s| s.time.as_micros());
+        self.base = head_min.min(self.tail_min) >> SLOT_SHIFT;
+        self.cursor = 0;
+        self.window_end = self.base << SLOT_SHIFT;
+        let end = self.base + SLOTS as u64;
+        let before = self.far.len();
+        if self.tail_min >> SLOT_SHIFT < end {
+            let (mut i, mut min) = (self.far_sorted, u64::MAX);
+            while i < self.far.len() {
+                let m = self.far[i].time.as_micros();
+                if m >> SLOT_SHIFT < end {
+                    let s = self.far.swap_remove(i);
+                    self.ring_push(s);
+                } else {
+                    min = min.min(m);
+                    i += 1;
                 }
             }
-            // Level 1: scatter the next non-empty bucket over level 0.
-            let mut scattered = false;
-            while self.l1_cursor < L1_SLOTS {
-                let i = self.l1_cursor;
-                self.l1_cursor += 1;
-                if !self.l1[i].is_empty() {
-                    let bucket_abs = self.l1_base + i as u64;
-                    self.l0_base = bucket_abs << (L1_SHIFT - L0_SHIFT);
-                    self.l0_cursor = 0;
-                    self.window_end = self.l0_base << L0_SHIFT;
-                    let mut bucket = std::mem::take(&mut self.l1[i]);
-                    for s in bucket.drain(..) {
-                        let idx = ((s.time.as_micros() >> L0_SHIFT) - self.l0_base) as usize;
-                        Self::bucket_push(&mut self.pool, &mut self.l0[idx], s);
-                    }
-                    self.pool.push(bucket);
-                    scattered = true;
-                    break;
-                }
-            }
-            if scattered {
-                continue;
-            }
-            // Both wheels are drained: refill level 1 from the overflow heap.
-            let Some(first) = self.overflow.peek() else {
-                return; // everything pending already sits in the front heap
-            };
-            self.l1_base = first.time.as_micros() >> L1_SHIFT;
-            self.l1_cursor = 0;
-            let horizon = self.l1_end();
-            while let Some(s) = self.overflow.peek() {
-                if s.time.as_micros() >= horizon {
-                    break;
-                }
-                let s = self.overflow.pop().expect("peeked event must exist");
-                let idx = ((s.time.as_micros() >> L1_SHIFT) - self.l1_base) as usize;
-                Self::bucket_push(&mut self.pool, &mut self.l1[idx], s);
-            }
-            // Park level 0 at the end of its (now stale) range; the next
-            // iteration scatters the first refilled bucket and re-bases it.
-            self.l0_cursor = L0_SLOTS;
+            self.tail_min = min;
+        }
+        while self.far_sorted > 0 && self.far[self.far_sorted - 1].slot() < end {
+            // Shrinking the head by its last entry turns that index into the
+            // first of the tail, which is where `swap_remove` puts the
+            // tail's last entry.
+            self.far_sorted -= 1;
+            let s = self.far.swap_remove(self.far_sorted);
+            self.ring_push(s);
+        }
+        let moved = before - self.far.len();
+        let tail = self.far.len() - self.far_sorted;
+        if tail > 8 * moved && tail >= self.far_sorted {
+            sort_descending(&mut self.far);
+            self.far_sorted = self.far.len();
+            self.tail_min = u64::MAX;
         }
     }
 
@@ -335,7 +283,7 @@ impl<E> EventQueue<E> {
     /// This is the sharded engine's wave-collection primitive: it gathers a
     /// maximal run of same-timestamp, same-kind events without ever popping
     /// the event that terminates the run. Like [`pop_due`](Self::pop_due) it
-    /// may advance the wheel cursor to materialize the head — that is
+    /// may advance the cursor to materialize the head — that is
     /// internal bookkeeping `pop_due` performs identically and never changes
     /// pop order.
     pub fn pop_due_if(
@@ -358,25 +306,18 @@ impl<E> EventQueue<E> {
 
     /// The delivery time of the earliest pending event, if any.
     ///
-    /// Cold path (`&self` cannot advance the cursor): when the front heap is
-    /// empty this scans the wheels for the earliest bucket. The engine's hot
-    /// loop uses [`pop_due`](Self::pop_due) instead.
+    /// Cold path (`&self` cannot advance the cursor): when the front is empty
+    /// this scans the ring for the first occupied slot, then the far list.
+    /// The engine's hot loop uses [`pop_due`](Self::pop_due) instead.
     pub fn peek_time(&self) -> Option<SimTime> {
         if let Some(s) = self.front.last() {
             return Some(s.time);
         }
-        let min_of = |bucket: &[Scheduled<E>]| bucket.iter().map(|s| s.time).min();
-        for slot in &self.l0[self.l0_cursor..] {
-            if let Some(t) = min_of(slot) {
-                return Some(t);
-            }
-        }
-        for bucket in &self.l1[self.l1_cursor.min(L1_SLOTS)..] {
-            if let Some(t) = min_of(bucket) {
-                return Some(t);
-            }
-        }
-        self.overflow.peek().map(|s| s.time)
+        let min_of = |bucket: &Vec<Scheduled<E>>| bucket.iter().map(|s| s.time).min();
+        self.ring[self.cursor..]
+            .iter()
+            .find_map(min_of)
+            .or_else(|| min_of(&self.far))
     }
 
     /// Number of pending events.
@@ -387,6 +328,15 @@ impl<E> EventQueue<E> {
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Heap bytes the queue retains: the capacity of the front, of every ring
+    /// slot and of the far list, plus the table of slots. A deterministic
+    /// capacity walk, never an allocator query.
+    pub fn heap_bytes(&self) -> usize {
+        let slots = self.ring.iter().map(Vec::capacity).sum::<usize>();
+        (self.front.capacity() + slots + self.far.capacity()) * Self::ENTRY_BYTES
+            + self.ring.capacity() * std::mem::size_of::<Vec<Scheduled<E>>>()
     }
 }
 
@@ -496,26 +446,60 @@ mod tests {
 
     #[test]
     fn events_across_every_tier_pop_in_order() {
-        // One event per tier: front (past), level 0, level 1, overflow.
+        // One event per tier: front (past), ring, far tail, far sorted head
+        // (the re-base for "far" moves one of two entries and sorts the rest).
         let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(120), "overflow");
-        q.push(SimTime::from_millis(2), "l0");
-        q.push(SimTime::from_secs(5), "l1");
-        assert_eq!(q.pop(), Some((SimTime::from_millis(2), "l0")));
+        q.push(SimTime::from_secs(120), "sorted");
+        q.push(SimTime::from_millis(2), "ring");
+        q.push(SimTime::from_secs(5), "far");
+        assert_eq!(q.pop(), Some((SimTime::from_millis(2), "ring")));
         // The cursor has advanced past 2 ms; a push before that instant must
         // still pop first (BinaryHeap-equivalent semantics).
         q.push(SimTime::from_millis(1), "past");
         assert_eq!(q.pop(), Some((SimTime::from_millis(1), "past")));
-        assert_eq!(q.pop(), Some((SimTime::from_secs(5), "l1")));
-        assert_eq!(q.pop(), Some((SimTime::from_secs(120), "overflow")));
+        assert_eq!(q.pop(), Some((SimTime::from_secs(5), "far")));
+        assert_eq!(q.pop(), Some((SimTime::from_secs(120), "sorted")));
         assert_eq!(q.pop(), None);
         assert!(q.is_empty());
     }
 
     #[test]
+    fn a_rebased_rings_last_slot_takes_head_and_tail_entries() {
+        let mut q = EventQueue::new();
+        // The ring re-based at 30 s ends `SLOTS` slots after the slot of 30 s.
+        let base = SimTime::from_secs(30).as_micros() >> SLOT_SHIFT;
+        let end = SimTime::from_micros((base + SLOTS as u64) << SLOT_SHIFT);
+        let before = |us| SimTime::from_micros(end.as_micros() - us);
+        q.push(SimTime::from_secs(30), "base");
+        q.push(before(1), "head, last slot");
+        for _ in 0..10 {
+            q.push(SimTime::from_secs(90), "later");
+        }
+        // Re-basing at 1 s moves one event of thirteen: the rest is sorted.
+        q.push(SimTime::from_secs(1), "first");
+        assert_eq!(q.pop(), Some((SimTime::from_secs(1), "first")));
+        assert_eq!(q.far_sorted, 12);
+        q.push(before(1), "tail, last slot, same instant");
+        q.push(before(500), "tail, last slot, earlier");
+        q.push(end, "tail, first slot beyond");
+        let popped: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(
+            popped[..5],
+            [
+                "base",
+                "tail, last slot, earlier",
+                "head, last slot",
+                "tail, last slot, same instant",
+                "tail, first slot beyond",
+            ]
+        );
+        assert_eq!(popped.len(), 15);
+    }
+
+    #[test]
     fn far_future_events_survive_many_horizon_refills() {
         let mut q = EventQueue::new();
-        // Three overflow refills apart (level-1 horizon is ~16.8 s).
+        // Each one a re-base of the ring (~0.26 s of horizon) apart.
         for secs in [1u64, 20, 45, 90] {
             q.push(SimTime::from_secs(secs), secs);
         }

@@ -1,8 +1,8 @@
-//! Property test: the hierarchical time wheel pops in *exactly* the order a
-//! reference `BinaryHeap` priority queue would, for arbitrary interleavings
-//! of pushes (including pushes "in the past"), pops and deadline-bounded
-//! pops. This is the ordering contract that keeps every golden digest
-//! bit-identical across the data-structure swap.
+//! Property test: the event queue (front, ring, far list) pops in *exactly*
+//! the order a reference `BinaryHeap` priority queue would, for arbitrary
+//! interleavings of pushes (including pushes "in the past"), pops,
+//! deadline-bounded pops and predicate-guarded pops. This is the ordering
+//! contract that keeps every golden digest independent of the queue's layout.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// The reference implementation: the pre-wheel `BinaryHeap` queue, ordered by
+/// The reference implementation: one `BinaryHeap` over everything, ordered by
 /// `(time, seq)` with a monotone push counter as the FIFO tie-breaker.
 #[derive(Default)]
 struct ReferenceQueue {
@@ -57,13 +57,21 @@ impl ReferenceQueue {
         self.heap.pop().map(|e| (e.time, e.event))
     }
 
-    fn pop_due(&mut self, deadline: SimTime) -> Option<(SimTime, u64)> {
+    fn pop_due_if(
+        &mut self,
+        deadline: SimTime,
+        take: impl FnOnce(SimTime, &u64) -> bool,
+    ) -> Option<(SimTime, u64)> {
         match self.heap.peek() {
-            Some(e) if e.time <= deadline => self.pop(),
+            Some(e) if e.time <= deadline && take(e.time, &e.event) => self.pop(),
             _ => None,
         }
     }
 }
+
+/// What the ring covers from its base: 256 slots of 1.024 ms. The first ring
+/// is based at zero; later ones wherever the earliest far event fell.
+const HORIZON_US: u64 = 256 << 10;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -73,66 +81,111 @@ proptest! {
         ops in 200usize..2_000,
     ) {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut wheel: EventQueue<u64> = EventQueue::new();
+        let mut queue: EventQueue<u64> = EventQueue::new();
         let mut reference = ReferenceQueue::default();
         let mut next_event = 0u64;
-        // Times jump across every tier of the wheel: sub-slot, level 0,
-        // level 1 and the overflow horizon (> 16.8 s), plus occasional
-        // pushes far behind the cursor.
-        let spans_us: [u64; 5] = [50, 20_000, 400_000, 6_000_000, 30_000_000];
+        // Pushes (1–3 events each) take 35–60 % of the operations: at the
+        // low end the queue keeps running dry, so simulated time crosses many
+        // ring horizons with pushes in between; at the high end it fills.
+        let push_share = rng.gen_range(7u32..=12);
         let mut base_us = 0u64;
         for _ in 0..ops {
-            match rng.gen_range(0u32..10) {
-                // 60 % pushes, biased towards the near future.
-                0..=5 => {
-                    let span = spans_us[rng.gen_range(0..spans_us.len())];
-                    let jitter = rng.gen_range(0..=span);
+            let deadline = SimTime::from_micros(base_us + rng.gen_range(0u64..2_000_000));
+            let op = rng.gen_range(0u32..20);
+            let popped = match op.checked_sub(push_share) {
+                // Times in the last slot of the ring and the first beyond it —
+                // half of them within two microseconds of the boundary —
+                // taking the ring to be based at the earliest pending event,
+                // where the next re-base puts it whenever that event is in
+                // the far list; whole horizons and tens of seconds out, so
+                // re-bases find a sorted head and a tail; the bulk within
+                // 400 ms.
+                None => {
+                    let first = reference.heap.peek().map_or(base_us, |e| e.time.as_micros());
+                    let ring_end = first - first % 1_024 + HORIZON_US;
+                    let inset = match rng.gen_range(0u32..10) {
+                        0..=3 => 1,
+                        4 => 2,
+                        _ => rng.gen_range(1u64..=1_024),
+                    };
+                    let at = match rng.gen_range(0u32..10) {
+                        0 => base_us,
+                        1 => base_us + rng.gen_range(1u64..1_024),
+                        2 | 3 => ring_end - inset,
+                        4 => ring_end + inset - 1,
+                        5 => base_us - base_us % HORIZON_US + rng.gen_range(2u64..80) * HORIZON_US,
+                        6 => base_us + rng.gen_range(20_000_000u64..90_000_000),
+                        _ => base_us + rng.gen_range(0u64..400_000),
+                    };
                     // Occasionally schedule before the drained frontier.
                     let t = if rng.gen_bool(0.1) {
-                        SimTime::from_micros(base_us.saturating_sub(jitter))
+                        SimTime::from_micros(base_us.saturating_sub(at.abs_diff(base_us)))
                     } else {
-                        SimTime::from_micros(base_us + jitter)
+                        SimTime::from_micros(at)
                     };
-                    let batch = rng.gen_range(1usize..4);
-                    for _ in 0..batch {
-                        wheel.push(t, next_event);
+                    for _ in 0..rng.gen_range(1usize..4) {
+                        queue.push(t, next_event);
                         reference.push(t, next_event);
                         next_event += 1;
                     }
+                    None
                 }
-                // 30 % plain pops.
-                6..=8 => {
-                    let a = wheel.pop();
-                    let b = reference.pop();
-                    prop_assert!(a == b, "pop diverged: wheel {a:?} vs heap {b:?}");
-                    if let Some((t, _)) = a {
-                        base_us = base_us.max(t.as_micros());
-                    }
+                // Of the rest: 1 in 8 a guarded pop (wave collection: a refused
+                // head stays), 2 in 8 deadline-bounded (the engine's fast
+                // path), the others plain.
+                Some(0) => {
+                    let a = queue.pop_due_if(deadline, |_, e| e % 3 != 0);
+                    let b = reference.pop_due_if(deadline, |_, e| e % 3 != 0);
+                    prop_assert!(a == b, "pop_due_if diverged: queue {a:?} vs heap {b:?}");
+                    a
                 }
-                // 10 % deadline-bounded pops (the engine's fast path).
-                _ => {
-                    let deadline =
-                        SimTime::from_micros(base_us + rng.gen_range(0u64..2_000_000));
-                    let a = wheel.pop_due(deadline);
-                    let b = reference.pop_due(deadline);
-                    prop_assert!(a == b, "pop_due diverged: wheel {a:?} vs heap {b:?}");
-                    if let Some((t, _)) = a {
-                        base_us = base_us.max(t.as_micros());
-                    }
+                Some(1 | 2) => {
+                    let a = queue.pop_due(deadline);
+                    let b = reference.pop_due_if(deadline, |_, _| true);
+                    prop_assert!(a == b, "pop_due diverged: queue {a:?} vs heap {b:?}");
+                    a
                 }
+                Some(_) => {
+                    let (a, b) = (queue.pop(), reference.pop());
+                    prop_assert!(a == b, "pop diverged: queue {a:?} vs heap {b:?}");
+                    a
+                }
+            };
+            if let Some((t, _)) = popped {
+                base_us = base_us.max(t.as_micros());
             }
-            prop_assert!(wheel.len() == reference.heap.len());
-            prop_assert!(wheel.peek_time() == reference.heap.peek().map(|e| e.time));
+            prop_assert!(queue.len() == reference.heap.len());
+            prop_assert!(queue.peek_time() == reference.heap.peek().map(|e| e.time));
         }
         // Drain: the tail must agree element by element too.
         loop {
-            let a = wheel.pop();
+            let a = queue.pop();
             let b = reference.pop();
-            prop_assert!(a == b, "drain diverged: wheel {a:?} vs heap {b:?}");
+            prop_assert!(a == b, "drain diverged: queue {a:?} vs heap {b:?}");
             if a.is_none() {
                 break;
             }
         }
-        prop_assert!(wheel.is_empty());
+        prop_assert!(queue.is_empty());
     }
+}
+
+/// Events seconds apart: every pop re-bases the ring. Reading the whole far
+/// list each time would be 5 * 10^9 entry visits here.
+#[test]
+fn a_sparse_timeline_is_not_rescanned_per_pop() {
+    let mut queue = EventQueue::new();
+    for i in 0..100_000u64 {
+        queue.push(SimTime::from_secs(i), i);
+    }
+    let start = std::time::Instant::now();
+    for i in 0..100_000u64 {
+        assert_eq!(queue.pop(), Some((SimTime::from_secs(i), i)));
+    }
+    assert!(queue.is_empty());
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_secs(1),
+        "draining took {elapsed:?}"
+    );
 }

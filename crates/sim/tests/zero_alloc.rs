@@ -1,5 +1,5 @@
 //! Proves the engine's inner loop is allocation-free at steady state: once
-//! the recycled scratch buffer and the queue's heap have warmed up, handling
+//! the recycled scratch buffer and the queue's buffers have warmed up, handling
 //! an event performs zero heap allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -63,10 +63,10 @@ fn steady_state_event_loop_does_not_allocate() {
     for i in 0..16 {
         engine.schedule(SimTime::from_micros(i), Hop(i as u32));
     }
-    // Warm up: let the scratch buffer, the front heap and every bucket of the
-    // time wheel reach their final capacity. The level-0 ring spans ~262 ms
-    // of simulated time, so one full rotation (plus slack) touches every ring
-    // index at its steady-state occupancy.
+    // Warm up: let the scratch buffer, the front and every slot of the
+    // queue's ring reach their final capacity. The ring spans ~262 ms of
+    // simulated time, so one full pass (plus slack) touches every ring index
+    // at its steady-state occupancy.
     engine.run_until(SimTime::from_millis(600));
     assert!(engine.events_processed() > 1_000);
 
