@@ -66,6 +66,21 @@ diff -u tests/scenario_manifest.txt /tmp/scenario_names.txt || {
 }
 echo "registry validation OK"
 
+echo "==> scenario digests (all registered scenarios, quick scale, seed 7)"
+# The outcome digest of every registered scenario is pinned: a refactor of
+# how scenarios are described, resolved or built must not move one bit of
+# any of them (the golden digests cover five sweeps; this covers the families
+# they do not, `adversary/*` and `resilience/*` included).
+for name in $(cat tests/scenario_manifest.txt); do
+    ./target/release/run_scenario "$name" --quick --seed 7 --exporter digest
+done > /tmp/scenario_digests.txt
+diff -u tests/scenario_digests.txt /tmp/scenario_digests.txt || {
+    echo "a scenario's outcome changed; if that is intended, regenerate"
+    echo "tests/scenario_digests.txt with the loop above and say why in CHANGES.md"
+    exit 1
+}
+echo "scenario digests OK"
+
 echo "==> run_all_experiments --quick (parallel, 4 shards)"
 # The parallel leg also runs every scenario through the sharded wave executor
 # (LIFTING_SHARDS is honored by the convenience entry points), so the

@@ -49,33 +49,6 @@ pub trait CapabilityClassAssigner: Send + Sync {
     ) -> NodeCapability;
 }
 
-fn float_param(params: &ParamMap, key: &str) -> f64 {
-    match params.get(key) {
-        Some(ParamValue::Float(x)) => *x,
-        Some(ParamValue::Int(x)) => *x as f64,
-        _ => unreachable!("schema-validated float param `{key}`"),
-    }
-}
-
-fn int_param(params: &ParamMap, key: &str) -> i64 {
-    match params.get(key) {
-        Some(ParamValue::Int(x)) => *x,
-        _ => unreachable!("schema-validated int param `{key}`"),
-    }
-}
-
-fn fraction_param(component: &str, params: &ParamMap, key: &str) -> Result<f64, ComponentError> {
-    let x = float_param(params, key);
-    if !(0.0..=1.0).contains(&x) {
-        return Err(ComponentError::InvalidParam {
-            component: component.to_string(),
-            key: key.to_string(),
-            reason: format!("{x} is not in [0, 1]"),
-        });
-    }
-    Ok(x)
-}
-
 // ---------------------------------------------------------------------------
 // Transport components.
 // ---------------------------------------------------------------------------
@@ -173,7 +146,7 @@ impl Component<LossModel> for BernoulliLoss {
         )])
     }
     fn build(&self, params: &ParamMap, _: &mut SeedSplitter) -> Result<LossModel, ComponentError> {
-        let pl = fraction_param("bernoulli", params, "pl")?;
+        let pl = params.fraction("bernoulli", "pl")?;
         Ok(LossModel::Bernoulli { pl })
     }
 }
@@ -216,16 +189,16 @@ impl Component<LossModel> for GilbertElliottLoss {
         ])
     }
     fn build(&self, params: &ParamMap, _: &mut SeedSplitter) -> Result<LossModel, ComponentError> {
-        let p_gb = fraction_param("gilbert-elliott", params, "p_gb")?;
-        let p_bg = fraction_param("gilbert-elliott", params, "p_bg")?;
-        let loss_good = fraction_param("gilbert-elliott", params, "loss_good")?;
-        let loss_bad = fraction_param("gilbert-elliott", params, "loss_bad")?;
+        let p_gb = params.fraction("gilbert-elliott", "p_gb")?;
+        let p_bg = params.fraction("gilbert-elliott", "p_bg")?;
+        let loss_good = params.fraction("gilbert-elliott", "loss_good")?;
+        let loss_bad = params.fraction("gilbert-elliott", "loss_bad")?;
         if p_gb + p_bg <= 0.0 {
-            return Err(ComponentError::InvalidParam {
-                component: "gilbert-elliott".to_string(),
-                key: "p_bg".to_string(),
-                reason: "both transition probabilities are zero; the chain never mixes".to_string(),
-            });
+            return Err(ComponentError::invalid(
+                "gilbert-elliott",
+                "p_bg",
+                "both transition probabilities are zero; the chain never mixes",
+            ));
         }
         Ok(LossModel::GilbertElliott {
             p_gb,
@@ -358,9 +331,9 @@ impl Component<Box<dyn CapabilityClassAssigner>> for PoorFractionComponent {
         _: &mut SeedSplitter,
     ) -> Result<Box<dyn CapabilityClassAssigner>, ComponentError> {
         Ok(Box::new(PoorFractionAssigner {
-            fraction: fraction_param("poor-fraction", params, "fraction")?,
-            poor_upload_bps: int_param(params, "poor_upload_bps").max(1) as u64,
-            poor_extra_loss: fraction_param("poor-fraction", params, "poor_extra_loss")?,
+            fraction: params.fraction("poor-fraction", "fraction")?,
+            poor_upload_bps: params.positive_int("poor-fraction", "poor_upload_bps")? as u64,
+            poor_extra_loss: params.fraction("poor-fraction", "poor_extra_loss")?,
         }))
     }
 }
@@ -459,18 +432,18 @@ impl Component<Box<dyn CapabilityClassAssigner>> for TieredComponent {
         params: &ParamMap,
         _: &mut SeedSplitter,
     ) -> Result<Box<dyn CapabilityClassAssigner>, ComponentError> {
-        let fiber = fraction_param("tiered", params, "fiber")?;
-        let cable = fraction_param("tiered", params, "cable")?;
-        let dsl = fraction_param("tiered", params, "dsl")?;
+        let fiber = params.fraction("tiered", "fiber")?;
+        let cable = params.fraction("tiered", "cable")?;
+        let dsl = params.fraction("tiered", "dsl")?;
         if fiber + cable + dsl > 1.0 {
-            return Err(ComponentError::InvalidParam {
-                component: "tiered".to_string(),
-                key: "dsl".to_string(),
-                reason: format!(
+            return Err(ComponentError::invalid(
+                "tiered",
+                "dsl",
+                format!(
                     "class fractions sum to {} > 1 (the remainder is the mobile class)",
                     fiber + cable + dsl
                 ),
-            });
+            ));
         }
         Ok(Box::new(TieredAssigner { fiber, cable, dsl }))
     }
@@ -566,6 +539,23 @@ mod tests {
             };
             let actual = assigner.assign(i, is_freerider, default, &mut actual_rng);
             assert_eq!(actual, expected, "node {i}");
+        }
+    }
+
+    #[test]
+    fn poor_fraction_rejects_a_non_positive_uplink() {
+        let mut seeds = SeedSplitter::new(1);
+        for bps in [0, -5] {
+            let params = ParamMap::new().with("poor_upload_bps", ParamValue::Int(bps));
+            let Err(err) = capability_components().build("poor-fraction", &params, &mut seeds)
+            else {
+                panic!("an uplink of {bps} bps must be rejected, not clamped");
+            };
+            assert!(
+                matches!(&err, ComponentError::InvalidParam { component, key, .. }
+                    if component == "poor-fraction" && key == "poor_upload_bps"),
+                "{err}"
+            );
         }
     }
 

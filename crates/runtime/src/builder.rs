@@ -2,6 +2,12 @@
 //! stacks, the adversaries, the network, the manager assignment and the
 //! audit plane.
 //!
+//! [`build_world`] resolves the scenario's components once
+//! ([`resolve_components`]) and expands the churn and workload plans once;
+//! the world keeps the adversary spawner (for stack rebuilds) and the two
+//! plans, which [`SystemWorld::initial_events`] turns into the run's first
+//! events.
+//!
 //! The construction order (and in particular the order of RNG derivations)
 //! is part of the determinism contract: existing scenarios must produce
 //! bit-identical [`crate::RunOutcome`]s across refactors.
@@ -12,27 +18,20 @@ use lifting_analysis::entropy::calibrate_gamma;
 use lifting_analysis::ProtocolParams;
 use lifting_core::Auditor;
 use lifting_gossip::StreamSource;
-use lifting_membership::{ChurnPlan, Directory, WorkloadAction, WorkloadPlan};
-use lifting_net::provider::{capability_components, CapabilityClassAssigner};
+use lifting_membership::{ChurnPlan, Directory, WorkloadAction};
 use lifting_net::{FaultPlan, Network, NodeCapability};
 use lifting_reputation::ManagerAssignment;
-use lifting_sim::{
-    derive_rng, NodeId, ParamMap, ParamValue, SeedSplitter, SimDuration, SimTime, StreamId,
-};
+use lifting_sim::{derive_rng, ComponentError, NodeId, SimDuration, SimTime, StreamId};
 
-use crate::components::{resolve_components, workload_components};
-use crate::layers::{
-    AdaptiveColluder, Adversary, AuditCoordinator, BlameSpammer, Colluder, Freerider,
-    GradientFreerider, Honest, NodeStack, OnOffFreerider, SelectiveFreerider, Whitewasher,
-};
+use crate::components::{resolve_components, ResolvedComponents};
+use crate::layers::{AuditCoordinator, NodeStack};
 use crate::message::{Event, CHURN_EPOCH_ANY};
-use crate::scenario::{AdversaryScenario, ScenarioConfig};
+use crate::scenario::ScenarioConfig;
 use crate::world::{ChurnRuntime, SystemWorld};
 
-/// Deterministic RNG stream indices of the churn engine. The plan stream is
-/// consumed independently by [`build_world`] and [`initial_events`] (both
-/// expand the same schedule to the identical plan); the schedule stream
-/// drives the first-departure draws; the world stream feeds the live
+/// Deterministic RNG stream indices of the churn engine: the plan stream
+/// expands the schedule into the per-node plan; the schedule stream drives
+/// the first-departure draws; the world stream feeds the live
 /// session/offline draws as the run progresses.
 const CHURN_PLAN_STREAM: u64 = 5;
 const CHURN_SCHEDULE_STREAM: u64 = 6;
@@ -46,60 +45,10 @@ const MULTISTREAM_STREAM: u64 = 8;
 /// when the scenario schedules fault waves, so fault-free runs keep their
 /// exact historical stream consumption.
 const FAULT_PLAN_STREAM: u64 = 9;
-/// Fresh RNG stream for the workload plan's draws. Like the churn plan
-/// stream it is expanded independently by [`build_world`] and
-/// [`initial_events`] (both see the identical plan), and it is only consumed
-/// when the scenario declares a `workload` component — every pre-workload
-/// scenario keeps its exact historical stream consumption.
+/// Fresh RNG stream for the workload plan's draws, consumed only when the
+/// scenario declares a `workload` component — every other scenario keeps its
+/// exact historical stream consumption.
 const WORKLOAD_PLAN_STREAM: u64 = 10;
-
-/// Expands the scenario's declared workload component into its pre-drawn
-/// event plan (`None` when no workload component is declared). The expansion
-/// is a pure function of `(seed, component spec, nodes, streams, duration)`,
-/// so every call site sees the identical plan.
-pub(crate) fn workload_plan(config: &ScenarioConfig) -> Option<WorkloadPlan> {
-    let spec = config.components.workload.as_ref()?;
-    let generator = workload_components()
-        .build(
-            &spec.name,
-            &spec.params,
-            &mut SeedSplitter::new(config.seed),
-        )
-        .unwrap_or_else(|e| panic!("workload component failed to resolve: {e}"));
-    Some(generator.expand(
-        config.nodes,
-        config.stream_count(),
-        config.duration,
-        &mut derive_rng(config.seed, WORKLOAD_PLAN_STREAM),
-    ))
-}
-
-/// The capability-class provider the builder assigns node attachments with:
-/// the declared `capability` component, or the legacy poor-fraction fields
-/// expressed as the equivalent registered component. Both paths consume the
-/// capability RNG stream identically, so pre-registry scenarios stay
-/// bit-identical.
-fn capability_assigner(config: &ScenarioConfig) -> Box<dyn CapabilityClassAssigner> {
-    let registry = capability_components();
-    let mut seeds = SeedSplitter::new(config.seed);
-    match &config.components.capability {
-        Some(spec) => registry
-            .build(&spec.name, &spec.params, &mut seeds)
-            .unwrap_or_else(|e| panic!("capability component failed to resolve: {e}")),
-        None => {
-            let params = ParamMap::new()
-                .with("fraction", ParamValue::Float(config.poor_node_fraction))
-                .with(
-                    "poor_upload_bps",
-                    ParamValue::Int(config.poor_upload_bps as i64),
-                )
-                .with("poor_extra_loss", ParamValue::Float(config.poor_extra_loss));
-            registry
-                .build("poor-fraction", &params, &mut seeds)
-                .expect("legacy capability fields are valid poor-fraction params")
-        }
-    }
-}
 
 /// Expands the scenario's fault schedule into its pre-drawn per-wave
 /// membership (`None` when no faults are configured).
@@ -122,89 +71,24 @@ pub(crate) fn multistream_rng(seed: u64) -> rand::rngs::SmallRng {
     derive_rng(seed, MULTISTREAM_STREAM)
 }
 
-/// Expands the scenario's churn schedule into its per-node plan, identically
-/// wherever it is called from (the draw order is fixed by the plan stream).
-pub(crate) fn churn_plan(config: &ScenarioConfig) -> Option<ChurnPlan> {
-    config.churn.as_ref().map(|schedule| {
-        ChurnPlan::generate(
-            schedule,
-            config.nodes,
-            &mut derive_rng(config.seed, CHURN_PLAN_STREAM),
-        )
-    })
-}
-
-/// The adversary node `index` plays under `config`.
-///
-/// Node 0 (the source) and the honest population play [`Honest`]; the
-/// freerider suffix plays whatever [`AdversaryScenario`] selects, defaulting
-/// to the paper's independent-freerider / colluder wiring.
-pub fn adversary_for(
-    config: &ScenarioConfig,
-    index: usize,
-    coalition: &Arc<Vec<NodeId>>,
-) -> Box<dyn Adversary> {
-    if !config.is_freerider(index) {
-        return Box::new(Honest);
+/// Builds the system described by `config`, or reports the component of its
+/// `components` section that failed to resolve.
+pub fn build_world(mut config: ScenarioConfig) -> Result<SystemWorld, ComponentError> {
+    let ResolvedComponents {
+        transport,
+        loss,
+        capability,
+        workload,
+        adversary,
+    } = resolve_components(&config)?;
+    // `transport` and `loss` are named presets for values `NetworkConfig`
+    // stores: a declared one replaces the stored value.
+    if let Some(transport) = transport {
+        config.network.transports = transport;
     }
-    let degree = config.freeriders.expect("freeriders configured").degree;
-    match config.adversary {
-        AdversaryScenario::Baseline => {
-            if config.collusion.is_active() {
-                Box::new(Colluder {
-                    degree,
-                    coalition: coalition.clone(),
-                    partner_bias: config.collusion.partner_bias,
-                    cover_up: config.collusion.cover_up,
-                    man_in_the_middle: config.collusion.man_in_the_middle,
-                })
-            } else {
-                Box::new(Freerider { degree })
-            }
-        }
-        AdversaryScenario::OnOff {
-            on_periods,
-            off_periods,
-        } => Box::new(OnOffFreerider {
-            degree,
-            on_periods,
-            off_periods,
-        }),
-        AdversaryScenario::BlameSpam {
-            blames_per_period,
-            blame_value,
-        } => Box::new(BlameSpammer {
-            blames_per_period,
-            blame_value,
-        }),
-        AdversaryScenario::SelectiveFreerider { silent_mask } => {
-            Box::new(SelectiveFreerider { silent_mask })
-        }
-        AdversaryScenario::GradientFreerider { margin, step } => {
-            Box::new(GradientFreerider::new(degree, margin, step))
-        }
-        AdversaryScenario::Whitewasher { margin, offline } => {
-            Box::new(Whitewasher::new(degree, margin, offline))
-        }
-        AdversaryScenario::AdaptiveColluders {
-            partner_bias,
-            cooldown_periods,
-        } => Box::new(AdaptiveColluder::new(
-            degree,
-            coalition.clone(),
-            partner_bias,
-            cooldown_periods,
-        )),
+    if let Some(loss) = loss {
+        config.network.loss = loss;
     }
-}
-
-/// Builds the system described by `config`.
-pub fn build_world(mut config: ScenarioConfig) -> SystemWorld {
-    // Resolve the declarative component axes first: the transport, loss and
-    // adversary components write back into their legacy fields, so the rest
-    // of the construction (and `validate`) sees one source of truth.
-    resolve_components(&mut config)
-        .unwrap_or_else(|e| panic!("scenario component resolution failed: {e}"));
     let config = config;
     config.validate();
     let n = config.nodes;
@@ -229,16 +113,14 @@ pub fn build_world(mut config: ScenarioConfig) -> SystemWorld {
     let mut network = Network::new(n, config.network.clone(), derive_rng(seed, 1));
 
     // Node capabilities: assigned per node by the scenario's capability-class
-    // provider (the legacy poor-fraction loop is the default provider, draw
-    // for draw).
-    let assigner = capability_assigner(&config);
+    // provider.
     let default_capability = match config.default_upload_bps {
         Some(bps) => NodeCapability::broadband(bps),
         None => NodeCapability::unconstrained(),
     };
     let mut cap_rng = derive_rng(seed, 2);
     for i in 0..n {
-        let cap = assigner.assign(i, config.is_freerider(i), default_capability, &mut cap_rng);
+        let cap = capability.assign(i, config.is_freerider(i), default_capability, &mut cap_rng);
         network.set_capability(NodeId::new(i as u32), cap);
     }
 
@@ -257,7 +139,7 @@ pub fn build_world(mut config: ScenarioConfig) -> SystemWorld {
                 config.gossip,
                 config.lifting,
                 config.lifting_enabled,
-                adversary_for(&config, i, &coalition),
+                adversary.spawn(&config, i, &coalition),
                 derive_rng(seed, 1000 + i as u64),
                 streams,
             )
@@ -331,7 +213,8 @@ pub fn build_world(mut config: ScenarioConfig) -> SystemWorld {
     // the network drops traffic of cut-off nodes); the per-node plan and the
     // live RNG stream move into the world, which executes the schedule.
     let mut initial_sessions = 0u64;
-    let churn = churn_plan(&config).map(|plan| {
+    let churn = config.churn.as_ref().map(|schedule| {
+        let plan = ChurnPlan::generate(schedule, n, &mut derive_rng(seed, CHURN_PLAN_STREAM));
         for i in 1..n {
             if plan.starts_offline[i] {
                 let node = NodeId::new(i as u32);
@@ -343,7 +226,7 @@ pub fn build_world(mut config: ScenarioConfig) -> SystemWorld {
         // add to the count as the run progresses.
         initial_sessions = directory.active_count() as u64 - 1;
         ChurnRuntime {
-            churners: plan.churners,
+            plan,
             rng: derive_rng(seed, CHURN_WORLD_STREAM),
         }
     });
@@ -351,8 +234,16 @@ pub fn build_world(mut config: ScenarioConfig) -> SystemWorld {
     // Workload plan: zap-style plans assign each viewer an initial home
     // channel — prune the other subscriptions so the directory starts where
     // the plan says (the events themselves are scheduled by
-    // `initial_events`, which expands the identical plan).
-    if let Some(plan) = workload_plan(&config) {
+    // `initial_events` from the plan the world keeps).
+    let workload_plan = workload.map(|generator| {
+        generator.expand(
+            n,
+            streams,
+            config.duration,
+            &mut derive_rng(seed, WORKLOAD_PLAN_STREAM),
+        )
+    });
+    if let Some(plan) = &workload_plan {
         if streams > 1 {
             for i in 1..n {
                 if let Some(home) = plan.initial_stream[i] {
@@ -373,7 +264,11 @@ pub fn build_world(mut config: ScenarioConfig) -> SystemWorld {
     }
 
     let hot = crate::hot::HotNodeState::from_stacks(&stacks);
-    SystemWorld {
+    // The resilience plane (fault waves, a closed-loop adversary, the online
+    // recalibration) is what the per-period recovery traces exist for.
+    let resilience_active =
+        config.faults.is_some() || config.online_recalibration.is_some() || adversary.closed_loop();
+    Ok(SystemWorld {
         directory,
         network,
         stacks,
@@ -389,12 +284,14 @@ pub fn build_world(mut config: ScenarioConfig) -> SystemWorld {
         hot,
         wave_exec: None,
         churn,
+        workload_plan,
         churn_departures: 0,
         churn_rejoins: 0,
         churn_sessions: initial_sessions,
         workload_switches: 0,
         audits_aborted_by_departure: 0,
         coalition,
+        adversary,
         rng: derive_rng(seed, 3),
         mstream_rng: multistream_rng(seed),
         scratch_downcalls: Vec::new(),
@@ -405,18 +302,18 @@ pub fn build_world(mut config: ScenarioConfig) -> SystemWorld {
         periods_elapsed: 0,
         eta_live: config.lifting.eta,
         eta_smoothed: config.lifting.eta,
-        recovery: config
-            .resilience_active()
-            .then(crate::metrics::RecoveryReport::default),
+        recovery: resilience_active.then(crate::metrics::RecoveryReport::default),
         config,
-    }
+    })
 }
 
-/// The initial events of a run under `config`: the first source emission,
+/// The initial events of a run of `world`: the first source emission,
 /// staggered gossip ticks, staggered audit ticks (when enabled), the first
-/// period end and — when the scenario churns — the membership transitions of
-/// the schedule (first departures, flash-crowd joins, the catastrophe wave).
-pub fn initial_events(config: &ScenarioConfig) -> Vec<(SimTime, Event)> {
+/// period end and — when the scenario churns or replays a workload — the
+/// membership transitions of the plans the world was built with (first
+/// departures, flash-crowd joins, the catastrophe wave, the workload trace).
+pub(crate) fn initial_events(world: &SystemWorld) -> Vec<(SimTime, Event)> {
+    let config = &world.config;
     // The primary stream's first emission is scheduled exactly where the
     // single-stream runtime always put it; extra channels follow at their
     // start offsets.
@@ -459,7 +356,7 @@ pub fn initial_events(config: &ScenarioConfig) -> Vec<(SimTime, Event)> {
         }
     }
     events.push((SimTime::ZERO + period, Event::PeriodEnd));
-    if let (Some(schedule), Some(plan)) = (&config.churn, churn_plan(config)) {
+    if let (Some(schedule), Some(ChurnRuntime { plan, .. })) = (&config.churn, &world.churn) {
         let mut schedule_rng = derive_rng(config.seed, CHURN_SCHEDULE_STREAM);
         for i in 1..n {
             let node = NodeId::new(i as u32);
@@ -503,7 +400,7 @@ pub fn initial_events(config: &ScenarioConfig) -> Vec<(SimTime, Event)> {
     // Departures/rejoins ride the churn event path with the epoch wildcard
     // (the plan pre-draws every rejoin, so the world schedules no follow-ups);
     // switches ride their own barrier event.
-    if let Some(plan) = workload_plan(config) {
+    if let Some(plan) = &world.workload_plan {
         for event in &plan.events {
             let at = SimTime::ZERO + event.at;
             match event.action {
@@ -561,22 +458,31 @@ pub fn initial_events(config: &ScenarioConfig) -> Vec<(SimTime, Event)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{CollusionScenario, FreeriderScenario};
+    use crate::scenario::{CollusionScenario, ComponentSpec, FreeriderScenario};
     use lifting_gossip::FreeriderConfig;
+
+    /// The name of the adversary node `index` plays under `config`.
+    fn played_by(config: &ScenarioConfig, index: usize) -> &'static str {
+        let coalition = Arc::new(Vec::new());
+        resolve_components(config)
+            .unwrap_or_else(|e| panic!("{e}"))
+            .adversary
+            .spawn(config, index, &coalition)
+            .name()
+    }
 
     #[test]
     fn baseline_wiring_matches_the_paper_adversaries() {
         let mut config = ScenarioConfig::small_test(10, 1).with_planetlab_freeriders(0.3);
-        let coalition = Arc::new(vec![NodeId::new(7), NodeId::new(8), NodeId::new(9)]);
-        assert_eq!(adversary_for(&config, 0, &coalition).name(), "honest");
-        assert_eq!(adversary_for(&config, 7, &coalition).name(), "freerider");
+        assert_eq!(played_by(&config, 0), "honest");
+        assert_eq!(played_by(&config, 7), "freerider");
         config.collusion = CollusionScenario {
             partner_bias: 0.3,
             cover_up: true,
             man_in_the_middle: false,
         };
-        assert_eq!(adversary_for(&config, 7, &coalition).name(), "colluder");
-        assert_eq!(adversary_for(&config, 1, &coalition).name(), "honest");
+        assert_eq!(played_by(&config, 7), "colluder");
+        assert_eq!(played_by(&config, 1), "honest");
     }
 
     #[test]
@@ -586,31 +492,18 @@ mod tests {
             count: 2,
             degree: FreeriderConfig::uniform(0.2),
         });
-        config.adversary = AdversaryScenario::OnOff {
-            on_periods: 2,
-            off_periods: 2,
-        };
-        let coalition = Arc::new(Vec::new());
-        assert_eq!(
-            adversary_for(&config, 9, &coalition).name(),
-            "on-off-freerider"
-        );
-        config.adversary = AdversaryScenario::BlameSpam {
-            blames_per_period: 1,
-            blame_value: 1.0,
-        };
-        assert_eq!(
-            adversary_for(&config, 9, &coalition).name(),
-            "blame-spammer"
-        );
-        assert_eq!(adversary_for(&config, 0, &coalition).name(), "honest");
+        config.components.adversary = Some(ComponentSpec::new("on-off"));
+        assert_eq!(played_by(&config, 9), "on-off-freerider");
+        config.components.adversary = Some(ComponentSpec::new("blame-spam"));
+        assert_eq!(played_by(&config, 9), "blame-spammer");
+        assert_eq!(played_by(&config, 0), "honest");
     }
 
     #[test]
     fn initial_events_stagger_ticks_and_schedule_audits() {
         let mut config = ScenarioConfig::small_test(5, 3);
         config.audits_enabled = true;
-        let events = initial_events(&config);
+        let events = SystemWorld::new(config).initial_events();
         let gossip_ticks = events
             .iter()
             .filter(|(_, e)| matches!(e, Event::GossipTick { .. }))

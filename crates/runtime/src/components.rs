@@ -1,55 +1,49 @@
 //! Runtime-level component registries: workload generators, adversaries and
-//! outcome exporters, plus the resolution glue that turns a
-//! [`ScenarioConfig`]'s declarative `components` section into live providers.
+//! outcome exporters, plus the one function that turns a [`ScenarioConfig`]'s
+//! declarative `components` section into live providers.
 //!
 //! Together with the network registries of [`lifting_net::provider`]
 //! (transports, loss models, capability classes), these registries make
-//! scenario construction compositional: a registry entry picks named
-//! components and parameter maps instead of hand-assembling enums, and every
-//! axis can be extended by registering a new component — no builder surgery.
+//! scenario construction compositional: a scenario picks named components
+//! and parameter maps, and every axis is extended by registering a new
+//! component — no builder surgery. The rule is **one axis, one encoding**:
+//! adding an adversary family is one entry in [`adversary_components`]
+//! (schema, range checks, cross-field rule and the constructor of the
+//! [`Adversary`] itself), and nothing else in the crate names the family.
 //!
-//! Resolution happens in [`crate::builder::build_world`] via
-//! [`resolve_components`]; everything a component resolves to is derived
-//! from the same [`lifting_sim::SeedSplitter`] streams the legacy fields
-//! used, so a scenario re-expressed through components stays bit-identical.
+//! [`resolve_components`] runs once per world, in
+//! [`crate::builder::build_world`]; everything a component resolves to is
+//! derived from the scenario's fixed RNG streams, so the same declaration
+//! always yields the same run.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
+use lifting_gossip::FreeriderConfig;
 use lifting_membership::{DiurnalCycle, RegionalFailureWaves, WorkloadGenerator, ZapSwitching};
-use lifting_net::provider::{capability_components, loss_components, transport_components};
+use lifting_net::provider::{
+    capability_components, loss_components, transport_components, CapabilityClassAssigner,
+};
+use lifting_net::{LossModel, TransportPolicy};
 use lifting_sim::{
-    Component, ComponentError, ComponentRegistry, ParamKind, ParamMap, ParamSpec, ParamValue,
-    ParamsSchema, SeedSplitter, SimDuration,
+    Component, ComponentError, ComponentRegistry, NodeId, ParamKind, ParamMap, ParamSpec,
+    ParamValue, ParamsSchema, SeedSplitter, SimDuration,
 };
 
+use crate::layers::{
+    AdaptiveColluder, Adversary, BlameSpammer, Colluder, Freerider, GradientFreerider, Honest,
+    OnOffFreerider, SelectiveFreerider, Whitewasher,
+};
 use crate::metrics::RunOutcome;
-use crate::scenario::{AdversaryScenario, ComponentSpec, ScenarioConfig};
+use crate::scenario::{ComponentSpec, ScenarioConfig};
 
-fn float_param(params: &ParamMap, key: &str) -> f64 {
-    match params.get(key) {
-        Some(ParamValue::Float(x)) => *x,
-        Some(ParamValue::Int(x)) => *x as f64,
-        _ => unreachable!("schema-validated float param `{key}`"),
-    }
+/// An optional float parameter of a schema.
+fn float(key: &'static str, default: f64, doc: &'static str) -> ParamSpec {
+    ParamSpec::optional(key, ParamKind::Float, ParamValue::Float(default), doc)
 }
 
-fn int_param(params: &ParamMap, key: &str) -> i64 {
-    match params.get(key) {
-        Some(ParamValue::Int(x)) => *x,
-        _ => unreachable!("schema-validated int param `{key}`"),
-    }
-}
-
-fn fraction_param(component: &str, params: &ParamMap, key: &str) -> Result<f64, ComponentError> {
-    let x = float_param(params, key);
-    if !(0.0..=1.0).contains(&x) {
-        return Err(ComponentError::InvalidParam {
-            component: component.to_string(),
-            key: key.to_string(),
-            reason: format!("{x} is not in [0, 1]"),
-        });
-    }
-    Ok(x)
+/// An optional integer parameter of a schema.
+fn int(key: &'static str, default: i64, doc: &'static str) -> ParamSpec {
+    ParamSpec::optional(key, ParamKind::Int, ParamValue::Int(default), doc)
 }
 
 fn positive_secs(
@@ -57,28 +51,9 @@ fn positive_secs(
     params: &ParamMap,
     key: &str,
 ) -> Result<SimDuration, ComponentError> {
-    let x = float_param(params, key);
-    // NaN must fail too, so the check is written as "not known-positive".
-    if x.is_nan() || x <= 0.0 {
-        return Err(ComponentError::InvalidParam {
-            component: component.to_string(),
-            key: key.to_string(),
-            reason: format!("{x} seconds is not positive"),
-        });
-    }
-    Ok(SimDuration::from_secs_f64(x))
-}
-
-fn positive_int(component: &str, params: &ParamMap, key: &str) -> Result<i64, ComponentError> {
-    let x = int_param(params, key);
-    if x < 1 {
-        return Err(ComponentError::InvalidParam {
-            component: component.to_string(),
-            key: key.to_string(),
-            reason: format!("{x} must be at least 1"),
-        });
-    }
-    Ok(x)
+    params
+        .float_where(component, key, |x| x > 0.0, "seconds is not positive")
+        .map(SimDuration::from_secs_f64)
 }
 
 // ---------------------------------------------------------------------------
@@ -96,28 +71,20 @@ impl Component<Box<dyn WorkloadGenerator>> for DiurnalComponent {
     }
     fn params_schema(&self) -> ParamsSchema {
         ParamsSchema::of(vec![
-            ParamSpec::optional(
+            float(
                 "participation",
-                ParamKind::Float,
-                ParamValue::Float(0.6),
+                0.6,
                 "fraction of the viewers subject to the cycle",
             ),
-            ParamSpec::optional(
-                "cycle_secs",
-                ParamKind::Float,
-                ParamValue::Float(12.0),
-                "length of one audience cycle, seconds",
-            ),
-            ParamSpec::optional(
+            float("cycle_secs", 12.0, "length of one audience cycle, seconds"),
+            float(
                 "offline_fraction",
-                ParamKind::Float,
-                ParamValue::Float(0.35),
+                0.35,
                 "fraction of each cycle a participating viewer spends offline",
             ),
-            ParamSpec::optional(
+            float(
                 "warmup_secs",
-                ParamKind::Float,
-                ParamValue::Float(4.0),
+                4.0,
                 "quiet start before the first departure, seconds",
             ),
         ])
@@ -128,9 +95,9 @@ impl Component<Box<dyn WorkloadGenerator>> for DiurnalComponent {
         _: &mut SeedSplitter,
     ) -> Result<Box<dyn WorkloadGenerator>, ComponentError> {
         Ok(Box::new(DiurnalCycle {
-            participation: fraction_param("diurnal", params, "participation")?,
+            participation: params.fraction("diurnal", "participation")?,
             cycle: positive_secs("diurnal", params, "cycle_secs")?,
-            offline_fraction: fraction_param("diurnal", params, "offline_fraction")?,
+            offline_fraction: params.fraction("diurnal", "offline_fraction")?,
             warmup: positive_secs("diurnal", params, "warmup_secs")?,
         }))
     }
@@ -147,28 +114,20 @@ impl Component<Box<dyn WorkloadGenerator>> for RegionalFailureComponent {
     }
     fn params_schema(&self) -> ParamsSchema {
         ParamsSchema::of(vec![
-            ParamSpec::optional(
+            int(
                 "regions",
-                ParamKind::Int,
-                ParamValue::Int(4),
+                4,
                 "number of equal-size regions the viewers are split into",
             ),
-            ParamSpec::optional(
-                "waves",
-                ParamKind::Int,
-                ParamValue::Int(2),
-                "number of failure waves over the run",
-            ),
-            ParamSpec::optional(
+            int("waves", 2, "number of failure waves over the run"),
+            float(
                 "outage_secs",
-                ParamKind::Float,
-                ParamValue::Float(4.0),
+                4.0,
                 "how long each failed region stays dark, seconds",
             ),
-            ParamSpec::optional(
+            float(
                 "warmup_secs",
-                ParamKind::Float,
-                ParamValue::Float(5.0),
+                5.0,
                 "quiet start before the first wave may hit, seconds",
             ),
         ])
@@ -179,8 +138,8 @@ impl Component<Box<dyn WorkloadGenerator>> for RegionalFailureComponent {
         _: &mut SeedSplitter,
     ) -> Result<Box<dyn WorkloadGenerator>, ComponentError> {
         Ok(Box::new(RegionalFailureWaves {
-            regions: positive_int("regional-failure", params, "regions")? as usize,
-            waves: positive_int("regional-failure", params, "waves")? as usize,
+            regions: params.positive_int("regional-failure", "regions")? as usize,
+            waves: params.positive_int("regional-failure", "waves")? as usize,
             outage: positive_secs("regional-failure", params, "outage_secs")?,
             warmup: positive_secs("regional-failure", params, "warmup_secs")?,
         }))
@@ -198,22 +157,19 @@ impl Component<Box<dyn WorkloadGenerator>> for ZapComponent {
     }
     fn params_schema(&self) -> ParamsSchema {
         ParamsSchema::of(vec![
-            ParamSpec::optional(
+            float(
                 "zappers",
-                ParamKind::Float,
-                ParamValue::Float(0.4),
+                0.4,
                 "fraction of the viewers that zap between channels",
             ),
-            ParamSpec::optional(
+            float(
                 "mean_dwell_secs",
-                ParamKind::Float,
-                ParamValue::Float(6.0),
+                6.0,
                 "mean time a zapper stays on one channel, seconds",
             ),
-            ParamSpec::optional(
+            float(
                 "warmup_secs",
-                ParamKind::Float,
-                ParamValue::Float(3.0),
+                3.0,
                 "quiet start before the first switch, seconds",
             ),
         ])
@@ -224,7 +180,7 @@ impl Component<Box<dyn WorkloadGenerator>> for ZapComponent {
         _: &mut SeedSplitter,
     ) -> Result<Box<dyn WorkloadGenerator>, ComponentError> {
         Ok(Box::new(ZapSwitching {
-            zappers: fraction_param("zap", params, "zappers")?,
+            zappers: params.fraction("zap", "zappers")?,
             mean_dwell: positive_secs("zap", params, "mean_dwell_secs")?,
             warmup: positive_secs("zap", params, "warmup_secs")?,
         }))
@@ -254,16 +210,106 @@ pub fn workload_components() -> &'static ComponentRegistry<Box<dyn WorkloadGener
 // Adversary components.
 // ---------------------------------------------------------------------------
 
-/// One adversary family as a component: builds the [`AdversaryScenario`]
-/// value the per-node wiring of [`crate::builder::adversary_for`] consumes.
+type SpawnFn = Box<dyn Fn(&ScenarioConfig, &Arc<Vec<NodeId>>) -> Box<dyn Adversary> + Send + Sync>;
+type CheckFn = Box<dyn Fn(&ScenarioConfig) -> Result<(), ComponentError> + Send + Sync>;
+
+/// What the adversary registry builds: the value that makes the freerider
+/// population's [`Adversary`] instances — at world construction and again
+/// whenever a rejoin rebuilds a stack — together with what the runtime has
+/// to know about the family.
+pub struct AdversarySpawner {
+    family: &'static str,
+    closed_loop: bool,
+    min_freeriders: usize,
+    check: Option<CheckFn>,
+    spawn: SpawnFn,
+}
+
+impl AdversarySpawner {
+    /// True if the family reacts to runtime feedback (scores, audit
+    /// observations) — i.e. the runtime must run the closed-loop upcalls.
+    pub fn closed_loop(&self) -> bool {
+        self.closed_loop
+    }
+
+    /// The family's cross-field rules against the scenario it is declared in.
+    /// A family that replaces the freeriders' behaviour needs a population to
+    /// replace and cannot compose with `collusion`, which only `baseline`
+    /// reads (the others would silently ignore it).
+    fn check(&self, config: &ScenarioConfig) -> Result<(), ComponentError> {
+        if self.min_freeriders > 0 {
+            let count = config.freerider_count();
+            if count < self.min_freeriders {
+                return Err(ComponentError::invalid(
+                    self.family,
+                    "freeriders",
+                    format!(
+                        "{count} freeriders configured, the family needs at least {}",
+                        self.min_freeriders
+                    ),
+                ));
+            }
+            if config.collusion.is_active() {
+                return Err(ComponentError::invalid(
+                    self.family,
+                    "collusion",
+                    "collusion only composes with the baseline adversary",
+                ));
+            }
+        }
+        self.check.as_ref().map_or(Ok(()), |check| check(config))
+    }
+
+    /// The adversary node `index` plays: node 0 (the source) and the honest
+    /// population play [`Honest`], the freerider suffix plays the family.
+    pub fn spawn(
+        &self,
+        config: &ScenarioConfig,
+        index: usize,
+        coalition: &Arc<Vec<NodeId>>,
+    ) -> Box<dyn Adversary> {
+        if config.is_freerider(index) {
+            (self.spawn)(config, coalition)
+        } else {
+            Box::new(Honest)
+        }
+    }
+}
+
+/// The dissemination-level degree the population freerides with (families
+/// are only spawned for freeriders, so the population is configured).
+fn degree(config: &ScenarioConfig) -> FreeriderConfig {
+    config
+        .freeriders
+        .expect("adversaries are spawned for freeriders only")
+        .degree
+}
+
+type Family = (SpawnFn, Option<CheckFn>);
+
+/// A family with no cross-field rule of its own.
+fn spawns(
+    spawn: impl Fn(&ScenarioConfig, &Arc<Vec<NodeId>>) -> Box<dyn Adversary> + Send + Sync + 'static,
+) -> Result<Family, ComponentError> {
+    Ok((Box::new(spawn), None))
+}
+
+/// One adversary family: the single place the family is described.
 struct AdversaryComponent {
     name: &'static str,
     description: &'static str,
-    schema: fn() -> ParamsSchema,
-    build: fn(&ParamMap) -> Result<AdversaryScenario, ComponentError>,
+    closed_loop: bool,
+    /// 0 for `baseline` (composes with `collusion` and an empty population);
+    /// otherwise the family replaces the freeriders' behaviour and needs at
+    /// least this many of them.
+    min_freeriders: usize,
+    schema: fn() -> Vec<ParamSpec>,
+    /// Range-checks the parameters of the family called `name` and returns
+    /// its constructor, plus its own cross-field rule if it has one.
+    build: fn(name: &'static str, &ParamMap) -> Result<Family, ComponentError>,
 }
 
-impl Component<AdversaryScenario> for AdversaryComponent {
+impl Component<AdversarySpawner> for AdversaryComponent {
     fn name(&self) -> &'static str {
         self.name
     }
@@ -271,226 +317,239 @@ impl Component<AdversaryScenario> for AdversaryComponent {
         self.description
     }
     fn params_schema(&self) -> ParamsSchema {
-        (self.schema)()
+        ParamsSchema::of((self.schema)())
     }
     fn build(
         &self,
         params: &ParamMap,
         _: &mut SeedSplitter,
-    ) -> Result<AdversaryScenario, ComponentError> {
-        (self.build)(params)
+    ) -> Result<AdversarySpawner, ComponentError> {
+        let (spawn, check) = (self.build)(self.name, params)?;
+        Ok(AdversarySpawner {
+            family: self.name,
+            closed_loop: self.closed_loop,
+            min_freeriders: self.min_freeriders,
+            check,
+            spawn,
+        })
     }
 }
 
-/// The registry of adversary components, one per [`AdversaryScenario`]
-/// family: `baseline`, `on-off`, `blame-spam`, `selective-freerider`,
-/// `gradient-freerider`, `whitewasher`, `adaptive-colluders`.
-pub fn adversary_components() -> &'static ComponentRegistry<AdversaryScenario> {
-    static REGISTRY: OnceLock<ComponentRegistry<AdversaryScenario>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        let mut registry = ComponentRegistry::new("adversary");
-        let entries: Vec<AdversaryComponent> = vec![
-            AdversaryComponent {
-                name: "baseline",
-                description:
-                    "The paper's adversary: independent freeriders, collusion per the scenario",
-                schema: ParamsSchema::empty,
-                build: |_| Ok(AdversaryScenario::Baseline),
-            },
-            AdversaryComponent {
-                name: "on-off",
-                description: "Freeride for `on_periods`, behave for `off_periods`, diluting blame",
-                schema: || {
-                    ParamsSchema::of(vec![
-                        ParamSpec::optional(
-                            "on_periods",
-                            ParamKind::Int,
-                            ParamValue::Int(2),
-                            "length of each freeriding window, gossip periods",
-                        ),
-                        ParamSpec::optional(
-                            "off_periods",
-                            ParamKind::Int,
-                            ParamValue::Int(2),
-                            "length of each honest window, gossip periods",
-                        ),
-                    ])
-                },
-                build: |params| {
-                    Ok(AdversaryScenario::OnOff {
-                        on_periods: positive_int("on-off", params, "on_periods")? as u64,
-                        off_periods: positive_int("on-off", params, "off_periods")? as u64,
-                    })
-                },
-            },
-            AdversaryComponent {
-                name: "blame-spam",
-                description: "Disseminate honestly but flood the managers with fabricated blames",
-                schema: || {
-                    ParamsSchema::of(vec![
-                        ParamSpec::optional(
-                            "blames_per_period",
-                            ParamKind::Int,
-                            ParamValue::Int(5),
-                            "fabricated blames per gossip tick per spammer",
-                        ),
-                        ParamSpec::optional(
-                            "blame_value",
-                            ParamKind::Float,
-                            ParamValue::Float(5.0),
-                            "value of each fabricated blame (non-negative)",
-                        ),
-                    ])
-                },
-                build: |params| {
-                    let blame_value = float_param(params, "blame_value");
-                    if blame_value < 0.0 {
-                        return Err(ComponentError::InvalidParam {
-                            component: "blame-spam".to_string(),
-                            key: "blame_value".to_string(),
-                            reason: format!("{blame_value} is negative"),
-                        });
+/// Every family the freerider population can play. Adding one is one entry
+/// here: schema, range checks, cross-field rule and constructor.
+fn adversary_families() -> [AdversaryComponent; 7] {
+    [
+        AdversaryComponent {
+            name: "baseline",
+            description:
+                "The paper's adversary: independent freeriders, collusion per the scenario",
+            closed_loop: false,
+            min_freeriders: 0,
+            schema: Vec::new,
+            build: |_, _| {
+                spawns(|config, coalition| {
+                    let degree = degree(config);
+                    if !config.collusion.is_active() {
+                        return Box::new(Freerider { degree });
                     }
-                    Ok(AdversaryScenario::BlameSpam {
-                        blames_per_period: positive_int("blame-spam", params, "blames_per_period")?
-                            as u32,
+                    Box::new(Colluder {
+                        degree,
+                        coalition: coalition.clone(),
+                        partner_bias: config.collusion.partner_bias,
+                        cover_up: config.collusion.cover_up,
+                        man_in_the_middle: config.collusion.man_in_the_middle,
+                    })
+                })
+            },
+        },
+        AdversaryComponent {
+            name: "on-off",
+            description: "Freeride for `on_periods`, behave for `off_periods`: dilutes the blame \
+                          through the 1/r normalization of Equation 6",
+            closed_loop: false,
+            min_freeriders: 1,
+            schema: || {
+                vec![
+                    int(
+                        "on_periods",
+                        2,
+                        "length of each freeriding window, gossip periods",
+                    ),
+                    int(
+                        "off_periods",
+                        2,
+                        "length of each honest window, gossip periods",
+                    ),
+                ]
+            },
+            build: |name, params| {
+                let on_periods = params.positive_int(name, "on_periods")? as u64;
+                let off_periods = params.positive_int(name, "off_periods")? as u64;
+                spawns(move |config, _| {
+                    Box::new(OnOffFreerider {
+                        degree: degree(config),
+                        on_periods,
+                        off_periods,
+                    })
+                })
+            },
+        },
+        AdversaryComponent {
+            name: "blame-spam",
+            description: "Disseminate honestly but flood the managers with fabricated blames",
+            closed_loop: false,
+            min_freeriders: 1,
+            schema: || {
+                vec![
+                    int(
+                        "blames_per_period",
+                        5,
+                        "fabricated blames per gossip tick per spammer",
+                    ),
+                    float(
+                        "blame_value",
+                        5.0,
+                        "value of each fabricated blame (non-negative)",
+                    ),
+                ]
+            },
+            build: |name, params| {
+                let blames_per_period = params.positive_int(name, "blames_per_period")? as u32;
+                let blame_value =
+                    params.float_where(name, "blame_value", |x| x >= 0.0, "is negative")?;
+                spawns(move |_, _| {
+                    Box::new(BlameSpammer {
+                        blames_per_period,
                         blame_value,
                     })
-                },
+                })
             },
-            AdversaryComponent {
-                name: "selective-freerider",
-                description: "Honest on some channels, fully silent on the masked ones",
-                schema: || {
-                    ParamsSchema::of(vec![ParamSpec::optional(
-                        "silent_mask",
-                        ParamKind::Int,
-                        ParamValue::Int(0b10),
-                        "bitmask of silenced streams (bit s = stream s, nonzero)",
-                    )])
-                },
-                build: |params| {
-                    let silent_mask = int_param(params, "silent_mask");
-                    if silent_mask == 0 {
-                        return Err(ComponentError::InvalidParam {
-                            component: "selective-freerider".to_string(),
-                            key: "silent_mask".to_string(),
-                            reason: "mask must silence at least one stream".to_string(),
-                        });
-                    }
-                    Ok(AdversaryScenario::SelectiveFreerider {
-                        silent_mask: silent_mask as u64,
-                    })
-                },
+        },
+        AdversaryComponent {
+            name: "selective-freerider",
+            description: "Honest on some channels, fully silent (proposes to nobody, serves \
+                          nothing) on the masked ones: probes whether reputation is per-channel",
+            closed_loop: false,
+            min_freeriders: 1,
+            schema: || {
+                let doc = "bitmask of silenced streams (bit s = stream s, nonzero)";
+                vec![int("silent_mask", 0b10, doc)]
             },
-            AdversaryComponent {
-                name: "gradient-freerider",
-                description: "Closed loop: throttle freeriding to ride just above the public η",
-                schema: || {
-                    ParamsSchema::of(vec![
-                        ParamSpec::optional(
-                            "margin",
-                            ParamKind::Float,
-                            ParamValue::Float(2.0),
-                            "safety margin above η the adversary keeps",
-                        ),
-                        ParamSpec::optional(
-                            "step",
-                            ParamKind::Float,
-                            ParamValue::Float(0.25),
-                            "intensity decrement when the score nears η, in (0, 1]",
-                        ),
-                    ])
-                },
-                build: |params| {
-                    let margin = float_param(params, "margin");
-                    let step = float_param(params, "step");
-                    if margin < 0.0 {
-                        return Err(ComponentError::InvalidParam {
-                            component: "gradient-freerider".to_string(),
-                            key: "margin".to_string(),
-                            reason: format!("{margin} is negative"),
-                        });
-                    }
-                    if !(step > 0.0 && step <= 1.0) {
-                        return Err(ComponentError::InvalidParam {
-                            component: "gradient-freerider".to_string(),
-                            key: "step".to_string(),
-                            reason: format!("{step} is not in (0, 1]"),
-                        });
-                    }
-                    Ok(AdversaryScenario::GradientFreerider { margin, step })
-                },
+            build: |name, params| {
+                let mask =
+                    params.int_where(name, "silent_mask", |m| m != 0, "silences no stream")? as u64;
+                let reject =
+                    move |reason: String| ComponentError::invalid(name, "silent_mask", reason);
+                let check = move |config: &ScenarioConfig| match config.stream_count() {
+                    1 => Err(reject(
+                        "needs at least two streams to select between".into(),
+                    )),
+                    // With 64 streams every bit names one (and `>> 64` overflows).
+                    streams if streams < 64 && mask >> streams != 0 => Err(reject(format!(
+                        "{mask:#b} names streams beyond the {streams} the scenario runs"
+                    ))),
+                    _ => Ok(()),
+                };
+                let spawn = move |_: &ScenarioConfig, _: &Arc<Vec<NodeId>>| {
+                    Box::new(SelectiveFreerider { silent_mask: mask }) as Box<dyn Adversary>
+                };
+                Ok((Box::new(spawn), Some(Box::new(check))))
             },
-            AdversaryComponent {
-                name: "whitewasher",
-                description:
-                    "Closed loop: depart on a score drawdown, rejoin hoping for a clean slate",
-                schema: || {
-                    ParamsSchema::of(vec![
-                        ParamSpec::optional(
-                            "margin",
-                            ParamKind::Float,
-                            ParamValue::Float(0.5),
-                            "drawdown below the observed peak that triggers departure",
-                        ),
-                        ParamSpec::optional(
-                            "offline_secs",
-                            ParamKind::Float,
-                            ParamValue::Float(2.0),
-                            "offline time before each rejoin, seconds",
-                        ),
-                    ])
-                },
-                build: |params| {
-                    let margin = float_param(params, "margin");
-                    if margin < 0.0 {
-                        return Err(ComponentError::InvalidParam {
-                            component: "whitewasher".to_string(),
-                            key: "margin".to_string(),
-                            reason: format!("{margin} is negative"),
-                        });
-                    }
-                    Ok(AdversaryScenario::Whitewasher {
-                        margin,
-                        offline: positive_secs("whitewasher", params, "offline_secs")?,
-                    })
-                },
+        },
+        AdversaryComponent {
+            name: "gradient-freerider",
+            description: "Closed loop: read the own manager scores each period and throttle the \
+                          freeriding to ride just above the public η (countered by the online \
+                          recalibration)",
+            closed_loop: true,
+            min_freeriders: 1,
+            schema: || {
+                vec![
+                    float("margin", 2.0, "safety margin above η the adversary keeps"),
+                    float(
+                        "step",
+                        0.25,
+                        "intensity decrement when the score nears η, in (0, 1]",
+                    ),
+                ]
             },
-            AdversaryComponent {
-                name: "adaptive-colluders",
-                description: "Closed loop: re-aim cover-traffic bias away from audited accomplices",
-                schema: || {
-                    ParamsSchema::of(vec![
-                        ParamSpec::optional(
-                            "partner_bias",
-                            ParamKind::Float,
-                            ParamValue::Float(0.6),
-                            "probability of picking an unscrutinized accomplice as partner",
-                        ),
-                        ParamSpec::optional(
-                            "cooldown_periods",
-                            ParamKind::Int,
-                            ParamValue::Int(6),
-                            "periods an audited accomplice stays off the bias list",
-                        ),
-                    ])
-                },
-                build: |params| {
-                    Ok(AdversaryScenario::AdaptiveColluders {
-                        partner_bias: fraction_param("adaptive-colluders", params, "partner_bias")?,
-                        cooldown_periods: positive_int(
-                            "adaptive-colluders",
-                            params,
-                            "cooldown_periods",
-                        )? as u64,
-                    })
-                },
+            build: |name, params| {
+                let margin = params.float_where(name, "margin", |x| x >= 0.0, "is negative")?;
+                let in_unit = |x| x > 0.0 && x <= 1.0;
+                let step = params.float_where(name, "step", in_unit, "is not in (0, 1]")?;
+                spawns(move |config, _| {
+                    Box::new(GradientFreerider::new(degree(config), margin, step))
+                })
             },
-        ];
-        for entry in entries {
+        },
+        AdversaryComponent {
+            name: "whitewasher",
+            description: "Closed loop: freeride greedily, depart once blame drags the score \
+                          `margin` below its observed peak, rejoin hoping for a clean slate \
+                          (countered by the frozen-score carryover)",
+            closed_loop: true,
+            min_freeriders: 1,
+            schema: || {
+                vec![
+                    float(
+                        "margin",
+                        0.5,
+                        "drawdown below the observed peak that triggers departure",
+                    ),
+                    float(
+                        "offline_secs",
+                        2.0,
+                        "offline time before each rejoin, seconds",
+                    ),
+                ]
+            },
+            build: |name, params| {
+                let margin = params.float_where(name, "margin", |x| x >= 0.0, "is negative")?;
+                let offline = positive_secs(name, params, "offline_secs")?;
+                spawns(move |config, _| Box::new(Whitewasher::new(degree(config), margin, offline)))
+            },
+        },
+        AdversaryComponent {
+            name: "adaptive-colluders",
+            description: "Closed loop: a cover-up coalition that re-aims its partner bias away \
+                          from recently audited accomplices, dodging the entropy check",
+            closed_loop: true,
+            min_freeriders: 2,
+            schema: || {
+                let bias = "probability of picking an unscrutinized accomplice as partner";
+                let cooldown = "periods an audited accomplice stays off the bias list";
+                vec![
+                    float("partner_bias", 0.6, bias),
+                    int("cooldown_periods", 6, cooldown),
+                ]
+            },
+            build: |name, params| {
+                let partner_bias = params.fraction(name, "partner_bias")?;
+                let cooldown = params.positive_int(name, "cooldown_periods")? as u64;
+                spawns(move |config, coalition| {
+                    let coalition = coalition.clone();
+                    Box::new(AdaptiveColluder::new(
+                        degree(config),
+                        coalition,
+                        partner_bias,
+                        cooldown,
+                    ))
+                })
+            },
+        },
+    ]
+}
+
+/// The registry of adversary components: `baseline`, `on-off`, `blame-spam`,
+/// `selective-freerider`, `gradient-freerider`, `whitewasher`,
+/// `adaptive-colluders`.
+pub fn adversary_components() -> &'static ComponentRegistry<AdversarySpawner> {
+    static REGISTRY: OnceLock<ComponentRegistry<AdversarySpawner>> = OnceLock::new();
+    REGISTRY.get_or_init(|| {
+        let mut registry = ComponentRegistry::new("adversary");
+        for family in adversary_families() {
             registry
-                .register(Box::new(entry))
+                .register(Box::new(family))
                 .expect("unique adversary component");
         }
         registry
@@ -631,46 +690,73 @@ impl Component<Box<dyn OutcomeExporter>> for ExporterComponent {
 // Resolution.
 // ---------------------------------------------------------------------------
 
-/// Resolves the config's declarative `components` section into the concrete
-/// values the builder consumes: the transport policy, the loss model and the
-/// adversary are written back into their legacy fields (so the rest of the
-/// pipeline — and serialization — sees one source of truth), while the
-/// capability and workload providers are built on demand by the builder.
-///
-/// Returns a structured error naming the offending component or key; no
-/// registry path panics.
-pub fn resolve_components(config: &mut ScenarioConfig) -> Result<(), ComponentError> {
-    let mut seeds = SeedSplitter::new(config.seed);
-    if let Some(spec) = config.components.transport.clone() {
-        config.network.transports =
-            transport_components().build(&spec.name, &spec.params, &mut seeds)?;
-    }
-    if let Some(spec) = config.components.loss.clone() {
-        config.network.loss = loss_components().build(&spec.name, &spec.params, &mut seeds)?;
-    }
-    if let Some(spec) = config.components.adversary.clone() {
-        config.adversary = adversary_components().build(&spec.name, &spec.params, &mut seeds)?;
-    }
-    // Capability, workload and exporter specs are validated here (shape and
-    // ranges) even though their providers are instantiated later, so a bad
-    // spec fails at resolution with a structured error rather than deep in
-    // the builder.
-    if let Some(spec) = &config.components.capability {
-        capability_components().build(&spec.name, &spec.params, &mut seeds)?;
-    }
-    if let Some(spec) = &config.components.workload {
-        workload_components().build(&spec.name, &spec.params, &mut seeds)?;
-    }
-    if let Some(spec) = &config.components.exporter {
-        exporter_components().build(&spec.name, &spec.params, &mut seeds)?;
-    }
-    Ok(())
+/// The live providers a scenario's `components` section resolves to — what
+/// [`crate::builder::build_world`] consumes.
+pub struct ResolvedComponents {
+    /// The declared transport preset (`None` keeps `network.transports`).
+    pub transport: Option<TransportPolicy>,
+    /// The declared loss preset (`None` keeps `network.loss`).
+    pub loss: Option<LossModel>,
+    /// The capability-class assigner (`uniform` when undeclared).
+    pub capability: Box<dyn CapabilityClassAssigner>,
+    /// The workload generator, when one is declared.
+    pub workload: Option<Box<dyn WorkloadGenerator>>,
+    /// The adversary family (`baseline` when undeclared), already checked
+    /// against the scenario's other fields.
+    pub adversary: AdversarySpawner,
 }
 
-/// The scenario's composition across every component axis, legacy fields
-/// included: explicit `components` entries verbatim, the rest derived from
-/// the fields the axis would otherwise be configured by. This is what
-/// `run_scenario --list` prints next to each scenario.
+/// Resolves the config's declarative `components` section into live
+/// providers: every declared component is looked up, schema-validated,
+/// range-checked and built exactly once. Returns a structured error naming
+/// the offending component or key; no registry path panics.
+pub fn resolve_components(config: &ScenarioConfig) -> Result<ResolvedComponents, ComponentError> {
+    fn build<P>(
+        registry: &ComponentRegistry<P>,
+        spec: &ComponentSpec,
+        seeds: &mut SeedSplitter,
+    ) -> Result<P, ComponentError> {
+        registry.build(&spec.name, &spec.params, seeds)
+    }
+    let seeds = &mut SeedSplitter::new(config.seed);
+    let declared = &config.components;
+    let uniform = ComponentSpec::new("uniform");
+    let baseline = ComponentSpec::new("baseline");
+    let resolved = ResolvedComponents {
+        transport: declared
+            .transport
+            .as_ref()
+            .map(|spec| build(transport_components(), spec, seeds))
+            .transpose()?,
+        loss: declared
+            .loss
+            .as_ref()
+            .map(|spec| build(loss_components(), spec, seeds))
+            .transpose()?,
+        capability: build(
+            capability_components(),
+            declared.capability.as_ref().unwrap_or(&uniform),
+            seeds,
+        )?,
+        workload: declared
+            .workload
+            .as_ref()
+            .map(|spec| build(workload_components(), spec, seeds))
+            .transpose()?,
+        adversary: build(
+            adversary_components(),
+            declared.adversary.as_ref().unwrap_or(&baseline),
+            seeds,
+        )?,
+    };
+    resolved.adversary.check(config)?;
+    Ok(resolved)
+}
+
+/// The scenario's composition across every component axis, as
+/// `run_scenario --list` prints it: declared specs verbatim, an undeclared
+/// capability or adversary by its default component's name, and the
+/// `NetworkConfig` / `churn` values the other axes are stored as.
 pub fn component_summary(config: &ScenarioConfig) -> Vec<(&'static str, String)> {
     let spec_of = |spec: &ComponentSpec| {
         if spec.params.is_empty() {
@@ -679,114 +765,91 @@ pub fn component_summary(config: &ScenarioConfig) -> Vec<(&'static str, String)>
             format!("{}{{{}}}", spec.name, spec.params.render())
         }
     };
-    let transport = match &config.components.transport {
-        Some(spec) => spec_of(spec),
-        None => {
-            use lifting_net::TransportPolicy;
-            if config.network.transports == TransportPolicy::all_udp() {
-                "all-udp".to_string()
-            } else if config.network.transports == TransportPolicy::all_tcp() {
-                "all-tcp".to_string()
-            } else {
-                "paper".to_string()
-            }
-        }
+    let declared = &config.components;
+    let or_default = |spec: &Option<ComponentSpec>, default: &str| {
+        spec.as_ref().map_or(default.to_string(), spec_of)
     };
-    let loss = match &config.components.loss {
+    let transport = match &declared.transport {
+        Some(spec) => spec_of(spec),
+        None if config.network.transports == TransportPolicy::all_udp() => "all-udp".to_string(),
+        None if config.network.transports == TransportPolicy::all_tcp() => "all-tcp".to_string(),
+        None => "paper".to_string(),
+    };
+    let loss = match &declared.loss {
         Some(spec) => spec_of(spec),
         None => match config.network.loss {
-            lifting_net::LossModel::None => "none".to_string(),
-            lifting_net::LossModel::Bernoulli { pl } => format!("bernoulli{{pl={pl}}}"),
-            lifting_net::LossModel::GilbertElliott { p_gb, p_bg, .. } => {
+            LossModel::None => "none".to_string(),
+            LossModel::Bernoulli { pl } => format!("bernoulli{{pl={pl}}}"),
+            LossModel::GilbertElliott { p_gb, p_bg, .. } => {
                 format!("gilbert-elliott{{p_gb={p_gb},p_bg={p_bg}}}")
             }
         },
     };
-    let capability = match &config.components.capability {
-        Some(spec) => spec_of(spec),
-        None if config.poor_node_fraction > 0.0 => {
-            format!("poor-fraction{{fraction={}}}", config.poor_node_fraction)
-        }
-        None => "uniform".to_string(),
-    };
-    let workload = match &config.components.workload {
+    let workload = match &declared.workload {
         Some(spec) => spec_of(spec),
         None if config.churn.is_some() => "churn-schedule".to_string(),
         None => "static".to_string(),
     };
-    let adversary = match &config.components.adversary {
-        Some(spec) => spec_of(spec),
-        None => match config.adversary {
-            AdversaryScenario::Baseline if config.freerider_count() == 0 => "none".to_string(),
-            AdversaryScenario::Baseline if config.collusion.is_active() => "colluders".to_string(),
-            AdversaryScenario::Baseline => "baseline".to_string(),
-            AdversaryScenario::OnOff { .. } => "on-off".to_string(),
-            AdversaryScenario::BlameSpam { .. } => "blame-spam".to_string(),
-            AdversaryScenario::SelectiveFreerider { .. } => "selective-freerider".to_string(),
-            AdversaryScenario::GradientFreerider { .. } => "gradient-freerider".to_string(),
-            AdversaryScenario::Whitewasher { .. } => "whitewasher".to_string(),
-            AdversaryScenario::AdaptiveColluders { .. } => "adaptive-colluders".to_string(),
-        },
-    };
-    let exporter = match &config.components.exporter {
-        Some(spec) => spec_of(spec),
-        None => "summary-line".to_string(),
+    let adversary = if config.freerider_count() == 0 {
+        "none".to_string()
+    } else {
+        or_default(&declared.adversary, "baseline")
     };
     vec![
         ("transport", transport),
         ("loss", loss),
-        ("capability", capability),
+        ("capability", or_default(&declared.capability, "uniform")),
         ("workload", workload),
         ("adversary", adversary),
-        ("exporter", exporter),
     ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::ComponentSpec;
 
     #[test]
     fn adversary_components_cover_every_family() {
-        let registry = adversary_components();
-        let mut seeds = SeedSplitter::new(1);
+        // What each family spawns and declares is pinned by
+        // `tests/component_registry.rs`; this is the list itself.
         assert_eq!(
-            registry
-                .build("baseline", &ParamMap::new(), &mut seeds)
-                .unwrap(),
-            AdversaryScenario::Baseline
+            adversary_components().names().collect::<Vec<_>>(),
+            vec![
+                "baseline",
+                "on-off",
+                "blame-spam",
+                "selective-freerider",
+                "gradient-freerider",
+                "whitewasher",
+                "adaptive-colluders",
+            ]
         );
-        let on_off = registry
-            .build("on-off", &ParamMap::new(), &mut seeds)
-            .unwrap();
-        assert_eq!(
-            on_off,
-            AdversaryScenario::OnOff {
-                on_periods: 2,
-                off_periods: 2
-            }
-        );
-        assert!(registry.names().any(|n| n == "whitewasher"));
-        assert_eq!(registry.len(), 7);
     }
 
     #[test]
     fn bad_adversary_params_are_structured_errors() {
         let registry = adversary_components();
         let mut seeds = SeedSplitter::new(1);
-        let params = ParamMap::new().with("step", ParamValue::Float(0.0));
-        let err = registry
-            .build("gradient-freerider", &params, &mut seeds)
-            .map(|_| ())
-            .unwrap_err();
-        assert!(err.to_string().contains("step"), "{err}");
-        let params = ParamMap::new().with("silent_mask", ParamValue::Int(0));
-        let err = registry
-            .build("selective-freerider", &params, &mut seeds)
-            .map(|_| ())
-            .unwrap_err();
-        assert!(err.to_string().contains("silent_mask"), "{err}");
+        for (family, key, value) in [
+            ("gradient-freerider", "step", ParamValue::Float(0.0)),
+            ("gradient-freerider", "margin", ParamValue::Float(-1.0)),
+            ("selective-freerider", "silent_mask", ParamValue::Int(0)),
+            ("on-off", "off_periods", ParamValue::Int(0)),
+            ("blame-spam", "blame_value", ParamValue::Float(-0.5)),
+            ("whitewasher", "offline_secs", ParamValue::Float(0.0)),
+            ("adaptive-colluders", "partner_bias", ParamValue::Float(1.5)),
+        ] {
+            let params = ParamMap::new().with(key, value);
+            let err = registry
+                .build(family, &params, &mut seeds)
+                .err()
+                .unwrap_or_else(|| panic!("{family}: bad `{key}` must not build"));
+            assert!(
+                matches!(&err, ComponentError::InvalidParam { component, key: k, .. }
+                    if component == family && k == key),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -803,45 +866,52 @@ mod tests {
 
     #[test]
     fn resolution_writes_back_into_the_legacy_fields() {
-        let mut config = crate::scenario::ScenarioConfig::small_test(10, 3);
+        // `transport` and `loss` are presets for values `NetworkConfig`
+        // stores: the built world's config carries what they resolved to.
+        let mut config = ScenarioConfig::small_test(10, 3);
         config.components.transport = Some(ComponentSpec::new("all-tcp"));
         config.components.loss =
             Some(ComponentSpec::new("bernoulli").with("pl", ParamValue::Float(0.02)));
-        resolve_components(&mut config).unwrap();
+        let world = crate::SystemWorld::new(config);
         assert_eq!(
-            config.network.transports,
-            lifting_net::TransportPolicy::all_tcp()
+            world.config().network.transports,
+            TransportPolicy::all_tcp()
         );
         assert_eq!(
-            config.network.loss,
-            lifting_net::LossModel::Bernoulli { pl: 0.02 }
+            world.config().network.loss,
+            LossModel::Bernoulli { pl: 0.02 }
         );
     }
 
     #[test]
     fn resolution_rejects_unknown_components_cleanly() {
-        let mut config = crate::scenario::ScenarioConfig::small_test(10, 3);
+        let mut config = ScenarioConfig::small_test(10, 3);
         config.components.workload = Some(ComponentSpec::new("tidal"));
-        let err = resolve_components(&mut config).unwrap_err();
+        let err = resolve_components(&config).err().expect("must not resolve");
         assert!(matches!(err, ComponentError::UnknownComponent { .. }));
         assert!(err.to_string().contains("tidal"), "{err}");
     }
 
     #[test]
     fn summary_covers_every_axis() {
-        let config = crate::scenario::ScenarioConfig::planetlab_baseline(1);
-        let summary = component_summary(&config);
-        let axes: Vec<&str> = summary.iter().map(|(k, _)| *k).collect();
+        let mut config = ScenarioConfig::planetlab_baseline(1).with_planetlab_freeriders(0.1);
+        config.components.capability =
+            Some(ComponentSpec::new("tiered").with("fiber", ParamValue::Float(0.2)));
+        let summary: Vec<String> = component_summary(&config)
+            .into_iter()
+            .map(|(axis, value)| format!("{axis}={value}"))
+            .collect();
         assert_eq!(
-            axes,
+            summary,
             vec![
-                "transport",
-                "loss",
-                "capability",
-                "workload",
-                "adversary",
-                "exporter"
+                "transport=paper",
+                "loss=bernoulli{pl=0.04}",
+                "capability=tiered{fiber=0.2}",
+                "workload=static",
+                "adversary=baseline",
             ]
         );
+        config.freeriders = None;
+        assert_eq!(component_summary(&config)[4].1, "none");
     }
 }

@@ -16,8 +16,9 @@
 //! Entry points:
 //!
 //! * [`ScenarioConfig`] describes an experiment (population, freeriders,
-//!   collusion, adversary, stream rate, network conditions, LiFTinG
-//!   parameters); the [`ScenarioRegistry`] maps experiment names
+//!   collusion, stream rate, network conditions, LiFTinG parameters, and the
+//!   named components — capability classes, workload, adversary family — of
+//!   its `components` section); the [`ScenarioRegistry`] maps experiment names
 //!   (`"fig01/no-freeriders"`, …) to ready-made configurations.
 //! * [`run_scenario`] runs it to completion and returns a [`RunOutcome`].
 //! * [`run_scenario_with_snapshots`] additionally records score snapshots at
@@ -41,7 +42,7 @@ pub mod world;
 
 pub use components::{
     adversary_components, component_summary, exporter_components, resolve_components,
-    workload_components, OutcomeExporter,
+    workload_components, AdversarySpawner, OutcomeExporter, ResolvedComponents,
 };
 pub use layers::{Adversary, AuditRpcStats, FeedbackAction, NodeStack};
 pub use message::{Event, Message};
@@ -59,8 +60,8 @@ pub use runner::{
     run_scenarios_parallel_with_snapshots, SHARDS_ENV,
 };
 pub use scenario::{
-    AdversaryScenario, AuditRetryPolicy, ChurnSchedule, ChurnWave, CollusionScenario,
-    ComponentSpec, ComponentsSpec, FaultSchedule, FaultWave, FreeriderScenario,
-    OnlineRecalibration, ScenarioConfig, StreamAudience, StreamSpec,
+    AuditRetryPolicy, ChurnSchedule, ChurnWave, CollusionScenario, ComponentSpec, ComponentsSpec,
+    FaultSchedule, FaultWave, FreeriderScenario, OnlineRecalibration, ScenarioConfig,
+    StreamAudience, StreamSpec,
 };
 pub use world::SystemWorld;

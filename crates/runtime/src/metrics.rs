@@ -207,8 +207,8 @@ pub struct WaveRecovery {
 
 /// Per-period detection-quality traces plus per-disturbance reconvergence
 /// times — the resilience plane's headline readout. Only assembled when the
-/// scenario exercises that plane
-/// ([`crate::ScenarioConfig::resilience_active`]).
+/// scenario exercises that plane (fault waves, a closed-loop adversary or the
+/// online recalibration).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RecoveryReport {
     /// Detection precision (TP / (TP + FP), 1.0 when nothing is flagged) at

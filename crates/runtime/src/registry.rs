@@ -14,8 +14,8 @@ use lifting_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
 use crate::scenario::{
-    AdversaryScenario, AuditRetryPolicy, ChurnSchedule, ChurnWave, ComponentSpec, FaultSchedule,
-    FaultWave, OnlineRecalibration, ScenarioConfig, StreamAudience, StreamSpec,
+    AuditRetryPolicy, ChurnSchedule, ChurnWave, ComponentSpec, FaultSchedule, FaultWave,
+    OnlineRecalibration, ScenarioConfig, StreamAudience, StreamSpec,
 };
 use lifting_sim::ParamValue;
 
@@ -210,6 +210,26 @@ fn shrink_below_planetlab(config: &mut ScenarioConfig) {
     }
 }
 
+/// The shape every beyond-the-paper family shares: the PlanetLab baseline at
+/// 300 (quick: 80) nodes, shrunk below paper scale, with `freeriders` of the
+/// population freeriding (0 = none) for `paper_secs` (quick: `quick_secs`).
+fn planetlab_family(
+    paper_secs: u64,
+    quick_secs: u64,
+    freeriders: f64,
+) -> impl Fn(Scale, u64) -> ScenarioConfig + Send + Sync + Copy {
+    move |scale: Scale, seed: u64| {
+        let mut config = ScenarioConfig::planetlab_baseline(seed);
+        config.nodes = scale.pick(300, 80);
+        shrink_below_planetlab(&mut config);
+        if freeriders > 0.0 {
+            config = config.with_planetlab_freeriders(freeriders);
+        }
+        config.duration = scale.secs(paper_secs, quick_secs);
+        config
+    }
+}
+
 fn register_builtin(registry: &mut ScenarioRegistry) {
     // ------------------------------------------------------------------
     // Figure 1 — stream health with/without freeriders and LiFTinG.
@@ -336,15 +356,12 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
         "adversary/on-off-freeriders",
         "20% on-off freeriders (2 periods on, 2 off) dodging the score normalization",
         |scale: Scale, seed: u64| {
-            let mut config = ScenarioConfig::planetlab_baseline(seed);
-            config.nodes = scale.pick(300, 80);
-            shrink_below_planetlab(&mut config);
-            config = config.with_planetlab_freeriders(0.2);
-            config.adversary = AdversaryScenario::OnOff {
-                on_periods: 2,
-                off_periods: 2,
-            };
-            config.duration = scale.secs(40, 20);
+            let mut config = planetlab_family(40, 20, 0.2)(scale, seed);
+            config.components.adversary = Some(
+                ComponentSpec::new("on-off")
+                    .with("on_periods", ParamValue::Int(2))
+                    .with("off_periods", ParamValue::Int(2)),
+            );
             config
         },
     );
@@ -352,15 +369,12 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
         "adversary/blame-spam",
         "10% blame spammers flooding the reputation plane with fabricated blames",
         |scale: Scale, seed: u64| {
-            let mut config = ScenarioConfig::planetlab_baseline(seed);
-            config.nodes = scale.pick(300, 80);
-            shrink_below_planetlab(&mut config);
-            config = config.with_planetlab_freeriders(0.1);
-            config.adversary = AdversaryScenario::BlameSpam {
-                blames_per_period: 5,
-                blame_value: 5.0,
-            };
-            config.duration = scale.secs(30, 15);
+            let mut config = planetlab_family(30, 15, 0.1)(scale, seed);
+            config.components.adversary = Some(
+                ComponentSpec::new("blame-spam")
+                    .with("blames_per_period", ParamValue::Int(5))
+                    .with("blame_value", ParamValue::Float(5.0)),
+            );
             config
         },
     );
@@ -371,23 +385,11 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
     // mid-stream; these scenarios exercise blame propagation, audit
     // timeouts and score-based expulsion under that dynamism.
     // ------------------------------------------------------------------
-    let planetlab_churn = |nodes_paper: usize, duration: (u64, u64), freeriders: f64| {
-        move |scale: Scale, seed: u64| {
-            let mut config = ScenarioConfig::planetlab_baseline(seed);
-            config.nodes = scale.pick(nodes_paper, 80);
-            shrink_below_planetlab(&mut config);
-            if freeriders > 0.0 {
-                config = config.with_planetlab_freeriders(freeriders);
-            }
-            config.duration = scale.secs(duration.0, duration.1);
-            config
-        }
-    };
     registry.register(
         "churn/steady-slow",
         "Steady churn, honest population: 25% of the nodes cycle 12s-mean sessions with 3s offline spells",
         move |scale: Scale, seed: u64| {
-            let mut config = planetlab_churn(300, (40, 20), 0.0)(scale, seed);
+            let mut config = planetlab_family(40, 20, 0.0)(scale, seed);
             config.churn = Some(ChurnSchedule::steady(
                 0.25,
                 SimDuration::from_secs(12),
@@ -401,7 +403,7 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
         "churn/steady-fast",
         "Aggressive churn with 10% freeriders and audits on: 40% of the nodes cycle 5s-mean sessions with 2s offline spells",
         move |scale: Scale, seed: u64| {
-            let mut config = planetlab_churn(300, (40, 20), 0.1)(scale, seed);
+            let mut config = planetlab_family(40, 20, 0.1)(scale, seed);
             config.churn = Some(ChurnSchedule::steady(
                 0.4,
                 SimDuration::from_secs(5),
@@ -420,7 +422,7 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
         "churn/catastrophe",
         "Catastrophic failure: 30% of the nodes (10% freeriders present) crash at mid-run and never return",
         move |scale: Scale, seed: u64| {
-            let mut config = planetlab_churn(300, (40, 20), 0.1)(scale, seed);
+            let mut config = planetlab_family(40, 20, 0.1)(scale, seed);
             let mut schedule = ChurnSchedule::steady(
                 0.0,
                 SimDuration::from_secs(10),
@@ -439,7 +441,7 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
         "churn/flash-crowd",
         "Flash crowd: 30% of the nodes start offline and all join a quarter into the stream",
         move |scale: Scale, seed: u64| {
-            let mut config = planetlab_churn(300, (40, 20), 0.0)(scale, seed);
+            let mut config = planetlab_family(40, 20, 0.0)(scale, seed);
             let mut schedule = ChurnSchedule::steady(
                 0.0,
                 SimDuration::from_secs(10),
@@ -458,7 +460,7 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
         "churn/freeriders",
         "Churn x freeriders with audits on: 20% freeriders while 35% of the nodes cycle 8s-mean sessions",
         move |scale: Scale, seed: u64| {
-            let mut config = planetlab_churn(300, (40, 20), 0.2)(scale, seed);
+            let mut config = planetlab_family(40, 20, 0.2)(scale, seed);
             config.churn = Some(ChurnSchedule::steady(
                 0.35,
                 SimDuration::from_secs(8),
@@ -478,23 +480,11 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
     // manager-based accountability pays off (a freerider on channel B is
     // expelled from channel A too).
     // ------------------------------------------------------------------
-    let planetlab_multistream = |freeriders: f64| {
-        move |scale: Scale, seed: u64| {
-            let mut config = ScenarioConfig::planetlab_baseline(seed);
-            config.nodes = scale.pick(300, 80);
-            shrink_below_planetlab(&mut config);
-            if freeriders > 0.0 {
-                config = config.with_planetlab_freeriders(freeriders);
-            }
-            config.duration = scale.secs(30, 15);
-            config
-        }
-    };
     registry.register(
         "multistream/disjoint-audiences",
         "Two channels with disjoint audiences (first vs second half of the population) over one membership plane",
         move |scale: Scale, seed: u64| {
-            let mut config = planetlab_multistream(0.0)(scale, seed);
+            let mut config = planetlab_family(30, 15, 0.0)(scale, seed);
             config.primary_audience = StreamAudience::Slice { from: 0.0, to: 0.5 };
             let rate = config.stream_rate_bps;
             let chunk = config.chunk_size;
@@ -509,7 +499,7 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
         "multistream/overlapping-audiences",
         "Two full-audience channels with 10% freeriders shirking on both; their blames aggregate into one score",
         move |scale: Scale, seed: u64| {
-            let mut config = planetlab_multistream(0.1)(scale, seed);
+            let mut config = planetlab_family(30, 15, 0.1)(scale, seed);
             let chunk = config.chunk_size;
             config.streams.push(StreamSpec::new(300_000, chunk));
             config
@@ -519,10 +509,13 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
         "multistream/selective-freeriders",
         "15% selective freeriders: honest on channel 0, fully silent on channel 1 — cross-stream scoring expels them from both",
         move |scale: Scale, seed: u64| {
-            let mut config = planetlab_multistream(0.15)(scale, seed);
+            let mut config = planetlab_family(30, 15, 0.15)(scale, seed);
             let chunk = config.chunk_size;
             config.streams.push(StreamSpec::new(300_000, chunk));
-            config.adversary = AdversaryScenario::SelectiveFreerider { silent_mask: 0b10 };
+            config.components.adversary = Some(
+                ComponentSpec::new("selective-freerider")
+                    .with("silent_mask", ParamValue::Int(0b10)),
+            );
             config
         },
     );
@@ -530,7 +523,7 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
         "multistream/rate-asymmetry",
         "Three channels at 400/200/100 kbps; the slow ones start mid-run and serve three-quarters of the population",
         move |scale: Scale, seed: u64| {
-            let mut config = planetlab_multistream(0.0)(scale, seed);
+            let mut config = planetlab_family(30, 15, 0.0)(scale, seed);
             let chunk = config.chunk_size;
             config.streams.push(
                 StreamSpec::new(200_000, chunk)
@@ -559,27 +552,17 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
     // `RunOutcome::recovery` with per-period precision/recall traces and
     // per-wave reconvergence times.
     // ------------------------------------------------------------------
-    let planetlab_resilience = |freeriders: f64| {
-        move |scale: Scale, seed: u64| {
-            let mut config = ScenarioConfig::planetlab_baseline(seed);
-            config.nodes = scale.pick(300, 80);
-            shrink_below_planetlab(&mut config);
-            if freeriders > 0.0 {
-                config = config.with_planetlab_freeriders(freeriders);
-            }
-            config.duration = scale.secs(40, 20);
-            config
-        }
+    let gradient_freerider = || {
+        ComponentSpec::new("gradient-freerider")
+            .with("margin", ParamValue::Float(2.0))
+            .with("step", ParamValue::Float(0.25))
     };
     registry.register(
         "resilience/gradient-freerider",
         "15% closed-loop freeriders throttle their shirking to ride just above the static η — the evasion baseline",
         move |scale: Scale, seed: u64| {
-            let mut config = planetlab_resilience(0.15)(scale, seed);
-            config.adversary = AdversaryScenario::GradientFreerider {
-                margin: 2.0,
-                step: 0.25,
-            };
+            let mut config = planetlab_family(40, 20, 0.15)(scale, seed);
+            config.components.adversary = Some(gradient_freerider());
             config
         },
     );
@@ -587,11 +570,8 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
         "resilience/gradient-freerider-online",
         "The same gradient freeriders against the online η recalibration (trimmed live-score quantile, EWMA-smoothed)",
         move |scale: Scale, seed: u64| {
-            let mut config = planetlab_resilience(0.15)(scale, seed);
-            config.adversary = AdversaryScenario::GradientFreerider {
-                margin: 2.0,
-                step: 0.25,
-            };
+            let mut config = planetlab_family(40, 20, 0.15)(scale, seed);
+            config.components.adversary = Some(gradient_freerider());
             config.online_recalibration = Some(OnlineRecalibration::planetlab());
             config
         },
@@ -600,11 +580,12 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
         "resilience/whitewasher",
         "10% whitewashers depart once blame drags their score 0.5 below its peak and rejoin under a rebuilt stack; frozen-score carryover catches them",
         move |scale: Scale, seed: u64| {
-            let mut config = planetlab_resilience(0.1)(scale, seed);
-            config.adversary = AdversaryScenario::Whitewasher {
-                margin: 0.5,
-                offline: SimDuration::from_secs(2),
-            };
+            let mut config = planetlab_family(40, 20, 0.1)(scale, seed);
+            config.components.adversary = Some(
+                ComponentSpec::new("whitewasher")
+                    .with("margin", ParamValue::Float(0.5))
+                    .with("offline_secs", ParamValue::Float(2.0)),
+            );
             config
         },
     );
@@ -612,7 +593,7 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
         "resilience/partition-waves",
         "Two partition waves hit 25% of the population mid-run; hardened audit and confirm RPCs abort instead of blaming the unreachable",
         move |scale: Scale, seed: u64| {
-            let mut config = planetlab_resilience(0.1)(scale, seed);
+            let mut config = planetlab_family(40, 20, 0.1)(scale, seed);
             config.audits_enabled = true;
             config.audit_interval = SimDuration::from_secs(4);
             config.audit_retry = Some(AuditRetryPolicy::default_policy());
@@ -639,7 +620,7 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
         "resilience/bursty-loss",
         "Gilbert-Elliott bursty loss (≈7% stationary) plus delay spikes and duplication, with 10% freeriders and hardened confirms",
         move |scale: Scale, seed: u64| {
-            let mut config = planetlab_resilience(0.1)(scale, seed);
+            let mut config = planetlab_family(40, 20, 0.1)(scale, seed);
             config.network.loss = lifting_net::LossModel::gilbert_elliott(0.05, 0.45, 0.02, 0.5);
             config.network.faults.delay_spike_probability = 0.05;
             config.network.faults.delay_spike = SimDuration::from_millis(300);
@@ -652,13 +633,14 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
         "resilience/adaptive-colluders",
         "15% colluders re-aim their cover-traffic bias away from recently audited accomplices; audits on",
         move |scale: Scale, seed: u64| {
-            let mut config = planetlab_resilience(0.15)(scale, seed);
+            let mut config = planetlab_family(40, 20, 0.15)(scale, seed);
             config.audits_enabled = true;
             config.audit_interval = SimDuration::from_secs(4);
-            config.adversary = AdversaryScenario::AdaptiveColluders {
-                partner_bias: 0.6,
-                cooldown_periods: 6,
-            };
+            config.components.adversary = Some(
+                ComponentSpec::new("adaptive-colluders")
+                    .with("partner_bias", ParamValue::Float(0.6))
+                    .with("cooldown_periods", ParamValue::Int(6)),
+            );
             config
         },
     );
@@ -709,25 +691,12 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
     // audience behaviour: diurnal participation swings, correlated regional
     // outages, and zap-style channel surfing.
     // ------------------------------------------------------------------
-    let planetlab_workload = |freeriders: f64| {
-        move |scale: Scale, seed: u64| {
-            let mut config = ScenarioConfig::planetlab_baseline(seed);
-            config.nodes = scale.pick(300, 80);
-            shrink_below_planetlab(&mut config);
-            if freeriders > 0.0 {
-                config = config.with_planetlab_freeriders(freeriders);
-            }
-            config.duration = scale.secs(40, 20);
-            config
-        }
-    };
     registry.register(
         "workload/diurnal",
         "Diurnal audience: participation swings around 60% over a sinusoidal cycle, tiered access classes (fiber/cable/DSL/mobile), 10% freeriders",
         move |scale: Scale, seed: u64| {
-            let mut config = planetlab_workload(0.1)(scale, seed);
+            let mut config = planetlab_family(40, 20, 0.1)(scale, seed);
             // The tiered capability component replaces the flat poor-node draw.
-            config.poor_node_fraction = 0.0;
             config.components.capability = Some(ComponentSpec::new("tiered"));
             config.components.workload = Some(
                 ComponentSpec::new("diurnal")
@@ -741,7 +710,7 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
         "workload/regional-failure",
         "Regional-failure waves: the population splits into 4 regions and 2 correlated outages knock whole regions offline before they rejoin",
         move |scale: Scale, seed: u64| {
-            let mut config = planetlab_workload(0.1)(scale, seed);
+            let mut config = planetlab_family(40, 20, 0.1)(scale, seed);
             config.components.workload = Some(
                 ComponentSpec::new("regional-failure")
                     .with("regions", ParamValue::Int(4))
@@ -754,7 +723,7 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
         "workload/zap",
         "Channel zapping: three channels, half the viewers surf between them with exponentially distributed dwell times",
         move |scale: Scale, seed: u64| {
-            let mut config = planetlab_workload(0.1)(scale, seed);
+            let mut config = planetlab_family(40, 20, 0.1)(scale, seed);
             config.duration = scale.secs(30, 15);
             let chunk = config.chunk_size;
             config.streams.push(StreamSpec::new(300_000, chunk));

@@ -39,11 +39,11 @@ impl ComponentSpec {
 }
 
 /// The declarative component composition of a scenario: which registered
-/// component provides each axis of the system. Every field is optional — an
-/// unset axis falls back to the legacy configuration fields, which keeps
-/// every pre-registry scenario bit-identical while letting new scenarios
-/// compose `transport + loss + capability + workload + adversary + exporter`
-/// by name.
+/// component provides each axis of the system. One axis, one encoding: the
+/// capability, workload and adversary axes are configured *only* here (unset
+/// means `uniform`, a static population — or [`ScenarioConfig::churn`] — and
+/// `baseline`); `transport` and `loss` are named presets for the values
+/// [`NetworkConfig`] stores and override them when set.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ComponentsSpec {
     /// Transport policy (see [`lifting_net::provider::transport_components`]).
@@ -51,30 +51,17 @@ pub struct ComponentsSpec {
     /// Loss model (see [`lifting_net::provider::loss_components`]).
     pub loss: Option<ComponentSpec>,
     /// Per-node capability class assignment (see
-    /// [`lifting_net::provider::capability_components`]).
+    /// [`lifting_net::provider::capability_components`]); unset = `uniform`,
+    /// every node gets [`ScenarioConfig::default_upload_bps`].
     pub capability: Option<ComponentSpec>,
     /// Trace-driven workload generator (see
     /// [`crate::components::workload_components`]). Mutually exclusive with
     /// [`ScenarioConfig::churn`] — both drive membership transitions.
     pub workload: Option<ComponentSpec>,
-    /// Adversary family (see [`crate::components::adversary_components`]);
-    /// resolves into [`ScenarioConfig::adversary`].
+    /// The adversary family the freerider population plays (see
+    /// [`crate::components::adversary_components`]); unset = `baseline`, the
+    /// paper's freeriders colluding per [`ScenarioConfig::collusion`].
     pub adversary: Option<ComponentSpec>,
-    /// Outcome exporter the binaries render results through (see
-    /// [`crate::components::exporter_components`]).
-    pub exporter: Option<ComponentSpec>,
-}
-
-impl ComponentsSpec {
-    /// True if no axis is declared (the scenario is fully legacy-configured).
-    pub fn is_empty(&self) -> bool {
-        self.transport.is_none()
-            && self.loss.is_none()
-            && self.capability.is_none()
-            && self.workload.is_none()
-            && self.adversary.is_none()
-            && self.exporter.is_none()
-    }
 }
 
 /// Bounded retry for the audit RPCs (history polls and witness
@@ -124,7 +111,7 @@ impl AuditRetryPolicy {
 ///
 /// The paper calibrates `η = −9.75` offline, for a false-positive budget
 /// `β < 1 %`, against a known honest score distribution. A closed-loop
-/// adversary (e.g. [`AdversaryScenario::GradientFreerider`]) exploits
+/// adversary (e.g. the `gradient-freerider` component) exploits
 /// exactly that: it parks its score just above the static threshold. With
 /// recalibration enabled the managers re-derive the threshold each period
 /// from the *live* score stream — no ground truth splits honest from
@@ -297,151 +284,6 @@ impl CollusionScenario {
     }
 }
 
-/// Which [`crate::layers::Adversary`] the misbehaving population plays.
-///
-/// `Baseline` reproduces the paper's wiring (freeriders of the configured
-/// degree, colluding per [`CollusionScenario`]); the other variants plug in
-/// adversaries the original `Behavior`/`CollusionConfig` combination could
-/// not express.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum AdversaryScenario {
-    /// The paper's adversary: every node of the freerider population
-    /// freerides with the configured degree; collusion per the scenario.
-    Baseline,
-    /// On-off freeriders: the population freerides for `on_periods` gossip
-    /// periods, then behaves honestly for `off_periods`, diluting the blame
-    /// it accumulates (exploits the `1/r` normalization of Equation 6).
-    OnOff {
-        /// Length of each freeriding window, in gossip periods (≥ 1).
-        on_periods: u64,
-        /// Length of each honest window, in gossip periods (≥ 1).
-        off_periods: u64,
-    },
-    /// Blame spammers: the population disseminates honestly but floods the
-    /// reputation plane with fabricated blames against random peers.
-    BlameSpam {
-        /// Fabricated blames emitted per gossip tick by each spammer.
-        blames_per_period: u32,
-        /// Value of each fabricated blame.
-        blame_value: f64,
-    },
-    /// Selective freeriders for multi-channel runs: the population behaves
-    /// honestly on some channels and goes **fully silent** (proposes to
-    /// nobody, serves nothing) on the channels named in `silent_mask`. The
-    /// attack probes whether reputation is per-channel: with cross-stream
-    /// blame aggregation the silence on one channel costs the node its access
-    /// to *all* of them.
-    SelectiveFreerider {
-        /// Bitmask of silenced streams (bit `s` = stream `s`).
-        silent_mask: u64,
-    },
-    /// Gradient freeriders — **closed loop**: each period the population
-    /// reads its own manager scores and throttles its freeriding intensity
-    /// to ride just above the public threshold `η` (back off by `step` when
-    /// `score < η + margin`, creep back up otherwise). Evades any static
-    /// threshold; countered by [`OnlineRecalibration`].
-    GradientFreerider {
-        /// Safety margin above `η` the adversary tries to keep.
-        margin: f64,
-        /// Intensity decrement applied when the score nears `η`.
-        step: f64,
-    },
-    /// Whitewashers — **closed loop**: the population freerides greedily,
-    /// watches its own score trajectory, and departs once blame has dragged
-    /// the score `margin` below its observed peak (a drawdown the node
-    /// measures locally, without knowing the managers' threshold), rejoining
-    /// after `offline` in the hope of a laundered reputation. Countered by
-    /// the frozen-score carryover across sessions.
-    Whitewasher {
-        /// Departure trigger: leave once the score sits `margin` below its
-        /// observed peak.
-        margin: f64,
-        /// Offline time before each rejoin.
-        offline: SimDuration,
-    },
-    /// Adaptive colluders — **closed loop**: a cover-up coalition that
-    /// watches which accomplices get audited and re-aims its biased partner
-    /// selection away from them for `cooldown_periods`, dodging the entropy
-    /// check's paper trail. Carries its own bias parameter so it does not
-    /// overload [`CollusionScenario`] (which configures only the baseline).
-    AdaptiveColluders {
-        /// Probability of picking an (unscrutinized) coalition member as
-        /// gossip partner.
-        partner_bias: f64,
-        /// Periods an audited accomplice stays off the bias list.
-        cooldown_periods: u64,
-    },
-}
-
-impl AdversaryScenario {
-    /// Validates the adversary parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a window length is zero or a blame value is negative.
-    pub fn validate(&self) {
-        match self {
-            AdversaryScenario::Baseline => {}
-            AdversaryScenario::OnOff {
-                on_periods,
-                off_periods,
-            } => {
-                assert!(
-                    *on_periods >= 1 && *off_periods >= 1,
-                    "on-off windows must be at least one period"
-                );
-            }
-            AdversaryScenario::BlameSpam { blame_value, .. } => {
-                assert!(*blame_value >= 0.0, "blame value must be non-negative");
-            }
-            AdversaryScenario::SelectiveFreerider { silent_mask } => {
-                assert!(
-                    *silent_mask != 0,
-                    "a selective freerider must silence at least one stream"
-                );
-            }
-            AdversaryScenario::GradientFreerider { margin, step } => {
-                assert!(*margin >= 0.0, "gradient margin must be non-negative");
-                assert!(
-                    *step > 0.0 && *step <= 1.0,
-                    "gradient step must be in (0, 1]"
-                );
-            }
-            AdversaryScenario::Whitewasher { margin, offline } => {
-                assert!(*margin >= 0.0, "whitewash margin must be non-negative");
-                assert!(
-                    !offline.is_zero(),
-                    "whitewash offline time must be positive"
-                );
-            }
-            AdversaryScenario::AdaptiveColluders {
-                partner_bias,
-                cooldown_periods,
-            } => {
-                assert!(
-                    (0.0..=1.0).contains(partner_bias),
-                    "adaptive partner bias out of range"
-                );
-                assert!(
-                    *cooldown_periods >= 1,
-                    "adaptive cooldown must cover at least one period"
-                );
-            }
-        }
-    }
-
-    /// True if this adversary reacts to runtime feedback (scores, audit
-    /// observations) — i.e. the runtime must run the closed-loop upcalls.
-    pub fn closed_loop(&self) -> bool {
-        matches!(
-            self,
-            AdversaryScenario::GradientFreerider { .. }
-                | AdversaryScenario::Whitewasher { .. }
-                | AdversaryScenario::AdaptiveColluders { .. }
-        )
-    }
-}
-
 /// Complete description of one experiment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioConfig {
@@ -479,9 +321,6 @@ pub struct ScenarioConfig {
     pub freeriders: Option<FreeriderScenario>,
     /// Collusion behaviour of the freeriders.
     pub collusion: CollusionScenario,
-    /// The adversary the misbehaving population plays (see
-    /// [`AdversaryScenario`]); `Baseline` reproduces the paper's wiring.
-    pub adversary: AdversaryScenario,
     /// Membership dynamics: steady session/offline churn plus optional
     /// catastrophic-failure and flash-crowd waves. `None` keeps the
     /// population static (the paper's controlled experiments).
@@ -496,19 +335,12 @@ pub struct ScenarioConfig {
     /// Online recalibration of the detection threshold from the live score
     /// stream; `None` keeps the static `η` of [`LiftingConfig::eta`].
     pub online_recalibration: Option<OnlineRecalibration>,
-    /// Fraction of honest nodes with poor connectivity (low uplink and extra
-    /// loss) — the paper attributes most false positives to such nodes.
-    pub poor_node_fraction: f64,
     /// Uplink of a well-provisioned node, bits per second (`None` =
-    /// unconstrained).
+    /// unconstrained) — the default attachment every capability assigner
+    /// receives.
     pub default_upload_bps: Option<u64>,
-    /// Uplink of a poor node, bits per second.
-    pub poor_upload_bps: u64,
-    /// Extra access-link loss of a poor node.
-    pub poor_extra_loss: f64,
     /// Declarative component composition: named providers for the transport,
-    /// loss, capability, workload, adversary and exporter axes. Unset axes
-    /// fall back to the legacy fields above, bit-identically.
+    /// loss, capability, workload and adversary axes.
     pub components: ComponentsSpec,
     /// Total simulated duration.
     pub duration: SimDuration,
@@ -535,16 +367,22 @@ impl ScenarioConfig {
             streams: Vec::new(),
             freeriders: None,
             collusion: CollusionScenario::none(),
-            adversary: AdversaryScenario::Baseline,
             churn: None,
             faults: None,
             audit_retry: None,
             online_recalibration: None,
-            poor_node_fraction: 0.1,
             default_upload_bps: Some(5_000_000),
-            poor_upload_bps: 800_000,
-            poor_extra_loss: 0.03,
-            components: ComponentsSpec::default(),
+            // The paper attributes most false positives to poorly connected
+            // honest nodes: 10 % of them get a low uplink and extra loss.
+            components: ComponentsSpec {
+                capability: Some(
+                    ComponentSpec::new("poor-fraction")
+                        .with("fraction", ParamValue::Float(0.1))
+                        .with("poor_upload_bps", ParamValue::Int(800_000))
+                        .with("poor_extra_loss", ParamValue::Float(0.03)),
+                ),
+                ..ComponentsSpec::default()
+            },
             duration: SimDuration::from_secs(40),
             seed,
         }
@@ -584,15 +422,11 @@ impl ScenarioConfig {
             streams: Vec::new(),
             freeriders: None,
             collusion: CollusionScenario::none(),
-            adversary: AdversaryScenario::Baseline,
             churn: None,
             faults: None,
             audit_retry: None,
             online_recalibration: None,
-            poor_node_fraction: 0.0,
             default_upload_bps: None,
-            poor_upload_bps: 500_000,
-            poor_extra_loss: 0.0,
             components: ComponentsSpec::default(),
             duration: SimDuration::from_secs(15),
             seed,
@@ -664,10 +498,6 @@ impl ScenarioConfig {
             "freeriders must be a strict subset of the population"
         );
         assert!(
-            (0.0..=1.0).contains(&self.poor_node_fraction),
-            "poor-node fraction out of range"
-        );
-        assert!(
             (0.0..=1.0).contains(&self.collusion.partner_bias),
             "partner bias out of range"
         );
@@ -696,7 +526,6 @@ impl ScenarioConfig {
             self.components.workload.is_none() || self.churn.is_none(),
             "a workload generator and a churn schedule cannot drive membership simultaneously"
         );
-        self.adversary.validate();
         if let Some(churn) = &self.churn {
             churn.validate();
             // Waves must leave enough of the population standing for gossip
@@ -709,35 +538,6 @@ impl ScenarioConfig {
             assert!(
                 wave_max <= 0.9,
                 "a churn wave may cover at most 90% of the population"
-            );
-        }
-        if !matches!(self.adversary, AdversaryScenario::Baseline) {
-            assert!(
-                self.freerider_count() > 0,
-                "a non-baseline adversary needs a misbehaving population (set `freeriders`)"
-            );
-            assert!(
-                !self.collusion.is_active(),
-                "collusion only composes with the baseline adversary; \
-                 the on-off / blame-spam adversaries would silently ignore it"
-            );
-        }
-        if let AdversaryScenario::SelectiveFreerider { silent_mask } = self.adversary {
-            assert!(
-                self.stream_count() > 1,
-                "a selective freerider needs at least two streams to select between"
-            );
-            // With exactly 64 streams every bit of the mask is a valid
-            // stream; the shift below would overflow, so skip it.
-            assert!(
-                self.stream_count() >= 64 || silent_mask >> self.stream_count() == 0,
-                "the silent mask names streams the scenario does not run"
-            );
-        }
-        if let AdversaryScenario::AdaptiveColluders { .. } = self.adversary {
-            assert!(
-                self.freerider_count() >= 2,
-                "adaptive colluders need a coalition of at least two"
             );
         }
         if let Some(faults) = &self.faults {
@@ -761,13 +561,6 @@ impl ScenarioConfig {
         if let Some(f) = &self.freeriders {
             f.degree.validate();
         }
-    }
-
-    /// True if the scenario exercises the resilience plane (fault waves, a
-    /// closed-loop adversary, or the online-recalibration defence) — the
-    /// runtime then tracks per-period recovery metrics.
-    pub fn resilience_active(&self) -> bool {
-        self.faults.is_some() || self.online_recalibration.is_some() || self.adversary.closed_loop()
     }
 }
 
@@ -820,22 +613,6 @@ mod tests {
             count: 4,
             degree: FreeriderConfig::uniform(0.1),
         });
-        s.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "collusion only composes with the baseline adversary")]
-    fn collusion_with_non_baseline_adversary_is_rejected() {
-        let mut s = ScenarioConfig::small_test(10, 0).with_planetlab_freeriders(0.3);
-        s.adversary = AdversaryScenario::OnOff {
-            on_periods: 1,
-            off_periods: 1,
-        };
-        s.collusion = CollusionScenario {
-            partner_bias: 0.0,
-            cover_up: true,
-            man_in_the_middle: false,
-        };
         s.validate();
     }
 

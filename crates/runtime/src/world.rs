@@ -17,7 +17,7 @@
 use lifting_analysis::robust_outlier_threshold;
 use lifting_core::Blame;
 use lifting_gossip::{Chunk, StreamSource};
-use lifting_membership::Directory;
+use lifting_membership::{ChurnPlan, Directory, WorkloadPlan};
 use lifting_net::{FaultPlan, Network};
 use lifting_reputation::ManagerAssignment;
 use lifting_sim::{derive_rng, Context, InlineVec, NodeId, SimDuration, SimTime, StreamId, World};
@@ -28,6 +28,7 @@ use std::sync::Arc;
 use lifting_core::VerificationMessage;
 
 use crate::builder;
+use crate::components::AdversarySpawner;
 use crate::hot::HotNodeState;
 use crate::layers::{AuditCoordinator, AuditOutcome, Downcall, FeedbackAction, NodeStack};
 use crate::message::{Event, Message, CHURN_EPOCH_ANY};
@@ -35,11 +36,12 @@ use crate::metrics::{RecoveryReport, WaveKind, WaveRecovery};
 use crate::scenario::ScenarioConfig;
 use crate::wave::WaveExec;
 
-/// Live churn state: which nodes cycle on/off and the RNG stream feeding the
-/// session/offline duration draws as the run progresses.
+/// Live churn state: the expanded per-node plan (who cycles on/off, who the
+/// waves hit) and the RNG stream feeding the session/offline duration draws
+/// as the run progresses.
 pub(crate) struct ChurnRuntime {
-    /// Per node: subject to steady session/offline cycling.
-    pub(crate) churners: Vec<bool>,
+    /// The schedule expanded over the population, once, by the builder.
+    pub(crate) plan: ChurnPlan,
     /// The world's churn draw stream (separate from the protocol RNGs so a
     /// static-population run consumes exactly the streams it always did).
     pub(crate) rng: SmallRng,
@@ -83,6 +85,10 @@ pub struct SystemWorld {
     pub(crate) wave_exec: Option<WaveExec>,
     /// Live churn state (`None` for a static population).
     pub(crate) churn: Option<ChurnRuntime>,
+    /// The declared workload component's pre-drawn trace (`None` when the
+    /// scenario declares none), expanded once by the builder and scheduled by
+    /// [`SystemWorld::initial_events`].
+    pub(crate) workload_plan: Option<WorkloadPlan>,
     pub(crate) churn_departures: u64,
     pub(crate) churn_rejoins: u64,
     /// Online sessions begun (nodes that started online plus every rejoin).
@@ -95,6 +101,9 @@ pub struct SystemWorld {
     pub(crate) audits_aborted_by_departure: u64,
     /// The freerider coalition (kept for stack rebuilds after a rejoin).
     pub(crate) coalition: Arc<Vec<NodeId>>,
+    /// The resolved adversary family: spawns the population's adversaries at
+    /// construction and again for every stack rebuilt after a rejoin.
+    pub(crate) adversary: AdversarySpawner,
     pub(crate) rng: SmallRng,
     /// Draws that only exist in multi-channel runs (audit stream picks).
     /// Never consumed when one stream runs, so single-stream scenarios keep
@@ -122,15 +131,22 @@ pub struct SystemWorld {
     /// EWMA state of the online recalibration (equals η when off).
     pub(crate) eta_smoothed: f64,
     /// Recovery-convergence traces, populated only when the scenario's
-    /// resilience features are active (see
-    /// [`ScenarioConfig::resilience_active`]).
+    /// resilience features are active (fault waves, a closed-loop adversary
+    /// or the online recalibration).
     pub(crate) recovery: Option<RecoveryReport>,
 }
 
 impl SystemWorld {
     /// Builds the system described by `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scenario's `components` section does not resolve (an
+    /// unknown component, a bad parameter, a cross-field rule); use
+    /// [`crate::resolve_components`] to get the typed error instead.
     pub fn new(config: ScenarioConfig) -> Self {
         builder::build_world(config)
+            .unwrap_or_else(|e| panic!("scenario component resolution failed: {e}"))
     }
 
     /// The scenario this world was built from.
@@ -226,7 +242,7 @@ impl SystemWorld {
 
     /// Schedules the initial events of a run.
     pub fn initial_events(&self) -> Vec<(SimTime, Event)> {
-        builder::initial_events(&self.config)
+        builder::initial_events(self)
     }
 
     fn lifting_on(&self) -> bool {
@@ -401,7 +417,7 @@ impl SystemWorld {
             self.config.gossip,
             self.config.lifting,
             self.config.lifting_enabled,
-            builder::adversary_for(&self.config, i, &self.coalition),
+            self.adversary.spawn(&self.config, i, &self.coalition),
             rng,
             self.config.stream_count(),
         );
@@ -458,7 +474,7 @@ impl SystemWorld {
                 );
             }
             if let Some(churn) = &mut self.churn {
-                if churn.churners[node.index()] {
+                if churn.plan.churners[node.index()] {
                     let schedule = self
                         .config
                         .churn
@@ -483,7 +499,7 @@ impl SystemWorld {
             self.network.set_cut_off(node, true);
             self.churn_departures += 1;
             if let Some(churn) = &mut self.churn {
-                if churn.churners[node.index()] {
+                if churn.plan.churners[node.index()] {
                     let schedule = self
                         .config
                         .churn
@@ -628,7 +644,7 @@ impl SystemWorld {
             // traces); legacy scenarios take none and pay nothing.
             let snap = (self.recovery.is_some()
                 || self.config.online_recalibration.is_some()
-                || self.config.adversary.closed_loop())
+                || self.adversary.closed_loop())
             .then(|| self.score_snapshot(_now));
             // Online defense: recalibrate the expulsion threshold from the
             // live score distribution with a robust low-outlier rule — trim
@@ -701,7 +717,7 @@ impl SystemWorld {
             // the public score a freerider can probe for itself — and adapt.
             // The feedback hands them the *static* η: the paper's threshold
             // is public knowledge, the defender's recalibrated one is not.
-            if self.config.adversary.closed_loop() {
+            if self.adversary.closed_loop() {
                 let snap = snap.as_ref().expect("snapshot taken for closed loop");
                 let eta_static = self.config.lifting.eta;
                 let mut departs: Vec<(NodeId, SimDuration)> = Vec::new();
@@ -839,7 +855,7 @@ impl SystemWorld {
             // Closed-loop colluders watch the audit plane: an accomplice that
             // just answered for its history is "burned" and the coalition
             // re-aims its cover-traffic bias elsewhere for a cooldown.
-            if self.config.adversary.closed_loop() {
+            if self.adversary.closed_loop() {
                 let period = self.periods_elapsed;
                 let freerider = &self.hot.freerider;
                 for (i, stack) in self.stacks.iter_mut().enumerate() {

@@ -1,22 +1,29 @@
-//! Integration coverage for the component registry plane.
+//! Integration coverage for the component registry plane — the one path a
+//! scenario's capability, workload and adversary axes are configured by.
 //!
-//! Three concerns live here:
+//! Four concerns live here:
 //!
 //! 1. **Error paths** — every mis-declared component in a scenario's
 //!    `components:` section must come back as a structured
 //!    [`ComponentError`] naming the offending key, never a panic. The
 //!    registry is the first thing a scenario author touches, so the error
 //!    text is part of the interface.
-//! 2. **Workload scenarios do what their generators promise** — diurnal and
+//! 2. **The adversary registry makes the adversaries** — every family spawns
+//!    the adversary it names, declares its closed-loop flag, reports its
+//!    cross-field rules as typed errors, and is the family a rejoin rebuilds.
+//! 3. **Workload scenarios do what their generators promise** — diurnal and
 //!    regional-failure plans actually take nodes offline and bring them
 //!    back; the zap plan actually resubscribes viewers between channels.
-//! 3. **Shard invariance** — the three `workload/*` scenarios are pinned at
+//! 4. **Shard invariance** — the three `workload/*` scenarios are pinned at
 //!    1/2/4/8 shards explicitly (the registry-wide proptest samples scenario
 //!    indices, so a family this new deserves deterministic coverage too).
 
+use std::sync::Arc;
+
 use lifting_runtime::{
-    build_engine, resolve_components, run_scenario_sharded, workload_components, ComponentSpec,
-    RunOutcome, Scale, ScenarioRegistry,
+    adversary_components, build_engine, resolve_components, run_scenario_sharded,
+    workload_components, CollusionScenario, ComponentSpec, RunOutcome, Scale, ScenarioConfig,
+    ScenarioRegistry, StreamSpec,
 };
 use lifting_sim::{
     Component, ComponentError, ComponentRegistry, ParamKind, ParamMap, ParamSpec, ParamValue,
@@ -27,15 +34,35 @@ use lifting_sim::{
 // 1. Error paths: structured Err, never panic, offending key in the message.
 // ---------------------------------------------------------------------------
 
-fn quick_config(seed: u64) -> lifting_runtime::ScenarioConfig {
+fn quick_config(seed: u64) -> ScenarioConfig {
     ScenarioRegistry::builtin().build("smoke/small", Scale::Quick, seed)
+}
+
+/// The typed error `config` fails to resolve with.
+fn resolution_error(config: &ScenarioConfig, why: &str) -> ComponentError {
+    resolve_components(config)
+        .err()
+        .unwrap_or_else(|| panic!("{why}"))
+}
+
+#[test]
+fn every_registered_scenario_resolves_at_both_scales() {
+    let registry = ScenarioRegistry::builtin();
+    for name in registry.names() {
+        for scale in [Scale::Paper, Scale::Quick] {
+            let config = registry.build(name, scale, 7);
+            if let Err(err) = resolve_components(&config) {
+                panic!("{name} at {scale:?} does not resolve: {err}");
+            }
+        }
+    }
 }
 
 #[test]
 fn unknown_component_name_is_a_structured_error_naming_the_kind() {
     let mut config = quick_config(1);
     config.components.workload = Some(ComponentSpec::new("tidal"));
-    let err = resolve_components(&mut config).expect_err("unknown name must not resolve");
+    let err = resolution_error(&config, "unknown name must not resolve");
     match &err {
         ComponentError::UnknownComponent { kind, name, known } => {
             assert_eq!(kind, "workload");
@@ -60,7 +87,7 @@ fn unknown_component_name_is_a_structured_error_naming_the_kind() {
 
 #[test]
 fn unknown_names_error_on_every_axis() {
-    type Setter = fn(&mut lifting_runtime::ScenarioConfig);
+    type Setter = fn(&mut ScenarioConfig);
     let axes: [(&str, Setter); 5] = [
         ("transport", |c| {
             c.components.transport = Some(ComponentSpec::new("carrier-pigeon"))
@@ -71,21 +98,19 @@ fn unknown_names_error_on_every_axis() {
         ("capability", |c| {
             c.components.capability = Some(ComponentSpec::new("quantum"))
         }),
+        ("workload", |c| {
+            c.components.workload = Some(ComponentSpec::new("tidal"))
+        }),
         ("adversary", |c| {
             c.components.adversary = Some(ComponentSpec::new("mastermind"))
-        }),
-        ("exporter", |c| {
-            c.components.exporter = Some(ComponentSpec::new("carrier"))
         }),
     ];
     for (axis, set) in axes {
         let mut config = quick_config(1);
         set(&mut config);
-        let Err(err) = resolve_components(&mut config) else {
-            panic!("axis {axis}: unknown name must not resolve");
-        };
+        let err = resolution_error(&config, "unknown name must not resolve");
         assert!(
-            matches!(err, ComponentError::UnknownComponent { .. }),
+            matches!(&err, ComponentError::UnknownComponent { kind, .. } if kind == axis),
             "axis {axis}: expected UnknownComponent, got {err:?}"
         );
     }
@@ -96,7 +121,7 @@ fn ill_typed_param_is_rejected_with_the_offending_key() {
     let mut config = quick_config(1);
     config.components.workload =
         Some(ComponentSpec::new("diurnal").with("participation", ParamValue::Text("high".into())));
-    let err = resolve_components(&mut config).expect_err("text for a float must not validate");
+    let err = resolution_error(&config, "text for a float must not validate");
     match &err {
         ComponentError::BadParamType {
             component,
@@ -119,7 +144,7 @@ fn out_of_range_param_is_rejected_with_the_offending_key() {
     let mut config = quick_config(1);
     config.components.workload =
         Some(ComponentSpec::new("diurnal").with("participation", ParamValue::Float(1.5)));
-    let err = resolve_components(&mut config).expect_err("participation > 1 must not validate");
+    let err = resolution_error(&config, "participation > 1 must not validate");
     match &err {
         ComponentError::InvalidParam { component, key, .. } => {
             assert_eq!(component, "diurnal");
@@ -134,7 +159,7 @@ fn undeclared_param_key_is_rejected() {
     let mut config = quick_config(1);
     config.components.workload =
         Some(ComponentSpec::new("zap").with("zapers", ParamValue::Float(0.5)));
-    let err = resolve_components(&mut config).expect_err("misspelled key must not validate");
+    let err = resolution_error(&config, "misspelled key must not validate");
     match &err {
         ComponentError::UnknownParam { component, key, .. } => {
             assert_eq!(component, "zap");
@@ -213,7 +238,129 @@ fn every_registered_workload_component_builds_with_default_params() {
 }
 
 // ---------------------------------------------------------------------------
-// 2. The workload scenarios drive real membership / subscription dynamics.
+// 2. The adversary registry makes the adversaries.
+// ---------------------------------------------------------------------------
+
+/// `(family, name() of the adversary it spawns, closed loop)`.
+const FAMILIES: [(&str, &str, bool); 7] = [
+    ("baseline", "freerider", false),
+    ("on-off", "on-off-freerider", false),
+    ("blame-spam", "blame-spammer", false),
+    ("selective-freerider", "selective-freerider", false),
+    ("gradient-freerider", "gradient-freerider", true),
+    ("whitewasher", "whitewasher", true),
+    ("adaptive-colluders", "adaptive-colluder", true),
+];
+
+#[test]
+fn every_adversary_component_spawns_the_adversary_it_names() {
+    let registry = adversary_components();
+    assert_eq!(
+        registry.names().collect::<Vec<_>>(),
+        FAMILIES.map(|(family, _, _)| family),
+        "a family was registered without being listed here"
+    );
+    // Ten nodes, the last three freeride.
+    let config = ScenarioConfig::small_test(10, 1).with_planetlab_freeriders(0.3);
+    let coalition = Arc::new(Vec::new());
+    for (family, adversary, closed_loop) in FAMILIES {
+        let spawner = registry
+            .build(family, &ParamMap::new(), &mut SeedSplitter::new(1))
+            .unwrap_or_else(|e| panic!("{family} must build with defaults: {e}"));
+        assert_eq!(spawner.closed_loop(), closed_loop, "{family}");
+        assert_eq!(spawner.spawn(&config, 9, &coalition).name(), adversary);
+        assert_eq!(spawner.spawn(&config, 0, &coalition).name(), "honest");
+        assert_eq!(spawner.spawn(&config, 6, &coalition).name(), "honest");
+    }
+}
+
+/// Asserts that `config` fails to resolve with an `InvalidParam` of the
+/// declared adversary family naming `key`.
+fn assert_rejected(config: &ScenarioConfig, key: &str) {
+    let family = &config.components.adversary.as_ref().unwrap().name;
+    let err = resolution_error(config, &format!("{family}: bad `{key}` must not resolve"));
+    assert!(
+        matches!(&err, ComponentError::InvalidParam { component, key: k, .. }
+            if component == family && k == key),
+        "{family}: expected InvalidParam naming `{key}`, got {err:?}"
+    );
+}
+
+#[test]
+fn adversary_cross_field_rules_are_typed_errors_naming_the_key() {
+    let two_streams = |config: ScenarioConfig| {
+        let chunk = config.chunk_size;
+        config.with_stream(StreamSpec::new(100_000, chunk))
+    };
+    let selective = |mask: i64| {
+        Some(ComponentSpec::new("selective-freerider").with("silent_mask", ParamValue::Int(mask)))
+    };
+
+    // A selective freerider needs two streams, and a mask within them.
+    let mut config = quick_config(1);
+    config.components.adversary = selective(0b10);
+    assert_rejected(&config, "silent_mask");
+    let mut config = two_streams(quick_config(1));
+    config.components.adversary = selective(0b100);
+    assert_rejected(&config, "silent_mask");
+    config.components.adversary = selective(0b10);
+    assert!(resolve_components(&config).is_ok());
+
+    // Adaptive colluders need a coalition of at least two.
+    let mut config = quick_config(1);
+    config.components.adversary = Some(ComponentSpec::new("adaptive-colluders"));
+    assert!(resolve_components(&config).is_ok());
+    config.freeriders.as_mut().unwrap().count = 1;
+    assert_rejected(&config, "freeriders");
+
+    // Every family but the baseline replaces the freeriders' behaviour: it
+    // needs freeriders to replace and would silently ignore `collusion`.
+    for (family, _, _) in FAMILIES {
+        let mut config = two_streams(quick_config(1));
+        config.components.adversary = Some(ComponentSpec::new(family));
+        assert!(resolve_components(&config).is_ok(), "{family}");
+        let mut lonely = config.clone();
+        lonely.freeriders = None;
+        let mut colluding = config;
+        colluding.collusion = CollusionScenario {
+            partner_bias: 0.0,
+            cover_up: true,
+            man_in_the_middle: false,
+        };
+        if family == "baseline" {
+            assert!(resolve_components(&lonely).is_ok());
+            assert!(resolve_components(&colluding).is_ok());
+        } else {
+            assert_rejected(&lonely, "freeriders");
+            assert_rejected(&colluding, "collusion");
+        }
+    }
+}
+
+#[test]
+fn a_rejoin_rebuilds_the_stack_with_the_same_adversary_family() {
+    let config = ScenarioRegistry::builtin().build("resilience/whitewasher", Scale::Quick, 7);
+    let duration = config.duration;
+    let mut engine = build_engine(config);
+    let names = |world: &lifting_runtime::SystemWorld| -> Vec<&'static str> {
+        world.stacks().iter().map(|s| s.adversary.name()).collect()
+    };
+    let before = names(engine.world());
+    let freeriders = engine.world().config().freerider_count();
+    assert_eq!(
+        before.iter().filter(|n| **n == "whitewasher").count(),
+        freeriders
+    );
+    engine.run_until(SimTime::ZERO + duration);
+    assert!(
+        engine.world().churn_stats().rejoins > 0,
+        "the whitewashers must have departed and rejoined for this test to bite"
+    );
+    assert_eq!(names(engine.world()), before);
+}
+
+// ---------------------------------------------------------------------------
+// 3. The workload scenarios drive real membership / subscription dynamics.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -265,7 +412,7 @@ fn zap_workload_switches_viewers_between_channels() {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Shard invariance, pinned (not sampled) for the new family.
+// 4. Shard invariance, pinned (not sampled) for the new family.
 // ---------------------------------------------------------------------------
 
 fn assert_bit_identical(a: &RunOutcome, b: &RunOutcome, scenario: &str, shards: usize) {

@@ -125,6 +125,87 @@ impl ParamMap {
             .collect::<Vec<_>>()
             .join(",")
     }
+
+    /// The float parameter `key` (an `Int` is widened). For use inside
+    /// [`Component::build`], where the schema has already supplied and typed
+    /// every declared key.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the map was not validated against a schema declaring `key`
+    /// as a float.
+    pub fn float(&self, key: &str) -> f64 {
+        match self.get(key) {
+            Some(ParamValue::Float(x)) => *x,
+            Some(ParamValue::Int(x)) => *x as f64,
+            _ => unreachable!("schema-validated float param `{key}`"),
+        }
+    }
+
+    /// The integer parameter `key`; same contract as [`ParamMap::float`].
+    pub fn int(&self, key: &str) -> i64 {
+        match self.get(key) {
+            Some(ParamValue::Int(x)) => *x,
+            _ => unreachable!("schema-validated int param `{key}`"),
+        }
+    }
+
+    /// The float parameter `key` if it satisfies `ok`, otherwise an
+    /// [`ComponentError::InvalidParam`] reading `"<value> <complaint>"`. NaN
+    /// fails any comparison, so range predicates reject it for free.
+    pub fn float_where(
+        &self,
+        component: &str,
+        key: &str,
+        ok: impl Fn(f64) -> bool,
+        complaint: &str,
+    ) -> Result<f64, ComponentError> {
+        checked(self.float(key), component, key, ok, complaint)
+    }
+
+    /// The integer counterpart of [`ParamMap::float_where`].
+    pub fn int_where(
+        &self,
+        component: &str,
+        key: &str,
+        ok: impl Fn(i64) -> bool,
+        complaint: &str,
+    ) -> Result<i64, ComponentError> {
+        checked(self.int(key), component, key, ok, complaint)
+    }
+
+    /// The float parameter `key`, required to lie in `[0, 1]`.
+    pub fn fraction(&self, component: &str, key: &str) -> Result<f64, ComponentError> {
+        self.float_where(
+            component,
+            key,
+            |x| (0.0..=1.0).contains(&x),
+            "is not in [0, 1]",
+        )
+    }
+
+    /// The integer parameter `key`, required to be at least 1.
+    pub fn positive_int(&self, component: &str, key: &str) -> Result<i64, ComponentError> {
+        self.int_where(component, key, |x| x >= 1, "must be at least 1")
+    }
+}
+
+fn checked<T: Copy + fmt::Display>(
+    x: T,
+    component: &str,
+    key: &str,
+    ok: impl Fn(T) -> bool,
+    complaint: &str,
+) -> Result<T, ComponentError> {
+    if ok(x) {
+        Ok(x)
+    } else {
+        Err(ComponentError::invalid(
+            component,
+            key,
+            format!("{x} {complaint}"),
+        ))
+    }
 }
 
 /// The declared type of a schema parameter.
@@ -324,6 +405,17 @@ pub enum ComponentError {
         /// Why the value was rejected.
         reason: String,
     },
+}
+
+impl ComponentError {
+    /// An [`ComponentError::InvalidParam`] for `key` of `component`.
+    pub fn invalid(component: &str, key: &str, reason: impl Into<String>) -> Self {
+        ComponentError::InvalidParam {
+            component: component.to_string(),
+            key: key.to_string(),
+            reason: reason.into(),
+        }
+    }
 }
 
 impl fmt::Display for ComponentError {
