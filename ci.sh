@@ -71,15 +71,32 @@ echo "==> scenario digests (all registered scenarios, quick scale, seed 7)"
 # how scenarios are described, resolved or built must not move one bit of
 # any of them (the golden digests cover five sweeps; this covers the families
 # they do not, `adversary/*` and `resilience/*` included).
-for name in $(cat tests/scenario_manifest.txt); do
-    ./target/release/run_scenario "$name" --quick --seed 7 --exporter digest
-done > /tmp/scenario_digests.txt
+# Extra arguments (`--shards K`) go to every run.
+scenario_digests() {
+    for name in $(cat tests/scenario_manifest.txt); do
+        ./target/release/run_scenario "$name" --quick --seed 7 "$@" --exporter digest
+    done
+}
+scenario_digests > /tmp/scenario_digests.txt
 diff -u tests/scenario_digests.txt /tmp/scenario_digests.txt || {
     echo "a scenario's outcome changed; if that is intended, regenerate"
     echo "tests/scenario_digests.txt with the loop above and say why in CHANGES.md"
     exit 1
 }
 echo "scenario digests OK"
+
+echo "==> scenario digests again, every run through the wave executor (--shards 4)"
+# The wave executor rebuilds the sequential commit order from per-shard
+# outboxes (Phase B's position-ordered walk). The shard-invariance proptest
+# samples 6 (scenario, seed) pairs per run; this diffs all 43 scenarios
+# against the same pinned file.
+scenario_digests --shards 4 > /tmp/scenario_digests_sharded.txt
+diff -u tests/scenario_digests.txt /tmp/scenario_digests_sharded.txt || {
+    echo "a scenario's outcome at 4 shards differs from its pinned sequential digest:"
+    echo "Phase A or Phase B of crates/runtime/src/wave.rs no longer reproduces sequential dispatch"
+    exit 1
+}
+echo "sharded scenario digests OK"
 
 echo "==> run_all_experiments --quick (parallel, 4 shards)"
 # The parallel leg also runs every scenario through the sharded wave executor

@@ -12,15 +12,19 @@
 //!
 //! Flags: `--scenario NAME` picks the profiled scenario (default
 //! `headline/planetlab`); `--shards K` additionally re-runs it through the
-//! shard-parallel wave executor and prints the per-shard event and mailbox
-//! counters (waves formed, events executed in waves, intra- vs cross-shard
-//! staged actions, and the full src→dst mailbox matrix).
+//! shard-parallel wave executor and prints its counters (waves formed, events
+//! executed in waves, intra- vs cross-shard staged effects, and the full
+//! src→dst matrix of staged-effect counts). A bad command line is a usage
+//! error (one line plus the usage line on stderr, exit status 2).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use lifting_bench::Usage;
 use lifting_runtime::{run_scenario, Scale, ScenarioConfig, ScenarioRegistry};
+
+const USAGE: Usage = Usage("usage: profile_scenario [--scenario NAME] [--shards K]");
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
@@ -100,8 +104,8 @@ fn headline_breakdown(base: &ScenarioConfig) -> u64 {
 /// its observability counters. The outcome is bit-identical to the sequential
 /// run (asserted here on the cheap totals); what this section adds is the
 /// execution-shape readout: how many same-timestamp waves formed, how many
-/// events they covered, and how the staged actions split between intra-shard
-/// commits and cross-shard mailbox traffic.
+/// events they covered, and how the staged effects split between the acting
+/// node's own shard and sends addressed to another shard's node.
 fn sharded_breakdown(base: &ScenarioConfig, shards: usize, sequential_msgs: u64) {
     use lifting_sim::SimTime;
 
@@ -134,7 +138,7 @@ fn sharded_breakdown(base: &ScenarioConfig, shards: usize, sequential_msgs: u64)
              (intra {intra}, cross {cross}, cross share {:.1}%)",
             100.0 * cross as f64 / (staged.max(1)) as f64
         );
-        println!("  mailbox pushes (src shard -> dst shard):");
+        println!("  staged effects (src shard -> dst shard):");
         for src in 0..k {
             let row: Vec<String> = (0..k)
                 .map(|dst| format!("{:>10}", world.wave_mailbox_pushed(src, dst)))
@@ -369,26 +373,19 @@ fn component_micro_timings() {
     }
 }
 
-/// Parses `--flag VALUE` from argv; `None` when the flag is absent, panics
-/// (with a usage hint) when the value is missing or malformed.
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == flag)?;
-    Some(
-        args.get(pos + 1)
-            .unwrap_or_else(|| panic!("usage: profile_scenario [--scenario NAME] [--shards K]"))
-            .clone(),
-    )
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scenario = flag_value(&args, "--scenario").unwrap_or_else(|| "headline/planetlab".into());
-    let shards: usize = flag_value(&args, "--shards")
-        .map(|v| v.parse().expect("--shards takes a positive integer"))
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let scenario: String = USAGE
+        .flag_value(&args, "--scenario", "a scenario name")
+        .unwrap_or_else(|| "headline/planetlab".into());
+    let shards: usize = USAGE
+        .flag_value(&args, "--shards", "a positive integer")
         .unwrap_or(1);
-
-    let registry = ScenarioRegistry::builtin();
-    let base = registry.build(&scenario, Scale::Quick, 30);
+    let Some(base) = ScenarioRegistry::builtin().try_build(&scenario, Scale::Quick, 30) else {
+        USAGE.error(format_args!(
+            "unknown scenario {scenario:?}; see run_scenario --list"
+        ));
+    };
 
     println!("-- {scenario} quick run ------------------------------------------");
     let sequential_msgs = headline_breakdown(&base);

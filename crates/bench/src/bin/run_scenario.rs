@@ -25,27 +25,15 @@
 //! `ComponentError` for the exporter) plus the usage line, exit status 2.
 
 use lifting_bench::experiments::{Scale, PAPER_ETA};
-use lifting_bench::listing;
+use lifting_bench::{listing, Usage};
 use lifting_runtime::{exporter_components, run_scenario_sharded, ScenarioRegistry};
 use lifting_sim::{ParamMap, SeedSplitter};
 use serde_json::{json, to_value};
 
-const USAGE: &str = "usage: run_scenario <scenario-name> [--quick] [--seed N] [--shards K] \
-                     [--exporter NAME] | --list | --list-names | --validate-registry";
-
-fn usage_error(problem: impl std::fmt::Display) -> ! {
-    eprintln!("run_scenario: {problem}\n{USAGE}");
-    std::process::exit(2)
-}
-
-/// The parsed value following `flag`, `None` when the flag is absent.
-fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str, what: &str) -> Option<T> {
-    let at = args.iter().position(|a| a == flag)?;
-    match args.get(at + 1).map(|value| value.parse()) {
-        Some(Ok(value)) => Some(value),
-        _ => usage_error(format_args!("{flag} needs {what}")),
-    }
-}
+const USAGE: Usage = Usage(
+    "usage: run_scenario <scenario-name> [--quick] [--seed N] [--shards K] \
+     [--exporter NAME] | --list | --list-names | --validate-registry",
+);
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -64,18 +52,22 @@ fn main() {
         return;
     }
     let Some(name) = args.iter().find(|a| !a.starts_with("--")) else {
-        usage_error("no scenario name given");
+        USAGE.error("no scenario name given");
     };
     let scale = if args.iter().any(|a| a == "--quick") {
         Scale::Quick
     } else {
         Scale::Paper
     };
-    let seed: u64 = flag_value(&args, "--seed", "an integer").unwrap_or(55);
-    let shards: usize = flag_value(&args, "--shards", "an integer").unwrap_or(1);
-    let exporter: Option<String> = flag_value(&args, "--exporter", "an exporter name");
+    let seed: u64 = USAGE
+        .flag_value(&args, "--seed", "an integer")
+        .unwrap_or(55);
+    let shards: usize = USAGE
+        .flag_value(&args, "--shards", "an integer")
+        .unwrap_or(1);
+    let exporter: Option<String> = USAGE.flag_value(&args, "--exporter", "an exporter name");
     let Some(config) = registry.try_build(name, scale, seed) else {
-        usage_error(format_args!("unknown scenario {name:?}; see --list"));
+        USAGE.error(format_args!("unknown scenario {name:?}; see --list"));
     };
     let exporter = exporter.map(|exporter_name| {
         exporter_components()
@@ -84,7 +76,7 @@ fn main() {
                 &ParamMap::new(),
                 &mut SeedSplitter::new(seed),
             )
-            .unwrap_or_else(|e| usage_error(format_args!("--exporter: {e}")))
+            .unwrap_or_else(|e| USAGE.error(format_args!("--exporter: {e}")))
     });
 
     let outcome = run_scenario_sharded(config, shards);

@@ -29,3 +29,31 @@ pub fn scale_from_args() -> Scale {
         Scale::Paper
     }
 }
+
+/// A binary's usage line. A bad command line is reported through it — one
+/// line naming the problem plus the usage line on stderr, exit status 2 —
+/// never as a panic.
+pub struct Usage(pub &'static str);
+
+impl Usage {
+    /// Reports `problem` and exits with status 2.
+    pub fn error(&self, problem: impl std::fmt::Display) -> ! {
+        eprintln!("{problem}\n{}", self.0);
+        std::process::exit(2)
+    }
+
+    /// The parsed value following `flag`, `None` when the flag is absent; a
+    /// flag without a value of the right type (`what`) is a usage error.
+    pub fn flag_value<T: std::str::FromStr>(
+        &self,
+        args: &[String],
+        flag: &str,
+        what: &str,
+    ) -> Option<T> {
+        let at = args.iter().position(|a| a == flag)?;
+        match args.get(at + 1).map(|value| value.parse()) {
+            Some(Ok(value)) => Some(value),
+            _ => self.error(format_args!("{flag} needs {what}")),
+        }
+    }
+}

@@ -1,21 +1,28 @@
-//! `run_scenario` reports bad command lines as usage errors (exit status 2,
-//! one line plus the usage line on stderr), never as a panic.
+//! `run_scenario` and `profile_scenario` report bad command lines as usage
+//! errors (exit status 2, one line plus the usage line on stderr), never as a
+//! panic.
 
+use std::path::Path;
 use std::process::Command;
 
-fn usage_error_of(args: &[&str]) -> String {
-    let out = Command::new(env!("CARGO_BIN_EXE_run_scenario"))
+fn usage_error_of_bin(bin: &str, args: &[&str]) -> String {
+    let name = Path::new(bin).file_name().unwrap().to_str().unwrap();
+    let out = Command::new(bin)
         .args(args)
         .output()
-        .expect("run_scenario starts");
+        .unwrap_or_else(|e| panic!("{name} starts: {e}"));
     let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
     assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
     assert!(out.stdout.is_empty(), "{args:?} printed a readout");
     assert!(
-        stderr.contains("usage: run_scenario") && !stderr.contains("panicked"),
+        stderr.contains(&format!("usage: {name}")) && !stderr.contains("panicked"),
         "{args:?}: {stderr}"
     );
     stderr
+}
+
+fn usage_error_of(args: &[&str]) -> String {
+    usage_error_of_bin(env!("CARGO_BIN_EXE_run_scenario"), args)
 }
 
 #[test]
@@ -32,4 +39,13 @@ fn bad_command_lines_are_usage_errors() {
         stderr.contains("yaml") && stderr.contains("digest"),
         "{stderr}"
     );
+}
+
+#[test]
+fn profile_scenario_bad_command_lines_are_usage_errors() {
+    let of = |args: &[&str]| usage_error_of_bin(env!("CARGO_BIN_EXE_profile_scenario"), args);
+    assert!(of(&["--shards", "x"]).contains("--shards needs"));
+    assert!(of(&["--shards"]).contains("--shards needs"));
+    assert!(of(&["--scenario"]).contains("--scenario needs"));
+    assert!(of(&["--scenario", "no/such"]).contains("unknown scenario"));
 }

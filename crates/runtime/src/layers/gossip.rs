@@ -7,7 +7,7 @@ use lifting_gossip::{
 use lifting_membership::PartnerSelector;
 use lifting_sim::{NodeId, SimTime};
 
-use super::{Downcall, Layer, LayerEnv};
+use super::{Downcall, LayerEnv};
 use crate::message::Message;
 
 /// Typed upcalls the gossip layer emits to the verification layer above it.
@@ -118,17 +118,11 @@ impl GossipLayer {
     pub fn inject_source_chunk(&mut self, chunk: Chunk, now: SimTime) {
         self.node.inject_source_chunk(chunk, now);
     }
-}
 
-impl Layer for GossipLayer {
-    type Inbound = GossipMessage;
-    type Upcall = GossipUpcall;
-
-    fn name(&self) -> &'static str {
-        "gossip"
-    }
-
-    fn on_inbound(
+    /// Handles one gossip message from `from`, pushing the answering sends
+    /// into `out` and the observations the verification layer instruments
+    /// into `upcalls` (both caller-owned scratch, recycled across events).
+    pub fn on_inbound(
         &mut self,
         env: &mut LayerEnv<'_>,
         from: NodeId,

@@ -7,21 +7,26 @@
 //!
 //! ```text
 //!                ┌─────────────────────────┐
-//!                │     ReputationLayer     │  manager role: blames → scores
+//!                │      ManagerState       │  manager role: blames → scores
 //!                ├─────────────────────────┤
 //!                │    VerificationLayer    │  direct verification, acks,
 //!                │                         │  cross-checking, audit answers
 //!                ├─────────────────────────┤
 //!                │       GossipLayer       │  propose / request / serve
 //!                └───────────┬─────────────┘
-//!                            │  Downcall (send / timer / blame)
+//!                            │  Downcall (send / timer / blame / next tick)
 //!                      lifting-net
 //! ```
 //!
-//! * Each layer implements the [`Layer`] trait: wire traffic enters through
-//!   `on_inbound`, **upcalls** (typed notifications) flow to the layer above,
-//!   and **downcalls** ([`Downcall`]) flow to the [`NodeStack`], which routes
-//!   them to the network and the event scheduler.
+//! * Wire traffic enters a layer through its `on_inbound`; the gossip layer's
+//!   **upcalls** ([`GossipUpcall`], typed notifications) flow to the
+//!   verification layer above it, and **downcalls** ([`Downcall`]) flow out of
+//!   the [`NodeStack`] to the runtime, which commits them to the network and
+//!   the event scheduler. Layers never touch either directly — that is what
+//!   keeps them unit-testable sans-IO and the stack's RNG consumption
+//!   deterministic.
+//! * The reputation plane is no layer of its own: the stack holds the node's
+//!   [`lifting_reputation::ManagerState`] and books delivered blames into it.
 //! * Misbehaviour is not wired into the layers: an [`Adversary`]
 //!   implementation reshapes each plane (dissemination behaviour, partner
 //!   selection, verification collusion) and may inject traffic of its own,
@@ -37,7 +42,6 @@
 pub mod adversary;
 pub mod audit;
 pub mod gossip;
-pub mod reputation;
 pub mod stack;
 pub mod verification;
 
@@ -47,7 +51,6 @@ pub use adversary::{
 };
 pub use audit::{AuditCoordinator, AuditOutcome, AuditRpcStats};
 pub use gossip::{GossipLayer, GossipUpcall};
-pub use reputation::ReputationLayer;
 pub use stack::{NodeStack, StreamPlane};
 pub use verification::VerificationLayer;
 
@@ -85,6 +88,22 @@ pub enum Downcall {
     },
     /// Route a blame to the target's reputation managers.
     Blame(Blame),
+    /// Schedule this node's next gossip tick, one gossip period from now.
+    /// Pushed by the runtime's node-local handler after a tick's own effects
+    /// (never by a layer), and payload-free on purpose: `size_of::<Downcall>()`
+    /// enters the memory metric every scenario digest hashes.
+    NextGossipTick,
+}
+
+impl Downcall {
+    /// The node a [`Downcall::Send`] is addressed to; `None` for the effects
+    /// that stay with the acting node (timers, blames, the next tick).
+    pub fn receiver(&self) -> Option<NodeId> {
+        match self {
+            Downcall::Send { to, .. } => Some(*to),
+            _ => None,
+        }
+    }
 }
 
 /// Everything a layer may consult while handling traffic: the node's
@@ -107,34 +126,4 @@ pub struct LayerEnv<'a> {
     /// layers may skip *constructing* data-carrying upcalls when false (pure
     /// allocation avoidance — it must never change RNG draws or wire order).
     pub upcalls_consumed: bool,
-}
-
-/// One plane of the node protocol stack.
-///
-/// A layer consumes its own slice of the wire traffic (`Inbound`), emits
-/// typed upcalls to the layer above, and pushes [`Downcall`]s for the runtime
-/// into the output queue. Layers never touch the network or the scheduler
-/// directly — that is what keeps them unit-testable sans-IO and the stack's
-/// RNG consumption deterministic.
-pub trait Layer {
-    /// The wire messages this layer consumes.
-    type Inbound;
-    /// The typed notification this layer emits to the layer above it.
-    type Upcall;
-
-    /// Name of the layer, used in diagnostics and per-layer metrics.
-    fn name(&self) -> &'static str;
-
-    /// Handles a message addressed to this layer, pushing downcalls into
-    /// `out` and upcalls for the layer above into `upcalls`. Both buffers
-    /// are caller-owned scratch space recycled across events, keeping the
-    /// hot path allocation-free.
-    fn on_inbound(
-        &mut self,
-        env: &mut LayerEnv<'_>,
-        from: NodeId,
-        inbound: Self::Inbound,
-        out: &mut Vec<Downcall>,
-        upcalls: &mut Vec<Self::Upcall>,
-    );
 }

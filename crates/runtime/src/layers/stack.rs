@@ -1,23 +1,21 @@
 //! The per-node protocol stack: routes wire traffic and upcalls between the
-//! per-stream gossip/verification planes and the shared reputation layer.
+//! per-stream gossip/verification planes and the shared reputation plane.
 //!
 //! A node participates in every stream of the scenario through a dedicated
 //! [`StreamPlane`] — its own chunk store, playout buffer, partner selector,
-//! verification history and timers — while a **single** [`ReputationLayer`]
+//! verification history and timers — while a **single** [`ManagerState`]
 //! books blames from all planes into one score per node. That asymmetry is
 //! the point of the design: data planes are per-channel, accountability is
 //! per-node, so misbehaving on one channel costs access to all of them.
 
-use lifting_core::{LiftingConfig, Verifier, VerifierTimer};
+use lifting_core::{LiftingConfig, VerificationMessage, Verifier, VerifierTimer};
 use lifting_gossip::{GossipConfig, GossipNode};
 use lifting_membership::Directory;
+use lifting_reputation::ManagerState;
 use lifting_sim::{NodeId, SimTime, StreamId};
 use rand::rngs::SmallRng;
 
-use super::{
-    Adversary, Downcall, GossipLayer, GossipUpcall, Layer, LayerEnv, ReputationLayer,
-    VerificationLayer,
-};
+use super::{Adversary, Downcall, GossipLayer, GossipUpcall, LayerEnv, VerificationLayer};
 use crate::message::Message;
 
 /// One stream's data plane on one node: dissemination plus verification.
@@ -38,9 +36,10 @@ pub struct StreamPlane {
 pub struct NodeStack {
     /// Per-stream planes, indexed by [`StreamId`].
     pub planes: Vec<StreamPlane>,
-    /// The reputation plane (this node's manager role) — one book per node,
-    /// shared by every stream: blames aggregate across channels.
-    pub reputation: ReputationLayer,
+    /// The reputation plane (this node's manager role, Section 5.4): the
+    /// score records of the nodes it manages — one book per node, shared by
+    /// every stream: blames aggregate across channels.
+    pub reputation: ManagerState,
     /// The node's strategy; configured the planes and keeps reshaping them.
     pub adversary: Box<dyn Adversary>,
     /// The node's private RNG stream (shared by its planes; single-stream
@@ -117,7 +116,7 @@ impl NodeStack {
             .collect();
         NodeStack {
             planes,
-            reputation: ReputationLayer::new(),
+            reputation: ManagerState::new(),
             adversary,
             rng,
             is_freerider,
@@ -298,43 +297,23 @@ impl NodeStack {
                 }
                 out.append(&mut gossip_sends);
             }
+            Message::Verification(VerificationMessage::Blame(blame)) => {
+                self.reputation.apply_blame(blame.target, blame.value);
+            }
             Message::Verification(verification_message) => {
-                let mut no_upcalls = Vec::new();
-                if verification_message.is_blame() {
-                    let mut env = LayerEnv {
-                        me,
-                        stream: StreamId::PRIMARY,
-                        now,
-                        directory,
-                        rng: &mut self.rng,
-                        upcalls_consumed: true,
-                    };
-                    self.reputation.on_inbound(
-                        &mut env,
-                        from,
-                        verification_message,
-                        out,
-                        &mut no_upcalls,
-                    );
-                } else {
-                    let stream = verification_message.stream().unwrap_or(StreamId::PRIMARY);
-                    let plane = &mut self.planes[stream.index()];
-                    let mut env = LayerEnv {
-                        me,
-                        stream,
-                        now,
-                        directory,
-                        rng: &mut self.rng,
-                        upcalls_consumed: plane.verification.is_enabled(),
-                    };
-                    plane.verification.on_inbound(
-                        &mut env,
-                        from,
-                        verification_message,
-                        out,
-                        &mut no_upcalls,
-                    );
-                }
+                let stream = verification_message.stream().unwrap_or(StreamId::PRIMARY);
+                let plane = &mut self.planes[stream.index()];
+                let mut env = LayerEnv {
+                    me,
+                    stream,
+                    now,
+                    directory,
+                    rng: &mut self.rng,
+                    upcalls_consumed: plane.verification.is_enabled(),
+                };
+                plane
+                    .verification
+                    .on_inbound(&mut env, from, verification_message, out);
             }
         }
         self.scratch_sends = gossip_sends;
@@ -460,6 +439,33 @@ mod tests {
             LiftingConfig::planetlab().managers
         );
         assert!(!collusion.covers_up());
+    }
+
+    #[test]
+    fn blames_lower_the_managed_score_and_trigger_votes() {
+        use lifting_core::{Blame, BlameReason};
+        let mut s = stack(1, Box::new(Honest));
+        let target = NodeId::new(3);
+        s.reputation.register(target);
+        let mut out = Vec::new();
+        s.on_message(
+            NodeId::new(1),
+            NodeId::new(2),
+            Message::Verification(VerificationMessage::Blame(Blame::new(
+                target,
+                30.0,
+                BlameReason::MissingAck,
+            ))),
+            SimTime::ZERO,
+            &Directory::new(4),
+            &mut out,
+        );
+        assert!(out.is_empty(), "booking a blame puts nothing on the wire");
+        s.reputation.end_period(0.0);
+        assert!(s.reputation.normalized_score(target).unwrap() < -9.75);
+        assert_eq!(s.reputation.expulsion_votes(-9.75, 1), vec![target]);
+        // A second sweep does not re-vote.
+        assert!(s.reputation.expulsion_votes(-9.75, 1).is_empty());
     }
 
     #[test]

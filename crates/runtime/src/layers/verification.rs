@@ -3,7 +3,7 @@
 use lifting_core::{VerificationMessage, Verifier, VerifierAction, VerifierTimer};
 use lifting_sim::NodeId;
 
-use super::{Downcall, GossipUpcall, Layer, LayerEnv};
+use super::{Downcall, GossipUpcall, LayerEnv};
 use crate::message::Message;
 
 /// The verification layer of one node: wraps the sans-IO [`Verifier`] state
@@ -127,26 +127,16 @@ impl VerificationLayer {
         self.push_actions(actions.drain(..), out);
         self.scratch_actions = actions;
     }
-}
 
-impl Layer for VerificationLayer {
-    type Inbound = VerificationMessage;
-    /// Blames flow up to the reputation plane, but they are routed by the
-    /// runtime (the managers live on *other* nodes), so the verification
-    /// layer has no in-stack upcall.
-    type Upcall = ();
-
-    fn name(&self) -> &'static str {
-        "verification"
-    }
-
-    fn on_inbound(
+    /// Handles one verification message from `from`. There is no in-stack
+    /// upcall: the blames this emits are routed by the runtime, because the
+    /// target's managers live on *other* nodes.
+    pub fn on_inbound(
         &mut self,
         env: &mut LayerEnv<'_>,
         from: NodeId,
         inbound: VerificationMessage,
         out: &mut Vec<Downcall>,
-        _upcalls: &mut Vec<()>,
     ) {
         match inbound {
             VerificationMessage::Ack(ack) => {
@@ -167,7 +157,7 @@ impl Layer for VerificationLayer {
                 self.verifier.on_confirm_response(from, response);
             }
             VerificationMessage::Blame(_) => {
-                unreachable!("blames are addressed to the reputation layer")
+                unreachable!("blames are booked by the stack's manager state")
             }
             VerificationMessage::HistoryRequest | VerificationMessage::HistoryResponse(_) => {
                 // Audits are executed synchronously by the audit coordinator;

@@ -24,7 +24,7 @@ impl SystemWorld {
                     .assignment
                     .managers_of(id)
                     .iter()
-                    .filter_map(|m| self.stacks[m.index()].reputation.score(id))
+                    .filter_map(|m| self.stacks[m.index()].reputation.normalized_score(id))
                     .collect();
                 NodeOutcome {
                     node: id,

@@ -1,6 +1,6 @@
 //! The shard-parallel wave executor: processes a same-timestamp batch of
 //! node-local events across the worker pool, bit-identically to sequential
-//! dispatch.
+//! dispatch — by running sequential dispatch's own two functions.
 //!
 //! # How a wave runs
 //!
@@ -13,159 +13,104 @@
 //!   their acting node ([`lifting_sim::ShardMap`], contiguous id ranges) and
 //!   each shard's group is processed on the worker pool against a disjoint
 //!   `&mut [NodeStack]` slice. A shard runs its events in ascending wave
-//!   position, evaluates the epoch/activity gates and runs the stack
-//!   handlers; every effect the handler wants to have on the rest of the
-//!   world — a wire send, a timer, a blame, the tick reschedule — is staged
-//!   as a [`WaveAction`] keyed by `(wave position, emission index)` instead
-//!   of being applied.
-//! * **Phase B (sequential commit).** The staged actions are routed through
-//!   [`lifting_sim::ShardMailboxes`] (sends to the destination node's shard,
-//!   everything else to the source shard), merged back into ascending key
-//!   order — exactly the order a sequential run emits them — and committed
-//!   through the same `send` / `schedule` / `route_blame` paths sequential
-//!   dispatch uses, consuming the network RNG in the identical order.
+//!   position through [`handle_local`] — the function sequential dispatch
+//!   calls — and keeps the [`Downcall`]s it emits in its outbox, tagged with
+//!   the wave position and the acting node, instead of committing them.
+//! * **Phase B (sequential commit).** Wave positions are walked in order; for
+//!   each, the owning shard's outbox holds that event's effects at its front,
+//!   in emission order, and they are handed one by one to
+//!   [`SystemWorld::commit`] — the function sequential dispatch calls.
 //!
 //! # Why this is bit-identical
 //!
-//! Within one wave, a stack handler reads only its own stack, its private
-//! RNG, the directory and the epoch column — none of which any same-wave
+//! Within one wave, a handler reads only its own stack, its private RNG and
+//! the [`LocalView`](crate::world::LocalView) — none of which any same-wave
 //! event mutates (membership, epochs and expulsions only change at barrier
 //! events, which never join a wave; two events on the *same* node run on the
-//! same shard in wave order). Everything order-sensitive — network RNG
-//! draws, blame booking, event scheduling — happens in Phase B in the merged
-//! sequential order. The registry-wide shard-invariance proptest and the
-//! golden digests pin this end to end.
+//! same shard in wave order) — so Phase A computes exactly the effects a
+//! sequential loop would. A wave position belongs to exactly one shard and
+//! that shard emits in position order, so the Phase B walk commits them in
+//! exactly the sequential order: network RNG draws, blame booking and event
+//! scheduling cannot tell the difference.
+//!
+//! # Cost
+//!
+//! Per-shard event lists and outboxes are recycled across waves; what a wave
+//! still allocates is the job vector it fans out and, inside
+//! [`lifting_sim::run_owned`], one slot vector and one result vector.
 
-use lifting_core::Blame;
-use lifting_sim::{run_owned, Context, MailKey, NodeId, ShardMailboxes, ShardMap, SimTime};
+use std::collections::VecDeque;
+
+use lifting_sim::{run_owned, Context, NodeId, ShardMap, ShardedWorld, SimTime};
 
 use crate::layers::{Downcall, NodeStack};
-use crate::message::{Event, Message};
-use crate::world::SystemWorld;
+use crate::message::Event;
+use crate::world::{handle_local, SystemWorld};
 
-/// One staged side effect of a wave event, committed sequentially in Phase B.
-#[derive(Debug)]
-pub(crate) enum WaveAction {
-    /// A wire send (network RNG is consumed at commit time).
-    Send { to: NodeId, message: Message },
-    /// An event to schedule (verifier timers, the gossip-tick reschedule).
-    Schedule { at: SimTime, event: Event },
-    /// A blame to route to the target's managers.
-    Blame(Blame),
-}
-
-/// A staged action plus the node it acts for.
-#[derive(Debug)]
-pub(crate) struct WaveEntry {
-    pub(crate) node: NodeId,
-    pub(crate) action: WaveAction,
-}
-
-/// Reusable per-shard buffers (events in, staged actions out).
+/// Reusable per-shard buffers (events in, staged effects out).
 #[derive(Debug, Default)]
 struct ShardScratch {
-    /// This shard's slice of the wave: `(wave position, event)`.
-    events: Vec<(u32, Event)>,
-    /// Downcall staging for one handler invocation.
+    /// This shard's slice of the wave: `(wave position, acting node, event)`.
+    events: Vec<(usize, NodeId, Event)>,
+    /// The handler's output buffer for one event.
     downcalls: Vec<Downcall>,
-    /// Staged actions: `(key, destination shard, entry)`, ascending by key.
-    outbox: Vec<(MailKey, u32, WaveEntry)>,
+    /// Staged effects `(wave position, acting node, effect)`, ascending by
+    /// position and, within one position, in emission order.
+    outbox: VecDeque<(usize, NodeId, Downcall)>,
 }
 
 /// Persistent sharded-execution state, created by
-/// [`SystemWorld::set_shard_count`]. Holds the shard map, the cross-shard
-/// mailboxes and the recycled per-shard scratch, so steady-state waves
-/// allocate nothing.
+/// [`SystemWorld::set_shard_count`]: the shard map, the recycled per-shard
+/// scratch and the observability counters.
 #[derive(Debug)]
 pub(crate) struct WaveExec {
     pub(crate) map: ShardMap,
-    mailboxes: ShardMailboxes<WaveEntry>,
-    /// Recycled merge buffer for Phase B.
-    merged: Vec<(MailKey, WaveEntry)>,
     shards: Vec<ShardScratch>,
+    /// The shard owning each position of the current wave.
+    owners: Vec<usize>,
     /// Multi-event waves executed so far.
     pub(crate) waves: u64,
     /// Events processed through those waves.
     pub(crate) wave_events: u64,
+    /// Cumulative effects committed per `(src, dst)` shard pair, at
+    /// `src * shards + dst`: `src` owns the acting node, `dst` the receiver
+    /// of a send (every other effect stays with `src`).
+    staged: Vec<u64>,
 }
 
 impl WaveExec {
     pub(crate) fn new(map: ShardMap) -> Self {
         WaveExec {
             map,
-            mailboxes: ShardMailboxes::new(map.shards()),
-            merged: Vec::new(),
             shards: std::iter::repeat_with(ShardScratch::default)
                 .take(map.shards())
                 .collect(),
+            owners: Vec::new(),
             waves: 0,
             wave_events: 0,
+            staged: vec![0; map.shards() * map.shards()],
         }
     }
 
-    /// Cumulative staged entries over all waves: `(intra-shard, cross-shard)`.
-    pub(crate) fn mailbox_totals(&self) -> (u64, u64) {
-        self.mailboxes.pushed_totals()
+    /// Cumulative staged effects for one `(src, dst)` shard pair.
+    pub(crate) fn staged(&self, src: usize, dst: usize) -> u64 {
+        self.staged[src * self.map.shards() + dst]
     }
 
-    /// Cumulative staged entries for one `(src, dst)` shard pair.
-    pub(crate) fn mailbox_pushed(&self, src: usize, dst: usize) -> u64 {
-        self.mailboxes.pushed(src, dst)
+    /// Cumulative staged effects over all waves: `(intra-shard, cross-shard)`.
+    pub(crate) fn staged_totals(&self) -> (u64, u64) {
+        let k = self.map.shards();
+        let intra: u64 = (0..k).map(|s| self.staged(s, s)).sum();
+        (intra, self.staged.iter().sum::<u64>() - intra)
     }
 }
 
 /// A shard's unit of Phase A work: its scratch plus its disjoint stack slice.
 struct ShardJob<'a> {
-    shard: u32,
     /// First node id owned by this shard (`stacks[i]` is node `base + i`).
-    base: u32,
+    base: usize,
     stacks: &'a mut [NodeStack],
     scratch: ShardScratch,
-}
-
-/// Converts one handler invocation's downcalls into staged actions, keyed
-/// `(pos, 0..)`, mirroring `SystemWorld::process_downcalls` exactly: sends
-/// keep their payload, `StartTimer` becomes the same `Timer` event that
-/// sequential dispatch would schedule (stamped with the node's *current*
-/// epoch, which no same-wave event can change), blames stay blames. Returns
-/// the next free emission index.
-fn stage_downcalls(
-    map: &ShardMap,
-    node: NodeId,
-    epoch: u32,
-    pos: u32,
-    shard: u32,
-    downcalls: &mut Vec<Downcall>,
-    outbox: &mut Vec<(MailKey, u32, WaveEntry)>,
-) -> u32 {
-    let mut emit = 0u32;
-    for downcall in downcalls.drain(..) {
-        let (dst, action) = match downcall {
-            Downcall::Send { to, message } => {
-                (map.shard_of(to) as u32, WaveAction::Send { to, message })
-            }
-            Downcall::StartTimer {
-                stream,
-                timer,
-                deadline,
-            } => (
-                shard,
-                WaveAction::Schedule {
-                    at: deadline,
-                    event: Event::Timer {
-                        node,
-                        stream,
-                        timer,
-                        epoch,
-                    },
-                },
-            ),
-            Downcall::Blame(blame) => (shard, WaveAction::Blame(blame)),
-        };
-        outbox.push((MailKey::new(pos, emit), dst, WaveEntry { node, action }));
-        emit += 1;
-    }
-    emit
 }
 
 impl SystemWorld {
@@ -187,164 +132,59 @@ impl SystemWorld {
         exec.wave_events += wave.len() as u64;
 
         // Group the wave per owning shard, remembering each event's global
-        // (sequential) position — the high half of every staged action's key.
-        for scratch in &mut exec.shards {
-            scratch.events.clear();
-        }
+        // (sequential) position and which shard took it.
+        exec.owners.clear();
         for (pos, event) in wave.drain(..).enumerate() {
-            let node = match &event {
-                Event::GossipTick { node, .. } | Event::Timer { node, .. } => *node,
-                Event::Deliver { to, .. } => *to,
-                _ => unreachable!("waves contain only node-local events"),
-            };
-            exec.shards[map.shard_of(node)]
-                .events
-                .push((pos as u32, event));
+            let node = self
+                .local_node(&event)
+                .expect("waves contain only node-local events");
+            let shard = map.shard_of(node);
+            exec.owners.push(shard);
+            exec.shards[shard].events.push((pos, node, event));
         }
 
         // Split the stacks into disjoint per-shard ranges and fan Phase A out
-        // over the pool. The shared columns the handlers read (directory,
-        // epochs, config scalars) travel by `&`; each job owns its slice.
-        let gossip_period = self.config.gossip.gossip_period;
-        let lifting_on = self.config.lifting_enabled;
-        let directory = &self.directory;
-        let epochs = &self.hot.epochs;
+        // over the pool. The view the handlers read travels by copy; each job
+        // owns its slice.
+        let (view, mut rest) = self.split_local();
         let mut jobs: Vec<ShardJob> = Vec::with_capacity(map.shards());
-        let mut rest: &mut [NodeStack] = &mut self.stacks;
-        let mut consumed = 0usize;
         for (shard, scratch) in exec.shards.drain(..).enumerate() {
-            let end = map.range(shard).end as usize;
-            let slice = std::mem::take(&mut rest);
-            let (head, tail) = slice.split_at_mut(end - consumed);
+            let range = map.range(shard);
+            let (stacks, tail) = rest.split_at_mut(range.len());
             rest = tail;
             jobs.push(ShardJob {
-                shard: shard as u32,
-                base: consumed as u32,
-                stacks: head,
+                base: range.start as usize,
+                stacks,
                 scratch,
             });
-            consumed = end;
         }
-
-        let mut results = run_owned(jobs, |_, mut job| {
-            let base = job.base as usize;
-            let mut events = std::mem::take(&mut job.scratch.events);
-            for (pos, event) in events.drain(..) {
-                match event {
-                    Event::GossipTick { node, epoch } => {
-                        if epoch != epochs[node.index()] || !directory.is_active(node) {
-                            continue; // stale session or gone: chain dies
-                        }
-                        job.stacks[node.index() - base].on_gossip_tick(
-                            node,
-                            now,
-                            directory,
-                            &mut job.scratch.downcalls,
-                        );
-                        let emit = stage_downcalls(
-                            &map,
-                            node,
-                            epoch,
-                            pos,
-                            job.shard,
-                            &mut job.scratch.downcalls,
-                            &mut job.scratch.outbox,
-                        );
-                        // The tick reschedule comes after the downcalls, as in
-                        // sequential dispatch.
-                        job.scratch.outbox.push((
-                            MailKey::new(pos, emit),
-                            job.shard,
-                            WaveEntry {
-                                node,
-                                action: WaveAction::Schedule {
-                                    at: now + gossip_period,
-                                    event: Event::GossipTick { node, epoch },
-                                },
-                            },
-                        ));
-                    }
-                    Event::Deliver { from, to, message } => {
-                        if !directory.is_active(to) {
-                            continue; // receiver left while in flight
-                        }
-                        job.stacks[to.index() - base].on_message(
-                            to,
-                            from,
-                            message,
-                            now,
-                            directory,
-                            &mut job.scratch.downcalls,
-                        );
-                        stage_downcalls(
-                            &map,
-                            to,
-                            epochs[to.index()],
-                            pos,
-                            job.shard,
-                            &mut job.scratch.downcalls,
-                            &mut job.scratch.outbox,
-                        );
-                    }
-                    Event::Timer {
-                        node,
-                        stream,
-                        timer,
-                        epoch,
-                    } => {
-                        if epoch != epochs[node.index()]
-                            || !directory.is_active(node)
-                            || !lifting_on
-                        {
-                            continue; // stale timers must not fire
-                        }
-                        job.stacks[node.index() - base].on_timer(
-                            node,
-                            stream,
-                            timer,
-                            now,
-                            directory,
-                            &mut job.scratch.downcalls,
-                        );
-                        stage_downcalls(
-                            &map,
-                            node,
-                            epoch,
-                            pos,
-                            job.shard,
-                            &mut job.scratch.downcalls,
-                            &mut job.scratch.outbox,
-                        );
-                    }
-                    _ => unreachable!("waves contain only node-local events"),
-                }
+        let results = run_owned(jobs, |_, mut job| {
+            let ShardScratch {
+                events,
+                downcalls,
+                outbox,
+            } = &mut job.scratch;
+            for (pos, node, event) in events.drain(..) {
+                let stack = &mut job.stacks[node.index() - job.base];
+                handle_local(view, node, stack, now, event, downcalls);
+                outbox.extend(downcalls.drain(..).map(|d| (pos, node, d)));
             }
-            job.scratch.events = events;
-            job
+            job.scratch
         });
+        exec.shards.extend(results);
 
-        // Phase B: route every shard's staged actions into the mailboxes
-        // (each outbox is ascending, so each (src, dst) run is ascending),
-        // merge back to the global sequential order, and commit through the
-        // exact code paths sequential dispatch uses.
-        for mut job in results.drain(..) {
-            for (key, dst, entry) in job.scratch.outbox.drain(..) {
-                exec.mailboxes
-                    .push(job.shard as usize, dst as usize, key, entry);
-            }
-            exec.shards.push(job.scratch); // drops the stack slice
-        }
-        drop(results);
-        let mut merged = std::mem::take(&mut exec.merged);
-        exec.mailboxes.drain_ordered(&mut merged);
-        for (_, WaveEntry { node, action }) in merged.drain(..) {
-            match action {
-                WaveAction::Send { to, message } => self.send(now, node, to, message, ctx),
-                WaveAction::Schedule { at, event } => ctx.schedule_at(at, event),
-                WaveAction::Blame(blame) => self.route_blame(node, blame, now, ctx),
+        // Phase B: every position's effects sit at the front of its owner's
+        // outbox; commit them in position order, as a sequential loop would.
+        for (pos, &src) in exec.owners.iter().enumerate() {
+            let outbox = &mut exec.shards[src].outbox;
+            while outbox.front().is_some_and(|(p, ..)| *p == pos) {
+                let (_, node, downcall) = outbox.pop_front().expect("front was just seen");
+                let dst = downcall.receiver().map_or(src, |to| map.shard_of(to));
+                exec.staged[src * map.shards() + dst] += 1;
+                self.commit(node, downcall, now, ctx);
             }
         }
-        exec.merged = merged;
+        debug_assert!(exec.shards.iter().all(|s| s.outbox.is_empty()));
         self.wave_exec = Some(exec);
     }
 }

@@ -2,9 +2,13 @@
 //! the world-level glue (event dispatch, blame routing, expulsions, churn).
 //!
 //! All node-local protocol logic lives in [`crate::layers`]; the world only
-//! routes events into the right [`NodeStack`], executes the [`Downcall`]s the
-//! stacks emit, coordinates cross-node concerns (audits, expulsion quorums,
-//! membership transitions) and reads out the metrics.
+//! routes events into the right [`NodeStack`] ([`handle_local`], the one
+//! place the three node-local events are gated and handled), commits the
+//! [`Downcall`]s the stacks emit ([`SystemWorld::commit`], the one place they
+//! reach the network and the scheduler), coordinates cross-node concerns
+//! (audits, expulsion quorums, membership transitions) and reads out the
+//! metrics. The shard-parallel executor in [`crate::wave`] calls the same two
+//! functions.
 //!
 //! **Membership invariant**: the [`Directory`] is the single source of truth
 //! for who participates. Every selection site — gossip partners, audit
@@ -249,6 +253,17 @@ impl SystemWorld {
         self.config.lifting_enabled
     }
 
+    /// Splits the world into what a node-local handler reads and the stacks
+    /// it mutates (one of them, or a disjoint range per shard).
+    pub(crate) fn split_local(&mut self) -> (LocalView<'_>, &mut [NodeStack]) {
+        let view = LocalView {
+            directory: &self.directory,
+            epochs: &self.hot.epochs,
+            lifting_on: self.config.lifting_enabled,
+        };
+        (view, &mut self.stacks)
+    }
+
     /// The number of shards the world executes waves over (1 = sequential).
     pub fn shard_count(&self) -> usize {
         self.wave_exec.as_ref().map_or(1, |e| e.map.shards())
@@ -264,23 +279,24 @@ impl SystemWorld {
         self.wave_exec = (map.shards() > 1).then(|| WaveExec::new(map));
     }
 
-    /// Cumulative wave-executor counters: `(waves, events in waves,
-    /// intra-shard staged entries, cross-shard staged entries)`. `None` when
-    /// running sequentially. Observability only — never part of a
-    /// [`crate::RunOutcome`], which must be shard-invariant.
+    /// Cumulative wave-executor counters, in this order: `waves` (multi-event
+    /// waves executed), `events in waves` (events those waves held),
+    /// `intra-shard` (effects staged whose destination is the acting node's
+    /// own shard) and `cross-shard` (sends staged for a node of another
+    /// shard). `None` when running sequentially. Observability only — never
+    /// part of a [`crate::RunOutcome`], which must be shard-invariant.
     pub fn wave_stats(&self) -> Option<(u64, u64, u64, u64)> {
         self.wave_exec.as_ref().map(|e| {
-            let (intra, cross) = e.mailbox_totals();
+            let (intra, cross) = e.staged_totals();
             (e.waves, e.wave_events, intra, cross)
         })
     }
 
-    /// Cumulative staged wave entries for one `(src, dst)` shard pair (see
-    /// [`lifting_sim::ShardMailboxes::pushed`]); 0 when running sequentially.
+    /// Cumulative effects staged in waves for one `(src, dst)` shard pair:
+    /// `src` owns the acting node, `dst` the receiver of a send (every other
+    /// effect counts toward `src` itself); 0 when running sequentially.
     pub fn wave_mailbox_pushed(&self, src: usize, dst: usize) -> u64 {
-        self.wave_exec
-            .as_ref()
-            .map_or(0, |e| e.mailbox_pushed(src, dst))
+        self.wave_exec.as_ref().map_or(0, |e| e.staged(src, dst))
     }
 
     /// The contiguous node-id range `[lo, hi)` owned by one shard; the whole
@@ -332,36 +348,45 @@ impl SystemWorld {
         }
     }
 
-    /// Executes the downcalls a stack emitted, in order: this is the single
-    /// point where layer traffic reaches the network and the scheduler, so
-    /// the stacks' emission order fully determines the wire order.
-    fn process_downcalls(
+    /// Commits one effect of a node-local handler run for `node`. This is the
+    /// single point where layer traffic reaches the network and the
+    /// scheduler — sequential dispatch and the wave executor's Phase B both
+    /// call it, effect by effect in emission order — so the stacks' emission
+    /// order fully determines the wire order.
+    pub(crate) fn commit(
         &mut self,
         node: NodeId,
-        downcalls: &mut Vec<Downcall>,
+        downcall: Downcall,
         now: SimTime,
         ctx: &mut Context<Event>,
     ) {
-        let epoch = self.hot.epoch(node);
-        for downcall in downcalls.drain(..) {
-            match downcall {
-                Downcall::Send { to, message } => self.send(now, node, to, message, ctx),
-                Downcall::StartTimer {
-                    stream,
-                    timer,
+        // Scheduled events carry the node's *current* epoch: no node-local
+        // event changes it, so it is the epoch the handler's gate accepted.
+        match downcall {
+            Downcall::Send { to, message } => self.send(now, node, to, message, ctx),
+            Downcall::StartTimer {
+                stream,
+                timer,
+                deadline,
+            } => {
+                let epoch = self.hot.epoch(node);
+                ctx.schedule_at(
                     deadline,
-                } => {
-                    ctx.schedule_at(
-                        deadline,
-                        Event::Timer {
-                            node,
-                            stream,
-                            timer,
-                            epoch,
-                        },
-                    );
-                }
-                Downcall::Blame(blame) => self.route_blame(node, blame, now, ctx),
+                    Event::Timer {
+                        node,
+                        stream,
+                        timer,
+                        epoch,
+                    },
+                );
+            }
+            Downcall::Blame(blame) => self.route_blame(node, blame, now, ctx),
+            Downcall::NextGossipTick => {
+                let epoch = self.hot.epoch(node);
+                ctx.schedule_after(
+                    self.config.gossip.gossip_period,
+                    Event::GossipTick { node, epoch },
+                );
             }
         }
     }
@@ -594,7 +619,7 @@ impl SystemWorld {
         }
     }
 
-    fn handle_period_end(&mut self, _now: SimTime, ctx: &mut Context<Event>) {
+    fn handle_period_end(&mut self, now: SimTime, ctx: &mut Context<Event>) {
         self.periods_elapsed += 1;
         if self.lifting_on() {
             let min_periods = self.config.lifting.min_periods_before_expulsion;
@@ -624,7 +649,7 @@ impl SystemWorld {
                         .filter(|(s, _)| {
                             let stream = StreamId::new(*s as u16);
                             directory.is_subscribed(n, stream)
-                                && _now >= SimTime::ZERO + config.stream_spec(stream).start_offset
+                                && now >= SimTime::ZERO + config.stream_spec(stream).start_offset
                         })
                         .map(|(_, c)| *c)
                         .sum()
@@ -645,7 +670,7 @@ impl SystemWorld {
             let snap = (self.recovery.is_some()
                 || self.config.online_recalibration.is_some()
                 || self.adversary.closed_loop())
-            .then(|| self.score_snapshot(_now));
+            .then(|| self.score_snapshot(now));
             // Online defense: recalibrate the expulsion threshold from the
             // live score distribution with a robust low-outlier rule — trim
             // the suspected-freerider tail, then place the threshold `nmads`
@@ -741,7 +766,7 @@ impl SystemWorld {
                     self.register_wave(WaveKind::Whitewash);
                 }
                 for (node, offline) in departs {
-                    self.handle_churn(node, false, CHURN_EPOCH_ANY, _now, ctx);
+                    self.handle_churn(node, false, CHURN_EPOCH_ANY, now, ctx);
                     ctx.schedule_after(
                         offline,
                         Event::Churn {
@@ -873,6 +898,59 @@ impl SystemWorld {
     }
 }
 
+/// What a node-local handler may read of the world besides its own stack:
+/// membership, the session-epoch column and the LiFTinG switch. Nothing in it
+/// changes while node-local events run (membership, epochs and expulsions
+/// move only at barrier events), which is what lets the wave executor share
+/// it across shard threads.
+#[derive(Clone, Copy)]
+pub(crate) struct LocalView<'a> {
+    directory: &'a Directory,
+    epochs: &'a [u32],
+    lifting_on: bool,
+}
+
+/// Gates and handles one node-local event (`GossipTick`, `Deliver`, `Timer`)
+/// against the acting `node`'s stack, appending every effect it has on the
+/// rest of the world to `out` in emission order. The only caller-visible
+/// state it touches is `stack`; sequential dispatch and the wave executor's
+/// Phase A both run exactly this.
+pub(crate) fn handle_local(
+    view: LocalView<'_>,
+    node: NodeId,
+    stack: &mut NodeStack,
+    now: SimTime,
+    event: Event,
+    out: &mut Vec<Downcall>,
+) {
+    if !view.directory.is_active(node) {
+        return; // expelled or departed: tick chains die, in-flight traffic drops
+    }
+    // Events of an earlier session must not fire into a rebuilt stack: the
+    // fresh verifier reissues timer tokens from zero, so a previous session's
+    // timer would collide with a live check.
+    let current = |epoch: u32| epoch == view.epochs[node.index()];
+    match event {
+        Event::GossipTick { epoch, .. } if current(epoch) => {
+            stack.on_gossip_tick(node, now, view.directory, out);
+            out.push(Downcall::NextGossipTick);
+        }
+        Event::Deliver { from, message, .. } => {
+            stack.on_message(node, from, message, now, view.directory, out);
+        }
+        Event::Timer {
+            stream,
+            timer,
+            epoch,
+            ..
+        } if current(epoch) && view.lifting_on => {
+            stack.on_timer(node, stream, timer, now, view.directory, out);
+        }
+        Event::GossipTick { .. } | Event::Timer { .. } => {} // stale session
+        _ => unreachable!("only node-local events reach the node-local handler"),
+    }
+}
+
 impl World for SystemWorld {
     type Event = Event;
 
@@ -889,65 +967,22 @@ impl World for SystemWorld {
                     .inject_source_chunk(chunk, now);
                 ctx.schedule_at(next, Event::SourceEmit { stream });
             }
-            Event::GossipTick { node, epoch } => {
-                if epoch != self.hot.epoch(node) || !self.directory.is_active(node) {
-                    return; // stale session, or expelled/departed: chain dies
-                }
+            Event::GossipTick { .. } | Event::Deliver { .. } | Event::Timer { .. } => {
+                let node = lifting_sim::ShardedWorld::local_node(self, &event)
+                    .expect("these three events are the node-local ones");
                 let mut downcalls = std::mem::take(&mut self.scratch_downcalls);
-                self.stacks[node.index()].on_gossip_tick(
+                let (view, stacks) = self.split_local();
+                handle_local(
+                    view,
                     node,
+                    &mut stacks[node.index()],
                     now,
-                    &self.directory,
+                    event,
                     &mut downcalls,
                 );
-                self.process_downcalls(node, &mut downcalls, now, ctx);
-                self.scratch_downcalls = downcalls;
-                ctx.schedule_after(
-                    self.config.gossip.gossip_period,
-                    Event::GossipTick { node, epoch },
-                );
-            }
-            Event::Deliver { from, to, message } => {
-                if !self.directory.is_active(to) {
-                    return; // receiver expelled or departed while in flight
+                for downcall in downcalls.drain(..) {
+                    self.commit(node, downcall, now, ctx);
                 }
-                let mut downcalls = std::mem::take(&mut self.scratch_downcalls);
-                self.stacks[to.index()].on_message(
-                    to,
-                    from,
-                    message,
-                    now,
-                    &self.directory,
-                    &mut downcalls,
-                );
-                self.process_downcalls(to, &mut downcalls, now, ctx);
-                self.scratch_downcalls = downcalls;
-            }
-            Event::Timer {
-                node,
-                stream,
-                timer,
-                epoch,
-            } => {
-                if epoch != self.hot.epoch(node)
-                    || !self.directory.is_active(node)
-                    || !self.lifting_on()
-                {
-                    // Stale timers must not fire into a rebuilt stack: the
-                    // fresh verifier reissues tokens from zero, so a previous
-                    // session's timer would collide with a live check.
-                    return;
-                }
-                let mut downcalls = std::mem::take(&mut self.scratch_downcalls);
-                self.stacks[node.index()].on_timer(
-                    node,
-                    stream,
-                    timer,
-                    now,
-                    &self.directory,
-                    &mut downcalls,
-                );
-                self.process_downcalls(node, &mut downcalls, now, ctx);
                 self.scratch_downcalls = downcalls;
             }
             Event::PeriodEnd => self.handle_period_end(now, ctx),
@@ -968,6 +1003,8 @@ impl lifting_sim::ShardedWorld for SystemWorld {
     /// (plus its private RNG), with all cross-node effects expressed as
     /// downcalls. Everything else — source emissions, period ends, audits,
     /// churn, faults — is a barrier and runs solo through `handle_event`.
+    /// This is the only event → acting-node classifier; `handle_event` and
+    /// `execute_wave` both ask it.
     fn local_node(&self, event: &Event) -> Option<NodeId> {
         match event {
             Event::GossipTick { node, .. } | Event::Timer { node, .. } => Some(*node),

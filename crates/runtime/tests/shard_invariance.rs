@@ -13,8 +13,11 @@
 //! are passed as explicit parameters (never via `LIFTING_SHARDS`) so
 //! concurrently running tests cannot race on process environment.
 
-use lifting_runtime::{run_scenario_sharded, RunOutcome, Scale, ScenarioRegistry};
-use lifting_sim::SimDuration;
+use lifting_runtime::runner::default_lag_grid;
+use lifting_runtime::{
+    build_engine, exporter_components, run_scenario_sharded, RunOutcome, Scale, ScenarioRegistry,
+};
+use lifting_sim::{ParamMap, SeedSplitter, SimDuration, SimTime};
 use proptest::prelude::*;
 
 fn assert_bit_identical(a: &RunOutcome, b: &RunOutcome, scenario: &str, shards: usize) {
@@ -76,6 +79,82 @@ proptest! {
         for shards in [2usize, 4, 8] {
             let sharded = run_scenario_sharded(config.clone(), shards);
             assert_bit_identical(&sharded, &sequential, &name, shards);
+        }
+    }
+}
+
+/// `(waves, events in waves, intra + cross staged effects)` and the k = 2
+/// `(intra, cross)` split of one pinned run, generated at commit `d8f0747`
+/// (before Phase B was rewritten as a position-ordered walk) and never
+/// regenerated since.
+struct PinnedWaves {
+    scenario: &'static str,
+    shape: (u64, u64, u64),
+    split_at_2: (u64, u64),
+}
+
+const PINNED_WAVES: [PinnedWaves; 3] = [
+    PinnedWaves {
+        scenario: "scale/1k",
+        shape: (474, 952, 755),
+        split_at_2: (459, 296),
+    },
+    PinnedWaves {
+        scenario: "churn/steady-fast",
+        shape: (61, 122, 96),
+        split_at_2: (52, 44),
+    },
+    PinnedWaves {
+        scenario: "multistream/overlapping-audiences",
+        shape: (256, 512, 382),
+        split_at_2: (246, 136),
+    },
+];
+
+/// The wave executor's execution shape is pinned, not just its outcome: the
+/// waves formed, the events they hold and the effects they stage are the same
+/// at every shard count (only the intra/cross split depends on where the
+/// shard boundaries fall), and a sharded run processes exactly the events —
+/// and produces exactly the digest — of the sequential one.
+#[test]
+fn wave_counters_and_digests_are_pinned_at_every_shard_count() {
+    let registry = ScenarioRegistry::builtin();
+    let digest = exporter_components()
+        .build("digest", &ParamMap::new(), &mut SeedSplitter::new(7))
+        .expect("the digest exporter is registered");
+    for pinned in &PINNED_WAVES {
+        let name = pinned.scenario;
+        let mut config = registry.build(name, Scale::Quick, 7);
+        config.duration = SimDuration::from_secs(4);
+        let end = SimTime::ZERO + config.duration;
+        let run = |shards: usize| {
+            let mut engine = build_engine(config.clone());
+            engine.world_mut().set_shard_count(shards);
+            engine.run_until_sharded(end);
+            let outcome = engine
+                .world()
+                .run_outcome(end, Vec::new(), &default_lag_grid());
+            (
+                engine.events_processed(),
+                engine.world().wave_stats(),
+                digest.export(name, -9.75, &outcome),
+            )
+        };
+        let (events, stats, sequential_digest) = run(1);
+        assert_eq!(stats, None, "{name}: one shard runs no waves");
+        for shards in [2usize, 4, 8] {
+            let (sharded_events, stats, sharded_digest) = run(shards);
+            assert_eq!(sharded_events, events, "{name} @ {shards}: events");
+            assert_eq!(sharded_digest, sequential_digest, "{name} @ {shards}");
+            let (waves, wave_events, intra, cross) = stats.expect("sharded run has wave stats");
+            assert_eq!(
+                (waves, wave_events, intra + cross),
+                pinned.shape,
+                "{name} @ {shards}: (waves, events in waves, staged effects)"
+            );
+            if shards == 2 {
+                assert_eq!((intra, cross), pinned.split_at_2, "{name} @ 2: split");
+            }
         }
     }
 }

@@ -61,5 +61,5 @@ pub use event::EventQueue;
 pub use id::{NodeId, StreamId};
 pub use pool::{run_indexed, run_owned, worker_count};
 pub use rng::{derive_rng, split_seed, SeedSequence};
-pub use shard::{MailKey, ShardMailboxes, ShardMap};
+pub use shard::ShardMap;
 pub use time::{SimDuration, SimTime};

@@ -1,46 +1,14 @@
-//! Sharding primitives: contiguous node-range shard maps and deterministic
-//! cross-shard mailboxes.
+//! Sharding primitive: the contiguous node-range shard map.
 //!
 //! A sharded world partitions its nodes into contiguous id ranges, one range
-//! per shard. Within a synchronization window each shard processes its own
-//! nodes' events independently; everything a shard wants to say to the rest
-//! of the system — messages to other shards' nodes, timers, blames — is
-//! appended to a per-(source shard, destination shard) **mailbox** instead of
-//! being applied immediately. At the window boundary the mailboxes are merged
-//! back into one globally ordered stream and committed sequentially.
-//!
-//! # Determinism
-//!
-//! Every mailbox entry carries an ordering key assigned from the *sequential*
-//! event order (the position the event would have been processed at by a
-//! single-threaded run, extended with the entry's emission index within that
-//! event). Each shard processes its events in ascending key order, so every
-//! individual mailbox is filled in ascending key order, and
-//! [`ShardMailboxes::drain_ordered`] is a k-way merge of sorted runs: the
-//! merged stream is exactly the order a sequential run would have produced,
-//! regardless of shard count or thread scheduling. This is the property the
-//! cross-shard ordering unit tests pin and the registry-wide shard-invariance
-//! proptest exercises end to end.
+//! per shard, and may process the node-local events of one synchronization
+//! window shard-parallel as long as it applies their effects in the
+//! sequential event order afterwards (see [`crate::ShardedWorld`]). The map
+//! is all the engine side provides; how effects are staged and committed is
+//! the world's business (`lifting-runtime`'s `wave` module keeps them in one
+//! outbox per shard and walks the window's positions in order).
 
 use crate::id::NodeId;
-
-/// An ordering key for one cross-shard mailbox entry: the sequential position
-/// of the originating event within its synchronization window, extended with
-/// the entry's emission index within that event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct MailKey {
-    /// Position of the originating event in the window's sequential order.
-    pub event: u32,
-    /// Emission index of this entry within the originating event.
-    pub emit: u32,
-}
-
-impl MailKey {
-    /// Creates a key for emission `emit` of the window's `event`-th event.
-    pub fn new(event: u32, emit: u32) -> Self {
-        MailKey { event, emit }
-    }
-}
 
 /// Partition of `n` nodes into `shards` contiguous id ranges.
 ///
@@ -96,121 +64,6 @@ impl ShardMap {
     }
 }
 
-/// Deterministic per-(source shard, destination shard) ordered mailboxes.
-///
-/// Shards append entries in ascending [`MailKey`] order during the parallel
-/// phase; [`drain_ordered`](Self::drain_ordered) merges all `shards²`
-/// mailboxes back into one ascending stream for the sequential commit phase.
-/// Cumulative per-(src, dst) counters are kept for observability (the
-/// `profile_scenario` tool prints them); they never feed back into execution.
-#[derive(Debug)]
-pub struct ShardMailboxes<T> {
-    shards: usize,
-    /// Mailbox `(src, dst)` lives at `src * shards + dst`; each holds
-    /// `(key, payload)` entries in ascending key order.
-    boxes: Vec<Vec<(MailKey, T)>>,
-    /// Cumulative entries ever pushed per `(src, dst)`.
-    pushed: Vec<u64>,
-}
-
-impl<T> ShardMailboxes<T> {
-    /// Creates empty mailboxes for `shards` shards.
-    pub fn new(shards: usize) -> Self {
-        let shards = shards.max(1);
-        ShardMailboxes {
-            shards,
-            boxes: std::iter::repeat_with(Vec::new)
-                .take(shards * shards)
-                .collect(),
-            pushed: vec![0; shards * shards],
-        }
-    }
-
-    /// Number of shards the mailboxes connect.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Appends an entry to the `(src, dst)` mailbox. Entries of one mailbox
-    /// must be pushed in ascending key order (each shard emits in its own
-    /// sequential order, so this holds by construction); `drain_ordered`
-    /// relies on it.
-    pub fn push(&mut self, src: usize, dst: usize, key: MailKey, item: T) {
-        debug_assert!(src < self.shards && dst < self.shards);
-        let slot = src * self.shards + dst;
-        debug_assert!(
-            self.boxes[slot]
-                .last()
-                .map(|(k, _)| *k < key)
-                .unwrap_or(true),
-            "mailbox entries must be pushed in ascending key order"
-        );
-        self.boxes[slot].push((key, item));
-        self.pushed[slot] += 1;
-    }
-
-    /// Total entries currently buffered.
-    pub fn pending(&self) -> usize {
-        self.boxes.iter().map(Vec::len).sum()
-    }
-
-    /// Cumulative entries ever pushed to the `(src, dst)` mailbox.
-    pub fn pushed(&self, src: usize, dst: usize) -> u64 {
-        self.pushed[src * self.shards + dst]
-    }
-
-    /// Cumulative entries ever pushed across all mailboxes, split into
-    /// (intra-shard, cross-shard).
-    pub fn pushed_totals(&self) -> (u64, u64) {
-        let mut intra = 0;
-        let mut cross = 0;
-        for src in 0..self.shards {
-            for dst in 0..self.shards {
-                let n = self.pushed(src, dst);
-                if src == dst {
-                    intra += n;
-                } else {
-                    cross += n;
-                }
-            }
-        }
-        (intra, cross)
-    }
-
-    /// Merges every mailbox into `out` in ascending key order and clears the
-    /// mailboxes (their capacity is retained for the next window).
-    ///
-    /// Each mailbox is an ascending run, so this is a k-way merge; the result
-    /// is the unique globally sorted order — the exact order a sequential run
-    /// emits — independent of how entries were distributed across mailboxes.
-    pub fn drain_ordered(&mut self, out: &mut Vec<(MailKey, T)>) {
-        out.clear();
-        let total = self.pending();
-        out.reserve(total);
-        // Repeated-min merge over the (at most shards²) run heads. Shard
-        // counts are small (≤ 16 in practice), so a head scan beats a heap;
-        // `Drain` hands the payloads out by move and leaves each mailbox
-        // empty with its capacity retained for the next window.
-        let mut heads: Vec<_> = self
-            .boxes
-            .iter_mut()
-            .map(|b| b.drain(..).peekable())
-            .collect();
-        for _ in 0..total {
-            let mut best: Option<(usize, MailKey)> = None;
-            for (b, head) in heads.iter_mut().enumerate() {
-                if let Some((key, _)) = head.peek() {
-                    if best.map(|(_, k)| *key < k).unwrap_or(true) {
-                        best = Some((b, *key));
-                    }
-                }
-            }
-            let (b, _) = best.expect("pending count matches run contents");
-            out.push(heads[b].next().expect("peeked entry must exist"));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,59 +96,5 @@ mod tests {
     fn shard_count_is_clamped() {
         assert_eq!(ShardMap::new(4, 0).shards(), 1);
         assert_eq!(ShardMap::new(4, 100).shards(), 4);
-    }
-
-    #[test]
-    fn mailboxes_merge_back_to_global_order() {
-        // Simulate the parallel phase of one window: events 0..12 distributed
-        // round-robin over 3 shards, each emitting two entries addressed to
-        // rotating destinations. Each shard pushes in its own ascending event
-        // order; the merged stream must come back in global (event, emit)
-        // order — the sequential order — no matter the distribution.
-        let shards = 3;
-        let mut boxes: ShardMailboxes<(u32, u32)> = ShardMailboxes::new(shards);
-        for event in 0..12u32 {
-            let src = (event as usize) % shards;
-            for emit in 0..2u32 {
-                let dst = (event as usize + emit as usize + 1) % shards;
-                boxes.push(src, dst, MailKey::new(event, emit), (event, emit));
-            }
-        }
-        let mut merged = Vec::new();
-        boxes.drain_ordered(&mut merged);
-        let expected: Vec<(u32, u32)> = (0..12u32)
-            .flat_map(|e| (0..2u32).map(move |i| (e, i)))
-            .collect();
-        assert_eq!(
-            merged.iter().map(|(_, p)| *p).collect::<Vec<_>>(),
-            expected,
-            "merge must reproduce the sequential emission order"
-        );
-        // Keys come back strictly ascending.
-        assert!(merged.windows(2).all(|w| w[0].0 < w[1].0));
-        // Mailboxes are empty afterwards; the cumulative counters are not.
-        assert_eq!(boxes.pending(), 0);
-        let (intra, cross) = boxes.pushed_totals();
-        assert_eq!(intra + cross, 24);
-        assert!(cross > 0);
-    }
-
-    #[test]
-    fn mailbox_counters_attribute_per_pair() {
-        let mut boxes: ShardMailboxes<u8> = ShardMailboxes::new(2);
-        boxes.push(0, 1, MailKey::new(0, 0), 1);
-        boxes.push(0, 1, MailKey::new(1, 0), 2);
-        boxes.push(1, 1, MailKey::new(2, 0), 3);
-        assert_eq!(boxes.pushed(0, 1), 2);
-        assert_eq!(boxes.pushed(1, 1), 1);
-        assert_eq!(boxes.pushed(1, 0), 0);
-        let mut merged = Vec::new();
-        boxes.drain_ordered(&mut merged);
-        assert_eq!(
-            merged.iter().map(|(_, p)| *p).collect::<Vec<_>>(),
-            [1, 2, 3]
-        );
-        // Counters are cumulative: a drain does not reset them.
-        assert_eq!(boxes.pushed(0, 1), 2);
     }
 }
