@@ -79,8 +79,12 @@ scenario_digests() {
 }
 scenario_digests > /tmp/scenario_digests.txt
 diff -u tests/scenario_digests.txt /tmp/scenario_digests.txt || {
-    echo "a scenario's outcome changed; if that is intended, regenerate"
-    echo "tests/scenario_digests.txt with the loop above and say why in CHANGES.md"
+    echo "a scenario's outcome changed (a digest hashes the whole RunOutcome). Which field:"
+    echo "  at the parent commit and here, run_scenario <name> --quick --seed 7 --exporter json > {parent,change}.json"
+    echo "  diff <(grep -v '\"memory_per_node_bytes\"' parent.json) <(grep -v '\"memory_per_node_bytes\"' change.json)"
+    echo "an empty diff means only the memory metric moved (a struct or buffer changed size);"
+    echo "if the change is intended, regenerate tests/scenario_digests.txt with the loop above"
+    echo "and say which field moved and why in CHANGES.md"
     exit 1
 }
 echo "scenario digests OK"

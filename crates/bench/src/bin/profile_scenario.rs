@@ -14,8 +14,9 @@
 //! `headline/planetlab`); `--shards K` additionally re-runs it through the
 //! shard-parallel wave executor and prints its counters (waves formed, events
 //! executed in waves, intra- vs cross-shard staged effects, and the full
-//! src→dst matrix of staged-effect counts). A bad command line is a usage
-//! error (one line plus the usage line on stderr, exit status 2).
+//! src→dst matrix of staged-effect counts). A bad command line — an unknown
+//! flag included — is a usage error (one line plus the usage line on stderr,
+//! exit status 2); `--help` / `-h` print the usage line.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -375,6 +376,12 @@ fn component_micro_timings() {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(extra) = USAGE
+        .positionals(&args, &[], &["--scenario", "--shards"])
+        .first()
+    {
+        USAGE.error(format_args!("unexpected argument {extra:?}"));
+    }
     let scenario: String = USAGE
         .flag_value(&args, "--scenario", "a scenario name")
         .unwrap_or_else(|| "headline/planetlab".into());

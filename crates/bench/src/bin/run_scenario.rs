@@ -20,9 +20,10 @@
 //! * `--validate-registry` instantiates every registered component of every
 //!   kind with default parameters and exits non-zero on any failure.
 //!
-//! A missing or unknown scenario name, a flag without its value and an
-//! unknown exporter are usage errors: one line on stderr (the typed
-//! `ComponentError` for the exporter) plus the usage line, exit status 2.
+//! A missing or unknown scenario name, an unknown flag, a second positional
+//! argument, a flag without its value and an unknown exporter are usage
+//! errors: one line on stderr (the typed `ComponentError` for the exporter)
+//! plus the usage line, exit status 2. `--help` / `-h` print the usage line.
 
 use lifting_bench::experiments::{Scale, PAPER_ETA};
 use lifting_bench::{listing, Usage};
@@ -37,6 +38,11 @@ const USAGE: Usage = Usage(
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let positionals = USAGE.positionals(
+        &args,
+        &["--quick", "--list", "--list-names", "--validate-registry"],
+        &["--seed", "--shards", "--exporter"],
+    );
     let registry = ScenarioRegistry::builtin();
     if args.iter().any(|a| a == "--list") {
         listing::print_registry_listing();
@@ -51,8 +57,10 @@ fn main() {
         println!("validated {validated} components across 6 registries");
         return;
     }
-    let Some(name) = args.iter().find(|a| !a.starts_with("--")) else {
-        USAGE.error("no scenario name given");
+    let name = match positionals[..] {
+        [name] => name,
+        [] => USAGE.error("no scenario name given"),
+        [_, extra, ..] => USAGE.error(format_args!("unexpected argument {extra:?}")),
     };
     let scale = if args.iter().any(|a| a == "--quick") {
         Scale::Quick

@@ -583,12 +583,7 @@ pub fn churn_sweep(scale: Scale, seed: u64) -> Vec<ChurnScenarioResult> {
             rejoins: outcome.churn.rejoins,
             audits_aborted_by_departure: outcome.churn.audits_aborted_by_departure,
             offline_at_end: outcome.churn.offline_at_end,
-            final_clear_fraction: outcome
-                .stream_health
-                .fraction_clear
-                .last()
-                .copied()
-                .unwrap_or(0.0),
+            final_clear_fraction: outcome.stream_health.final_clear(),
         })
         .collect()
 }
@@ -663,40 +658,26 @@ pub fn multistream_sweep(scale: Scale, seed: u64) -> Vec<MultistreamScenarioResu
     MULTISTREAM_SCENARIOS
         .iter()
         .zip(outcomes)
-        .map(|(scenario, outcome)| {
-            let mean = |v: &[f64]| {
-                if v.is_empty() {
-                    0.0
-                } else {
-                    v.iter().sum::<f64>() / v.len() as f64
-                }
-            };
-            MultistreamScenarioResult {
-                scenario: scenario.to_string(),
-                streams: outcome.per_stream.len(),
-                detection: outcome.detection_rate(eta),
-                false_positives: outcome.false_positive_rate(eta),
-                expelled: outcome.expelled_count,
-                honest_mean: mean(&outcome.finals.honest_scores()),
-                freerider_mean: mean(&outcome.finals.freerider_scores()),
-                per_stream: outcome
-                    .per_stream
-                    .iter()
-                    .map(|s| StreamResult {
-                        stream: s.stream.0,
-                        subscribers: s.subscribers,
-                        emitted_chunks: s.emitted_chunks,
-                        final_clear_fraction: s
-                            .stream_health
-                            .fraction_clear
-                            .last()
-                            .copied()
-                            .unwrap_or(0.0),
-                        blames: s.blames,
-                        freerider_blame_value: s.freerider_blame_value,
-                    })
-                    .collect(),
-            }
+        .map(|(scenario, outcome)| MultistreamScenarioResult {
+            scenario: scenario.to_string(),
+            streams: outcome.per_stream.len(),
+            detection: outcome.detection_rate(eta),
+            false_positives: outcome.false_positive_rate(eta),
+            expelled: outcome.expelled_count,
+            honest_mean: Summary::of(&outcome.finals.honest_scores()).mean,
+            freerider_mean: Summary::of(&outcome.finals.freerider_scores()).mean,
+            per_stream: outcome
+                .per_stream
+                .iter()
+                .map(|s| StreamResult {
+                    stream: s.stream.0,
+                    subscribers: s.subscribers,
+                    emitted_chunks: s.emitted_chunks,
+                    final_clear_fraction: s.stream_health.final_clear(),
+                    blames: s.blames,
+                    freerider_blame_value: s.freerider_blame_value,
+                })
+                .collect(),
         })
         .collect()
 }
@@ -776,13 +757,6 @@ pub fn resilience_sweep(scale: Scale, seed: u64) -> Vec<ResilienceScenarioResult
         .map(|name| registry.build(name, scale, seed))
         .collect();
     let outcomes = run_scenarios_parallel(configs);
-    let mean = |v: &[f64]| {
-        if v.is_empty() {
-            0.0
-        } else {
-            v.iter().sum::<f64>() / v.len() as f64
-        }
-    };
     RESILIENCE_SCENARIOS
         .iter()
         .zip(outcomes)
@@ -797,8 +771,8 @@ pub fn resilience_sweep(scale: Scale, seed: u64) -> Vec<ResilienceScenarioResult
                 detection_effective_eta: outcome.detection_rate(eta_final),
                 false_positives: outcome.false_positive_rate(eta_final),
                 expelled: outcome.expelled_count,
-                honest_mean: mean(&outcome.finals.honest_scores()),
-                freerider_mean: mean(&outcome.finals.freerider_scores()),
+                honest_mean: Summary::of(&outcome.finals.honest_scores()).mean,
+                freerider_mean: Summary::of(&outcome.finals.freerider_scores()).mean,
                 eta_final,
                 confirm_timeouts: outcome.confirm_retry.timeouts,
                 confirm_resends: outcome.confirm_retry.resends,
@@ -813,12 +787,7 @@ pub fn resilience_sweep(scale: Scale, seed: u64) -> Vec<ResilienceScenarioResult
                     .and_then(|r| r.period_recall.last().copied())
                     .unwrap_or(0.0),
                 waves: recovery.map(|r| r.waves.clone()).unwrap_or_default(),
-                final_clear_fraction: outcome
-                    .stream_health
-                    .fraction_clear
-                    .last()
-                    .copied()
-                    .unwrap_or(0.0),
+                final_clear_fraction: outcome.stream_health.final_clear(),
             }
         })
         .collect()
@@ -890,22 +859,11 @@ pub fn workload_sweep(scale: Scale, seed: u64) -> Vec<WorkloadScenarioResult> {
             rejoins: outcome.churn.rejoins,
             offline_at_end: outcome.churn.offline_at_end,
             streams: outcome.per_stream.len(),
-            final_clear_fraction: outcome
-                .stream_health
-                .fraction_clear
-                .last()
-                .copied()
-                .unwrap_or(0.0),
+            final_clear_fraction: outcome.stream_health.final_clear(),
             per_stream_final_clear: outcome
                 .per_stream
                 .iter()
-                .map(|s| {
-                    s.stream_health
-                        .fraction_clear
-                        .last()
-                        .copied()
-                        .unwrap_or(0.0)
-                })
+                .map(|s| s.stream_health.final_clear())
                 .collect(),
         })
         .collect()
@@ -1007,12 +965,7 @@ pub fn scale_sweep_tier(scale: Scale, seed: u64, include_heavy: bool) -> Vec<Sca
                 precision,
                 expelled: outcome.expelled_count,
                 memory_per_node_bytes: outcome.memory_per_node_bytes,
-                final_clear_fraction: outcome
-                    .stream_health
-                    .fraction_clear
-                    .last()
-                    .copied()
-                    .unwrap_or(0.0),
+                final_clear_fraction: outcome.stream_health.final_clear(),
                 wall_secs,
             }
         })
@@ -1030,13 +983,6 @@ pub fn adversary_showcase(scale: Scale, seed: u64) -> Vec<AdversaryShowcaseResul
         .map(|name| registry.build(name, scale, seed))
         .collect();
     let outcomes = run_scenarios_parallel(configs);
-    let mean = |v: &[f64]| {
-        if v.is_empty() {
-            0.0
-        } else {
-            v.iter().sum::<f64>() / v.len() as f64
-        }
-    };
     let eta = PAPER_ETA;
     scenarios
         .iter()
@@ -1046,8 +992,8 @@ pub fn adversary_showcase(scale: Scale, seed: u64) -> Vec<AdversaryShowcaseResul
             detection: outcome.detection_rate(eta),
             false_positives: outcome.false_positive_rate(eta),
             expelled: outcome.expelled_count,
-            freerider_mean: mean(&outcome.finals.freerider_scores()),
-            honest_mean: mean(&outcome.finals.honest_scores()),
+            freerider_mean: Summary::of(&outcome.finals.freerider_scores()).mean,
+            honest_mean: Summary::of(&outcome.finals.honest_scores()).mean,
         })
         .collect()
 }

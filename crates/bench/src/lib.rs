@@ -42,6 +42,33 @@ impl Usage {
         std::process::exit(2)
     }
 
+    /// Checks `args` against the flags the binary knows — `switches` stand
+    /// alone, `valued` flags are followed by their value — and returns what
+    /// is left, the positional arguments. Any other `-` argument is a usage
+    /// error; `--help` / `-h` print the usage line and exit with status 0.
+    pub fn positionals<'a>(
+        &self,
+        args: &'a [String],
+        switches: &[&str],
+        valued: &[&str],
+    ) -> Vec<&'a str> {
+        let mut positionals = Vec::new();
+        let mut rest = args.iter().map(String::as_str);
+        while let Some(arg) = rest.next() {
+            if arg == "--help" || arg == "-h" {
+                println!("{}", self.0);
+                std::process::exit(0)
+            } else if valued.contains(&arg) {
+                rest.next(); // its value; `flag_value` reports a missing or bad one
+            } else if !arg.starts_with('-') {
+                positionals.push(arg);
+            } else if !switches.contains(&arg) {
+                self.error(format_args!("unknown flag {arg}"));
+            }
+        }
+        positionals
+    }
+
     /// The parsed value following `flag`, `None` when the flag is absent; a
     /// flag without a value of the right type (`what`) is a usage error.
     pub fn flag_value<T: std::str::FromStr>(

@@ -1,6 +1,6 @@
 //! `run_scenario` and `profile_scenario` report bad command lines as usage
 //! errors (exit status 2, one line plus the usage line on stderr), never as a
-//! panic.
+//! panic — and never by silently ignoring an argument they do not know.
 
 use std::path::Path;
 use std::process::Command;
@@ -33,6 +33,10 @@ fn bad_command_lines_are_usage_errors() {
     assert!(usage_error_of(&["headline/planetlab", "--seed", "x"]).contains("--seed needs"));
     assert!(usage_error_of(&["headline/planetlab", "--shards"]).contains("--shards needs"));
     assert!(usage_error_of(&["no/such-scenario", "--quick"]).contains("unknown scenario"));
+    // A misspelt flag used to run the Paper scale without complaint.
+    assert!(usage_error_of(&["smoke/small", "--qiuck"]).contains("unknown flag --qiuck"));
+    assert!(usage_error_of(&["smoke/small", "-q"]).contains("unknown flag -q"));
+    assert!(usage_error_of(&["smoke/small", "--quick", "7"]).contains("unexpected argument"));
     // The exporter registry's typed error, naming the known exporters.
     let stderr = usage_error_of(&["headline/planetlab", "--quick", "--exporter", "yaml"]);
     assert!(
@@ -48,4 +52,42 @@ fn profile_scenario_bad_command_lines_are_usage_errors() {
     assert!(of(&["--shards"]).contains("--shards needs"));
     assert!(of(&["--scenario"]).contains("--scenario needs"));
     assert!(of(&["--scenario", "no/such"]).contains("unknown scenario"));
+    // Both used to run the full profile.
+    assert!(of(&["--bogus"]).contains("unknown flag --bogus"));
+    assert!(of(&["headline/planetlab"]).contains("unexpected argument"));
+}
+
+#[test]
+fn a_flag_value_is_not_mistaken_for_the_scenario_name() {
+    let out = Command::new(env!("CARGO_BIN_EXE_run_scenario"))
+        .args([
+            "--seed",
+            "7",
+            "smoke/small",
+            "--quick",
+            "--exporter",
+            "digest",
+        ])
+        .output()
+        .expect("run_scenario starts");
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    assert!(stdout.starts_with("smoke/small: 0x"), "{stdout}");
+}
+
+#[test]
+fn help_prints_the_usage_line_and_exits_zero() {
+    for (bin, name) in [
+        (env!("CARGO_BIN_EXE_run_scenario"), "run_scenario"),
+        (env!("CARGO_BIN_EXE_profile_scenario"), "profile_scenario"),
+    ] {
+        for flag in ["--help", "-h"] {
+            let out = Command::new(bin).arg(flag).output().expect("binary starts");
+            assert_eq!(out.status.code(), Some(0), "{name} {flag}");
+            let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+            assert_eq!(stdout.lines().count(), 1, "{name} {flag} ran: {stdout}");
+            assert!(stdout.starts_with(&format!("usage: {name}")), "{stdout}");
+            assert!(out.stderr.is_empty());
+        }
+    }
 }

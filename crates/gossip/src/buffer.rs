@@ -220,6 +220,12 @@ impl StreamHealth {
             .find(|(_, frac)| **frac >= target)
             .map(|(lag, _)| *lag)
     }
+
+    /// The fraction of nodes viewing a clear stream at the largest lag of the
+    /// grid — the run's headline health figure; 0.0 for an empty grid.
+    pub fn final_clear(&self) -> f64 {
+        self.fraction_clear.last().copied().unwrap_or(0.0)
+    }
 }
 
 #[cfg(test)]
@@ -319,5 +325,8 @@ mod tests {
         assert_eq!(health.fraction_clear, vec![0.5, 0.5, 1.0]);
         assert_eq!(health.lag_for_fraction(1.0), Some(3.0));
         assert_eq!(health.lag_for_fraction(0.4), Some(0.5));
+        assert_eq!(health.final_clear(), 1.0);
+        let no_grid = StreamHealth::compute(&[&a], &chunks, &[], 0.99);
+        assert_eq!(no_grid.final_clear(), 0.0);
     }
 }

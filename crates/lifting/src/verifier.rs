@@ -1,9 +1,10 @@
 //! Direct verification and direct cross-checking (Section 5.2).
 //!
 //! [`Verifier`] is the per-node verification engine. Like the gossip node it
-//! is written sans-IO: every handler returns [`VerifierAction`]s (messages to
-//! send, blames to emit, timers to start) that the runtime materializes. A
-//! node plays three roles at once:
+//! is written sans-IO: every handler appends [`VerifierAction`]s (messages to
+//! send, blames to emit, timers to start) to a caller-owned buffer of whatever
+//! effect type the runtime commits from (`T: From<VerifierAction>`), so an
+//! effect is written once. A node plays three roles at once:
 //!
 //! * **requester** — after requesting chunks it checks that they are served
 //!   (direct verification, blame `f·(|R|-|S|)/|R|`);
@@ -32,7 +33,7 @@ use crate::blame::{schedule, Blame, BlameReason};
 use crate::collusion::CollusionConfig;
 use crate::config::LiftingConfig;
 use crate::history::NodeHistory;
-use crate::messages::{AckPayload, ConfirmPayload, ConfirmResponsePayload};
+use crate::messages::{AckPayload, ConfirmPayload, ConfirmResponsePayload, VerificationMessage};
 
 /// A timer the runtime must schedule on behalf of the verifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -57,31 +58,20 @@ pub enum VerifierTimer {
 /// An action the runtime must carry out for the verifier.
 #[derive(Debug, Clone, PartialEq)]
 pub enum VerifierAction {
-    /// Send an acknowledgment to the node that served us chunks (UDP).
-    SendAck {
-        /// Destination (the server being acknowledged).
+    /// Send an ack, a confirm request or a confirm response (all UDP).
+    Send {
+        /// Destination.
         to: NodeId,
-        /// Acknowledgment content.
-        ack: AckPayload,
-    },
-    /// Send a confirm request to a witness (UDP).
-    SendConfirm {
-        /// Destination witness.
-        to: NodeId,
-        /// Confirm content (one allocation shared by the whole round).
-        confirm: Arc<ConfirmPayload>,
-    },
-    /// Send a confirm response back to a verifier (UDP).
-    SendConfirmResponse {
-        /// Destination verifier.
-        to: NodeId,
-        /// Response content.
-        response: ConfirmResponsePayload,
+        /// The message.
+        message: VerificationMessage,
     },
     /// Emit a blame against a node (to be routed to its managers).
     Blame(Blame),
     /// Start a timer expiring at `deadline`.
     StartTimer {
+        /// The stream plane of the verifier that owns the timer (tokens are
+        /// plane-local; the runtime echoes the stream back on expiry).
+        stream: StreamId,
         /// The timer to schedule.
         timer: VerifierTimer,
         /// When it fires.
@@ -292,21 +282,47 @@ impl Verifier {
         t
     }
 
-    fn blame(&mut self, target: NodeId, value: f64, reason: BlameReason) -> Option<VerifierAction> {
-        if value <= 0.0 {
-            return None;
-        }
+    fn blame<T: From<VerifierAction>>(
+        &mut self,
+        target: NodeId,
+        value: f64,
+        reason: BlameReason,
+        out: &mut Vec<T>,
+    ) {
         // A colluding verifier never blames a coalition member.
-        if self.collusion.covers_up() && self.collusion.is_colluder(target) {
-            return None;
+        if value <= 0.0 || (self.collusion.covers_up() && self.collusion.is_colluder(target)) {
+            return;
         }
         self.blames_emitted += 1;
-        Some(VerifierAction::Blame(Blame::on_stream(
-            self.stream,
-            target,
-            value,
-            reason,
-        )))
+        let blame = Blame::on_stream(self.stream, target, value, reason);
+        out.push(VerifierAction::Blame(blame).into());
+    }
+
+    fn start_timer<T: From<VerifierAction>>(
+        &self,
+        timer: VerifierTimer,
+        deadline: SimTime,
+        out: &mut Vec<T>,
+    ) {
+        let stream = self.stream;
+        let action = VerifierAction::StartTimer {
+            stream,
+            timer,
+            deadline,
+        };
+        out.push(action.into());
+    }
+
+    /// Polls each of `witnesses` with the round's one shared confirm payload.
+    fn send_confirms<T: From<VerifierAction>>(
+        witnesses: &[NodeId],
+        confirm: &Arc<ConfirmPayload>,
+        out: &mut Vec<T>,
+    ) {
+        for to in witnesses {
+            let message = VerificationMessage::Confirm(confirm.clone());
+            out.push(VerifierAction::Send { to: *to, message }.into());
+        }
     }
 
     /// Advances the verifier's notion of the current gossip period (used to
@@ -321,27 +337,13 @@ impl Verifier {
 
     /// Called after sending a request for `requested` chunks to `proposer`.
     /// Registers the pending check (taking ownership of the chunk list — no
-    /// copy) and returns the timer to schedule.
-    pub fn on_request_sent(
+    /// copy) and appends the timer to schedule to `out`.
+    pub fn on_request_sent_into<T: From<VerifierAction>>(
         &mut self,
         proposer: NodeId,
         requested: Arc<[ChunkId]>,
         now: SimTime,
-    ) -> Vec<VerifierAction> {
-        let mut actions = Vec::new();
-        self.on_request_sent_into(proposer, requested, now, &mut actions);
-        actions
-    }
-
-    /// Allocation-free variant of [`on_request_sent`](Self::on_request_sent):
-    /// appends the resulting actions to `actions` (the runtime's recycled
-    /// scratch buffer).
-    pub fn on_request_sent_into(
-        &mut self,
-        proposer: NodeId,
-        requested: Arc<[ChunkId]>,
-        now: SimTime,
-        actions: &mut Vec<VerifierAction>,
+        out: &mut Vec<T>,
     ) {
         if requested.is_empty() {
             return;
@@ -355,10 +357,8 @@ impl Verifier {
                 received: InlineVec::new(),
             },
         );
-        actions.push(VerifierAction::StartTimer {
-            timer: VerifierTimer::ServeCheck { token },
-            deadline: now + self.config.serve_timeout,
-        });
+        let deadline = now + self.config.serve_timeout;
+        self.start_timer(VerifierTimer::ServeCheck { token }, deadline, out);
     }
 
     /// Called when a serve of `chunk` from `from` is received. Records the
@@ -386,20 +386,13 @@ impl Verifier {
     // ------------------------------------------------------------------
 
     /// Called right after this node's propose phase. Records the proposal in
-    /// the history and produces the acknowledgments owed to the nodes that
+    /// the history and appends the acknowledgments owed to the nodes that
     /// served the forwarded chunks (cross-checking, Figure 7).
-    pub fn on_propose_round(&mut self, round: &ProposeRound, now: SimTime) -> Vec<VerifierAction> {
-        let mut actions = Vec::new();
-        self.on_propose_round_into(round, now, &mut actions);
-        actions
-    }
-
-    /// Allocation-free variant of [`on_propose_round`](Self::on_propose_round).
-    pub fn on_propose_round_into(
+    pub fn on_propose_round_into<T: From<VerifierAction>>(
         &mut self,
         round: &ProposeRound,
         _now: SimTime,
-        actions: &mut Vec<VerifierAction>,
+        out: &mut Vec<T>,
     ) {
         self.current_period = round.period;
         self.history
@@ -429,14 +422,13 @@ impl Verifier {
                         .get_or_insert_with(|| round.partners.as_slice().into())
                         .clone()
                 };
-            actions.push(VerifierAction::SendAck {
-                to: *source,
-                ack: AckPayload {
-                    chunks: Arc::from(chunks.as_slice()),
-                    partners,
-                    period: round.period,
-                },
-            });
+            let ack = AckPayload {
+                chunks: Arc::from(chunks.as_slice()),
+                partners,
+                period: round.period,
+            };
+            let (to, message) = (*source, VerificationMessage::Ack(Box::new(ack)));
+            out.push(VerifierAction::Send { to, message }.into());
         }
     }
 
@@ -446,25 +438,13 @@ impl Verifier {
 
     /// Called after serving `chunks` to `to`. Registers the expectation of an
     /// acknowledgment (taking ownership of the chunk list — no copy) and
-    /// returns the timer to schedule.
-    pub fn on_chunks_served(
+    /// appends the timer to schedule.
+    pub fn on_chunks_served_into<T: From<VerifierAction>>(
         &mut self,
         to: NodeId,
         chunks: Vec<ChunkId>,
         now: SimTime,
-    ) -> Vec<VerifierAction> {
-        let mut actions = Vec::new();
-        self.on_chunks_served_into(to, chunks, now, &mut actions);
-        actions
-    }
-
-    /// Allocation-free variant of [`on_chunks_served`](Self::on_chunks_served).
-    pub fn on_chunks_served_into(
-        &mut self,
-        to: NodeId,
-        chunks: Vec<ChunkId>,
-        now: SimTime,
-        actions: &mut Vec<VerifierAction>,
+        out: &mut Vec<T>,
     ) {
         if chunks.is_empty() {
             return;
@@ -477,35 +457,20 @@ impl Verifier {
                 chunks,
             },
         );
-        actions.push(VerifierAction::StartTimer {
-            timer: VerifierTimer::AckCheck { token },
-            deadline: now + self.config.ack_timeout,
-        });
+        let deadline = now + self.config.ack_timeout;
+        self.start_timer(VerifierTimer::AckCheck { token }, deadline, out);
     }
 
     /// Called when an acknowledgment arrives from `from`. Clears the matching
     /// pending expectation, checks the acknowledged fanout, and (with
     /// probability `pdcc`) launches confirm requests towards the witnesses.
-    pub fn on_ack<R: Rng + ?Sized>(
+    pub fn on_ack_into<R: Rng + ?Sized, T: From<VerifierAction>>(
         &mut self,
         from: NodeId,
         ack: AckPayload,
         now: SimTime,
         rng: &mut R,
-    ) -> Vec<VerifierAction> {
-        let mut actions = Vec::new();
-        self.on_ack_into(from, ack, now, rng, &mut actions);
-        actions
-    }
-
-    /// Allocation-free variant of [`on_ack`](Self::on_ack).
-    pub fn on_ack_into<R: Rng + ?Sized>(
-        &mut self,
-        from: NodeId,
-        ack: AckPayload,
-        now: SimTime,
-        rng: &mut R,
-        actions: &mut Vec<VerifierAction>,
+        out: &mut Vec<T>,
     ) {
         // Clear every pending expectation this acknowledgment satisfies
         // (collected on the stack: an ack rarely satisfies more than one).
@@ -526,9 +491,7 @@ impl Verifier {
 
         // Quantitative correctness: the receiver must have forwarded to f nodes.
         let decrease = schedule::fanout_decrease(self.fanout, ack.partners.len());
-        if let Some(b) = self.blame(from, decrease, BlameReason::FanoutDecrease) {
-            actions.push(b);
-        }
+        self.blame(from, decrease, BlameReason::FanoutDecrease, out);
 
         // Causality: cross-check with the witnesses, with probability pdcc.
         if !ack.partners.is_empty() && rng.gen_bool(self.config.pdcc) {
@@ -549,16 +512,9 @@ impl Verifier {
                 chunks: ack.chunks.clone(),
                 token,
             });
-            for witness in ack.partners.iter() {
-                actions.push(VerifierAction::SendConfirm {
-                    to: *witness,
-                    confirm: confirm.clone(),
-                });
-            }
-            actions.push(VerifierAction::StartTimer {
-                timer: VerifierTimer::ConfirmCheck { token },
-                deadline: now + self.config.confirm_timeout,
-            });
+            Self::send_confirms(&ack.partners, &confirm, out);
+            let deadline = now + self.config.confirm_timeout;
+            self.start_timer(VerifierTimer::ConfirmCheck { token }, deadline, out);
         }
     }
 
@@ -599,12 +555,12 @@ impl Verifier {
     }
 
     /// Allocation-free variant of [`on_confirm`](Self::on_confirm).
-    pub fn on_confirm_into(
+    pub fn on_confirm_into<T: From<VerifierAction>>(
         &mut self,
         from: NodeId,
         confirm: &ConfirmPayload,
         _now: SimTime,
-        actions: &mut Vec<VerifierAction>,
+        out: &mut Vec<T>,
     ) {
         self.history
             .record_confirm_received(self.current_period, from, confirm.subject);
@@ -617,34 +573,26 @@ impl Verifier {
         } else {
             truthful
         };
-        actions.push(VerifierAction::SendConfirmResponse {
-            to: from,
-            response: ConfirmResponsePayload {
-                subject: confirm.subject,
-                stream: self.stream,
-                token: confirm.token,
-                confirmed,
-            },
+        let message = VerificationMessage::ConfirmResponse(ConfirmResponsePayload {
+            subject: confirm.subject,
+            stream: self.stream,
+            token: confirm.token,
+            confirmed,
         });
+        out.push(VerifierAction::Send { to: from, message }.into());
     }
 
     // ------------------------------------------------------------------
     // Timers.
     // ------------------------------------------------------------------
 
-    /// Handles an expired timer and returns any blame it produces.
-    pub fn on_timer(&mut self, timer: VerifierTimer, now: SimTime) -> Vec<VerifierAction> {
-        let mut actions = Vec::new();
-        self.on_timer_into(timer, now, &mut actions);
-        actions
-    }
-
-    /// Allocation-free variant of [`on_timer`](Self::on_timer).
-    pub fn on_timer_into(
+    /// Handles an expired timer, appending any blame (or, on the hardened
+    /// confirm path, any retry) it produces.
+    pub fn on_timer_into<T: From<VerifierAction>>(
         &mut self,
         timer: VerifierTimer,
         now: SimTime,
-        actions: &mut Vec<VerifierAction>,
+        out: &mut Vec<T>,
     ) {
         match timer {
             VerifierTimer::ServeCheck { token } => {
@@ -654,23 +602,18 @@ impl Verifier {
                         pending.requested.len(),
                         pending.received.len(),
                     );
-                    if let Some(b) = self.blame(pending.proposer, value, BlameReason::PartialServe)
-                    {
-                        actions.push(b);
-                    }
+                    self.blame(pending.proposer, value, BlameReason::PartialServe, out);
                 }
             }
             VerifierTimer::AckCheck { token } => {
                 if let Some(pending) = self.pending_acks.remove(&token) {
                     let value = schedule::missing_ack(self.fanout);
-                    if let Some(b) = self.blame(pending.receiver, value, BlameReason::MissingAck) {
-                        actions.push(b);
-                    }
+                    self.blame(pending.receiver, value, BlameReason::MissingAck, out);
                 }
             }
             VerifierTimer::ConfirmCheck { token } => {
                 if self.config.confirm_retries > 0 {
-                    self.on_confirm_check_hardened(token, now, actions);
+                    self.on_confirm_check_hardened(token, now, out);
                 } else if let Some(pending) = self.pending_confirms.remove(&token) {
                     // The paper's single-shot path: every witness still
                     // unconfirmed at the first expiry — silent or denying —
@@ -681,11 +624,12 @@ impl Verifier {
                         .filter(|w| !pending.confirmed.contains(w))
                         .count();
                     let value = schedule::contradicted_proposal(contradictions);
-                    if let Some(b) =
-                        self.blame(pending.subject, value, BlameReason::ContradictedProposal)
-                    {
-                        actions.push(b);
-                    }
+                    self.blame(
+                        pending.subject,
+                        value,
+                        BlameReason::ContradictedProposal,
+                        out,
+                    );
                 }
             }
         }
@@ -699,11 +643,11 @@ impl Verifier {
     /// so their check is aborted without blame (counted in
     /// [`ConfirmRetryStats`]). A lost `ConfirmResponse` therefore times out
     /// and retries instead of wrongly blaming the subject.
-    fn on_confirm_check_hardened(
+    fn on_confirm_check_hardened<T: From<VerifierAction>>(
         &mut self,
         token: u64,
         now: SimTime,
-        actions: &mut Vec<VerifierAction>,
+        out: &mut Vec<T>,
     ) {
         let Some(pending) = self.pending_confirms.get(&token) else {
             return;
@@ -731,20 +675,12 @@ impl Verifier {
             });
             self.retry_stats.timeouts += 1;
             self.retry_stats.resends += silent.len() as u64;
-            for witness in silent.iter() {
-                actions.push(VerifierAction::SendConfirm {
-                    to: *witness,
-                    confirm: confirm.clone(),
-                });
-            }
-            actions.push(VerifierAction::StartTimer {
-                timer: VerifierTimer::ConfirmCheck { token },
-                deadline: now
-                    + self
-                        .config
-                        .confirm_timeout
-                        .saturating_mul(attempt as u64 + 1),
-            });
+            Self::send_confirms(silent.as_slice(), &confirm, out);
+            let backoff = self
+                .config
+                .confirm_timeout
+                .saturating_mul(attempt as u64 + 1);
+            self.start_timer(VerifierTimer::ConfirmCheck { token }, now + backoff, out);
             return;
         }
         let pending = self.pending_confirms.remove(&token).expect("checked above");
@@ -755,9 +691,12 @@ impl Verifier {
             self.retry_stats.aborts += 1;
         }
         let value = schedule::contradicted_proposal(pending.denied.len());
-        if let Some(b) = self.blame(pending.subject, value, BlameReason::ContradictedProposal) {
-            actions.push(b);
-        }
+        self.blame(
+            pending.subject,
+            value,
+            BlameReason::ContradictedProposal,
+            out,
+        );
     }
 }
 
@@ -778,6 +717,18 @@ mod tests {
             LiftingConfig::planetlab(),
             CollusionConfig::none(),
         )
+    }
+
+    /// The effects one `*_into` call appends, as a fresh list.
+    fn collect(call: impl FnOnce(&mut Vec<VerifierAction>)) -> Vec<VerifierAction> {
+        let mut out = Vec::new();
+        call(&mut out);
+        out
+    }
+
+    fn is_confirm(action: &VerifierAction) -> bool {
+        let confirm = |m: &VerificationMessage| matches!(m, VerificationMessage::Confirm(_));
+        matches!(action, VerifierAction::Send { message, .. } if confirm(message))
     }
 
     fn blames(actions: &[VerifierAction]) -> Vec<Blame> {
@@ -804,12 +755,14 @@ mod tests {
     fn direct_verification_blames_partial_serves() {
         let mut v = verifier(1);
         let proposer = NodeId::new(2);
-        let actions = v.on_request_sent(proposer, ids(&[1, 2, 3, 4]).into(), SimTime::ZERO);
+        let actions = collect(|out| {
+            v.on_request_sent_into(proposer, ids(&[1, 2, 3, 4]).into(), SimTime::ZERO, out)
+        });
         let timer = timers(&actions)[0];
         // Only two of the four requested chunks arrive.
         v.on_serve_received(proposer, ChunkId::primary(1), SimTime::from_millis(100));
         v.on_serve_received(proposer, ChunkId::primary(3), SimTime::from_millis(120));
-        let out = v.on_timer(timer, SimTime::from_millis(500));
+        let out = collect(|out| v.on_timer_into(timer, SimTime::from_millis(500), out));
         let bs = blames(&out);
         assert_eq!(bs.len(), 1);
         assert_eq!(bs[0].target, proposer);
@@ -824,8 +777,10 @@ mod tests {
         assert_eq!(v.stream(), StreamId::new(2));
         let proposer = NodeId::new(2);
         let requested: Vec<ChunkId> = (0..3).map(|i| ChunkId::new(StreamId::new(2), i)).collect();
-        let actions = v.on_request_sent(proposer, requested.into(), SimTime::ZERO);
-        let out = v.on_timer(timers(&actions)[0], SimTime::from_millis(500));
+        let actions =
+            collect(|out| v.on_request_sent_into(proposer, requested.into(), SimTime::ZERO, out));
+        let out =
+            collect(|out| v.on_timer_into(timers(&actions)[0], SimTime::from_millis(500), out));
         let bs = blames(&out);
         assert_eq!(bs.len(), 1);
         assert_eq!(bs[0].stream, StreamId::new(2), "blame carries its channel");
@@ -840,10 +795,13 @@ mod tests {
     fn full_serves_produce_no_blame() {
         let mut v = verifier(1);
         let proposer = NodeId::new(2);
-        let actions = v.on_request_sent(proposer, ids(&[1, 2]).into(), SimTime::ZERO);
+        let actions = collect(|out| {
+            v.on_request_sent_into(proposer, ids(&[1, 2]).into(), SimTime::ZERO, out)
+        });
         v.on_serve_received(proposer, ChunkId::primary(1), SimTime::from_millis(10));
         v.on_serve_received(proposer, ChunkId::primary(2), SimTime::from_millis(20));
-        let out = v.on_timer(timers(&actions)[0], SimTime::from_millis(500));
+        let out =
+            collect(|out| v.on_timer_into(timers(&actions)[0], SimTime::from_millis(500), out));
         assert!(blames(&out).is_empty());
         assert_eq!(v.blames_emitted(), 0);
     }
@@ -852,8 +810,9 @@ mod tests {
     fn missing_ack_is_blamed_by_f() {
         let mut v = verifier(1);
         let receiver = NodeId::new(5);
-        let actions = v.on_chunks_served(receiver, ids(&[1, 2]), SimTime::ZERO);
-        let out = v.on_timer(timers(&actions)[0], SimTime::from_secs(2));
+        let actions =
+            collect(|out| v.on_chunks_served_into(receiver, ids(&[1, 2]), SimTime::ZERO, out));
+        let out = collect(|out| v.on_timer_into(timers(&actions)[0], SimTime::from_secs(2), out));
         let bs = blames(&out);
         assert_eq!(bs.len(), 1);
         assert_eq!(bs[0].value, 7.0);
@@ -866,7 +825,8 @@ mod tests {
         let mut v = verifier(1);
         let receiver = NodeId::new(5);
         let served = ids(&[1, 2]);
-        let actions = v.on_chunks_served(receiver, served.clone(), SimTime::ZERO);
+        let actions =
+            collect(|out| v.on_chunks_served_into(receiver, served.clone(), SimTime::ZERO, out));
         let ack_timer = timers(&actions)[0];
         let witnesses: Vec<NodeId> = (10..17).map(NodeId::new).collect();
         let ack = AckPayload {
@@ -874,16 +834,19 @@ mod tests {
             partners: witnesses.clone().into(),
             period: 1,
         };
-        let out = v.on_ack(receiver, ack, SimTime::from_millis(900), &mut rng);
+        let out =
+            collect(|out| v.on_ack_into(receiver, ack, SimTime::from_millis(900), &mut rng, out));
         // pdcc = 1: confirms to all 7 witnesses plus a confirm timer, no blame.
-        let confirms: Vec<&VerifierAction> = out
-            .iter()
-            .filter(|a| matches!(a, VerifierAction::SendConfirm { .. }))
-            .collect();
+        let confirms: Vec<&VerifierAction> = out.iter().filter(|a| is_confirm(a)).collect();
         assert_eq!(confirms.len(), 7);
         assert!(blames(&out).is_empty());
         // The ack timer no longer produces a blame.
-        assert!(blames(&v.on_timer(ack_timer, SimTime::from_secs(2))).is_empty());
+        assert!(blames(&collect(|out| v.on_timer_into(
+            ack_timer,
+            SimTime::from_secs(2),
+            out
+        )))
+        .is_empty());
     }
 
     #[test]
@@ -891,13 +854,14 @@ mod tests {
         let mut rng = derive_rng(2, 0);
         let mut v = verifier(1);
         let receiver = NodeId::new(5);
-        v.on_chunks_served(receiver, ids(&[1]), SimTime::ZERO);
+        collect(|out| v.on_chunks_served_into(receiver, ids(&[1]), SimTime::ZERO, out));
         let ack = AckPayload {
             chunks: ids(&[1]).into(),
             partners: (10..16).map(NodeId::new).collect::<Vec<_>>().into(), // only 6 of 7
             period: 1,
         };
-        let out = v.on_ack(receiver, ack, SimTime::from_millis(900), &mut rng);
+        let out =
+            collect(|out| v.on_ack_into(receiver, ack, SimTime::from_millis(900), &mut rng, out));
         let bs = blames(&out);
         assert_eq!(bs.len(), 1);
         assert_eq!(bs[0].value, 1.0);
@@ -909,18 +873,21 @@ mod tests {
         let mut rng = derive_rng(3, 0);
         let mut v = verifier(1);
         let receiver = NodeId::new(5);
-        v.on_chunks_served(receiver, ids(&[1]), SimTime::ZERO);
+        collect(|out| v.on_chunks_served_into(receiver, ids(&[1]), SimTime::ZERO, out));
         let witnesses: Vec<NodeId> = (10..17).map(NodeId::new).collect();
-        let out = v.on_ack(
-            receiver,
-            AckPayload {
-                chunks: ids(&[1]).into(),
-                partners: witnesses.clone().into(),
-                period: 1,
-            },
-            SimTime::from_millis(900),
-            &mut rng,
-        );
+        let out = collect(|out| {
+            v.on_ack_into(
+                receiver,
+                AckPayload {
+                    chunks: ids(&[1]).into(),
+                    partners: witnesses.clone().into(),
+                    period: 1,
+                },
+                SimTime::from_millis(900),
+                &mut rng,
+                out,
+            )
+        });
         let confirm_timer = *timers(&out)
             .iter()
             .find(|t| matches!(t, VerifierTimer::ConfirmCheck { .. }))
@@ -941,7 +908,7 @@ mod tests {
                 },
             );
         }
-        let out = v.on_timer(confirm_timer, SimTime::from_secs(2));
+        let out = collect(|out| v.on_timer_into(confirm_timer, SimTime::from_secs(2), out));
         let bs = blames(&out);
         assert_eq!(bs.len(), 1);
         assert_eq!(bs[0].value, 3.0);
@@ -950,17 +917,20 @@ mod tests {
 
     /// Launches a confirm round against 7 witnesses and returns the token.
     fn launch_confirm_round(v: &mut Verifier, receiver: NodeId, rng: &mut impl Rng) -> u64 {
-        v.on_chunks_served(receiver, ids(&[1]), SimTime::ZERO);
-        let out = v.on_ack(
-            receiver,
-            AckPayload {
-                chunks: ids(&[1]).into(),
-                partners: (10..17).map(NodeId::new).collect::<Vec<_>>().into(),
-                period: 1,
-            },
-            SimTime::from_millis(900),
-            rng,
-        );
+        collect(|out| v.on_chunks_served_into(receiver, ids(&[1]), SimTime::ZERO, out));
+        let out = collect(|out| {
+            v.on_ack_into(
+                receiver,
+                AckPayload {
+                    chunks: ids(&[1]).into(),
+                    partners: (10..17).map(NodeId::new).collect::<Vec<_>>().into(),
+                    period: 1,
+                },
+                SimTime::from_millis(900),
+                rng,
+                out,
+            )
+        });
         match *timers(&out)
             .iter()
             .find(|t| matches!(t, VerifierTimer::ConfirmCheck { .. }))
@@ -972,10 +942,7 @@ mod tests {
     }
 
     fn confirm_resends(actions: &[VerifierAction]) -> usize {
-        actions
-            .iter()
-            .filter(|a| matches!(a, VerifierAction::SendConfirm { .. }))
-            .count()
+        actions.iter().filter(|a| is_confirm(a)).count()
     }
 
     #[test]
@@ -1004,7 +971,7 @@ mod tests {
         }
         // First expiry: re-send to the two silent witnesses, re-arm with a
         // longer (linear backoff) deadline.
-        let out = v.on_timer(timer, SimTime::from_secs(2));
+        let out = collect(|out| v.on_timer_into(timer, SimTime::from_secs(2), out));
         assert_eq!(confirm_resends(&out), 2);
         assert!(blames(&out).is_empty());
         let deadline = out
@@ -1017,11 +984,11 @@ mod tests {
         let backoff = LiftingConfig::planetlab().confirm_timeout.saturating_mul(2);
         assert_eq!(deadline, SimTime::from_secs(2) + backoff);
         // Second expiry: one retry left.
-        let out = v.on_timer(timer, deadline);
+        let out = collect(|out| v.on_timer_into(timer, deadline, out));
         assert_eq!(confirm_resends(&out), 2);
         assert!(blames(&out).is_empty());
         // Third expiry: retries exhausted — abort, no wrongful blame.
-        let out = v.on_timer(timer, SimTime::from_secs(10));
+        let out = collect(|out| v.on_timer_into(timer, SimTime::from_secs(10), out));
         assert!(
             blames(&out).is_empty(),
             "silence must never convert to blame"
@@ -1058,12 +1025,12 @@ mod tests {
             );
         }
         // First expiry retries only the silent witness, not the deniers.
-        let out = v.on_timer(timer, SimTime::from_secs(2));
+        let out = collect(|out| v.on_timer_into(timer, SimTime::from_secs(2), out));
         assert_eq!(confirm_resends(&out), 1);
         assert!(blames(&out).is_empty());
         // Exhaustion: the two denials are contradictions and are blamed; the
         // silent witness is written off as loss.
-        let out = v.on_timer(timer, SimTime::from_secs(5));
+        let out = collect(|out| v.on_timer_into(timer, SimTime::from_secs(5), out));
         let bs = blames(&out);
         assert_eq!(bs.len(), 1);
         assert_eq!(bs[0].target, receiver);
@@ -1114,7 +1081,7 @@ mod tests {
                         );
                         false
                     });
-                    v.on_timer(timer, now);
+                    collect(|out| v.on_timer_into(timer, now, out));
                     now += SimDuration::from_secs(2);
                 }
             }
@@ -1155,7 +1122,10 @@ mod tests {
             SimTime::from_millis(10),
         );
         match &yes[0] {
-            VerifierAction::SendConfirmResponse { to, response } => {
+            VerifierAction::Send {
+                to,
+                message: VerificationMessage::ConfirmResponse(response),
+            } => {
                 assert_eq!(*to, NodeId::new(0));
                 assert!(response.confirmed);
                 assert_eq!(response.token, 7);
@@ -1172,7 +1142,10 @@ mod tests {
             SimTime::from_millis(20),
         );
         match &no[0] {
-            VerifierAction::SendConfirmResponse { response, .. } => assert!(!response.confirmed),
+            VerifierAction::Send {
+                message: VerificationMessage::ConfirmResponse(response),
+                ..
+            } => assert!(!response.confirmed),
             other => panic!("unexpected action {other:?}"),
         }
         // The confirm requests were recorded (for later audits of the subject).
@@ -1202,7 +1175,10 @@ mod tests {
             SimTime::ZERO,
         );
         match &out[0] {
-            VerifierAction::SendConfirmResponse { response, .. } => assert!(response.confirmed),
+            VerifierAction::Send {
+                message: VerificationMessage::ConfirmResponse(response),
+                ..
+            } => assert!(response.confirmed),
             other => panic!("unexpected action {other:?}"),
         }
     }
@@ -1216,9 +1192,10 @@ mod tests {
             LiftingConfig::planetlab(),
             CollusionConfig::coalition(coalition, true, false),
         );
-        let actions = v.on_chunks_served(NodeId::new(5), ids(&[1]), SimTime::ZERO);
+        let actions =
+            collect(|out| v.on_chunks_served_into(NodeId::new(5), ids(&[1]), SimTime::ZERO, out));
         // The accomplice never acknowledges, but no blame is emitted.
-        let out = v.on_timer(timers(&actions)[0], SimTime::from_secs(2));
+        let out = collect(|out| v.on_timer_into(timers(&actions)[0], SimTime::from_secs(2), out));
         assert!(blames(&out).is_empty());
         assert_eq!(v.blames_emitted(), 0);
     }
@@ -1239,11 +1216,14 @@ mod tests {
             by_source: vec![(NodeId::new(10), ids(&[1, 2]))],
             dropped_sources: vec![],
         };
-        let actions = v.on_propose_round(&round, SimTime::ZERO);
+        let actions = collect(|out| v.on_propose_round_into(&round, SimTime::ZERO, out));
         let ack = actions
             .iter()
             .find_map(|a| match a {
-                VerifierAction::SendAck { to, ack } => Some((*to, ack.clone())),
+                VerifierAction::Send {
+                    to,
+                    message: VerificationMessage::Ack(ack),
+                } => Some((*to, (**ack).clone())),
                 _ => None,
             })
             .expect("an ack is owed to the server");
@@ -1266,11 +1246,14 @@ mod tests {
             ],
             dropped_sources: vec![],
         };
-        let actions = v.on_propose_round(&round, SimTime::ZERO);
+        let actions = collect(|out| v.on_propose_round_into(&round, SimTime::ZERO, out));
         let acks: Vec<(NodeId, AckPayload)> = actions
             .iter()
             .filter_map(|a| match a {
-                VerifierAction::SendAck { to, ack } => Some((*to, ack.clone())),
+                VerifierAction::Send {
+                    to,
+                    message: VerificationMessage::Ack(ack),
+                } => Some((*to, (**ack).clone())),
                 _ => None,
             })
             .collect();
@@ -1294,21 +1277,21 @@ mod tests {
         let mut confirm_rounds = 0;
         for i in 0..200 {
             let receiver = NodeId::new(100 + i);
-            v.on_chunks_served(receiver, ids(&[i as u64]), SimTime::ZERO);
-            let out = v.on_ack(
-                receiver,
-                AckPayload {
-                    chunks: ids(&[i as u64]).into(),
-                    partners: (10..17).map(NodeId::new).collect::<Vec<_>>().into(),
-                    period: 1,
-                },
-                SimTime::from_millis(500),
-                &mut rng,
-            );
-            if out
-                .iter()
-                .any(|a| matches!(a, VerifierAction::SendConfirm { .. }))
-            {
+            collect(|out| v.on_chunks_served_into(receiver, ids(&[i as u64]), SimTime::ZERO, out));
+            let out = collect(|out| {
+                v.on_ack_into(
+                    receiver,
+                    AckPayload {
+                        chunks: ids(&[i as u64]).into(),
+                        partners: (10..17).map(NodeId::new).collect::<Vec<_>>().into(),
+                        period: 1,
+                    },
+                    SimTime::from_millis(500),
+                    &mut rng,
+                    out,
+                )
+            });
+            if out.iter().any(is_confirm) {
                 confirm_rounds += 1;
             }
         }

@@ -13,10 +13,9 @@ use std::sync::Arc;
 
 use lifting_core::{Blame, BlameReason, CollusionConfig};
 use lifting_gossip::{Behavior, FreeriderConfig, GossipNode};
-use lifting_membership::{PartnerSelector, SelectionPolicy};
+use lifting_membership::{Directory, PartnerSelector, SelectionPolicy};
 use lifting_sim::{NodeId, SimDuration, StreamId};
-
-use super::LayerEnv;
+use rand::rngs::SmallRng;
 
 /// What a closed-loop adversary decides to do with its per-period score
 /// feedback (see [`Adversary::on_score_feedback`]).
@@ -90,9 +89,15 @@ pub trait Adversary: std::fmt::Debug + Send {
     fn on_gossip_tick(&mut self, _stream: StreamId, _period: u64, _gossip: &mut GossipNode) {}
 
     /// Blames this node fabricates out of thin air at the end of its gossip
-    /// tick (the blame-spamming attack on the reputation plane). Honest and
-    /// paper adversaries return nothing and consume no RNG.
-    fn fabricate_blames(&mut self, _env: &mut LayerEnv<'_>) -> Vec<Blame> {
+    /// tick (the blame-spamming attack on the reputation plane), given the
+    /// node's identity, the membership view and its private RNG stream.
+    /// Honest and paper adversaries return nothing and consume no RNG.
+    fn fabricate_blames(
+        &mut self,
+        _me: NodeId,
+        _directory: &Directory,
+        _rng: &mut SmallRng,
+    ) -> Vec<Blame> {
         Vec::new()
     }
 
@@ -293,10 +298,15 @@ impl Adversary for BlameSpammer {
         true
     }
 
-    fn fabricate_blames(&mut self, env: &mut LayerEnv<'_>) -> Vec<Blame> {
+    fn fabricate_blames(
+        &mut self,
+        me: NodeId,
+        directory: &Directory,
+        rng: &mut SmallRng,
+    ) -> Vec<Blame> {
         (0..self.blames_per_period)
             .filter_map(|_| {
-                let target = *env.directory.sample_uniform(env.rng, 1, env.me).first()?;
+                let target = *directory.sample_uniform(rng, 1, me).first()?;
                 Some(Blame::new(
                     target,
                     self.blame_value,
@@ -642,8 +652,7 @@ impl Adversary for AdaptiveColluder {
 mod tests {
     use super::*;
     use lifting_gossip::GossipConfig;
-    use lifting_membership::Directory;
-    use lifting_sim::{derive_rng, SimTime};
+    use lifting_sim::derive_rng;
 
     #[test]
     fn paper_adversaries_configure_the_planes_like_the_old_wiring() {
@@ -857,15 +866,7 @@ mod tests {
         };
         let directory = Directory::new(20);
         let mut rng = derive_rng(7, 0);
-        let mut env = LayerEnv {
-            me: NodeId::new(5),
-            stream: StreamId::PRIMARY,
-            now: SimTime::ZERO,
-            directory: &directory,
-            rng: &mut rng,
-            upcalls_consumed: true,
-        };
-        let blames = adversary.fabricate_blames(&mut env);
+        let blames = adversary.fabricate_blames(NodeId::new(5), &directory, &mut rng);
         assert_eq!(blames.len(), 3);
         assert!(blames.iter().all(|b| b.target != NodeId::new(5)));
         assert!(blames.iter().all(|b| b.value == 10.0));

@@ -137,11 +137,7 @@ impl AuditCoordinator {
         // Account the TCP history transfer. The history is only read, so the
         // transfer is sized and the audit run entirely from a borrow — the
         // old wiring cloned the whole bounded history twice per audit.
-        let history = stacks[target.index()]
-            .plane(stream)
-            .verification
-            .verifier
-            .history();
+        let history = stacks[target.index()].plane(stream).verifier.history();
         network.send(
             now,
             auditor,
@@ -267,7 +263,6 @@ impl AuditOracle for StackAuditOracle<'_> {
             .send(self.now, witness, self.auditor, 24, TrafficCategory::Audit);
         self.stacks[witness.index()]
             .plane(self.stream)
-            .verification
             .verifier
             .answer_audit_poll(subject, chunks)
     }
@@ -281,7 +276,6 @@ impl AuditOracle for StackAuditOracle<'_> {
             .send(self.now, self.auditor, witness, 32, TrafficCategory::Audit);
         let askers = self.stacks[witness.index()]
             .plane(self.stream)
-            .verification
             .verifier
             .confirm_askers_about(subject);
         self.network.send(

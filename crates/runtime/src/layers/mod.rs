@@ -3,31 +3,37 @@
 //! The paper structures each LiFTinG node as distinct planes: gossip
 //! dissemination (Section 3), direct verification and a-posteriori audits
 //! (Section 5), and score/reputation management (Section 5.4). This module
-//! mirrors that structure as composable layers:
+//! mirrors that structure, one hop from the sans-IO state machines to the
+//! effects the runtime commits:
 //!
 //! ```text
 //!                ┌─────────────────────────┐
-//!                │      ManagerState       │  manager role: blames → scores
+//!   NodeStack    │      ManagerState       │  manager role: blames → scores
 //!                ├─────────────────────────┤
-//!                │    VerificationLayer    │  direct verification, acks,
-//!                │                         │  cross-checking, audit answers
+//!   StreamPlane  │        Verifier         │  direct verification, acks,
+//!   (per stream) │                         │  cross-checking, audit answers
 //!                ├─────────────────────────┤
-//!                │       GossipLayer       │  propose / request / serve
+//!                │ GossipNode + selector   │  propose / request / serve
 //!                └───────────┬─────────────┘
 //!                            │  Downcall (send / timer / blame / next tick)
 //!                      lifting-net
 //! ```
 //!
-//! * Wire traffic enters a layer through its `on_inbound`; the gossip layer's
-//!   **upcalls** ([`GossipUpcall`], typed notifications) flow to the
-//!   verification layer above it, and **downcalls** ([`Downcall`]) flow out of
-//!   the [`NodeStack`] to the runtime, which commits them to the network and
-//!   the event scheduler. Layers never touch either directly — that is what
-//!   keeps them unit-testable sans-IO and the stack's RNG consumption
+//! * [`NodeStack`] routes a tick, a delivered message or a timer expiry to
+//!   the [`StreamPlane`] it belongs to. Each plane handler calls the gossip
+//!   state machine, then — when LiFTinG is on — the
+//!   [`lifting_core::Verifier`] method that step arms, then pushes the gossip
+//!   sends: the verifier writes its effects straight into the
+//!   `out: &mut Vec<Downcall>` the runtime commits from (through the one
+//!   `From<VerifierAction>` impl below), so "verification effects before the
+//!   gossip sends of the same event" is the order the code is written in.
+//!   Neither state machine touches the network or the scheduler — that is
+//!   what keeps them unit-testable sans-IO and the stack's RNG consumption
 //!   deterministic.
-//! * The reputation plane is no layer of its own: the stack holds the node's
-//!   [`lifting_reputation::ManagerState`] and books delivered blames into it.
-//! * Misbehaviour is not wired into the layers: an [`Adversary`]
+//! * The reputation plane is per node, not per stream: the stack holds the
+//!   node's [`lifting_reputation::ManagerState`] and books delivered blames
+//!   into it.
+//! * Misbehaviour is not wired into the planes: an [`Adversary`]
 //!   implementation reshapes each plane (dissemination behaviour, partner
 //!   selection, verification collusion) and may inject traffic of its own,
 //!   so attacks compose across layers instead of being scattered through the
@@ -41,27 +47,21 @@
 
 pub mod adversary;
 pub mod audit;
-pub mod gossip;
 pub mod stack;
-pub mod verification;
 
 pub use adversary::{
     AdaptiveColluder, Adversary, BlameSpammer, Colluder, FeedbackAction, Freerider,
     GradientFreerider, Honest, OnOffFreerider, SelectiveFreerider, Whitewasher,
 };
 pub use audit::{AuditCoordinator, AuditOutcome, AuditRpcStats};
-pub use gossip::{GossipLayer, GossipUpcall};
 pub use stack::{NodeStack, StreamPlane};
-pub use verification::VerificationLayer;
 
-use lifting_core::{Blame, VerifierTimer};
-use lifting_membership::Directory;
+use lifting_core::{Blame, VerifierAction, VerifierTimer};
 use lifting_sim::{NodeId, SimTime, StreamId};
-use rand::rngs::SmallRng;
 
 use crate::message::Message;
 
-/// A request a layer hands down the stack for the runtime to execute.
+/// An effect a node stack hands the runtime to execute.
 ///
 /// Downcalls are collected in order: the order in which a stack emits them is
 /// the order in which the runtime puts messages on the wire, which keeps the
@@ -90,8 +90,7 @@ pub enum Downcall {
     Blame(Blame),
     /// Schedule this node's next gossip tick, one gossip period from now.
     /// Pushed by the runtime's node-local handler after a tick's own effects
-    /// (never by a layer), and payload-free on purpose: `size_of::<Downcall>()`
-    /// enters the memory metric every scenario digest hashes.
+    /// (never by a stack).
     NextGossipTick,
 }
 
@@ -106,24 +105,27 @@ impl Downcall {
     }
 }
 
-/// Everything a layer may consult while handling traffic: the node's
-/// identity, the simulated clock, the membership view and the node's private
-/// RNG stream.
-pub struct LayerEnv<'a> {
-    /// The node this stack belongs to.
-    pub me: NodeId,
-    /// The stream plane currently being driven (partner selection and
-    /// subscription checks are per-stream; the primary stream in every
-    /// single-channel run).
-    pub stream: StreamId,
-    /// Current simulated time.
-    pub now: SimTime,
-    /// Membership view (read-only: layers never mutate the directory).
-    pub directory: &'a Directory,
-    /// The node's private deterministic RNG stream.
-    pub rng: &'a mut SmallRng,
-    /// True when the verification plane consumes upcalls in this run. Lower
-    /// layers may skip *constructing* data-carrying upcalls when false (pure
-    /// allocation avoidance — it must never change RNG draws or wire order).
-    pub upcalls_consumed: bool,
+/// The runtime's only knowledge of the verifier's effect type: the
+/// [`lifting_core::Verifier`] handlers are generic over
+/// `T: From<VerifierAction>` and write each effect once, as the [`Downcall`]
+/// the world commits.
+impl From<VerifierAction> for Downcall {
+    fn from(action: VerifierAction) -> Self {
+        match action {
+            VerifierAction::Send { to, message } => Downcall::Send {
+                to,
+                message: Message::Verification(message),
+            },
+            VerifierAction::Blame(blame) => Downcall::Blame(blame),
+            VerifierAction::StartTimer {
+                stream,
+                timer,
+                deadline,
+            } => Downcall::StartTimer {
+                stream,
+                timer,
+                deadline,
+            },
+        }
+    }
 }

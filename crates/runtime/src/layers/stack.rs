@@ -1,5 +1,6 @@
-//! The per-node protocol stack: routes wire traffic and upcalls between the
-//! per-stream gossip/verification planes and the shared reputation plane.
+//! The per-node protocol stack: routes ticks, wire traffic and timer expiries
+//! to the per-stream gossip/verification planes and the shared reputation
+//! plane.
 //!
 //! A node participates in every stream of the scenario through a dedicated
 //! [`StreamPlane`] — its own chunk store, playout buffer, partner selector,
@@ -8,25 +9,167 @@
 //! the point of the design: data planes are per-channel, accountability is
 //! per-node, so misbehaving on one channel costs access to all of them.
 
+use std::sync::Arc;
+
 use lifting_core::{LiftingConfig, VerificationMessage, Verifier, VerifierTimer};
-use lifting_gossip::{GossipConfig, GossipNode};
-use lifting_membership::Directory;
+use lifting_gossip::{
+    ChunkId, GossipConfig, GossipMessage, GossipNode, ProposePayload, RequestPayload, ServePayload,
+};
+use lifting_membership::{Directory, PartnerSelector};
 use lifting_reputation::ManagerState;
 use lifting_sim::{NodeId, SimTime, StreamId};
 use rand::rngs::SmallRng;
 
-use super::{Adversary, Downcall, GossipLayer, GossipUpcall, LayerEnv, VerificationLayer};
+use super::{Adversary, Downcall};
 use crate::message::Message;
 
-/// One stream's data plane on one node: dissemination plus verification.
+/// One stream's data plane on one node: the sans-IO dissemination and
+/// verification state machines and the one place that wires them.
+///
+/// Every handler calls the gossip step, then — when LiFTinG is on — the
+/// verifier method that step arms (Section 5: request sent ⇒ expect the
+/// serve, chunks served ⇒ expect the ack, ack received ⇒ poll the witnesses),
+/// then pushes the gossip sends, so verification effects precede the gossip
+/// sends of the same event on the wire. With LiFTinG off nothing is built for
+/// the verifier, reproducing the paper's "gossip without LiFTinG" baseline of
+/// Figure 1.
 #[derive(Debug)]
 pub struct StreamPlane {
     /// The stream this plane carries.
     pub stream: StreamId,
-    /// The dissemination plane.
-    pub gossip: GossipLayer,
-    /// The verification plane (direct verification + cross-checking).
-    pub verification: VerificationLayer,
+    /// The three-phase gossip protocol state.
+    pub gossip: GossipNode,
+    /// The partner-selection policy (uniform for honest nodes, biased for
+    /// colluders).
+    pub selector: PartnerSelector,
+    /// The LiFTinG verification engine (direct verification +
+    /// cross-checking).
+    pub verifier: Verifier,
+    /// The scenario's `lifting_enabled`.
+    lifting_on: bool,
+}
+
+fn send_gossip(to: NodeId, message: GossipMessage) -> Downcall {
+    Downcall::Send {
+        to,
+        message: Message::Gossip(message),
+    }
+}
+
+impl StreamPlane {
+    /// Runs one propose phase: picks the partners, starts the round, owes the
+    /// acknowledgments for the forwarded chunks and proposes to each partner.
+    fn on_tick(
+        &mut self,
+        me: NodeId,
+        now: SimTime,
+        directory: &Directory,
+        rng: &mut SmallRng,
+        out: &mut Vec<Downcall>,
+    ) {
+        let fanout = self.gossip.desired_fanout(rng);
+        let partners = self
+            .selector
+            .select(me, fanout, directory, self.stream, rng);
+        let round = self.gossip.begin_propose_round(now, partners, rng);
+        if self.lifting_on {
+            self.verifier.begin_period(self.gossip.period());
+        }
+        let Some(round) = round else { return };
+        if self.lifting_on {
+            self.verifier.on_propose_round_into(&round, now, out);
+        }
+        let payload = ProposePayload {
+            period: round.period,
+            chunks: round.chunks,
+        };
+        let propose = |to: &NodeId| send_gossip(*to, GossipMessage::Propose(payload.clone()));
+        out.extend(round.partners.iter().map(propose));
+    }
+
+    /// Handles one gossip message from `from`.
+    fn on_gossip(
+        &mut self,
+        from: NodeId,
+        inbound: GossipMessage,
+        now: SimTime,
+        rng: &mut SmallRng,
+        out: &mut Vec<Downcall>,
+    ) {
+        let lifting_on = self.lifting_on;
+        match inbound {
+            GossipMessage::Propose(p) => {
+                let wanted = self.gossip.on_propose(from, &p.chunks, now);
+                if lifting_on {
+                    // The payload is owned here: the history takes the chunk
+                    // list by move, no per-propose clone.
+                    self.verifier.on_propose_received(from, p.chunks, now);
+                }
+                if wanted.is_empty() {
+                    return;
+                }
+                // One shared list serves the wire payload and the serve check
+                // (refcounts, not copies).
+                let chunks: Arc<[ChunkId]> = wanted.into();
+                if lifting_on {
+                    self.verifier
+                        .on_request_sent_into(from, chunks.clone(), now, out);
+                }
+                let request = GossipMessage::Request(RequestPayload { chunks });
+                out.push(send_gossip(from, request));
+            }
+            GossipMessage::Request(r) => {
+                // Phase 3, with the adversary-configured partial serve.
+                let served = self.gossip.on_request(from, &r.chunks, rng);
+                if served.is_empty() {
+                    return;
+                }
+                if lifting_on {
+                    let ids = served.iter().map(|c| c.id).collect();
+                    self.verifier.on_chunks_served_into(from, ids, now, out);
+                }
+                let serve = |chunk| send_gossip(from, GossipMessage::Serve(ServePayload { chunk }));
+                out.extend(served.into_iter().map(serve));
+            }
+            GossipMessage::Serve(s) => {
+                self.gossip.on_serve(from, s.chunk, now);
+                if lifting_on {
+                    self.verifier.on_serve_received(from, s.chunk.id, now);
+                }
+            }
+        }
+    }
+
+    /// Handles one verification message from `from`. The blames this emits
+    /// are routed by the runtime, because the target's managers live on
+    /// *other* nodes.
+    fn on_verification(
+        &mut self,
+        from: NodeId,
+        inbound: VerificationMessage,
+        now: SimTime,
+        rng: &mut SmallRng,
+        out: &mut Vec<Downcall>,
+    ) {
+        match inbound {
+            VerificationMessage::Ack(ack) => {
+                self.verifier.on_ack_into(from, *ack, now, rng, out);
+            }
+            VerificationMessage::Confirm(confirm) => {
+                self.verifier.on_confirm_into(from, &confirm, now, out);
+            }
+            VerificationMessage::ConfirmResponse(response) => {
+                self.verifier.on_confirm_response(from, response);
+            }
+            VerificationMessage::Blame(_) => {
+                unreachable!("blames are booked by the stack's manager state")
+            }
+            VerificationMessage::HistoryRequest | VerificationMessage::HistoryResponse(_) => {
+                // Audits are executed synchronously by the audit coordinator;
+                // these messages only exist for traffic accounting.
+            }
+        }
+    }
 }
 
 /// One node of the simulated system: a protocol plane per stream, the shared
@@ -47,10 +190,6 @@ pub struct NodeStack {
     pub rng: SmallRng,
     /// Ground truth for the metrics (from the adversary, cached).
     pub is_freerider: bool,
-    /// Recycled scratch for the gossip layers' sends (allocation-free path).
-    scratch_sends: Vec<Downcall>,
-    /// Recycled scratch for the gossip layers' upcalls.
-    scratch_upcalls: Vec<GossipUpcall>,
 }
 
 impl NodeStack {
@@ -95,22 +234,15 @@ impl NodeStack {
         let planes = (0..streams.max(1))
             .map(|s| {
                 let stream = StreamId::new(s as u16);
-                let gossip = GossipLayer::new(
-                    GossipNode::for_stream(
-                        id,
-                        stream,
-                        gossip_config,
-                        adversary.dissemination_plane_for(stream),
-                    ),
-                    adversary.membership_plane_for(stream),
-                );
-                let verifier =
-                    Verifier::new(id, fanout, lifting_config, adversary.verification_plane())
-                        .for_stream(stream);
+                let behavior = adversary.dissemination_plane_for(stream);
+                let collusion = adversary.verification_plane();
                 StreamPlane {
                     stream,
-                    gossip,
-                    verification: VerificationLayer::new(verifier, lifting_enabled),
+                    gossip: GossipNode::for_stream(id, stream, gossip_config, behavior),
+                    selector: adversary.membership_plane_for(stream),
+                    verifier: Verifier::new(id, fanout, lifting_config, collusion)
+                        .for_stream(stream),
+                    lifting_on: lifting_enabled,
                 }
             })
             .collect();
@@ -120,14 +252,12 @@ impl NodeStack {
             adversary,
             rng,
             is_freerider,
-            scratch_sends: Vec::new(),
-            scratch_upcalls: Vec::new(),
         }
     }
 
     /// The node's identifier.
     pub fn id(&self) -> NodeId {
-        self.planes[0].gossip.node.id()
+        self.planes[0].gossip.id()
     }
 
     /// The plane carrying `stream`.
@@ -150,7 +280,7 @@ impl NodeStack {
     pub fn pending_checks(&self) -> usize {
         self.planes
             .iter()
-            .map(|p| p.verification.verifier.pending_checks())
+            .map(|p| p.verifier.pending_checks())
             .sum()
     }
 
@@ -158,7 +288,7 @@ impl NodeStack {
     pub fn blames_emitted(&self) -> u64 {
         self.planes
             .iter()
-            .map(|p| p.verification.verifier.blames_emitted())
+            .map(|p| p.verifier.blames_emitted())
             .sum()
     }
 
@@ -171,23 +301,18 @@ impl NodeStack {
         let planes: usize = self
             .planes
             .iter()
-            .map(|p| {
-                p.gossip.node.estimated_heap_bytes()
-                    + p.verification.verifier.estimated_heap_bytes()
-            })
+            .map(|p| p.gossip.estimated_heap_bytes() + p.verifier.estimated_heap_bytes())
             .sum();
         planes
             + self.planes.capacity() * size_of::<StreamPlane>()
             + self.reputation.estimated_heap_bytes()
-            + self.scratch_sends.capacity() * size_of::<Downcall>()
-            + self.scratch_upcalls.capacity() * size_of::<GossipUpcall>()
     }
 
     /// Hardened-confirm retry counters summed across every plane.
     pub fn confirm_retry_stats(&self) -> lifting_core::ConfirmRetryStats {
         let mut total = lifting_core::ConfirmRetryStats::default();
         for plane in &self.planes {
-            let stats = plane.verification.verifier.confirm_retry_stats();
+            let stats = plane.verifier.confirm_retry_stats();
             total.timeouts += stats.timeouts;
             total.resends += stats.resends;
             total.aborts += stats.aborts;
@@ -196,14 +321,9 @@ impl NodeStack {
     }
 
     /// Runs one gossip tick: every subscribed plane runs its propose phase in
-    /// stream order — the adversary may reshape each dissemination plane
-    /// first, the gossip layer runs the phase, its upcalls drive the plane's
-    /// verification layer — and fabricated blames (if the adversary spams the
-    /// reputation plane) are appended once, last.
-    ///
-    /// Downcall order within a plane mirrors the pre-multistream runtime
-    /// exactly: verification traffic (acks, timers) first, then the propose
-    /// sends, then (after all planes) adversarial extras.
+    /// stream order — the adversary may reshape the plane first — and
+    /// fabricated blames (if the adversary spams the reputation plane) are
+    /// appended once, last.
     pub fn on_gossip_tick(
         &mut self,
         me: NodeId,
@@ -211,135 +331,64 @@ impl NodeStack {
         directory: &Directory,
         out: &mut Vec<Downcall>,
     ) {
-        let mut gossip_sends = std::mem::take(&mut self.scratch_sends);
-        let mut upcalls = std::mem::take(&mut self.scratch_upcalls);
         for plane in &mut self.planes {
             if !directory.is_subscribed(me, plane.stream) {
                 continue; // not this node's channel
             }
-            let mut env = LayerEnv {
-                me,
-                stream: plane.stream,
-                now,
-                directory,
-                rng: &mut self.rng,
-                upcalls_consumed: plane.verification.is_enabled(),
-            };
-            self.adversary.on_gossip_tick(
-                plane.stream,
-                plane.gossip.node.period(),
-                &mut plane.gossip.node,
-            );
-            self.adversary.retune_membership(
-                plane.stream,
-                plane.gossip.node.period(),
-                &mut plane.gossip.selector,
-            );
-            plane
-                .gossip
-                .on_tick(&mut env, &mut gossip_sends, &mut upcalls);
-            for upcall in upcalls.drain(..) {
-                plane.verification.on_gossip_upcall(&mut env, upcall, out);
-            }
-            out.append(&mut gossip_sends);
+            let period = plane.gossip.period();
+            self.adversary
+                .on_gossip_tick(plane.stream, period, &mut plane.gossip);
+            self.adversary
+                .retune_membership(plane.stream, period, &mut plane.selector);
+            plane.on_tick(me, now, directory, &mut self.rng, out);
         }
-        let mut env = LayerEnv {
-            me,
-            stream: StreamId::PRIMARY,
-            now,
-            directory,
-            rng: &mut self.rng,
-            upcalls_consumed: true,
-        };
-        for blame in self.adversary.fabricate_blames(&mut env) {
-            out.push(Downcall::Blame(blame));
-        }
-        self.scratch_sends = gossip_sends;
-        self.scratch_upcalls = upcalls;
+        let fabricated = self
+            .adversary
+            .fabricate_blames(me, directory, &mut self.rng);
+        out.extend(fabricated.into_iter().map(Downcall::Blame));
     }
 
     /// Routes one delivered message into the stack: gossip and verification
     /// traffic goes to the plane of the stream it belongs to (derived from
     /// the chunk identities it carries), blames to the shared reputation
-    /// plane.
+    /// plane. (`me` and `directory` are unused here and in
+    /// [`on_timer`](Self::on_timer): the three entry points share one shape.)
     pub fn on_message(
         &mut self,
-        me: NodeId,
+        _me: NodeId,
         from: NodeId,
         message: Message,
         now: SimTime,
-        directory: &Directory,
+        _directory: &Directory,
         out: &mut Vec<Downcall>,
     ) {
-        let mut gossip_sends = std::mem::take(&mut self.scratch_sends);
-        let mut upcalls = std::mem::take(&mut self.scratch_upcalls);
         match message {
-            Message::Gossip(gossip_message) => {
-                let stream = gossip_message.stream().unwrap_or(StreamId::PRIMARY);
-                let plane = &mut self.planes[stream.index()];
-                let mut env = LayerEnv {
-                    me,
-                    stream,
-                    now,
-                    directory,
-                    rng: &mut self.rng,
-                    upcalls_consumed: plane.verification.is_enabled(),
-                };
-                plane.gossip.on_inbound(
-                    &mut env,
-                    from,
-                    gossip_message,
-                    &mut gossip_sends,
-                    &mut upcalls,
-                );
-                for upcall in upcalls.drain(..) {
-                    plane.verification.on_gossip_upcall(&mut env, upcall, out);
-                }
-                out.append(&mut gossip_sends);
+            Message::Gossip(inbound) => {
+                let stream = inbound.stream().unwrap_or(StreamId::PRIMARY);
+                self.planes[stream.index()].on_gossip(from, inbound, now, &mut self.rng, out);
             }
             Message::Verification(VerificationMessage::Blame(blame)) => {
                 self.reputation.apply_blame(blame.target, blame.value);
             }
-            Message::Verification(verification_message) => {
-                let stream = verification_message.stream().unwrap_or(StreamId::PRIMARY);
-                let plane = &mut self.planes[stream.index()];
-                let mut env = LayerEnv {
-                    me,
-                    stream,
-                    now,
-                    directory,
-                    rng: &mut self.rng,
-                    upcalls_consumed: plane.verification.is_enabled(),
-                };
-                plane
-                    .verification
-                    .on_inbound(&mut env, from, verification_message, out);
+            Message::Verification(inbound) => {
+                let stream = inbound.stream().unwrap_or(StreamId::PRIMARY);
+                self.planes[stream.index()].on_verification(from, inbound, now, &mut self.rng, out);
             }
         }
-        self.scratch_sends = gossip_sends;
-        self.scratch_upcalls = upcalls;
     }
 
     /// A verifier timer owned by one of this node's planes expired.
     pub fn on_timer(
         &mut self,
-        me: NodeId,
+        _me: NodeId,
         stream: StreamId,
         timer: VerifierTimer,
         now: SimTime,
-        directory: &Directory,
+        _directory: &Directory,
         out: &mut Vec<Downcall>,
     ) {
         let plane = &mut self.planes[stream.index()];
-        let mut env = LayerEnv {
-            me,
-            stream,
-            now,
-            directory,
-            rng: &mut self.rng,
-            upcalls_consumed: plane.verification.is_enabled(),
-        };
-        plane.verification.on_timer(&mut env, timer, out);
+        plane.verifier.on_timer_into(timer, now, out);
     }
 }
 
@@ -348,29 +397,149 @@ mod tests {
     use super::*;
     use crate::layers::{Freerider, Honest, SelectiveFreerider};
     use lifting_core::CollusionConfig;
-    use lifting_gossip::FreeriderConfig;
+    use lifting_gossip::{Chunk, FreeriderConfig};
     use lifting_sim::derive_rng;
 
     fn stack(id: u32, adversary: Box<dyn Adversary>) -> NodeStack {
+        stack_with_lifting(id, adversary, true)
+    }
+
+    fn stack_with_lifting(id: u32, adversary: Box<dyn Adversary>, lifting: bool) -> NodeStack {
         NodeStack::new(
             NodeId::new(id),
             GossipConfig::planetlab(),
             LiftingConfig::planetlab(),
-            true,
+            lifting,
             adversary,
             derive_rng(1, id as u64),
         )
+    }
+
+    /// Delivers a proposal of chunk 9 from node 0 to node 1's stack.
+    fn deliver_propose(s: &mut NodeStack, directory: &Directory) -> Vec<Downcall> {
+        let propose = GossipMessage::Propose(ProposePayload {
+            period: 0,
+            chunks: vec![ChunkId::primary(9)].into(),
+        });
+        let mut out = Vec::new();
+        s.on_message(
+            NodeId::new(1),
+            NodeId::new(0),
+            Message::Gossip(propose),
+            SimTime::ZERO,
+            directory,
+            &mut out,
+        );
+        out
+    }
+
+    fn is_request(effect: &Downcall) -> bool {
+        let request = |m: &Message| matches!(m, Message::Gossip(GossipMessage::Request(_)));
+        matches!(effect, Downcall::Send { message, .. } if request(message))
+    }
+
+    #[test]
+    fn tick_begins_the_period_records_the_round_and_sends_proposes() {
+        let directory = Directory::new(10);
+        let mut s = stack(0, Box::new(Honest));
+        let chunk = Chunk::new(ChunkId::primary(1), 1_000, SimTime::ZERO);
+        s.planes[0].gossip.inject_source_chunk(chunk, SimTime::ZERO);
+        let mut out = Vec::new();
+        s.on_gossip_tick(NodeId::new(0), SimTime::ZERO, &directory, &mut out);
+        assert_eq!(s.primary().gossip.period(), 1);
+        // The node's own chunk owes no ack: the effects are the proposals.
+        assert_eq!(out.len(), 7, "one propose per partner at fanout 7");
+        let proposes = |m: &Message| matches!(m, Message::Gossip(GossipMessage::Propose(_)));
+        assert!(out
+            .iter()
+            .all(|d| matches!(d, Downcall::Send { message, .. } if proposes(message))));
+        // The verifier recorded the round in the accountability history.
+        assert_eq!(s.primary().verifier.history().fanout_multiset().len(), 7);
+    }
+
+    #[test]
+    fn propose_inbound_is_recorded_and_answered_with_a_request() {
+        let directory = Directory::new(10);
+        let mut s = stack(1, Box::new(Honest));
+        let out = deliver_propose(&mut s, &directory);
+        assert_eq!(out.len(), 2, "serve-check timer, then the request");
+        assert!(is_request(&out[1]));
+        assert_eq!(out[1].receiver(), Some(NodeId::new(0)));
+        // The proposal went into the fanin history (it answers audit polls).
+        assert!(s
+            .primary()
+            .verifier
+            .answer_audit_poll(NodeId::new(0), &[ChunkId::primary(9)]));
+    }
+
+    #[test]
+    fn lifting_off_plane_builds_nothing_for_the_verifier() {
+        let directory = Directory::new(10);
+        let mut s = stack_with_lifting(1, Box::new(Honest), false);
+        let out = deliver_propose(&mut s, &directory);
+        assert_eq!(out.len(), 1, "the request still goes on the wire");
+        assert!(is_request(&out[0]));
+        assert!(
+            !s.primary()
+                .verifier
+                .answer_audit_poll(NodeId::new(0), &[ChunkId::primary(9)]),
+            "no verification plane, no history"
+        );
+    }
+
+    #[test]
+    fn lifting_off_plane_arms_no_checks() {
+        // The serving side: a tick proposes the node's chunk, a partner
+        // requests it, and only the serve goes out — no ack check is armed.
+        let directory = Directory::new(10);
+        let mut s = stack_with_lifting(0, Box::new(Honest), false);
+        let chunk = Chunk::new(ChunkId::primary(1), 1_000, SimTime::ZERO);
+        s.planes[0].gossip.inject_source_chunk(chunk, SimTime::ZERO);
+        let mut out = Vec::new();
+        s.on_gossip_tick(NodeId::new(0), SimTime::ZERO, &directory, &mut out);
+        let partner = out[0].receiver().expect("a propose send");
+        out.clear();
+        let request = GossipMessage::Request(RequestPayload {
+            chunks: vec![ChunkId::primary(1)].into(),
+        });
+        s.on_message(
+            NodeId::new(0),
+            partner,
+            Message::Gossip(request),
+            SimTime::ZERO,
+            &directory,
+            &mut out,
+        );
+        let serves = |m: &Message| matches!(m, Message::Gossip(GossipMessage::Serve(_)));
+        assert!(
+            matches!(&out[..], [Downcall::Send { message, .. }] if serves(message)),
+            "disabled plane must not arm checks: {out:?}"
+        );
+        assert_eq!(s.pending_checks(), 0);
+    }
+
+    #[test]
+    fn request_sent_arms_a_serve_check_timer() {
+        let directory = Directory::new(10);
+        let mut s = stack(1, Box::new(Honest));
+        let out = deliver_propose(&mut s, &directory);
+        assert!(matches!(
+            out[0],
+            Downcall::StartTimer {
+                stream: StreamId::PRIMARY,
+                timer: VerifierTimer::ServeCheck { .. },
+                ..
+            }
+        ));
+        assert_eq!(s.pending_checks(), 1);
     }
 
     #[test]
     fn stack_wires_every_layer_with_the_same_identity() {
         let s = stack(4, Box::new(Honest));
         assert_eq!(s.id(), NodeId::new(4));
-        assert_eq!(s.primary().gossip.node.id(), NodeId::new(4));
-        assert_eq!(
-            s.primary().verification.verifier.id(),
-            s.primary().gossip.node.id()
-        );
+        assert_eq!(s.primary().gossip.id(), NodeId::new(4));
+        assert_eq!(s.primary().verifier.id(), s.primary().gossip.id());
         assert!(!s.is_freerider);
         assert_eq!(s.planes.len(), 1);
     }
@@ -390,8 +559,8 @@ mod tests {
         for (i, plane) in s.planes.iter().enumerate() {
             let stream = StreamId::new(i as u16);
             assert_eq!(plane.stream, stream);
-            assert_eq!(plane.gossip.node.stream(), stream);
-            assert_eq!(plane.verification.verifier.stream(), stream);
+            assert_eq!(plane.gossip.stream(), stream);
+            assert_eq!(plane.verifier.stream(), stream);
         }
         assert_eq!(s.plane(StreamId::new(2)).stream, StreamId::new(2));
     }
@@ -408,18 +577,8 @@ mod tests {
             2,
         );
         assert!(s.is_freerider);
-        assert!(!s
-            .plane(StreamId::new(0))
-            .gossip
-            .node
-            .behavior()
-            .is_freerider());
-        assert!(s
-            .plane(StreamId::new(1))
-            .gossip
-            .node
-            .behavior()
-            .is_freerider());
+        assert!(!s.plane(StreamId::new(0)).gossip.behavior().is_freerider());
+        assert!(s.plane(StreamId::new(1)).gossip.behavior().is_freerider());
     }
 
     #[test]
@@ -431,11 +590,11 @@ mod tests {
             }),
         );
         assert!(s.is_freerider);
-        assert!(s.primary().gossip.node.behavior().is_freerider());
+        assert!(s.primary().gossip.behavior().is_freerider());
         // Verification plane stays honest for an independent freerider.
         let collusion: &CollusionConfig = &CollusionConfig::none();
         assert_eq!(
-            s.primary().verification.verifier.config().managers,
+            s.primary().verifier.config().managers,
             LiftingConfig::planetlab().managers
         );
         assert!(!collusion.covers_up());

@@ -1,10 +1,11 @@
 //! System runner: wires the gossip protocol, the LiFTinG verification layer,
 //! the reputation managers and the simulated network into runnable scenarios.
 //!
-//! Each node is a layered protocol stack ([`layers::NodeStack`]): a gossip
-//! plane, a verification plane and a reputation plane connected by typed
-//! upcalls/downcalls (see [`layers`] and `ARCHITECTURE.md`), with
-//! misbehaviour plugged in through the [`layers::Adversary`] trait. The
+//! Each node is a protocol stack ([`layers::NodeStack`]): per stream, the
+//! sans-IO gossip and verification state machines wired directly to each
+//! other, over one reputation plane, emitting typed downcalls (see [`layers`]
+//! and `ARCHITECTURE.md`), with misbehaviour plugged in through the
+//! [`layers::Adversary`] trait. The
 //! [`SystemWorld`] owns the stacks and the event-loop glue the sans-IO
 //! protocol crates deliberately avoid: it moves messages through
 //! [`lifting_net::Network`], schedules verifier timers, routes blames to

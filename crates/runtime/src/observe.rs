@@ -70,7 +70,7 @@ impl SystemWorld {
             .iter()
             .skip(1)
             .filter(|s| self.directory.is_subscribed(s.id(), stream))
-            .map(|s| s.plane(stream).gossip.node.playout())
+            .map(|s| s.plane(stream).gossip.playout())
             .collect();
         StreamHealth::compute(
             &buffers,

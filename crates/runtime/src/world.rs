@@ -228,7 +228,7 @@ impl SystemWorld {
 
     /// True if `node` is offline due to churn (departed but not expelled).
     pub fn is_departed(&self, node: NodeId) -> bool {
-        !self.directory.is_active(node) && !self.expelled[node.index()]
+        departed(&self.directory, &self.expelled, node)
     }
 
     /// Forcibly removes `node` from the system mid-run, as a churn departure
@@ -639,7 +639,7 @@ impl SystemWorld {
             let expelled = &self.expelled;
             let comp = &self.compensation_per_stream;
             let config = &self.config;
-            let observed = |n: NodeId| directory.is_active(n) || expelled[n.index()];
+            let observed = |n: NodeId| !departed(directory, expelled, n);
             let credit = |n: NodeId| -> f64 {
                 if comp.len() == 1 {
                     comp[0]
@@ -657,8 +657,8 @@ impl SystemWorld {
             };
             for (i, stack) in self.stacks.iter_mut().enumerate() {
                 let manager = NodeId::new(i as u32);
-                if !directory.is_active(manager) && !expelled[i] {
-                    continue; // departed manager: book frozen until rejoin
+                if departed(directory, expelled, manager) {
+                    continue; // book frozen until rejoin
                 }
                 stack
                     .reputation
@@ -710,8 +710,8 @@ impl SystemWorld {
             let mut newly_voted = std::mem::take(&mut self.scratch_nodes);
             for (i, stack) in self.stacks.iter_mut().enumerate() {
                 let manager = NodeId::new(i as u32);
-                if !directory.is_active(manager) && !expelled[i] {
-                    continue; // departed manager: no votes while offline
+                if departed(directory, expelled, manager) {
+                    continue; // no votes while offline
                 }
                 newly_voted.clear();
                 stack
@@ -896,6 +896,13 @@ impl SystemWorld {
             Event::AuditTick { auditor, epoch },
         );
     }
+}
+
+/// Offline due to churn: inactive in the directory but not expelled (the one
+/// spelling of "departed"; a free function because the period end reads it
+/// while it holds the stacks mutably).
+fn departed(directory: &Directory, expelled: &[bool], node: NodeId) -> bool {
+    !directory.is_active(node) && !expelled[node.index()]
 }
 
 /// What a node-local handler may read of the world besides its own stack:

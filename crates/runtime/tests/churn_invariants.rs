@@ -9,7 +9,7 @@ use lifting_core::{Auditor, LiftingConfig};
 use lifting_gossip::{ChunkId, GossipConfig, ProposeRound};
 use lifting_membership::Directory;
 use lifting_net::{Network, NetworkConfig, TrafficCategory};
-use lifting_runtime::layers::{AuditCoordinator, AuditOutcome, Honest, NodeStack};
+use lifting_runtime::layers::{AuditCoordinator, AuditOutcome, Downcall, Honest, NodeStack};
 use lifting_runtime::{
     build_engine, run_scenario, run_scenarios_parallel, Scale, ScenarioRegistry,
 };
@@ -54,9 +54,8 @@ fn audit_with(directory: &Directory) -> (AuditOutcome, u64) {
     };
     stacks[1]
         .plane_mut(StreamId::PRIMARY)
-        .verification
         .verifier
-        .on_propose_round(&round, SimTime::ZERO);
+        .on_propose_round_into(&round, SimTime::ZERO, &mut Vec::<Downcall>::new());
     let mut network = Network::new(4, NetworkConfig::ideal(), derive_rng(2, 0));
     // Mirror directory state onto the network, as the runtime does.
     for i in 0..4u32 {
@@ -119,7 +118,6 @@ fn departed_node_stops_receiving_traffic_and_partner_slots() {
     let before = engine.world().stacks()[victim.index()]
         .primary()
         .gossip
-        .node
         .stored_chunks();
     assert!(before > 0, "the node must participate before departing");
 
@@ -131,7 +129,6 @@ fn departed_node_stops_receiving_traffic_and_partner_slots() {
     let after = engine.world().stacks()[victim.index()]
         .primary()
         .gossip
-        .node
         .stored_chunks();
     assert_eq!(
         before, after,

@@ -28,8 +28,8 @@ fn disjoint_audiences_isolate_stream_traffic() {
         let node = NodeId::new(i as u32);
         let stack = &world.stacks()[i];
         let (s0_chunks, s1_chunks) = (
-            stack.plane(S0).gossip.node.stored_chunks(),
-            stack.plane(S1).gossip.node.stored_chunks(),
+            stack.plane(S0).gossip.stored_chunks(),
+            stack.plane(S1).gossip.stored_chunks(),
         );
         if world.directory().is_subscribed(node, S0) {
             first_half_s0 += usize::from(s0_chunks > 0);
@@ -131,8 +131,8 @@ fn blames_on_one_stream_expel_from_all_streams() {
         let stack = &world.stacks()[node.index()];
         stored_at_expulsion.push((
             *node,
-            stack.plane(S0).gossip.node.stored_chunks(),
-            stack.plane(S1).gossip.node.stored_chunks(),
+            stack.plane(S0).gossip.stored_chunks(),
+            stack.plane(S1).gossip.stored_chunks(),
         ));
     }
 
@@ -144,12 +144,12 @@ fn blames_on_one_stream_expel_from_all_streams() {
     for (node, s0_before, s1_before) in stored_at_expulsion {
         let stack = &world.stacks()[node.index()];
         assert_eq!(
-            stack.plane(S0).gossip.node.stored_chunks(),
+            stack.plane(S0).gossip.stored_chunks(),
             s0_before,
             "expelled node {node} kept receiving channel 0"
         );
         assert_eq!(
-            stack.plane(S1).gossip.node.stored_chunks(),
+            stack.plane(S1).gossip.stored_chunks(),
             s1_before,
             "expelled node {node} kept receiving channel 1"
         );
