@@ -42,6 +42,9 @@ cargo test -q --workspace
 # The event queue's allocation and footprint contracts are about optimized
 # code (capacity growth, inlined pushes): pin them in release as well.
 cargo test -q --release -p lifting-sim --test zero_alloc --test queue_footprint
+# Likewise the chunk table against its naive reference model: the optimized
+# build is the one the digests and the benchmark run.
+cargo test -q --release -p lifting-gossip --test chunk_table_reference
 
 echo "==> examples smoke (quick scale)"
 # Clippy only *compiles* the examples; actually execute the two entry-point
@@ -67,10 +70,13 @@ diff -u tests/scenario_manifest.txt /tmp/scenario_names.txt || {
 echo "registry validation OK"
 
 echo "==> scenario digests (all registered scenarios, quick scale, seed 7)"
-# The outcome digest of every registered scenario is pinned: a refactor of
-# how scenarios are described, resolved or built must not move one bit of
-# any of them (the golden digests cover five sweeps; this covers the families
-# they do not, `adversary/*` and `resilience/*` included).
+# The outcome digest of every registered scenario is pinned, two columns per
+# line: column 1 is behaviour (the hash of the RunOutcome with
+# memory_per_node_bytes zeroed), column 2 is memory (mem=<that metric>). A
+# refactor of how scenarios are described, resolved or built must not move
+# either (the golden digests cover five sweeps; this covers the families they
+# do not, `adversary/*` and `resilience/*` included); a change to the layout
+# of per-node state moves column 2 only.
 # Extra arguments (`--shards K`) go to every run.
 scenario_digests() {
     for name in $(cat tests/scenario_manifest.txt); do
@@ -79,12 +85,11 @@ scenario_digests() {
 }
 scenario_digests > /tmp/scenario_digests.txt
 diff -u tests/scenario_digests.txt /tmp/scenario_digests.txt || {
-    echo "a scenario's outcome changed (a digest hashes the whole RunOutcome). Which field:"
-    echo "  at the parent commit and here, run_scenario <name> --quick --seed 7 --exporter json > {parent,change}.json"
-    echo "  diff <(grep -v '\"memory_per_node_bytes\"' parent.json) <(grep -v '\"memory_per_node_bytes\"' change.json)"
-    echo "an empty diff means only the memory metric moved (a struct or buffer changed size);"
-    echo "if the change is intended, regenerate tests/scenario_digests.txt with the loop above"
-    echo "and say which field moved and why in CHANGES.md"
+    echo "a scenario's pinned digest moved. Column 1 (0x...) is behaviour: the hash of the"
+    echo "RunOutcome with memory_per_node_bytes zeroed. Column 2 (mem=...) is memory: that metric."
+    echo "Only column 2 moved: a per-node struct or buffer changed size; if intended, regenerate"
+    echo "tests/scenario_digests.txt with the loop above and say which table moved (profile_scenario"
+    echo "prints the walk by component) in CHANGES.md. Column 1 moved: a behaviour change."
     exit 1
 }
 echo "scenario digests OK"

@@ -8,7 +8,8 @@
 //! optimization pass; keep it honest when touching the hot path.
 //!
 //! The quick run also reads out the scheduler: pending events, the heap bytes
-//! the event queue retains, and their ratio to `pending x entry size`.
+//! the event queue retains, and their ratio to `pending x entry size`; then
+//! the simulated system's estimated heap by component, as B and B/node.
 //!
 //! Flags: `--scenario NAME` picks the profiled scenario (default
 //! `headline/planetlab`); `--shards K` additionally re-runs it through the
@@ -90,6 +91,15 @@ fn headline_breakdown(base: &ScenarioConfig) -> u64 {
          ({:.2}x pending x {entry}-byte entry)",
         queue_bytes as f64 / (pending * entry).max(1) as f64
     );
+    // What the simulated system holds, by component (the capacity walk behind
+    // `memory_per_node_bytes`).
+    let nodes = base.nodes.max(1) as u64;
+    for (component, bytes) in engine.world().memory_breakdown() {
+        println!(
+            "  {component:<32} {bytes:>12} B {:>8} B/node",
+            bytes / nodes
+        );
+    }
     for (cat, stats) in &outcome.traffic.per_category {
         if stats.messages_sent > 0 {
             println!(

@@ -1,17 +1,24 @@
 //! Playout buffer and stream-health metrics (Figure 1 of the paper).
 //!
-//! Each node records when it received each chunk. Given the list of chunks
-//! the source emitted, a node "views a clear stream" at lag `L` if at least a
-//! configurable fraction of the chunks emitted during the observation window
-//! reached it within `L` of their emission. Figure 1 plots, for each lag, the
-//! fraction of nodes for which this holds.
+//! The buffer is the node's one per-chunk table on a stream: a flat `Vec` of
+//! 24-byte slots indexed by the chunk's sequence number, holding everything
+//! Section 4 lets a node know about a chunk — whether it holds it (emission
+//! metadata and first-reception time), until when an outstanding request
+//! blocks another, and whether it was already proposed (infect-and-die). The
+//! protocol side ([`GossipNode`](crate::node::GossipNode)) reaches a slot by
+//! index alone; the read-out side checks the stream as well.
+//!
+//! Given the list of chunks the source emitted, a node "views a clear stream"
+//! at lag `L` if at least a configurable fraction of the chunks emitted during
+//! the observation window reached it within `L` of their emission. Figure 1
+//! plots, for each lag, the fraction of nodes for which this holds.
 
 use lifting_sim::{SimDuration, SimTime, StreamId};
 use serde::{Deserialize, Serialize, Value};
 
 use crate::chunk::{Chunk, ChunkId};
 
-/// Reception record of one chunk.
+/// Reception record of one chunk (built from its slot on demand).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Receipt {
     /// When the source emitted the chunk.
@@ -20,13 +27,37 @@ pub struct Receipt {
     pub received_at: SimTime,
 }
 
-/// Per-node, per-stream record of chunk receptions, flat-indexed by the
-/// sequential chunk index within the stream (one array store per reception on
-/// the hot path, no hashing).
+/// The chunk is held: `emitted_at`, `size_bytes` and `at` describe it.
+const HELD: u8 = 1;
+/// The chunk was proposed, or deliberately skipped: infect-and-die.
+const PROPOSED: u8 = 2;
+
+/// Everything a node knows about one chunk index of one stream. The default
+/// (all zero, no flag) means "never heard of".
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    emitted_at: SimTime,
+    /// First-reception time once `HELD`; before that, the expiry of the
+    /// outstanding request (`SimTime::ZERO`: none). A reservation is never
+    /// read for a held chunk, so the two share the word.
+    at: SimTime,
+    size_bytes: u32,
+    flags: u8,
+}
+
+impl Slot {
+    fn held(&self) -> bool {
+        self.flags & HELD != 0
+    }
+}
+
+/// Per-node, per-stream chunk table, flat-indexed by the sequential chunk
+/// index within the stream (one array access per proposed, requested or
+/// received chunk on the hot path, no hashing).
 #[derive(Debug, Clone, Default)]
 pub struct PlayoutBuffer {
     stream: StreamId,
-    received: Vec<Option<Receipt>>,
+    slots: Vec<Slot>,
     len: usize,
 }
 
@@ -36,9 +67,9 @@ impl PlayoutBuffer {
         PlayoutBuffer::default()
     }
 
-    /// Heap bytes held by the receipt table (capacity walk, deterministic).
+    /// Heap bytes held by the slot table (capacity walk, deterministic).
     pub fn estimated_heap_bytes(&self) -> usize {
-        self.received.capacity() * std::mem::size_of::<Option<Receipt>>()
+        self.slots.capacity() * std::mem::size_of::<Slot>()
     }
 
     /// Creates an empty buffer for `stream`.
@@ -54,30 +85,75 @@ impl PlayoutBuffer {
         self.stream
     }
 
+    /// The slot of `id`, growing the table to reach it.
+    fn slot_mut(&mut self, id: ChunkId) -> &mut Slot {
+        let idx = id.index() as usize;
+        if idx >= self.slots.len() {
+            self.slots.resize(idx + 1, Slot::default());
+        }
+        &mut self.slots[idx]
+    }
+
     /// Records the reception of `chunk` at `now`. Only the first reception is
-    /// kept. Returns true if the chunk was new.
+    /// kept (a duplicate leaves the slot alone); a new chunk's reception time
+    /// replaces whatever request reservation the slot held. Returns true if
+    /// the chunk was new.
     pub fn record(&mut self, chunk: &Chunk, now: SimTime) -> bool {
         debug_assert_eq!(chunk.id.stream(), self.stream, "chunk from another plane");
-        let idx = chunk.id.index() as usize;
-        if idx >= self.received.len() {
-            self.received.resize(idx + 1, None);
-        }
-        if self.received[idx].is_some() {
+        let slot = self.slot_mut(chunk.id);
+        if slot.held() {
             return false;
         }
-        self.received[idx] = Some(Receipt {
+        *slot = Slot {
             emitted_at: chunk.emitted_at,
-            received_at: now,
-        });
+            at: now,
+            size_bytes: chunk.size_bytes,
+            flags: slot.flags | HELD,
+        };
         self.len += 1;
         true
     }
 
-    fn get(&self, id: ChunkId) -> Option<&Receipt> {
+    /// The slot at `index`, if its chunk is held.
+    fn held_slot(&self, index: u64) -> Option<&Slot> {
+        self.slots.get(index as usize).filter(|s| s.held())
+    }
+
+    /// The held chunk at `id`'s index, rebuilt from its slot.
+    pub(crate) fn chunk(&self, id: ChunkId) -> Option<Chunk> {
+        let slot = self.held_slot(id.index())?;
+        let id = ChunkId::new(self.stream, id.index());
+        Some(Chunk::new(id, slot.size_bytes, slot.emitted_at))
+    }
+
+    /// Reserves `id` for a request sent at `now` unless the chunk is held or
+    /// an earlier reservation is still live (expires after `now`). Returns
+    /// true if the chunk should be requested.
+    pub(crate) fn reserve(&mut self, id: ChunkId, now: SimTime, expiry: SimTime) -> bool {
+        let slot = self.slot_mut(id);
+        if slot.held() || slot.at > now {
+            return false;
+        }
+        slot.at = expiry;
+        true
+    }
+
+    /// Marks the held chunk `id` as proposed, returning true if it was not
+    /// yet marked.
+    pub(crate) fn mark_proposed(&mut self, id: ChunkId) -> bool {
+        let slot = &mut self.slots[id.index() as usize];
+        let fresh = slot.flags & PROPOSED == 0;
+        slot.flags |= PROPOSED;
+        fresh
+    }
+
+    /// The slot of a received chunk of this stream (the read-out side: a
+    /// chunk of another stream is not here, whatever its index).
+    fn get(&self, id: ChunkId) -> Option<&Slot> {
         if id.stream() != self.stream {
             return None;
         }
-        self.received.get(id.index() as usize)?.as_ref()
+        self.held_slot(id.index())
     }
 
     /// True if the chunk has been received.
@@ -97,8 +173,7 @@ impl PlayoutBuffer {
 
     /// Reception lag of a chunk (reception − emission), if received.
     pub fn lag_of(&self, id: ChunkId) -> Option<SimDuration> {
-        self.get(id)
-            .map(|r| r.received_at.saturating_since(r.emitted_at))
+        self.get(id).map(|s| s.at.saturating_since(s.emitted_at))
     }
 
     /// Fraction of `emitted` chunks received within `lag` of their emission.
@@ -110,7 +185,7 @@ impl PlayoutBuffer {
         let delivered = emitted
             .iter()
             .filter(|c| match self.get(c.id) {
-                Some(r) => r.received_at.saturating_since(c.emitted_at) <= lag,
+                Some(s) => s.at.saturating_since(c.emitted_at) <= lag,
                 None => false,
             })
             .count();
@@ -126,21 +201,18 @@ impl PlayoutBuffer {
 
 impl Serialize for PlayoutBuffer {
     fn to_json_value(&self) -> Value {
-        // Same `[[chunk, receipt], ...]` (key-sorted) shape the map rendered.
-        Value::Array(
-            self.received
-                .iter()
-                .enumerate()
-                .filter_map(|(i, r)| {
-                    r.map(|r| {
-                        Value::Array(vec![
-                            ChunkId::new(self.stream, i as u64).to_json_value(),
-                            r.to_json_value(),
-                        ])
-                    })
-                })
-                .collect(),
-        )
+        // Same `[[chunk, receipt], ...]` (key-sorted) shape the map rendered,
+        // held chunks only.
+        let held = self.slots.iter().enumerate().filter(|(_, s)| s.held());
+        let pair = |(i, slot): (usize, &Slot)| {
+            let receipt = Receipt {
+                emitted_at: slot.emitted_at,
+                received_at: slot.at,
+            };
+            let id = ChunkId::new(self.stream, i as u64);
+            Value::Array(vec![id.to_json_value(), receipt.to_json_value()])
+        };
+        Value::Array(held.map(pair).collect())
     }
 }
 
@@ -195,7 +267,7 @@ impl StreamHealth {
             node_lags.extend(emitted.iter().filter_map(|c| {
                 buffer
                     .get(c.id)
-                    .map(|r| r.received_at.saturating_since(c.emitted_at))
+                    .map(|s| s.at.saturating_since(c.emitted_at))
             }));
             node_lags.sort_unstable();
             for (i, lag) in lags.iter().enumerate() {
@@ -252,6 +324,33 @@ mod tests {
         );
         assert_eq!(buf.len(), 1);
         assert!(buf.contains(ChunkId::primary(1)));
+    }
+
+    #[test]
+    fn a_slot_is_24_bytes() {
+        // The per-chunk, per-plane cost of a run; O(run length x nodes).
+        assert_eq!(std::mem::size_of::<Slot>(), 24);
+    }
+
+    #[test]
+    fn a_reservation_blocks_until_it_expires_and_never_outlives_the_chunk() {
+        let mut buf = PlayoutBuffer::new();
+        let (id, c) = (ChunkId::primary(3), chunk(3, 100));
+        let ms = SimTime::from_millis;
+        assert!(buf.reserve(id, ms(0), ms(500)));
+        assert!(!buf.reserve(id, ms(499), ms(999)), "still reserved");
+        assert!(buf.reserve(id, ms(500), ms(1_000)), "expired at 500");
+        assert!(!buf.contains(id) && buf.chunk(id).is_none() && buf.is_empty());
+        // The reception time takes the reservation's place...
+        assert!(buf.record(&c, ms(600)));
+        assert!(!buf.reserve(id, ms(2_000), ms(2_500)), "held");
+        assert_eq!(buf.chunk(id), Some(c));
+        // ...and neither a duplicate nor a later proposal disturbs it.
+        assert!(!buf.record(&c, ms(900)));
+        assert_eq!(buf.lag_of(id), Some(SimDuration::from_millis(500)));
+        assert!(buf.mark_proposed(id));
+        assert!(!buf.mark_proposed(id), "infect-and-die");
+        assert_eq!(buf.lag_of(id), Some(SimDuration::from_millis(500)));
     }
 
     #[test]

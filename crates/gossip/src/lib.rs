@@ -11,6 +11,10 @@
 //! The crate is written sans-IO: [`node::GossipNode`] is a pure state machine
 //! whose methods return the messages to send; `lifting-runtime` moves them
 //! through the simulated network, and unit tests drive them directly.
+//! Everything a node knows about a chunk — held since when, requested until
+//! when, already proposed — is one 24-byte slot of its
+//! [`buffer::PlayoutBuffer`], indexed by the chunk's sequence number
+//! (`tests/chunk_table_reference.rs` checks it against a naive model).
 //!
 //! Freerider behaviours from Section 4 of the paper are first-class:
 //! [`behavior::Behavior`] captures the degree of freeriding

@@ -1,11 +1,13 @@
 //! The three-phase gossip state machine (sans-IO).
 //!
-//! [`GossipNode`] holds everything a node knows about the stream: the chunks
-//! it stores, which chunks are "fresh" (received since its last propose phase,
-//! grouped by the node that served them), what it offered to whom, and its
-//! playout buffer. Its methods implement the propose/request/serve phases and
-//! return the data the runtime must put on the wire; they never perform I/O
-//! themselves, which keeps the protocol unit-testable without a network.
+//! [`GossipNode`] holds everything a node knows about the stream: its playout
+//! buffer — the one per-chunk table: what it holds and since when, what it
+//! has requested and until when, what it has already proposed — which chunks
+//! are "fresh" (received since its last propose phase, grouped by the node
+//! that served them) and what it offered to whom. Its methods implement the
+//! propose/request/serve phases and return the data the runtime must put on
+//! the wire; they never perform I/O themselves, which keeps the protocol
+//! unit-testable without a network.
 
 use std::sync::Arc;
 
@@ -39,87 +41,18 @@ pub struct ProposeRound {
     pub dropped_sources: Vec<NodeId>,
 }
 
-/// Internal record of a proposal sent to one partner, kept to validate the
-/// subsequent request ("nodes only serve chunks that were effectively
-/// proposed").
-#[derive(Debug, Clone)]
-struct OutstandingOffer {
-    /// Period of the proposal; kept for debugging and future pruning policies.
-    #[allow(dead_code)]
-    period: u64,
-    /// Shared with the round that produced the offer (refcount, not copy).
-    chunks: Arc<[ChunkId]>,
-}
-
-/// Chunk-indexed store: chunk ids are assigned sequentially by the broadcast
-/// source, so a flat `Vec` indexed by id replaces hashing entirely on the
-/// store/duplicate-check path (the hottest lookups of a run).
-#[derive(Debug, Default)]
-struct ChunkStore {
-    slots: Vec<Option<Chunk>>,
-    len: usize,
-}
-
-impl ChunkStore {
-    #[inline]
-    fn contains(&self, id: ChunkId) -> bool {
-        matches!(self.slots.get(id.index() as usize), Some(Some(_)))
-    }
-
-    #[inline]
-    fn get(&self, id: ChunkId) -> Option<Chunk> {
-        self.slots.get(id.index() as usize).copied().flatten()
-    }
-
-    /// Inserts `chunk`, returning true if it was new.
-    fn insert(&mut self, chunk: Chunk) -> bool {
-        let idx = chunk.id.index() as usize;
-        if idx >= self.slots.len() {
-            self.slots.resize(idx + 1, None);
-        }
-        if self.slots[idx].is_some() {
-            return false;
-        }
-        self.slots[idx] = Some(chunk);
-        self.len += 1;
-        true
-    }
-}
-
-/// Dense bitset over sequential chunk ids (infect-and-die marker).
-#[derive(Debug, Default)]
-struct ChunkIdSet {
-    words: Vec<u64>,
-}
-
-impl ChunkIdSet {
-    /// Marks `id`, returning true if it was not yet marked.
-    fn insert(&mut self, id: ChunkId) -> bool {
-        let idx = id.index() as usize;
-        let (word, bit) = (idx / 64, idx % 64);
-        if word >= self.words.len() {
-            self.words.resize(word + 1, 0);
-        }
-        let mask = 1u64 << bit;
-        let fresh = self.words[word] & mask == 0;
-        self.words[word] |= mask;
-        fresh
-    }
-}
-
 /// The three-phase gossip protocol state of one node **on one stream**.
 ///
 /// A multi-channel node runs one `GossipNode` per stream it subscribes to:
-/// chunk stores, infect-and-die markers, offers and the playout buffer are
-/// all plane-local, flat-indexed by the chunk's per-stream sequence number.
+/// the playout buffer (held chunks, request reservations, infect-and-die
+/// markers — flat-indexed by the chunk's per-stream sequence number) and the
+/// offers are all plane-local.
 #[derive(Debug)]
 pub struct GossipNode {
     id: NodeId,
     stream: StreamId,
     config: GossipConfig,
     behavior: Behavior,
-    /// All chunks this node holds, flat-indexed by id.
-    store: ChunkStore,
     /// Chunks received since the last propose phase, grouped by serving node.
     ///
     /// Deliberately *not* flat-indexed: [`begin_propose_round`] walks this
@@ -129,22 +62,22 @@ pub struct GossipNode {
     ///
     /// [`begin_propose_round`]: GossipNode::begin_propose_round
     fresh_by_source: DetHashMap<NodeId, Vec<ChunkId>>,
-    /// Chunks already proposed (or deliberately skipped): infect-and-die.
-    proposed: ChunkIdSet,
-    /// Latest proposal sent to each partner: `(partner id, offer)` pairs
-    /// sorted by partner id. A node only ever holds one live offer per
-    /// distinct partner it has gossiped with, so this stays O(partners seen);
-    /// the earlier partner-id-indexed vector made every node's gossip state
-    /// O(world size), an O(n²) memory bill across the population.
-    offers_out: Vec<(u32, OutstandingOffer)>,
-    /// Per-chunk expiry of an outstanding request, flat-indexed by chunk id;
-    /// a chunk counts as requested while its entry is after "now", which
-    /// replaces the old map's insert/expire/remove cycle with plain stores
-    /// (avoids requesting the same chunk from two proposers in one period).
-    requested_until: Vec<SimTime>,
+    /// Latest proposal sent to each partner, kept to validate the subsequent
+    /// request ("nodes only serve chunks that were effectively proposed"):
+    /// `(partner id, chunk list)` pairs sorted by partner id, the list shared
+    /// with the round that produced it (refcount, not copy). A node only ever
+    /// holds one live offer per distinct partner it has gossiped with, so
+    /// this stays O(partners seen); the earlier partner-id-indexed vector
+    /// made every node's gossip state O(world size), an O(n²) memory bill
+    /// across the population.
+    offers_out: Vec<(u32, Arc<[ChunkId]>)>,
     /// Gossip-period counter (increments every propose phase).
     period: u64,
-    /// Playout record for stream-health metrics.
+    /// The per-chunk table: every chunk this node holds (served from here,
+    /// read out for stream health), the expiry of each outstanding request
+    /// (a chunk counts as requested while its expiry is after "now": avoids
+    /// requesting the same chunk from two proposers in one period) and the
+    /// infect-and-die marks.
     playout: PlayoutBuffer,
     /// Count of serve messages sent (contribution metric).
     chunks_served: u64,
@@ -172,11 +105,8 @@ impl GossipNode {
             stream,
             config,
             behavior,
-            store: ChunkStore::default(),
             fresh_by_source: DetHashMap::default(),
-            proposed: ChunkIdSet::default(),
             offers_out: Vec::new(),
-            requested_until: Vec::new(),
             period: 0,
             playout: PlayoutBuffer::for_stream(stream),
             chunks_served: 0,
@@ -226,7 +156,7 @@ impl GossipNode {
 
     /// Number of chunks this node holds.
     pub fn stored_chunks(&self) -> usize {
-        self.store.len
+        self.playout.len()
     }
 
     /// Number of chunks this node has served so far (its contribution).
@@ -239,19 +169,16 @@ impl GossipNode {
         self.period
     }
 
-    /// Heap bytes held by this plane's gossip state: chunk store slots, the
-    /// infect-and-die bitset, outstanding offers, request expiries and the
-    /// playout buffer. A deterministic capacity walk (no allocator queries),
-    /// so the number is identical across worker counts and shard counts;
-    /// shared `Arc` chunk lists are attributed to every holder, making this a
-    /// slight over-estimate rather than an audit.
+    /// Heap bytes held by this plane's gossip state: the playout buffer's
+    /// chunk table, outstanding offers and the fresh lists. A deterministic
+    /// capacity walk (no allocator queries), so the number is identical
+    /// across worker counts and shard counts; shared `Arc` chunk lists are
+    /// attributed to every holder, making this a slight over-estimate rather
+    /// than an audit.
     pub fn estimated_heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        let mut bytes = self.store.slots.capacity() * size_of::<Option<Chunk>>()
-            + self.proposed.words.capacity() * size_of::<u64>()
-            + self.offers_out.capacity() * size_of::<(u32, OutstandingOffer)>()
-            + self.requested_until.capacity() * size_of::<SimTime>()
-            + self.playout.estimated_heap_bytes();
+        let mut bytes = self.playout.estimated_heap_bytes()
+            + self.offers_out.capacity() * size_of::<(u32, Arc<[ChunkId]>)>();
         bytes += self
             .fresh_by_source
             .capacity()
@@ -259,8 +186,8 @@ impl GossipNode {
         for fresh in self.fresh_by_source.values() {
             bytes += fresh.capacity() * size_of::<ChunkId>();
         }
-        for (_, offer) in &self.offers_out {
-            bytes += offer.chunks.len() * size_of::<ChunkId>();
+        for (_, offered) in &self.offers_out {
+            bytes += offered.len() * size_of::<ChunkId>();
         }
         bytes
     }
@@ -274,10 +201,9 @@ impl GossipNode {
     /// Injects a chunk produced locally (the broadcast source calls this).
     /// The chunk is recorded as served by the node itself.
     pub fn inject_source_chunk(&mut self, chunk: Chunk, now: SimTime) {
-        if !self.store.insert(chunk) {
+        if !self.playout.record(&chunk, now) {
             return;
         }
-        self.playout.record(&chunk, now);
         self.fresh_by_source
             .entry(self.id)
             .or_default()
@@ -326,13 +252,13 @@ impl GossipNode {
                 dropped_sources.push(source);
                 // Infect-and-die still applies: the chunks are never proposed.
                 for id in ids {
-                    self.proposed.insert(id);
+                    self.playout.mark_proposed(id);
                 }
                 continue;
             }
             let mut kept: Vec<ChunkId> = Vec::with_capacity(ids.len());
             for id in ids {
-                if self.proposed.insert(id) {
+                if self.playout.mark_proposed(id) {
                     kept.push(id);
                     chunks.push(id);
                 }
@@ -351,15 +277,11 @@ impl GossipNode {
 
         for partner in &partners {
             let idx = partner.index() as u32;
-            let offer = OutstandingOffer {
-                period: this_period,
-                chunks: chunks.clone(),
-            };
             // Partners repeat across periods; insertion of a new partner is
             // rare, so the sorted pair vector stays cheap to maintain.
             match self.offers_out.binary_search_by_key(&idx, |(i, _)| *i) {
-                Ok(pos) => self.offers_out[pos].1 = offer,
-                Err(pos) => self.offers_out.insert(pos, (idx, offer)),
+                Ok(pos) => self.offers_out[pos].1 = chunks.clone(),
+                Err(pos) => self.offers_out.insert(pos, (idx, chunks.clone())),
             }
         }
 
@@ -379,17 +301,9 @@ impl GossipNode {
         let expiry = now + self.config.gossip_period;
         let mut wanted = Vec::new();
         for id in chunks {
-            let idx = id.index() as usize;
-            if idx >= self.requested_until.len() {
-                self.requested_until.resize(idx + 1, SimTime::ZERO);
+            if self.playout.reserve(*id, now, expiry) {
+                wanted.push(*id);
             }
-            // An entry after "now" is a live reservation; anything else has
-            // expired (or never existed) and may be requested again.
-            if self.store.contains(*id) || self.requested_until[idx] > now {
-                continue;
-            }
-            self.requested_until[idx] = expiry;
-            wanted.push(*id);
         }
         wanted
     }
@@ -413,7 +327,7 @@ impl GossipNode {
         let mut valid: Vec<ChunkId> = requested
             .iter()
             .copied()
-            .filter(|id| offer.chunks.contains(id))
+            .filter(|id| offer.contains(id))
             .collect();
         valid.dedup();
         let to_serve = self.behavior.effective_serve(valid.len(), rng);
@@ -422,7 +336,10 @@ impl GossipNode {
             let idx = rng.gen_range(0..valid.len());
             valid.swap_remove(idx);
         }
-        let served: Vec<Chunk> = valid.iter().filter_map(|id| self.store.get(*id)).collect();
+        let served: Vec<Chunk> = valid
+            .iter()
+            .filter_map(|id| self.playout.chunk(*id))
+            .collect();
         self.chunks_served += served.len() as u64;
         served
     }
@@ -430,13 +347,10 @@ impl GossipNode {
     /// Handles an incoming serve of `chunk` from `from`. Returns true if the
     /// chunk was new to this node.
     pub fn on_serve(&mut self, from: NodeId, chunk: Chunk, now: SimTime) -> bool {
-        if let Some(expiry) = self.requested_until.get_mut(chunk.id.index() as usize) {
-            *expiry = SimTime::ZERO; // clear the reservation
-        }
-        if !self.store.insert(chunk) {
+        // A new chunk's reception time replaces its request reservation.
+        if !self.playout.record(&chunk, now) {
             return false;
         }
-        self.playout.record(&chunk, now);
         self.fresh_by_source.entry(from).or_default().push(chunk.id);
         true
     }
@@ -560,6 +474,32 @@ mod tests {
             SimTime::from_secs(2),
         );
         assert_eq!(wanted3, vec![ChunkId::primary(5)]);
+    }
+
+    #[test]
+    fn a_thousand_chunks_cost_one_slot_each() {
+        use std::mem::size_of;
+        let mut rng = derive_rng(9, 0);
+        let mut b = honest(1);
+        for i in 0..1000 {
+            let id = ChunkId::primary(i);
+            assert_eq!(b.on_propose(NodeId::new(0), &[id], SimTime::ZERO), [id]);
+            assert!(b.on_serve(NodeId::new(0), chunk(i), SimTime::from_millis(10)));
+        }
+        let partners = vec![NodeId::new(2), NodeId::new(3)];
+        let round = b
+            .begin_propose_round(SimTime::from_millis(500), partners, &mut rng)
+            .unwrap();
+        assert_eq!(round.chunks.len(), 1000);
+        // One table per chunk index (grown by doubling to 1024 slots), and
+        // nothing else left but the two offers sharing the round's list.
+        let offers = b.offers_out.capacity() * size_of::<(u32, Arc<[ChunkId]>)>()
+            + 2 * 1000 * size_of::<ChunkId>();
+        assert!(
+            b.estimated_heap_bytes() <= 24 * 1024 + offers,
+            "{} B",
+            b.estimated_heap_bytes()
+        );
     }
 
     #[test]

@@ -613,15 +613,22 @@ impl OutcomeExporter for DigestExporter {
         "digest"
     }
     fn export(&self, scenario: &str, _eta: f64, outcome: &RunOutcome) -> String {
-        // FNV-1a over the canonical JSON rendering: a stable content hash
-        // (the golden-digest tests pin the same idea over the raw fields).
-        let rendered = serde_json::to_string(outcome).unwrap_or_default();
+        // Column 1 is behaviour: FNV-1a over the canonical JSON rendering
+        // with the memory metric zeroed (the golden-digest tests pin the same
+        // idea over the raw fields). Column 2 is memory: the one field a
+        // layout change of per-node state moves.
+        let behaviour = RunOutcome {
+            memory_per_node_bytes: 0.0,
+            ..outcome.clone()
+        };
+        let rendered = serde_json::to_string(&behaviour).unwrap_or_default();
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
         for byte in rendered.as_bytes() {
             hash ^= *byte as u64;
             hash = hash.wrapping_mul(0x100_0000_01b3);
         }
-        format!("{scenario}: 0x{hash:016x}")
+        let mem = outcome.memory_per_node_bytes;
+        format!("{scenario}: 0x{hash:016x} mem={mem}")
     }
 }
 
@@ -638,7 +645,7 @@ pub fn exporter_components() -> &'static ComponentRegistry<Box<dyn OutcomeExport
             ),
             (
                 "digest",
-                "FNV-1a content hash of the outcome (regression pinning)",
+                "FNV-1a content hash of the outcome, then mem=<bytes/node> (regression pinning)",
             ),
         ] {
             let component: Box<dyn Component<Box<dyn OutcomeExporter>>> = match entry.0 {

@@ -292,22 +292,6 @@ impl NodeStack {
             .sum()
     }
 
-    /// Heap bytes held by this node's whole protocol state: every stream
-    /// plane's gossip and verification structures plus the shared manager
-    /// book. A deterministic capacity walk — identical across worker and
-    /// shard counts — feeding the `memory_per_node_bytes` metric.
-    pub fn estimated_heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let planes: usize = self
-            .planes
-            .iter()
-            .map(|p| p.gossip.estimated_heap_bytes() + p.verifier.estimated_heap_bytes())
-            .sum();
-        planes
-            + self.planes.capacity() * size_of::<StreamPlane>()
-            + self.reputation.estimated_heap_bytes()
-    }
-
     /// Hardened-confirm retry counters summed across every plane.
     pub fn confirm_retry_stats(&self) -> lifting_core::ConfirmRetryStats {
         let mut total = lifting_core::ConfirmRetryStats::default();
@@ -351,15 +335,12 @@ impl NodeStack {
     /// Routes one delivered message into the stack: gossip and verification
     /// traffic goes to the plane of the stream it belongs to (derived from
     /// the chunk identities it carries), blames to the shared reputation
-    /// plane. (`me` and `directory` are unused here and in
-    /// [`on_timer`](Self::on_timer): the three entry points share one shape.)
+    /// plane.
     pub fn on_message(
         &mut self,
-        _me: NodeId,
         from: NodeId,
         message: Message,
         now: SimTime,
-        _directory: &Directory,
         out: &mut Vec<Downcall>,
     ) {
         match message {
@@ -380,11 +361,9 @@ impl NodeStack {
     /// A verifier timer owned by one of this node's planes expired.
     pub fn on_timer(
         &mut self,
-        _me: NodeId,
         stream: StreamId,
         timer: VerifierTimer,
         now: SimTime,
-        _directory: &Directory,
         out: &mut Vec<Downcall>,
     ) {
         let plane = &mut self.planes[stream.index()];
@@ -416,18 +395,16 @@ mod tests {
     }
 
     /// Delivers a proposal of chunk 9 from node 0 to node 1's stack.
-    fn deliver_propose(s: &mut NodeStack, directory: &Directory) -> Vec<Downcall> {
+    fn deliver_propose(s: &mut NodeStack) -> Vec<Downcall> {
         let propose = GossipMessage::Propose(ProposePayload {
             period: 0,
             chunks: vec![ChunkId::primary(9)].into(),
         });
         let mut out = Vec::new();
         s.on_message(
-            NodeId::new(1),
             NodeId::new(0),
             Message::Gossip(propose),
             SimTime::ZERO,
-            directory,
             &mut out,
         );
         out
@@ -459,9 +436,8 @@ mod tests {
 
     #[test]
     fn propose_inbound_is_recorded_and_answered_with_a_request() {
-        let directory = Directory::new(10);
         let mut s = stack(1, Box::new(Honest));
-        let out = deliver_propose(&mut s, &directory);
+        let out = deliver_propose(&mut s);
         assert_eq!(out.len(), 2, "serve-check timer, then the request");
         assert!(is_request(&out[1]));
         assert_eq!(out[1].receiver(), Some(NodeId::new(0)));
@@ -474,9 +450,8 @@ mod tests {
 
     #[test]
     fn lifting_off_plane_builds_nothing_for_the_verifier() {
-        let directory = Directory::new(10);
         let mut s = stack_with_lifting(1, Box::new(Honest), false);
-        let out = deliver_propose(&mut s, &directory);
+        let out = deliver_propose(&mut s);
         assert_eq!(out.len(), 1, "the request still goes on the wire");
         assert!(is_request(&out[0]));
         assert!(
@@ -502,14 +477,7 @@ mod tests {
         let request = GossipMessage::Request(RequestPayload {
             chunks: vec![ChunkId::primary(1)].into(),
         });
-        s.on_message(
-            NodeId::new(0),
-            partner,
-            Message::Gossip(request),
-            SimTime::ZERO,
-            &directory,
-            &mut out,
-        );
+        s.on_message(partner, Message::Gossip(request), SimTime::ZERO, &mut out);
         let serves = |m: &Message| matches!(m, Message::Gossip(GossipMessage::Serve(_)));
         assert!(
             matches!(&out[..], [Downcall::Send { message, .. }] if serves(message)),
@@ -520,9 +488,8 @@ mod tests {
 
     #[test]
     fn request_sent_arms_a_serve_check_timer() {
-        let directory = Directory::new(10);
         let mut s = stack(1, Box::new(Honest));
-        let out = deliver_propose(&mut s, &directory);
+        let out = deliver_propose(&mut s);
         assert!(matches!(
             out[0],
             Downcall::StartTimer {
@@ -608,7 +575,6 @@ mod tests {
         s.reputation.register(target);
         let mut out = Vec::new();
         s.on_message(
-            NodeId::new(1),
             NodeId::new(2),
             Message::Verification(VerificationMessage::Blame(Blame::new(
                 target,
@@ -616,7 +582,6 @@ mod tests {
                 BlameReason::MissingAck,
             ))),
             SimTime::ZERO,
-            &Directory::new(4),
             &mut out,
         );
         assert!(out.is_empty(), "booking a blame puts nothing on the wire");

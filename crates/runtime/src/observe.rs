@@ -80,15 +80,30 @@ impl SystemWorld {
         )
     }
 
-    /// Estimated heap bytes of the whole simulated system's protocol state:
-    /// every stack, the network's link tables, the directory, the manager
-    /// assignment and the world-level dense columns. A deterministic capacity
-    /// walk (no allocator queries), so the figure is bit-identical across
-    /// worker counts and shard counts; executor scratch is deliberately
-    /// excluded — it belongs to the runner, not to the simulated system.
-    pub fn estimated_memory_bytes(&self) -> u64 {
+    /// Estimated heap bytes of the whole simulated system's protocol state,
+    /// by component: every stack's tables, the network's link tables, the
+    /// directory, the manager assignment and the world-level dense columns. A
+    /// deterministic capacity walk (no allocator queries), so the figures are
+    /// bit-identical across worker counts and shard counts; executor scratch
+    /// is deliberately excluded — it belongs to the runner, not to the
+    /// simulated system. Shared `Arc` chunk lists are charged to every holder.
+    pub fn memory_breakdown(&self) -> Vec<(&'static str, u64)> {
+        use crate::layers::{NodeStack, StreamPlane};
         use std::mem::size_of;
-        let stacks: usize = self.stacks.iter().map(|s| s.estimated_heap_bytes()).sum();
+        let (mut chunks, mut offers, mut checks, mut history, mut books) = (0, 0, 0, 0, 0);
+        let mut inline = self.stacks.capacity() * size_of::<NodeStack>();
+        for stack in &self.stacks {
+            for plane in &stack.planes {
+                let table = plane.gossip.playout().estimated_heap_bytes();
+                chunks += table;
+                offers += plane.gossip.estimated_heap_bytes() - table;
+                let log = plane.verifier.history().estimated_heap_bytes();
+                history += log;
+                checks += plane.verifier.estimated_heap_bytes() - log;
+            }
+            books += stack.reputation.estimated_heap_bytes();
+            inline += stack.planes.capacity() * size_of::<StreamPlane>();
+        }
         let emitted: usize = self
             .emitted
             .iter()
@@ -99,19 +114,33 @@ impl SystemWorld {
             .iter()
             .map(|v| v.capacity() * size_of::<NodeId>())
             .sum();
-        (stacks
-            + self.stacks.capacity() * size_of::<crate::layers::NodeStack>()
-            + self.network.estimated_heap_bytes()
-            + self.directory.estimated_heap_bytes()
-            + self.assignment.estimated_heap_bytes()
-            + self.hot.estimated_heap_bytes()
+        let columns = self.hot.estimated_heap_bytes()
             + emitted
             + voters
             + self.expulsion_voters.capacity() * size_of::<Vec<NodeId>>()
             + self.blame_counts.capacity() * size_of::<u64>()
             + self.blame_values.capacity() * size_of::<f64>()
             + self.expelled.capacity()
-            + self.partition_holds.capacity()) as u64
+            + self.partition_holds.capacity();
+        [
+            ("chunk tables", chunks),
+            ("offers and fresh lists", offers),
+            ("verifier check tables", checks),
+            ("history", history),
+            ("score books", books),
+            ("inline NodeStack / StreamPlane", inline),
+            ("links", self.network.estimated_heap_bytes()),
+            ("directory", self.directory.estimated_heap_bytes()),
+            ("assignment", self.assignment.estimated_heap_bytes()),
+            ("world columns", columns),
+        ]
+        .map(|(name, bytes)| (name, bytes as u64))
+        .to_vec()
+    }
+
+    /// The sum of [`memory_breakdown`](Self::memory_breakdown).
+    pub fn estimated_memory_bytes(&self) -> u64 {
+        self.memory_breakdown().iter().map(|(_, bytes)| bytes).sum()
     }
 
     /// [`estimated_memory_bytes`](Self::estimated_memory_bytes) divided by

@@ -943,7 +943,7 @@ pub(crate) fn handle_local(
             out.push(Downcall::NextGossipTick);
         }
         Event::Deliver { from, message, .. } => {
-            stack.on_message(node, from, message, now, view.directory, out);
+            stack.on_message(from, message, now, out);
         }
         Event::Timer {
             stream,
@@ -951,7 +951,7 @@ pub(crate) fn handle_local(
             epoch,
             ..
         } if current(epoch) && view.lifting_on => {
-            stack.on_timer(node, stream, timer, now, view.directory, out);
+            stack.on_timer(stream, timer, now, out);
         }
         Event::GossipTick { .. } | Event::Timer { .. } => {} // stale session
         _ => unreachable!("only node-local events reach the node-local handler"),

@@ -105,11 +105,11 @@ fn run_script(lifting_enabled: bool) -> (Vec<Step>, NodeStack) {
     let t = SimTime::from_millis;
 
     // Set-up: obtain chunk 1 from node 2, so the tick owes node 2 an ack.
-    stack.on_message(ME, server, gossip(propose(1)), t(0), &directory, &mut out);
+    stack.on_message(server, gossip(propose(1)), t(0), &mut out);
     log.close("propose-1", &mut out);
     let chunk = Chunk::new(ChunkId::primary(1), 1_000, SimTime::ZERO);
     let serve = GossipMessage::Serve(ServePayload { chunk });
-    stack.on_message(ME, server, gossip(serve), t(50), &directory, &mut out);
+    stack.on_message(server, gossip(serve), t(50), &mut out);
     log.close("serve-1", &mut out);
 
     // The tick: acks for the forwarded chunk, then the proposals.
@@ -131,21 +131,14 @@ fn run_script(lifting_enabled: bool) -> (Vec<Step>, NodeStack) {
     let requester = partners[0];
 
     // A proposal for a chunk this node does not hold (never served).
-    stack.on_message(
-        ME,
-        silent_proposer,
-        gossip(propose(2)),
-        t(210),
-        &directory,
-        &mut out,
-    );
+    stack.on_message(silent_proposer, gossip(propose(2)), t(210), &mut out);
     log.close("propose-2", &mut out);
 
     // A partner requests the chunk it was just proposed.
     let request = GossipMessage::Request(RequestPayload {
         chunks: vec![ChunkId::primary(1)].into(),
     });
-    stack.on_message(ME, requester, gossip(request), t(220), &directory, &mut out);
+    stack.on_message(requester, gossip(request), t(220), &mut out);
     log.close("request-1", &mut out);
 
     if lifting_enabled {
@@ -156,14 +149,7 @@ fn run_script(lifting_enabled: bool) -> (Vec<Step>, NodeStack) {
             partners: witnesses.into(),
             period: 0,
         }));
-        stack.on_message(
-            ME,
-            requester,
-            Message::Verification(ack),
-            t(400),
-            &directory,
-            &mut out,
-        );
+        stack.on_message(requester, Message::Verification(ack), t(400), &mut out);
         log.close("ack", &mut out);
 
         // Another verifier polls this node as a witness.
@@ -173,18 +159,16 @@ fn run_script(lifting_enabled: bool) -> (Vec<Step>, NodeStack) {
             token: 99,
         }));
         stack.on_message(
-            ME,
             NodeId::new(9),
             Message::Verification(confirm),
             t(410),
-            &directory,
             &mut out,
         );
         log.close("confirm", &mut out);
 
         // Every timer armed so far expires, in arming order.
         for (i, timer) in log.timers.clone().into_iter().enumerate() {
-            stack.on_timer(ME, StreamId::PRIMARY, timer, t(5_000), &directory, &mut out);
+            stack.on_timer(StreamId::PRIMARY, timer, t(5_000), &mut out);
             let name = ["timer-0", "timer-1", "timer-2", "timer-3"][i];
             log.close(name, &mut out);
         }
