@@ -124,32 +124,20 @@ python3 - <<'EOF'
 import json, sys
 a = json.load(open('/tmp/summary_parallel.json'))
 b = json.load(open('/tmp/summary_sequential.json'))
-skip = {'timings_secs', 'total_wall_secs', 'workers', 'per_scale_timings', 'speedup_vs_seed'}
+skip = {'timings_secs', 'total_wall_secs', 'workers', 'per_scale_timings'}
 a = {k: v for k, v in a.items() if k not in skip}
 b = {k: v for k, v in b.items() if k not in skip}
 if a != b:
     sys.exit('parallel and sequential experiment outputs differ')
-# The churn sweep must be part of the gated suite (dynamic membership has its
-# own RNG streams; losing the section would silently un-gate them).
-if 'churn' not in a or not a['churn']:
-    sys.exit('summary is missing the churn sweep')
-# Likewise the multistream sweep: multi-channel runs add per-stream planes,
-# subscription-aware sampling and a dedicated RNG stream, all of which must
-# stay bit-deterministic under the worker pool.
-if 'multistream' not in a or not a['multistream']:
-    sys.exit('summary is missing the multistream sweep')
-# And the resilience sweep: fault injection, closed-loop adversaries and the
-# online recalibration all touch the hot path and the RNG stream layout, so
-# losing the section would silently un-gate the whole plane.
-if 'resilience' not in a or not a['resilience']:
-    sys.exit('summary is missing the resilience sweep')
-# And the workload sweep: trace-driven membership plans expand from their own
-# RNG stream and drive depart/rejoin/resubscribe events through the executor,
-# all of which must stay bit-deterministic under workers and shards.
-if 'workload' not in a or not a['workload']:
-    sys.exit('summary is missing the workload sweep')
-print('parallel and sequential outputs are identical '
-      '(churn, multistream, resilience and workload sweeps included)')
+# Every family sweep must be part of the gated suite: dynamic membership,
+# per-stream planes, fault injection, closed-loop adversaries, the online
+# recalibration and trace-driven workloads each have their own RNG streams and
+# hot-path branches, and losing a section would silently un-gate its plane.
+families = 'adversaries churn multistream resilience workload scale_sweep'.split()
+for section in families:
+    if not a.get(section):
+        sys.exit(f'summary is missing the {section} sweep')
+print(f'parallel and sequential outputs are identical ({", ".join(families)} included)')
 EOF
 
 echo "==> fault-injection smoke (quick scale)"

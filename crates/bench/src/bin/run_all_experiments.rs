@@ -5,7 +5,7 @@
 //!
 //! Flags:
 //! * `--quick` shrinks every experiment for a smoke run (the tier tracked by
-//!   the CI bench-smoke step and the speedup-vs-seed section);
+//!   the CI bench-smoke step);
 //! * `--paper` runs the paper's own operating point (300 PlanetLab nodes,
 //!   full Monte-Carlo populations) — the default;
 //! * `--both` sweeps Quick then Paper and emits per-scale timings;
@@ -22,119 +22,86 @@
 //!   recorded under `scale_tiers` in `BENCH_experiments.json`;
 //! * `--list` prints the scenario registry grouped by family, with each
 //!   scenario's resolved component composition, and exits.
+//!
+//! A bad command line (an unknown flag or tier, a flag without its value, a
+//! filter that matches no job) is reported as a usage error, exit status 2.
 
 use std::time::Instant;
 
 use lifting_bench::experiments::*;
+use lifting_bench::Usage;
 use lifting_runtime::{run_jobs_parallel, ScenarioRegistry};
 use serde_json::{json, to_value, Value};
 
-/// `total_wall_secs` of the seed revision's committed Quick-scale baseline
-/// (PR 1, single worker). The speedup-vs-seed section tracks how far the
-/// per-run hot path has moved since; the CI bench-smoke step separately
-/// guards against regressions relative to the *currently committed* snapshot.
-const SEED_QUICK_TOTAL_WALL_SECS: f64 = 2.3349774930000002;
+const USAGE: Usage = Usage(
+    "usage: run_all_experiments [--quick | --paper | --both] [--sequential] \
+     [--filter SUBSTRING] [--tier scale-heavy] | --list",
+);
 
-/// The jobs that existed in the seed revision's Quick baseline. The suite
-/// has since grown (layer_traffic, adversaries, churn, multistream,
-/// resilience, scale), so comparing the seed total against today's *full*
-/// total would report a phantom slowdown that actually measures new
-/// coverage. The speedup section therefore compares over this intersection
-/// and reports the grown suite's total separately.
-const SEED_QUICK_JOBS: [&str; 9] = [
-    "fig01",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14_pdcc_1",
-    "fig14_pdcc_05",
-    "table3",
-    "table5",
+/// The scenario-family jobs, `(summary section, registry family, seed)`:
+/// each sweeps every registered member of its family and reports one
+/// `FamilyRow` per scenario.
+const FAMILY_SECTIONS: [(&str, &str, u64); 6] = [
+    ("adversaries", "adversary", 21),
+    ("churn", "churn", 33),
+    ("multistream", "multistream", 44),
+    ("resilience", "resilience", 55),
+    ("workload", "workload", 77),
+    ("scale_sweep", "scale", 66),
 ];
 
-/// Paper-scale wall-clock of the heaviest jobs as committed by the previous
-/// revision's single-worker snapshot — the baseline the sharded-world PR's
-/// speedup is measured against (`heavy_job_speedup` in the bench snapshot).
-const PRIOR_PAPER_HEAVY_SECS: [(&str, f64); 3] = [
-    ("churn", 6.629641466),
-    ("multistream", 4.380693119),
-    ("resilience", 9.311701082999999),
-];
+/// A family job is named after its section; the `scale_sweep` section's job
+/// is plain `scale` (its `timings_secs` key, what `--filter scale` matches).
+fn family_job_name(section: &'static str) -> &'static str {
+    section.strip_suffix("_sweep").unwrap_or(section)
+}
 
 type Job = (&'static str, Box<dyn Fn() -> Value + Send + Sync>);
+
+fn job<T: serde::Serialize>(
+    name: &'static str,
+    run: impl Fn() -> T + Send + Sync + 'static,
+) -> Job {
+    (name, Box::new(move || to_value(&run())))
+}
 
 fn build_jobs(scale: Scale, heavy_scale_tier: bool) -> Vec<Job> {
     // Every experiment is a job; independent scenarios *inside* an experiment
     // fan out further through the same pool (fig01's three cases, fig12's
     // delta sweep, the table grids), and fig14's two pdcc runs are jobs of
     // their own.
-    vec![
-        (
-            "fig01",
-            Box::new(move || to_value(&fig01_stream_health(scale, 1))),
-        ),
-        (
-            "fig10",
-            Box::new(move || to_value(&fig10_wrongful_blames(scale, 10))),
-        ),
-        (
-            "fig11",
-            Box::new(move || to_value(&fig11_score_distributions(scale, 11))),
-        ),
-        (
-            "fig12",
-            Box::new(move || {
-                let (eta, points) = fig12_detection_vs_delta(scale, 12);
-                json!({ "eta": eta, "points": points })
-            }),
-        ),
-        (
-            "fig13",
-            Box::new(move || to_value(&fig13_history_entropy(scale, 13))),
-        ),
-        (
-            "fig14_pdcc_1",
-            Box::new(move || to_value(&fig14_planetlab_scores(scale, 1.0, 14))),
-        ),
-        (
-            "fig14_pdcc_05",
-            Box::new(move || to_value(&fig14_planetlab_scores(scale, 0.5, 14))),
-        ),
-        (
-            "table3",
-            Box::new(move || to_value(&table03_verification_overhead(scale, 3))),
-        ),
-        (
-            "table5",
-            Box::new(move || to_value(&table05_practical_overhead(scale, 5))),
-        ),
-        (
-            "layer_traffic",
-            Box::new(move || to_value(&layer_traffic_breakdown(scale, 30))),
-        ),
-        (
-            "adversaries",
-            Box::new(move || to_value(&adversary_showcase(scale, 21))),
-        ),
-        ("churn", Box::new(move || to_value(&churn_sweep(scale, 33)))),
-        (
-            "multistream",
-            Box::new(move || to_value(&multistream_sweep(scale, 44))),
-        ),
-        (
-            "resilience",
-            Box::new(move || to_value(&resilience_sweep(scale, 55))),
-        ),
-        (
-            "workload",
-            Box::new(move || to_value(&workload_sweep(scale, 77))),
-        ),
-        (
-            "scale",
-            Box::new(move || to_value(&scale_sweep_tier(scale, 66, heavy_scale_tier))),
-        ),
-    ]
+    let mut jobs = vec![
+        job("fig01", move || fig01_stream_health(scale, 1)),
+        job("fig10", move || fig10_wrongful_blames(scale, 10)),
+        job("fig11", move || fig11_score_distributions(scale, 11)),
+        job("fig12", move || {
+            let (eta, points) = fig12_detection_vs_delta(scale, 12);
+            json!({ "eta": eta, "points": points })
+        }),
+        job("fig13", move || fig13_history_entropy(scale, 13)),
+        job("fig14_pdcc_1", move || {
+            fig14_planetlab_scores(scale, 1.0, 14)
+        }),
+        job("fig14_pdcc_05", move || {
+            fig14_planetlab_scores(scale, 0.5, 14)
+        }),
+        job("table3", move || table03_verification_overhead(scale, 3)),
+        job("table5", move || table05_practical_overhead(scale, 5)),
+        job("layer_traffic", move || layer_traffic_breakdown(scale, 30)),
+    ];
+    for (section, family, seed) in FAMILY_SECTIONS {
+        let name = family_job_name(section);
+        // The scale family runs one population at a time behind its tier
+        // gate; every other family fans out on the pool.
+        jobs.push(if family == "scale" {
+            job(name, move || {
+                scale_sweep_tier(scale, seed, heavy_scale_tier)
+            })
+        } else {
+            job(name, move || family_sweep(family, scale, seed))
+        });
+    }
+    jobs
 }
 
 /// Recursively removes `key` from every object of a value tree — used to
@@ -187,14 +154,6 @@ fn run_suite(scale: Scale, filter: Option<&str>, heavy_scale_tier: bool) -> Suit
     let mut jobs = build_jobs(scale, heavy_scale_tier);
     if let Some(needle) = filter {
         jobs.retain(|(name, _)| name.contains(needle));
-        assert!(
-            !jobs.is_empty(),
-            "--filter {needle:?} matches no experiment; known jobs: {:?}",
-            build_jobs(scale, heavy_scale_tier)
-                .iter()
-                .map(|(n, _)| *n)
-                .collect::<Vec<_>>()
-        );
     }
     eprintln!("running all experiments at {scale:?} scale ...");
     let wall_start = Instant::now();
@@ -224,7 +183,31 @@ fn run_suite(scale: Scale, filter: Option<&str>, heavy_scale_tier: bool) -> Suit
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let switches = ["--quick", "--paper", "--both", "--sequential", "--list"];
+    if let Some(extra) = USAGE
+        .positionals(&args, &switches, &["--filter", "--tier"])
+        .first()
+    {
+        USAGE.error(format_args!("unexpected argument {extra:?}"));
+    }
+    let filter: Option<String> = USAGE.flag_value(&args, "--filter", "a substring");
+    if let Some(needle) = &filter {
+        let jobs = build_jobs(Scale::Quick, false);
+        let known: Vec<&str> = jobs.iter().map(|(name, _)| *name).collect();
+        if !known.iter().any(|name| name.contains(needle.as_str())) {
+            USAGE.error(format_args!(
+                "--filter {needle:?} matches no experiment; known jobs: {known:?}"
+            ));
+        }
+    }
+    let tier: Option<String> = USAGE.flag_value(&args, "--tier", "a tier name");
+    if let Some(tier) = tier.as_deref().filter(|tier| *tier != "scale-heavy") {
+        USAGE.error(format_args!(
+            "unknown tier {tier:?}; the only opt-in tier is scale-heavy"
+        ));
+    }
+    let heavy_scale_tier = tier.is_some();
     if args.iter().any(|a| a == "--list") {
         lifting_bench::listing::print_registry_listing();
         return;
@@ -234,22 +217,6 @@ fn main() {
     }
     let both = args.iter().any(|a| a == "--both");
     let quick_only = args.iter().any(|a| a == "--quick") && !both;
-    let filter: Option<String> = args
-        .iter()
-        .position(|a| a == "--filter")
-        .map(|i| args.get(i + 1).expect("--filter needs a substring").clone());
-    let heavy_scale_tier = args
-        .iter()
-        .position(|a| a == "--tier")
-        .map(|i| {
-            let tier = args.get(i + 1).expect("--tier needs a name");
-            assert!(
-                tier == "scale-heavy",
-                "unknown tier {tier:?}; the only opt-in tier is scale-heavy"
-            );
-            true
-        })
-        .unwrap_or(false);
     let workers = lifting_sim::worker_count(usize::MAX);
     eprintln!("experiment suite on {workers} worker(s)");
 
@@ -264,11 +231,6 @@ fn main() {
     }
     let primary = runs.last().expect("at least one scale runs");
 
-    let scenario_names: Vec<String> = ScenarioRegistry::builtin()
-        .names()
-        .iter()
-        .map(|n| n.to_string())
-        .collect();
     // One per-scale timing record, shared verbatim by the summary's
     // `per_scale_timings` and the bench snapshot's `scales` sections.
     let per_scale_timings = Value::Object(
@@ -284,104 +246,60 @@ fn main() {
             })
             .collect(),
     );
-    // The speedup-vs-seed section tracks the Quick tier (the one the seed
-    // baseline recorded); it is present whenever that tier ran. The ratio is
-    // computed over the seed-era job intersection so it keeps measuring the
-    // hot path; the full (grown) suite's total rides along for context.
-    let quick_run = runs.iter().find(|r| r.scale == Scale::Quick);
-    let speedup_vs_seed = quick_run.map(|run| {
-        let seed_jobs_secs: f64 = run
-            .results
-            .iter()
-            .filter(|(name, _, _)| SEED_QUICK_JOBS.contains(name))
-            .map(|(_, _, secs)| *secs)
-            .sum();
-        json!({
-            "seed_quick_total_wall_secs": SEED_QUICK_TOTAL_WALL_SECS,
-            "seed_jobs": SEED_QUICK_JOBS,
-            "seed_jobs_quick_secs": seed_jobs_secs,
-            "speedup": SEED_QUICK_TOTAL_WALL_SECS / seed_jobs_secs.max(1e-9),
-            "full_suite_jobs": run.results.len(),
-            "quick_total_wall_secs": run.total_secs,
-        })
-    });
-    // Paper-scale wall-clock of the heavy jobs against the previously
-    // committed single-worker snapshot — the sharded/SoA PR's measured win.
-    let paper_run = runs.iter().find(|r| r.scale == Scale::Paper);
-    let heavy_job_speedup = paper_run.map(|run| {
-        let shards: usize = std::env::var(lifting_runtime::SHARDS_ENV)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1);
-        Value::Object(
-            PRIOR_PAPER_HEAVY_SECS
-                .iter()
-                .filter_map(|(name, prior)| {
-                    let (_, _, secs) = run.results.iter().find(|(n, _, _)| n == name)?;
-                    Some((
-                        name.to_string(),
-                        json!({
-                            "prior_committed_secs": prior,
-                            "measured_secs": secs,
-                            "speedup": prior / secs.max(1e-9),
-                            "shards": shards,
-                        }),
-                    ))
-                })
-                .collect(),
-        )
-    });
-
-    let summary = if filter.is_some() {
+    let scale_tier = if heavy_scale_tier {
+        "scale-heavy"
+    } else {
+        "standard"
+    };
+    let mut sections: Vec<(&str, Value)> = vec![
+        ("scale", to_value(&format!("{:?}", primary.scale))),
+        ("workers", to_value(&workers)),
+    ];
+    if filter.is_some() {
         // Partial development summary: just the filtered jobs, flagged so it
         // is never mistaken for (or committed as) the full suite's output.
-        let mut sections: Vec<(String, Value)> = vec![
-            ("filtered".to_string(), Value::Bool(true)),
-            (
-                "scale".to_string(),
-                Value::String(format!("{:?}", primary.scale)),
-            ),
-            ("workers".to_string(), to_value(&workers)),
-        ];
+        sections.insert(0, ("filtered", Value::Bool(true)));
         for (name, value, _) in &primary.results {
-            sections.push((name.to_string(), strip_key(value, "wall_secs")));
+            sections.push((name, strip_key(value, "wall_secs")));
         }
-        sections.push(("timings_secs".to_string(), primary.timings()));
-        Value::Object(sections)
+        sections.push(("timings_secs", primary.timings()));
     } else {
-        json!({
-            "scale": format!("{:?}", primary.scale),
-            "workers": workers,
-            "scenarios": scenario_names,
-            "fig01": primary.by_name("fig01"),
-            "fig10": primary.by_name("fig10"),
-            "fig11": primary.by_name("fig11"),
-            "fig12": primary.by_name("fig12"),
-            "fig13": primary.by_name("fig13"),
-            "fig14": json!({
+        let scenario_names = ScenarioRegistry::builtin().names();
+        sections.push(("scenarios", to_value(&scenario_names)));
+        for name in ["fig01", "fig10", "fig11", "fig12", "fig13"] {
+            sections.push((name, primary.by_name(name).clone()));
+        }
+        sections.push((
+            "fig14",
+            json!({
                 "pdcc_1": primary.by_name("fig14_pdcc_1"),
                 "pdcc_05": primary.by_name("fig14_pdcc_05"),
             }),
-            "table3": primary.by_name("table3"),
-            "table5": primary.by_name("table5"),
-            "layer_traffic": primary.by_name("layer_traffic"),
-            "adversaries": primary.by_name("adversaries"),
-            "churn": primary.by_name("churn"),
-            "multistream": primary.by_name("multistream"),
-            "resilience": primary.by_name("resilience"),
-            "workload": primary.by_name("workload"),
-            "scale_sweep": strip_key(primary.by_name("scale"), "wall_secs"),
-            "scale_tier": if heavy_scale_tier { "scale-heavy" } else { "standard" },
+        ));
+        for name in ["table3", "table5", "layer_traffic"] {
+            sections.push((name, primary.by_name(name).clone()));
+        }
+        for (section, _, _) in FAMILY_SECTIONS {
+            let rows = primary.by_name(family_job_name(section));
+            sections.push((section, strip_key(rows, "wall_secs")));
+        }
+        sections.extend([
+            ("scale_tier", to_value(scale_tier)),
             // Times a sweep's η calibration fell back to the paper's −9.75
             // because its honest sample was empty; anything non-zero means a
             // reported detection rate ran against an uncalibrated threshold.
-            "eta_fallbacks": paper_eta_fallback_count(),
-            "timings_secs": primary.timings(),
-            "total_wall_secs": primary.total_secs,
-            "per_scale_timings": per_scale_timings.clone(),
-            "speedup_vs_seed": speedup_vs_seed.clone().unwrap_or(Value::Null),
-        })
-    };
+            ("eta_fallbacks", to_value(&paper_eta_fallback_count())),
+            ("timings_secs", primary.timings()),
+            ("total_wall_secs", to_value(&primary.total_secs)),
+            ("per_scale_timings", per_scale_timings.clone()),
+        ]);
+    }
+    let summary = Value::Object(
+        sections
+            .into_iter()
+            .map(|(name, value)| (name.to_string(), value))
+            .collect(),
+    );
     let path = "experiments_summary.json";
     std::fs::write(path, serde_json::to_string_pretty(&summary).unwrap()).expect("write summary");
     println!("wrote {path}");
@@ -442,31 +360,8 @@ fn main() {
         "experiments_secs": primary.timings(),
         "total_wall_secs": primary.total_secs,
         "scales": per_scale_timings,
-        "scale_tier": if heavy_scale_tier { "scale-heavy" } else { "standard" },
+        "scale_tier": scale_tier,
         "scale_tiers": scale_tiers,
-        "speedup_vs_seed": speedup_vs_seed.unwrap_or(Value::Null),
-        "heavy_job_speedup": heavy_job_speedup.unwrap_or(Value::Null),
-        "memory_per_node_bytes": primary
-            .results
-            .iter()
-            .find(|(n, _, _)| *n == "scale")
-            .map(|(_, v, _)| match v {
-                Value::Array(rows) => Value::Object(
-                    rows.iter()
-                        .filter_map(|row| {
-                            let Value::String(name) = row.get("scenario")? else {
-                                return None;
-                            };
-                            Some((
-                                name.clone(),
-                                row.get("memory_per_node_bytes")?.clone(),
-                            ))
-                        })
-                        .collect(),
-                ),
-                _ => Value::Null,
-            })
-            .unwrap_or(Value::Null),
     });
     let bench_path = "BENCH_experiments.json";
     std::fs::write(bench_path, serde_json::to_string_pretty(&bench).unwrap())

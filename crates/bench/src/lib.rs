@@ -2,9 +2,10 @@
 //!
 //! Every table and figure of the paper's evaluation has a corresponding
 //! experiment function here and a thin binary under `src/bin/` that prints the
-//! same rows/series the paper reports (see `EXPERIMENTS.md` at the repository
-//! root for the measured results). The functions are also reused by the
-//! Criterion benches in `benches/`.
+//! same rows/series the paper reports (the repository's `README.md`,
+//! "Experiment binaries → paper figures/tables" and "Scenario families", says
+//! which binary reproduces what and what `run_all_experiments` writes). The
+//! functions are also reused by the Criterion benches in `benches/`.
 //!
 //! Scale: every experiment accepts a [`Scale`]; `Scale::Paper` uses the
 //! paper's population sizes and durations, `Scale::Quick` shrinks them so the

@@ -1,5 +1,6 @@
-//! Golden-snapshot tests pinning the fig01 and fig12 quick-scale outputs
-//! bit-for-bit across refactors.
+//! Golden-snapshot tests pinning five quick-scale outputs — fig01, fig12 and
+//! the churn, multistream and workload family sweeps — bit-for-bit across
+//! refactors.
 //!
 //! The digests hash the raw IEEE-754 bit patterns of every reported number,
 //! so *any* numeric drift — a reordered RNG draw, a changed float-summation
@@ -9,8 +10,7 @@
 //! drift is the thing this file exists to catch.
 
 use lifting_bench::experiments::{
-    churn_sweep, fig01_stream_health, fig12_detection_vs_delta, multistream_sweep, workload_sweep,
-    Scale,
+    family_sweep, fig01_stream_health, fig12_detection_vs_delta, Scale,
 };
 
 /// FNV-1a over a stream of 64-bit words.
@@ -64,18 +64,18 @@ fn churn_sweep_quick_scale_is_pinned() {
     // every churn scenario's detection numbers and membership counters, so a
     // reordered RNG draw anywhere in the churn engine (plan expansion,
     // duration draws, stack rebuilds) fails this test.
-    let results = churn_sweep(Scale::Quick, 33);
+    let results = family_sweep("churn", Scale::Quick, 33);
     assert_eq!(results.len(), 5);
     let words = results.iter().flat_map(|r| {
         [
             r.detection.to_bits(),
             r.false_positives.to_bits(),
             r.expelled as u64,
-            r.sessions,
-            r.departures,
-            r.rejoins,
-            r.audits_aborted_by_departure,
-            r.offline_at_end as u64,
+            r.churn.sessions,
+            r.churn.departures,
+            r.churn.rejoins,
+            r.churn.audits_aborted_by_departure,
+            r.churn.offline_at_end as u64,
             r.final_clear_fraction.to_bits(),
         ]
     });
@@ -96,7 +96,7 @@ fn multistream_sweep_quick_scale_is_pinned() {
     // a reordered RNG draw anywhere in the per-stream planes (partner
     // selection under subscriptions, the audit plane's stream picks, offset
     // source schedules) fails this test.
-    let results = multistream_sweep(Scale::Quick, 7);
+    let results = family_sweep("multistream", Scale::Quick, 7);
     assert_eq!(results.len(), 4);
     let words = results.iter().flat_map(|r| {
         [
@@ -136,22 +136,26 @@ fn workload_sweep_quick_scale_is_pinned() {
     // draw anywhere in the workload plane (plan expansion from the dedicated
     // RNG stream, tiered capability assignment, resubscribe handling) fails
     // this test.
-    let results = workload_sweep(Scale::Quick, 21);
+    let results = family_sweep("workload", Scale::Quick, 21);
     assert_eq!(results.len(), 3);
     let words = results.iter().flat_map(|r| {
         [
             r.detection.to_bits(),
             r.false_positives.to_bits(),
             r.expelled as u64,
-            r.sessions,
-            r.departures,
-            r.rejoins,
-            r.offline_at_end as u64,
+            r.churn.sessions,
+            r.churn.departures,
+            r.churn.rejoins,
+            r.churn.offline_at_end as u64,
             r.streams as u64,
             r.final_clear_fraction.to_bits(),
         ]
         .into_iter()
-        .chain(r.per_stream_final_clear.iter().map(|x| x.to_bits()))
+        .chain(
+            r.per_stream
+                .iter()
+                .map(|s| s.final_clear_fraction.to_bits()),
+        )
         .collect::<Vec<u64>>()
     });
     let digest = fnv1a(words);

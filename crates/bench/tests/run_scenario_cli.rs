@@ -1,14 +1,20 @@
-//! `run_scenario` and `profile_scenario` report bad command lines as usage
-//! errors (exit status 2, one line plus the usage line on stderr), never as a
-//! panic — and never by silently ignoring an argument they do not know.
+//! `run_scenario`, `profile_scenario` and `run_all_experiments` report bad
+//! command lines as usage errors (exit status 2, one line plus the usage line
+//! on stderr), never as a panic — and never by silently ignoring an argument
+//! they do not know.
 
 use std::path::Path;
 use std::process::Command;
 
 fn usage_error_of_bin(bin: &str, args: &[&str]) -> String {
+    usage_error_in(Path::new("."), bin, args)
+}
+
+fn usage_error_in(cwd: &Path, bin: &str, args: &[&str]) -> String {
     let name = Path::new(bin).file_name().unwrap().to_str().unwrap();
     let out = Command::new(bin)
         .args(args)
+        .current_dir(cwd)
         .output()
         .unwrap_or_else(|e| panic!("{name} starts: {e}"));
     let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
@@ -58,6 +64,33 @@ fn profile_scenario_bad_command_lines_are_usage_errors() {
 }
 
 #[test]
+fn run_all_experiments_bad_command_lines_are_usage_errors() {
+    // Run from an empty directory: a rejected command line must not leave a
+    // summary or a bench snapshot behind.
+    let cwd = std::env::temp_dir().join(format!("run_all_cli_{}", std::process::id()));
+    std::fs::create_dir_all(&cwd).expect("scratch directory");
+    let of = |args: &[&str]| {
+        let stderr = usage_error_in(&cwd, env!("CARGO_BIN_EXE_run_all_experiments"), args);
+        assert_eq!(stderr.lines().count(), 2, "{args:?}: {stderr}");
+        stderr
+    };
+    assert!(of(&["--quick", "--filter"]).contains("--filter needs"));
+    assert!(of(&["--quick", "--tier", "bogus"]).contains("unknown tier \"bogus\""));
+    assert!(of(&["--quick", "--tier"]).contains("--tier needs"));
+    let stderr = of(&["--quick", "--filter", "no-such-job"]);
+    assert!(
+        stderr.contains("matches no experiment") && stderr.contains("multistream"),
+        "{stderr}"
+    );
+    // Like its two siblings, it no longer ignores what it does not know.
+    assert!(of(&["--qiuck"]).contains("unknown flag --qiuck"));
+    assert!(of(&["quick"]).contains("unexpected argument"));
+    let left_behind = std::fs::read_dir(&cwd).expect("scratch directory").count();
+    std::fs::remove_dir_all(&cwd).expect("scratch directory removed");
+    assert_eq!(left_behind, 0, "a rejected command line wrote to the cwd");
+}
+
+#[test]
 fn a_flag_value_is_not_mistaken_for_the_scenario_name() {
     let out = Command::new(env!("CARGO_BIN_EXE_run_scenario"))
         .args([
@@ -80,6 +113,10 @@ fn help_prints_the_usage_line_and_exits_zero() {
     for (bin, name) in [
         (env!("CARGO_BIN_EXE_run_scenario"), "run_scenario"),
         (env!("CARGO_BIN_EXE_profile_scenario"), "profile_scenario"),
+        (
+            env!("CARGO_BIN_EXE_run_all_experiments"),
+            "run_all_experiments",
+        ),
     ] {
         for flag in ["--help", "-h"] {
             let out = Command::new(bin).arg(flag).output().expect("binary starts");

@@ -101,31 +101,20 @@ impl ManagerState {
     /// credits the per-period compensation `b̃` (the expected wrongful blame
     /// computed from the loss rate, Equation 5).
     pub fn end_period(&mut self, compensation_per_period: f64) {
-        self.end_period_filtered(compensation_per_period, |_| true);
-    }
-
-    /// Churn-aware variant of [`end_period`](Self::end_period): only the
-    /// records for which `observed` returns true age. The runtime passes the
-    /// membership view here so a node that departed mid-stream neither accrues
-    /// observation periods nor collects compensation while offline — without
-    /// this, a freerider could launder its score simply by leaving (frozen `r`
-    /// with per-period credit would drift the normalized score of Equation 6
-    /// toward zero).
-    pub fn end_period_filtered(
-        &mut self,
-        compensation_per_period: f64,
-        observed: impl Fn(NodeId) -> bool,
-    ) {
-        let credit = compensation_per_period.max(0.0);
-        self.end_period_credited(|n| observed(n).then_some(credit));
+        self.end_period_credited(|_| Some(compensation_per_period));
     }
 
     /// The general period end: `credit` returns the compensation owed to
-    /// each managed node this period, or `None` to freeze the record (the
-    /// churn-aware "unobserved" case). Multi-channel runtimes credit each
-    /// node the sum of its subscribed streams' Equation 5 values — a node
-    /// watching one channel is only exposed to that channel's wrongful
-    /// blames, so it must only be compensated for them.
+    /// each managed node this period, or `None` to freeze the record. The
+    /// runtime passes the membership view here so a node that departed
+    /// mid-stream neither accrues observation periods nor collects
+    /// compensation while offline — without this, a freerider could launder
+    /// its score simply by leaving (frozen `r` with per-period credit would
+    /// drift the normalized score of Equation 6 toward zero). Multi-channel
+    /// runtimes credit each node the sum of its subscribed streams'
+    /// Equation 5 values — a node watching one channel is only exposed to
+    /// that channel's wrongful blames, so it must only be compensated for
+    /// them.
     ///
     /// Returns the number of records visited, which is always the managed
     /// count — never the world size. Scaling tests pin this so the
@@ -166,19 +155,11 @@ impl ManagerState {
     }
 
     /// Checks every managed node against the detection threshold `eta` and
-    /// marks those whose normalized score dropped below it; returns the list
-    /// of nodes newly voted for expulsion. Nodes with fewer than `min_periods`
-    /// observed periods are exempt (their score is not yet meaningful —
-    /// Section 6.2 notes that the score of a joining node is not comparable).
-    pub fn expulsion_votes(&mut self, eta: f64, min_periods: u64) -> Vec<NodeId> {
-        let mut newly = Vec::new();
-        self.expulsion_votes_into(eta, min_periods, &mut newly);
-        newly
-    }
-
-    /// Allocation-free variant of [`expulsion_votes`](Self::expulsion_votes):
-    /// appends the newly voted nodes (in ascending id order, matching the
-    /// sorted output of the owned variant) to `out`.
+    /// marks those whose normalized score dropped below it, appending the
+    /// nodes newly voted for expulsion to `out` in ascending id order. Nodes
+    /// with fewer than `min_periods` observed periods are exempt (their score
+    /// is not yet meaningful — Section 6.2 notes that the score of a joining
+    /// node is not comparable).
     pub fn expulsion_votes_into(&mut self, eta: f64, min_periods: u64, out: &mut Vec<NodeId>) {
         for (&idx, r) in self.ids.iter().zip(self.records.iter_mut()) {
             if !r.expelled && r.periods >= min_periods && r.normalized_score() < eta {
@@ -277,13 +258,16 @@ mod tests {
         m.register(young);
         m.apply_blame(young, 500.0);
         // bad has score -17, good ≈ 0, young has 0 periods.
-        let votes = m.expulsion_votes(-9.75, 5);
+        let mut votes = Vec::new();
+        m.expulsion_votes_into(-9.75, 5, &mut votes);
         assert_eq!(votes, vec![bad]);
         assert!(m.has_expelled(bad));
         assert!(!m.has_expelled(good));
         assert!(!m.has_expelled(young));
         // Votes are not emitted twice.
-        assert!(m.expulsion_votes(-9.75, 5).is_empty());
+        votes.clear();
+        m.expulsion_votes_into(-9.75, 5, &mut votes);
+        assert!(votes.is_empty());
     }
 
     #[test]
@@ -294,12 +278,12 @@ mod tests {
         m.register(online);
         m.register(departed);
         for _ in 0..10 {
-            m.end_period_filtered(5.0, |n| n == online);
+            m.end_period_credited(|n| (n == online).then_some(5.0));
         }
         assert_eq!(m.record(online).unwrap().periods, 10);
         assert_eq!(m.record(departed).unwrap().periods, 0);
         assert_eq!(m.record(departed).unwrap().compensation, 0.0);
-        // The unfiltered variant behaves exactly like an always-true filter.
+        // The unfiltered variant credits every record.
         m.end_period(5.0);
         assert_eq!(m.record(departed).unwrap().periods, 1);
     }

@@ -587,9 +587,13 @@ mod tests {
         assert!(out.is_empty(), "booking a blame puts nothing on the wire");
         s.reputation.end_period(0.0);
         assert!(s.reputation.normalized_score(target).unwrap() < -9.75);
-        assert_eq!(s.reputation.expulsion_votes(-9.75, 1), vec![target]);
+        let mut votes = Vec::new();
+        s.reputation.expulsion_votes_into(-9.75, 1, &mut votes);
+        assert_eq!(votes, vec![target]);
         // A second sweep does not re-vote.
-        assert!(s.reputation.expulsion_votes(-9.75, 1).is_empty());
+        votes.clear();
+        s.reputation.expulsion_votes_into(-9.75, 1, &mut votes);
+        assert!(votes.is_empty());
     }
 
     #[test]
