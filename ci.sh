@@ -137,7 +137,16 @@ families = 'adversaries churn multistream resilience workload scale_sweep'.split
 for section in families:
     if not a.get(section):
         sys.exit(f'summary is missing the {section} sweep')
-print(f'parallel and sequential outputs are identical ({", ".join(families)} included)')
+# The paper-claims table: every row holds unless it declares a deviation (the
+# paper_claims test checks the same rows; this checks what the binary writes).
+claims = a.get('claims') or []
+if not claims:
+    sys.exit('summary is missing the claims table')
+changed = [c['id'] for c in claims if c['holds'] == (c['deviation'] is not None)]
+if changed:
+    sys.exit(f'paper claims whose verdict changed: {changed}')
+print(f'parallel and sequential outputs are identical ({", ".join(families)} and '
+      f'{len(claims)} paper claims included)')
 EOF
 
 echo "==> fault-injection smoke (quick scale)"

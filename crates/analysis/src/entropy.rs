@@ -56,34 +56,6 @@ pub fn max_entropy(len: usize) -> f64 {
     }
 }
 
-/// Kullback–Leibler divergence `D(p ‖ q)` in bits between two discrete
-/// distributions given as (unnormalized) weights over the same support.
-///
-/// Entries where `p = 0` contribute nothing; entries where `p > 0` but `q = 0`
-/// make the divergence infinite.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths or if either sums to zero.
-pub fn kl_divergence(p: &[f64], q: &[f64]) -> f64 {
-    assert_eq!(p.len(), q.len(), "distributions must share a support");
-    let sp: f64 = p.iter().sum();
-    let sq: f64 = q.iter().sum();
-    assert!(sp > 0.0 && sq > 0.0, "distributions must not be empty");
-    let mut d = 0.0;
-    for (&pi, &qi) in p.iter().zip(q) {
-        let pi = pi / sp;
-        let qi = qi / sq;
-        if pi > 0.0 {
-            if qi == 0.0 {
-                return f64::INFINITY;
-            }
-            d += pi * (pi / qi).log2();
-        }
-    }
-    d.max(0.0)
-}
-
 /// Entropy of a freerider's fanout history when it picks colluders with
 /// probability `pm` and honest nodes with probability `1 - pm`, both uniformly
 /// within their class (Equation 7 of the paper):
@@ -99,7 +71,7 @@ pub fn kl_divergence(p: &[f64], q: &[f64]) -> f64 {
 ///
 /// Panics if `pm` is outside `[0, 1]`, if `colluders == 0`, or if
 /// `history_len <= colluders`.
-pub fn collusion_entropy(pm: f64, colluders: usize, history_len: usize) -> f64 {
+fn collusion_entropy(pm: f64, colluders: usize, history_len: usize) -> f64 {
     assert!((0.0..=1.0).contains(&pm), "pm = {pm} not in [0, 1]");
     assert!(colluders > 0, "coalition must be non-empty");
     assert!(
@@ -167,9 +139,10 @@ pub fn calibrate_gamma(
     (min - margin).max(0.0)
 }
 
-/// Numerically inverts [`collusion_entropy`] to find the maximal bias `p*m`
-/// a freerider colluding with `colluders` nodes can apply while keeping the
-/// entropy of its history at or above the threshold `gamma` (Section 6.3.2).
+/// Numerically inverts the collusion entropy of Equation 7 to find the
+/// maximal bias `p*m` a freerider colluding with `colluders` nodes can apply
+/// while keeping the entropy of its history at or above the threshold `gamma`
+/// (Section 6.3.2).
 ///
 /// Returns the largest `pm ∈ [m'/(nh·f), 1]` such that
 /// `collusion_entropy(pm) ≥ gamma`, or `None` if even the unbiased selection
@@ -234,15 +207,6 @@ mod tests {
             25f64.log2(),
             1e-9
         ));
-    }
-
-    #[test]
-    fn kl_divergence_properties() {
-        let p = [0.25, 0.25, 0.25, 0.25];
-        let q = [0.4, 0.3, 0.2, 0.1];
-        assert_eq!(kl_divergence(&p, &p), 0.0);
-        assert!(kl_divergence(&p, &q) > 0.0);
-        assert_eq!(kl_divergence(&[0.5, 0.5], &[1.0, 0.0]), f64::INFINITY);
     }
 
     #[test]

@@ -69,11 +69,6 @@ impl FreeridingDegree {
     pub fn gain(&self) -> f64 {
         1.0 - (1.0 - self.delta1) * (1.0 - self.delta2) * (1.0 - self.delta3)
     }
-
-    /// True if all components are zero.
-    pub fn is_honest(&self) -> bool {
-        self.delta1 == 0.0 && self.delta2 == 0.0 && self.delta3 == 0.0
-    }
 }
 
 impl Default for FreeridingDegree {
@@ -139,12 +134,6 @@ impl ProtocolParams {
     pub fn expected_blame_cross_checking(&self) -> f64 {
         let pr = self.pr;
         pr * pr * (1.0 - pr.powi(self.requested as i32 + 4)) * self.f() * self.f()
-    }
-
-    /// Expected wrongful blame from the **a-posteriori cross-check** over a
-    /// history of `nh` gossip periods (Equation 4): `b̃_apcc = (1 - pr)·nh·f`.
-    pub fn expected_blame_a_posteriori(&self, history_periods: usize) -> f64 {
-        (1.0 - self.pr) * history_periods as f64 * self.f()
     }
 
     /// Total expected wrongful blame per gossip period applied to an honest
@@ -306,21 +295,11 @@ mod tests {
     }
 
     #[test]
-    fn a_posteriori_blame_is_linear_in_history() {
-        let p = ProtocolParams::new(12, 4, 0.9);
-        let b50 = p.expected_blame_a_posteriori(50);
-        let b100 = p.expected_blame_a_posteriori(100);
-        assert!(close(b100, 2.0 * b50, 1e-9));
-        assert!(close(b50, 0.1 * 50.0 * 12.0, 1e-9));
-    }
-
-    #[test]
     fn no_loss_means_no_wrongful_blame() {
         let p = ProtocolParams::new(7, 4, 1.0);
         assert!(close(p.expected_wrongful_blame(), 0.0, 1e-12));
         assert!(close(p.expected_blame_direct_verification(), 0.0, 1e-12));
         assert!(close(p.expected_blame_cross_checking(), 0.0, 1e-12));
-        assert!(close(p.expected_blame_a_posteriori(50), 0.0, 1e-12));
     }
 
     #[test]

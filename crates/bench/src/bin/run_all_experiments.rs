@@ -1,7 +1,8 @@
 //! Runs every experiment of the paper as a parallel job queue and writes a
 //! JSON summary (with per-experiment wall-clock timings) to
 //! `experiments_summary.json`, plus a timing snapshot to
-//! `BENCH_experiments.json` for the performance trajectory.
+//! `BENCH_experiments.json` for the performance trajectory, and prints the
+//! paper's claims (`lifting_bench::claims`) as a markdown table.
 //!
 //! Flags:
 //! * `--quick` shrinks every experiment for a smoke run (the tier tracked by
@@ -26,8 +27,10 @@
 //! A bad command line (an unknown flag or tier, a flag without its value, a
 //! filter that matches no job) is reported as a usage error, exit status 2.
 
+use std::any::Any;
 use std::time::Instant;
 
+use lifting_bench::claims::{self, Evidence};
 use lifting_bench::experiments::*;
 use lifting_bench::Usage;
 use lifting_runtime::{run_jobs_parallel, ScenarioRegistry};
@@ -56,28 +59,35 @@ fn family_job_name(section: &'static str) -> &'static str {
     section.strip_suffix("_sweep").unwrap_or(section)
 }
 
-type Job = (&'static str, Box<dyn Fn() -> Value + Send + Sync>);
+/// A job's result: rendered for the summary, and kept typed for the claims.
+type Output = (Value, Box<dyn Any + Send>);
 
-fn job<T: serde::Serialize>(
+type Job = (&'static str, Box<dyn Fn() -> Output + Send + Sync>);
+
+fn job<T: serde::Serialize + Send + 'static>(
     name: &'static str,
     run: impl Fn() -> T + Send + Sync + 'static,
 ) -> Job {
-    (name, Box::new(move || to_value(&run())))
+    (
+        name,
+        Box::new(move || {
+            let result = run();
+            (to_value(&result), Box::new(result))
+        }),
+    )
 }
 
 fn build_jobs(scale: Scale, heavy_scale_tier: bool) -> Vec<Job> {
-    // Every experiment is a job; independent scenarios *inside* an experiment
-    // fan out further through the same pool (fig01's three cases, fig12's
-    // delta sweep, the table grids), and fig14's two pdcc runs are jobs of
-    // their own.
+    // Every experiment is a job, seeded with its figure or table number (as
+    // `claims::Evidence::run` seeds the ones it reads); independent scenarios
+    // *inside* an experiment fan out further through the same pool (fig01's
+    // three cases, fig12's delta sweep, the table grids), and fig14's two pdcc
+    // runs are jobs of their own.
     let mut jobs = vec![
         job("fig01", move || fig01_stream_health(scale, 1)),
         job("fig10", move || fig10_wrongful_blames(scale, 10)),
         job("fig11", move || fig11_score_distributions(scale, 11)),
-        job("fig12", move || {
-            let (eta, points) = fig12_detection_vs_delta(scale, 12);
-            json!({ "eta": eta, "points": points })
-        }),
+        job("fig12", move || fig12_detection_vs_delta(scale, 12)),
         job("fig13", move || fig13_history_entropy(scale, 13)),
         job("fig14_pdcc_1", move || {
             fig14_planetlab_scores(scale, 1.0, 14)
@@ -125,26 +135,51 @@ fn strip_key(value: &Value, key: &str) -> Value {
 /// Results of one full sweep at one scale.
 struct SuiteRun {
     scale: Scale,
-    /// `(name, figure/table value, seconds)` per experiment, in job order.
-    results: Vec<(&'static str, Value, f64)>,
+    /// `(name, figure/table value, typed result, seconds)` per experiment, in
+    /// job order.
+    results: Vec<(&'static str, Value, Box<dyn Any + Send>, f64)>,
     total_secs: f64,
 }
 
 impl SuiteRun {
     fn by_name(&self, name: &str) -> &Value {
-        &self
-            .results
+        &self.result(name).1
+    }
+
+    fn result(&self, name: &str) -> &(&'static str, Value, Box<dyn Any + Send>, f64) {
+        self.results
             .iter()
-            .find(|(n, _, _)| *n == name)
+            .find(|(n, ..)| *n == name)
             .expect("known experiment name")
-            .1
+    }
+
+    /// The typed result of job `name`.
+    fn typed<T: Clone + 'static>(&self, name: &str) -> T {
+        self.result(name)
+            .2
+            .downcast_ref::<T>()
+            .expect("job result of the expected type")
+            .clone()
+    }
+
+    /// The results the claims table reads.
+    fn evidence(&self) -> Evidence {
+        Evidence {
+            fig10: self.typed("fig10"),
+            fig11: self.typed("fig11"),
+            fig12: self.typed("fig12"),
+            fig13: self.typed("fig13"),
+            fig14: self.typed("fig14_pdcc_1"),
+            table3: self.typed("table3"),
+            table5: self.typed("table5"),
+        }
     }
 
     fn timings(&self) -> Value {
         Value::Object(
             self.results
                 .iter()
-                .map(|(name, _, secs)| (name.to_string(), Value::Float(*secs)))
+                .map(|(name, .., secs)| (name.to_string(), Value::Float(*secs)))
                 .collect(),
         )
     }
@@ -157,7 +192,7 @@ fn run_suite(scale: Scale, filter: Option<&str>, heavy_scale_tier: bool) -> Suit
     }
     eprintln!("running all experiments at {scale:?} scale ...");
     let wall_start = Instant::now();
-    let results: Vec<(Value, f64)> = run_jobs_parallel(jobs.len(), |i| {
+    let results: Vec<(Output, f64)> = run_jobs_parallel(jobs.len(), |i| {
         let (name, run) = &jobs[i];
         eprintln!("[{}/{}] {scale:?}/{name} ...", i + 1, jobs.len());
         let start = Instant::now();
@@ -176,7 +211,7 @@ fn run_suite(scale: Scale, filter: Option<&str>, heavy_scale_tier: bool) -> Suit
         results: jobs
             .iter()
             .zip(results)
-            .map(|((name, _), (value, secs))| (*name, value, secs))
+            .map(|((name, _), ((value, typed), secs))| (*name, value, typed, secs))
             .collect(),
         total_secs,
     }
@@ -246,6 +281,7 @@ fn main() {
             })
             .collect(),
     );
+    let claims = filter.is_none().then(|| claims::table(&primary.evidence()));
     let scale_tier = if heavy_scale_tier {
         "scale-heavy"
     } else {
@@ -259,7 +295,7 @@ fn main() {
         // Partial development summary: just the filtered jobs, flagged so it
         // is never mistaken for (or committed as) the full suite's output.
         sections.insert(0, ("filtered", Value::Bool(true)));
-        for (name, value, _) in &primary.results {
+        for (name, value, ..) in &primary.results {
             sections.push((name, strip_key(value, "wall_secs")));
         }
         sections.push(("timings_secs", primary.timings()));
@@ -279,6 +315,7 @@ fn main() {
         for name in ["table3", "table5", "layer_traffic"] {
             sections.push((name, primary.by_name(name).clone()));
         }
+        sections.push(("claims", to_value(&claims)));
         for (section, _, _) in FAMILY_SECTIONS {
             let rows = primary.by_name(family_job_name(section));
             sections.push((section, strip_key(rows, "wall_secs")));
@@ -312,8 +349,8 @@ fn main() {
     let scale_tiers = primary
         .results
         .iter()
-        .find(|(n, _, _)| *n == "scale")
-        .map(|(_, v, _)| {
+        .find(|(n, ..)| *n == "scale")
+        .map(|(_, v, ..)| {
             let mut standard: Vec<(String, Value)> = Vec::new();
             let mut heavy: Vec<(String, Value)> = Vec::new();
             if let Value::Array(rows) = v {
@@ -368,28 +405,8 @@ fn main() {
         .expect("write bench snapshot");
     println!("wrote {bench_path}");
 
-    let pick = |v: &Value, keys: &[&str]| -> f64 {
-        let mut cur = v.clone();
-        for k in keys {
-            cur = match k.parse::<usize>() {
-                Ok(i) => cur.get_index(i).cloned().unwrap_or(Value::Null),
-                Err(_) => cur.get(k).cloned().unwrap_or(Value::Null),
-            };
-        }
-        cur.as_f64().unwrap_or(0.0)
-    };
-    if filter.is_none() {
-        println!(
-            "headlines: fig10 σ = {:.1} (paper 25.6); fig11 detection = {:.2}; \
-             fig13 p*m = {:.2} (paper 0.21); fig14 detection@30s = {:.2} (paper 0.86)",
-            pick(primary.by_name("fig10"), &["std_dev"]),
-            pick(primary.by_name("fig11"), &["detection"]),
-            pick(primary.by_name("fig13"), &["max_bias_25_colluders"]),
-            pick(
-                primary.by_name("fig14_pdcc_1"),
-                &["snapshots", "1", "detection"]
-            ),
-        );
+    if let Some(claims) = &claims {
+        print!("{}", claims::markdown(claims));
     }
     for run in &runs {
         println!(

@@ -2,9 +2,9 @@
 
 use lifting_analysis::entropy::calibrate_gamma;
 use lifting_analysis::{
-    calibrate_threshold, detection_rate, ecdf, false_positive_rate, max_undetectable_bias,
-    shannon_entropy, uniform_selection_entropy, BlameModel, FreeridingDegree, GaussianMixture,
-    Histogram, ProtocolParams, Summary,
+    calibrate_threshold, detection_rate, ecdf, false_positive_rate, max_entropy, shannon_entropy,
+    uniform_selection_entropy, BlameModel, FreeridingDegree, GaussianMixture, Histogram,
+    ProtocolParams, Summary,
 };
 use lifting_core::ConfirmRetryStats;
 use lifting_runtime::{
@@ -106,9 +106,9 @@ pub fn fig01_stream_health(scale: Scale, seed: u64) -> Vec<HealthCurve> {
 pub struct WrongfulBlameResult {
     /// Expected wrongful blame per period from Equation 5 (the compensation).
     pub expected_compensation: f64,
-    /// Mean of the compensated scores (paper: ≈ 0, < 0.01 in absolute value).
+    /// Mean of the compensated scores.
     pub mean_score: f64,
-    /// Standard deviation of the compensated scores (paper: 25.6).
+    /// Standard deviation of the compensated scores.
     pub std_dev: f64,
     /// Histogram bin centers.
     pub bin_centers: Vec<f64>,
@@ -140,6 +140,13 @@ pub fn fig10_wrongful_blames(scale: Scale, seed: u64) -> WrongfulBlameResult {
 // ---------------------------------------------------------------------------
 // Figure 11 — score distributions with 10 % freeriders, Δ = (0.1, 0.1, 0.1).
 // ---------------------------------------------------------------------------
+
+/// Gossip periods a Monte-Carlo score population is observed for before it
+/// is judged (Figures 11 and 12: `r = 50`).
+pub const SCORE_PERIODS: usize = 50;
+
+/// Figure 11's freeriders deviate by `δ1 = δ2 = δ3 = 0.1`.
+pub const FIG11_DELTA: f64 = 0.1;
 
 /// Result of the Figure 11 experiment.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -173,8 +180,8 @@ pub fn fig11_score_distributions(scale: Scale, seed: u64) -> ScoreDistributionRe
     let samples = model.population_scores(
         honest_n,
         freerider_n,
-        FreeridingDegree::uniform(0.1),
-        50,
+        FreeridingDegree::uniform(FIG11_DELTA),
+        SCORE_PERIODS,
         seed,
     );
     let grid: Vec<f64> = (-50..=10).map(|x| x as f64).collect();
@@ -196,6 +203,15 @@ pub fn fig11_score_distributions(scale: Scale, seed: u64) -> ScoreDistributionRe
 // Figure 12 — detection probability and gain vs. degree of freeriding.
 // ---------------------------------------------------------------------------
 
+/// The Figure 12 sweep: the calibrated threshold and one point per δ.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct DetectionSweep {
+    /// The threshold η, calibrated for β ≤ 1 % on the honest population.
+    pub eta: f64,
+    /// One point per δ = 0, 0.01, …, 0.20.
+    pub points: Vec<DetectionPoint>,
+}
+
 /// One row of the Figure 12 sweep.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct DetectionPoint {
@@ -211,10 +227,10 @@ pub struct DetectionPoint {
 
 /// Figure 12: detection probability α and bandwidth gain as functions of the
 /// degree of freeriding δ, with the threshold η calibrated for β < 1 %.
-pub fn fig12_detection_vs_delta(scale: Scale, seed: u64) -> (f64, Vec<DetectionPoint>) {
+pub fn fig12_detection_vs_delta(scale: Scale, seed: u64) -> DetectionSweep {
     let honest_n = scale.pick(5_000, 1_000);
     let freerider_n = scale.pick(2_000, 400);
-    let periods = 50;
+    let periods = SCORE_PERIODS;
     let params = ProtocolParams::simulation_defaults();
     let model = BlameModel::new(params, 1.0);
     let honest = model
@@ -236,7 +252,7 @@ pub fn fig12_detection_vs_delta(scale: Scale, seed: u64) -> (f64, Vec<DetectionP
             false_positives: false_positive_rate(&honest, eta),
         }
     });
-    (eta, points)
+    DetectionSweep { eta, points }
 }
 
 // ---------------------------------------------------------------------------
@@ -252,22 +268,22 @@ pub struct EntropyResult {
     pub fanin: Summary,
     /// The maximum reachable entropy log2(nh·f).
     pub max_entropy: f64,
-    /// The threshold calibrated from the samples (paper: γ = 8.95).
+    /// The threshold γ calibrated from the samples.
     pub calibrated_gamma: f64,
-    /// Maximum undetectable collusion bias p*m for γ = 8.95 and m' = 25
-    /// (paper: ≈ 21 %).
-    pub max_bias_25_colluders: f64,
     /// Entropy of a maximally biased colluder's history (for reference).
     pub biased_entropy_example: f64,
 }
 
-/// Figure 13 and the Equation 7 analysis: entropy distribution of honest
-/// fanout/fanin histories in a 10,000-node system with `nh·f = 600`, the
-/// calibrated threshold γ, and the maximal undetectable collusion bias.
+/// Entries of an audited history, `nh·f = 50 · 12` (Figure 13, Equation 7).
+pub const HISTORY_ENTRIES: usize = 600;
+
+/// Figure 13: entropy distribution of honest fanout/fanin histories in a
+/// 10,000-node system with `nh·f` = [`HISTORY_ENTRIES`], and the threshold γ
+/// calibrated from it.
 pub fn fig13_history_entropy(scale: Scale, seed: u64) -> EntropyResult {
     let samples = scale.pick(2_000, 300);
     let population = 10_000;
-    let entries = 600;
+    let entries = HISTORY_ENTRIES;
     let fanout = uniform_selection_entropy(entries, population, samples, seed);
     // The fanin multiset has the same law but a Poisson-distributed size with
     // mean nh·f; sampling with ±10 % jitter reproduces the wider spread of
@@ -292,9 +308,8 @@ pub fn fig13_history_entropy(scale: Scale, seed: u64) -> EntropyResult {
     EntropyResult {
         fanout: Summary::of(&fanout),
         fanin: Summary::of(&fanin),
-        max_entropy: (entries as f64).log2(),
+        max_entropy: max_entropy(entries),
         calibrated_gamma: gamma,
-        max_bias_25_colluders: max_undetectable_bias(8.95, 25, entries).unwrap_or(0.0),
         biased_entropy_example: shannon_entropy(biased),
     }
 }
@@ -714,13 +729,12 @@ mod tests {
         let fig11 = fig11_score_distributions(Scale::Quick, 2);
         assert!(fig11.detection > fig11.false_positives);
 
-        let (eta, fig12) = fig12_detection_vs_delta(Scale::Quick, 3);
-        assert!(eta < 0.0);
-        assert!(fig12.last().unwrap().detection > 0.9);
+        let fig12 = fig12_detection_vs_delta(Scale::Quick, 3);
+        assert!(fig12.eta < 0.0);
+        assert!(fig12.points.last().unwrap().detection > 0.9);
 
         let fig13 = fig13_history_entropy(Scale::Quick, 4);
         assert!(fig13.fanout.mean > 9.0);
-        assert!((fig13.max_bias_25_colluders - 0.21).abs() < 0.03);
         assert!(fig13.biased_entropy_example < fig13.calibrated_gamma);
     }
 

@@ -1,11 +1,12 @@
 //! Experiment harness of the LiFTinG reproduction.
 //!
-//! Every table and figure of the paper's evaluation has a corresponding
-//! experiment function here and a thin binary under `src/bin/` that prints the
-//! same rows/series the paper reports (the repository's `README.md`,
-//! "Experiment binaries → paper figures/tables" and "Scenario families", says
-//! which binary reproduces what and what `run_all_experiments` writes). The
-//! functions are also reused by the Criterion benches in `benches/`.
+//! [`experiments`] has one function per table and figure of the paper's
+//! evaluation plus the sweep over every registered scenario family;
+//! [`claims`] reads the paper's checkable numbers off those experiments as one
+//! table, which `run_all_experiments` prints and the `paper_claims` test
+//! checks (the repository's `README.md`, "Paper claims", holds the table, and
+//! "Scenario families" says what `run_all_experiments` writes). The functions
+//! are also reused by the Criterion benches in `benches/`.
 //!
 //! Scale: every experiment accepts a [`Scale`]; `Scale::Paper` uses the
 //! paper's population sizes and durations, `Scale::Quick` shrinks them so the
@@ -15,21 +16,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod claims;
 pub mod experiments;
 pub mod listing;
 pub mod output;
 
 pub use experiments::Scale;
-
-/// Parses the experiment scale from the process arguments (`--quick` selects
-/// the reduced scale).
-pub fn scale_from_args() -> Scale {
-    if std::env::args().any(|a| a == "--quick") {
-        Scale::Quick
-    } else {
-        Scale::Paper
-    }
-}
 
 /// A binary's usage line. A bad command line is reported through it — one
 /// line naming the problem plus the usage line on stderr, exit status 2 —

@@ -10,7 +10,7 @@
 //! drift is the thing this file exists to catch.
 
 use lifting_bench::experiments::{
-    family_sweep, fig01_stream_health, fig12_detection_vs_delta, Scale,
+    family_sweep, fig01_stream_health, fig12_detection_vs_delta, DetectionSweep, Scale,
 };
 
 /// FNV-1a over a stream of 64-bit words.
@@ -169,7 +169,7 @@ fn workload_sweep_quick_scale_is_pinned() {
 
 #[test]
 fn fig12_quick_scale_sweep_is_pinned() {
-    let (eta, points) = fig12_detection_vs_delta(Scale::Quick, 12);
+    let DetectionSweep { eta, points } = fig12_detection_vs_delta(Scale::Quick, 12);
     assert_eq!(points.len(), 21);
     let words = std::iter::once(eta.to_bits()).chain(points.iter().flat_map(|p| {
         [

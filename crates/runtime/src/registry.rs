@@ -3,8 +3,8 @@
 //! Every figure and table of the paper used to hand-roll its own
 //! `ScenarioConfig` block inside the bench binaries; the registry is the
 //! single source of truth instead. A scenario is a *named builder*
-//! `(Scale, seed) -> ScenarioConfig`, so callers (the nine experiment
-//! binaries, `run_all_experiments`, tests) ask for `"fig01/no-freeriders"`
+//! `(Scale, seed) -> ScenarioConfig`, so callers (the experiment functions
+//! of `lifting-bench`, the CLIs, tests) ask for `"fig01/no-freeriders"`
 //! rather than re-assembling the configuration.
 
 use std::sync::OnceLock;

@@ -32,8 +32,9 @@
 //! ```
 //!
 //! The experiment harness that regenerates every table and figure of the paper
-//! lives in the `lifting-bench` crate (one binary per experiment); see
-//! `EXPERIMENTS.md` at the repository root for the measured results.
+//! lives in the `lifting-bench` crate (`run_all_experiments` runs them all);
+//! the README's "Paper claims" section holds the measured results, checked
+//! against the paper's numbers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -59,19 +59,6 @@ fn detection_improves_with_the_degree_of_freeriding() {
     assert!(false_positive_rate(&honest, eta) <= 0.011);
 }
 
-#[test]
-fn paper_operating_points_hold() {
-    // b̃ = 72.95 for the Figure 10 parameters.
-    let params = ProtocolParams::simulation_defaults();
-    assert!((params.expected_wrongful_blame() - 72.95).abs() < 0.05);
-    // p*m ≈ 21 % for γ = 8.95, m' = 25, nh·f = 600 (Section 6.3.2).
-    let pm = max_undetectable_bias(8.95, 25, 600).unwrap();
-    assert!((pm - 0.21).abs() < 0.02);
-    // A 10 % bandwidth gain corresponds to δ ≈ 0.035 (Section 6.3.1).
-    let gain = FreeridingDegree::uniform(0.035).gain();
-    assert!((gain - 0.10).abs() < 0.01);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
