@@ -57,7 +57,8 @@ echo "examples smoke OK"
 echo "==> registry validation (components + scenario manifest)"
 # Every registered component of every kind (transport, loss, capability,
 # workload, adversary, exporter) must instantiate with default parameters,
-# and the scenario registry must match the committed manifest exactly — a
+# and the scenario registry must match the committed manifest and listing
+# exactly — a
 # scenario added without updating the manifest (or silently dropped by a
 # refactor) fails here before any experiment runs.
 ./target/release/run_scenario --validate-registry
@@ -65,6 +66,15 @@ echo "==> registry validation (components + scenario manifest)"
 diff -u tests/scenario_manifest.txt /tmp/scenario_names.txt || {
     echo "scenario registry diverged from tests/scenario_manifest.txt;"
     echo "regenerate with: ./target/release/run_scenario --list-names > tests/scenario_manifest.txt"
+    exit 1
+}
+# Each scenario's composition — every axis, every disturbance with its
+# parameters — is pinned too: a refactor that silently changes what a
+# scenario declares fails here.
+./target/release/run_scenario --list > /tmp/scenario_listing.txt
+diff -u tests/scenario_listing.txt /tmp/scenario_listing.txt || {
+    echo "a scenario's declared composition diverged from tests/scenario_listing.txt;"
+    echo "if intended, regenerate with: ./target/release/run_scenario --list > tests/scenario_listing.txt"
     exit 1
 }
 echo "registry validation OK"

@@ -58,37 +58,6 @@ pub fn calibrate_threshold(honest_scores: &[f64], target_beta: f64) -> Option<f6
     Some(sorted[budget.min(sorted.len() - 1)])
 }
 
-/// Robust variant of [`calibrate_threshold`] for *contaminated* samples: the
-/// lowest `trim` fraction of the scores is discarded before the β-quantile is
-/// taken. An online defence recalibrating η from the **live** population (no
-/// ground truth splitting honest from freerider scores) uses the trim to shear
-/// off the suspected-freerider tail — a coalition throttling its contribution
-/// to sit just above a static η would otherwise drag the recalibrated
-/// threshold down with it.
-///
-/// With `trim = 0` this is exactly [`calibrate_threshold`].
-///
-/// # Panics
-///
-/// Panics if `target_beta` is outside `[0, 1]`, `trim` is outside `[0, 0.5]`,
-/// or a score is NaN.
-pub fn calibrate_threshold_trimmed(scores: &[f64], target_beta: f64, trim: f64) -> Option<f64> {
-    assert!((0.0..=0.5).contains(&trim), "trim = {trim} not in [0, 0.5]");
-    assert!(
-        (0.0..=1.0).contains(&target_beta),
-        "target β = {target_beta} not in [0, 1]"
-    );
-    if scores.is_empty() {
-        return None;
-    }
-    let mut sorted: Vec<f64> = scores.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in sample"));
-    let dropped = (trim * sorted.len() as f64).floor() as usize;
-    let kept = &sorted[dropped.min(sorted.len() - 1)..];
-    let budget = (target_beta * kept.len() as f64).floor() as usize;
-    Some(kept[budget.min(kept.len() - 1)])
-}
-
 /// A robust low-outlier threshold for a *contaminated* live sample: the
 /// lowest `trim` fraction (the suspected-freerider tail) is discarded, the
 /// median and the MAD of the kept bulk estimate the honest location and
@@ -96,9 +65,9 @@ pub fn calibrate_threshold_trimmed(scores: &[f64], target_beta: f64, trim: f64) 
 /// (`1.4826 · MAD`) below the median. Scores under the returned value are
 /// low outliers relative to the honest bulk.
 ///
-/// Unlike a quantile of the kept sample ([`calibrate_threshold_trimmed`]),
-/// which by construction sits *at* the trim boundary and flags a fixed
-/// fraction of the population every period, this adapts to the bulk's
+/// Unlike a quantile of the kept sample, which by construction sits *at*
+/// the trim boundary and flags a fixed fraction of the population every
+/// period, this adapts to the bulk's
 /// spread: a tight honest cluster pushes the threshold right below itself,
 /// a diffuse one keeps it conservative. Returns `None` when the sample is
 /// empty or the bulk is degenerate (zero MAD — no scale to judge outliers
@@ -202,33 +171,6 @@ mod tests {
     #[should_panic]
     fn invalid_target_beta_panics() {
         let _ = calibrate_threshold(&[0.0], 2.0);
-    }
-
-    #[test]
-    fn trimmed_calibration_shears_off_a_contaminating_tail() {
-        // 85 honest scores near zero plus a 15-node coalition parked at -8,
-        // just above a static η of -9.75. Untrimmed, the quantile lands in
-        // the coalition cluster; with a 30% trim the threshold is calibrated
-        // on the honest bulk and rises above the coalition's perch.
-        let mut live: Vec<f64> = (0..85).map(|i| -0.02 * i as f64).collect();
-        live.extend(std::iter::repeat_n(-8.0, 15));
-        let naive = calibrate_threshold_trimmed(&live, 0.01, 0.0).unwrap();
-        assert_eq!(naive, calibrate_threshold(&live, 0.01).unwrap());
-        assert_eq!(naive, -8.0, "untrimmed: dragged down by the coalition");
-        let robust = calibrate_threshold_trimmed(&live, 0.01, 0.3).unwrap();
-        assert!(robust > -8.0, "trimmed η = {robust} should clear -8");
-        // Zero trim on a clean sample stays the exact legacy calibration.
-        let honest: Vec<f64> = (0..1000).map(|i| -20.0 + 0.02 * i as f64).collect();
-        assert_eq!(
-            calibrate_threshold_trimmed(&honest, 0.01, 0.0),
-            calibrate_threshold(&honest, 0.01)
-        );
-    }
-
-    #[test]
-    #[should_panic]
-    fn invalid_trim_panics() {
-        let _ = calibrate_threshold_trimmed(&[0.0], 0.01, 0.6);
     }
 
     #[test]

@@ -29,8 +29,7 @@ pub mod montecarlo;
 pub mod stats;
 
 pub use detection::{
-    calibrate_threshold, calibrate_threshold_trimmed, detection_rate, false_positive_rate,
-    robust_outlier_threshold,
+    calibrate_threshold, detection_rate, false_positive_rate, robust_outlier_threshold,
 };
 pub use entropy::{
     calibrate_gamma, max_entropy, max_undetectable_bias, shannon_entropy,

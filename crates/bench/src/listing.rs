@@ -7,7 +7,7 @@ use lifting_runtime::{
     adversary_components, component_summary, exporter_components, workload_components, Scale,
     ScenarioRegistry,
 };
-use lifting_sim::{ParamMap, SeedSplitter};
+use lifting_sim::{ComponentRegistry, ParamMap, SeedSplitter};
 
 /// Prints every registered scenario grouped by family, each with its
 /// description and the component composition the registry resolves it to
@@ -44,72 +44,24 @@ pub fn print_registry_names() {
 /// failure — the CI registry-validation gate. Returns the number of
 /// components validated.
 pub fn validate_component_registries() -> usize {
-    let mut validated = 0;
-    let mut check = |kind: &str, names: Vec<&'static str>, build: &mut dyn FnMut(&str)| {
-        for name in names {
-            build(name);
-            validated += 1;
-            eprintln!("  {kind}/{name} ok");
+    validate(transport_components())
+        + validate(loss_components())
+        + validate(capability_components())
+        + validate(workload_components())
+        + validate(adversary_components())
+        + validate(exporter_components())
+}
+
+/// Builds every component of one registry with default parameters.
+fn validate<P>(registry: &ComponentRegistry<P>) -> usize {
+    let kind = registry.kind();
+    for name in registry.names() {
+        if let Err(e) = registry.build(name, &ParamMap::new(), &mut SeedSplitter::new(0)) {
+            panic!("{kind}/{name} failed to build: {e}");
         }
-    };
-    let defaults = ParamMap::new();
-    check(
-        "transport",
-        transport_components().names().collect(),
-        &mut |name| {
-            let mut seeds = SeedSplitter::new(0);
-            transport_components()
-                .build(name, &defaults, &mut seeds)
-                .unwrap_or_else(|e| panic!("transport/{name} failed to build: {e}"));
-        },
-    );
-    check("loss", loss_components().names().collect(), &mut |name| {
-        let mut seeds = SeedSplitter::new(0);
-        loss_components()
-            .build(name, &defaults, &mut seeds)
-            .unwrap_or_else(|e| panic!("loss/{name} failed to build: {e}"));
-    });
-    check(
-        "capability",
-        capability_components().names().collect(),
-        &mut |name| {
-            let mut seeds = SeedSplitter::new(0);
-            capability_components()
-                .build(name, &defaults, &mut seeds)
-                .unwrap_or_else(|e| panic!("capability/{name} failed to build: {e}"));
-        },
-    );
-    check(
-        "workload",
-        workload_components().names().collect(),
-        &mut |name| {
-            let mut seeds = SeedSplitter::new(0);
-            workload_components()
-                .build(name, &defaults, &mut seeds)
-                .unwrap_or_else(|e| panic!("workload/{name} failed to build: {e}"));
-        },
-    );
-    check(
-        "adversary",
-        adversary_components().names().collect(),
-        &mut |name| {
-            let mut seeds = SeedSplitter::new(0);
-            adversary_components()
-                .build(name, &defaults, &mut seeds)
-                .unwrap_or_else(|e| panic!("adversary/{name} failed to build: {e}"));
-        },
-    );
-    check(
-        "exporter",
-        exporter_components().names().collect(),
-        &mut |name| {
-            let mut seeds = SeedSplitter::new(0);
-            exporter_components()
-                .build(name, &defaults, &mut seeds)
-                .unwrap_or_else(|e| panic!("exporter/{name} failed to build: {e}"));
-        },
-    );
-    validated
+        eprintln!("  {kind}/{name} ok");
+    }
+    registry.len()
 }
 
 #[cfg(test)]
@@ -118,8 +70,9 @@ mod tests {
 
     #[test]
     fn every_component_of_every_kind_builds_with_defaults() {
-        // 3 transports + 3 loss models + 3 capability assigners + 3 workload
-        // generators + 7 adversaries + 3 exporters.
-        assert_eq!(validate_component_registries(), 22);
+        // 3 transports + 3 loss models + 3 capability assigners + 5 workload
+        // generators (diurnal, regional-failure, zap, churn, partition-waves)
+        // + 7 adversaries + 3 exporters.
+        assert_eq!(validate_component_registries(), 24);
     }
 }

@@ -11,27 +11,24 @@
 //!   colluders that favour each other with probability `pm`, and the
 //!   round-robin colluder selection that the entropy check of Section 6.3.2 is
 //!   designed to defeat, and
-//! * deterministic **churn schedules** ([`ChurnSchedule`]): per-node
-//!   session/offline cycling plus catastrophic-failure and flash-crowd waves,
-//!   expanded into per-node plans by [`ChurnPlan`], and
-//! * trace-driven **workload generators** ([`WorkloadGenerator`]): diurnal
-//!   audience cycles, correlated regional-failure waves and zap-style channel
-//!   switching, expanded into pre-drawn [`WorkloadPlan`]s the same way.
+//! * deterministic **disturbance generators** ([`WorkloadGenerator`]):
+//!   steady churn with catastrophe and flash-crowd waves, partition waves,
+//!   diurnal audience cycles, correlated regional-failure waves and zap-style
+//!   channel switching, each expanded once into a pre-drawn [`WorkloadPlan`]
+//!   of typed edges.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod churn;
 pub mod directory;
 pub mod selector;
 pub mod workload;
 
-pub use churn::{ChurnPlan, ChurnSchedule, ChurnWave};
 pub use directory::Directory;
 pub use selector::{PartnerSelector, SelectionPolicy};
 pub use workload::{
-    DiurnalCycle, RegionalFailureWaves, WorkloadAction, WorkloadEvent, WorkloadGenerator,
-    WorkloadPlan, ZapSwitching,
+    Churn, DiurnalCycle, Edge, PartitionWaves, RegionalFailureWaves, Sessions, TimedEdge, Wave,
+    WorkloadGenerator, WorkloadPlan, ZapSwitching,
 };
 
 pub use lifting_sim::NodeId;

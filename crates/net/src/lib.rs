@@ -18,15 +18,13 @@
 //!   (practical overhead) is computed from.
 //! * Network faults can be injected deterministically: bursty
 //!   ([`LossModel::GilbertElliott`]) loss, latency spikes and duplication
-//!   ([`LinkFaults`]), and scheduled partition waves ([`FaultSchedule`] /
-//!   [`FaultPlan`]) that cut both transports — the resilience plane's
-//!   substrate.
+//!   ([`LinkFaults`]), and partition flags that cut both transports (set by
+//!   the runtime's partition waves) — the resilience plane's substrate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bandwidth;
-pub mod fault;
 pub mod latency;
 pub mod loss;
 pub mod network;
@@ -35,7 +33,6 @@ pub mod traffic;
 pub mod transport;
 
 pub use bandwidth::{NodeCapability, UplinkState};
-pub use fault::{FaultPlan, FaultSchedule, FaultWave};
 pub use latency::LatencyModel;
 pub use loss::{BurstState, LossModel};
 pub use network::{DeliveryOutcome, LinkFaults, Network, NetworkConfig};

@@ -156,7 +156,8 @@ pub struct Network {
 impl Network {
     /// Creates a network for `n` nodes with the given configuration and seed.
     pub fn new(n: usize, config: NetworkConfig, rng: SmallRng) -> Self {
-        config.faults.validate();
+        let NetworkConfig { faults, .. } = config;
+        faults.validate();
         Network {
             capabilities: vec![config.default_capability; n],
             uplinks: vec![UplinkState::new(); n],
@@ -298,7 +299,7 @@ impl Network {
 
         // A partition cuts every transport (TCP included) and both
         // directions, deterministically — no RNG is consumed, so runs
-        // without a fault plan are draw-for-draw unchanged.
+        // without partition waves are draw-for-draw unchanged.
         if self.partitioned[from.index()] || self.partitioned[to.index()] {
             return DeliveryOutcome::Lost;
         }
@@ -333,7 +334,7 @@ impl Network {
         }
         // Fault knobs consume RNG only when enabled: inert configurations
         // stay bit-identical.
-        let faults = self.config.faults;
+        let NetworkConfig { faults, .. } = self.config;
         if faults.delay_spike_probability > 0.0 && self.rng.gen_bool(faults.delay_spike_probability)
         {
             latency += faults.delay_spike;
@@ -521,15 +522,16 @@ mod tests {
 
     #[test]
     fn delay_spike_and_duplication_knobs_apply() {
+        let faults = LinkFaults {
+            delay_spike_probability: 1.0,
+            delay_spike: SimDuration::from_millis(500),
+            duplicate_probability: 1.0,
+        };
+        assert!(!faults.is_inert());
         let config = NetworkConfig {
-            faults: LinkFaults {
-                delay_spike_probability: 1.0,
-                delay_spike: SimDuration::from_millis(500),
-                duplicate_probability: 1.0,
-            },
+            faults,
             ..NetworkConfig::ideal()
         };
-        assert!(!config.faults.is_inert());
         let mut net = net(2, config);
         match net.send(
             SimTime::ZERO,

@@ -3,10 +3,10 @@
 //! audit plane.
 //!
 //! [`build_world`] resolves the scenario's components once
-//! ([`resolve_components`]) and expands the churn and workload plans once;
-//! the world keeps the adversary spawner (for stack rebuilds) and the two
-//! plans, which [`SystemWorld::initial_events`] turns into the run's first
-//! events.
+//! ([`resolve_components`]) and expands the declared disturbance generator
+//! once into its [`WorkloadPlan`]; the world keeps the adversary spawner (for
+//! stack rebuilds) and the plan, whose edges [`SystemWorld::initial_events`]
+//! turns into the run's first events.
 //!
 //! The construction order (and in particular the order of RNG derivations)
 //! is part of the determinism contract: existing scenarios must produce
@@ -18,8 +18,8 @@ use lifting_analysis::entropy::calibrate_gamma;
 use lifting_analysis::ProtocolParams;
 use lifting_core::Auditor;
 use lifting_gossip::StreamSource;
-use lifting_membership::{ChurnPlan, Directory, WorkloadAction};
-use lifting_net::{FaultPlan, Network, NodeCapability};
+use lifting_membership::{Directory, Edge, TimedEdge, WorkloadPlan};
+use lifting_net::{Network, NodeCapability};
 use lifting_reputation::ManagerAssignment;
 use lifting_sim::{derive_rng, ComponentError, NodeId, SimDuration, SimTime, StreamId};
 
@@ -27,44 +27,16 @@ use crate::components::{resolve_components, ResolvedComponents};
 use crate::layers::{AuditCoordinator, NodeStack};
 use crate::message::{Event, CHURN_EPOCH_ANY};
 use crate::scenario::ScenarioConfig;
-use crate::world::{ChurnRuntime, SystemWorld};
+use crate::world::SystemWorld;
 
-/// Deterministic RNG stream indices of the churn engine: the plan stream
-/// expands the schedule into the per-node plan; the schedule stream drives
-/// the first-departure draws; the world stream feeds the live
-/// session/offline draws as the run progresses.
-const CHURN_PLAN_STREAM: u64 = 5;
-const CHURN_SCHEDULE_STREAM: u64 = 6;
-const CHURN_WORLD_STREAM: u64 = 7;
+// Streams 5–7, 9 and 10 belong to the disturbance generators of
+// `lifting_membership::workload`.
+
 /// Fresh RNG stream for draws that only exist in multi-channel runs (the
 /// audit plane's stream picks). Single-stream scenarios never read it, so
 /// they consume exactly the streams they always did — the bit-compat
 /// contract of the multistream refactor.
 const MULTISTREAM_STREAM: u64 = 8;
-/// Fresh RNG stream for the fault plan's membership draws. Consumed only
-/// when the scenario schedules fault waves, so fault-free runs keep their
-/// exact historical stream consumption.
-const FAULT_PLAN_STREAM: u64 = 9;
-/// Fresh RNG stream for the workload plan's draws, consumed only when the
-/// scenario declares a `workload` component — every other scenario keeps its
-/// exact historical stream consumption.
-const WORKLOAD_PLAN_STREAM: u64 = 10;
-
-/// Expands the scenario's fault schedule into its pre-drawn per-wave
-/// membership (`None` when no faults are configured).
-pub(crate) fn fault_plan(config: &ScenarioConfig) -> Option<FaultPlan> {
-    config
-        .faults
-        .as_ref()
-        .filter(|schedule| !schedule.waves.is_empty())
-        .map(|schedule| {
-            FaultPlan::generate(
-                schedule,
-                config.nodes,
-                &mut derive_rng(config.seed, FAULT_PLAN_STREAM),
-            )
-        })
-}
 
 /// The multistream draw stream (consumed only when `stream_count > 1`).
 pub(crate) fn multistream_rng(seed: u64) -> rand::rngs::SmallRng {
@@ -208,66 +180,42 @@ pub fn build_world(mut config: ScenarioConfig) -> Result<SystemWorld, ComponentE
         })
         .collect();
 
-    // Membership dynamics: flash-crowd members are held offline from the
-    // start (the directory is the single source of truth for activity, and
-    // the network drops traffic of cut-off nodes); the per-node plan and the
-    // live RNG stream move into the world, which executes the schedule.
-    let mut initial_sessions = 0u64;
-    let churn = config.churn.as_ref().map(|schedule| {
-        let plan = ChurnPlan::generate(schedule, n, &mut derive_rng(seed, CHURN_PLAN_STREAM));
-        for i in 1..n {
-            if plan.starts_offline[i] {
-                let node = NodeId::new(i as u32);
-                directory.deactivate(node);
-                network.set_cut_off(node, true);
-            }
-        }
-        // Every non-source node that starts online opens a session; rejoins
-        // add to the count as the run progresses.
-        initial_sessions = directory.active_count() as u64 - 1;
-        ChurnRuntime {
-            plan,
-            rng: derive_rng(seed, CHURN_WORLD_STREAM),
-        }
+    // Disturbances: the declared generator's plan, expanded once. Flash-crowd
+    // members are held offline from the start (the directory is the single
+    // source of truth for activity, and the network drops traffic of cut-off
+    // nodes); a zap viewer watches only its home channel. Every membership
+    // generator counts each node online at the start as one session; rejoins
+    // add to the count as the run progresses.
+    let workload = workload.map_or_else(WorkloadPlan::default, |generator| {
+        generator.expand(n, streams, config.duration, seed)
     });
-
-    // Workload plan: zap-style plans assign each viewer an initial home
-    // channel — prune the other subscriptions so the directory starts where
-    // the plan says (the events themselves are scheduled by
-    // `initial_events` from the plan the world keeps).
-    let workload_plan = workload.map(|generator| {
-        generator.expand(
-            n,
-            streams,
-            config.duration,
-            &mut derive_rng(seed, WORKLOAD_PLAN_STREAM),
-        )
-    });
-    if let Some(plan) = &workload_plan {
-        if streams > 1 {
-            for i in 1..n {
-                if let Some(home) = plan.initial_stream[i] {
-                    let node = NodeId::new(i as u32);
-                    for stream in config.stream_ids() {
-                        if stream != home {
-                            directory.unsubscribe(node, stream);
-                        }
-                    }
-                }
-            }
-        }
-        // Workload-driven membership counts sessions like churn does: every
-        // node online at the start opens one.
-        if config.churn.is_none() {
-            initial_sessions = directory.active_count() as u64 - 1;
+    for (i, held) in workload.held_offline.iter().enumerate() {
+        if *held {
+            let node = NodeId::new(i as u32);
+            directory.deactivate(node);
+            network.set_cut_off(node, true);
         }
     }
+    for (i, home) in workload.initial_stream.iter().enumerate() {
+        if let Some(home) = *home {
+            for stream in config.stream_ids().filter(|s| *s != home) {
+                directory.unsubscribe(NodeId::new(i as u32), stream);
+            }
+        }
+    }
+    let disturbs_membership = config.components.workload.is_some() && workload.waves.is_empty();
+    let initial_sessions = if disturbs_membership {
+        directory.active_count() as u64 - 1
+    } else {
+        0
+    };
 
     let hot = crate::hot::HotNodeState::from_stacks(&stacks);
-    // The resilience plane (fault waves, a closed-loop adversary, the online
-    // recalibration) is what the per-period recovery traces exist for.
-    let resilience_active =
-        config.faults.is_some() || config.online_recalibration.is_some() || adversary.closed_loop();
+    // The resilience plane (partition waves, a closed-loop adversary, the
+    // online recalibration) is what the per-period recovery traces exist for.
+    let resilience_active = !workload.waves.is_empty()
+        || config.online_recalibration.is_some()
+        || adversary.closed_loop();
     Ok(SystemWorld {
         directory,
         network,
@@ -283,8 +231,7 @@ pub fn build_world(mut config: ScenarioConfig) -> Result<SystemWorld, ComponentE
         expelled: vec![false; n],
         hot,
         wave_exec: None,
-        churn,
-        workload_plan,
+        workload,
         churn_departures: 0,
         churn_rejoins: 0,
         churn_sessions: initial_sessions,
@@ -297,7 +244,6 @@ pub fn build_world(mut config: ScenarioConfig) -> Result<SystemWorld, ComponentE
         scratch_downcalls: Vec::new(),
         scratch_nodes: Vec::new(),
         scratch_votes: Vec::new(),
-        fault_plan: fault_plan(&config),
         partition_holds: vec![0; n],
         periods_elapsed: 0,
         eta_live: config.lifting.eta,
@@ -309,9 +255,8 @@ pub fn build_world(mut config: ScenarioConfig) -> Result<SystemWorld, ComponentE
 
 /// The initial events of a run of `world`: the first source emission,
 /// staggered gossip ticks, staggered audit ticks (when enabled), the first
-/// period end and — when the scenario churns or replays a workload — the
-/// membership transitions of the plans the world was built with (first
-/// departures, flash-crowd joins, the catastrophe wave, the workload trace).
+/// period end and the edges of the disturbance plan the world was built
+/// with.
 pub(crate) fn initial_events(world: &SystemWorld) -> Vec<(SimTime, Event)> {
     let config = &world.config;
     // The primary stream's first emission is scheduled exactly where the
@@ -356,101 +301,26 @@ pub(crate) fn initial_events(world: &SystemWorld) -> Vec<(SimTime, Event)> {
         }
     }
     events.push((SimTime::ZERO + period, Event::PeriodEnd));
-    if let (Some(schedule), Some(ChurnRuntime { plan, .. })) = (&config.churn, &world.churn) {
-        let mut schedule_rng = derive_rng(config.seed, CHURN_SCHEDULE_STREAM);
-        for i in 1..n {
-            let node = NodeId::new(i as u32);
-            if plan.starts_offline[i] {
-                // Flash-crowd member: held offline by the builder, joins at
-                // the wave instant (its steady churn, if any, starts there).
-                let wave = schedule.flash_crowd.expect("plan implies a wave");
-                events.push((
-                    SimTime::ZERO + wave.at,
-                    Event::Churn {
-                        node,
-                        up: true,
-                        epoch: CHURN_EPOCH_ANY,
-                    },
-                ));
-            } else if plan.churners[i] {
-                let at = schedule.warmup + schedule.session_length(&mut schedule_rng);
-                events.push((
-                    SimTime::ZERO + at,
-                    Event::Churn {
-                        node,
-                        up: false,
-                        epoch: 0,
-                    },
-                ));
-            }
-            if plan.catastrophe_members[i] {
-                let wave = schedule.catastrophe.expect("plan implies a wave");
-                events.push((
-                    SimTime::ZERO + wave.at,
-                    Event::Churn {
-                        node,
-                        up: false,
-                        epoch: CHURN_EPOCH_ANY,
-                    },
-                ));
-            }
-        }
-    }
-    // Workload plan: pre-drawn membership and channel-switch transitions.
-    // Departures/rejoins ride the churn event path with the epoch wildcard
-    // (the plan pre-draws every rejoin, so the world schedules no follow-ups);
-    // switches ride their own barrier event.
-    if let Some(plan) = &world.workload_plan {
-        for event in &plan.events {
-            let at = SimTime::ZERO + event.at;
-            match event.action {
-                WorkloadAction::Depart => events.push((
-                    at,
-                    Event::Churn {
-                        node: event.node,
-                        up: false,
-                        epoch: CHURN_EPOCH_ANY,
-                    },
-                )),
-                WorkloadAction::Rejoin => events.push((
-                    at,
-                    Event::Churn {
-                        node: event.node,
-                        up: true,
-                        epoch: CHURN_EPOCH_ANY,
-                    },
-                )),
-                WorkloadAction::Switch { from, to } => events.push((
-                    at,
-                    Event::Resubscribe {
-                        node: event.node,
-                        from,
-                        to,
-                    },
-                )),
-            }
-        }
-    }
-    // Fault waves: each wave contributes its onset and its heal transition
-    // (membership is pre-drawn by the plan, so both runs of a
-    // parallel/sequential pair see the identical outage).
-    if let Some(schedule) = &config.faults {
-        for (i, wave) in schedule.waves.iter().enumerate() {
-            events.push((
-                SimTime::ZERO + wave.at,
-                Event::Fault {
-                    wave: i as u32,
-                    begin: true,
-                },
-            ));
-            events.push((
-                SimTime::ZERO + wave.heals_at(),
-                Event::Fault {
-                    wave: i as u32,
-                    begin: false,
-                },
-            ));
-        }
+    // Disturbance edges, in plan order (events at one instant keep it):
+    // departures and rejoins ride the churn path — a steady session end
+    // carries the session it ends, waves and pre-drawn rejoins the epoch
+    // wildcard — switches and partition transitions their own barrier events.
+    for TimedEdge { at, edge } in &world.workload.edges {
+        let event = match *edge {
+            Edge::Depart { node, session } => Event::Churn {
+                node,
+                up: false,
+                epoch: session.unwrap_or(CHURN_EPOCH_ANY),
+            },
+            Edge::Rejoin { node } => Event::Churn {
+                node,
+                up: true,
+                epoch: CHURN_EPOCH_ANY,
+            },
+            Edge::Switch { node, from, to } => Event::Resubscribe { node, from, to },
+            Edge::Partition { wave, begin } => Event::Fault { wave, begin },
+        };
+        events.push((SimTime::ZERO + *at, event));
     }
     events
 }

@@ -10,6 +10,8 @@
 //! adding an adversary family is one entry in [`adversary_components`]
 //! (schema, range checks, cross-field rule and the constructor of the
 //! [`Adversary`] itself), and nothing else in the crate names the family.
+//! Likewise every disturbance — steady churn and its waves, partition waves,
+//! the trace-driven audiences — is one entry in [`workload_components`].
 //!
 //! [`resolve_components`] runs once per world, in
 //! [`crate::builder::build_world`]; everything a component resolves to is
@@ -19,7 +21,10 @@
 use std::sync::{Arc, OnceLock};
 
 use lifting_gossip::FreeriderConfig;
-use lifting_membership::{DiurnalCycle, RegionalFailureWaves, WorkloadGenerator, ZapSwitching};
+use lifting_membership::{
+    Churn, DiurnalCycle, PartitionWaves, RegionalFailureWaves, Wave, WorkloadGenerator,
+    ZapSwitching,
+};
 use lifting_net::provider::{
     capability_components, loss_components, transport_components, CapabilityClassAssigner,
 };
@@ -56,154 +61,236 @@ fn positive_secs(
         .map(SimDuration::from_secs_f64)
 }
 
-// ---------------------------------------------------------------------------
-// Workload components.
-// ---------------------------------------------------------------------------
+/// The fraction of the population one wave may take: a wave must leave
+/// enough of it standing for gossip to mean anything.
+fn wave_fraction(component: &str, params: &ParamMap, key: &str) -> Result<f64, ComponentError> {
+    let at_most_90 = |x| (0.0..=0.9).contains(&x);
+    params.float_where(component, key, at_most_90, "is not in [0, 0.9]")
+}
 
-struct DiurnalComponent;
+/// A component described by one table row: its name, description, schema
+/// and the constructor that range-checks its parameters.
+struct Row<P> {
+    name: &'static str,
+    description: &'static str,
+    schema: fn() -> Vec<ParamSpec>,
+    build: fn(name: &'static str, &ParamMap) -> Result<P, ComponentError>,
+}
 
-impl Component<Box<dyn WorkloadGenerator>> for DiurnalComponent {
+impl<P> Component<P> for Row<P> {
     fn name(&self) -> &'static str {
-        "diurnal"
+        self.name
     }
     fn description(&self) -> &'static str {
-        "Diurnal audience cycles: a fraction of the viewers departs and returns each cycle"
+        self.description
     }
     fn params_schema(&self) -> ParamsSchema {
-        ParamsSchema::of(vec![
-            float(
-                "participation",
-                0.6,
-                "fraction of the viewers subject to the cycle",
-            ),
-            float("cycle_secs", 12.0, "length of one audience cycle, seconds"),
-            float(
-                "offline_fraction",
-                0.35,
-                "fraction of each cycle a participating viewer spends offline",
-            ),
-            float(
-                "warmup_secs",
-                4.0,
-                "quiet start before the first departure, seconds",
-            ),
-        ])
+        ParamsSchema::of((self.schema)())
     }
-    fn build(
-        &self,
-        params: &ParamMap,
-        _: &mut SeedSplitter,
-    ) -> Result<Box<dyn WorkloadGenerator>, ComponentError> {
-        Ok(Box::new(DiurnalCycle {
-            participation: params.fraction("diurnal", "participation")?,
-            cycle: positive_secs("diurnal", params, "cycle_secs")?,
-            offline_fraction: params.fraction("diurnal", "offline_fraction")?,
-            warmup: positive_secs("diurnal", params, "warmup_secs")?,
-        }))
+    fn build(&self, params: &ParamMap, _: &mut SeedSplitter) -> Result<P, ComponentError> {
+        (self.build)(self.name, params)
     }
 }
 
-struct RegionalFailureComponent;
-
-impl Component<Box<dyn WorkloadGenerator>> for RegionalFailureComponent {
-    fn name(&self) -> &'static str {
-        "regional-failure"
+/// The registry of `kind` holding `rows`, in order.
+fn registry_of<P, C: Component<P> + 'static>(
+    kind: &'static str,
+    rows: impl IntoIterator<Item = C>,
+) -> ComponentRegistry<P> {
+    let mut registry = ComponentRegistry::new(kind);
+    for row in rows {
+        registry.register(Box::new(row)).expect("unique component");
     }
-    fn description(&self) -> &'static str {
-        "Correlated regional failures: whole geographic regions crash together and return"
-    }
-    fn params_schema(&self) -> ParamsSchema {
-        ParamsSchema::of(vec![
-            int(
-                "regions",
-                4,
-                "number of equal-size regions the viewers are split into",
-            ),
-            int("waves", 2, "number of failure waves over the run"),
-            float(
-                "outage_secs",
-                4.0,
-                "how long each failed region stays dark, seconds",
-            ),
-            float(
-                "warmup_secs",
-                5.0,
-                "quiet start before the first wave may hit, seconds",
-            ),
-        ])
-    }
-    fn build(
-        &self,
-        params: &ParamMap,
-        _: &mut SeedSplitter,
-    ) -> Result<Box<dyn WorkloadGenerator>, ComponentError> {
-        Ok(Box::new(RegionalFailureWaves {
-            regions: params.positive_int("regional-failure", "regions")? as usize,
-            waves: params.positive_int("regional-failure", "waves")? as usize,
-            outage: positive_secs("regional-failure", params, "outage_secs")?,
-            warmup: positive_secs("regional-failure", params, "warmup_secs")?,
-        }))
-    }
+    registry
 }
 
-struct ZapComponent;
+// ---------------------------------------------------------------------------
+// Workload components: every disturbance of a run.
+// ---------------------------------------------------------------------------
 
-impl Component<Box<dyn WorkloadGenerator>> for ZapComponent {
-    fn name(&self) -> &'static str {
-        "zap"
-    }
-    fn description(&self) -> &'static str {
-        "Zap-style channel switching: viewers hop between channels with exponential dwells"
-    }
-    fn params_schema(&self) -> ParamsSchema {
-        ParamsSchema::of(vec![
-            float(
-                "zappers",
-                0.4,
-                "fraction of the viewers that zap between channels",
-            ),
-            float(
-                "mean_dwell_secs",
-                6.0,
-                "mean time a zapper stays on one channel, seconds",
-            ),
-            float(
-                "warmup_secs",
-                3.0,
-                "quiet start before the first switch, seconds",
-            ),
-        ])
-    }
-    fn build(
-        &self,
-        params: &ParamMap,
-        _: &mut SeedSplitter,
-    ) -> Result<Box<dyn WorkloadGenerator>, ComponentError> {
-        Ok(Box::new(ZapSwitching {
-            zappers: params.fraction("zap", "zappers")?,
-            mean_dwell: positive_secs("zap", params, "mean_dwell_secs")?,
-            warmup: positive_secs("zap", params, "warmup_secs")?,
-        }))
-    }
+type Generator = Box<dyn WorkloadGenerator>;
+
+/// Every disturbance generator. Adding one is one entry here: schema, range
+/// checks and constructor (the expansion lives in `lifting_membership`).
+fn workload_generators() -> [Row<Generator>; 5] {
+    [
+        Row {
+            name: "diurnal",
+            description:
+                "Diurnal audience cycles: a fraction of the viewers departs and returns each cycle",
+            schema: || {
+                vec![
+                    float(
+                        "participation",
+                        0.6,
+                        "fraction of the viewers subject to the cycle",
+                    ),
+                    float("cycle_secs", 12.0, "length of one audience cycle, seconds"),
+                    float(
+                        "offline_fraction",
+                        0.35,
+                        "fraction of each cycle a participating viewer spends offline",
+                    ),
+                    float(
+                        "warmup_secs",
+                        4.0,
+                        "quiet start before the first departure, seconds",
+                    ),
+                ]
+            },
+            build: |name, params| {
+                Ok(Box::new(DiurnalCycle {
+                    participation: params.fraction(name, "participation")?,
+                    cycle: positive_secs(name, params, "cycle_secs")?,
+                    offline_fraction: params.fraction(name, "offline_fraction")?,
+                    warmup: positive_secs(name, params, "warmup_secs")?,
+                }))
+            },
+        },
+        Row {
+            name: "regional-failure",
+            description:
+                "Correlated regional failures: whole geographic regions crash together and return",
+            schema: || {
+                vec![
+                    int(
+                        "regions",
+                        4,
+                        "number of equal-size regions the viewers are split into",
+                    ),
+                    int("waves", 2, "number of failure waves over the run"),
+                    float(
+                        "outage_secs",
+                        4.0,
+                        "how long each failed region stays dark, seconds",
+                    ),
+                    float(
+                        "warmup_secs",
+                        5.0,
+                        "quiet start before the first wave may hit, seconds",
+                    ),
+                ]
+            },
+            build: |name, params| {
+                Ok(Box::new(RegionalFailureWaves {
+                    regions: params.positive_int(name, "regions")? as usize,
+                    waves: params.positive_int(name, "waves")? as usize,
+                    outage: positive_secs(name, params, "outage_secs")?,
+                    warmup: positive_secs(name, params, "warmup_secs")?,
+                }))
+            },
+        },
+        Row {
+            name: "zap",
+            description:
+                "Zap-style channel switching: viewers hop between channels with exponential dwells",
+            schema: || {
+                vec![
+                    float(
+                        "zappers",
+                        0.4,
+                        "fraction of the viewers that zap between channels",
+                    ),
+                    float(
+                        "mean_dwell_secs",
+                        6.0,
+                        "mean time a zapper stays on one channel, seconds",
+                    ),
+                    float(
+                        "warmup_secs",
+                        3.0,
+                        "quiet start before the first switch, seconds",
+                    ),
+                ]
+            },
+            build: |name, params| {
+                Ok(Box::new(ZapSwitching {
+                    zappers: params.fraction(name, "zappers")?,
+                    mean_dwell: positive_secs(name, params, "mean_dwell_secs")?,
+                    warmup: positive_secs(name, params, "warmup_secs")?,
+                }))
+            },
+        },
+        Row {
+            name: "churn",
+            description: "Steady churn: a fraction of the viewers cycles exponential sessions and \
+                          offline spells; optional catastrophe (crash for good) and flash-crowd \
+                          (start offline, join at once) waves",
+            schema: || {
+                let wave = "fraction of the viewers in the wave, at most 0.9 (0 = no wave)";
+                vec![
+                    float("fraction", 0.25, "fraction of the viewers that cycle"),
+                    float("mean_session_secs", 12.0, "mean online session, seconds"),
+                    float("mean_offline_secs", 3.0, "mean offline spell, seconds"),
+                    float("warmup_secs", 3.0, "no session ends before this, seconds"),
+                    float(
+                        "catastrophe_at_secs",
+                        10.0,
+                        "instant of the catastrophe, seconds",
+                    ),
+                    float("catastrophe_fraction", 0.0, wave),
+                    float(
+                        "flash_crowd_at_secs",
+                        10.0,
+                        "instant of the flash crowd, seconds",
+                    ),
+                    float("flash_crowd_fraction", 0.0, wave),
+                ]
+            },
+            build: |name, params| {
+                let wave = |at: &str, fraction: &str| -> Result<Wave, ComponentError> {
+                    Ok(Wave {
+                        at: positive_secs(name, params, at)?,
+                        fraction: wave_fraction(name, params, fraction)?,
+                    })
+                };
+                Ok(Box::new(Churn {
+                    fraction: params.fraction(name, "fraction")?,
+                    mean_session: positive_secs(name, params, "mean_session_secs")?,
+                    mean_offline: positive_secs(name, params, "mean_offline_secs")?,
+                    warmup: params
+                        .float_where(name, "warmup_secs", |x| x >= 0.0, "seconds is negative")
+                        .map(SimDuration::from_secs_f64)?,
+                    catastrophe: wave("catastrophe_at_secs", "catastrophe_fraction")?,
+                    flash_crowd: wave("flash_crowd_at_secs", "flash_crowd_fraction")?,
+                }))
+            },
+        },
+        Row {
+            name: "partition-waves",
+            description: "Partition waves: evenly spaced waves cut a fraction of the viewers off \
+                          the network (both transports) for an outage, then heal",
+            schema: || {
+                vec![
+                    int(
+                        "waves",
+                        2,
+                        "number of waves, the k-th at k/(waves+1) of the run",
+                    ),
+                    float("outage_secs", 4.0, "how long each partition lasts, seconds"),
+                    float(
+                        "fraction",
+                        0.25,
+                        "fraction of the viewers each wave cuts, at most 0.9",
+                    ),
+                ]
+            },
+            build: |name, params| {
+                Ok(Box::new(PartitionWaves {
+                    waves: params.positive_int(name, "waves")? as usize,
+                    outage: positive_secs(name, params, "outage_secs")?,
+                    fraction: wave_fraction(name, params, "fraction")?,
+                }))
+            },
+        },
+    ]
 }
 
 /// The registry of workload-generator components: `diurnal`,
-/// `regional-failure`, `zap`.
-pub fn workload_components() -> &'static ComponentRegistry<Box<dyn WorkloadGenerator>> {
-    static REGISTRY: OnceLock<ComponentRegistry<Box<dyn WorkloadGenerator>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        let mut registry = ComponentRegistry::new("workload");
-        registry
-            .register(Box::new(DiurnalComponent))
-            .expect("unique workload component");
-        registry
-            .register(Box::new(RegionalFailureComponent))
-            .expect("unique workload component");
-        registry
-            .register(Box::new(ZapComponent))
-            .expect("unique workload component");
-        registry
-    })
+/// `regional-failure`, `zap`, `churn`, `partition-waves`.
+pub fn workload_components() -> &'static ComponentRegistry<Generator> {
+    static REGISTRY: OnceLock<ComponentRegistry<Generator>> = OnceLock::new();
+    REGISTRY.get_or_init(|| registry_of("workload", workload_generators()))
 }
 
 // ---------------------------------------------------------------------------
@@ -545,15 +632,7 @@ fn adversary_families() -> [AdversaryComponent; 7] {
 /// `adaptive-colluders`.
 pub fn adversary_components() -> &'static ComponentRegistry<AdversarySpawner> {
     static REGISTRY: OnceLock<ComponentRegistry<AdversarySpawner>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        let mut registry = ComponentRegistry::new("adversary");
-        for family in adversary_families() {
-            registry
-                .register(Box::new(family))
-                .expect("unique adversary component");
-        }
-        registry
-    })
+    REGISTRY.get_or_init(|| registry_of("adversary", adversary_families()))
 }
 
 // ---------------------------------------------------------------------------
@@ -636,61 +715,29 @@ impl OutcomeExporter for DigestExporter {
 pub fn exporter_components() -> &'static ComponentRegistry<Box<dyn OutcomeExporter>> {
     static REGISTRY: OnceLock<ComponentRegistry<Box<dyn OutcomeExporter>>> = OnceLock::new();
     REGISTRY.get_or_init(|| {
-        let mut registry = ComponentRegistry::new("exporter");
-        for entry in [
-            ("json", "Full RunOutcome as pretty-printed JSON"),
-            (
-                "summary-line",
-                "One line: detection, false positives, expulsions, stream health",
-            ),
-            (
-                "digest",
-                "FNV-1a content hash of the outcome, then mem=<bytes/node> (regression pinning)",
-            ),
-        ] {
-            let component: Box<dyn Component<Box<dyn OutcomeExporter>>> = match entry.0 {
-                "json" => Box::new(ExporterComponent {
-                    name: entry.0,
-                    description: entry.1,
-                    make: || Box::new(JsonExporter),
-                }),
-                "summary-line" => Box::new(ExporterComponent {
-                    name: entry.0,
-                    description: entry.1,
-                    make: || Box::new(SummaryLineExporter),
-                }),
-                _ => Box::new(ExporterComponent {
-                    name: entry.0,
-                    description: entry.1,
-                    make: || Box::new(DigestExporter),
-                }),
-            };
-            registry.register(component).expect("unique exporter");
-        }
-        registry
+        let rows: [Row<Box<dyn OutcomeExporter>>; 3] = [
+            Row {
+                name: "json",
+                description: "Full RunOutcome as pretty-printed JSON",
+                schema: Vec::new,
+                build: |_, _| Ok(Box::new(JsonExporter)),
+            },
+            Row {
+                name: "summary-line",
+                description: "One line: detection, false positives, expulsions, stream health",
+                schema: Vec::new,
+                build: |_, _| Ok(Box::new(SummaryLineExporter)),
+            },
+            Row {
+                name: "digest",
+                description: "FNV-1a content hash of the outcome, then mem=<bytes/node> \
+                                  (regression pinning)",
+                schema: Vec::new,
+                build: |_, _| Ok(Box::new(DigestExporter)),
+            },
+        ];
+        registry_of("exporter", rows)
     })
-}
-
-struct ExporterComponent {
-    name: &'static str,
-    description: &'static str,
-    make: fn() -> Box<dyn OutcomeExporter>,
-}
-
-impl Component<Box<dyn OutcomeExporter>> for ExporterComponent {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-    fn description(&self) -> &'static str {
-        self.description
-    }
-    fn build(
-        &self,
-        _: &ParamMap,
-        _: &mut SeedSplitter,
-    ) -> Result<Box<dyn OutcomeExporter>, ComponentError> {
-        Ok((self.make)())
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -762,8 +809,8 @@ pub fn resolve_components(config: &ScenarioConfig) -> Result<ResolvedComponents,
 
 /// The scenario's composition across every component axis, as
 /// `run_scenario --list` prints it: declared specs verbatim, an undeclared
-/// capability or adversary by its default component's name, and the
-/// `NetworkConfig` / `churn` values the other axes are stored as.
+/// capability, workload or adversary by its default component's name, and
+/// the `NetworkConfig` values the transport and loss axes are stored as.
 pub fn component_summary(config: &ScenarioConfig) -> Vec<(&'static str, String)> {
     let spec_of = |spec: &ComponentSpec| {
         if spec.params.is_empty() {
@@ -792,11 +839,6 @@ pub fn component_summary(config: &ScenarioConfig) -> Vec<(&'static str, String)>
             }
         },
     };
-    let workload = match &declared.workload {
-        Some(spec) => spec_of(spec),
-        None if config.churn.is_some() => "churn-schedule".to_string(),
-        None => "static".to_string(),
-    };
     let adversary = if config.freerider_count() == 0 {
         "none".to_string()
     } else {
@@ -806,7 +848,7 @@ pub fn component_summary(config: &ScenarioConfig) -> Vec<(&'static str, String)>
         ("transport", transport),
         ("loss", loss),
         ("capability", or_default(&declared.capability, "uniform")),
-        ("workload", workload),
+        ("workload", or_default(&declared.workload, "static")),
         ("adversary", adversary),
     ]
 }
@@ -863,7 +905,13 @@ mod tests {
     fn workload_components_build_their_generators() {
         let registry = workload_components();
         let mut seeds = SeedSplitter::new(1);
-        for name in ["diurnal", "regional-failure", "zap"] {
+        for name in [
+            "diurnal",
+            "regional-failure",
+            "zap",
+            "churn",
+            "partition-waves",
+        ] {
             let generator = registry.build(name, &ParamMap::new(), &mut seeds).unwrap();
             assert_eq!(generator.name(), name);
         }

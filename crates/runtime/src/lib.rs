@@ -61,8 +61,7 @@ pub use runner::{
     run_scenarios_parallel_with_snapshots, SHARDS_ENV,
 };
 pub use scenario::{
-    AuditRetryPolicy, ChurnSchedule, ChurnWave, CollusionScenario, ComponentSpec, ComponentsSpec,
-    FaultSchedule, FaultWave, FreeriderScenario, OnlineRecalibration, ScenarioConfig,
-    StreamAudience, StreamSpec,
+    AuditRetryPolicy, CollusionScenario, ComponentSpec, ComponentsSpec, FreeriderScenario,
+    OnlineRecalibration, ScenarioConfig, StreamAudience, StreamSpec,
 };
 pub use world::SystemWorld;

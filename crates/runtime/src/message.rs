@@ -103,9 +103,10 @@ pub enum Event {
         /// The auditor's session epoch when the tick was scheduled.
         epoch: u32,
     },
-    /// A churn transition: the node departs (`up = false`) or (re)joins
-    /// (`up = true`). Emitted by the [`crate::scenario::ScenarioConfig`]'s
-    /// churn schedule through the regular event queue.
+    /// A membership transition: the node departs (`up = false`) or
+    /// (re)joins (`up = true`). Scheduled from the `Depart` / `Rejoin` edges
+    /// of the scenario's workload plan, from steady churn's live
+    /// session/offline draws, and by whitewashers.
     Churn {
         /// The node changing membership state.
         node: NodeId,
@@ -118,9 +119,9 @@ pub enum Event {
         /// (joins are idempotent, waves apply to whatever session is live).
         epoch: u32,
     },
-    /// A workload-driven channel switch: the node leaves stream `from` and
-    /// joins stream `to` (zap-style channel surfing). Expanded from the
-    /// scenario's pre-drawn workload plan, like [`Event::Churn`] transitions.
+    /// A channel switch: the node leaves stream `from` and joins stream `to`
+    /// (zap-style channel surfing). Scheduled from a `Switch` edge of the
+    /// scenario's workload plan.
     Resubscribe {
         /// The switching viewer.
         node: NodeId,
@@ -129,12 +130,12 @@ pub enum Event {
         /// The channel being joined.
         to: StreamId,
     },
-    /// A scheduled network-fault transition: wave `wave` of the scenario's
-    /// [`lifting_net::FaultSchedule`] begins (`begin = true`, its members
-    /// become partitioned) or heals (`begin = false`). Nodes hit by several
-    /// overlapping waves stay partitioned until the last one heals.
+    /// A partition transition: wave `wave` of the scenario's workload plan
+    /// begins (`begin = true`, its members become partitioned) or heals
+    /// (`begin = false`). Scheduled from a `Partition` edge. Nodes hit by
+    /// several overlapping waves stay partitioned until the last one heals.
     Fault {
-        /// Index of the wave in the fault plan.
+        /// Index of the wave in the plan's `waves`.
         wave: u32,
         /// True when the wave begins, false when it heals.
         begin: bool,

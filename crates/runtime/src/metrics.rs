@@ -158,7 +158,7 @@ impl ScoreSnapshot {
 }
 
 /// Membership dynamics observed during one run. All counters are zero for a
-/// static population (`ScenarioConfig::churn = None`).
+/// static population (no `workload` component, or partition waves only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ChurnStats {
     /// Online sessions begun: nodes that started online plus every rejoin.
@@ -178,7 +178,7 @@ pub struct ChurnStats {
 /// What kind of disturbance a recovery wave marks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum WaveKind {
-    /// A scheduled network partition began (a [`crate::FaultSchedule`] wave).
+    /// A scheduled network partition began (a `partition-waves` wave).
     /// Reconvergence is measured from the onset, so it spans the outage plus
     /// the healing transient.
     Partition,

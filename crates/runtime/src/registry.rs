@@ -14,8 +14,8 @@ use lifting_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
 use crate::scenario::{
-    AuditRetryPolicy, ChurnSchedule, ChurnWave, ComponentSpec, FaultSchedule, FaultWave,
-    OnlineRecalibration, ScenarioConfig, StreamAudience, StreamSpec,
+    AuditRetryPolicy, ComponentSpec, OnlineRecalibration, ScenarioConfig, StreamAudience,
+    StreamSpec,
 };
 use lifting_sim::ParamValue;
 
@@ -385,17 +385,31 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
     // mid-stream; these scenarios exercise blame propagation, audit
     // timeouts and score-based expulsion under that dynamism.
     // ------------------------------------------------------------------
+    // The `churn` workload component: `fraction` of the viewers cycle
+    // `session`-mean sessions and `offline`-mean spells after `warmup`
+    // seconds, or — with a fraction of 0 — only the declared waves happen.
+    let steady = |fraction: f64, session: f64, offline: f64, warmup: f64| {
+        ComponentSpec::new("churn")
+            .with("fraction", ParamValue::Float(fraction))
+            .with("mean_session_secs", ParamValue::Float(session))
+            .with("mean_offline_secs", ParamValue::Float(offline))
+            .with("warmup_secs", ParamValue::Float(warmup))
+    };
+    let wave = |wave: &str, at: SimDuration, fraction: f64| {
+        ComponentSpec::new("churn")
+            .with("fraction", ParamValue::Float(0.0))
+            .with(
+                &format!("{wave}_at_secs"),
+                ParamValue::Float(at.as_secs_f64()),
+            )
+            .with(&format!("{wave}_fraction"), ParamValue::Float(fraction))
+    };
     registry.register(
         "churn/steady-slow",
         "Steady churn, honest population: 25% of the nodes cycle 12s-mean sessions with 3s offline spells",
         move |scale: Scale, seed: u64| {
             let mut config = planetlab_family(40, 20, 0.0)(scale, seed);
-            config.churn = Some(ChurnSchedule::steady(
-                0.25,
-                SimDuration::from_secs(12),
-                SimDuration::from_secs(3),
-                SimDuration::from_secs(3),
-            ));
+            config.components.workload = Some(steady(0.25, 12.0, 3.0, 3.0));
             config
         },
     );
@@ -404,12 +418,7 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
         "Aggressive churn with 10% freeriders and audits on: 40% of the nodes cycle 5s-mean sessions with 2s offline spells",
         move |scale: Scale, seed: u64| {
             let mut config = planetlab_family(40, 20, 0.1)(scale, seed);
-            config.churn = Some(ChurnSchedule::steady(
-                0.4,
-                SimDuration::from_secs(5),
-                SimDuration::from_secs(2),
-                SimDuration::from_secs(2),
-            ));
+            config.components.workload = Some(steady(0.4, 5.0, 2.0, 2.0));
             // A-posteriori audits run here so the departed-witness timeout
             // path (audits aborted, not wedged into wrongful blame) is
             // exercised at system scale.
@@ -423,17 +432,8 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
         "Catastrophic failure: 30% of the nodes (10% freeriders present) crash at mid-run and never return",
         move |scale: Scale, seed: u64| {
             let mut config = planetlab_family(40, 20, 0.1)(scale, seed);
-            let mut schedule = ChurnSchedule::steady(
-                0.0,
-                SimDuration::from_secs(10),
-                SimDuration::from_secs(3),
-                SimDuration::ZERO,
-            );
-            schedule.catastrophe = Some(ChurnWave {
-                at: SimDuration::from_micros(config.duration.as_micros() / 2),
-                fraction: 0.3,
-            });
-            config.churn = Some(schedule);
+            let mid_run = SimDuration::from_micros(config.duration.as_micros() / 2);
+            config.components.workload = Some(wave("catastrophe", mid_run, 0.3));
             config
         },
     );
@@ -442,17 +442,8 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
         "Flash crowd: 30% of the nodes start offline and all join a quarter into the stream",
         move |scale: Scale, seed: u64| {
             let mut config = planetlab_family(40, 20, 0.0)(scale, seed);
-            let mut schedule = ChurnSchedule::steady(
-                0.0,
-                SimDuration::from_secs(10),
-                SimDuration::from_secs(3),
-                SimDuration::ZERO,
-            );
-            schedule.flash_crowd = Some(ChurnWave {
-                at: SimDuration::from_micros(config.duration.as_micros() / 4),
-                fraction: 0.3,
-            });
-            config.churn = Some(schedule);
+            let quarter = SimDuration::from_micros(config.duration.as_micros() / 4);
+            config.components.workload = Some(wave("flash_crowd", quarter, 0.3));
             config
         },
     );
@@ -461,12 +452,7 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
         "Churn x freeriders with audits on: 20% freeriders while 35% of the nodes cycle 8s-mean sessions",
         move |scale: Scale, seed: u64| {
             let mut config = planetlab_family(40, 20, 0.2)(scale, seed);
-            config.churn = Some(ChurnSchedule::steady(
-                0.35,
-                SimDuration::from_secs(8),
-                SimDuration::from_secs(2),
-                SimDuration::from_secs(2),
-            ));
+            config.components.workload = Some(steady(0.35, 8.0, 2.0, 2.0));
             config.audits_enabled = true;
             config.audit_interval = SimDuration::from_secs(5);
             config
@@ -598,21 +584,12 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
             config.audit_interval = SimDuration::from_secs(4);
             config.audit_retry = Some(AuditRetryPolicy::default_policy());
             config.lifting = config.lifting.with_confirm_retries(2);
-            let third = SimDuration::from_micros(config.duration.as_micros() / 3);
-            config.faults = Some(FaultSchedule {
-                waves: vec![
-                    FaultWave {
-                        at: third,
-                        outage: SimDuration::from_secs(4),
-                        fraction: 0.25,
-                    },
-                    FaultWave {
-                        at: third.saturating_mul(2),
-                        outage: SimDuration::from_secs(4),
-                        fraction: 0.25,
-                    },
-                ],
-            });
+            config.components.workload = Some(
+                ComponentSpec::new("partition-waves")
+                    .with("waves", ParamValue::Int(2))
+                    .with("outage_secs", ParamValue::Float(4.0))
+                    .with("fraction", ParamValue::Float(0.25)),
+            );
             config
         },
     );
@@ -686,9 +663,9 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
     // ------------------------------------------------------------------
     // workload/ — trace-driven membership workloads expanded from registered
     // generator components (see `lifting_membership::workload` and the
-    // component registry in `crate::components`). Where the churn/ family
-    // draws sessions from exponential distributions, these replay shaped
-    // audience behaviour: diurnal participation swings, correlated regional
+    // component registry in `crate::components`). Where the churn/ family's
+    // `churn` generator draws sessions from exponential distributions, these
+    // replay shaped audience behaviour: diurnal participation swings, correlated regional
     // outages, and zap-style channel surfing.
     // ------------------------------------------------------------------
     registry.register(

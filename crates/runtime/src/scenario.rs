@@ -6,9 +6,6 @@ use lifting_net::NetworkConfig;
 use lifting_sim::{ParamMap, ParamValue, SimDuration, StreamId};
 use serde::{Deserialize, Serialize};
 
-pub use lifting_membership::{ChurnSchedule, ChurnWave};
-pub use lifting_net::{FaultSchedule, FaultWave};
-
 /// One named component with its parameter overrides — an entry of the
 /// declarative [`ScenarioConfig::components`] section. The name is looked up
 /// in the axis's [`lifting_sim::ComponentRegistry`] and the parameters are
@@ -41,8 +38,8 @@ impl ComponentSpec {
 /// The declarative component composition of a scenario: which registered
 /// component provides each axis of the system. One axis, one encoding: the
 /// capability, workload and adversary axes are configured *only* here (unset
-/// means `uniform`, a static population — or [`ScenarioConfig::churn`] — and
-/// `baseline`); `transport` and `loss` are named presets for the values
+/// means `uniform`, an undisturbed run and `baseline`); `transport` and
+/// `loss` are named presets for the values
 /// [`NetworkConfig`] stores and override them when set.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ComponentsSpec {
@@ -54,9 +51,10 @@ pub struct ComponentsSpec {
     /// [`lifting_net::provider::capability_components`]); unset = `uniform`,
     /// every node gets [`ScenarioConfig::default_upload_bps`].
     pub capability: Option<ComponentSpec>,
-    /// Trace-driven workload generator (see
-    /// [`crate::components::workload_components`]). Mutually exclusive with
-    /// [`ScenarioConfig::churn`] — both drive membership transitions.
+    /// The disturbance generator — steady churn and its waves, partition
+    /// waves, or a trace-driven audience (see
+    /// [`crate::components::workload_components`]); unset = no node or link
+    /// ever leaves.
     pub workload: Option<ComponentSpec>,
     /// The adversary family the freerider population plays (see
     /// [`crate::components::adversary_components`]); unset = `baseline`, the
@@ -321,14 +319,6 @@ pub struct ScenarioConfig {
     pub freeriders: Option<FreeriderScenario>,
     /// Collusion behaviour of the freeriders.
     pub collusion: CollusionScenario,
-    /// Membership dynamics: steady session/offline churn plus optional
-    /// catastrophic-failure and flash-crowd waves. `None` keeps the
-    /// population static (the paper's controlled experiments).
-    pub churn: Option<ChurnSchedule>,
-    /// Scheduled network-fault waves: each wave partitions a random fraction
-    /// of the population (both transports cut) for its outage duration.
-    /// `None` keeps the network fault-free beyond its loss model.
-    pub faults: Option<FaultSchedule>,
     /// Bounded retry + timeout policy for audit RPCs; `None` keeps the
     /// paper's partition-oblivious audits.
     pub audit_retry: Option<AuditRetryPolicy>,
@@ -367,8 +357,6 @@ impl ScenarioConfig {
             streams: Vec::new(),
             freeriders: None,
             collusion: CollusionScenario::none(),
-            churn: None,
-            faults: None,
             audit_retry: None,
             online_recalibration: None,
             default_upload_bps: Some(5_000_000),
@@ -422,8 +410,6 @@ impl ScenarioConfig {
             streams: Vec::new(),
             freeriders: None,
             collusion: CollusionScenario::none(),
-            churn: None,
-            faults: None,
             audit_retry: None,
             online_recalibration: None,
             default_upload_bps: None,
@@ -522,36 +508,6 @@ impl ScenarioConfig {
             );
         }
         assert!(!self.duration.is_zero(), "duration must be positive");
-        assert!(
-            self.components.workload.is_none() || self.churn.is_none(),
-            "a workload generator and a churn schedule cannot drive membership simultaneously"
-        );
-        if let Some(churn) = &self.churn {
-            churn.validate();
-            // Waves must leave enough of the population standing for gossip
-            // to mean anything (and for the validate() invariants above).
-            let wave_max = [churn.catastrophe, churn.flash_crowd]
-                .into_iter()
-                .flatten()
-                .map(|w| w.fraction)
-                .fold(0.0f64, f64::max);
-            assert!(
-                wave_max <= 0.9,
-                "a churn wave may cover at most 90% of the population"
-            );
-        }
-        if let Some(faults) = &self.faults {
-            faults.validate();
-            let wave_max = faults
-                .waves
-                .iter()
-                .map(|w| w.fraction)
-                .fold(0.0f64, f64::max);
-            assert!(
-                wave_max <= 0.9,
-                "a fault wave may partition at most 90% of the population"
-            );
-        }
         if let Some(retry) = &self.audit_retry {
             retry.validate();
         }

@@ -1,5 +1,6 @@
 //! The simulated system: the node stacks, the network, the audit plane and
-//! the world-level glue (event dispatch, blame routing, expulsions, churn).
+//! the world-level glue (event dispatch, blame routing, expulsions, and the
+//! disturbance edges of the scenario's workload plan).
 //!
 //! All node-local protocol logic lives in [`crate::layers`]; the world only
 //! routes events into the right [`NodeStack`] ([`handle_local`], the one
@@ -21,8 +22,8 @@
 use lifting_analysis::robust_outlier_threshold;
 use lifting_core::Blame;
 use lifting_gossip::{Chunk, StreamSource};
-use lifting_membership::{ChurnPlan, Directory, WorkloadPlan};
-use lifting_net::{FaultPlan, Network};
+use lifting_membership::{Directory, Sessions, WorkloadPlan};
+use lifting_net::Network;
 use lifting_reputation::ManagerAssignment;
 use lifting_sim::{derive_rng, Context, InlineVec, NodeId, SimDuration, SimTime, StreamId, World};
 use rand::rngs::SmallRng;
@@ -39,17 +40,6 @@ use crate::message::{Event, Message, CHURN_EPOCH_ANY};
 use crate::metrics::{RecoveryReport, WaveKind, WaveRecovery};
 use crate::scenario::ScenarioConfig;
 use crate::wave::WaveExec;
-
-/// Live churn state: the expanded per-node plan (who cycles on/off, who the
-/// waves hit) and the RNG stream feeding the session/offline duration draws
-/// as the run progresses.
-pub(crate) struct ChurnRuntime {
-    /// The schedule expanded over the population, once, by the builder.
-    pub(crate) plan: ChurnPlan,
-    /// The world's churn draw stream (separate from the protocol RNGs so a
-    /// static-population run consumes exactly the streams it always did).
-    pub(crate) rng: SmallRng,
-}
 
 /// The whole simulated system.
 pub struct SystemWorld {
@@ -87,12 +77,11 @@ pub struct SystemWorld {
     /// Sharded-execution state; `None` runs the classic sequential dispatch
     /// (see [`crate::wave`] and [`SystemWorld::set_shard_count`]).
     pub(crate) wave_exec: Option<WaveExec>,
-    /// Live churn state (`None` for a static population).
-    pub(crate) churn: Option<ChurnRuntime>,
-    /// The declared workload component's pre-drawn trace (`None` when the
-    /// scenario declares none), expanded once by the builder and scheduled by
-    /// [`SystemWorld::initial_events`].
-    pub(crate) workload_plan: Option<WorkloadPlan>,
+    /// The declared disturbance generator's plan (empty when the scenario
+    /// declares none), expanded once by the builder: its edges are scheduled
+    /// by [`SystemWorld::initial_events`]; steady churn's live draws and the
+    /// partition waves' members are read as the run progresses.
+    pub(crate) workload: WorkloadPlan,
     pub(crate) churn_departures: u64,
     pub(crate) churn_rejoins: u64,
     /// Online sessions begun (nodes that started online plus every rejoin).
@@ -120,11 +109,9 @@ pub struct SystemWorld {
     pub(crate) scratch_nodes: Vec<NodeId>,
     /// Recycled scratch for per-period `(manager, target)` expulsion votes.
     pub(crate) scratch_votes: Vec<(NodeId, NodeId)>,
-    /// Pre-drawn membership of every fault wave (`None` when the scenario
-    /// schedules no faults, so fault-free runs consume no extra RNG).
-    pub(crate) fault_plan: Option<FaultPlan>,
-    /// Per node: how many fault waves currently hold it partitioned. A node
-    /// hit by overlapping waves stays partitioned until the count drains.
+    /// Per node: how many partition waves currently hold it partitioned. A
+    /// node hit by overlapping waves stays partitioned until the count
+    /// drains.
     pub(crate) partition_holds: Vec<u8>,
     /// Gossip periods completed so far (drives the recovery traces).
     pub(crate) periods_elapsed: u64,
@@ -459,7 +446,8 @@ impl SystemWorld {
         self.hot.refresh(node, &self.stacks[i]);
     }
 
-    /// Executes one membership transition of the churn schedule.
+    /// Executes one membership transition: a departure or a (re)join of the
+    /// workload plan, of steady churn's live draws or of a whitewasher.
     fn handle_churn(
         &mut self,
         node: NodeId,
@@ -471,7 +459,7 @@ impl SystemWorld {
         if node == NodeId::new(0) {
             return; // the broadcast source never churns
         }
-        if !up && epoch != crate::message::CHURN_EPOCH_ANY && epoch != self.hot.epoch(node) {
+        if !up && epoch != CHURN_EPOCH_ANY && epoch != self.hot.epoch(node) {
             // A session-end departure from a previous session: a wave already
             // took this node down and a rejoin opened a new session in the
             // meantime. Firing it would fork a second departure/rejoin chain.
@@ -498,23 +486,16 @@ impl SystemWorld {
                     },
                 );
             }
-            if let Some(churn) = &mut self.churn {
-                if churn.plan.churners[node.index()] {
-                    let schedule = self
-                        .config
-                        .churn
-                        .as_ref()
-                        .expect("churn runtime has config");
-                    let session = schedule.session_length(&mut churn.rng);
-                    ctx.schedule_after(
-                        session,
-                        Event::Churn {
-                            node,
-                            up: false,
-                            epoch,
-                        },
-                    );
-                }
+            if let Some(sessions) = self.churner(node) {
+                let session = sessions.session_length();
+                ctx.schedule_after(
+                    session,
+                    Event::Churn {
+                        node,
+                        up: false,
+                        epoch,
+                    },
+                );
             }
         } else {
             if self.expelled[node.index()] || !self.directory.is_active(node) {
@@ -523,25 +504,24 @@ impl SystemWorld {
             self.directory.deactivate(node);
             self.network.set_cut_off(node, true);
             self.churn_departures += 1;
-            if let Some(churn) = &mut self.churn {
-                if churn.plan.churners[node.index()] {
-                    let schedule = self
-                        .config
-                        .churn
-                        .as_ref()
-                        .expect("churn runtime has config");
-                    let offline = schedule.offline_length(&mut churn.rng);
-                    ctx.schedule_after(
-                        offline,
-                        Event::Churn {
-                            node,
-                            up: true,
-                            epoch: crate::message::CHURN_EPOCH_ANY,
-                        },
-                    );
-                }
+            if let Some(sessions) = self.churner(node) {
+                let offline = sessions.offline_length();
+                ctx.schedule_after(
+                    offline,
+                    Event::Churn {
+                        node,
+                        up: true,
+                        epoch: CHURN_EPOCH_ANY,
+                    },
+                );
             }
         }
+    }
+
+    /// Steady churn's live draws, when `node` is one of its churners.
+    fn churner(&mut self, node: NodeId) -> Option<&mut Sessions> {
+        let sessions = self.workload.sessions.as_mut()?;
+        sessions.churners[node.index()].then_some(sessions)
     }
 
     /// Executes one channel switch of the workload plan: the viewer leaves
@@ -588,16 +568,12 @@ impl SystemWorld {
         }
     }
 
-    /// Applies one scheduled fault-wave transition: partitions the wave's
-    /// members on `begin`, releases them on heal. Hold counts make
-    /// overlapping waves compose — a node stays partitioned until the last
-    /// wave covering it heals.
+    /// Applies one partition-wave transition: partitions the wave's members
+    /// on `begin`, releases them on heal. Hold counts make overlapping waves
+    /// compose — a node stays partitioned until the last wave covering it
+    /// heals.
     fn handle_fault(&mut self, wave: u32, begin: bool) {
-        let Some(plan) = &self.fault_plan else {
-            return;
-        };
-        let members = &plan.members[wave as usize];
-        for (i, hit) in members.iter().enumerate() {
+        for (i, hit) in self.workload.waves[wave as usize].iter().enumerate() {
             if !hit {
                 continue;
             }

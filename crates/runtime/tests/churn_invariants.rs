@@ -11,9 +11,10 @@ use lifting_membership::Directory;
 use lifting_net::{Network, NetworkConfig, TrafficCategory};
 use lifting_runtime::layers::{AuditCoordinator, AuditOutcome, Downcall, Honest, NodeStack};
 use lifting_runtime::{
-    build_engine, run_scenario, run_scenarios_parallel, Scale, ScenarioRegistry,
+    build_engine, resolve_components, run_scenario, run_scenarios_parallel, ComponentSpec, Scale,
+    ScenarioRegistry,
 };
-use lifting_sim::{derive_rng, NodeId, SimDuration, SimTime, StreamId};
+use lifting_sim::{derive_rng, NodeId, ParamValue, SimDuration, SimTime, StreamId};
 
 fn stack(id: u32) -> NodeStack {
     NodeStack::new(
@@ -213,17 +214,16 @@ fn combined_waves_and_steady_churn_compose() {
     // must stay bit-for-bit deterministic.
     let registry = ScenarioRegistry::builtin();
     let mut config = registry.build("churn/steady-fast", Scale::Quick, 17);
-    let mut schedule = config.churn.unwrap();
-    schedule.catastrophe = Some(lifting_runtime::ChurnWave {
-        at: SimDuration::from_secs(6),
-        fraction: 0.2,
-    });
-    schedule.flash_crowd = Some(lifting_runtime::ChurnWave {
-        at: SimDuration::from_secs(9), // after the catastrophe: worst ordering
-        fraction: 0.2,
-    });
-    config.churn = Some(schedule);
-    config.validate();
+    let steady = config.components.workload.take().unwrap();
+    config.components.workload = Some(
+        steady
+            .with("catastrophe_at_secs", ParamValue::Float(6.0))
+            .with("catastrophe_fraction", ParamValue::Float(0.2))
+            // After the catastrophe: the worst ordering.
+            .with("flash_crowd_at_secs", ParamValue::Float(9.0))
+            .with("flash_crowd_fraction", ParamValue::Float(0.2)),
+    );
+    resolve_components(&config).expect("waves within range");
 
     std::env::set_var(lifting_sim::pool::WORKERS_ENV, "3");
     let parallel = run_scenarios_parallel(vec![config.clone()]);
@@ -257,12 +257,13 @@ fn expelled_nodes_stay_out_under_churn() {
     let registry = ScenarioRegistry::builtin();
     let mut config = registry.build("fig01/freeriders-lifting", Scale::Quick, 21);
     config.lifting.compensate_wrongful_blames = false;
-    config.churn = Some(lifting_runtime::ChurnSchedule::steady(
-        0.25,
-        SimDuration::from_secs(8),
-        SimDuration::from_secs(2),
-        SimDuration::from_secs(2),
-    ));
+    config.components.workload = Some(
+        ComponentSpec::new("churn")
+            .with("fraction", ParamValue::Float(0.25))
+            .with("mean_session_secs", ParamValue::Float(8.0))
+            .with("mean_offline_secs", ParamValue::Float(2.0))
+            .with("warmup_secs", ParamValue::Float(2.0)),
+    );
     config.duration = SimDuration::from_secs(20);
     let mut engine = build_engine(config.clone());
     engine.run_until(SimTime::ZERO + config.duration);

@@ -141,17 +141,70 @@ fn ill_typed_param_is_rejected_with_the_offending_key() {
 
 #[test]
 fn out_of_range_param_is_rejected_with_the_offending_key() {
-    let mut config = quick_config(1);
-    config.components.workload =
-        Some(ComponentSpec::new("diurnal").with("participation", ParamValue::Float(1.5)));
-    let err = resolution_error(&config, "participation > 1 must not validate");
-    match &err {
-        ComponentError::InvalidParam { component, key, .. } => {
-            assert_eq!(component, "diurnal");
-            assert_eq!(key, "participation");
-        }
-        other => panic!("expected InvalidParam, got {other:?}"),
+    // `(offending key, spec)`: every disturbance that could not run is a
+    // typed error naming the generator and the key.
+    let f = ParamValue::Float;
+    let churn = || ComponentSpec::new("churn");
+    let partitions = || ComponentSpec::new("partition-waves");
+    let cases = [
+        (
+            "participation",
+            ComponentSpec::new("diurnal").with("participation", f(1.5)),
+        ),
+        ("fraction", churn().with("fraction", f(1.5))),
+        (
+            "mean_session_secs",
+            churn()
+                .with("fraction", f(0.3))
+                .with("mean_session_secs", f(0.0)),
+        ),
+        (
+            "flash_crowd_fraction",
+            churn().with("flash_crowd_fraction", f(0.95)),
+        ),
+        ("waves", partitions().with("waves", ParamValue::Int(0))),
+        ("fraction", partitions().with("fraction", f(0.95))),
+    ];
+    for (key, spec) in cases {
+        assert_invalid_workload_param(spec, key);
     }
+}
+
+/// `spec` as the workload fails to resolve with an `InvalidParam` naming
+/// its generator and `key`.
+fn assert_invalid_workload_param(spec: ComponentSpec, key: &str) {
+    let generator = spec.name.clone();
+    let mut config = quick_config(1);
+    config.components.workload = Some(spec);
+    let err = resolution_error(
+        &config,
+        &format!("{generator}: bad `{key}` must not resolve"),
+    );
+    assert!(
+        matches!(&err, ComponentError::InvalidParam { component, key: k, .. }
+            if *component == generator && k == key),
+        "{generator}: expected InvalidParam naming `{key}`, got {err:?}"
+    );
+}
+
+#[test]
+fn churn_wave_at_instant_zero_is_rejected() {
+    // A catastrophe at t = 0 would crash nodes before the stream starts.
+    assert_invalid_workload_param(
+        ComponentSpec::new("churn")
+            .with("catastrophe_fraction", ParamValue::Float(0.1))
+            .with("catastrophe_at_secs", ParamValue::Float(0.0)),
+        "catastrophe_at_secs",
+    );
+}
+
+#[test]
+fn partition_wave_with_zero_outage_is_rejected() {
+    // A zero-length outage would heal in the instant it begins.
+    assert_invalid_workload_param(
+        ComponentSpec::new("partition-waves").with("outage_secs", ParamValue::Float(0.0)),
+        "outage_secs",
+    );
 }
 
 #[test]
@@ -366,10 +419,6 @@ fn a_rejoin_rebuilds_the_stack_with_the_same_adversary_family() {
 #[test]
 fn diurnal_workload_cycles_nodes_offline_and_back() {
     let config = ScenarioRegistry::builtin().build("workload/diurnal", Scale::Quick, 11);
-    assert!(
-        config.churn.is_none(),
-        "workload plans replace churn schedules"
-    );
     let outcome = run_scenario_sharded(config, 1);
     assert!(
         outcome.churn.departures > 0,
