@@ -45,6 +45,9 @@ cargo test -q --release -p lifting-sim --test zero_alloc --test queue_footprint
 # Likewise the chunk table against its naive reference model: the optimized
 # build is the one the digests and the benchmark run.
 cargo test -q --release -p lifting-gossip --test chunk_table_reference
+# And the verification history: against its naive model, and the bound on
+# the capacity its logs retain.
+cargo test -q --release -p lifting-core --test history_reference --test history_footprint
 
 echo "==> examples smoke (quick scale)"
 # Clippy only *compiles* the examples; actually execute the two entry-point

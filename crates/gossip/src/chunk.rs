@@ -1,6 +1,8 @@
 //! Stream chunks.
 
 use std::fmt;
+use std::mem::size_of;
+use std::sync::Arc;
 
 use lifting_sim::{SimTime, StreamId};
 use serde::{Deserialize, Serialize};
@@ -64,6 +66,17 @@ impl fmt::Display for ChunkId {
     }
 }
 
+/// The heap bytes of a shared chunk list charged to one of its holders: the
+/// allocation (two reference counts, then the ids) divided by the number of
+/// `Arc`s pointing at it. One round's list is held by the wire payloads, the
+/// outstanding offers and the sender's and receivers' histories; summed over
+/// the holders a capacity walk visits, it is counted once, not once per
+/// holder (holders the walk does not visit, such as in-flight payloads, keep
+/// their share).
+pub fn shared_list_heap_bytes(list: &Arc<[ChunkId]>) -> usize {
+    (2 * size_of::<usize>() + list.len() * size_of::<ChunkId>()) / Arc::strong_count(list)
+}
+
 /// A stream chunk: its identity, its size on the wire and the instant the
 /// source emitted it (used to measure stream lag at the receivers).
 ///
@@ -113,6 +126,18 @@ mod tests {
         assert_eq!(primary.stream(), StreamId::PRIMARY);
         assert_eq!(primary.index(), 9);
         assert_eq!(primary.value(), 9, "primary-stream ids pack to the index");
+    }
+
+    #[test]
+    fn a_shared_list_is_charged_once_across_its_holders() {
+        let list: Arc<[ChunkId]> = (0..10).map(ChunkId::primary).collect();
+        assert_eq!(shared_list_heap_bytes(&list), 16 + 80);
+        let holders = [Arc::clone(&list), Arc::clone(&list), Arc::clone(&list)];
+        assert_eq!(shared_list_heap_bytes(&list), 96 / 4);
+        assert_eq!(
+            holders.iter().map(shared_list_heap_bytes).sum::<usize>(),
+            3 * 24
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@ use rand::Rng;
 
 use crate::behavior::Behavior;
 use crate::buffer::PlayoutBuffer;
-use crate::chunk::{Chunk, ChunkId};
+use crate::chunk::{shared_list_heap_bytes, Chunk, ChunkId};
 use crate::config::GossipConfig;
 
 /// Everything produced by one propose phase.
@@ -172,9 +172,8 @@ impl GossipNode {
     /// Heap bytes held by this plane's gossip state: the playout buffer's
     /// chunk table, outstanding offers and the fresh lists. A deterministic
     /// capacity walk (no allocator queries), so the number is identical
-    /// across worker counts and shard counts; shared `Arc` chunk lists are
-    /// attributed to every holder, making this a slight over-estimate rather
-    /// than an audit.
+    /// across worker counts and shard counts; each shared `Arc` chunk list is
+    /// split over its holders ([`shared_list_heap_bytes`]).
     pub fn estimated_heap_bytes(&self) -> usize {
         use std::mem::size_of;
         let mut bytes = self.playout.estimated_heap_bytes()
@@ -187,7 +186,7 @@ impl GossipNode {
             bytes += fresh.capacity() * size_of::<ChunkId>();
         }
         for (_, offered) in &self.offers_out {
-            bytes += offered.len() * size_of::<ChunkId>();
+            bytes += shared_list_heap_bytes(offered);
         }
         bytes
     }
@@ -491,10 +490,13 @@ mod tests {
             .begin_propose_round(SimTime::from_millis(500), partners, &mut rng)
             .unwrap();
         assert_eq!(round.chunks.len(), 1000);
+        drop(round);
         // One table per chunk index (grown by doubling to 1024 slots), and
-        // nothing else left but the two offers sharing the round's list.
+        // nothing else left but the two offers sharing the round's list,
+        // which is charged once between them.
         let offers = b.offers_out.capacity() * size_of::<(u32, Arc<[ChunkId]>)>()
-            + 2 * 1000 * size_of::<ChunkId>();
+            + 16
+            + 1000 * size_of::<ChunkId>();
         assert!(
             b.estimated_heap_bytes() <= 24 * 1024 + offers,
             "{} B",

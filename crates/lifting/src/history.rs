@@ -2,24 +2,30 @@
 //! (Section 5, "each node maintains a digest of its past interactions").
 //!
 //! The history covers the last `nh` gossip periods and records the proposals
-//! sent (partners and chunk ids), the serves received (source and chunk), the
-//! proposals received (needed to answer confirm requests and audit polls
-//! truthfully) and the confirm requests received (needed to build the fanin
-//! multiset `F'h` during audits of *other* nodes).
+//! sent (partners and chunk ids), the proposals received (needed to answer
+//! confirm requests and audit polls truthfully) and the confirm requests
+//! received (needed to build the fanin multiset `F'h` during audits of
+//! *other* nodes). Serves received are only counted: an auditor builds `F'h`
+//! from the witnesses' confirm logs, never from the subject's own account,
+//! so the count is all the upload size needs.
 //!
 //! Layout: one flat arrival-order log per kind of entry, and a ring of
 //! [`PeriodRecord`] headers that says how many entries of each log belong to
 //! each period. Recording appends to a log and bumps a counter; evicting the
 //! oldest period pops that many entries off the front of each log; the
-//! audit-side readers are straight scans of one log.
+//! audit-side readers are straight scans of one log. Chunk lists are never
+//! copied: a sent proposal holds its round's `Arc<[ChunkId]>` (shared with the
+//! wire payloads and the outstanding offers), a received one the payload's,
+//! and the partners of every sent proposal share one flat log.
 
 use std::collections::hash_map::Entry;
-use std::collections::VecDeque;
+use std::collections::{vec_deque, VecDeque};
 use std::sync::Arc;
 
+use lifting_gossip::chunk::shared_list_heap_bytes;
 use lifting_gossip::ChunkId;
 use lifting_sim::collections::FastHashMap;
-use lifting_sim::{InlineVec, NodeId};
+use lifting_sim::NodeId;
 use serde::{Deserialize, Serialize, Value};
 
 use crate::messages::{CHUNK_ID_BYTES, NODE_ID_BYTES};
@@ -28,27 +34,23 @@ use crate::messages::{CHUNK_ID_BYTES, NODE_ID_BYTES};
 const WIRE_BASE_BYTES: u64 = 8;
 /// Wire bytes of one period header.
 const WIRE_PERIOD_BYTES: u64 = 16;
-/// Wire bytes of one serve-received entry.
+/// Wire bytes of one serve-received entry (counted, not stored).
 const WIRE_SERVE_BYTES: u64 = NODE_ID_BYTES + CHUNK_ID_BYTES;
 /// Wire bytes of one confirm-received entry.
 const WIRE_CONFIRM_BYTES: u64 = 2 * NODE_ID_BYTES;
 
-/// One proposal sent during a period.
-///
-/// Partner and chunk lists are inline small vectors: the protocol fanout is
-/// 7, so recording a proposal in the history allocates nothing in the common
-/// case (larger chunk batches spill to the heap transparently).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ProposalRecord {
-    /// The partners the proposal was sent to.
-    pub partners: InlineVec<NodeId, 8>,
-    /// The chunk ids proposed.
-    pub chunks: InlineVec<ChunkId, 8>,
+/// One proposal sent during a period: the round's chunk list and how many
+/// entries of the partner log are its partners.
+#[derive(Debug, Clone, PartialEq)]
+struct ProposalRecord {
+    /// Shared with the round's wire payloads and outstanding offers.
+    chunks: Arc<[ChunkId]>,
+    partners: u32,
 }
 
 impl ProposalRecord {
     fn wire_bytes(&self) -> u64 {
-        4 + NODE_ID_BYTES * self.partners.len() as u64 + CHUNK_ID_BYTES * self.chunks.len() as u64
+        4 + NODE_ID_BYTES * u64::from(self.partners) + CHUNK_ID_BYTES * self.chunks.len() as u64
     }
 }
 
@@ -61,7 +63,7 @@ pub struct PeriodRecord {
     /// Proposals sent during this period (at most one per the protocol, but
     /// the record does not enforce it).
     pub proposals_sent: u32,
-    /// Serves received during this period.
+    /// Serves received during this period (counted only; no log).
     pub serves_received: u32,
     /// Proposals received during this period.
     pub proposals_received: u32,
@@ -109,11 +111,12 @@ pub struct NodeHistory {
     capacity_periods: usize,
     /// One header per recorded period, oldest first.
     periods: VecDeque<PeriodRecord>,
-    /// The four logs, each in arrival order; the headers' counts partition
-    /// them into periods.
+    /// The logs, each in arrival order; the headers' counts partition them
+    /// into periods.
     proposals_sent: VecDeque<ProposalRecord>,
-    /// `(source, chunk)`.
-    serves_received: VecDeque<(NodeId, ChunkId)>,
+    /// The partners of every sent proposal, concatenated; each record's
+    /// `partners` count partitions it.
+    partners_sent: VecDeque<NodeId>,
     proposals_received: VecDeque<ReceivedProposal>,
     /// `(asker, subject)`.
     confirms_received: VecDeque<(NodeId, NodeId)>,
@@ -141,7 +144,7 @@ impl PartialEq for NodeHistory {
             && self.capacity_periods == other.capacity_periods
             && self.periods == other.periods
             && self.proposals_sent == other.proposals_sent
-            && self.serves_received == other.serves_received
+            && self.partners_sent == other.partners_sent
             && self.proposals_received == other.proposals_received
             && self.confirms_received == other.confirms_received
     }
@@ -158,8 +161,7 @@ impl Serialize for NodeHistory {
         ) -> Value {
             Value::Array(log.take(n as usize).map(render).collect())
         }
-        let mut sent = self.proposals_sent.iter();
-        let mut serves = self.serves_received.iter();
+        let mut sent = self.proposals_sent();
         let mut received = self.proposals_received.iter();
         let mut confirms = self.confirms_received.iter();
         let periods = self
@@ -170,11 +172,19 @@ impl Serialize for NodeHistory {
                     ("period".to_string(), p.period.to_json_value()),
                     (
                         "proposals_sent".to_string(),
-                        take(&mut sent, p.proposals_sent, Serialize::to_json_value),
+                        take(&mut sent, p.proposals_sent, |(partners, chunks)| {
+                            Value::Object(vec![
+                                (
+                                    "partners".to_string(),
+                                    Value::Array(partners.map(Serialize::to_json_value).collect()),
+                                ),
+                                ("chunks".to_string(), chunks.to_json_value()),
+                            ])
+                        }),
                     ),
                     (
                         "serves_received".to_string(),
-                        take(&mut serves, p.serves_received, Serialize::to_json_value),
+                        p.serves_received.to_json_value(),
                     ),
                     (
                         "proposals_received".to_string(),
@@ -219,7 +229,7 @@ impl NodeHistory {
             capacity_periods,
             periods: VecDeque::new(),
             proposals_sent: VecDeque::new(),
-            serves_received: VecDeque::new(),
+            partners_sent: VecDeque::new(),
             proposals_received: VecDeque::new(),
             confirms_received: VecDeque::new(),
             received_base: 0,
@@ -233,19 +243,21 @@ impl NodeHistory {
         self.owner
     }
 
-    /// Heap bytes held by the period headers, the four logs and the chain
-    /// index (capacity walk, deterministic; shared `Arc` chunk lists are
-    /// attributed to every holder).
+    /// Heap bytes held by the period headers, the logs and the chain index
+    /// (capacity walk, deterministic; each shared `Arc` chunk list is split
+    /// over its holders, see [`shared_list_heap_bytes`]).
     pub fn estimated_heap_bytes(&self) -> usize {
         use std::mem::size_of;
         let chunk_lists: usize = self
-            .proposals_received
+            .proposals_sent
             .iter()
-            .map(|r| r.chunks.len() * size_of::<ChunkId>())
+            .map(|s| &s.chunks)
+            .chain(self.proposals_received.iter().map(|r| &r.chunks))
+            .map(shared_list_heap_bytes)
             .sum();
         self.periods.capacity() * size_of::<PeriodRecord>()
             + self.proposals_sent.capacity() * size_of::<ProposalRecord>()
-            + self.serves_received.capacity() * size_of::<(NodeId, ChunkId)>()
+            + self.partners_sent.capacity() * size_of::<NodeId>()
             + self.proposals_received.capacity() * size_of::<ReceivedProposal>()
             + self.confirms_received.capacity() * size_of::<(NodeId, NodeId)>()
             + self
@@ -253,6 +265,21 @@ impl NodeHistory {
                 .capacity()
                 .saturating_mul(size_of::<(NodeId, Chain)>())
             + chunk_lists
+    }
+
+    /// `(name, live entries, capacity)` of the period ring and of each log:
+    /// `tests/history_footprint.rs` bounds capacity by live entries.
+    pub fn log_occupancy(&self) -> [(&'static str, usize, usize); 5] {
+        fn fill<T>(name: &'static str, log: &VecDeque<T>) -> (&'static str, usize, usize) {
+            (name, log.len(), log.capacity())
+        }
+        [
+            fill("periods", &self.periods),
+            fill("proposals sent", &self.proposals_sent),
+            fill("partners sent", &self.partners_sent),
+            fill("proposals received", &self.proposals_received),
+            fill("confirms received", &self.confirms_received),
+        ]
     }
 
     /// Number of periods currently recorded.
@@ -292,11 +319,12 @@ impl NodeHistory {
         self.wire_bytes -= WIRE_PERIOD_BYTES
             + WIRE_SERVE_BYTES * u64::from(evicted.serves_received)
             + WIRE_CONFIRM_BYTES * u64::from(evicted.confirms_received);
+        let mut partners = 0;
         for sent in self.proposals_sent.drain(..evicted.proposals_sent as usize) {
             self.wire_bytes -= sent.wire_bytes();
+            partners += sent.partners as usize;
         }
-        self.serves_received
-            .drain(..evicted.serves_received as usize);
+        self.partners_sent.drain(..partners);
         self.confirms_received
             .drain(..evicted.confirms_received as usize);
         for received in self
@@ -315,23 +343,35 @@ impl NodeHistory {
         self.received_base = self.received_base.wrapping_add(evicted.proposals_received);
     }
 
-    /// Records a proposal sent during `period`. The lists are copied into
-    /// inline storage, so callers pass borrowed slices instead of cloning.
-    pub fn record_proposal_sent(&mut self, period: u64, partners: &[NodeId], chunks: &[ChunkId]) {
+    /// Records a proposal of the round's shared chunk list sent to
+    /// `partners` during `period`. The history keeps a reference to the
+    /// list, not a copy; the partners go to the flat partner log.
+    pub fn record_proposal_sent_shared(
+        &mut self,
+        period: u64,
+        partners: &[NodeId],
+        chunks: Arc<[ChunkId]>,
+    ) {
         self.current_mut(period).proposals_sent += 1;
         let record = ProposalRecord {
-            partners: InlineVec::from_slice(partners),
-            chunks: InlineVec::from_slice(chunks),
+            chunks,
+            partners: partners.len() as u32,
         };
         self.wire_bytes += record.wire_bytes();
         self.proposals_sent.push_back(record);
+        self.partners_sent.extend(partners);
     }
 
-    /// Records a chunk served to this node by `source` during `period`.
-    pub fn record_serve_received(&mut self, period: u64, source: NodeId, chunk: ChunkId) {
+    /// [`record_proposal_sent_shared`](NodeHistory::record_proposal_sent_shared)
+    /// for a chunk list that is not shared yet: allocates one.
+    pub fn record_proposal_sent(&mut self, period: u64, partners: &[NodeId], chunks: &[ChunkId]) {
+        self.record_proposal_sent_shared(period, partners, chunks.into());
+    }
+
+    /// Counts a chunk served to this node during `period`.
+    pub fn record_serve_received(&mut self, period: u64) {
         self.current_mut(period).serves_received += 1;
         self.wire_bytes += WIRE_SERVE_BYTES;
-        self.serves_received.push_back((source, chunk));
     }
 
     /// Records a proposal received from `proposer` during `period`.
@@ -373,24 +413,24 @@ impl NodeHistory {
         self.periods.iter()
     }
 
-    /// Iterates over every proposal sent in the history, oldest first.
-    pub fn proposals_sent(&self) -> impl Iterator<Item = &ProposalRecord> + '_ {
-        self.proposals_sent.iter()
+    /// Iterates over every proposal sent in the history, oldest first, as
+    /// `(partners, chunks)`; `chunks` is the round's own shared list.
+    pub fn proposals_sent(
+        &self,
+    ) -> impl Iterator<Item = (vec_deque::Iter<'_, NodeId>, &Arc<[ChunkId]>)> + '_ {
+        let mut start = 0;
+        self.proposals_sent.iter().map(move |record| {
+            let end = start + record.partners as usize;
+            let partners = self.partners_sent.range(start..end);
+            start = end;
+            (partners, &record.chunks)
+        })
     }
 
     /// The fanout multiset `Fh`: every partner of every proposal sent in the
     /// history (with multiplicity).
     pub fn fanout_multiset(&self) -> Vec<NodeId> {
-        self.proposals_sent
-            .iter()
-            .flat_map(|pr| pr.partners.iter().copied())
-            .collect()
-    }
-
-    /// The fanin multiset recorded locally: the node that served each received
-    /// chunk (with multiplicity).
-    pub fn fanin_multiset(&self) -> Vec<NodeId> {
-        self.serves_received.iter().map(|(s, _)| *s).collect()
+        self.partners_sent.iter().copied().collect()
     }
 
     /// The nodes that asked this node to confirm proposals of `subject`
@@ -462,19 +502,60 @@ mod tests {
     }
 
     #[test]
-    fn fanout_and_fanin_multisets_have_multiplicity() {
+    fn fanout_multiset_has_multiplicity() {
         let mut h = NodeHistory::new(NodeId::new(0), 10);
         h.record_proposal_sent(0, &nodes(&[1, 2, 3]), &ids(&[10]));
         h.record_proposal_sent(1, &nodes(&[2, 4]), &ids(&[11]));
-        h.record_serve_received(0, NodeId::new(9), ChunkId::primary(10));
-        h.record_serve_received(1, NodeId::new(9), ChunkId::primary(11));
-        h.record_serve_received(1, NodeId::new(5), ChunkId::primary(12));
         let fanout = h.fanout_multiset();
         assert_eq!(fanout.len(), 5);
         assert_eq!(fanout.iter().filter(|n| **n == NodeId::new(2)).count(), 2);
-        let fanin = h.fanin_multiset();
-        assert_eq!(fanin.len(), 3);
-        assert_eq!(fanin.iter().filter(|n| **n == NodeId::new(9)).count(), 2);
+    }
+
+    #[test]
+    fn a_sent_proposal_record_is_at_most_24_bytes() {
+        // One per period per node for `nh` periods: O(nodes x nh).
+        assert!(std::mem::size_of::<ProposalRecord>() <= 24);
+    }
+
+    #[test]
+    fn the_sender_history_shares_the_rounds_chunk_list() {
+        use crate::{CollusionConfig, LiftingConfig, Verifier, VerifierAction};
+        use lifting_gossip::ProposeRound;
+        use lifting_sim::SimTime;
+        let mut v = Verifier::new(
+            NodeId::new(1),
+            7,
+            LiftingConfig::planetlab(),
+            CollusionConfig::none(),
+        );
+        let round = ProposeRound {
+            period: 4,
+            chunks: ids(&[1, 2, 3]).into(),
+            partners: nodes(&[20, 21]),
+            by_source: vec![(NodeId::new(10), ids(&[1, 2, 3]))],
+            dropped_sources: vec![],
+        };
+        let mut out: Vec<VerifierAction> = Vec::new();
+        v.on_propose_round_into(&round, SimTime::ZERO, &mut out);
+        let (partners, chunks) = v.history().proposals_sent().last().expect("recorded");
+        assert!(
+            Arc::ptr_eq(chunks, &round.chunks),
+            "the history copied the list"
+        );
+        assert_eq!(partners.copied().collect::<Vec<_>>(), round.partners);
+    }
+
+    #[test]
+    fn recording_a_serve_allocates_nothing() {
+        let mut h = NodeHistory::new(NodeId::new(0), 10);
+        h.record_serve_received(0);
+        let (heap, wire) = (h.estimated_heap_bytes(), h.wire_size());
+        for _ in 0..10_000 {
+            h.record_serve_received(0);
+        }
+        assert_eq!(h.estimated_heap_bytes(), heap, "a serve grew a log");
+        assert_eq!(h.wire_size(), wire + 10_000 * WIRE_SERVE_BYTES);
+        assert_eq!(h.periods().map(|p| p.serves_received).sum::<u32>(), 10_001);
     }
 
     #[test]
@@ -504,7 +585,7 @@ mod tests {
     fn propose_phase_count_ignores_empty_periods() {
         let mut h = NodeHistory::new(NodeId::new(0), 10);
         h.record_proposal_sent(0, &nodes(&[1]), &ids(&[1]));
-        h.record_serve_received(1, NodeId::new(2), ChunkId::primary(5)); // period without proposal
+        h.record_serve_received(1); // period without proposal
         h.record_proposal_sent(2, &nodes(&[1]), &ids(&[2]));
         assert_eq!(h.propose_phase_count(), 2);
         assert_eq!(h.len(), 3);
@@ -517,7 +598,7 @@ mod tests {
         h.record_proposal_sent(0, &nodes(&[1, 2, 3, 4, 5, 6, 7]), &ids(&[1, 2, 3]));
         let one = h.wire_size();
         assert!(one > empty);
-        h.record_serve_received(0, NodeId::new(9), ChunkId::primary(1));
+        h.record_serve_received(0);
         assert!(h.wire_size() > one);
     }
 

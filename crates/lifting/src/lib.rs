@@ -42,7 +42,7 @@ pub use audit::{AuditOracle, AuditReport, AuditVerdict, Auditor};
 pub use blame::{Blame, BlameReason};
 pub use collusion::CollusionConfig;
 pub use config::LiftingConfig;
-pub use history::{NodeHistory, PeriodRecord, ProposalRecord};
+pub use history::{NodeHistory, PeriodRecord};
 pub use messages::{AckPayload, ConfirmPayload, ConfirmResponsePayload, VerificationMessage};
 pub use verifier::{ConfirmRetryStats, Verifier, VerifierAction, VerifierTimer};
 

@@ -361,11 +361,10 @@ impl Verifier {
         self.start_timer(VerifierTimer::ServeCheck { token }, deadline, out);
     }
 
-    /// Called when a serve of `chunk` from `from` is received. Records the
-    /// reception in the history (fanin) and satisfies pending checks.
+    /// Called when a serve of `chunk` from `from` is received. Counts the
+    /// reception in the history and satisfies pending checks.
     pub fn on_serve_received(&mut self, from: NodeId, chunk: ChunkId, _now: SimTime) {
-        self.history
-            .record_serve_received(self.current_period, from, chunk);
+        self.history.record_serve_received(self.current_period);
         for pending in self.pending_serves.values_mut() {
             if pending.proposer == from && pending.requested.contains(&chunk) {
                 pending.received.insert_unique(chunk);
@@ -395,8 +394,11 @@ impl Verifier {
         out: &mut Vec<T>,
     ) {
         self.current_period = round.period;
-        self.history
-            .record_proposal_sent(round.period, &round.partners, &round.chunks);
+        self.history.record_proposal_sent_shared(
+            round.period,
+            &round.partners,
+            Arc::clone(&round.chunks),
+        );
         // The honest partner list is identical in every ack of this round;
         // share one allocation across them (built lazily: rounds that owe no
         // ack allocate nothing).

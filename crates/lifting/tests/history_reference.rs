@@ -1,9 +1,11 @@
 //! Property test: `NodeHistory` (flat logs under a ring of period headers,
-//! per-proposer chains through the received-proposal log) answers every query
-//! exactly like a naive history that keeps four lists per period and scans
-//! all of them each time — across eviction, period gaps, a period number
-//! coming back after a later one, a proposer present in every period, the
-//! same chunk id live in two proposals of one proposer, and empty lists.
+//! one partner log partitioned by the sent proposals, per-proposer chains
+//! through the received-proposal log) answers every query exactly like a
+//! naive history that keeps three lists and a serve count per period and
+//! scans all of them each time — across eviction (which drains the partner
+//! log across its ring's wrap point), period gaps, a period number coming
+//! back after a later one, a proposer present in every period, the same
+//! chunk id live in two proposals of one proposer, and empty lists.
 
 use lifting_core::NodeHistory;
 use lifting_gossip::ChunkId;
@@ -12,6 +14,7 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
+use std::sync::Arc;
 
 #[derive(Serialize)]
 struct NaiveProposal {
@@ -23,7 +26,7 @@ struct NaiveProposal {
 struct NaivePeriod {
     period: u64,
     proposals_sent: Vec<NaiveProposal>,
-    serves_received: Vec<(NodeId, ChunkId)>,
+    serves_received: u32,
     proposals_received: Vec<(NodeId, Vec<ChunkId>)>,
     confirms_received: Vec<(NodeId, NodeId)>,
 }
@@ -43,7 +46,7 @@ impl NaiveHistory {
             self.periods.push(NaivePeriod {
                 period,
                 proposals_sent: Vec::new(),
-                serves_received: Vec::new(),
+                serves_received: 0,
                 proposals_received: Vec::new(),
                 confirms_received: Vec::new(),
             });
@@ -81,10 +84,11 @@ impl NaiveHistory {
             .collect()
     }
 
-    fn fanin_multiset(&self) -> Vec<NodeId> {
+    fn proposals_sent(&self) -> Vec<(Vec<NodeId>, Vec<ChunkId>)> {
         self.periods
             .iter()
-            .flat_map(|p| p.serves_received.iter().map(|(s, _)| *s))
+            .flat_map(|p| &p.proposals_sent)
+            .map(|pr| (pr.partners.clone(), pr.chunks.clone()))
             .collect()
     }
 
@@ -104,7 +108,7 @@ impl NaiveHistory {
             for pr in &p.proposals_sent {
                 bytes += 4 + 6 * pr.partners.len() as u64 + 8 * pr.chunks.len() as u64;
             }
-            bytes += (6 + 8) * p.serves_received.len() as u64;
+            bytes += (6 + 8) * u64::from(p.serves_received);
             for (_, ids) in &p.proposals_received {
                 bytes += 6 + 4 + 8 * ids.len() as u64;
             }
@@ -139,7 +143,14 @@ fn assert_same_answers(h: &NodeHistory, naive: &NaiveHistory, rng: &mut SmallRng
         "wire_size at step {step}"
     );
     prop_assert!(h.fanout_multiset() == naive.fanout_multiset());
-    prop_assert!(h.fanin_multiset() == naive.fanin_multiset());
+    let sent: Vec<(Vec<NodeId>, Vec<ChunkId>)> = h
+        .proposals_sent()
+        .map(|(partners, chunks)| (partners.copied().collect(), chunks.to_vec()))
+        .collect();
+    prop_assert!(
+        sent == naive.proposals_sent(),
+        "proposals_sent at step {step}"
+    );
     prop_assert!(h.propose_phase_count() == naive.propose_phase_count());
     prop_assert!(h.to_json_value() == naive.to_json_value());
     for n in 0..NODES {
@@ -190,20 +201,24 @@ proptest! {
                 }
                 4 => period = period.saturating_sub(rng.gen_range(1..3u64)),
                 5..=7 => {
-                    // Up to 10 entries: beyond the records' 8 inline slots.
+                    // 0 to 10 partners: uneven runs of the partner log.
                     let partners: Vec<NodeId> =
                         (0..rng.gen_range(0..=10usize)).map(|_| node(&mut rng)).collect();
                     let chunks = chunk_list(&mut rng, 10);
-                    h.record_proposal_sent(period, &partners, &chunks);
+                    if rng.gen_bool(0.5) {
+                        h.record_proposal_sent(period, &partners, &chunks);
+                    } else {
+                        let shared: Arc<[ChunkId]> = chunks.clone().into();
+                        h.record_proposal_sent_shared(period, &partners, shared);
+                    }
                     naive
                         .current_mut(period)
                         .proposals_sent
                         .push(NaiveProposal { partners, chunks });
                 }
                 8..=10 => {
-                    let (source, chunk) = (node(&mut rng), ChunkId::primary(rng.gen_range(0..CHUNKS)));
-                    h.record_serve_received(period, source, chunk);
-                    naive.current_mut(period).serves_received.push((source, chunk));
+                    h.record_serve_received(period);
+                    naive.current_mut(period).serves_received += 1;
                 }
                 11..=15 => {
                     let (proposer, chunks) = (node(&mut rng), chunk_list(&mut rng, 4));
