@@ -180,8 +180,11 @@ mod tests {
 
 #[cfg(test)]
 mod size_regression {
-    /// Every pending event sits in the scheduler's binary heap and is moved on
-    /// each sift, so [`Event`] must stay lean. The payload-heavy verification
+    /// Every pending event is one entry of the scheduler's timing wheel,
+    /// copied into a block on each push and once per level it cascades
+    /// through, then sorted and popped from the front — and the wheel's
+    /// footprint is its pending entries times their size — so [`Event`] must
+    /// stay lean. The payload-heavy verification
     /// variants are boxed in `lifting-core` to keep it that way; this test
     /// pins the budget so a future fat variant is caught immediately.
     #[test]

@@ -1,6 +1,6 @@
-//! Property test: the event queue (front, ring, far list) pops in *exactly*
-//! the order a reference `BinaryHeap` priority queue would, for arbitrary
-//! interleavings of pushes (including pushes "in the past"), pops,
+//! Property test: the event queue (front, three wheel levels, overflow) pops
+//! in *exactly* the order a reference `BinaryHeap` priority queue would, for
+//! arbitrary interleavings of pushes (including pushes "in the past"), pops,
 //! deadline-bounded pops and predicate-guarded pops. This is the ordering
 //! contract that keeps every golden digest independent of the queue's layout.
 
@@ -69,9 +69,13 @@ impl ReferenceQueue {
     }
 }
 
-/// What the ring covers from its base: 256 slots of 1.024 ms. The first ring
-/// is based at zero; later ones wherever the earliest far event fell.
-const HORIZON_US: u64 = 256 << 10;
+/// Slot widths of the queue's wheel: a level-1 slot (262 ms, the span of
+/// level 0), a level-2 slot (67 s, the span of level 1) and the span of
+/// level 2 (4.8 h). Slot boundaries are multiples of the width; level 2 is
+/// based at zero, and after each refill at the earliest overflow event.
+const L1_SLOT_US: u64 = 1 << 18;
+const L2_SLOT_US: u64 = 1 << 26;
+const WHEEL_US: u64 = 1 << 34;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -86,35 +90,42 @@ proptest! {
         let mut next_event = 0u64;
         // Pushes (1–3 events each) take 35–60 % of the operations: at the
         // low end the queue keeps running dry, so simulated time crosses many
-        // ring horizons with pushes in between; at the high end it fills.
+        // level boundaries with pushes in between; at the high end it fills.
         let push_share = rng.gen_range(7u32..=12);
         let mut base_us = 0u64;
         for _ in 0..ops {
             let deadline = SimTime::from_micros(base_us + rng.gen_range(0u64..2_000_000));
             let op = rng.gen_range(0u32..20);
             let popped = match op.checked_sub(push_share) {
-                // Times in the last slot of the ring and the first beyond it —
-                // half of them within two microseconds of the boundary —
-                // taking the ring to be based at the earliest pending event,
-                // where the next re-base puts it whenever that event is in
-                // the far list; whole horizons and tens of seconds out, so
-                // re-bases find a sorted head and a tail; the bulk within
-                // 400 ms.
+                // Times on both sides of a level-1 slot boundary, of the end
+                // of level 1 (67 s) and of the wheel's span — half of them
+                // within two microseconds of it — counted from the earliest
+                // pending event, where a level is based whenever it is
+                // cascaded or refilled at that event; the rest of the level-1
+                // slot being drained, which was cascaded over level 0; tens of
+                // seconds and whole level-2 slots out; the bulk within 400 ms.
                 None => {
                     let first = reference.heap.peek().map_or(base_us, |e| e.time.as_micros());
-                    let ring_end = first - first % 1_024 + HORIZON_US;
+                    let edge = |width: u64, k: u64| first - first % width + k * width;
+                    let boundary = match rng.gen_range(0u32..4) {
+                        0 | 1 => edge(L1_SLOT_US, rng.gen_range(1u64..=8)),
+                        2 => edge(L2_SLOT_US, rng.gen_range(1u64..=2)),
+                        _ if rng.gen_bool(0.5) => edge(L2_SLOT_US, 256),
+                        _ => edge(WHEEL_US, 1),
+                    };
                     let inset = match rng.gen_range(0u32..10) {
                         0..=3 => 1,
                         4 => 2,
                         _ => rng.gen_range(1u64..=1_024),
                     };
-                    let at = match rng.gen_range(0u32..10) {
+                    let at = match rng.gen_range(0u32..11) {
                         0 => base_us,
                         1 => base_us + rng.gen_range(1u64..1_024),
-                        2 | 3 => ring_end - inset,
-                        4 => ring_end + inset - 1,
-                        5 => base_us - base_us % HORIZON_US + rng.gen_range(2u64..80) * HORIZON_US,
-                        6 => base_us + rng.gen_range(20_000_000u64..90_000_000),
+                        2 => base_us + rng.gen_range(0..L1_SLOT_US - base_us % L1_SLOT_US),
+                        3 | 4 => boundary - inset,
+                        5 => boundary + inset - 1,
+                        6 => base_us - base_us % L2_SLOT_US + rng.gen_range(2u64..80) * L2_SLOT_US,
+                        7 => base_us + rng.gen_range(20_000_000u64..90_000_000),
                         _ => base_us + rng.gen_range(0u64..400_000),
                     };
                     // Occasionally schedule before the drained frontier.
@@ -170,8 +181,10 @@ proptest! {
     }
 }
 
-/// Events seconds apart: every pop re-bases the ring. Reading the whole far
-/// list each time would be 5 * 10^9 entry visits here.
+/// Events a second apart for 28 h: nearly every pop cascades down from
+/// level 1, and the overflow is refilled once per 4.8 h. Re-reading the
+/// overflow every 67 s, as a wheel of two levels would, visits ~7.5 * 10^7
+/// entries here; re-reading it per pop, 5 * 10^9.
 #[test]
 fn a_sparse_timeline_is_not_rescanned_per_pop() {
     let mut queue = EventQueue::new();
