@@ -48,6 +48,9 @@ cargo test -q --release -p lifting-gossip --test chunk_table_reference
 # And the verification history: against its naive model, and the bound on
 # the capacity its logs retain.
 cargo test -q --release -p lifting-core --test history_reference --test history_footprint
+# And the blames in flight: against a naive replay of every copy, and the
+# bound on what the buffer retains with its allocation-free steady state.
+cargo test -q --release -p lifting-runtime --test blame_delivery --test blame_footprint
 
 echo "==> examples smoke (quick scale)"
 # Clippy only *compiles* the examples; actually execute the two entry-point
@@ -209,15 +212,15 @@ EOF
 echo "==> queue footprint gate (headline/planetlab and scale/10k, quick scale)"
 # Exact, not timed: the heap the event queue retains at the end of the run
 # is a capacity walk, so the same build always prints the same three numbers.
-# Each bound is the measured ratio plus about a tenth: 2.73x on the 300-node
-# headline, whose slots hold a dozen events each so partial blocks weigh,
-# and 1.49x on the 10 000-node population.
+# Each bound is the measured ratio plus about a tenth: 2.48x on the 300-node
+# headline, whose slots hold a few events each so partial blocks weigh,
+# and 1.34x on the 10 000-node population.
 ./target/release/profile_scenario --scenario headline/planetlab > /tmp/profile_headline.txt
 ./target/release/profile_scenario --scenario scale/10k > /tmp/profile_scale10k.txt
 python3 - <<'EOF'
 import re, sys
-for path, name, bound in [('/tmp/profile_headline.txt', 'headline/planetlab', 3.0),
-                          ('/tmp/profile_scale10k.txt', 'scale/10k', 1.65)]:
+for path, name, bound in [('/tmp/profile_headline.txt', 'headline/planetlab', 2.75),
+                          ('/tmp/profile_scale10k.txt', 'scale/10k', 1.5)]:
     text = open(path).read()
     m = re.search(r'^pending events (\d+)  queue heap bytes (\d+)  \(\S+ pending x (\d+)-byte entry\)$',
                   text, re.M)
@@ -229,6 +232,20 @@ for path, name, bound in [('/tmp/profile_headline.txt', 'headline/planetlab', 3.
                  f'pending {entry}-byte entries (more than {bound}x)')
     print(f'queue footprint OK on {name} ({heap} B for {pending} pending entries, '
           f'{heap / (pending * entry):.2f}x, bound {bound}x)')
+EOF
+
+echo "==> no blame deliveries in the event queue (headline/planetlab, quick scale)"
+# Blame copies land from the world's in-flight buffer, never as queued
+# events: the per-event-kind table must show no Blame row with events.
+python3 - <<'EOF'
+import re, sys
+text = open('/tmp/profile_headline.txt').read()
+if not re.search(r'^-- per-event-kind attribution', text, re.M):
+    sys.exit('blame gate: profile_scenario printed no per-event-kind table')
+m = re.search(r'^\s+Blame\s+\S+s\s+(\d+) events', text, re.M)
+if m and int(m.group(1)) > 0:
+    sys.exit(f'blame gate FAILED: {m.group(1)} blame deliveries went through the event queue')
+print('blame gate OK (no Blame events in the queue)')
 EOF
 
 echo "==> bench smoke (quick wall-clock vs committed baseline)"

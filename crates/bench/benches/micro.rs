@@ -84,25 +84,7 @@ fn bench_event_queue(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
-    // The batched path the engine's zero-allocation loop drains its recycled
-    // scratch buffer through.
-    c.bench_function("event_queue_push_batch_pop_10k", |b| {
-        b.iter_batched(
-            || {
-                let mut rng = derive_rng(1, 1);
-                (0..10_000u64)
-                    .map(|i| (SimTime::from_micros(rng.gen_range(0..1_000_000)), i))
-                    .collect::<Vec<_>>()
-            },
-            |batch| {
-                let mut q = EventQueue::new();
-                q.push_batch(batch);
-                while q.pop().is_some() {}
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    // One event through the engine (pop, handler, batched re-push) with
+    // One event through the engine (pop, handler, push) with
     // about 300 000 entries pending across the front, the ring and the far
     // list: the queue's steady state at `scale/10k`, far beyond cache.
     c.bench_function("event_queue_mixed_horizon_300k", |b| {

@@ -1,31 +1,5 @@
 //! Small helpers for printing experiment tables and series.
 
-/// Prints a two-column series (x, y) with a header.
-pub fn print_series(title: &str, x_label: &str, y_label: &str, series: &[(f64, f64)]) {
-    println!("# {title}");
-    println!("{x_label:>12}  {y_label:>16}");
-    for (x, y) in series {
-        println!("{x:>12.3}  {y:>16.4}");
-    }
-    println!();
-}
-
-/// Prints a multi-column table: a header row then aligned value rows.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("# {title}");
-    for h in headers {
-        print!("{h:>18}");
-    }
-    println!();
-    for row in rows {
-        for cell in row {
-            print!("{cell:>18}");
-        }
-        println!();
-    }
-    println!();
-}
-
 /// Formats a float with three decimal places.
 pub fn f3(x: f64) -> String {
     format!("{x:.3}")

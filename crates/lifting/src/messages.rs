@@ -96,12 +96,6 @@ pub enum VerificationMessage {
 }
 
 impl VerificationMessage {
-    /// True if this message is addressed to the reputation plane (a blame
-    /// for one of the target's managers) rather than the verification plane.
-    pub fn is_blame(&self) -> bool {
-        matches!(self, VerificationMessage::Blame(_))
-    }
-
     /// Application-level payload size in bytes.
     pub fn wire_size(&self) -> u64 {
         match self {

@@ -56,13 +56,6 @@ impl NodeCapability {
             latency_scale: 1.0,
         }
     }
-
-    /// Scales this node's propagation latency (builder style) — the knob the
-    /// per-node capability *classes* use to model access technologies.
-    pub fn with_latency_scale(mut self, scale: f64) -> Self {
-        self.latency_scale = scale;
-        self
-    }
 }
 
 impl Default for NodeCapability {

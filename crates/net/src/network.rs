@@ -263,11 +263,6 @@ impl Network {
         &self.stats
     }
 
-    /// Resets the traffic statistics (e.g. after a warm-up phase).
-    pub fn reset_stats(&mut self) {
-        self.stats = TrafficStats::new();
-    }
-
     /// Adjudicates the transmission of a message of `payload_bytes` from
     /// `from` to `to`, returning when (and whether) it arrives.
     ///

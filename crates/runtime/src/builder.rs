@@ -227,6 +227,7 @@ pub fn build_world(mut config: ScenarioConfig) -> Result<SystemWorld, ComponentE
         compensation_per_stream,
         blame_counts: vec![0; n * streams],
         blame_values: vec![0.0; n * streams],
+        blames_in_flight: Default::default(),
         expulsion_voters: vec![Vec::new(); n],
         expelled: vec![false; n],
         hot,

@@ -31,8 +31,8 @@
 //!   what keeps them unit-testable sans-IO and the stack's RNG consumption
 //!   deterministic.
 //! * The reputation plane is per node, not per stream: the stack holds the
-//!   node's [`lifting_reputation::ManagerState`] and books delivered blames
-//!   into it.
+//!   node's [`lifting_reputation::ManagerState`], into which the world lands
+//!   the blame copies delivered to it ([`crate::inflight`]).
 //! * Misbehaviour is not wired into the planes: an [`Adversary`]
 //!   implementation reshapes each plane (dissemination behaviour, partner
 //!   selection, verification collusion) and may inject traffic of its own,

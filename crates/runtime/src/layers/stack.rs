@@ -161,12 +161,13 @@ impl StreamPlane {
             VerificationMessage::ConfirmResponse(response) => {
                 self.verifier.on_confirm_response(from, response);
             }
-            VerificationMessage::Blame(_) => {
-                unreachable!("blames are booked by the stack's manager state")
-            }
-            VerificationMessage::HistoryRequest | VerificationMessage::HistoryResponse(_) => {
-                // Audits are executed synchronously by the audit coordinator;
-                // these messages only exist for traffic accounting.
+            VerificationMessage::Blame(_)
+            | VerificationMessage::HistoryRequest
+            | VerificationMessage::HistoryResponse(_) => {
+                // Never delivered as events: blames reach the managers' books
+                // through the world's in-flight buffer, audits run
+                // synchronously in the audit coordinator. These messages only
+                // size and categorise traffic.
             }
         }
     }
@@ -334,8 +335,8 @@ impl NodeStack {
 
     /// Routes one delivered message into the stack: gossip and verification
     /// traffic goes to the plane of the stream it belongs to (derived from
-    /// the chunk identities it carries), blames to the shared reputation
-    /// plane.
+    /// the chunk identities it carries). Blames never arrive here: the world
+    /// lands them in the reputation book from its in-flight buffer.
     pub fn on_message(
         &mut self,
         from: NodeId,
@@ -347,9 +348,6 @@ impl NodeStack {
             Message::Gossip(inbound) => {
                 let stream = inbound.stream().unwrap_or(StreamId::PRIMARY);
                 self.planes[stream.index()].on_gossip(from, inbound, now, &mut self.rng, out);
-            }
-            Message::Verification(VerificationMessage::Blame(blame)) => {
-                self.reputation.apply_blame(blame.target, blame.value);
             }
             Message::Verification(inbound) => {
                 let stream = inbound.stream().unwrap_or(StreamId::PRIMARY);
@@ -569,22 +567,18 @@ mod tests {
 
     #[test]
     fn blames_lower_the_managed_score_and_trigger_votes() {
-        use lifting_core::{Blame, BlameReason};
+        use crate::inflight::{land, InFlightBlame};
         let mut s = stack(1, Box::new(Honest));
         let target = NodeId::new(3);
         s.reputation.register(target);
-        let mut out = Vec::new();
-        s.on_message(
-            NodeId::new(2),
-            Message::Verification(VerificationMessage::Blame(Blame::new(
-                target,
-                30.0,
-                BlameReason::MissingAck,
-            ))),
-            SimTime::ZERO,
-            &mut out,
-        );
-        assert!(out.is_empty(), "booking a blame puts nothing on the wire");
+        let copy = InFlightBlame {
+            arrival: SimTime::ZERO,
+            stamp: 0,
+            manager: s.id(),
+            subject: target,
+            value: 30.0,
+        };
+        land(&Directory::new(8), &mut s.reputation, &copy);
         s.reputation.end_period(0.0);
         assert!(s.reputation.normalized_score(target).unwrap() < -9.75);
         let mut votes = Vec::new();

@@ -31,6 +31,7 @@
 pub mod builder;
 pub mod components;
 pub(crate) mod hot;
+pub mod inflight;
 pub mod layers;
 pub mod message;
 pub mod metrics;
@@ -45,6 +46,7 @@ pub use components::{
     adversary_components, component_summary, exporter_components, resolve_components,
     workload_components, AdversarySpawner, OutcomeExporter, ResolvedComponents,
 };
+pub use inflight::{BlamesInFlight, InFlightBlame};
 pub use layers::{Adversary, AuditRpcStats, FeedbackAction, NodeStack};
 pub use message::{Event, Message};
 pub use metrics::{

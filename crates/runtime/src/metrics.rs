@@ -1,6 +1,5 @@
 //! Run outcomes and the metrics the experiments report.
 
-use lifting_analysis::{detection_rate, false_positive_rate};
 use lifting_gossip::{Chunk, StreamHealth};
 use lifting_net::{TrafficCategory, TrafficReport};
 use lifting_sim::{NodeId, SimDuration, SimTime, StreamId};
@@ -302,17 +301,6 @@ impl RunOutcome {
     /// False-positive probability at the configured threshold.
     pub fn false_positive_rate(&self, eta: f64) -> f64 {
         self.finals.false_positive_rate(eta)
-    }
-
-    /// Detection rate computed from raw scores only (ignoring expulsions),
-    /// matching [`lifting_analysis::detection_rate`].
-    pub fn score_only_detection_rate(&self, eta: f64) -> f64 {
-        detection_rate(&self.finals.freerider_scores(), eta)
-    }
-
-    /// False-positive rate computed from raw scores only.
-    pub fn score_only_false_positive_rate(&self, eta: f64) -> f64 {
-        false_positive_rate(&self.finals.honest_scores(), eta)
     }
 }
 

@@ -6,17 +6,49 @@
 //! dispatch and the cross-layer glue.
 
 use lifting_gossip::{Chunk, StreamHealth};
+use lifting_reputation::ManagerState;
 use lifting_sim::{NodeId, SimDuration, SimTime, StreamId};
 
+use crate::inflight::land;
 use crate::metrics::{
     layer_breakdown, ChurnStats, NodeOutcome, RunOutcome, ScoreSnapshot, StreamOutcome,
 };
 use crate::world::SystemWorld;
 
 impl SystemWorld {
-    /// Reads the current normalized score of every node (min vote over its
-    /// managers) together with its expulsion status.
+    /// Reads the normalized score of every node (min vote over its managers)
+    /// at `at`, the instant the engine stopped at, together with its
+    /// expulsion status. Blame copies that arrived by `at` but still wait
+    /// for the next event to land them are folded into copies of their
+    /// managers' books, so the scores are those of a world where every
+    /// copy was delivered as an event.
     pub fn score_snapshot(&self, at: SimTime) -> ScoreSnapshot {
+        let mut folded: Vec<(NodeId, ManagerState)> = Vec::new();
+        for blame in self.blames_in_flight.due(at) {
+            let i = match folded.binary_search_by_key(&blame.manager, |(m, _)| *m) {
+                Ok(i) => i,
+                Err(i) => {
+                    let book = self.stacks[blame.manager.index()].reputation.clone();
+                    folded.insert(i, (blame.manager, book));
+                    i
+                }
+            };
+            land(&self.directory, &mut folded[i].1, &blame);
+        }
+        self.snapshot_of(at, &folded)
+    }
+
+    /// The score snapshot over the live books, except those of `folded`
+    /// (sorted by manager), which replace them.
+    pub(crate) fn snapshot_of(
+        &self,
+        at: SimTime,
+        folded: &[(NodeId, ManagerState)],
+    ) -> ScoreSnapshot {
+        let book = |m: NodeId| match folded.binary_search_by_key(&m, |(id, _)| *id) {
+            Ok(i) => &folded[i].1,
+            Err(_) => &self.stacks[m.index()].reputation,
+        };
         let outcomes = (1..self.config.nodes)
             .map(|i| {
                 let id = NodeId::new(i as u32);
@@ -24,7 +56,7 @@ impl SystemWorld {
                     .assignment
                     .managers_of(id)
                     .iter()
-                    .filter_map(|m| self.stacks[m.index()].reputation.normalized_score(id))
+                    .filter_map(|m| book(*m).normalized_score(id))
                     .collect();
                 NodeOutcome {
                     node: id,
@@ -132,6 +164,7 @@ impl SystemWorld {
             ("links", self.network.estimated_heap_bytes()),
             ("directory", self.directory.estimated_heap_bytes()),
             ("assignment", self.assignment.estimated_heap_bytes()),
+            ("blames in flight", self.blames_in_flight.heap_bytes()),
             ("world columns", columns),
         ]
         .map(|(name, bytes)| (name, bytes as u64))

@@ -17,9 +17,11 @@
 //!   calls — and keeps the [`Downcall`]s it emits in its outbox, tagged with
 //!   the wave position and the acting node, instead of committing them.
 //! * **Phase B (sequential commit).** Wave positions are walked in order; for
-//!   each, the owning shard's outbox holds that event's effects at its front,
-//!   in emission order, and they are handed one by one to
-//!   [`SystemWorld::commit`] — the function sequential dispatch calls.
+//!   each, the world first lands the blame copies that have arrived, as it
+//!   does before every sequential event, then the owning shard's outbox holds
+//!   that event's effects at its front, in emission order, and they are
+//!   handed one by one to [`SystemWorld::commit`] — the function sequential
+//!   dispatch calls.
 //!
 //! # Why this is bit-identical
 //!
@@ -175,7 +177,11 @@ impl SystemWorld {
 
         // Phase B: every position's effects sit at the front of its owner's
         // outbox; commit them in position order, as a sequential loop would.
+        // Sequential dispatch lands the arrived blame copies before each
+        // event; no node-local handler reads a book, so landing them before
+        // each event's effects instead puts the buffer through the same calls.
         for (pos, &src) in exec.owners.iter().enumerate() {
+            self.settle_blames((now, 0));
             let outbox = &mut exec.shards[src].outbox;
             while outbox.front().is_some_and(|(p, ..)| *p == pos) {
                 let (_, node, downcall) = outbox.pop_front().expect("front was just seen");

@@ -2,6 +2,11 @@
 //! the world-level glue (event dispatch, blame routing, expulsions, and the
 //! disturbance edges of the scenario's workload plan).
 //!
+//! Blames do not travel as queued events: `SystemWorld::route_blame` draws
+//! each manager copy's delivery from the network and keeps the delivered
+//! copies in flight ([`crate::inflight`]); every event first lands the copies
+//! the queue would have popped before it.
+//!
 //! All node-local protocol logic lives in [`crate::layers`]; the world only
 //! routes events into the right [`NodeStack`] ([`handle_local`], the one
 //! place the three node-local events are gated and handled), commits the
@@ -25,7 +30,7 @@ use lifting_gossip::{Chunk, StreamSource};
 use lifting_membership::{Directory, Sessions, WorkloadPlan};
 use lifting_net::Network;
 use lifting_reputation::ManagerAssignment;
-use lifting_sim::{derive_rng, Context, InlineVec, NodeId, SimDuration, SimTime, StreamId, World};
+use lifting_sim::{derive_rng, Context, NodeId, SimDuration, SimTime, StreamId, World};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::sync::Arc;
@@ -35,6 +40,7 @@ use lifting_core::VerificationMessage;
 use crate::builder;
 use crate::components::AdversarySpawner;
 use crate::hot::HotNodeState;
+use crate::inflight::{land, BlamesInFlight, InFlightBlame};
 use crate::layers::{AuditCoordinator, AuditOutcome, Downcall, FeedbackAction, NodeStack};
 use crate::message::{Event, Message, CHURN_EPOCH_ANY};
 use crate::metrics::{RecoveryReport, WaveKind, WaveRecovery};
@@ -65,6 +71,8 @@ pub struct SystemWorld {
     /// tests; scoring never reads either.
     pub(crate) blame_counts: Vec<u64>,
     pub(crate) blame_values: Vec<f64>,
+    /// Delivered blame copies that have not reached their manager yet.
+    pub(crate) blames_in_flight: BlamesInFlight,
     /// Per target: the distinct managers that have voted to expel it. A set
     /// of voters, not a bare counter: a manager whose stack was rebuilt
     /// after a rejoin starts from a blank book and may re-derive the same
@@ -152,11 +160,6 @@ impl SystemWorld {
         self.compensation_per_stream.iter().sum()
     }
 
-    /// The per-period compensation attributed to one stream.
-    pub fn compensation_for(&self, stream: StreamId) -> f64 {
-        self.compensation_per_stream[stream.index()]
-    }
-
     /// Number of concurrent streams this world broadcasts.
     pub fn stream_count(&self) -> usize {
         self.sources.len()
@@ -165,11 +168,6 @@ impl SystemWorld {
     /// The chunks emitted by the primary stream's source so far.
     pub fn emitted_chunks(&self) -> &[Chunk] {
         &self.emitted[0]
-    }
-
-    /// The chunks emitted on `stream` so far.
-    pub fn emitted_chunks_of(&self, stream: StreamId) -> &[Chunk] {
-        &self.emitted[stream.index()]
     }
 
     /// Blames booked against `node` that were emitted by `stream`'s
@@ -213,16 +211,13 @@ impl SystemWorld {
         self.expelled[node.index()]
     }
 
-    /// True if `node` is offline due to churn (departed but not expelled).
-    pub fn is_departed(&self, node: NodeId) -> bool {
-        departed(&self.directory, &self.expelled, node)
-    }
-
     /// Forcibly removes `node` from the system mid-run, as a churn departure
     /// would (deactivated in the directory, cut off the network, stack left
     /// to be torn down on a later rejoin). Exposed for fault injection
-    /// between engine segments and for invariant tests.
-    pub fn force_depart(&mut self, node: NodeId) {
+    /// between engine segments and for invariant tests; `now` is where the
+    /// last segment stopped, and the blames that arrived by then land first.
+    pub fn force_depart(&mut self, node: NodeId, now: SimTime) {
+        self.settle_blames((now, u64::MAX));
         if node == NodeId::new(0) || !self.directory.is_active(node) {
             return;
         }
@@ -378,6 +373,9 @@ impl SystemWorld {
         }
     }
 
+    /// Sends `blame` to each of its target's managers. Every copy pays its
+    /// network send (loss, duplication, latency, traffic counters); each
+    /// delivered copy goes in flight ([`deliver_blame`](Self::deliver_blame)).
     pub(crate) fn route_blame(
         &mut self,
         from: NodeId,
@@ -391,19 +389,57 @@ impl SystemWorld {
         let slot = blame.target.index() * self.sources.len() + blame.stream.index();
         self.blame_counts[slot] += 1;
         self.blame_values[slot] += blame.value;
-        // Copy the manager list to the stack (M ≈ 25 fits inline) so `send`
-        // can borrow the world mutably without a heap allocation per blame.
-        let managers: InlineVec<NodeId, 32> =
-            InlineVec::from_slice(self.assignment.managers_of(blame.target));
-        for manager in managers.iter() {
-            self.send(
-                now,
-                from,
-                *manager,
-                Message::Verification(VerificationMessage::Blame(blame)),
-                ctx,
-            );
+        let message = Message::Verification(VerificationMessage::Blame(blame));
+        let (size, category) = (message.wire_size(), message.category());
+        for k in 0..self.assignment.managers_of(blame.target).len() {
+            let manager = self.assignment.managers_of(blame.target)[k];
+            match self.network.send(now, from, manager, size, category) {
+                lifting_net::DeliveryOutcome::Deliver { at } => {
+                    self.deliver_blame(at, manager, &blame, ctx);
+                }
+                lifting_net::DeliveryOutcome::Duplicated { at, duplicate_at } => {
+                    self.deliver_blame(at, manager, &blame, ctx);
+                    self.deliver_blame(duplicate_at, manager, &blame, ctx);
+                }
+                lifting_net::DeliveryOutcome::Lost => {}
+            }
         }
+    }
+
+    /// Puts one delivered copy of `blame` in flight to `manager`, arriving
+    /// at `arrival` (never before now), stamped with the engine seq its
+    /// `Deliver` event would have taken. This is what blame routing does
+    /// with each copy the network delivers; tests call it to place arrivals
+    /// exactly.
+    pub fn deliver_blame(
+        &mut self,
+        arrival: SimTime,
+        manager: NodeId,
+        blame: &Blame,
+        ctx: &mut Context<Event>,
+    ) {
+        self.blames_in_flight.push(InFlightBlame {
+            arrival: arrival.max(ctx.now()),
+            stamp: ctx.stamp(),
+            manager,
+            subject: blame.target,
+            value: blame.value,
+        });
+    }
+
+    /// Lands, in key order, every copy in flight whose `(arrival, stamp)`
+    /// sorts before `key`: before an event `(time, seq)`, exactly the copies
+    /// the queue would have popped first.
+    pub(crate) fn settle_blames(&mut self, key: (SimTime, u64)) {
+        while let Some(blame) = self.blames_in_flight.pop_before(key) {
+            let book = &mut self.stacks[blame.manager.index()].reputation;
+            land(&self.directory, book, &blame);
+        }
+    }
+
+    /// The copies in flight (observability and tests).
+    pub fn blames_in_flight(&self) -> &BlamesInFlight {
+        &self.blames_in_flight
     }
 
     fn expel(&mut self, node: NodeId) {
@@ -642,11 +678,12 @@ impl SystemWorld {
             }
             // One post-aging score snapshot feeds every resilience feature of
             // this period (recalibration, closed-loop feedback, recovery
-            // traces); legacy scenarios take none and pay nothing.
+            // traces); legacy scenarios take none and pay nothing. The books
+            // hold every copy ordered before this event and none after it.
             let snap = (self.recovery.is_some()
                 || self.config.online_recalibration.is_some()
                 || self.adversary.closed_loop())
-            .then(|| self.score_snapshot(now));
+            .then(|| self.snapshot_of(now, &[]));
             // Online defense: recalibrate the expulsion threshold from the
             // live score distribution with a robust low-outlier rule — trim
             // the suspected-freerider tail, then place the threshold `nmads`
@@ -938,6 +975,21 @@ impl World for SystemWorld {
     type Event = Event;
 
     fn handle_event(&mut self, now: SimTime, event: Event, ctx: &mut Context<Event>) {
+        // Barriers read books or change who is active: they see exactly the
+        // copies ordered before them. The rest read no book, so landing what
+        // arrived before this instant keeps the buffer to what is in flight.
+        let before = match event {
+            Event::PeriodEnd
+            | Event::AuditTick { .. }
+            | Event::Churn { .. }
+            | Event::Resubscribe { .. }
+            | Event::Fault { .. } => (now, ctx.seq()),
+            Event::SourceEmit { .. }
+            | Event::GossipTick { .. }
+            | Event::Deliver { .. }
+            | Event::Timer { .. } => (now, 0),
+        };
+        self.settle_blames(before);
         match event {
             Event::SourceEmit { stream } => {
                 let source = &mut self.sources[stream.index()];

@@ -122,7 +122,9 @@ fn departed_node_stops_receiving_traffic_and_partner_slots() {
         .stored_chunks();
     assert!(before > 0, "the node must participate before departing");
 
-    engine.world_mut().force_depart(victim);
+    engine
+        .world_mut()
+        .force_depart(victim, SimTime::from_secs(3));
     assert!(!engine.world().directory().is_active(victim));
     assert!(engine.world().network().is_cut_off(victim));
 

@@ -96,18 +96,18 @@ struct PinnedWaves {
 const PINNED_WAVES: [PinnedWaves; 3] = [
     PinnedWaves {
         scenario: "scale/1k",
-        shape: (474, 952, 755),
-        split_at_2: (459, 296),
+        shape: (242, 485, 528),
+        split_at_2: (312, 216),
     },
     PinnedWaves {
         scenario: "churn/steady-fast",
-        shape: (61, 122, 96),
-        split_at_2: (52, 44),
+        shape: (38, 76, 69),
+        split_at_2: (37, 32),
     },
     PinnedWaves {
         scenario: "multistream/overlapping-audiences",
-        shape: (256, 512, 382),
-        split_at_2: (246, 136),
+        shape: (137, 274, 316),
+        split_at_2: (206, 110),
     },
 ];
 

@@ -20,12 +20,10 @@
 //! * [`ComponentRegistry`] — typed lookup by name with structured
 //!   [`ComponentError`]s (never panics) on unknown names, duplicate
 //!   registration, missing/ill-typed/unknown parameters.
-//! * [`SeedSplitter`] — hands components decorrelated RNG streams off the
+//! * [`SeedSplitter`] — hands components decorrelated seeds off the
 //!   scenario's master seed without letting construction order perturb the
 //!   streams other components see.
 
-use crate::rng::derive_rng;
-use rand::rngs::SmallRng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -490,11 +488,6 @@ impl SeedSplitter {
     /// A decorrelated seed for the fixed stream label.
     pub fn seed(&self, stream: u64) -> u64 {
         crate::rng::split_seed(self.master, stream)
-    }
-
-    /// An RNG for the fixed stream label.
-    pub fn named_rng(&mut self, stream: u64) -> SmallRng {
-        derive_rng(self.master, stream)
     }
 }
 

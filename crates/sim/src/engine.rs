@@ -61,20 +61,19 @@ pub trait ShardedWorld: World {
 
 /// Scheduling facility handed to [`World::handle_event`].
 ///
-/// The context borrows a scratch buffer owned by the [`Engine`], so handling
-/// an event performs no allocation once the buffer has warmed up: follow-up
-/// events are staged in the recycled buffer and drained into the queue in one
-/// batch after the handler returns.
+/// The context borrows the engine's queue: a scheduled event is pushed at
+/// once, taking the next sequence number, so the `(time, seq)` key of
+/// everything a handler schedules follows its call order.
 #[derive(Debug)]
 pub struct Context<'a, E> {
     now: SimTime,
-    scheduled: &'a mut Vec<(SimTime, E)>,
+    seq: u64,
+    queue: &'a mut EventQueue<E>,
 }
 
 impl<'a, E> Context<'a, E> {
-    fn new(now: SimTime, scheduled: &'a mut Vec<(SimTime, E)>) -> Self {
-        debug_assert!(scheduled.is_empty(), "scratch buffer must start drained");
-        Context { now, scheduled }
+    fn new(now: SimTime, seq: u64, queue: &'a mut EventQueue<E>) -> Self {
+        Context { now, seq, queue }
     }
 
     /// The current simulated time.
@@ -82,23 +81,33 @@ impl<'a, E> Context<'a, E> {
         self.now
     }
 
+    /// The sequence number of the event being handled: with
+    /// [`now`](Self::now) it is the event's `(time, seq)` key, the queue's
+    /// order.
+    /// In a wave ([`ShardedWorld::handle_wave`]) it is the first member's.
+    pub fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    /// Takes the sequence number an event scheduled at this point would get,
+    /// without scheduling one. A world that keeps some of its messages out
+    /// of the queue stamps them with it: `(arrival, stamp)` then sorts
+    /// against queued events exactly as the message itself would have.
+    pub fn stamp(&mut self) -> u64 {
+        self.queue.reserve_seq()
+    }
+
     /// Schedules `event` at the absolute instant `time`.
     ///
     /// Events scheduled in the past are delivered "now" instead (never before
     /// the current instant), so simulated time is always monotone.
     pub fn schedule_at(&mut self, time: SimTime, event: E) {
-        let t = time.max(self.now);
-        self.scheduled.push((t, event));
+        self.queue.push(time.max(self.now), event);
     }
 
     /// Schedules `event` after the relative delay `delay`.
     pub fn schedule_after(&mut self, delay: SimDuration, event: E) {
-        self.scheduled.push((self.now + delay, event));
-    }
-
-    /// Number of events scheduled through this context so far.
-    pub fn scheduled_len(&self) -> usize {
-        self.scheduled.len()
+        self.queue.push(self.now + delay, event);
     }
 }
 
@@ -119,9 +128,6 @@ pub struct Engine<W: World> {
     queue: EventQueue<W::Event>,
     clock: SimTime,
     events_processed: u64,
-    /// Recycled staging buffer for events scheduled while handling an event.
-    /// [`Context`] borrows it, so the steady-state run loop allocates nothing.
-    scratch: Vec<(SimTime, W::Event)>,
 }
 
 impl<W: World> Engine<W> {
@@ -133,7 +139,6 @@ impl<W: World> Engine<W> {
             queue: EventQueue::new(),
             clock: SimTime::ZERO,
             events_processed: 0,
-            scratch: Vec::new(),
         }
     }
 
@@ -173,11 +178,6 @@ impl<W: World> Engine<W> {
         &mut self.world
     }
 
-    /// Consumes the engine and returns the world.
-    pub fn into_world(self) -> W {
-        self.world
-    }
-
     /// Runs until the queue drains or the next event would occur after
     /// `deadline`. The clock is advanced to `deadline` if the queue drains
     /// earlier events only.
@@ -187,14 +187,13 @@ impl<W: World> Engine<W> {
             // Fast path: one queue probe decides both "is there an event" and
             // "is it due" (see `EventQueue::pop_due`); an undue event stays
             // queued without ever being materialized here.
-            let Some((time, event)) = self.queue.pop_due(deadline) else {
+            let Some((time, seq, event)) = self.queue.pop_due(deadline) else {
                 report.drained = self.queue.is_empty();
                 break;
             };
             self.clock = time;
-            let mut ctx = Context::new(time, &mut self.scratch);
+            let mut ctx = Context::new(time, seq, &mut self.queue);
             self.world.handle_event(time, event, &mut ctx);
-            self.queue.push_batch(self.scratch.drain(..));
             self.events_processed += 1;
             report.events_processed += 1;
         }
@@ -222,7 +221,7 @@ impl<W: World> Engine<W> {
         let mut report = RunReport::default();
         let mut wave: Vec<W::Event> = Vec::new();
         loop {
-            let Some((time, event)) = self.queue.pop_due(deadline) else {
+            let Some((time, seq, event)) = self.queue.pop_due(deadline) else {
                 report.drained = self.queue.is_empty();
                 break;
             };
@@ -235,7 +234,7 @@ impl<W: World> Engine<W> {
                 self.queue
                     .pop_due_if(time, |t, e| t == time && world.local_node(e).is_some())
             });
-            let processed = if let Some(Some((_, e2))) = second {
+            let processed = if let Some(Some((_, _, e2))) = second {
                 wave.clear();
                 wave.push(event);
                 wave.push(e2);
@@ -245,26 +244,21 @@ impl<W: World> Engine<W> {
                 // event already at `time` sorts before anything a wave member
                 // schedules, so the collection is exactly the prefix a
                 // sequential loop would process back to back.
-                while let Some((_, e)) = self
+                while let Some((_, _, e)) = self
                     .queue
                     .pop_due_if(time, |t, e| t == time && world.local_node(e).is_some())
                 {
                     wave.push(e);
                 }
                 let count = wave.len() as u64;
-                let mut ctx = Context::new(time, &mut self.scratch);
+                let mut ctx = Context::new(time, seq, &mut self.queue);
                 self.world.handle_wave(time, &mut wave, &mut ctx);
                 count
             } else {
-                let mut ctx = Context::new(time, &mut self.scratch);
+                let mut ctx = Context::new(time, seq, &mut self.queue);
                 self.world.handle_event(time, event, &mut ctx);
                 1
             };
-            // One batch push per wave: scheduled events are staged in the
-            // same relative order as per-event pushes, and sequence numbers
-            // depend only on push order, so the assignment is identical to
-            // the sequential loop's.
-            self.queue.push_batch(self.scratch.drain(..));
             self.events_processed += processed;
             report.events_processed += processed;
         }
@@ -280,14 +274,13 @@ impl<W: World> Engine<W> {
     pub fn run_to_completion(&mut self, max_events: u64) -> RunReport {
         let mut report = RunReport::default();
         while report.events_processed < max_events {
-            let Some((time, event)) = self.queue.pop() else {
+            let Some((time, seq, event)) = self.queue.pop_due(SimTime::MAX) else {
                 report.drained = true;
                 break;
             };
             self.clock = time;
-            let mut ctx = Context::new(time, &mut self.scratch);
+            let mut ctx = Context::new(time, seq, &mut self.queue);
             self.world.handle_event(time, event, &mut ctx);
-            self.queue.push_batch(self.scratch.drain(..));
             self.events_processed += 1;
             report.events_processed += 1;
         }

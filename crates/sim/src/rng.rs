@@ -26,7 +26,7 @@ pub fn derive_rng(master: u64, stream: u64) -> SmallRng {
     SmallRng::seed_from_u64(split_seed(master, stream))
 }
 
-/// A convenience generator of decorrelated seeds/RNGs, handing out one stream
+/// A convenience generator of decorrelated seeds, handing out one stream
 /// after another.
 ///
 /// ```
@@ -56,18 +56,6 @@ impl SeedSequence {
         let s = split_seed(self.master, self.next_stream);
         self.next_stream += 1;
         s
-    }
-
-    /// Returns an RNG seeded with the next derived seed.
-    pub fn next_rng(&mut self) -> SmallRng {
-        SmallRng::seed_from_u64(self.next_seed())
-    }
-
-    /// Returns an RNG for a fixed, named stream (independent of the sequence
-    /// position), useful to give stable streams to components created in
-    /// nondeterministic order.
-    pub fn named_rng(&self, stream: u64) -> SmallRng {
-        derive_rng(self.master, stream)
     }
 }
 

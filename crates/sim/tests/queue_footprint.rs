@@ -5,7 +5,7 @@
 //! grown in one slot would show if it were ever handed to another.
 //!
 //! The bound is what the queue's design guarantees: every pending entry in
-//! a block of 16, one partial block for each slot the traffic can reach,
+//! a block of 8, one partial block for each slot the traffic can reach,
 //! the pool's bookkeeping per block, the levels' slot tables, and a front of
 //! at most twice the largest slot it sorted.
 
@@ -14,7 +14,7 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 /// Entries per block of the queue's pool.
-const BLOCK: usize = 16;
+const BLOCK: usize = 8;
 /// Slots that may each hold a partial block. Every event but the one at 30 s
 /// is due within 4 s, so it sits in one of the 256 slots of 1 ms, one of 17
 /// slots of 262 ms, or the next slot of 67 s; the one at 30 s takes one

@@ -61,9 +61,11 @@ impl ReferenceQueue {
         &mut self,
         deadline: SimTime,
         take: impl FnOnce(SimTime, &u64) -> bool,
-    ) -> Option<(SimTime, u64)> {
+    ) -> Option<(SimTime, u64, u64)> {
         match self.heap.peek() {
-            Some(e) if e.time <= deadline && take(e.time, &e.event) => self.pop(),
+            Some(e) if e.time <= deadline && take(e.time, &e.event) => {
+                self.heap.pop().map(|e| (e.time, e.seq, e.event))
+            }
             _ => None,
         }
     }
@@ -148,13 +150,13 @@ proptest! {
                     let a = queue.pop_due_if(deadline, |_, e| e % 3 != 0);
                     let b = reference.pop_due_if(deadline, |_, e| e % 3 != 0);
                     prop_assert!(a == b, "pop_due_if diverged: queue {a:?} vs heap {b:?}");
-                    a
+                    a.map(|(t, _, e)| (t, e))
                 }
                 Some(1 | 2) => {
                     let a = queue.pop_due(deadline);
                     let b = reference.pop_due_if(deadline, |_, _| true);
                     prop_assert!(a == b, "pop_due diverged: queue {a:?} vs heap {b:?}");
-                    a
+                    a.map(|(t, _, e)| (t, e))
                 }
                 Some(_) => {
                     let (a, b) = (queue.pop(), reference.pop());

@@ -1,6 +1,6 @@
 //! Proves the engine's inner loop is allocation-free at steady state: once
-//! the recycled scratch buffer and the queue's buffers have warmed up, handling
-//! an event performs zero heap allocations.
+//! the queue's buffers have warmed up, handling an event (and scheduling its
+//! follow-ups straight into the queue) performs zero heap allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -43,7 +43,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static GLOBAL: CountingAllocator = CountingAllocator;
 
 /// A world that keeps a fixed-size frontier of events alive: every event
-/// schedules one follow-up, exercising pop, handle and batched re-push.
+/// schedules one follow-up, exercising pop, handle and push.
 struct Relay {
     handled: u64,
     limit: u64,
@@ -75,10 +75,10 @@ fn steady_state_event_loop_does_not_allocate() {
     for i in 0..16 {
         engine.schedule(SimTime::from_micros(i), Hop(i as u32));
     }
-    // Warm up: let the scratch buffer, the front and the queue's pool of
-    // blocks reach their final size. Level 0 of the queue's wheel spans
-    // ~262 ms of simulated time, so one full pass (plus slack) touches every
-    // level-0 slot at its steady-state occupancy.
+    // Warm up: let the front and the queue's pool of blocks reach their
+    // final size. Level 0 of the queue's wheel spans ~262 ms of simulated
+    // time, so one full pass (plus slack) touches every level-0 slot at its
+    // steady-state occupancy.
     engine.run_until(SimTime::from_millis(600));
     assert!(engine.events_processed() > 1_000);
 
