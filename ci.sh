@@ -61,8 +61,8 @@ LIFTING_EXAMPLE_QUICK=1 ./target/release/examples/streaming_freeriders > /dev/nu
 echo "examples smoke OK"
 
 echo "==> registry validation (components + scenario manifest)"
-# Every registered component of every kind (transport, loss, capability,
-# workload, adversary, exporter) must instantiate with default parameters,
+# Every registered component of every kind (capability, workload,
+# adversary, exporter) must instantiate with default parameters,
 # and the scenario registry must match the committed manifest and listing
 # exactly — a
 # scenario added without updating the manifest (or silently dropped by a

@@ -53,8 +53,8 @@ fn main() {
         return;
     }
     if args.iter().any(|a| a == "--validate-registry") {
-        let validated = listing::validate_component_registries();
-        println!("validated {validated} components across 6 registries");
+        let (components, registries) = listing::validate_component_registries();
+        println!("validated {components} components across {registries} registries");
         return;
     }
     let name = match positionals[..] {

@@ -1,13 +1,11 @@
-//! Registered network components: transport policies, loss models and
-//! per-node capability *classes*.
+//! Registered per-node capability *classes*.
 //!
-//! Scenario construction used to hard-code the network axis: a
-//! [`TransportPolicy`] picked by constructor, a [`LossModel`] assembled
-//! inline, and one "poor fraction" capability loop in the runtime's world
-//! builder. This module turns each axis into named
-//! [`lifting_sim::Component`]s behind [`lifting_sim::ComponentRegistry`]s, so
-//! scenarios compose `transport:paper + loss:bernoulli + capability:tiered`
-//! declaratively and new classes slot in without touching the builder.
+//! Scenario construction used to hard-code node heterogeneity as one "poor
+//! fraction" loop in the runtime's world builder. This module turns it into
+//! named [`lifting_sim::Component`]s behind a
+//! [`lifting_sim::ComponentRegistry`], so scenarios declare
+//! `capability:tiered` and new classes slot in without touching the builder.
+//! (Transport and loss are plain values of [`crate::NetworkConfig`].)
 //!
 //! The capability axis is *per node*, not per category: a
 //! [`CapabilityClassAssigner`] maps every node to a [`NodeCapability`]
@@ -26,8 +24,6 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::bandwidth::NodeCapability;
-use crate::loss::LossModel;
-use crate::transport::TransportPolicy;
 
 /// Assigns every node its [`NodeCapability`] — the per-node heterogeneity
 /// provider.
@@ -47,185 +43,6 @@ pub trait CapabilityClassAssigner: Send + Sync {
         default: NodeCapability,
         rng: &mut SmallRng,
     ) -> NodeCapability;
-}
-
-// ---------------------------------------------------------------------------
-// Transport components.
-// ---------------------------------------------------------------------------
-
-struct TransportComponent {
-    name: &'static str,
-    description: &'static str,
-    policy: fn() -> TransportPolicy,
-}
-
-impl Component<TransportPolicy> for TransportComponent {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-    fn description(&self) -> &'static str {
-        self.description
-    }
-    fn build(
-        &self,
-        _params: &ParamMap,
-        _seeds: &mut SeedSplitter,
-    ) -> Result<TransportPolicy, ComponentError> {
-        Ok((self.policy)())
-    }
-}
-
-/// The registry of transport-policy components: `paper`, `all-udp`,
-/// `all-tcp`.
-pub fn transport_components() -> &'static ComponentRegistry<TransportPolicy> {
-    static REGISTRY: OnceLock<ComponentRegistry<TransportPolicy>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        let mut registry = ComponentRegistry::new("transport");
-        for (name, description, policy) in [
-            (
-                "paper",
-                "Section 5.3 mapping: audits over TCP, everything else over UDP",
-                TransportPolicy::paper as fn() -> TransportPolicy,
-            ),
-            (
-                "all-udp",
-                "Everything over UDP, audits included (cheaper, lossy)",
-                TransportPolicy::all_udp,
-            ),
-            (
-                "all-tcp",
-                "Everything over TCP (loss-free control plane, for ablations)",
-                TransportPolicy::all_tcp,
-            ),
-        ] {
-            registry
-                .register(Box::new(TransportComponent {
-                    name,
-                    description,
-                    policy,
-                }))
-                .expect("built-in transport components have unique names");
-        }
-        registry
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Loss components.
-// ---------------------------------------------------------------------------
-
-struct NoLoss;
-
-impl Component<LossModel> for NoLoss {
-    fn name(&self) -> &'static str {
-        "none"
-    }
-    fn description(&self) -> &'static str {
-        "No message loss at all"
-    }
-    fn build(&self, _: &ParamMap, _: &mut SeedSplitter) -> Result<LossModel, ComponentError> {
-        Ok(LossModel::None)
-    }
-}
-
-struct BernoulliLoss;
-
-impl Component<LossModel> for BernoulliLoss {
-    fn name(&self) -> &'static str {
-        "bernoulli"
-    }
-    fn description(&self) -> &'static str {
-        "Independent per-message loss with probability `pl` (the paper's model)"
-    }
-    fn params_schema(&self) -> ParamsSchema {
-        ParamsSchema::of(vec![ParamSpec::optional(
-            "pl",
-            ParamKind::Float,
-            ParamValue::Float(0.04),
-            "loss probability in [0, 1]",
-        )])
-    }
-    fn build(&self, params: &ParamMap, _: &mut SeedSplitter) -> Result<LossModel, ComponentError> {
-        let pl = params.fraction("bernoulli", "pl")?;
-        Ok(LossModel::Bernoulli { pl })
-    }
-}
-
-struct GilbertElliottLoss;
-
-impl Component<LossModel> for GilbertElliottLoss {
-    fn name(&self) -> &'static str {
-        "gilbert-elliott"
-    }
-    fn description(&self) -> &'static str {
-        "Bursty two-state Markov loss (good/bad states with per-state loss rates)"
-    }
-    fn params_schema(&self) -> ParamsSchema {
-        ParamsSchema::of(vec![
-            ParamSpec::optional(
-                "p_gb",
-                ParamKind::Float,
-                ParamValue::Float(0.05),
-                "good-to-bad transition probability",
-            ),
-            ParamSpec::optional(
-                "p_bg",
-                ParamKind::Float,
-                ParamValue::Float(0.45),
-                "bad-to-good transition probability",
-            ),
-            ParamSpec::optional(
-                "loss_good",
-                ParamKind::Float,
-                ParamValue::Float(0.02),
-                "loss probability in the good state",
-            ),
-            ParamSpec::optional(
-                "loss_bad",
-                ParamKind::Float,
-                ParamValue::Float(0.5),
-                "loss probability in the bad state",
-            ),
-        ])
-    }
-    fn build(&self, params: &ParamMap, _: &mut SeedSplitter) -> Result<LossModel, ComponentError> {
-        let p_gb = params.fraction("gilbert-elliott", "p_gb")?;
-        let p_bg = params.fraction("gilbert-elliott", "p_bg")?;
-        let loss_good = params.fraction("gilbert-elliott", "loss_good")?;
-        let loss_bad = params.fraction("gilbert-elliott", "loss_bad")?;
-        if p_gb + p_bg <= 0.0 {
-            return Err(ComponentError::invalid(
-                "gilbert-elliott",
-                "p_bg",
-                "both transition probabilities are zero; the chain never mixes",
-            ));
-        }
-        Ok(LossModel::GilbertElliott {
-            p_gb,
-            p_bg,
-            loss_good,
-            loss_bad,
-        })
-    }
-}
-
-/// The registry of loss-model components: `none`, `bernoulli`,
-/// `gilbert-elliott`.
-pub fn loss_components() -> &'static ComponentRegistry<LossModel> {
-    static REGISTRY: OnceLock<ComponentRegistry<LossModel>> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        let mut registry = ComponentRegistry::new("loss");
-        registry
-            .register(Box::new(NoLoss))
-            .expect("unique loss component");
-        registry
-            .register(Box::new(BernoulliLoss))
-            .expect("unique loss component");
-        registry
-            .register(Box::new(GilbertElliottLoss))
-            .expect("unique loss component");
-        registry
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -473,42 +290,6 @@ pub fn capability_components() -> &'static ComponentRegistry<Box<dyn CapabilityC
 mod tests {
     use super::*;
     use lifting_sim::derive_rng;
-
-    #[test]
-    fn transport_components_build_their_policies() {
-        let registry = transport_components();
-        let mut seeds = SeedSplitter::new(1);
-        assert_eq!(
-            registry
-                .build("paper", &ParamMap::new(), &mut seeds)
-                .unwrap(),
-            TransportPolicy::paper()
-        );
-        assert_eq!(
-            registry
-                .build("all-tcp", &ParamMap::new(), &mut seeds)
-                .unwrap(),
-            TransportPolicy::all_tcp()
-        );
-        assert!(matches!(
-            registry.build("carrier-pigeon", &ParamMap::new(), &mut seeds),
-            Err(ComponentError::UnknownComponent { .. })
-        ));
-    }
-
-    #[test]
-    fn loss_components_validate_their_fractions() {
-        let registry = loss_components();
-        let mut seeds = SeedSplitter::new(1);
-        let params = ParamMap::new().with("pl", ParamValue::Float(0.07));
-        assert_eq!(
-            registry.build("bernoulli", &params, &mut seeds).unwrap(),
-            LossModel::Bernoulli { pl: 0.07 }
-        );
-        let bad = ParamMap::new().with("pl", ParamValue::Float(1.5));
-        let err = registry.build("bernoulli", &bad, &mut seeds).unwrap_err();
-        assert!(matches!(err, ComponentError::InvalidParam { ref key, .. } if key == "pl"));
-    }
 
     #[test]
     fn poor_fraction_assigner_replays_the_legacy_draw_order() {

@@ -67,27 +67,6 @@ impl TransportPolicy {
         }
     }
 
-    /// Everything over UDP (including audits) — a strictly cheaper but lossy
-    /// deployment.
-    pub fn all_udp() -> Self {
-        TransportPolicy {
-            audit: Transport::Udp,
-            ..TransportPolicy::paper()
-        }
-    }
-
-    /// Everything over TCP — loss-free control plane for ablations.
-    pub fn all_tcp() -> Self {
-        TransportPolicy {
-            stream_data: Transport::Tcp,
-            gossip_control: Transport::Tcp,
-            verification: Transport::Tcp,
-            blame: Transport::Tcp,
-            audit: Transport::Tcp,
-            membership: Transport::Tcp,
-        }
-    }
-
     /// The transport messages of `category` travel over.
     pub fn transport_for(&self, category: TrafficCategory) -> Transport {
         match category {
@@ -121,20 +100,6 @@ mod tests {
                 Transport::Udp
             };
             assert_eq!(policy.transport_for(category), expected, "{category:?}");
-        }
-    }
-
-    #[test]
-    fn uniform_policies_cover_every_category() {
-        for category in TrafficCategory::ALL {
-            assert_eq!(
-                TransportPolicy::all_udp().transport_for(category),
-                Transport::Udp
-            );
-            assert_eq!(
-                TransportPolicy::all_tcp().transport_for(category),
-                Transport::Tcp
-            );
         }
     }
 }

@@ -21,7 +21,7 @@ use lifting_gossip::StreamSource;
 use lifting_membership::{Directory, Edge, TimedEdge, WorkloadPlan};
 use lifting_net::{Network, NodeCapability};
 use lifting_reputation::ManagerAssignment;
-use lifting_sim::{derive_rng, ComponentError, NodeId, SimDuration, SimTime, StreamId};
+use lifting_sim::{derive_rng, ComponentError, NodeId, SimDuration, SimTime};
 
 use crate::components::{resolve_components, ResolvedComponents};
 use crate::layers::{AuditCoordinator, NodeStack};
@@ -44,25 +44,15 @@ pub(crate) fn multistream_rng(seed: u64) -> rand::rngs::SmallRng {
 }
 
 /// Builds the system described by `config`, or reports the component of its
-/// `components` section that failed to resolve.
-pub fn build_world(mut config: ScenarioConfig) -> Result<SystemWorld, ComponentError> {
+/// `components` section that failed to resolve or the scenario field that is
+/// out of range.
+pub fn build_world(config: ScenarioConfig) -> Result<SystemWorld, ComponentError> {
     let ResolvedComponents {
-        transport,
-        loss,
         capability,
         workload,
         adversary,
     } = resolve_components(&config)?;
-    // `transport` and `loss` are named presets for values `NetworkConfig`
-    // stores: a declared one replaces the stored value.
-    if let Some(transport) = transport {
-        config.network.transports = transport;
-    }
-    if let Some(loss) = loss {
-        config.network.loss = loss;
-    }
-    let config = config;
-    config.validate();
+    config.validate()?;
     let n = config.nodes;
     let seed = config.seed;
 
@@ -96,7 +86,7 @@ pub fn build_world(mut config: ScenarioConfig) -> Result<SystemWorld, ComponentE
         network.set_capability(NodeId::new(i as u32), cap);
     }
 
-    // Coalition: every freerider belongs to it when collusion is active.
+    // Coalition: every freerider belongs to it (only colluders read it).
     let coalition: Arc<Vec<NodeId>> = Arc::new(
         (0..n)
             .filter(|i| config.is_freerider(*i))
@@ -260,22 +250,15 @@ pub fn build_world(mut config: ScenarioConfig) -> Result<SystemWorld, ComponentE
 /// with.
 pub(crate) fn initial_events(world: &SystemWorld) -> Vec<(SimTime, Event)> {
     let config = &world.config;
-    // The primary stream's first emission is scheduled exactly where the
-    // single-stream runtime always put it; extra channels follow at their
-    // start offsets.
-    let mut events = vec![(
-        SimTime::ZERO,
-        Event::SourceEmit {
-            stream: StreamId::PRIMARY,
-        },
-    )];
-    for stream in config.stream_ids().skip(1) {
-        let spec = config.stream_spec(stream);
-        events.push((
-            SimTime::ZERO + spec.start_offset,
-            Event::SourceEmit { stream },
-        ));
-    }
+    // Every channel's first emission, at its start offset (the primary's is
+    // zero).
+    let mut events: Vec<(SimTime, Event)> = config
+        .stream_ids()
+        .map(|stream| {
+            let start = SimTime::ZERO + config.stream_spec(stream).start_offset;
+            (start, Event::SourceEmit { stream })
+        })
+        .collect();
     let period = config.gossip.gossip_period;
     let n = config.nodes;
     for i in 0..n {
@@ -329,8 +312,9 @@ pub(crate) fn initial_events(world: &SystemWorld) -> Vec<(SimTime, Event)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{CollusionScenario, ComponentSpec, FreeriderScenario};
+    use crate::scenario::{ComponentSpec, FreeriderScenario};
     use lifting_gossip::FreeriderConfig;
+    use lifting_sim::ParamValue;
 
     /// The name of the adversary node `index` plays under `config`.
     fn played_by(config: &ScenarioConfig, index: usize) -> &'static str {
@@ -347,11 +331,11 @@ mod tests {
         let mut config = ScenarioConfig::small_test(10, 1).with_planetlab_freeriders(0.3);
         assert_eq!(played_by(&config, 0), "honest");
         assert_eq!(played_by(&config, 7), "freerider");
-        config.collusion = CollusionScenario {
-            partner_bias: 0.3,
-            cover_up: true,
-            man_in_the_middle: false,
-        };
+        config.components.adversary = Some(
+            ComponentSpec::new("baseline")
+                .with("partner_bias", ParamValue::Float(0.3))
+                .with("cover_up", ParamValue::Bool(true)),
+        );
         assert_eq!(played_by(&config, 7), "colluder");
         assert_eq!(played_by(&config, 1), "honest");
     }

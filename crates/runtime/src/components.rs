@@ -2,14 +2,14 @@
 //! outcome exporters, plus the one function that turns a [`ScenarioConfig`]'s
 //! declarative `components` section into live providers.
 //!
-//! Together with the network registries of [`lifting_net::provider`]
-//! (transports, loss models, capability classes), these registries make
-//! scenario construction compositional: a scenario picks named components
-//! and parameter maps, and every axis is extended by registering a new
-//! component — no builder surgery. The rule is **one axis, one encoding**:
+//! Together with the capability registry of [`lifting_net::provider`],
+//! these registries make scenario construction compositional: a scenario
+//! picks named components and parameter maps, and every axis is extended by
+//! registering a new component — no builder surgery. The rule is **one axis, one encoding**:
 //! adding an adversary family is one entry in [`adversary_components`]
 //! (schema, range checks, cross-field rule and the constructor of the
-//! [`Adversary`] itself), and nothing else in the crate names the family.
+//! [`Adversary`] itself), and nothing else in the crate names the family —
+//! the paper's collusion included, which is parameters of `baseline`.
 //! Likewise every disturbance — steady churn and its waves, partition waves,
 //! the trace-driven audiences — is one entry in [`workload_components`].
 //!
@@ -25,10 +25,8 @@ use lifting_membership::{
     Churn, DiurnalCycle, PartitionWaves, RegionalFailureWaves, Wave, WorkloadGenerator,
     ZapSwitching,
 };
-use lifting_net::provider::{
-    capability_components, loss_components, transport_components, CapabilityClassAssigner,
-};
-use lifting_net::{LossModel, TransportPolicy};
+use lifting_net::provider::{capability_components, CapabilityClassAssigner};
+use lifting_net::{LossModel, TrafficCategory, TransportPolicy};
 use lifting_sim::{
     Component, ComponentError, ComponentRegistry, NodeId, ParamKind, ParamMap, ParamSpec,
     ParamValue, ParamsSchema, SeedSplitter, SimDuration,
@@ -49,6 +47,11 @@ fn float(key: &'static str, default: f64, doc: &'static str) -> ParamSpec {
 /// An optional integer parameter of a schema.
 fn int(key: &'static str, default: i64, doc: &'static str) -> ParamSpec {
     ParamSpec::optional(key, ParamKind::Int, ParamValue::Int(default), doc)
+}
+
+/// An optional boolean parameter of a schema, off by default.
+fn flag(key: &'static str, doc: &'static str) -> ParamSpec {
+    ParamSpec::optional(key, ParamKind::Bool, ParamValue::Bool(false), doc)
 }
 
 fn positive_secs(
@@ -321,28 +324,18 @@ impl AdversarySpawner {
 
     /// The family's cross-field rules against the scenario it is declared in.
     /// A family that replaces the freeriders' behaviour needs a population to
-    /// replace and cannot compose with `collusion`, which only `baseline`
-    /// reads (the others would silently ignore it).
+    /// replace.
     fn check(&self, config: &ScenarioConfig) -> Result<(), ComponentError> {
-        if self.min_freeriders > 0 {
-            let count = config.freerider_count();
-            if count < self.min_freeriders {
-                return Err(ComponentError::invalid(
-                    self.family,
-                    "freeriders",
-                    format!(
-                        "{count} freeriders configured, the family needs at least {}",
-                        self.min_freeriders
-                    ),
-                ));
-            }
-            if config.collusion.is_active() {
-                return Err(ComponentError::invalid(
-                    self.family,
-                    "collusion",
-                    "collusion only composes with the baseline adversary",
-                ));
-            }
+        let count = config.freerider_count();
+        if count < self.min_freeriders {
+            return Err(ComponentError::invalid(
+                self.family,
+                "freeriders",
+                format!(
+                    "{count} freeriders configured, the family needs at least {}",
+                    self.min_freeriders
+                ),
+            ));
         }
         self.check.as_ref().map_or(Ok(()), |check| check(config))
     }
@@ -386,9 +379,9 @@ struct AdversaryComponent {
     name: &'static str,
     description: &'static str,
     closed_loop: bool,
-    /// 0 for `baseline` (composes with `collusion` and an empty population);
-    /// otherwise the family replaces the freeriders' behaviour and needs at
-    /// least this many of them.
+    /// 0 for `baseline` (composes with an empty population); otherwise the
+    /// family replaces the freeriders' behaviour and needs at least this many
+    /// of them.
     min_freeriders: usize,
     schema: fn() -> Vec<ParamSpec>,
     /// Range-checks the parameters of the family called `name` and returns
@@ -428,23 +421,34 @@ fn adversary_families() -> [AdversaryComponent; 7] {
     [
         AdversaryComponent {
             name: "baseline",
-            description:
-                "The paper's adversary: independent freeriders, collusion per the scenario",
+            description: "The paper's adversary: freeriders, independent unless told to collude \
+                          (Section 5.2, Figure 8)",
             closed_loop: false,
             min_freeriders: 0,
-            schema: Vec::new,
-            build: |_, _| {
-                spawns(|config, coalition| {
+            schema: || {
+                let bias = "probability of picking a coalition member as partner (pm)";
+                vec![
+                    float("partner_bias", 0.0, bias),
+                    flag("cover_up", "vouch for accomplices, never blame them"),
+                    flag("man_in_the_middle", "mount the attack of Figure 8b"),
+                ]
+            },
+            build: |name, params| {
+                let partner_bias = params.fraction(name, "partner_bias")?;
+                let cover_up = params.bool("cover_up");
+                let man_in_the_middle = params.bool("man_in_the_middle");
+                let colludes = partner_bias > 0.0 || cover_up || man_in_the_middle;
+                spawns(move |config, coalition| {
                     let degree = degree(config);
-                    if !config.collusion.is_active() {
+                    if !colludes {
                         return Box::new(Freerider { degree });
                     }
                     Box::new(Colluder {
                         degree,
                         coalition: coalition.clone(),
-                        partner_bias: config.collusion.partner_bias,
-                        cover_up: config.collusion.cover_up,
-                        man_in_the_middle: config.collusion.man_in_the_middle,
+                        partner_bias,
+                        cover_up,
+                        man_in_the_middle,
                     })
                 })
             },
@@ -747,10 +751,6 @@ pub fn exporter_components() -> &'static ComponentRegistry<Box<dyn OutcomeExport
 /// The live providers a scenario's `components` section resolves to — what
 /// [`crate::builder::build_world`] consumes.
 pub struct ResolvedComponents {
-    /// The declared transport preset (`None` keeps `network.transports`).
-    pub transport: Option<TransportPolicy>,
-    /// The declared loss preset (`None` keeps `network.loss`).
-    pub loss: Option<LossModel>,
     /// The capability-class assigner (`uniform` when undeclared).
     pub capability: Box<dyn CapabilityClassAssigner>,
     /// The workload generator, when one is declared.
@@ -777,16 +777,6 @@ pub fn resolve_components(config: &ScenarioConfig) -> Result<ResolvedComponents,
     let uniform = ComponentSpec::new("uniform");
     let baseline = ComponentSpec::new("baseline");
     let resolved = ResolvedComponents {
-        transport: declared
-            .transport
-            .as_ref()
-            .map(|spec| build(transport_components(), spec, seeds))
-            .transpose()?,
-        loss: declared
-            .loss
-            .as_ref()
-            .map(|spec| build(loss_components(), spec, seeds))
-            .transpose()?,
         capability: build(
             capability_components(),
             declared.capability.as_ref().unwrap_or(&uniform),
@@ -810,7 +800,7 @@ pub fn resolve_components(config: &ScenarioConfig) -> Result<ResolvedComponents,
 /// The scenario's composition across every component axis, as
 /// `run_scenario --list` prints it: declared specs verbatim, an undeclared
 /// capability, workload or adversary by its default component's name, and
-/// the `NetworkConfig` values the transport and loss axes are stored as.
+/// the transport and loss of its `NetworkConfig`.
 pub fn component_summary(config: &ScenarioConfig) -> Vec<(&'static str, String)> {
     let spec_of = |spec: &ComponentSpec| {
         if spec.params.is_empty() {
@@ -823,21 +813,27 @@ pub fn component_summary(config: &ScenarioConfig) -> Vec<(&'static str, String)>
     let or_default = |spec: &Option<ComponentSpec>, default: &str| {
         spec.as_ref().map_or(default.to_string(), spec_of)
     };
-    let transport = match &declared.transport {
-        Some(spec) => spec_of(spec),
-        None if config.network.transports == TransportPolicy::all_udp() => "all-udp".to_string(),
-        None if config.network.transports == TransportPolicy::all_tcp() => "all-tcp".to_string(),
-        None => "paper".to_string(),
+    let transports = &config.network.transports;
+    let transport = if *transports == TransportPolicy::paper() {
+        "paper".to_string()
+    } else {
+        let per_category: Vec<String> = TrafficCategory::ALL
+            .iter()
+            .map(|&category| format!("{category:?}={:?}", transports.transport_for(category)))
+            .collect();
+        format!("custom{{{}}}", per_category.join(","))
     };
-    let loss = match &declared.loss {
-        Some(spec) => spec_of(spec),
-        None => match config.network.loss {
-            LossModel::None => "none".to_string(),
-            LossModel::Bernoulli { pl } => format!("bernoulli{{pl={pl}}}"),
-            LossModel::GilbertElliott { p_gb, p_bg, .. } => {
-                format!("gilbert-elliott{{p_gb={p_gb},p_bg={p_bg}}}")
-            }
-        },
+    let loss = match config.network.loss {
+        LossModel::None => "none".to_string(),
+        LossModel::Bernoulli { pl } => format!("bernoulli{{pl={pl}}}"),
+        LossModel::GilbertElliott {
+            p_gb,
+            p_bg,
+            loss_good,
+            loss_bad,
+        } => format!(
+            "gilbert-elliott{{p_gb={p_gb},p_bg={p_bg},loss_good={loss_good},loss_bad={loss_bad}}}"
+        ),
     };
     let adversary = if config.freerider_count() == 0 {
         "none".to_string()
@@ -887,6 +883,7 @@ mod tests {
             ("blame-spam", "blame_value", ParamValue::Float(-0.5)),
             ("whitewasher", "offline_secs", ParamValue::Float(0.0)),
             ("adaptive-colluders", "partner_bias", ParamValue::Float(1.5)),
+            ("baseline", "partner_bias", ParamValue::Float(1.5)),
         ] {
             let params = ParamMap::new().with(key, value);
             let err = registry
@@ -917,25 +914,6 @@ mod tests {
         }
         let params = ParamMap::new().with("cycle_secs", ParamValue::Float(-1.0));
         assert!(registry.build("diurnal", &params, &mut seeds).is_err());
-    }
-
-    #[test]
-    fn resolution_writes_back_into_the_legacy_fields() {
-        // `transport` and `loss` are presets for values `NetworkConfig`
-        // stores: the built world's config carries what they resolved to.
-        let mut config = ScenarioConfig::small_test(10, 3);
-        config.components.transport = Some(ComponentSpec::new("all-tcp"));
-        config.components.loss =
-            Some(ComponentSpec::new("bernoulli").with("pl", ParamValue::Float(0.02)));
-        let world = crate::SystemWorld::new(config);
-        assert_eq!(
-            world.config().network.transports,
-            TransportPolicy::all_tcp()
-        );
-        assert_eq!(
-            world.config().network.loss,
-            LossModel::Bernoulli { pl: 0.02 }
-        );
     }
 
     #[test]

@@ -17,10 +17,11 @@
 //! Entry points:
 //!
 //! * [`ScenarioConfig`] describes an experiment (population, freeriders,
-//!   collusion, stream rate, network conditions, LiFTinG parameters, and the
-//!   named components — capability classes, workload, adversary family — of
-//!   its `components` section); the [`ScenarioRegistry`] maps experiment names
-//!   (`"fig01/no-freeriders"`, …) to ready-made configurations.
+//!   streams, network conditions, LiFTinG parameters, and the named
+//!   components — capability classes, workload, adversary family and its
+//!   collusion — of its `components` section); the [`ScenarioRegistry`]
+//!   maps experiment names (`"fig01/no-freeriders"`, …) to ready-made
+//!   configurations.
 //! * [`run_scenario`] runs it to completion and returns a [`RunOutcome`].
 //! * [`run_scenario_with_snapshots`] additionally records score snapshots at
 //!   chosen instants (Figure 14 reads scores at 25, 30 and 35 seconds).
@@ -59,11 +60,10 @@ pub use registry::{
 };
 pub use runner::{
     build_engine, run_jobs_parallel, run_scenario, run_scenario_sharded,
-    run_scenario_with_snapshots, run_scenario_with_snapshots_sharded, run_scenarios_parallel,
-    run_scenarios_parallel_with_snapshots, SHARDS_ENV,
+    run_scenario_with_snapshots, run_scenarios_parallel, SHARDS_ENV,
 };
 pub use scenario::{
-    AuditRetryPolicy, CollusionScenario, ComponentSpec, ComponentsSpec, FreeriderScenario,
-    OnlineRecalibration, ScenarioConfig, StreamAudience, StreamSpec,
+    AuditRetryPolicy, ComponentSpec, ComponentsSpec, FreeriderScenario, OnlineRecalibration,
+    ScenarioConfig, StreamAudience, StreamSpec,
 };
 pub use world::SystemWorld;

@@ -206,7 +206,7 @@ impl std::fmt::Debug for ScenarioRegistry {
 fn shrink_below_planetlab(config: &mut ScenarioConfig) {
     if config.nodes < 300 {
         config.lifting.managers = 10;
-        config.stream_rate_bps = 400_000;
+        config.streams[0].rate_bps = 400_000;
     }
 }
 
@@ -305,7 +305,7 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
                 config.lifting.managers = 10;
                 config.lifting.pdcc = pdcc;
                 config.duration = scale.secs(20, 10);
-                config.stream_rate_bps = 400_000;
+                config.streams[0].rate_bps = 400_000;
                 config
             },
         );
@@ -324,7 +324,7 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
                     config.nodes = scale.pick(150, 60);
                     config.lifting.managers = if config.nodes >= 300 { 25 } else { 10 };
                     config.lifting.pdcc = pdcc;
-                    config.stream_rate_bps = stream_kbps * 1_000;
+                    config.streams[0].rate_bps = stream_kbps * 1_000;
                     config.duration = scale.secs(20, 10);
                     config.default_upload_bps = Some(10_000_000);
                     config
@@ -471,12 +471,10 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
         "Two channels with disjoint audiences (first vs second half of the population) over one membership plane",
         move |scale: Scale, seed: u64| {
             let mut config = planetlab_family(30, 15, 0.0)(scale, seed);
-            config.primary_audience = StreamAudience::Slice { from: 0.0, to: 0.5 };
-            let rate = config.stream_rate_bps;
-            let chunk = config.chunk_size;
+            let primary = config.streams[0];
+            config.streams[0] = primary.with_audience(StreamAudience::Slice { from: 0.0, to: 0.5 });
             config.streams.push(
-                StreamSpec::new(rate, chunk)
-                    .with_audience(StreamAudience::Slice { from: 0.5, to: 1.0 }),
+                primary.with_audience(StreamAudience::Slice { from: 0.5, to: 1.0 }),
             );
             config
         },
@@ -486,7 +484,7 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
         "Two full-audience channels with 10% freeriders shirking on both; their blames aggregate into one score",
         move |scale: Scale, seed: u64| {
             let mut config = planetlab_family(30, 15, 0.1)(scale, seed);
-            let chunk = config.chunk_size;
+            let chunk = config.streams[0].chunk_size;
             config.streams.push(StreamSpec::new(300_000, chunk));
             config
         },
@@ -496,7 +494,7 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
         "15% selective freeriders: honest on channel 0, fully silent on channel 1 — cross-stream scoring expels them from both",
         move |scale: Scale, seed: u64| {
             let mut config = planetlab_family(30, 15, 0.15)(scale, seed);
-            let chunk = config.chunk_size;
+            let chunk = config.streams[0].chunk_size;
             config.streams.push(StreamSpec::new(300_000, chunk));
             config.components.adversary = Some(
                 ComponentSpec::new("selective-freerider")
@@ -510,7 +508,7 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
         "Three channels at 400/200/100 kbps; the slow ones start mid-run and serve three-quarters of the population",
         move |scale: Scale, seed: u64| {
             let mut config = planetlab_family(30, 15, 0.0)(scale, seed);
-            let chunk = config.chunk_size;
+            let chunk = config.streams[0].chunk_size;
             config.streams.push(
                 StreamSpec::new(200_000, chunk)
                     .with_audience(StreamAudience::Slice {
@@ -639,7 +637,7 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
                 // The paper's 674 kbps stream is not the point here; a lighter
                 // stream keeps the 100k-node run inside laptop memory while the
                 // detection statistics still have enough chunks to bite.
-                config.stream_rate_bps = 400_000;
+                config.streams[0].rate_bps = 400_000;
                 shrink_below_planetlab(&mut config);
                 config
             }
@@ -702,7 +700,7 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
         move |scale: Scale, seed: u64| {
             let mut config = planetlab_family(40, 20, 0.1)(scale, seed);
             config.duration = scale.secs(30, 15);
-            let chunk = config.chunk_size;
+            let chunk = config.streams[0].chunk_size;
             config.streams.push(StreamSpec::new(300_000, chunk));
             config.streams.push(StreamSpec::new(200_000, chunk));
             config.components.workload = Some(
@@ -809,7 +807,7 @@ mod tests {
         for name in registry.names() {
             for scale in [Scale::Paper, Scale::Quick] {
                 let config = registry.build(name, scale, 7);
-                config.validate();
+                config.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
                 assert_eq!(config.seed, 7, "{name} must thread the seed through");
             }
         }

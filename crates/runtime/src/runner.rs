@@ -65,7 +65,7 @@ pub fn run_scenario_with_snapshots(
 
 /// The sharded variant of [`run_scenario_with_snapshots`]: same outcome,
 /// bit for bit, with node-local event waves fanned out over `shards` shards.
-pub fn run_scenario_with_snapshots_sharded(
+fn run_scenario_with_snapshots_sharded(
     config: ScenarioConfig,
     snapshot_times: &[SimDuration],
     shards: usize,
@@ -102,17 +102,6 @@ pub fn run_scenario_with_snapshots_sharded(
 /// execution (e.g. for timing comparisons).
 pub fn run_scenarios_parallel(configs: Vec<ScenarioConfig>) -> Vec<RunOutcome> {
     pool::run_indexed(configs.len(), |i| run_scenario(configs[i].clone()))
-}
-
-/// Like [`run_scenarios_parallel`], but each scenario also records score
-/// snapshots at its requested instants.
-pub fn run_scenarios_parallel_with_snapshots(
-    jobs: Vec<(ScenarioConfig, Vec<SimDuration>)>,
-) -> Vec<RunOutcome> {
-    pool::run_indexed(jobs.len(), |i| {
-        let (config, snaps) = &jobs[i];
-        run_scenario_with_snapshots(config.clone(), snaps)
-    })
 }
 
 /// Runs `jobs` arbitrary indexed jobs on the same worker pool the scenario
@@ -164,7 +153,10 @@ mod tests {
                 (c, snaps.clone())
             })
             .collect();
-        let parallel = run_scenarios_parallel_with_snapshots(jobs.clone());
+        let parallel = run_jobs_parallel(jobs.len(), |i| {
+            let (config, snaps) = &jobs[i];
+            run_scenario_with_snapshots(config.clone(), snaps)
+        });
         for (p, (config, snaps)) in parallel.iter().zip(jobs) {
             let s = run_scenario_with_snapshots(config, &snaps);
             assert_eq!(p.snapshots.len(), 2);

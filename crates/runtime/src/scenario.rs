@@ -3,7 +3,7 @@
 use lifting_core::LiftingConfig;
 use lifting_gossip::{FreeriderConfig, GossipConfig};
 use lifting_net::NetworkConfig;
-use lifting_sim::{ParamMap, ParamValue, SimDuration, StreamId};
+use lifting_sim::{ComponentError, ParamMap, ParamValue, SimDuration, StreamId};
 use serde::{Deserialize, Serialize};
 
 /// One named component with its parameter overrides — an entry of the
@@ -38,15 +38,10 @@ impl ComponentSpec {
 /// The declarative component composition of a scenario: which registered
 /// component provides each axis of the system. One axis, one encoding: the
 /// capability, workload and adversary axes are configured *only* here (unset
-/// means `uniform`, an undisturbed run and `baseline`); `transport` and
-/// `loss` are named presets for the values
-/// [`NetworkConfig`] stores and override them when set.
+/// means `uniform`, an undisturbed run and `baseline`), just as transport and
+/// loss are configured only in [`ScenarioConfig::network`].
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ComponentsSpec {
-    /// Transport policy (see [`lifting_net::provider::transport_components`]).
-    pub transport: Option<ComponentSpec>,
-    /// Loss model (see [`lifting_net::provider::loss_components`]).
-    pub loss: Option<ComponentSpec>,
     /// Per-node capability class assignment (see
     /// [`lifting_net::provider::capability_components`]); unset = `uniform`,
     /// every node gets [`ScenarioConfig::default_upload_bps`].
@@ -58,7 +53,7 @@ pub struct ComponentsSpec {
     pub workload: Option<ComponentSpec>,
     /// The adversary family the freerider population plays (see
     /// [`crate::components::adversary_components`]); unset = `baseline`, the
-    /// paper's freeriders colluding per [`ScenarioConfig::collusion`].
+    /// paper's independent freeriders (its parameters make them collude).
     pub adversary: Option<ComponentSpec>,
 }
 
@@ -90,17 +85,18 @@ impl AuditRetryPolicy {
         }
     }
 
-    /// Validates the policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `attempts` is zero or the backoff is zero.
-    pub fn validate(&self) {
-        assert!(self.attempts >= 1, "audit retry needs at least one attempt");
-        assert!(
+    /// Validates the policy: at least one attempt, a positive backoff.
+    pub fn validate(&self) -> Result<(), ComponentError> {
+        require(
+            self.attempts >= 1,
+            "audit_retry.attempts",
+            "audit retry needs at least one attempt",
+        )?;
+        require(
             !self.backoff.is_zero(),
-            "audit retry backoff must be positive"
-        );
+            "audit_retry.backoff",
+            "audit retry backoff must be positive",
+        )
     }
 }
 
@@ -149,18 +145,24 @@ impl OnlineRecalibration {
         }
     }
 
-    /// Validates the parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a fraction is out of range or `nmads` is not positive.
-    pub fn validate(&self) {
-        assert!((0.0..=0.5).contains(&self.trim), "trim out of range");
-        assert!(self.nmads > 0.0, "nmads must be positive");
-        assert!(
+    /// Validates the parameters: `trim` in `[0, 0.5]`, a positive `nmads`,
+    /// `smoothing` in `(0, 1]`.
+    pub fn validate(&self) -> Result<(), ComponentError> {
+        require(
+            (0.0..=0.5).contains(&self.trim),
+            "online_recalibration.trim",
+            format!("{} is not in [0, 0.5]", self.trim),
+        )?;
+        require(
+            self.nmads > 0.0,
+            "online_recalibration.nmads",
+            format!("{} is not positive", self.nmads),
+        )?;
+        require(
             self.smoothing > 0.0 && self.smoothing <= 1.0,
-            "smoothing must be in (0, 1]"
-        );
+            "online_recalibration.smoothing",
+            format!("{} is not in (0, 1]", self.smoothing),
+        )
     }
 }
 
@@ -253,35 +255,6 @@ pub struct FreeriderScenario {
     pub degree: FreeriderConfig,
 }
 
-/// Collusion behaviour of the freeriders.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CollusionScenario {
-    /// Probability with which a colluding freerider picks a coalition member
-    /// as gossip partner (`pm` in Section 6.3.2); 0 disables biased selection.
-    pub partner_bias: f64,
-    /// Colluders vouch for each other during confirmations and never blame
-    /// each other.
-    pub cover_up: bool,
-    /// Colluders mount the man-in-the-middle attack of Figure 8b.
-    pub man_in_the_middle: bool,
-}
-
-impl CollusionScenario {
-    /// No collusion at all: freeriders act independently.
-    pub fn none() -> Self {
-        CollusionScenario {
-            partner_bias: 0.0,
-            cover_up: false,
-            man_in_the_middle: false,
-        }
-    }
-
-    /// True if any collusion mechanism is enabled.
-    pub fn is_active(&self) -> bool {
-        self.partner_bias > 0.0 || self.cover_up || self.man_in_the_middle
-    }
-}
-
 /// Complete description of one experiment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioConfig {
@@ -300,25 +273,15 @@ pub struct ScenarioConfig {
     pub audit_interval: SimDuration,
     /// Network conditions.
     pub network: NetworkConfig,
-    /// Rate of the primary stream in bits per second (674 kbps in the
-    /// headline experiment).
-    pub stream_rate_bps: u64,
-    /// Chunk payload size of the primary stream in bytes.
-    pub chunk_size: u32,
-    /// Audience of the primary stream (`All` in every single-channel
-    /// scenario).
-    pub primary_audience: StreamAudience,
-    /// Additional broadcast channels beyond the primary stream. Empty for
-    /// the paper's single-channel experiments: stream 0 is always defined by
-    /// `stream_rate_bps`/`chunk_size`/`primary_audience`, and entry `i` here
-    /// is stream `i + 1`. All channels share the membership, verification
-    /// parameters and reputation plane; each gets its own source, chunk
-    /// stores, playout buffers and verification history.
+    /// Every broadcast channel: entry `i` is stream `i`, and entry 0 — the
+    /// primary, starting at time zero — is the only one in the paper's
+    /// single-channel experiments (674 kbps in the headline run). All
+    /// channels share the membership, verification parameters and
+    /// reputation plane; each gets its own source, chunk stores, playout
+    /// buffers and verification history.
     pub streams: Vec<StreamSpec>,
     /// Freerider population, if any.
     pub freeriders: Option<FreeriderScenario>,
-    /// Collusion behaviour of the freeriders.
-    pub collusion: CollusionScenario,
     /// Bounded retry + timeout policy for audit RPCs; `None` keeps the
     /// paper's partition-oblivious audits.
     pub audit_retry: Option<AuditRetryPolicy>,
@@ -329,8 +292,8 @@ pub struct ScenarioConfig {
     /// unconstrained) — the default attachment every capability assigner
     /// receives.
     pub default_upload_bps: Option<u64>,
-    /// Declarative component composition: named providers for the transport,
-    /// loss, capability, workload and adversary axes.
+    /// Declarative component composition: named providers for the
+    /// capability, workload and adversary axes.
     pub components: ComponentsSpec,
     /// Total simulated duration.
     pub duration: SimDuration,
@@ -351,12 +314,8 @@ impl ScenarioConfig {
             audits_enabled: false,
             audit_interval: SimDuration::from_secs(10),
             network: NetworkConfig::planetlab(0.04),
-            stream_rate_bps: 674_000,
-            chunk_size: 4_096,
-            primary_audience: StreamAudience::All,
-            streams: Vec::new(),
+            streams: vec![StreamSpec::new(674_000, 4_096)],
             freeriders: None,
-            collusion: CollusionScenario::none(),
             audit_retry: None,
             online_recalibration: None,
             default_upload_bps: Some(5_000_000),
@@ -404,12 +363,8 @@ impl ScenarioConfig {
             audits_enabled: false,
             audit_interval: SimDuration::from_secs(5),
             network: NetworkConfig::ideal(),
-            stream_rate_bps: 200_000,
-            chunk_size: 2_500,
-            primary_audience: StreamAudience::All,
-            streams: Vec::new(),
+            streams: vec![StreamSpec::new(200_000, 2_500)],
             freeriders: None,
-            collusion: CollusionScenario::none(),
             audit_retry: None,
             online_recalibration: None,
             default_upload_bps: None,
@@ -419,25 +374,14 @@ impl ScenarioConfig {
         }
     }
 
-    /// Number of broadcast channels (1 plus the extra `streams`).
+    /// Number of broadcast channels.
     pub fn stream_count(&self) -> usize {
-        1 + self.streams.len()
+        self.streams.len()
     }
 
-    /// The specification of stream `s` (stream 0 is assembled from the
-    /// legacy single-channel fields, so pre-multistream scenarios are
-    /// untouched).
+    /// The specification of stream `s`.
     pub fn stream_spec(&self, s: StreamId) -> StreamSpec {
-        if s == StreamId::PRIMARY {
-            StreamSpec {
-                rate_bps: self.stream_rate_bps,
-                chunk_size: self.chunk_size,
-                start_offset: SimDuration::ZERO,
-                audience: self.primary_audience,
-            }
-        } else {
-            self.streams[s.index() - 1]
-        }
+        self.streams[s.index()]
     }
 
     /// Iterates over every stream id of the scenario.
@@ -463,60 +407,87 @@ impl ScenarioConfig {
         count > 0 && node_index != 0 && node_index >= self.nodes.saturating_sub(count)
     }
 
-    /// Validates the scenario.
+    /// Validates the scenario: a population of at least three, fewer
+    /// managers and freeriders than nodes, one to 64 non-empty streams with
+    /// two subscribers each and the primary on air from the start, a
+    /// positive duration, and well-formed resilience policies.
     ///
     /// # Panics
     ///
-    /// Panics if the population is too small, the freerider count exceeds the
-    /// population, or a fraction is out of range.
-    pub fn validate(&self) {
-        assert!(self.nodes >= 3, "at least three nodes are required");
+    /// Panics if the gossip, LiFTinG or freerider-degree parameters are out
+    /// of range (their own `validate` methods).
+    pub fn validate(&self) -> Result<(), ComponentError> {
+        let (nodes, managers, streams) = (self.nodes, self.lifting.managers, self.stream_count());
+        require(
+            nodes >= 3,
+            "nodes",
+            format!("{nodes} nodes; at least three are required"),
+        )?;
         self.gossip.validate();
         self.lifting.validate();
-        assert!(
-            self.lifting.managers < self.nodes,
-            "cannot assign {} managers among {} nodes",
-            self.lifting.managers,
-            self.nodes
-        );
-        assert!(
-            self.freerider_count() < self.nodes,
-            "freeriders must be a strict subset of the population"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.collusion.partner_bias),
-            "partner bias out of range"
-        );
-        assert!(
-            self.stream_rate_bps > 0 && self.chunk_size > 0,
-            "empty stream"
-        );
-        assert!(
-            self.stream_count() <= 64,
-            "at most 64 concurrent streams (the selective-freerider mask is a u64)"
-        );
-        for stream in self.stream_ids() {
-            let spec = self.stream_spec(stream);
-            assert!(
+        require(
+            managers < nodes,
+            "lifting.managers",
+            format!("cannot assign {managers} managers among {nodes} nodes"),
+        )?;
+        require(
+            self.freerider_count() < nodes,
+            "freeriders",
+            "freeriders must be a strict subset of the population",
+        )?;
+        require(
+            (1..=64).contains(&streams),
+            "streams",
+            format!(
+                "{streams} streams; one to 64 are supported \
+                 (the selective-freerider mask is a u64)"
+            ),
+        )?;
+        require(
+            self.streams[0].start_offset.is_zero(),
+            "streams",
+            "the primary stream must start at time zero",
+        )?;
+        for (s, spec) in self.streams.iter().enumerate() {
+            require(
                 spec.rate_bps > 0 && spec.chunk_size > 0,
-                "stream {stream} is empty"
-            );
-            assert!(
-                spec.audience.size(self.nodes) >= 2,
-                "stream {stream}'s audience has fewer than two subscribers; \
-                 gossip needs someone to talk to"
-            );
+                "streams",
+                format!("stream {s} is empty"),
+            )?;
+            require(
+                spec.audience.size(nodes) >= 2,
+                "streams",
+                format!(
+                    "stream {s}'s audience has fewer than two subscribers; \
+                     gossip needs someone to talk to"
+                ),
+            )?;
         }
-        assert!(!self.duration.is_zero(), "duration must be positive");
+        require(
+            !self.duration.is_zero(),
+            "duration",
+            "duration must be positive",
+        )?;
         if let Some(retry) = &self.audit_retry {
-            retry.validate();
+            retry.validate()?;
         }
         if let Some(online) = &self.online_recalibration {
-            online.validate();
+            online.validate()?;
         }
         if let Some(f) = &self.freeriders {
             f.degree.validate();
         }
+        Ok(())
+    }
+}
+
+/// `Ok` if `ok`, otherwise the scenario's [`ComponentError::InvalidParam`]
+/// for `key`.
+fn require(ok: bool, key: &str, reason: impl Into<String>) -> Result<(), ComponentError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(ComponentError::invalid("scenario", key, reason))
     }
 }
 
@@ -527,14 +498,14 @@ mod tests {
     #[test]
     fn planetlab_baseline_matches_the_paper() {
         let s = ScenarioConfig::planetlab_baseline(1);
-        s.validate();
+        s.validate().unwrap();
         assert_eq!(s.nodes, 300);
         assert_eq!(s.gossip.fanout, 7);
         assert_eq!(s.lifting.managers, 25);
-        assert_eq!(s.stream_rate_bps, 674_000);
+        assert_eq!(s.streams, vec![StreamSpec::new(674_000, 4_096)]);
         assert_eq!(s.freerider_count(), 0);
         let with = s.with_planetlab_freeriders(0.1);
-        with.validate();
+        with.validate().unwrap();
         assert_eq!(with.freerider_count(), 30);
     }
 
@@ -556,30 +527,60 @@ mod tests {
             count: 3,
             degree: FreeriderConfig::uniform(0.5),
         });
-        s.validate();
+        s.validate().unwrap();
         assert!(!s.is_freerider(0));
         assert!(s.is_freerider(1));
     }
 
+    /// The key of the scenario-level `InvalidParam` `config` is rejected
+    /// with.
+    fn rejected_key(config: &ScenarioConfig) -> String {
+        match config.validate() {
+            Err(ComponentError::InvalidParam { component, key, .. }) if component == "scenario" => {
+                key
+            }
+            other => panic!("expected a scenario InvalidParam, got {other:?}"),
+        }
+    }
+
     #[test]
-    #[should_panic]
     fn too_many_freeriders_is_rejected() {
         let mut s = ScenarioConfig::small_test(4, 0);
         s.freeriders = Some(FreeriderScenario {
             count: 4,
             degree: FreeriderConfig::uniform(0.1),
         });
-        s.validate();
+        assert_eq!(rejected_key(&s), "freeriders");
     }
 
     #[test]
-    fn collusion_scenario_activity_flag() {
-        assert!(!CollusionScenario::none().is_active());
-        assert!(CollusionScenario {
-            partner_bias: 0.2,
-            cover_up: false,
-            man_in_the_middle: false
+    fn malformed_scenarios_are_errors_not_panics() {
+        type Edit = fn(&mut ScenarioConfig);
+        let cases: [(&str, Edit); 7] = [
+            ("nodes", |s| s.nodes = 2),
+            ("lifting.managers", |s| s.lifting.managers = s.nodes),
+            ("freeriders", |s| {
+                s.freeriders = Some(FreeriderScenario {
+                    count: s.nodes,
+                    degree: FreeriderConfig::uniform(0.1),
+                })
+            }),
+            ("streams", |s| s.streams.clear()),
+            ("streams", |s| {
+                s.streams[0] = s.streams[0].starting_after(SimDuration::from_secs(1))
+            }),
+            ("duration", |s| s.duration = SimDuration::ZERO),
+            ("audit_retry.attempts", |s| {
+                s.audit_retry = Some(AuditRetryPolicy {
+                    attempts: 0,
+                    ..AuditRetryPolicy::default_policy()
+                })
+            }),
+        ];
+        for (key, edit) in cases {
+            let mut s = ScenarioConfig::small_test(10, 0);
+            edit(&mut s);
+            assert_eq!(rejected_key(&s), key);
         }
-        .is_active());
     }
 }

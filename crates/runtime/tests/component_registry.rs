@@ -22,8 +22,8 @@ use std::sync::Arc;
 
 use lifting_runtime::{
     adversary_components, build_engine, resolve_components, run_scenario_sharded,
-    workload_components, CollusionScenario, ComponentSpec, RunOutcome, Scale, ScenarioConfig,
-    ScenarioRegistry, StreamSpec,
+    workload_components, ComponentSpec, RunOutcome, Scale, ScenarioConfig, ScenarioRegistry,
+    StreamSpec,
 };
 use lifting_sim::{
     Component, ComponentError, ComponentRegistry, ParamKind, ParamMap, ParamSpec, ParamValue,
@@ -88,13 +88,7 @@ fn unknown_component_name_is_a_structured_error_naming_the_kind() {
 #[test]
 fn unknown_names_error_on_every_axis() {
     type Setter = fn(&mut ScenarioConfig);
-    let axes: [(&str, Setter); 5] = [
-        ("transport", |c| {
-            c.components.transport = Some(ComponentSpec::new("carrier-pigeon"))
-        }),
-        ("loss", |c| {
-            c.components.loss = Some(ComponentSpec::new("total"))
-        }),
+    let axes: [(&str, Setter); 3] = [
         ("capability", |c| {
             c.components.capability = Some(ComponentSpec::new("quantum"))
         }),
@@ -342,7 +336,7 @@ fn assert_rejected(config: &ScenarioConfig, key: &str) {
 #[test]
 fn adversary_cross_field_rules_are_typed_errors_naming_the_key() {
     let two_streams = |config: ScenarioConfig| {
-        let chunk = config.chunk_size;
+        let chunk = config.streams[0].chunk_size;
         config.with_stream(StreamSpec::new(100_000, chunk))
     };
     let selective = |mask: i64| {
@@ -367,27 +361,33 @@ fn adversary_cross_field_rules_are_typed_errors_naming_the_key() {
     assert_rejected(&config, "freeriders");
 
     // Every family but the baseline replaces the freeriders' behaviour: it
-    // needs freeriders to replace and would silently ignore `collusion`.
+    // needs freeriders to replace.
     for (family, _, _) in FAMILIES {
         let mut config = two_streams(quick_config(1));
         config.components.adversary = Some(ComponentSpec::new(family));
         assert!(resolve_components(&config).is_ok(), "{family}");
-        let mut lonely = config.clone();
-        lonely.freeriders = None;
-        let mut colluding = config;
-        colluding.collusion = CollusionScenario {
-            partner_bias: 0.0,
-            cover_up: true,
-            man_in_the_middle: false,
-        };
+        config.freeriders = None;
         if family == "baseline" {
-            assert!(resolve_components(&lonely).is_ok());
-            assert!(resolve_components(&colluding).is_ok());
+            assert!(resolve_components(&config).is_ok());
         } else {
-            assert_rejected(&lonely, "freeriders");
-            assert_rejected(&colluding, "collusion");
+            assert_rejected(&config, "freeriders");
         }
     }
+}
+
+#[test]
+fn collusion_parameters_exist_only_on_the_baseline_adversary() {
+    // Another family has no collusion parameters to set: the combination
+    // cannot be written.
+    let mut config = quick_config(1);
+    config.components.adversary =
+        Some(ComponentSpec::new("on-off").with("cover_up", ParamValue::Bool(true)));
+    let err = resolution_error(&config, "on-off has no `cover_up`");
+    assert!(
+        matches!(&err, ComponentError::UnknownParam { component, key, .. }
+            if component == "on-off" && key == "cover_up"),
+        "expected UnknownParam naming `cover_up`, got {err:?}"
+    );
 }
 
 #[test]
@@ -450,7 +450,7 @@ fn regional_failure_workload_knocks_regions_offline() {
 #[test]
 fn zap_workload_switches_viewers_between_channels() {
     let config = ScenarioRegistry::builtin().build("workload/zap", Scale::Quick, 11);
-    assert_eq!(config.streams.len() + 1, 3, "zap runs three channels");
+    assert_eq!(config.streams.len(), 3, "zap runs three channels");
     let duration = config.duration;
     let mut engine = build_engine(config);
     engine.run_until(SimTime::ZERO + duration);

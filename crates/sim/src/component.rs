@@ -1,8 +1,8 @@
 //! Generic component/provider registry.
 //!
 //! Scenarios in the reproduction used to be built by hand-enumerated
-//! constructors: every new axis (transport policy, loss model, workload
-//! shape, adversary, exporter) multiplied the scenario list. This module
+//! constructors: every new axis (capability class, workload shape,
+//! adversary, exporter) multiplied the scenario list. This module
 //! provides the uniform machinery that turns that O(product) enumeration
 //! into O(sum) composition: each axis registers *components* — named,
 //! self-describing factories — in a [`ComponentRegistry`], and a scenario is
@@ -145,6 +145,14 @@ impl ParamMap {
         match self.get(key) {
             Some(ParamValue::Int(x)) => *x,
             _ => unreachable!("schema-validated int param `{key}`"),
+        }
+    }
+
+    /// The boolean parameter `key`; same contract as [`ParamMap::float`].
+    pub fn bool(&self, key: &str) -> bool {
+        match self.get(key) {
+            Some(ParamValue::Bool(b)) => *b,
+            _ => unreachable!("schema-validated bool param `{key}`"),
         }
     }
 

@@ -12,12 +12,13 @@ use lifting::prelude::*;
 fn scenario(audits: bool, seed: u64) -> ScenarioConfig {
     let mut config = ScenarioConfig::small_test(100, seed).with_planetlab_freeriders(0.15);
     config.duration = SimDuration::from_secs(30);
-    config.stream_rate_bps = 300_000;
-    config.collusion = CollusionScenario {
-        partner_bias: 0.6,
-        cover_up: true,
-        man_in_the_middle: true,
-    };
+    config.streams[0].rate_bps = 300_000;
+    config.components.adversary = Some(
+        ComponentSpec::new("baseline")
+            .with("partner_bias", ParamValue::Float(0.6))
+            .with("cover_up", ParamValue::Bool(true))
+            .with("man_in_the_middle", ParamValue::Bool(true)),
+    );
     config.audits_enabled = audits;
     config.audit_interval = SimDuration::from_secs(5);
     config

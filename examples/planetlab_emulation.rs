@@ -14,7 +14,7 @@ fn main() {
     println!(
         "emulating {} nodes, {} kbps stream, {} freeriders ...",
         config.nodes,
-        config.stream_rate_bps / 1000,
+        config.streams[0].rate_bps / 1000,
         config.freerider_count()
     );
 

@@ -14,7 +14,7 @@ fn main() {
     let nodes = if quick { 40 } else { 100 };
     let secs = if quick { 8 } else { 30 };
     let mut config = ScenarioConfig::small_test(nodes, 42).with_planetlab_freeriders(0.1);
-    config.stream_rate_bps = 300_000;
+    config.streams[0].rate_bps = 300_000;
     config.duration = SimDuration::from_secs(secs);
 
     println!(

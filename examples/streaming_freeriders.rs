@@ -13,8 +13,7 @@ fn scenario(freerider_fraction: f64, lifting_enabled: bool, seed: u64) -> Scenar
     // `LIFTING_EXAMPLE_QUICK=1` shrinks the three runs for smoke gates.
     let quick = std::env::var_os("LIFTING_EXAMPLE_QUICK").is_some();
     let mut config = ScenarioConfig::small_test(if quick { 40 } else { 120 }, seed);
-    config.stream_rate_bps = 400_000;
-    config.chunk_size = 4_096;
+    config.streams[0] = StreamSpec::new(400_000, 4_096);
     config.duration = SimDuration::from_secs(if quick { 10 } else { 30 });
     config.network = NetworkConfig::planetlab(0.04);
     config.default_upload_bps = Some(2_000_000);

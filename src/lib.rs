@@ -57,9 +57,8 @@ pub mod prelude {
     pub use lifting_net::{LatencyModel, LossModel, Network, NetworkConfig};
     pub use lifting_reputation::{ManagerAssignment, ManagerState};
     pub use lifting_runtime::{
-        run_scenario, run_scenario_with_snapshots, CollusionScenario, ComponentSpec,
-        FreeriderScenario, RunOutcome, Scale, ScenarioConfig, ScenarioRegistry, StreamAudience,
-        StreamSpec,
+        run_scenario, run_scenario_with_snapshots, ComponentSpec, FreeriderScenario, RunOutcome,
+        Scale, ScenarioConfig, ScenarioRegistry, StreamAudience, StreamSpec,
     };
     pub use lifting_sim::{NodeId, ParamValue, SimDuration, SimTime, StreamId};
 }

@@ -3,18 +3,36 @@
 //! and the a-posteriori audits that defeat them.
 
 use lifting::prelude::*;
+use lifting::sim::{ParamMap, SeedSplitter};
 
 fn colluding_scenario(seed: u64, audits: bool) -> ScenarioConfig {
     let mut config = ScenarioConfig::small_test(60, seed).with_planetlab_freeriders(0.2);
     config.duration = SimDuration::from_secs(20);
-    config.collusion = CollusionScenario {
-        partner_bias: 0.7,
-        cover_up: true,
-        man_in_the_middle: true,
-    };
+    config.components.adversary = Some(
+        ComponentSpec::new("baseline")
+            .with("partner_bias", ParamValue::Float(0.7))
+            .with("cover_up", ParamValue::Bool(true))
+            .with("man_in_the_middle", ParamValue::Bool(true)),
+    );
     config.audits_enabled = audits;
     config.audit_interval = SimDuration::from_secs(4);
     config
+}
+
+#[test]
+fn collusion_as_baseline_params_reproduces_the_pinned_run() {
+    // The only run that reaches `Colluder`: its `digest` export is pinned,
+    // so a change to how collusion is declared or wired that moves the run
+    // fails here.
+    let outcome = run_scenario(colluding_scenario(3, true));
+    let digest = lifting::runtime::exporter_components()
+        .build("digest", &ParamMap::new(), &mut SeedSplitter::new(0))
+        .unwrap()
+        .export("collusion", -9.75, &outcome);
+    assert_eq!(
+        digest,
+        "collusion: 0x3bb152cadc1ad897 mem=23592.666666666668"
+    );
 }
 
 #[test]
