@@ -234,6 +234,24 @@ for path, name, bound in [('/tmp/profile_headline.txt', 'headline/planetlab', 2.
           f'{heap / (pending * entry):.2f}x, bound {bound}x)')
 EOF
 
+echo "==> chunk table gate (headline/planetlab, quick scale)"
+# Exact, not timed: a node's chunk table is one 8-byte word per chunk index
+# per plane (emission time and size come from the stream's clock), so the
+# same build always prints the same row. The bound is the measured
+# 2 088 B/node plus about a tenth; a per-node copy of the stream's facts
+# (24-byte slots: 6 266 B/node) fails it.
+python3 - <<'EOF'
+import re, sys
+text = open('/tmp/profile_headline.txt').read()
+m = re.search(r'^\s+chunk tables\s+\d+ B\s+(\d+) B/node$', text, re.M)
+if not m:
+    sys.exit('chunk table gate: profile_scenario printed no chunk tables row')
+per_node, bound = int(m.group(1)), 2300
+if per_node > bound:
+    sys.exit(f'chunk table gate FAILED: {per_node} B/node (bound {bound})')
+print(f'chunk table gate OK ({per_node} B/node, bound {bound})')
+EOF
+
 echo "==> no blame deliveries in the event queue (headline/planetlab, quick scale)"
 # Blame copies land from the world's in-flight buffer, never as queued
 # events: the per-event-kind table must show no Blame row with events.

@@ -6,6 +6,7 @@
 //! verification-layer collusion (lying in acks, covering up colluders) through
 //! `lifting-core`.
 
+use lifting_sim::ComponentError;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -48,20 +49,23 @@ impl FreeriderConfig {
         }
     }
 
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any `δ` is outside `[0, 1]` or `period_stretch` is zero.
-    pub fn validate(&self) {
-        for (name, v) in [
+    /// Validates the configuration: every `δ` in `[0, 1]`, a positive
+    /// `period_stretch`. An error names the offending key of component
+    /// `freerider`.
+    pub fn validate(&self) -> Result<(), ComponentError> {
+        let require = |ok, key, reason| ComponentError::require(ok, "freerider", key, reason);
+        for (key, v) in [
             ("delta1", self.delta1),
             ("delta2", self.delta2),
             ("delta3", self.delta3),
         ] {
-            assert!((0.0..=1.0).contains(&v), "{name} = {v} not in [0, 1]");
+            require((0.0..=1.0).contains(&v), key, "not in [0, 1]")?;
         }
-        assert!(self.period_stretch >= 1, "period stretch must be ≥ 1");
+        require(
+            self.period_stretch >= 1,
+            "period_stretch",
+            "period stretch must be ≥ 1",
+        )
     }
 
     /// Upload-bandwidth gain: `1 - (1-δ1)(1-δ2)(1-δ3)`.
@@ -81,6 +85,11 @@ pub enum Behavior {
 }
 
 impl Behavior {
+    /// Validates the embedded freerider configuration, if any.
+    pub fn validate(&self) -> Result<(), ComponentError> {
+        self.freerider().map_or(Ok(()), FreeriderConfig::validate)
+    }
+
     /// True if the node is a freerider.
     pub fn is_freerider(&self) -> bool {
         matches!(self, Behavior::Freerider(_))
@@ -211,14 +220,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn invalid_freerider_config_panics() {
-        FreeriderConfig {
+    fn invalid_freerider_config_is_rejected() {
+        let err = FreeriderConfig {
             delta1: 2.0,
             delta2: 0.0,
             delta3: 0.0,
             period_stretch: 1,
         }
-        .validate();
+        .validate()
+        .unwrap_err();
+        assert!(matches!(err, ComponentError::InvalidParam { key, .. } if key == "delta1"));
+        assert_eq!(Behavior::Honest.validate(), Ok(()));
     }
 }

@@ -1,12 +1,14 @@
 //! Playout buffer and stream-health metrics (Figure 1 of the paper).
 //!
 //! The buffer is the node's one per-chunk table on a stream: a flat `Vec` of
-//! 24-byte slots indexed by the chunk's sequence number, holding everything
-//! Section 4 lets a node know about a chunk — whether it holds it (emission
-//! metadata and first-reception time), until when an outstanding request
-//! blocks another, and whether it was already proposed (infect-and-die). The
-//! protocol side ([`GossipNode`](crate::node::GossipNode)) reaches a slot by
-//! index alone; the read-out side checks the stream as well.
+//! one-word slots indexed by the chunk's sequence number, holding only what
+//! Section 4 lets a node know about a chunk that differs between nodes —
+//! whether it holds it and since when, until when an outstanding request
+//! blocks another, and whether it was already proposed (infect-and-die). A
+//! chunk's emission instant and size are the same on every node: the buffer
+//! rebuilds them from its stream's [`StreamClock`]. The protocol side
+//! ([`GossipNode`](crate::node::GossipNode)) reaches a slot by index alone;
+//! the read-out side checks the stream as well.
 //!
 //! Given the list of chunks the source emitted, a node "views a clear stream"
 //! at lag `L` if at least a configurable fraction of the chunks emitted during
@@ -17,6 +19,7 @@ use lifting_sim::{SimDuration, SimTime, StreamId};
 use serde::{Deserialize, Serialize, Value};
 
 use crate::chunk::{Chunk, ChunkId};
+use crate::source::StreamClock;
 
 /// Reception record of one chunk (built from its slot on demand).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -27,44 +30,54 @@ pub struct Receipt {
     pub received_at: SimTime,
 }
 
-/// The chunk is held: `emitted_at`, `size_bytes` and `at` describe it.
-const HELD: u8 = 1;
+/// The chunk is held: the time is its first reception.
+const HELD: u64 = 1 << 63;
 /// The chunk was proposed, or deliberately skipped: infect-and-die.
-const PROPOSED: u8 = 2;
+const PROPOSED: u64 = 1 << 62;
+/// The low 62 bits: a time in µs.
+const TIME: u64 = PROPOSED - 1;
 
-/// Everything a node knows about one chunk index of one stream. The default
-/// (all zero, no flag) means "never heard of".
+/// Everything a node knows about one chunk index of one stream, in one word:
+/// the `HELD` and `PROPOSED` bits and a time — the first reception once
+/// held, before that the expiry of the outstanding request (zero: none). A
+/// reservation is never read for a held chunk, so the two share the word.
+/// The default (zero) means "never heard of".
 #[derive(Debug, Clone, Copy, Default)]
-struct Slot {
-    emitted_at: SimTime,
-    /// First-reception time once `HELD`; before that, the expiry of the
-    /// outstanding request (`SimTime::ZERO`: none). A reservation is never
-    /// read for a held chunk, so the two share the word.
-    at: SimTime,
-    size_bytes: u32,
-    flags: u8,
-}
+struct Slot(u64);
 
 impl Slot {
-    fn held(&self) -> bool {
-        self.flags & HELD != 0
+    fn held(self) -> bool {
+        self.0 & HELD != 0
+    }
+
+    fn at(self) -> SimTime {
+        SimTime::from_micros(self.0 & TIME)
+    }
+
+    /// This slot's flags with the time `at`.
+    fn with_at(self, at: SimTime) -> Slot {
+        Slot(self.0 & !TIME | at.as_micros().min(TIME))
     }
 }
 
 /// Per-node, per-stream chunk table, flat-indexed by the sequential chunk
 /// index within the stream (one array access per proposed, requested or
 /// received chunk on the hot path, no hashing).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct PlayoutBuffer {
-    stream: StreamId,
+    clock: StreamClock,
     slots: Vec<Slot>,
     len: usize,
 }
 
 impl PlayoutBuffer {
-    /// Creates an empty buffer for the primary stream.
-    pub fn new() -> Self {
-        PlayoutBuffer::default()
+    /// Creates an empty buffer for the stream `clock` defines.
+    pub fn new(clock: StreamClock) -> Self {
+        PlayoutBuffer {
+            clock,
+            slots: Vec::new(),
+            len: 0,
+        }
     }
 
     /// Heap bytes held by the slot table (capacity walk, deterministic).
@@ -72,17 +85,14 @@ impl PlayoutBuffer {
         self.slots.capacity() * std::mem::size_of::<Slot>()
     }
 
-    /// Creates an empty buffer for `stream`.
-    pub fn for_stream(stream: StreamId) -> Self {
-        PlayoutBuffer {
-            stream,
-            ..PlayoutBuffer::default()
-        }
-    }
-
     /// The stream this buffer plays out.
     pub fn stream(&self) -> StreamId {
-        self.stream
+        self.clock.stream
+    }
+
+    /// The clock of the stream this buffer plays out.
+    pub fn clock(&self) -> StreamClock {
+        self.clock
     }
 
     /// The slot of `id`, growing the table to reach it.
@@ -99,31 +109,29 @@ impl PlayoutBuffer {
     /// replaces whatever request reservation the slot held. Returns true if
     /// the chunk was new.
     pub fn record(&mut self, chunk: &Chunk, now: SimTime) -> bool {
-        debug_assert_eq!(chunk.id.stream(), self.stream, "chunk from another plane");
+        debug_assert_eq!(
+            *chunk,
+            self.clock.chunk(chunk.id.index()),
+            "chunk off its plane's clock"
+        );
         let slot = self.slot_mut(chunk.id);
         if slot.held() {
             return false;
         }
-        *slot = Slot {
-            emitted_at: chunk.emitted_at,
-            at: now,
-            size_bytes: chunk.size_bytes,
-            flags: slot.flags | HELD,
-        };
+        *slot = Slot(slot.0 | HELD).with_at(now);
         self.len += 1;
         true
     }
 
     /// The slot at `index`, if its chunk is held.
-    fn held_slot(&self, index: u64) -> Option<&Slot> {
-        self.slots.get(index as usize).filter(|s| s.held())
+    fn held_slot(&self, index: u64) -> Option<Slot> {
+        self.slots.get(index as usize).copied().filter(|s| s.held())
     }
 
-    /// The held chunk at `id`'s index, rebuilt from its slot.
+    /// The held chunk at `id`'s index.
     pub(crate) fn chunk(&self, id: ChunkId) -> Option<Chunk> {
-        let slot = self.held_slot(id.index())?;
-        let id = ChunkId::new(self.stream, id.index());
-        Some(Chunk::new(id, slot.size_bytes, slot.emitted_at))
+        self.held_slot(id.index())?;
+        Some(self.clock.chunk(id.index()))
     }
 
     /// Reserves `id` for a request sent at `now` unless the chunk is held or
@@ -131,10 +139,10 @@ impl PlayoutBuffer {
     /// true if the chunk should be requested.
     pub(crate) fn reserve(&mut self, id: ChunkId, now: SimTime, expiry: SimTime) -> bool {
         let slot = self.slot_mut(id);
-        if slot.held() || slot.at > now {
+        if slot.held() || slot.at() > now {
             return false;
         }
-        slot.at = expiry;
+        *slot = slot.with_at(expiry);
         true
     }
 
@@ -142,23 +150,23 @@ impl PlayoutBuffer {
     /// yet marked.
     pub(crate) fn mark_proposed(&mut self, id: ChunkId) -> bool {
         let slot = &mut self.slots[id.index() as usize];
-        let fresh = slot.flags & PROPOSED == 0;
-        slot.flags |= PROPOSED;
+        let fresh = slot.0 & PROPOSED == 0;
+        slot.0 |= PROPOSED;
         fresh
     }
 
-    /// The slot of a received chunk of this stream (the read-out side: a
-    /// chunk of another stream is not here, whatever its index).
-    fn get(&self, id: ChunkId) -> Option<&Slot> {
-        if id.stream() != self.stream {
+    /// The reception time of a received chunk of this stream (the read-out
+    /// side: a chunk of another stream is not here, whatever its index).
+    fn received_at(&self, id: ChunkId) -> Option<SimTime> {
+        if id.stream() != self.clock.stream {
             return None;
         }
-        self.held_slot(id.index())
+        self.held_slot(id.index()).map(Slot::at)
     }
 
     /// True if the chunk has been received.
     pub fn contains(&self, id: ChunkId) -> bool {
-        self.get(id).is_some()
+        self.received_at(id).is_some()
     }
 
     /// Number of distinct chunks received.
@@ -173,7 +181,8 @@ impl PlayoutBuffer {
 
     /// Reception lag of a chunk (reception − emission), if received.
     pub fn lag_of(&self, id: ChunkId) -> Option<SimDuration> {
-        self.get(id).map(|s| s.at.saturating_since(s.emitted_at))
+        let received_at = self.received_at(id)?;
+        Some(received_at.saturating_since(self.clock.chunk(id.index()).emitted_at))
     }
 
     /// Fraction of `emitted` chunks received within `lag` of their emission.
@@ -184,8 +193,8 @@ impl PlayoutBuffer {
         }
         let delivered = emitted
             .iter()
-            .filter(|c| match self.get(c.id) {
-                Some(s) => s.at.saturating_since(c.emitted_at) <= lag,
+            .filter(|c| match self.received_at(c.id) {
+                Some(at) => at.saturating_since(c.emitted_at) <= lag,
                 None => false,
             })
             .count();
@@ -205,12 +214,12 @@ impl Serialize for PlayoutBuffer {
         // held chunks only.
         let held = self.slots.iter().enumerate().filter(|(_, s)| s.held());
         let pair = |(i, slot): (usize, &Slot)| {
+            let chunk = self.clock.chunk(i as u64);
             let receipt = Receipt {
-                emitted_at: slot.emitted_at,
-                received_at: slot.at,
+                emitted_at: chunk.emitted_at,
+                received_at: slot.at(),
             };
-            let id = ChunkId::new(self.stream, i as u64);
-            Value::Array(vec![id.to_json_value(), receipt.to_json_value()])
+            Value::Array(vec![chunk.id.to_json_value(), receipt.to_json_value()])
         };
         Value::Array(held.map(pair).collect())
     }
@@ -266,8 +275,8 @@ impl StreamHealth {
             node_lags.clear();
             node_lags.extend(emitted.iter().filter_map(|c| {
                 buffer
-                    .get(c.id)
-                    .map(|s| s.at.saturating_since(c.emitted_at))
+                    .received_at(c.id)
+                    .map(|at| at.saturating_since(c.emitted_at))
             }));
             node_lags.sort_unstable();
             for (i, lag) in lags.iter().enumerate() {
@@ -304,18 +313,20 @@ impl StreamHealth {
 mod tests {
     use super::*;
 
-    fn chunk(id: u64, emitted_ms: u64) -> Chunk {
-        Chunk::new(
-            ChunkId::primary(id),
-            1_000,
-            SimTime::from_millis(emitted_ms),
-        )
+    /// The primary stream at one 1 000-byte chunk every 100 ms.
+    fn clock() -> StreamClock {
+        StreamClock::new(StreamId::PRIMARY, 80_000, 1_000)
+    }
+
+    /// Chunk `i`, emitted at `i` × 100 ms.
+    fn chunk(i: u64) -> Chunk {
+        clock().chunk(i)
     }
 
     #[test]
     fn records_only_first_reception() {
-        let mut buf = PlayoutBuffer::new();
-        let c = chunk(1, 100);
+        let mut buf = PlayoutBuffer::new(clock());
+        let c = chunk(1);
         assert!(buf.record(&c, SimTime::from_millis(150)));
         assert!(!buf.record(&c, SimTime::from_millis(900)));
         assert_eq!(
@@ -327,15 +338,15 @@ mod tests {
     }
 
     #[test]
-    fn a_slot_is_24_bytes() {
+    fn a_slot_is_8_bytes() {
         // The per-chunk, per-plane cost of a run; O(run length x nodes).
-        assert_eq!(std::mem::size_of::<Slot>(), 24);
+        assert_eq!(std::mem::size_of::<Slot>(), 8);
     }
 
     #[test]
     fn a_reservation_blocks_until_it_expires_and_never_outlives_the_chunk() {
-        let mut buf = PlayoutBuffer::new();
-        let (id, c) = (ChunkId::primary(3), chunk(3, 100));
+        let mut buf = PlayoutBuffer::new(clock());
+        let (id, c) = (ChunkId::primary(1), chunk(1));
         let ms = SimTime::from_millis;
         assert!(buf.reserve(id, ms(0), ms(500)));
         assert!(!buf.reserve(id, ms(499), ms(999)), "still reserved");
@@ -355,8 +366,8 @@ mod tests {
 
     #[test]
     fn delivery_ratio_counts_only_timely_chunks() {
-        let mut buf = PlayoutBuffer::new();
-        let chunks: Vec<Chunk> = (0..4).map(|i| chunk(i, i * 100)).collect();
+        let mut buf = PlayoutBuffer::new(clock());
+        let chunks: Vec<Chunk> = (0..4).map(chunk).collect();
         // Receive chunk 0 promptly, chunk 1 late, chunk 2 never, chunk 3 promptly.
         buf.record(&chunks[0], SimTime::from_millis(50));
         buf.record(&chunks[1], SimTime::from_millis(5_000));
@@ -372,7 +383,7 @@ mod tests {
 
     #[test]
     fn empty_reference_set_counts_as_clear() {
-        let buf = PlayoutBuffer::new();
+        let buf = PlayoutBuffer::new(clock());
         assert_eq!(buf.delivery_ratio_within(&[], SimDuration::ZERO), 1.0);
         assert!(buf.is_empty());
     }
@@ -382,7 +393,7 @@ mod tests {
         // Regression: an empty buffer slice used to divide by a phantom node
         // (`len().max(1)`) and report `fraction_clear = 0.0` — a vacuous run
         // masquerading as a total stream collapse.
-        let chunks: Vec<Chunk> = (0..4).map(|i| chunk(i, i * 100)).collect();
+        let chunks: Vec<Chunk> = (0..4).map(chunk).collect();
         let lags = vec![SimDuration::from_millis(500), SimDuration::from_secs(2)];
         let health = StreamHealth::compute(&[], &chunks, &lags, 0.99);
         assert_eq!(health.lag_secs, vec![0.5, 2.0]);
@@ -395,9 +406,9 @@ mod tests {
     #[test]
     fn per_stream_buffers_ignore_foreign_chunks() {
         let stream = StreamId::new(2);
-        let mut buf = PlayoutBuffer::for_stream(stream);
+        let mut buf = PlayoutBuffer::new(StreamClock { stream, ..clock() });
         assert_eq!(buf.stream(), stream);
-        let c = Chunk::new(ChunkId::new(stream, 4), 1_000, SimTime::ZERO);
+        let c = buf.clock().chunk(4);
         assert!(buf.record(&c, SimTime::from_millis(10)));
         assert!(buf.contains(ChunkId::new(stream, 4)));
         // The same index on another stream is a different chunk.
@@ -407,10 +418,10 @@ mod tests {
 
     #[test]
     fn stream_health_aggregates_across_nodes() {
-        let chunks: Vec<Chunk> = (0..10).map(|i| chunk(i, i * 100)).collect();
+        let chunks: Vec<Chunk> = (0..10).map(chunk).collect();
         // Node A receives everything immediately; node B receives everything 2 s late.
-        let mut a = PlayoutBuffer::new();
-        let mut b = PlayoutBuffer::new();
+        let mut a = PlayoutBuffer::new(clock());
+        let mut b = PlayoutBuffer::new(clock());
         for c in &chunks {
             a.record(c, c.emitted_at + SimDuration::from_millis(100));
             b.record(c, c.emitted_at + SimDuration::from_secs(2));

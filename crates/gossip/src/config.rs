@@ -1,6 +1,6 @@
 //! Gossip protocol configuration.
 
-use lifting_sim::SimDuration;
+use lifting_sim::{ComponentError, SimDuration};
 use serde::{Deserialize, Serialize};
 
 /// Static parameters of the three-phase gossip protocol.
@@ -40,22 +40,22 @@ impl GossipConfig {
         }
     }
 
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fanout is zero, the gossip period is zero, or the
-    /// clear-stream threshold is outside `(0, 1]`.
-    pub fn validate(&self) {
-        assert!(self.fanout > 0, "fanout must be positive");
-        assert!(
+    /// Validates the configuration: a positive fanout and gossip period, a
+    /// clear-stream threshold in `(0, 1]`. An error names the offending key
+    /// of component `gossip`.
+    pub fn validate(&self) -> Result<(), ComponentError> {
+        let require = |ok, key, reason| ComponentError::require(ok, "gossip", key, reason);
+        require(self.fanout > 0, "fanout", "fanout must be positive")?;
+        require(
             !self.gossip_period.is_zero(),
-            "gossip period must be positive"
-        );
-        assert!(
+            "gossip_period",
+            "gossip period must be positive",
+        )?;
+        require(
             self.clear_stream_threshold > 0.0 && self.clear_stream_threshold <= 1.0,
-            "clear-stream threshold must be in (0, 1]"
-        );
+            "clear_stream_threshold",
+            "clear-stream threshold must be in (0, 1]",
+        )
     }
 }
 
@@ -76,15 +76,15 @@ mod tests {
         assert_eq!(p.gossip_period, SimDuration::from_millis(500));
         let s = GossipConfig::simulation();
         assert_eq!(s.fanout, 12);
-        p.validate();
-        s.validate();
+        assert_eq!(p.validate(), Ok(()));
+        assert_eq!(s.validate(), Ok(()));
     }
 
     #[test]
-    #[should_panic]
     fn invalid_config_is_rejected() {
         let mut c = GossipConfig::planetlab();
         c.fanout = 0;
-        c.validate();
+        let err = c.validate().unwrap_err();
+        assert!(matches!(err, ComponentError::InvalidParam { key, .. } if key == "fanout"));
     }
 }

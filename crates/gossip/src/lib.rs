@@ -12,9 +12,11 @@
 //! whose methods return the messages to send; `lifting-runtime` moves them
 //! through the simulated network, and unit tests drive them directly.
 //! Everything a node knows about a chunk — held since when, requested until
-//! when, already proposed — is one 24-byte slot of its
+//! when, already proposed — is one 8-byte slot of its
 //! [`buffer::PlayoutBuffer`], indexed by the chunk's sequence number
-//! (`tests/chunk_table_reference.rs` checks it against a naive model).
+//! (`tests/chunk_table_reference.rs` checks it against a naive model). What
+//! every node knows alike — a chunk's emission instant and size — is not
+//! stored per node: one [`source::StreamClock`] per stream defines it.
 //!
 //! Freerider behaviours from Section 4 of the paper are first-class:
 //! [`behavior::Behavior`] captures the degree of freeriding
@@ -40,6 +42,6 @@ pub use chunk::{Chunk, ChunkId};
 pub use config::GossipConfig;
 pub use messages::{GossipMessage, ProposePayload, RequestPayload, ServePayload};
 pub use node::{GossipNode, ProposeRound};
-pub use source::StreamSource;
+pub use source::{StreamClock, StreamSource};
 
 pub use lifting_sim::NodeId;

@@ -20,6 +20,7 @@ use crate::behavior::Behavior;
 use crate::buffer::PlayoutBuffer;
 use crate::chunk::{shared_list_heap_bytes, Chunk, ChunkId};
 use crate::config::GossipConfig;
+use crate::source::StreamClock;
 
 /// Everything produced by one propose phase.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,7 +51,6 @@ pub struct ProposeRound {
 #[derive(Debug)]
 pub struct GossipNode {
     id: NodeId,
-    stream: StreamId,
     config: GossipConfig,
     behavior: Behavior,
     /// Chunks received since the last propose phase, grouped by serving node.
@@ -84,31 +84,36 @@ pub struct GossipNode {
 }
 
 impl GossipNode {
-    /// Creates a node's gossip state for the primary stream.
+    /// Creates a node's gossip state for the paper's primary stream
+    /// ([`StreamClock::paper`]).
     pub fn new(id: NodeId, config: GossipConfig, behavior: Behavior) -> Self {
-        GossipNode::for_stream(id, StreamId::PRIMARY, config, behavior)
+        GossipNode::for_stream(id, StreamClock::paper(), config, behavior)
     }
 
-    /// Creates a node's gossip state for one plane of a multi-channel stack.
+    /// Creates a node's gossip state for the stream `clock` defines (one
+    /// plane of a multi-channel stack).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration or the behaviour is invalid.
     pub fn for_stream(
         id: NodeId,
-        stream: StreamId,
+        clock: StreamClock,
         config: GossipConfig,
         behavior: Behavior,
     ) -> Self {
-        config.validate();
-        if let Behavior::Freerider(f) = &behavior {
-            f.validate();
-        }
+        config
+            .validate()
+            .and(behavior.validate())
+            .expect("invalid gossip configuration");
         GossipNode {
             id,
-            stream,
             config,
             behavior,
             fresh_by_source: DetHashMap::default(),
             offers_out: Vec::new(),
             period: 0,
-            playout: PlayoutBuffer::for_stream(stream),
+            playout: PlayoutBuffer::new(clock),
             chunks_served: 0,
         }
     }
@@ -120,7 +125,7 @@ impl GossipNode {
 
     /// The stream this plane disseminates.
     pub fn stream(&self) -> StreamId {
-        self.stream
+        self.playout.stream()
     }
 
     /// The node's behaviour.
@@ -138,9 +143,9 @@ impl GossipNode {
     ///
     /// Panics if the new behaviour embeds an invalid freerider configuration.
     pub fn set_behavior(&mut self, behavior: Behavior) {
-        if let Behavior::Freerider(f) = &behavior {
-            f.validate();
-        }
+        behavior
+            .validate()
+            .expect("invalid freerider configuration");
         self.behavior = behavior;
     }
 
@@ -369,7 +374,7 @@ mod tests {
     use lifting_sim::derive_rng;
 
     fn chunk(id: u64) -> Chunk {
-        Chunk::new(ChunkId::primary(id), 1_000, SimTime::ZERO)
+        StreamClock::paper().chunk(id)
     }
 
     fn honest(id: u32) -> GossipNode {
@@ -498,7 +503,7 @@ mod tests {
             + 16
             + 1000 * size_of::<ChunkId>();
         assert!(
-            b.estimated_heap_bytes() <= 24 * 1024 + offers,
+            b.estimated_heap_bytes() <= 8 * 1024 + offers,
             "{} B",
             b.estimated_heap_bytes()
         );

@@ -6,11 +6,15 @@
 //! fresh, duplicate, never-requested and out-of-order serves, sparse indices,
 //! proposals that repeat an id, requests with and without a matching offer,
 //! and propose rounds with and without partners, over non-decreasing time.
+//! Every chunk comes from the stream's clock, as on the wire; the model keeps
+//! its own copy of each, the node rebuilds them from the clock.
 
 use std::collections::{HashMap, HashSet};
 
 use lifting_gossip::buffer::Receipt;
-use lifting_gossip::{Behavior, Chunk, ChunkId, GossipConfig, GossipNode, ProposeRound};
+use lifting_gossip::{
+    Behavior, Chunk, ChunkId, GossipConfig, GossipNode, ProposeRound, StreamClock,
+};
 use lifting_sim::{NodeId, SimDuration, SimTime, StreamId};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -184,15 +188,11 @@ fn id_list(stream: StreamId, rng: &mut SmallRng, max: usize) -> Vec<ChunkId> {
         .collect()
 }
 
-/// The chunk at `index`: every copy of it carries the same emission metadata,
-/// as on the wire.
-fn chunk_at(stream: StreamId, index: u64) -> Chunk {
-    let size = 1_000 + (index % 7) as u32;
-    Chunk::new(
-        ChunkId::new(stream, index),
-        size,
-        SimTime::from_millis(index * 40),
-    )
+/// The clock of `stream`: one 1 000-byte chunk every 40 ms, from a start
+/// that differs per stream.
+fn clock_of(stream: StreamId) -> StreamClock {
+    StreamClock::new(stream, 200_000, 1_000)
+        .starting_at(SimTime::from_millis(stream.0 as u64 * 250))
 }
 
 fn assert_same_state(node: &GossipNode, naive: &NaiveNode, step: usize) {
@@ -228,7 +228,8 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let stream = StreamId::new(stream as u16);
         let config = GossipConfig::planetlab();
-        let mut node = GossipNode::for_stream(ME, stream, config, Behavior::Honest);
+        let clock = clock_of(stream);
+        let mut node = GossipNode::for_stream(ME, clock, config, Behavior::Honest);
         let mut naive = NaiveNode {
             stream,
             gossip_period: config.gossip_period,
@@ -251,7 +252,7 @@ proptest! {
             now += SimDuration::from_millis(pause);
             match rng.gen_range(0u32..20) {
                 0..=1 => {
-                    let chunk = chunk_at(stream, index(&mut rng));
+                    let chunk = clock.chunk(index(&mut rng));
                     node.inject_source_chunk(chunk, now);
                     naive.inject_source_chunk(chunk, now);
                 }
@@ -273,7 +274,7 @@ proptest! {
                         (1, false) => wanted.remove(0).index(),
                         (_, false) => wanted.pop().expect("not empty").index(),
                     };
-                    let (from, chunk) = (peer(&mut rng), chunk_at(stream, idx));
+                    let (from, chunk) = (peer(&mut rng), clock.chunk(idx));
                     prop_assert!(
                         node.on_serve(from, chunk, now) == naive.on_serve(from, chunk, now),
                         "on_serve({idx}) at step {step}"

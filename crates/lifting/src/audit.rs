@@ -103,7 +103,7 @@ impl Auditor {
 
     /// Creates an auditor with an explicitly calibrated entropy threshold.
     pub fn with_threshold(config: LiftingConfig, fanout: usize, gamma: f64) -> Self {
-        config.validate();
+        config.validate().expect("invalid LiFTinG configuration");
         assert!(fanout > 0, "fanout must be positive");
         assert!(gamma > 0.0, "entropy threshold must be positive");
         Auditor {

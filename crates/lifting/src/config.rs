@@ -1,6 +1,6 @@
 //! LiFTinG configuration.
 
-use lifting_sim::SimDuration;
+use lifting_sim::{ComponentError, SimDuration};
 use serde::{Deserialize, Serialize};
 
 /// Static parameters of the LiFTinG verification layer.
@@ -88,31 +88,42 @@ impl LiftingConfig {
         self
     }
 
-    /// Validates the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a probability is out of range, the thresholds have the wrong
-    /// sign, or a timeout is zero.
-    pub fn validate(&self) {
-        assert!((0.0..=1.0).contains(&self.pdcc), "pdcc out of range");
-        assert!(
+    /// Validates the configuration: probabilities in `[0, 1]`, thresholds
+    /// of the right sign, at least one manager and one history period,
+    /// positive timeouts. An error names the offending key of component
+    /// `lifting`.
+    pub fn validate(&self) -> Result<(), ComponentError> {
+        let require = |ok, key, reason| ComponentError::require(ok, "lifting", key, reason);
+        require(
+            (0.0..=1.0).contains(&self.pdcc),
+            "pdcc",
+            "pdcc out of range",
+        )?;
+        require(
             (0.0..=1.0).contains(&self.expulsion_quorum),
-            "expulsion quorum out of range"
-        );
-        assert!(self.managers > 0, "at least one manager is required");
-        assert!(self.eta < 0.0, "η must be negative");
-        assert!(self.gamma > 0.0, "γ must be positive");
-        assert!(self.history_periods > 0, "history must cover ≥ 1 period");
-        assert!(
-            !self.serve_timeout.is_zero(),
-            "serve timeout must be positive"
-        );
-        assert!(!self.ack_timeout.is_zero(), "ack timeout must be positive");
-        assert!(
-            !self.confirm_timeout.is_zero(),
-            "confirm timeout must be positive"
-        );
+            "expulsion_quorum",
+            "expulsion quorum out of range",
+        )?;
+        require(
+            self.managers > 0,
+            "managers",
+            "at least one manager is required",
+        )?;
+        require(self.eta < 0.0, "eta", "η must be negative")?;
+        require(self.gamma > 0.0, "gamma", "γ must be positive")?;
+        require(
+            self.history_periods > 0,
+            "history_periods",
+            "history must cover ≥ 1 period",
+        )?;
+        for (key, timeout) in [
+            ("serve_timeout", self.serve_timeout),
+            ("ack_timeout", self.ack_timeout),
+            ("confirm_timeout", self.confirm_timeout),
+        ] {
+            require(!timeout.is_zero(), key, "timeouts must be positive")?;
+        }
+        Ok(())
     }
 }
 
@@ -134,25 +145,30 @@ mod tests {
         assert_eq!(c.eta, -9.75);
         assert_eq!(c.gamma, 8.95);
         assert_eq!(c.history_periods, 50);
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
         let half = c.with_pdcc(0.5);
         assert_eq!(half.pdcc, 0.5);
-        half.validate();
+        assert_eq!(half.validate(), Ok(()));
+    }
+
+    fn rejected_key(c: LiftingConfig) -> String {
+        match c.validate() {
+            Err(ComponentError::InvalidParam { key, .. }) => key,
+            other => panic!("expected an invalid parameter, got {other:?}"),
+        }
     }
 
     #[test]
-    #[should_panic]
     fn positive_eta_is_rejected() {
         let mut c = LiftingConfig::planetlab();
         c.eta = 3.0;
-        c.validate();
+        assert_eq!(rejected_key(c), "eta");
     }
 
     #[test]
-    #[should_panic]
     fn out_of_range_pdcc_is_rejected() {
         let mut c = LiftingConfig::planetlab();
         c.pdcc = 1.5;
-        c.validate();
+        assert_eq!(rejected_key(c), "pdcc");
     }
 }

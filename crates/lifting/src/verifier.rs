@@ -160,7 +160,7 @@ impl Verifier {
         config: LiftingConfig,
         collusion: CollusionConfig,
     ) -> Self {
-        config.validate();
+        config.validate().expect("invalid LiFTinG configuration");
         let history = NodeHistory::new(id, config.history_periods);
         Verifier {
             id,
@@ -183,6 +183,17 @@ impl Verifier {
     /// style, applied right after [`new`](Verifier::new)).
     pub fn for_stream(mut self, stream: StreamId) -> Self {
         self.stream = stream;
+        self
+    }
+
+    /// Issues this verifier's check tokens from session `session`'s range
+    /// (builder style, applied right after [`new`](Verifier::new)): the
+    /// session sits above bit 40 (a session issues fewer than 2⁴⁰ tokens),
+    /// so a stack rebuilt after a rejoin never reissues a token its earlier
+    /// sessions used, and a late reply addressed to an earlier session
+    /// matches no live check. Session 0 issues tokens from zero.
+    pub fn in_session(mut self, session: u32) -> Self {
+        self.next_token = u64::from(session) << 40;
         self
     }
 

@@ -1,7 +1,7 @@
 //! The simulated network: decides, for each send, whether and when the
 //! message is delivered, and accounts the traffic.
 
-use lifting_sim::{NodeId, SimDuration, SimTime};
+use lifting_sim::{ComponentError, NodeId, SimDuration, SimTime};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -34,20 +34,21 @@ impl LinkFaults {
         self.delay_spike_probability <= 0.0 && self.duplicate_probability <= 0.0
     }
 
-    /// Validates the knobs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a probability is outside `[0, 1]`.
-    pub fn validate(&self) {
-        assert!(
-            (0.0..=1.0).contains(&self.delay_spike_probability),
-            "delay-spike probability out of range"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.duplicate_probability),
-            "duplicate probability out of range"
-        );
+    /// Validates the knobs: both probabilities in `[0, 1]`. An error names
+    /// the offending key of component `link_faults`.
+    pub fn validate(&self) -> Result<(), ComponentError> {
+        for (key, p) in [
+            ("delay_spike_probability", self.delay_spike_probability),
+            ("duplicate_probability", self.duplicate_probability),
+        ] {
+            ComponentError::require(
+                (0.0..=1.0).contains(&p),
+                "link_faults",
+                key,
+                format!("{p} not in [0, 1]"),
+            )?;
+        }
+        Ok(())
     }
 }
 
@@ -157,7 +158,7 @@ impl Network {
     /// Creates a network for `n` nodes with the given configuration and seed.
     pub fn new(n: usize, config: NetworkConfig, rng: SmallRng) -> Self {
         let NetworkConfig { faults, .. } = config;
-        faults.validate();
+        faults.validate().expect("invalid link faults");
         Network {
             capabilities: vec![config.default_capability; n],
             uplinks: vec![UplinkState::new(); n],

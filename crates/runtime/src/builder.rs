@@ -17,7 +17,7 @@ use std::sync::Arc;
 use lifting_analysis::entropy::calibrate_gamma;
 use lifting_analysis::ProtocolParams;
 use lifting_core::Auditor;
-use lifting_gossip::StreamSource;
+use lifting_gossip::{StreamClock, StreamSource};
 use lifting_membership::{Directory, Edge, TimedEdge, WorkloadPlan};
 use lifting_net::{Network, NodeCapability};
 use lifting_reputation::ManagerAssignment;
@@ -94,6 +94,16 @@ pub fn build_world(config: ScenarioConfig) -> Result<SystemWorld, ComponentError
             .collect(),
     );
 
+    // One clock per stream: the one definition of every chunk's emission
+    // time and size, shared by the source and every node's playout buffer.
+    let clocks: Vec<StreamClock> = config
+        .stream_ids()
+        .map(|stream| {
+            let spec = config.stream_spec(stream);
+            StreamClock::new(stream, spec.rate_bps, spec.chunk_size)
+                .starting_at(SimTime::ZERO + spec.start_offset)
+        })
+        .collect();
     let stacks: Vec<NodeStack> = (0..n)
         .map(|i| {
             NodeStack::with_streams(
@@ -103,7 +113,8 @@ pub fn build_world(config: ScenarioConfig) -> Result<SystemWorld, ComponentError
                 config.lifting_enabled,
                 adversary.spawn(&config, i, &coalition),
                 derive_rng(seed, 1000 + i as u64),
-                streams,
+                &clocks,
+                0,
             )
         })
         .collect();
@@ -161,15 +172,6 @@ pub fn build_world(config: ScenarioConfig) -> Result<SystemWorld, ComponentError
     ))
     .with_retry(config.audit_retry);
 
-    let sources: Vec<StreamSource> = config
-        .stream_ids()
-        .map(|stream| {
-            let spec = config.stream_spec(stream);
-            StreamSource::new(stream, spec.rate_bps, spec.chunk_size)
-                .starting_at(SimTime::ZERO + spec.start_offset)
-        })
-        .collect();
-
     // Disturbances: the declared generator's plan, expanded once. Flash-crowd
     // members are held offline from the start (the directory is the single
     // source of truth for activity, and the network drops traffic of cut-off
@@ -212,8 +214,7 @@ pub fn build_world(config: ScenarioConfig) -> Result<SystemWorld, ComponentError
         stacks,
         assignment,
         audits,
-        sources,
-        emitted: vec![Vec::new(); streams],
+        sources: clocks.into_iter().map(StreamSource::new).collect(),
         compensation_per_stream,
         blame_counts: vec![0; n * streams],
         blame_values: vec![0.0; n * streams],
@@ -352,6 +353,47 @@ mod tests {
         config.components.adversary = Some(ComponentSpec::new("blame-spam"));
         assert_eq!(played_by(&config, 9), "blame-spammer");
         assert_eq!(played_by(&config, 0), "honest");
+    }
+
+    #[test]
+    fn out_of_range_protocol_parameters_are_typed_errors() {
+        type Break = fn(&mut ScenarioConfig);
+        let cases: [(&str, &str, Break); 8] = [
+            ("gossip", "fanout", |c| c.gossip.fanout = 0),
+            ("gossip", "gossip_period", |c| {
+                c.gossip.gossip_period = SimDuration::ZERO
+            }),
+            ("gossip", "clear_stream_threshold", |c| {
+                c.gossip.clear_stream_threshold = 1.5
+            }),
+            ("lifting", "pdcc", |c| c.lifting.pdcc = 1.5),
+            ("lifting", "serve_timeout", |c| {
+                c.lifting.serve_timeout = SimDuration::ZERO
+            }),
+            ("freerider", "delta1", |c| {
+                c.freeriders.as_mut().unwrap().degree.delta1 = 2.0
+            }),
+            ("freerider", "period_stretch", |c| {
+                c.freeriders.as_mut().unwrap().degree.period_stretch = 0
+            }),
+            ("link_faults", "duplicate_probability", |c| {
+                c.network.faults.duplicate_probability = 2.0
+            }),
+        ];
+        for (component, key, break_it) in cases {
+            let mut config = ScenarioConfig::small_test(10, 1).with_planetlab_freeriders(0.2);
+            break_it(&mut config);
+            let built = std::panic::catch_unwind(|| build_world(config).map(drop));
+            let err = built.unwrap_or_else(|_| panic!("{component}.{key}: unwound"));
+            let expected = |e: &ComponentError| {
+                matches!(e, ComponentError::InvalidParam { component: c, key: k, .. }
+                    if c == component && k == key)
+            };
+            assert!(
+                err.as_ref().is_err_and(expected),
+                "{component}.{key}: {err:?}"
+            );
+        }
     }
 
     #[test]

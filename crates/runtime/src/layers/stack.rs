@@ -14,6 +14,7 @@ use std::sync::Arc;
 use lifting_core::{LiftingConfig, VerificationMessage, Verifier, VerifierTimer};
 use lifting_gossip::{
     ChunkId, GossipConfig, GossipMessage, GossipNode, ProposePayload, RequestPayload, ServePayload,
+    StreamClock,
 };
 use lifting_membership::{Directory, PartnerSelector};
 use lifting_reputation::ManagerState;
@@ -194,9 +195,10 @@ pub struct NodeStack {
 }
 
 impl NodeStack {
-    /// Builds a single-stream node stack: the adversary configures every
-    /// plane. Identical to [`with_streams`](NodeStack::with_streams) with one
-    /// stream.
+    /// Builds a single-stream node stack for the paper's primary stream
+    /// ([`StreamClock::paper`]), in session 0: the adversary configures
+    /// every plane. Identical to [`with_streams`](NodeStack::with_streams)
+    /// with that one clock.
     pub fn new(
         id: NodeId,
         gossip_config: GossipConfig,
@@ -212,14 +214,18 @@ impl NodeStack {
             lifting_enabled,
             adversary,
             rng,
-            1,
+            &[StreamClock::paper()],
+            0,
         )
     }
 
-    /// Builds a node stack carrying `streams` concurrent channels. The
-    /// adversary configures each plane (possibly differently per stream —
-    /// see [`Adversary::dissemination_plane_for`]); the reputation book is
-    /// one and shared.
+    /// Builds a node stack carrying one concurrent channel per clock (clock
+    /// `s` defines stream `s`), for the node's session `session` (0 at
+    /// start, one more at every rejoin: a rebuilt stack's verifiers issue
+    /// tokens no earlier session used). The adversary configures each plane
+    /// (possibly differently per stream — see
+    /// [`Adversary::dissemination_plane_for`]); the reputation book is one
+    /// and shared.
     #[allow(clippy::too_many_arguments)]
     pub fn with_streams(
         id: NodeId,
@@ -228,21 +234,26 @@ impl NodeStack {
         lifting_enabled: bool,
         adversary: Box<dyn Adversary>,
         rng: SmallRng,
-        streams: usize,
+        clocks: &[StreamClock],
+        session: u32,
     ) -> Self {
         let fanout = gossip_config.fanout;
         let is_freerider = adversary.is_freerider();
-        let planes = (0..streams.max(1))
-            .map(|s| {
-                let stream = StreamId::new(s as u16);
+        let planes = clocks
+            .iter()
+            .enumerate()
+            .map(|(s, clock)| {
+                let stream = clock.stream;
+                debug_assert_eq!(stream.index(), s, "planes are indexed by stream");
                 let behavior = adversary.dissemination_plane_for(stream);
                 let collusion = adversary.verification_plane();
                 StreamPlane {
                     stream,
-                    gossip: GossipNode::for_stream(id, stream, gossip_config, behavior),
+                    gossip: GossipNode::for_stream(id, *clock, gossip_config, behavior),
                     selector: adversary.membership_plane_for(stream),
                     verifier: Verifier::new(id, fanout, lifting_config, collusion)
-                        .for_stream(stream),
+                        .for_stream(stream)
+                        .in_session(session),
                     lifting_on: lifting_enabled,
                 }
             })
@@ -374,8 +385,19 @@ mod tests {
     use super::*;
     use crate::layers::{Freerider, Honest, SelectiveFreerider};
     use lifting_core::CollusionConfig;
-    use lifting_gossip::{Chunk, FreeriderConfig};
+    use lifting_gossip::FreeriderConfig;
     use lifting_sim::derive_rng;
+
+    /// One paper-rate clock per stream.
+    fn clocks(streams: u16) -> Vec<StreamClock> {
+        let paper = StreamClock::paper();
+        (0..streams)
+            .map(|s| StreamClock {
+                stream: StreamId::new(s),
+                ..paper
+            })
+            .collect()
+    }
 
     fn stack(id: u32, adversary: Box<dyn Adversary>) -> NodeStack {
         stack_with_lifting(id, adversary, true)
@@ -417,7 +439,7 @@ mod tests {
     fn tick_begins_the_period_records_the_round_and_sends_proposes() {
         let directory = Directory::new(10);
         let mut s = stack(0, Box::new(Honest));
-        let chunk = Chunk::new(ChunkId::primary(1), 1_000, SimTime::ZERO);
+        let chunk = s.primary().gossip.playout().clock().chunk(1);
         s.planes[0].gossip.inject_source_chunk(chunk, SimTime::ZERO);
         let mut out = Vec::new();
         s.on_gossip_tick(NodeId::new(0), SimTime::ZERO, &directory, &mut out);
@@ -466,7 +488,7 @@ mod tests {
         // requests it, and only the serve goes out — no ack check is armed.
         let directory = Directory::new(10);
         let mut s = stack_with_lifting(0, Box::new(Honest), false);
-        let chunk = Chunk::new(ChunkId::primary(1), 1_000, SimTime::ZERO);
+        let chunk = s.primary().gossip.playout().clock().chunk(1);
         s.planes[0].gossip.inject_source_chunk(chunk, SimTime::ZERO);
         let mut out = Vec::new();
         s.on_gossip_tick(NodeId::new(0), SimTime::ZERO, &directory, &mut out);
@@ -518,7 +540,8 @@ mod tests {
             true,
             Box::new(Honest),
             derive_rng(1, 2),
-            3,
+            &clocks(3),
+            0,
         );
         assert_eq!(s.planes.len(), 3);
         for (i, plane) in s.planes.iter().enumerate() {
@@ -539,7 +562,8 @@ mod tests {
             true,
             Box::new(SelectiveFreerider { silent_mask: 0b10 }),
             derive_rng(1, 3),
-            2,
+            &clocks(2),
+            0,
         );
         assert!(s.is_freerider);
         assert!(!s.plane(StreamId::new(0)).gossip.behavior().is_freerider());

@@ -92,9 +92,8 @@ impl SystemWorld {
         lags: &[SimDuration],
         settle: SimDuration,
     ) -> StreamHealth {
-        let reference: Vec<Chunk> = self.emitted[stream.index()]
-            .iter()
-            .copied()
+        let reference: Vec<Chunk> = self.sources[stream.index()]
+            .emitted_chunks()
             .filter(|c| c.emitted_at + settle <= now)
             .collect();
         let buffers: Vec<_> = self
@@ -136,18 +135,12 @@ impl SystemWorld {
             books += stack.reputation.estimated_heap_bytes();
             inline += stack.planes.capacity() * size_of::<StreamPlane>();
         }
-        let emitted: usize = self
-            .emitted
-            .iter()
-            .map(|e| e.capacity() * size_of::<Chunk>())
-            .sum();
         let voters: usize = self
             .expulsion_voters
             .iter()
             .map(|v| v.capacity() * size_of::<NodeId>())
             .sum();
         let columns = self.hot.estimated_heap_bytes()
-            + emitted
             + voters
             + self.expulsion_voters.capacity() * size_of::<Vec<NodeId>>()
             + self.blame_counts.capacity() * size_of::<u64>()
@@ -221,7 +214,7 @@ impl SystemWorld {
                 StreamOutcome {
                     stream,
                     subscribers,
-                    emitted_chunks: self.emitted[s].len(),
+                    emitted_chunks: self.sources[s].emitted() as usize,
                     stream_health: self.stream_health_of(stream, now, lags, settle),
                     blames,
                     blame_value,
@@ -249,7 +242,7 @@ impl SystemWorld {
             snapshots,
             layer_traffic: layer_breakdown(&traffic),
             traffic,
-            emitted_chunks: self.emitted[0].clone(),
+            emitted_chunks: self.emitted_chunks(),
             stream_health,
             per_stream,
             expelled_count: self.expelled_count(),

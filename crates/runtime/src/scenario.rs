@@ -407,15 +407,11 @@ impl ScenarioConfig {
         count > 0 && node_index != 0 && node_index >= self.nodes.saturating_sub(count)
     }
 
-    /// Validates the scenario: a population of at least three, fewer
+    /// Validates the scenario: a population of at least three, in-range
+    /// gossip, LiFTinG, link-fault and freerider-degree parameters, fewer
     /// managers and freeriders than nodes, one to 64 non-empty streams with
     /// two subscribers each and the primary on air from the start, a
     /// positive duration, and well-formed resilience policies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the gossip, LiFTinG or freerider-degree parameters are out
-    /// of range (their own `validate` methods).
     pub fn validate(&self) -> Result<(), ComponentError> {
         let (nodes, managers, streams) = (self.nodes, self.lifting.managers, self.stream_count());
         require(
@@ -423,8 +419,9 @@ impl ScenarioConfig {
             "nodes",
             format!("{nodes} nodes; at least three are required"),
         )?;
-        self.gossip.validate();
-        self.lifting.validate();
+        self.gossip.validate()?;
+        self.lifting.validate()?;
+        self.network.faults.validate()?;
         require(
             managers < nodes,
             "lifting.managers",
@@ -475,7 +472,7 @@ impl ScenarioConfig {
             online.validate()?;
         }
         if let Some(f) = &self.freeriders {
-            f.degree.validate();
+            f.degree.validate()?;
         }
         Ok(())
     }
@@ -484,11 +481,7 @@ impl ScenarioConfig {
 /// `Ok` if `ok`, otherwise the scenario's [`ComponentError::InvalidParam`]
 /// for `key`.
 fn require(ok: bool, key: &str, reason: impl Into<String>) -> Result<(), ComponentError> {
-    if ok {
-        Ok(())
-    } else {
-        Err(ComponentError::invalid("scenario", key, reason))
-    }
+    ComponentError::require(ok, "scenario", key, reason)
 }
 
 #[cfg(test)]

@@ -55,11 +55,10 @@ pub struct SystemWorld {
     pub(crate) stacks: Vec<NodeStack>,
     pub(crate) assignment: ManagerAssignment,
     pub(crate) audits: AuditCoordinator,
-    /// One broadcast source per stream, indexed by [`StreamId`].
+    /// One broadcast source per stream, indexed by [`StreamId`]: its clock
+    /// and count rebuild the chunks it emitted (the reference sets for
+    /// stream health) at readout.
     pub(crate) sources: Vec<StreamSource>,
-    /// Per stream, the chunks its source emitted (the reference sets for
-    /// stream health).
-    pub(crate) emitted: Vec<Vec<Chunk>>,
     /// Per stream, the per-period wrongful-blame compensation (Equation 5
     /// evaluated at that stream's rate); a node's credit is the sum over its
     /// subscriptions.
@@ -166,8 +165,8 @@ impl SystemWorld {
     }
 
     /// The chunks emitted by the primary stream's source so far.
-    pub fn emitted_chunks(&self) -> &[Chunk] {
-        &self.emitted[0]
+    pub fn emitted_chunks(&self) -> Vec<Chunk> {
+        self.sources[0].emitted_chunks().collect()
     }
 
     /// Blames booked against `node` that were emitted by `stream`'s
@@ -452,14 +451,17 @@ impl SystemWorld {
     }
 
     /// Tears the node's protocol stack down and rebuilds it from scratch, as
-    /// a crash-rejoin does: empty chunk store, fresh verification history,
-    /// blank manager book (re-registered below) and a new session RNG stream.
+    /// a crash-rejoin does: empty chunk store, fresh verification history
+    /// issuing tokens of the new session (a late reply to an earlier
+    /// session's check matches nothing), blank manager book (re-registered
+    /// below) and a new session RNG stream.
     fn rebuild_stack(&mut self, node: NodeId) {
         let i = node.index();
         let session = self.hot.epochs[i] as u64;
         // A distinct, collision-free stream per (node, session): sessions ≥ 1
         // land past the builder's `1000 + i` block.
         let rng = derive_rng(self.config.seed, 1_000_000 + i as u64 + session * 1_000_003);
+        let clocks: Vec<_> = self.sources.iter().map(StreamSource::clock).collect();
         let mut stack = NodeStack::with_streams(
             node,
             self.config.gossip,
@@ -467,7 +469,8 @@ impl SystemWorld {
             self.config.lifting_enabled,
             self.adversary.spawn(&self.config, i, &self.coalition),
             rng,
-            self.config.stream_count(),
+            &clocks,
+            self.hot.epochs[i],
         );
         // A crash loses the manager book; re-register this manager's charges
         // (their records restart — the other replicas of the min-vote still
@@ -995,7 +998,6 @@ impl World for SystemWorld {
                 let source = &mut self.sources[stream.index()];
                 let chunk = source.emit();
                 let next = source.next_emission();
-                self.emitted[stream.index()].push(chunk);
                 self.stacks[0]
                     .plane_mut(stream)
                     .gossip
@@ -1062,7 +1064,7 @@ impl std::fmt::Debug for SystemWorld {
             .field("streams", &self.sources.len())
             .field(
                 "emitted_chunks",
-                &self.emitted.iter().map(Vec::len).sum::<usize>(),
+                &self.sources.iter().map(StreamSource::emitted).sum::<u64>(),
             )
             .finish()
     }

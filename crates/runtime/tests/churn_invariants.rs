@@ -5,14 +5,17 @@
 //! must never receive traffic, and audits that depended on a departed
 //! witness must abort instead of converting churn into blame.
 
-use lifting_core::{Auditor, LiftingConfig};
-use lifting_gossip::{ChunkId, GossipConfig, ProposeRound};
+use lifting_core::{
+    AckPayload, Auditor, BlameReason, ConfirmResponsePayload, LiftingConfig, VerificationMessage,
+    VerifierTimer,
+};
+use lifting_gossip::{ChunkId, GossipConfig, ProposeRound, StreamClock};
 use lifting_membership::Directory;
 use lifting_net::{Network, NetworkConfig, TrafficCategory};
 use lifting_runtime::layers::{AuditCoordinator, AuditOutcome, Downcall, Honest, NodeStack};
 use lifting_runtime::{
-    build_engine, resolve_components, run_scenario, run_scenarios_parallel, ComponentSpec, Scale,
-    ScenarioRegistry,
+    build_engine, resolve_components, run_scenario, run_scenarios_parallel, ComponentSpec, Message,
+    Scale, ScenarioRegistry,
 };
 use lifting_sim::{derive_rng, NodeId, ParamValue, SimDuration, SimTime, StreamId};
 
@@ -285,4 +288,108 @@ fn expelled_nodes_stay_out_under_churn() {
     // The scenario is tuned so expulsions actually happen; if this starts
     // failing after a parameter change, pick a seed/duration that expels.
     assert!(expelled_seen > 0, "no expulsion happened; weak test");
+}
+
+/// Node 1's stack in its `session`-th session, cross-checking every ack.
+fn session_stack(session: u32) -> NodeStack {
+    NodeStack::with_streams(
+        NodeId::new(1),
+        GossipConfig::planetlab(),
+        LiftingConfig::planetlab().with_pdcc(1.0),
+        true,
+        Box::new(Honest),
+        derive_rng(1, 1),
+        &[StreamClock::paper()],
+        session,
+    )
+}
+
+/// Delivers to `stack` an ack from `subject` naming `witnesses`, and returns
+/// the token of the cross-check it opens and the timer that closes it.
+fn open_cross_check(
+    stack: &mut NodeStack,
+    subject: NodeId,
+    witnesses: &[NodeId],
+) -> (u64, VerifierTimer) {
+    let ack = VerificationMessage::Ack(Box::new(AckPayload {
+        chunks: vec![ChunkId::primary(1)].into(),
+        partners: witnesses.into(),
+        period: 0,
+    }));
+    let mut out = Vec::new();
+    stack.on_message(subject, Message::Verification(ack), SimTime::ZERO, &mut out);
+    let token = out.iter().find_map(|d| match d {
+        Downcall::Send {
+            message: Message::Verification(VerificationMessage::Confirm(c)),
+            ..
+        } => Some(c.token),
+        _ => None,
+    });
+    let timer = out.iter().find_map(|d| match d {
+        Downcall::StartTimer { timer, .. } => Some(*timer),
+        _ => None,
+    });
+    (
+        token.expect("a confirm to the witnesses"),
+        timer.expect("a confirm-check timer"),
+    )
+}
+
+/// Every witness's confirmation of the check `token`, as delivered messages.
+fn confirmations(subject: NodeId, witnesses: &[NodeId], token: u64) -> Vec<(NodeId, Message)> {
+    let confirm = |w: &NodeId| {
+        let response = ConfirmResponsePayload {
+            subject,
+            stream: StreamId::PRIMARY,
+            token,
+            confirmed: true,
+        };
+        let message = VerificationMessage::ConfirmResponse(response);
+        (*w, Message::Verification(message))
+    };
+    witnesses.iter().map(confirm).collect()
+}
+
+/// Closes the check with `timer` and reports whether it blamed `subject`
+/// for a contradicted proposal.
+fn blamed_for_contradiction(stack: &mut NodeStack, timer: VerifierTimer, subject: NodeId) -> bool {
+    let mut out = Vec::new();
+    stack.on_timer(StreamId::PRIMARY, timer, SimTime::from_secs(5), &mut out);
+    out.iter().any(|d| {
+        matches!(d, Downcall::Blame(b)
+            if b.target == subject && b.reason == BlameReason::ContradictedProposal)
+    })
+}
+
+#[test]
+fn a_reply_to_an_earlier_session_does_not_count_in_the_rebuilt_verifier() {
+    let subject = NodeId::new(2);
+    let witnesses: Vec<NodeId> = (4..11).map(NodeId::new).collect();
+    // Session 0 opens a cross-check; its witnesses' confirmations are still
+    // in flight when the node departs.
+    let (old_token, _) = open_cross_check(&mut session_stack(0), subject, &witnesses);
+    let stale = confirmations(subject, &witnesses, old_token);
+
+    // After the rejoin the rebuilt stack opens its own check on the same
+    // subject, then the stale confirmations land.
+    let mut rebuilt = session_stack(1);
+    let (token, timer) = open_cross_check(&mut rebuilt, subject, &witnesses);
+    assert_ne!(token, old_token, "a rebuilt verifier reissued a token");
+    let mut out = Vec::new();
+    for (from, message) in stale {
+        rebuilt.on_message(from, message, SimTime::from_millis(100), &mut out);
+    }
+    assert!(out.is_empty());
+    assert!(
+        blamed_for_contradiction(&mut rebuilt, timer, subject),
+        "an earlier session's confirmations satisfied the live check"
+    );
+
+    // The live session's own confirmations do satisfy it.
+    let mut live = session_stack(1);
+    let (token, timer) = open_cross_check(&mut live, subject, &witnesses);
+    for (from, message) in confirmations(subject, &witnesses, token) {
+        live.on_message(from, message, SimTime::from_millis(100), &mut out);
+    }
+    assert!(!blamed_for_contradiction(&mut live, timer, subject));
 }

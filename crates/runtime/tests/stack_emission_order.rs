@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use lifting_core::{AckPayload, ConfirmPayload, LiftingConfig, VerificationMessage, VerifierTimer};
 use lifting_gossip::{
-    Chunk, ChunkId, GossipConfig, GossipMessage, ProposePayload, RequestPayload, ServePayload,
+    ChunkId, GossipConfig, GossipMessage, ProposePayload, RequestPayload, ServePayload,
 };
 use lifting_membership::Directory;
 use lifting_runtime::layers::{Downcall, Honest, NodeStack};
@@ -107,7 +107,7 @@ fn run_script(lifting_enabled: bool) -> (Vec<Step>, NodeStack) {
     // Set-up: obtain chunk 1 from node 2, so the tick owes node 2 an ack.
     stack.on_message(server, gossip(propose(1)), t(0), &mut out);
     log.close("propose-1", &mut out);
-    let chunk = Chunk::new(ChunkId::primary(1), 1_000, SimTime::ZERO);
+    let chunk = stack.primary().gossip.playout().clock().chunk(1);
     let serve = GossipMessage::Serve(ServePayload { chunk });
     stack.on_message(server, gossip(serve), t(50), &mut out);
     log.close("serve-1", &mut out);

@@ -422,6 +422,21 @@ impl ComponentError {
             reason: reason.into(),
         }
     }
+
+    /// `Ok` if `ok`, otherwise [`invalid`](Self::invalid)`(component, key,
+    /// reason)`: the one-line range check every `validate` method is made of.
+    pub fn require(
+        ok: bool,
+        component: &str,
+        key: &str,
+        reason: impl Into<String>,
+    ) -> Result<(), Self> {
+        if ok {
+            Ok(())
+        } else {
+            Err(ComponentError::invalid(component, key, reason))
+        }
+    }
 }
 
 impl fmt::Display for ComponentError {

@@ -31,7 +31,7 @@ fn collusion_as_baseline_params_reproduces_the_pinned_run() {
         .export("collusion", -9.75, &outcome);
     assert_eq!(
         digest,
-        "collusion: 0x3bb152cadc1ad897 mem=23592.666666666668"
+        "collusion: 0x3bb152cadc1ad897 mem=19410.266666666666"
     );
 }
 
