@@ -48,6 +48,9 @@ cargo test -q --release -p lifting-gossip --test chunk_table_reference
 # And the verification history: against its naive model, and the bound on
 # the capacity its logs retain.
 cargo test -q --release -p lifting-core --test history_reference --test history_footprint
+# And the pending checks: against a naive model that queues every witness
+# answer as an event, and the bound on the heap the check rings retain.
+cargo test -q --release -p lifting-core --test check_table_reference --test check_footprint
 # And the blames in flight: against a naive replay of every copy, and the
 # bound on what the buffer retains with its allocation-free steady state.
 cargo test -q --release -p lifting-runtime --test blame_delivery --test blame_footprint
@@ -252,6 +255,26 @@ if per_node > bound:
 print(f'chunk table gate OK ({per_node} B/node, bound {bound})')
 EOF
 
+echo "==> verifier check tables gate (headline/planetlab, quick scale)"
+# Exact, not timed: the serve, ack and confirm rows of the walk are one
+# token-indexed ring per check kind with bitset evidence. The bound on their
+# sum is the measured 2 220 B/node plus about a tenth; the hash tables with
+# inline evidence sets they replaced read 3 954 B/node.
+python3 - <<'EOF'
+import re, sys
+text = open('/tmp/profile_headline.txt').read()
+rows = {}
+for kind in ('serve', 'ack', 'confirm'):
+    m = re.search(rf'^\s+{kind} checks\s+\d+ B\s+(\d+) B/node$', text, re.M)
+    if not m:
+        sys.exit(f'check table gate: profile_scenario printed no {kind} checks row')
+    rows[kind] = int(m.group(1))
+per_node, bound = sum(rows.values()), 2450
+if per_node > bound:
+    sys.exit(f'check table gate FAILED: verifier check tables {per_node} B/node {rows} (bound {bound})')
+print(f'check table gate OK (verifier check tables {per_node} B/node {rows}, bound {bound})')
+EOF
+
 echo "==> no blame deliveries in the event queue (headline/planetlab, quick scale)"
 # Blame copies land from the world's in-flight buffer, never as queued
 # events: the per-event-kind table must show no Blame row with events.
@@ -264,6 +287,21 @@ m = re.search(r'^\s+Blame\s+\S+s\s+(\d+) events', text, re.M)
 if m and int(m.group(1)) > 0:
     sys.exit(f'blame gate FAILED: {m.group(1)} blame deliveries went through the event queue')
 print('blame gate OK (no Blame events in the queue)')
+EOF
+
+echo "==> no witness answers in the event queue (headline/planetlab, quick scale)"
+# Witness answers land in their confirm check when they are sent, never as
+# queued events: the per-event-kind table must show no ConfirmResp row with
+# events.
+python3 - <<'EOF'
+import re, sys
+text = open('/tmp/profile_headline.txt').read()
+if not re.search(r'^-- per-event-kind attribution', text, re.M):
+    sys.exit('answer gate: profile_scenario printed no per-event-kind table')
+m = re.search(r'^\s+ConfirmResp\s+\S+s\s+(\d+) events', text, re.M)
+if m and int(m.group(1)) > 0:
+    sys.exit(f'answer gate FAILED: {m.group(1)} witness answers went through the event queue')
+print('answer gate OK (no ConfirmResp events in the queue)')
 EOF
 
 echo "==> bench smoke (quick wall-clock vs committed baseline)"

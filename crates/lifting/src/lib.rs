@@ -32,6 +32,7 @@
 
 pub mod audit;
 pub mod blame;
+mod checks;
 pub mod collusion;
 pub mod config;
 pub mod history;

@@ -22,14 +22,13 @@
 
 use std::sync::Arc;
 
-use lifting_sim::collections::FastHashMap;
-
 use lifting_gossip::{ChunkId, ProposeRound};
 use lifting_sim::{InlineVec, NodeId, SimTime, StreamId};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::blame::{schedule, Blame, BlameReason};
+use crate::checks::{AckCheck, CheckRing, ConfirmCheck, ConfirmChecks, ServeCheck};
 use crate::collusion::CollusionConfig;
 use crate::config::LiftingConfig;
 use crate::history::NodeHistory;
@@ -79,41 +78,6 @@ pub enum VerifierAction {
     },
 }
 
-#[derive(Debug)]
-struct PendingServe {
-    proposer: NodeId,
-    /// Shared with the request message that armed this check.
-    requested: Arc<[ChunkId]>,
-    /// Distinct chunks received so far; at most `|requested|` entries, so an
-    /// inline set replaces a heap-allocated hash set per pending request.
-    received: InlineVec<ChunkId, 8>,
-}
-
-#[derive(Debug)]
-struct PendingAck {
-    receiver: NodeId,
-    chunks: Vec<ChunkId>,
-}
-
-#[derive(Debug)]
-struct PendingConfirm {
-    subject: NodeId,
-    /// Shared with the acknowledgment the check was derived from.
-    witnesses: Arc<[NodeId]>,
-    /// Witnesses that confirmed; bounded by the fanout (≈ 7), kept inline.
-    confirmed: InlineVec<NodeId, 8>,
-    /// Witnesses that *explicitly denied* (answered `confirmed: false`).
-    /// Only consulted by the hardened confirm path (`confirm_retries > 0`),
-    /// where silence is retried but a recorded denial is hard contradiction
-    /// evidence.
-    denied: InlineVec<NodeId, 8>,
-    /// The chunk list of the acknowledgment, kept so a retry can re-send the
-    /// identical confirm payload (shared refcount, no copy).
-    chunks: Arc<[ChunkId]>,
-    /// Re-send attempts made so far (hardened path only).
-    attempt: u32,
-}
-
 /// Counters of the hardened confirm path (`LiftingConfig::confirm_retries`).
 /// All zero when the hardening is off — the paper's single-shot behaviour.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -141,13 +105,10 @@ pub struct Verifier {
     collusion: CollusionConfig,
     history: NodeHistory,
     current_period: u64,
-    // Token-keyed bookkeeping: iteration only ever mutates or collects
-    // entries content-wise (never feeds wire order), so the fast hasher is
-    // safe here — see `lifting_sim::collections`.
-    pending_serves: FastHashMap<u64, PendingServe>,
-    pending_acks: FastHashMap<u64, PendingAck>,
-    pending_confirms: FastHashMap<u64, PendingConfirm>,
-    next_token: u64,
+    // One token-indexed ring per check kind (see `crate::checks`).
+    serves: CheckRing<ServeCheck>,
+    acks: CheckRing<AckCheck>,
+    confirms: ConfirmChecks,
     blames_emitted: u64,
     retry_stats: ConfirmRetryStats,
 }
@@ -170,10 +131,9 @@ impl Verifier {
             collusion,
             history,
             current_period: 0,
-            pending_serves: FastHashMap::default(),
-            pending_acks: FastHashMap::default(),
-            pending_confirms: FastHashMap::default(),
-            next_token: 0,
+            serves: CheckRing::starting_at(0),
+            acks: CheckRing::starting_at(0),
+            confirms: ConfirmChecks::starting_at(0),
             blames_emitted: 0,
             retry_stats: ConfirmRetryStats::default(),
         }
@@ -188,12 +148,15 @@ impl Verifier {
 
     /// Issues this verifier's check tokens from session `session`'s range
     /// (builder style, applied right after [`new`](Verifier::new)): the
-    /// session sits above bit 40 (a session issues fewer than 2⁴⁰ tokens),
-    /// so a stack rebuilt after a rejoin never reissues a token its earlier
-    /// sessions used, and a late reply addressed to an earlier session
-    /// matches no live check. Session 0 issues tokens from zero.
+    /// session sits above bit 40 (a session issues fewer than 2⁴⁰ tokens of
+    /// each kind), so a stack rebuilt after a rejoin never reissues a token
+    /// its earlier sessions used, and a late reply addressed to an earlier
+    /// session matches no live check. Session 0 issues tokens from zero.
     pub fn in_session(mut self, session: u32) -> Self {
-        self.next_token = u64::from(session) << 40;
+        let first = u64::from(session) << 40;
+        self.serves = CheckRing::starting_at(first);
+        self.acks = CheckRing::starting_at(first);
+        self.confirms = ConfirmChecks::starting_at(first);
         self
     }
 
@@ -247,50 +210,26 @@ impl Verifier {
     /// Number of outstanding verification checks (pending serves, acks and
     /// confirmations) — useful for tests and leak detection.
     pub fn pending_checks(&self) -> usize {
-        self.pending_serves.len() + self.pending_acks.len() + self.pending_confirms.len()
+        self.serves.len() + self.acks.len() + self.confirms.ring.len()
+    }
+
+    /// Heap bytes held by the serve, ack and confirm checks, in that order
+    /// (capacity walk, deterministic; a shared `Arc` list is split over its
+    /// holders, see [`shared_list_heap_bytes`]).
+    ///
+    /// [`shared_list_heap_bytes`]: lifting_gossip::chunk::shared_list_heap_bytes
+    pub fn check_heap_bytes(&self) -> [usize; 3] {
+        [
+            self.serves.heap_bytes(ServeCheck::heap_bytes),
+            self.acks.heap_bytes(AckCheck::heap_bytes),
+            self.confirms.heap_bytes(),
+        ]
     }
 
     /// Heap bytes held by the verification plane: the bounded history plus
-    /// the outstanding-check tables and their payloads (capacity walk,
-    /// deterministic; shared `Arc` lists attributed to every holder).
+    /// the pending checks ([`check_heap_bytes`](Self::check_heap_bytes)).
     pub fn estimated_heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let tables = self
-            .pending_serves
-            .capacity()
-            .saturating_mul(size_of::<(u64, PendingServe)>())
-            + self
-                .pending_acks
-                .capacity()
-                .saturating_mul(size_of::<(u64, PendingAck)>())
-            + self
-                .pending_confirms
-                .capacity()
-                .saturating_mul(size_of::<(u64, PendingConfirm)>());
-        let serves: usize = self
-            .pending_serves
-            .values()
-            .map(|p| p.requested.len() * size_of::<ChunkId>())
-            .sum();
-        let acks: usize = self
-            .pending_acks
-            .values()
-            .map(|p| p.chunks.capacity() * size_of::<ChunkId>())
-            .sum();
-        let confirms: usize = self
-            .pending_confirms
-            .values()
-            .map(|p| {
-                p.witnesses.len() * size_of::<NodeId>() + p.chunks.len() * size_of::<ChunkId>()
-            })
-            .sum();
-        tables + serves + acks + confirms + self.history.estimated_heap_bytes()
-    }
-
-    fn token(&mut self) -> u64 {
-        let t = self.next_token;
-        self.next_token += 1;
-        t
+        self.check_heap_bytes().iter().sum::<usize>() + self.history.estimated_heap_bytes()
     }
 
     fn blame<T: From<VerifierAction>>(
@@ -359,15 +298,7 @@ impl Verifier {
         if requested.is_empty() {
             return;
         }
-        let token = self.token();
-        self.pending_serves.insert(
-            token,
-            PendingServe {
-                proposer,
-                requested,
-                received: InlineVec::new(),
-            },
-        );
+        let token = self.serves.push(ServeCheck::new(proposer, requested));
         let deadline = now + self.config.serve_timeout;
         self.start_timer(VerifierTimer::ServeCheck { token }, deadline, out);
     }
@@ -376,9 +307,9 @@ impl Verifier {
     /// reception in the history and satisfies pending checks.
     pub fn on_serve_received(&mut self, from: NodeId, chunk: ChunkId, _now: SimTime) {
         self.history.record_serve_received(self.current_period);
-        for pending in self.pending_serves.values_mut() {
-            if pending.proposer == from && pending.requested.contains(&chunk) {
-                pending.received.insert_unique(chunk);
+        for (_, check) in self.serves.iter_mut() {
+            if check.proposer == from {
+                check.record(chunk);
             }
         }
     }
@@ -462,14 +393,10 @@ impl Verifier {
         if chunks.is_empty() {
             return;
         }
-        let token = self.token();
-        self.pending_acks.insert(
-            token,
-            PendingAck {
-                receiver: to,
-                chunks,
-            },
-        );
+        let token = self.acks.push(AckCheck {
+            receiver: to,
+            chunks: chunks.into_boxed_slice(),
+        });
         let deadline = now + self.config.ack_timeout;
         self.start_timer(VerifierTimer::AckCheck { token }, deadline, out);
     }
@@ -488,13 +415,13 @@ impl Verifier {
         // Clear every pending expectation this acknowledgment satisfies
         // (collected on the stack: an ack rarely satisfies more than one).
         let satisfied: InlineVec<u64, 8> = self
-            .pending_acks
-            .iter()
+            .acks
+            .iter_mut()
             .filter(|(_, p)| p.receiver == from && p.chunks.iter().all(|c| ack.chunks.contains(c)))
-            .map(|(t, _)| *t)
+            .map(|(t, _)| t)
             .collect();
         for t in satisfied.iter() {
-            self.pending_acks.remove(t);
+            self.acks.remove(*t);
         }
 
         // A colluding verifier does not check coalition members.
@@ -508,45 +435,34 @@ impl Verifier {
 
         // Causality: cross-check with the witnesses, with probability pdcc.
         if !ack.partners.is_empty() && rng.gen_bool(self.config.pdcc) {
-            let token = self.token();
-            self.pending_confirms.insert(
-                token,
-                PendingConfirm {
-                    subject: from,
-                    witnesses: ack.partners.clone(),
-                    confirmed: InlineVec::new(),
-                    denied: InlineVec::new(),
-                    chunks: ack.chunks.clone(),
-                    attempt: 0,
-                },
-            );
+            let deadline = now + self.config.confirm_timeout;
+            let check = ConfirmCheck::new(from, ack.partners.clone(), ack.chunks.clone(), deadline);
+            let token = self.confirms.ring.push(check);
             let confirm = Arc::new(ConfirmPayload {
                 subject: from,
                 chunks: ack.chunks.clone(),
                 token,
             });
             Self::send_confirms(&ack.partners, &confirm, out);
-            let deadline = now + self.config.confirm_timeout;
             self.start_timer(VerifierTimer::ConfirmCheck { token }, deadline, out);
         }
     }
 
-    /// Called when a confirm response arrives from a witness.
-    pub fn on_confirm_response(&mut self, from: NodeId, response: ConfirmResponsePayload) {
-        if let Some(pending) = self.pending_confirms.get_mut(&response.token) {
-            if !pending.witnesses.contains(&from) {
-                return;
-            }
-            if response.confirmed {
-                pending.confirmed.insert_unique(from);
-            } else {
-                // An explicit denial. The hardened path distinguishes it
-                // from silence (a denial is contradiction evidence, silence
-                // is retried); the paper's single-shot path treats both the
-                // same, so recording it is inert there.
-                pending.denied.insert_unique(from);
-            }
-        }
+    /// Lands a witness's answer in its confirm check. `arrival` is the
+    /// answer's key: the instant it reaches this node and the engine seq its
+    /// delivery event would have taken. It counts at the first expiry of the
+    /// check whose `(time, seq)` it sorts before, and at none if the check
+    /// has settled by then. A denial is recorded apart from silence: the
+    /// hardened path blames denials and retries silence, the paper's
+    /// single-shot path treats both the same.
+    pub fn land_confirm_response(
+        &mut self,
+        from: NodeId,
+        response: &ConfirmResponsePayload,
+        arrival: (SimTime, u64),
+    ) {
+        self.confirms
+            .land(from, response.token, response.confirmed, arrival);
     }
 
     // ------------------------------------------------------------------
@@ -599,117 +515,99 @@ impl Verifier {
     // Timers.
     // ------------------------------------------------------------------
 
-    /// Handles an expired timer, appending any blame (or, on the hardened
-    /// confirm path, any retry) it produces.
+    /// Handles a timer that expired at `now` as the engine event of seq
+    /// `seq`, appending any blame (or, on the hardened confirm path, any
+    /// retry) it produces. The seq orders the expiry against answers landed
+    /// at the same instant.
     pub fn on_timer_into<T: From<VerifierAction>>(
         &mut self,
         timer: VerifierTimer,
         now: SimTime,
+        seq: u64,
         out: &mut Vec<T>,
     ) {
         match timer {
             VerifierTimer::ServeCheck { token } => {
-                if let Some(pending) = self.pending_serves.remove(&token) {
+                if let Some(check) = self.serves.remove(token) {
                     let value = schedule::partial_serve(
                         self.fanout,
-                        pending.requested.len(),
-                        pending.received.len(),
+                        check.requested.len(),
+                        check.received.count(),
                     );
-                    self.blame(pending.proposer, value, BlameReason::PartialServe, out);
+                    self.blame(check.proposer, value, BlameReason::PartialServe, out);
                 }
             }
             VerifierTimer::AckCheck { token } => {
-                if let Some(pending) = self.pending_acks.remove(&token) {
+                if let Some(check) = self.acks.remove(token) {
                     let value = schedule::missing_ack(self.fanout);
-                    self.blame(pending.receiver, value, BlameReason::MissingAck, out);
+                    self.blame(check.receiver, value, BlameReason::MissingAck, out);
                 }
             }
             VerifierTimer::ConfirmCheck { token } => {
-                if self.config.confirm_retries > 0 {
-                    self.on_confirm_check_hardened(token, now, out);
-                } else if let Some(pending) = self.pending_confirms.remove(&token) {
+                let Some(check) = self.confirms.expire(token, (now, seq)) else {
+                    return;
+                };
+                if self.config.confirm_retries == 0 {
                     // The paper's single-shot path: every witness still
                     // unconfirmed at the first expiry — silent or denying —
                     // counts as a contradiction.
-                    let contradictions = pending
-                        .witnesses
-                        .iter()
-                        .filter(|w| !pending.confirmed.contains(w))
-                        .count();
+                    let (subject, contradictions) = (check.subject, check.unconfirmed());
+                    self.confirms.remove(token);
                     let value = schedule::contradicted_proposal(contradictions);
-                    self.blame(
-                        pending.subject,
-                        value,
-                        BlameReason::ContradictedProposal,
-                        out,
-                    );
+                    self.blame(subject, value, BlameReason::ContradictedProposal, out);
+                } else {
+                    self.on_confirm_check_hardened(token, now, out);
                 }
             }
         }
     }
 
-    /// The hardened confirm-check expiry (`confirm_retries > 0`): silent
-    /// witnesses are re-asked up to the retry budget with a deterministic
-    /// linear backoff; when it exhausts, only *explicit denials* convert
-    /// into a contradicted-proposal blame — witnesses that stayed silent
-    /// through every attempt are indistinguishable from loss or partition,
-    /// so their check is aborted without blame (counted in
-    /// [`ConfirmRetryStats`]). A lost `ConfirmResponse` therefore times out
-    /// and retries instead of wrongly blaming the subject.
+    /// The hardened confirm-check expiry (`confirm_retries > 0`), with the
+    /// check's answers landed: silent witnesses are re-asked up to the retry
+    /// budget with a deterministic linear backoff; when it exhausts, only
+    /// *explicit denials* convert into a contradicted-proposal blame —
+    /// witnesses that stayed silent through every attempt are
+    /// indistinguishable from loss or partition, so their check is aborted
+    /// without blame (counted in [`ConfirmRetryStats`]). A lost
+    /// `ConfirmResponse` therefore times out and retries instead of wrongly
+    /// blaming the subject.
     fn on_confirm_check_hardened<T: From<VerifierAction>>(
         &mut self,
         token: u64,
         now: SimTime,
         out: &mut Vec<T>,
     ) {
-        let Some(pending) = self.pending_confirms.get(&token) else {
-            return;
-        };
-        let silent: InlineVec<NodeId, 8> = pending
-            .witnesses
-            .iter()
-            .filter(|w| !pending.confirmed.contains(w) && !pending.denied.contains(w))
-            .copied()
-            .collect();
-        if !silent.is_empty() && pending.attempt < self.config.confirm_retries {
+        let retries = self.config.confirm_retries;
+        let timeout = self.config.confirm_timeout;
+        let check = self.confirms.ring.get_mut(token).expect("expired above");
+        let silent: InlineVec<NodeId, 8> = check.silent().collect();
+        if !silent.is_empty() && check.attempt < retries {
             // Retry: re-send the identical confirm to the still-silent
             // witnesses and re-arm the timer with a linear backoff
             // (attempt i waits confirm_timeout · (i + 1)).
-            let pending = self
-                .pending_confirms
-                .get_mut(&token)
-                .expect("checked above");
-            pending.attempt += 1;
-            let attempt = pending.attempt;
+            check.attempt += 1;
+            check.deadline = now + timeout.saturating_mul(u64::from(check.attempt) + 1);
+            let deadline = check.deadline;
             let confirm = Arc::new(ConfirmPayload {
-                subject: pending.subject,
-                chunks: pending.chunks.clone(),
+                subject: check.subject,
+                chunks: check.chunks.clone(),
                 token,
             });
             self.retry_stats.timeouts += 1;
             self.retry_stats.resends += silent.len() as u64;
             Self::send_confirms(silent.as_slice(), &confirm, out);
-            let backoff = self
-                .config
-                .confirm_timeout
-                .saturating_mul(attempt as u64 + 1);
-            self.start_timer(VerifierTimer::ConfirmCheck { token }, now + backoff, out);
+            self.start_timer(VerifierTimer::ConfirmCheck { token }, deadline, out);
             return;
         }
-        let pending = self.pending_confirms.remove(&token).expect("checked above");
+        let check = self.confirms.remove(token).expect("expired above");
         if !silent.is_empty() {
             // Retries exhausted with witnesses still silent: graceful
             // degradation — no contradiction is inferred from silence.
             self.retry_stats.timeouts += 1;
             self.retry_stats.aborts += 1;
         }
-        let value = schedule::contradicted_proposal(pending.denied.len());
-        self.blame(
-            pending.subject,
-            value,
-            BlameReason::ContradictedProposal,
-            out,
-        );
+        let value = schedule::contradicted_proposal(check.denials());
+        self.blame(check.subject, value, BlameReason::ContradictedProposal, out);
     }
 }
 
@@ -754,6 +652,18 @@ mod tests {
             .collect()
     }
 
+    /// Lands `from`'s answer to the confirm check `token`, arriving at
+    /// `arrival` (stamped 0: it precedes any timer at that instant).
+    fn answer(v: &mut Verifier, from: NodeId, token: u64, confirmed: bool, arrival: SimTime) {
+        let response = ConfirmResponsePayload {
+            subject: NodeId::new(5),
+            stream: StreamId::PRIMARY,
+            token,
+            confirmed,
+        };
+        v.land_confirm_response(from, &response, (arrival, 0));
+    }
+
     fn timers(actions: &[VerifierAction]) -> Vec<VerifierTimer> {
         actions
             .iter()
@@ -775,7 +685,7 @@ mod tests {
         // Only two of the four requested chunks arrive.
         v.on_serve_received(proposer, ChunkId::primary(1), SimTime::from_millis(100));
         v.on_serve_received(proposer, ChunkId::primary(3), SimTime::from_millis(120));
-        let out = collect(|out| v.on_timer_into(timer, SimTime::from_millis(500), out));
+        let out = collect(|out| v.on_timer_into(timer, SimTime::from_millis(500), 0, out));
         let bs = blames(&out);
         assert_eq!(bs.len(), 1);
         assert_eq!(bs[0].target, proposer);
@@ -793,7 +703,7 @@ mod tests {
         let actions =
             collect(|out| v.on_request_sent_into(proposer, requested.into(), SimTime::ZERO, out));
         let out =
-            collect(|out| v.on_timer_into(timers(&actions)[0], SimTime::from_millis(500), out));
+            collect(|out| v.on_timer_into(timers(&actions)[0], SimTime::from_millis(500), 0, out));
         let bs = blames(&out);
         assert_eq!(bs.len(), 1);
         assert_eq!(bs[0].stream, StreamId::new(2), "blame carries its channel");
@@ -814,7 +724,7 @@ mod tests {
         v.on_serve_received(proposer, ChunkId::primary(1), SimTime::from_millis(10));
         v.on_serve_received(proposer, ChunkId::primary(2), SimTime::from_millis(20));
         let out =
-            collect(|out| v.on_timer_into(timers(&actions)[0], SimTime::from_millis(500), out));
+            collect(|out| v.on_timer_into(timers(&actions)[0], SimTime::from_millis(500), 0, out));
         assert!(blames(&out).is_empty());
         assert_eq!(v.blames_emitted(), 0);
     }
@@ -825,7 +735,8 @@ mod tests {
         let receiver = NodeId::new(5);
         let actions =
             collect(|out| v.on_chunks_served_into(receiver, ids(&[1, 2]), SimTime::ZERO, out));
-        let out = collect(|out| v.on_timer_into(timers(&actions)[0], SimTime::from_secs(2), out));
+        let out =
+            collect(|out| v.on_timer_into(timers(&actions)[0], SimTime::from_secs(2), 0, out));
         let bs = blames(&out);
         assert_eq!(bs.len(), 1);
         assert_eq!(bs[0].value, 7.0);
@@ -857,6 +768,7 @@ mod tests {
         assert!(blames(&collect(|out| v.on_timer_into(
             ack_timer,
             SimTime::from_secs(2),
+            0,
             out
         )))
         .is_empty());
@@ -911,17 +823,9 @@ mod tests {
         };
         // Four witnesses confirm, three stay silent / contradict.
         for w in &witnesses[..4] {
-            v.on_confirm_response(
-                *w,
-                ConfirmResponsePayload {
-                    subject: receiver,
-                    stream: StreamId::PRIMARY,
-                    token,
-                    confirmed: true,
-                },
-            );
+            answer(&mut v, *w, token, true, SimTime::from_millis(950));
         }
-        let out = collect(|out| v.on_timer_into(confirm_timer, SimTime::from_secs(2), out));
+        let out = collect(|out| v.on_timer_into(confirm_timer, SimTime::from_secs(2), 0, out));
         let bs = blames(&out);
         assert_eq!(bs.len(), 1);
         assert_eq!(bs[0].value, 3.0);
@@ -972,19 +876,11 @@ mod tests {
         let timer = VerifierTimer::ConfirmCheck { token };
         // Five witnesses confirm; two stay silent for the whole round.
         for w in (10..15).map(NodeId::new) {
-            v.on_confirm_response(
-                w,
-                ConfirmResponsePayload {
-                    subject: receiver,
-                    stream: StreamId::PRIMARY,
-                    token,
-                    confirmed: true,
-                },
-            );
+            answer(&mut v, w, token, true, SimTime::from_millis(950));
         }
         // First expiry: re-send to the two silent witnesses, re-arm with a
         // longer (linear backoff) deadline.
-        let out = collect(|out| v.on_timer_into(timer, SimTime::from_secs(2), out));
+        let out = collect(|out| v.on_timer_into(timer, SimTime::from_secs(2), 0, out));
         assert_eq!(confirm_resends(&out), 2);
         assert!(blames(&out).is_empty());
         let deadline = out
@@ -997,11 +893,11 @@ mod tests {
         let backoff = LiftingConfig::planetlab().confirm_timeout.saturating_mul(2);
         assert_eq!(deadline, SimTime::from_secs(2) + backoff);
         // Second expiry: one retry left.
-        let out = collect(|out| v.on_timer_into(timer, deadline, out));
+        let out = collect(|out| v.on_timer_into(timer, deadline, 0, out));
         assert_eq!(confirm_resends(&out), 2);
         assert!(blames(&out).is_empty());
         // Third expiry: retries exhausted — abort, no wrongful blame.
-        let out = collect(|out| v.on_timer_into(timer, SimTime::from_secs(10), out));
+        let out = collect(|out| v.on_timer_into(timer, SimTime::from_secs(10), 0, out));
         assert!(
             blames(&out).is_empty(),
             "silence must never convert to blame"
@@ -1027,23 +923,15 @@ mod tests {
         let timer = VerifierTimer::ConfirmCheck { token };
         // Four confirm, two explicitly deny, one stays silent.
         for (i, w) in (10..16).map(NodeId::new).enumerate() {
-            v.on_confirm_response(
-                w,
-                ConfirmResponsePayload {
-                    subject: receiver,
-                    stream: StreamId::PRIMARY,
-                    token,
-                    confirmed: i < 4,
-                },
-            );
+            answer(&mut v, w, token, i < 4, SimTime::from_millis(950));
         }
         // First expiry retries only the silent witness, not the deniers.
-        let out = collect(|out| v.on_timer_into(timer, SimTime::from_secs(2), out));
+        let out = collect(|out| v.on_timer_into(timer, SimTime::from_secs(2), 0, out));
         assert_eq!(confirm_resends(&out), 1);
         assert!(blames(&out).is_empty());
         // Exhaustion: the two denials are contradictions and are blamed; the
         // silent witness is written off as loss.
-        let out = collect(|out| v.on_timer_into(timer, SimTime::from_secs(5), out));
+        let out = collect(|out| v.on_timer_into(timer, SimTime::from_secs(5), 0, out));
         let bs = blames(&out);
         assert_eq!(bs.len(), 1);
         assert_eq!(bs[0].target, receiver);
@@ -1083,18 +971,10 @@ mod tests {
                         if rng.gen_bool(loss) {
                             return true; // response lost
                         }
-                        v.on_confirm_response(
-                            *w,
-                            ConfirmResponsePayload {
-                                subject: receiver,
-                                stream: StreamId::PRIMARY,
-                                token,
-                                confirmed: true,
-                            },
-                        );
+                        answer(&mut v, *w, token, true, now - SimDuration::from_millis(1));
                         false
                     });
-                    collect(|out| v.on_timer_into(timer, now, out));
+                    collect(|out| v.on_timer_into(timer, now, 0, out));
                     now += SimDuration::from_secs(2);
                 }
             }
@@ -1208,7 +1088,8 @@ mod tests {
         let actions =
             collect(|out| v.on_chunks_served_into(NodeId::new(5), ids(&[1]), SimTime::ZERO, out));
         // The accomplice never acknowledges, but no blame is emitted.
-        let out = collect(|out| v.on_timer_into(timers(&actions)[0], SimTime::from_secs(2), out));
+        let out =
+            collect(|out| v.on_timer_into(timers(&actions)[0], SimTime::from_secs(2), 0, out));
         assert!(blames(&out).is_empty());
         assert_eq!(v.blames_emitted(), 0);
     }

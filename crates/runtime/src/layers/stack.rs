@@ -11,7 +11,9 @@
 
 use std::sync::Arc;
 
-use lifting_core::{LiftingConfig, VerificationMessage, Verifier, VerifierTimer};
+use lifting_core::{
+    ConfirmResponsePayload, LiftingConfig, VerificationMessage, Verifier, VerifierTimer,
+};
 use lifting_gossip::{
     ChunkId, GossipConfig, GossipMessage, GossipNode, ProposePayload, RequestPayload, ServePayload,
     StreamClock,
@@ -159,16 +161,16 @@ impl StreamPlane {
             VerificationMessage::Confirm(confirm) => {
                 self.verifier.on_confirm_into(from, &confirm, now, out);
             }
-            VerificationMessage::ConfirmResponse(response) => {
-                self.verifier.on_confirm_response(from, response);
-            }
-            VerificationMessage::Blame(_)
+            VerificationMessage::ConfirmResponse(_)
+            | VerificationMessage::Blame(_)
             | VerificationMessage::HistoryRequest
             | VerificationMessage::HistoryResponse(_) => {
-                // Never delivered as events: blames reach the managers' books
-                // through the world's in-flight buffer, audits run
-                // synchronously in the audit coordinator. These messages only
-                // size and categorise traffic.
+                // Never delivered as events: the world lands confirm
+                // responses in their check when the witness sends them
+                // ([`NodeStack::land_confirm_response`]) and blames in the
+                // managers' books from its in-flight buffer; audits run
+                // synchronously in the audit coordinator. These messages
+                // only size and categorise traffic.
             }
         }
     }
@@ -367,16 +369,32 @@ impl NodeStack {
         }
     }
 
-    /// A verifier timer owned by one of this node's planes expired.
+    /// Lands a witness's answer, arriving at `arrival` (its `(time, stamp)`
+    /// key), in the confirm check of the plane it addresses.
+    pub fn land_confirm_response(
+        &mut self,
+        from: NodeId,
+        response: &ConfirmResponsePayload,
+        arrival: (SimTime, u64),
+    ) {
+        let plane = &mut self.planes[response.stream.index()];
+        plane
+            .verifier
+            .land_confirm_response(from, response, arrival);
+    }
+
+    /// A verifier timer owned by one of this node's planes expired, as the
+    /// engine event `(now, seq)`.
     pub fn on_timer(
         &mut self,
         stream: StreamId,
         timer: VerifierTimer,
         now: SimTime,
+        seq: u64,
         out: &mut Vec<Downcall>,
     ) {
         let plane = &mut self.planes[stream.index()];
-        plane.verifier.on_timer_into(timer, now, out);
+        plane.verifier.on_timer_into(timer, now, seq, out);
     }
 }
 

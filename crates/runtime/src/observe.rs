@@ -117,20 +117,23 @@ impl SystemWorld {
     /// deterministic capacity walk (no allocator queries), so the figures are
     /// bit-identical across worker counts and shard counts; executor scratch
     /// is deliberately excluded — it belongs to the runner, not to the
-    /// simulated system. Shared `Arc` chunk lists are charged to every holder.
+    /// simulated system. A shared `Arc` list is split over the holders the
+    /// walk visits (`lifting_gossip::chunk::shared_list_heap_bytes`).
     pub fn memory_breakdown(&self) -> Vec<(&'static str, u64)> {
         use crate::layers::{NodeStack, StreamPlane};
         use std::mem::size_of;
-        let (mut chunks, mut offers, mut checks, mut history, mut books) = (0, 0, 0, 0, 0);
+        let (mut chunks, mut offers, mut history, mut books) = (0, 0, 0, 0);
+        let mut checks = [0; 3];
         let mut inline = self.stacks.capacity() * size_of::<NodeStack>();
         for stack in &self.stacks {
             for plane in &stack.planes {
                 let table = plane.gossip.playout().estimated_heap_bytes();
                 chunks += table;
                 offers += plane.gossip.estimated_heap_bytes() - table;
-                let log = plane.verifier.history().estimated_heap_bytes();
-                history += log;
-                checks += plane.verifier.estimated_heap_bytes() - log;
+                history += plane.verifier.history().estimated_heap_bytes();
+                for (sum, bytes) in checks.iter_mut().zip(plane.verifier.check_heap_bytes()) {
+                    *sum += bytes;
+                }
             }
             books += stack.reputation.estimated_heap_bytes();
             inline += stack.planes.capacity() * size_of::<StreamPlane>();
@@ -150,7 +153,9 @@ impl SystemWorld {
         [
             ("chunk tables", chunks),
             ("offers and fresh lists", offers),
-            ("verifier check tables", checks),
+            ("serve checks", checks[0]),
+            ("ack checks", checks[1]),
+            ("confirm checks", checks[2]),
             ("history", history),
             ("score books", books),
             ("inline NodeStack / StreamPlane", inline),

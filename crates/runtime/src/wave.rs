@@ -52,8 +52,9 @@ use crate::world::{handle_local, SystemWorld};
 /// Reusable per-shard buffers (events in, staged effects out).
 #[derive(Debug, Default)]
 struct ShardScratch {
-    /// This shard's slice of the wave: `(wave position, acting node, event)`.
-    events: Vec<(usize, NodeId, Event)>,
+    /// This shard's slice of the wave: `(wave position, acting node, seq,
+    /// event)`.
+    events: Vec<(usize, NodeId, u64, Event)>,
     /// The handler's output buffer for one event.
     downcalls: Vec<Downcall>,
     /// Staged effects `(wave position, acting node, effect)`, ascending by
@@ -122,7 +123,7 @@ impl SystemWorld {
     pub(crate) fn execute_wave(
         &mut self,
         now: SimTime,
-        wave: &mut Vec<Event>,
+        wave: &mut Vec<(u64, Event)>,
         ctx: &mut Context<Event>,
     ) {
         let mut exec = self
@@ -136,13 +137,13 @@ impl SystemWorld {
         // Group the wave per owning shard, remembering each event's global
         // (sequential) position and which shard took it.
         exec.owners.clear();
-        for (pos, event) in wave.drain(..).enumerate() {
+        for (pos, (seq, event)) in wave.drain(..).enumerate() {
             let node = self
                 .local_node(&event)
                 .expect("waves contain only node-local events");
             let shard = map.shard_of(node);
             exec.owners.push(shard);
-            exec.shards[shard].events.push((pos, node, event));
+            exec.shards[shard].events.push((pos, node, seq, event));
         }
 
         // Split the stacks into disjoint per-shard ranges and fan Phase A out
@@ -166,9 +167,9 @@ impl SystemWorld {
                 downcalls,
                 outbox,
             } = &mut job.scratch;
-            for (pos, node, event) in events.drain(..) {
+            for (pos, node, seq, event) in events.drain(..) {
                 let stack = &mut job.stacks[node.index() - job.base];
-                handle_local(view, node, stack, now, event, downcalls);
+                handle_local(view, node, stack, (now, seq), event, downcalls);
                 outbox.extend(downcalls.drain(..).map(|d| (pos, node, d)));
             }
             job.scratch

@@ -5,7 +5,9 @@
 //! Blames do not travel as queued events: `SystemWorld::route_blame` draws
 //! each manager copy's delivery from the network and keeps the delivered
 //! copies in flight ([`crate::inflight`]); every event first lands the copies
-//! the queue would have popped before it.
+//! the queue would have popped before it. Nor do witness answers:
+//! `SystemWorld::send` lands each delivered `ConfirmResponse` in the
+//! receiver's confirm check at once, keyed the same way.
 //!
 //! All node-local protocol logic lives in [`crate::layers`]; the world only
 //! routes events into the right [`NodeStack`] ([`handle_local`], the one
@@ -35,7 +37,7 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 use std::sync::Arc;
 
-use lifting_core::VerificationMessage;
+use lifting_core::{ConfirmResponsePayload, VerificationMessage};
 
 use crate::builder;
 use crate::components::AdversarySpawner;
@@ -310,6 +312,10 @@ impl SystemWorld {
         let outcome = self
             .network
             .send(now, from, to, message.wire_size(), message.category());
+        if let Message::Verification(VerificationMessage::ConfirmResponse(response)) = &message {
+            self.land_confirm_response(from, to, response, outcome, ctx);
+            return;
+        }
         match outcome {
             lifting_net::DeliveryOutcome::Deliver { at } => {
                 ctx.schedule_at(at, Event::Deliver { from, to, message });
@@ -326,6 +332,33 @@ impl SystemWorld {
                 ctx.schedule_at(duplicate_at, Event::Deliver { from, to, message });
             }
             lifting_net::DeliveryOutcome::Lost => {}
+        }
+    }
+
+    /// Lands each delivered copy of a witness's answer in the receiver's
+    /// confirm check now, keyed `(arrival, stamp)` like a blame in flight: a
+    /// confirm check is read only when its own timer fires, so the answer
+    /// needs no event of its own. If the receiver leaves before the answer
+    /// arrives, the check it lands in never expires: a departed node's timers
+    /// are dropped and a rejoin rebuilds its stack.
+    fn land_confirm_response(
+        &mut self,
+        from: NodeId,
+        to: NodeId,
+        response: &ConfirmResponsePayload,
+        outcome: lifting_net::DeliveryOutcome,
+        ctx: &mut Context<Event>,
+    ) {
+        let arrivals = match outcome {
+            lifting_net::DeliveryOutcome::Deliver { at } => [Some(at), None],
+            lifting_net::DeliveryOutcome::Duplicated { at, duplicate_at } => {
+                [Some(at), Some(duplicate_at)]
+            }
+            lifting_net::DeliveryOutcome::Lost => [None, None],
+        };
+        for at in arrivals.into_iter().flatten() {
+            let key = (at.max(ctx.now()), ctx.stamp());
+            self.stacks[to.index()].land_confirm_response(from, response, key);
         }
     }
 
@@ -934,15 +967,15 @@ pub(crate) struct LocalView<'a> {
 }
 
 /// Gates and handles one node-local event (`GossipTick`, `Deliver`, `Timer`)
-/// against the acting `node`'s stack, appending every effect it has on the
-/// rest of the world to `out` in emission order. The only caller-visible
-/// state it touches is `stack`; sequential dispatch and the wave executor's
-/// Phase A both run exactly this.
+/// of key `(now, seq)` against the acting `node`'s stack, appending every
+/// effect it has on the rest of the world to `out` in emission order. The
+/// only caller-visible state it touches is `stack`; sequential dispatch and
+/// the wave executor's Phase A both run exactly this.
 pub(crate) fn handle_local(
     view: LocalView<'_>,
     node: NodeId,
     stack: &mut NodeStack,
-    now: SimTime,
+    (now, seq): (SimTime, u64),
     event: Event,
     out: &mut Vec<Downcall>,
 ) {
@@ -967,7 +1000,7 @@ pub(crate) fn handle_local(
             epoch,
             ..
         } if current(epoch) && view.lifting_on => {
-            stack.on_timer(stream, timer, now, out);
+            stack.on_timer(stream, timer, now, seq, out);
         }
         Event::GossipTick { .. } | Event::Timer { .. } => {} // stale session
         _ => unreachable!("only node-local events reach the node-local handler"),
@@ -1013,7 +1046,7 @@ impl World for SystemWorld {
                     view,
                     node,
                     &mut stacks[node.index()],
-                    now,
+                    (now, ctx.seq()),
                     event,
                     &mut downcalls,
                 );
@@ -1050,7 +1083,12 @@ impl lifting_sim::ShardedWorld for SystemWorld {
         }
     }
 
-    fn handle_wave(&mut self, now: SimTime, wave: &mut Vec<Event>, ctx: &mut Context<Event>) {
+    fn handle_wave(
+        &mut self,
+        now: SimTime,
+        wave: &mut Vec<(u64, Event)>,
+        ctx: &mut Context<Event>,
+    ) {
         self.execute_wave(now, wave, ctx);
     }
 }

@@ -335,8 +335,12 @@ fn open_cross_check(
     )
 }
 
-/// Every witness's confirmation of the check `token`, as delivered messages.
-fn confirmations(subject: NodeId, witnesses: &[NodeId], token: u64) -> Vec<(NodeId, Message)> {
+/// Every witness's confirmation of the check `token`.
+fn confirmations(
+    subject: NodeId,
+    witnesses: &[NodeId],
+    token: u64,
+) -> Vec<(NodeId, ConfirmResponsePayload)> {
     let confirm = |w: &NodeId| {
         let response = ConfirmResponsePayload {
             subject,
@@ -344,17 +348,25 @@ fn confirmations(subject: NodeId, witnesses: &[NodeId], token: u64) -> Vec<(Node
             token,
             confirmed: true,
         };
-        let message = VerificationMessage::ConfirmResponse(response);
-        (*w, Message::Verification(message))
+        (*w, response)
     };
     witnesses.iter().map(confirm).collect()
+}
+
+/// Lands the confirmations in `stack`, arriving at 100 ms (before the
+/// check's deadline).
+fn land(stack: &mut NodeStack, confirmations: Vec<(NodeId, ConfirmResponsePayload)>) {
+    let arrival = (SimTime::from_millis(100), 0);
+    for (from, response) in confirmations {
+        stack.land_confirm_response(from, &response, arrival);
+    }
 }
 
 /// Closes the check with `timer` and reports whether it blamed `subject`
 /// for a contradicted proposal.
 fn blamed_for_contradiction(stack: &mut NodeStack, timer: VerifierTimer, subject: NodeId) -> bool {
     let mut out = Vec::new();
-    stack.on_timer(StreamId::PRIMARY, timer, SimTime::from_secs(5), &mut out);
+    stack.on_timer(StreamId::PRIMARY, timer, SimTime::from_secs(5), 0, &mut out);
     out.iter().any(|d| {
         matches!(d, Downcall::Blame(b)
             if b.target == subject && b.reason == BlameReason::ContradictedProposal)
@@ -375,11 +387,7 @@ fn a_reply_to_an_earlier_session_does_not_count_in_the_rebuilt_verifier() {
     let mut rebuilt = session_stack(1);
     let (token, timer) = open_cross_check(&mut rebuilt, subject, &witnesses);
     assert_ne!(token, old_token, "a rebuilt verifier reissued a token");
-    let mut out = Vec::new();
-    for (from, message) in stale {
-        rebuilt.on_message(from, message, SimTime::from_millis(100), &mut out);
-    }
-    assert!(out.is_empty());
+    land(&mut rebuilt, stale);
     assert!(
         blamed_for_contradiction(&mut rebuilt, timer, subject),
         "an earlier session's confirmations satisfied the live check"
@@ -388,8 +396,6 @@ fn a_reply_to_an_earlier_session_does_not_count_in_the_rebuilt_verifier() {
     // The live session's own confirmations do satisfy it.
     let mut live = session_stack(1);
     let (token, timer) = open_cross_check(&mut live, subject, &witnesses);
-    for (from, message) in confirmations(subject, &witnesses, token) {
-        live.on_message(from, message, SimTime::from_millis(100), &mut out);
-    }
+    land(&mut live, confirmations(subject, &witnesses, token));
     assert!(!blamed_for_contradiction(&mut live, timer, subject));
 }

@@ -85,8 +85,9 @@ proptest! {
 
 /// `(waves, events in waves, intra + cross staged effects)` and the k = 2
 /// `(intra, cross)` split of one pinned run, generated at commit `d8f0747`
-/// (before Phase B was rewritten as a position-ordered walk) and never
-/// regenerated since.
+/// (before Phase B was rewritten as a position-ordered walk) and regenerated
+/// once since, when witness answers stopped being queued events (they land
+/// in their confirm check at send time, so fewer events share an instant).
 struct PinnedWaves {
     scenario: &'static str,
     shape: (u64, u64, u64),
@@ -96,18 +97,18 @@ struct PinnedWaves {
 const PINNED_WAVES: [PinnedWaves; 3] = [
     PinnedWaves {
         scenario: "scale/1k",
-        shape: (242, 485, 528),
-        split_at_2: (312, 216),
+        shape: (139, 278, 376),
+        split_at_2: (218, 158),
     },
     PinnedWaves {
         scenario: "churn/steady-fast",
-        shape: (38, 76, 69),
-        split_at_2: (37, 32),
+        shape: (27, 54, 66),
+        split_at_2: (35, 31),
     },
     PinnedWaves {
         scenario: "multistream/overlapping-audiences",
-        shape: (137, 274, 316),
-        split_at_2: (206, 110),
+        shape: (80, 160, 275),
+        split_at_2: (177, 98),
     },
 ];
 

@@ -168,7 +168,7 @@ fn run_script(lifting_enabled: bool) -> (Vec<Step>, NodeStack) {
 
         // Every timer armed so far expires, in arming order.
         for (i, timer) in log.timers.clone().into_iter().enumerate() {
-            stack.on_timer(StreamId::PRIMARY, timer, t(5_000), &mut out);
+            stack.on_timer(StreamId::PRIMARY, timer, t(5_000), 0, &mut out);
             let name = ["timer-0", "timer-1", "timer-2", "timer-3"][i];
             log.close(name, &mut out);
         }

@@ -48,13 +48,14 @@ pub trait ShardedWorld: World {
     fn local_node(&self, event: &Self::Event) -> Option<NodeId>;
 
     /// Executes one same-timestamp wave of node-local events, draining
-    /// `wave` (events are in their sequential pop order). Implementations
-    /// must leave the world and the scheduled events bit-identical to a
-    /// sequential `handle_event` loop over the same events.
+    /// `wave` (each event with its seq, in their sequential pop order).
+    /// Implementations must leave the world and the scheduled events
+    /// bit-identical to a sequential `handle_event` loop over the same
+    /// events.
     fn handle_wave(
         &mut self,
         now: SimTime,
-        wave: &mut Vec<Self::Event>,
+        wave: &mut Vec<(u64, Self::Event)>,
         ctx: &mut Context<Self::Event>,
     );
 }
@@ -219,7 +220,7 @@ impl<W: World> Engine<W> {
             return self.run_until(deadline);
         }
         let mut report = RunReport::default();
-        let mut wave: Vec<W::Event> = Vec::new();
+        let mut wave: Vec<(u64, W::Event)> = Vec::new();
         loop {
             let Some((time, seq, event)) = self.queue.pop_due(deadline) else {
                 report.drained = self.queue.is_empty();
@@ -234,21 +235,21 @@ impl<W: World> Engine<W> {
                 self.queue
                     .pop_due_if(time, |t, e| t == time && world.local_node(e).is_some())
             });
-            let processed = if let Some(Some((_, _, e2))) = second {
+            let processed = if let Some(Some((_, seq2, e2))) = second {
                 wave.clear();
-                wave.push(event);
-                wave.push(e2);
+                wave.push((seq, event));
+                wave.push((seq2, e2));
                 // Extend the wave while the head is node-local at the same
                 // instant; whatever terminates the run (a barrier, a later
                 // timestamp, an empty queue) stays queued untouched. Every
                 // event already at `time` sorts before anything a wave member
                 // schedules, so the collection is exactly the prefix a
                 // sequential loop would process back to back.
-                while let Some((_, _, e)) = self
+                while let Some((_, s, e)) = self
                     .queue
                     .pop_due_if(time, |t, e| t == time && world.local_node(e).is_some())
                 {
-                    wave.push(e);
+                    wave.push((s, e));
                 }
                 let count = wave.len() as u64;
                 let mut ctx = Context::new(time, seq, &mut self.queue);
@@ -431,11 +432,11 @@ mod tests {
         fn handle_wave(
             &mut self,
             now: SimTime,
-            wave: &mut Vec<ShardEv>,
+            wave: &mut Vec<(u64, ShardEv)>,
             ctx: &mut Context<ShardEv>,
         ) {
             self.waves_seen += 1;
-            for ev in wave.drain(..) {
+            for (_, ev) in wave.drain(..) {
                 match ev {
                     ShardEv::Local(node) => self.apply_local(node, now, ctx),
                     ShardEv::Sum => unreachable!("barriers never enter a wave"),
