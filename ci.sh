@@ -34,6 +34,19 @@ cargo fmt --all -- --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> only binaries read the environment"
+# A library that reads a process-wide variable is a knob no call site can
+# see. Product code under crates/*/src reads none, except the worker pool's
+# LIFTING_WORKERS; binaries (src/bin/) parse their own command lines.
+env_readers=$(grep -rlE 'std::env|\benv::' crates/*/src --include='*.rs' \
+    | grep -v '/src/bin/' | grep -vx 'crates/sim/src/pool.rs' || true)
+if [ -n "$env_readers" ]; then
+    echo "library code reads the environment (only binaries and crates/sim/src/pool.rs may):"
+    echo "$env_readers"
+    exit 1
+fi
+echo "environment gate OK"
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
@@ -126,11 +139,8 @@ diff -u tests/scenario_digests.txt /tmp/scenario_digests_sharded.txt || {
 }
 echo "sharded scenario digests OK"
 
-echo "==> run_all_experiments --quick (parallel, 4 shards)"
-# The parallel leg also runs every scenario through the sharded wave executor
-# (LIFTING_SHARDS is honored by the convenience entry points), so the
-# determinism diff below doubles as a whole-suite sharded-vs-sequential gate.
-LIFTING_SHARDS=4 ./target/release/run_all_experiments --quick
+echo "==> run_all_experiments --quick (parallel)"
+./target/release/run_all_experiments --quick
 mv experiments_summary.json /tmp/summary_parallel.json
 
 echo "==> run_all_experiments --quick --sequential"

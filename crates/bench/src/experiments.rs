@@ -484,12 +484,6 @@ pub fn table05_practical_overhead(scale: Scale, seed: u64) -> Vec<PracticalOverh
         .collect()
 }
 
-/// Convenience: the headline PlanetLab run used by `run_all_experiments`
-/// (detection / false positives / overhead after 30 s).
-pub fn headline_run(scale: Scale, seed: u64) -> RunOutcome {
-    run_scenario(ScenarioRegistry::builtin().build("headline/planetlab", scale, seed))
-}
-
 // ---------------------------------------------------------------------------
 // Per-layer overhead breakdown and the adversary showcases.
 // ---------------------------------------------------------------------------

@@ -5,13 +5,14 @@
 //! [`claims`] reads the paper's checkable numbers off those experiments as one
 //! table, which `run_all_experiments` prints and the `paper_claims` test
 //! checks (the repository's `README.md`, "Paper claims", holds the table, and
-//! "Scenario families" says what `run_all_experiments` writes). The functions
-//! are also reused by the Criterion benches in `benches/`.
+//! "Scenario families" says what `run_all_experiments` writes). Per-layer
+//! metrics and the micro-probes of the building blocks come from one place,
+//! the repo benchmark (`benchmark run --trace`); `profile_scenario` adds the
+//! queue readout, memory walk and per-event table that `ci.sh` gates.
 //!
 //! Scale: every experiment accepts a [`Scale`]; `Scale::Paper` uses the
 //! paper's population sizes and durations, `Scale::Quick` shrinks them so the
-//! whole suite runs in seconds (used by `run_all_experiments --quick`, CI and
-//! the Criterion experiment bench).
+//! whole suite runs in seconds (used by `run_all_experiments --quick` and CI).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -48,30 +48,20 @@ pub trait Adversary: std::fmt::Debug + Send {
         false
     }
 
-    /// Dissemination-plane behaviour (fanout decrease, partial propose,
-    /// partial serve, period stretching — Section 4.1).
-    fn dissemination_plane(&self) -> Behavior {
+    /// Dissemination-plane behaviour on `stream` (fanout decrease, partial
+    /// propose, partial serve, period stretching — Section 4.1). Most
+    /// adversaries deviate the same way on every channel; stream-selective
+    /// ones (honest on one channel, silent on another) read `stream`.
+    fn dissemination_plane(&self, _stream: StreamId) -> Behavior {
         Behavior::Honest
     }
 
-    /// Dissemination behaviour on one channel of a multi-stream stack.
-    /// Defaults to the same deviation on every channel; stream-selective
-    /// adversaries (honest on one channel, silent on another) override this.
-    fn dissemination_plane_for(&self, _stream: StreamId) -> Behavior {
-        self.dissemination_plane()
-    }
-
-    /// Membership-plane partner selection (colluders bias it towards the
-    /// coalition — Section 4.1(iii)).
-    fn membership_plane(&self) -> PartnerSelector {
+    /// Membership-plane partner selection on `stream` (colluders bias it
+    /// towards the coalition — Section 4.1(iii)). Each plane gets its
+    /// **own** selector instance: round-robin cursors and the like are
+    /// plane-local state.
+    fn membership_plane(&self, _stream: StreamId) -> PartnerSelector {
         PartnerSelector::uniform()
-    }
-
-    /// Partner selection on one channel. Defaults to the same policy on
-    /// every channel (each plane still gets its **own** selector instance:
-    /// round-robin cursors and the like are plane-local state).
-    fn membership_plane_for(&self, _stream: StreamId) -> PartnerSelector {
-        self.membership_plane()
     }
 
     /// Verification-plane collusion (cover-up, man-in-the-middle —
@@ -170,7 +160,7 @@ impl Adversary for Freerider {
         true
     }
 
-    fn dissemination_plane(&self) -> Behavior {
+    fn dissemination_plane(&self, _stream: StreamId) -> Behavior {
         Behavior::Freerider(self.degree)
     }
 }
@@ -202,11 +192,11 @@ impl Adversary for Colluder {
         true
     }
 
-    fn dissemination_plane(&self) -> Behavior {
+    fn dissemination_plane(&self, _stream: StreamId) -> Behavior {
         Behavior::Freerider(self.degree)
     }
 
-    fn membership_plane(&self) -> PartnerSelector {
+    fn membership_plane(&self, _stream: StreamId) -> PartnerSelector {
         if self.partner_bias > 0.0 {
             PartnerSelector::new(SelectionPolicy::ColludingBias {
                 colluders: self.coalition.clone(),
@@ -258,7 +248,7 @@ impl Adversary for OnOffFreerider {
         true
     }
 
-    fn dissemination_plane(&self) -> Behavior {
+    fn dissemination_plane(&self, _stream: StreamId) -> Behavior {
         Behavior::Freerider(self.degree)
     }
 
@@ -357,11 +347,7 @@ impl Adversary for SelectiveFreerider {
         true
     }
 
-    fn dissemination_plane(&self) -> Behavior {
-        self.dissemination_plane_for(StreamId::PRIMARY)
-    }
-
-    fn dissemination_plane_for(&self, stream: StreamId) -> Behavior {
+    fn dissemination_plane(&self, stream: StreamId) -> Behavior {
         if self.silences(stream) {
             Behavior::Freerider(Self::SILENT)
         } else {
@@ -427,7 +413,7 @@ impl Adversary for GradientFreerider {
         true
     }
 
-    fn dissemination_plane(&self) -> Behavior {
+    fn dissemination_plane(&self, _stream: StreamId) -> Behavior {
         Behavior::Freerider(self.scaled_degree())
     }
 
@@ -501,7 +487,7 @@ impl Adversary for Whitewasher {
         true
     }
 
-    fn dissemination_plane(&self) -> Behavior {
+    fn dissemination_plane(&self, _stream: StreamId) -> Behavior {
         Behavior::Freerider(self.degree)
     }
 
@@ -598,11 +584,11 @@ impl Adversary for AdaptiveColluder {
         true
     }
 
-    fn dissemination_plane(&self) -> Behavior {
+    fn dissemination_plane(&self, _stream: StreamId) -> Behavior {
         Behavior::Freerider(self.degree)
     }
 
-    fn membership_plane(&self) -> PartnerSelector {
+    fn membership_plane(&self, _stream: StreamId) -> PartnerSelector {
         PartnerSelector::new(SelectionPolicy::ColludingBias {
             colluders: self.coalition.clone(),
             pm: self.partner_bias,
@@ -658,14 +644,19 @@ mod tests {
     fn paper_adversaries_configure_the_planes_like_the_old_wiring() {
         let honest = Honest;
         assert!(!honest.is_freerider());
-        assert_eq!(honest.dissemination_plane(), Behavior::Honest);
+        assert_eq!(
+            honest.dissemination_plane(StreamId::PRIMARY),
+            Behavior::Honest
+        );
         assert!(!honest.verification_plane().covers_up());
 
         let freerider = Freerider {
             degree: FreeriderConfig::planetlab(),
         };
         assert!(freerider.is_freerider());
-        assert!(freerider.dissemination_plane().is_freerider());
+        assert!(freerider
+            .dissemination_plane(StreamId::PRIMARY)
+            .is_freerider());
         assert!(!freerider.verification_plane().man_in_the_middle());
 
         let coalition = Arc::new(vec![NodeId::new(1), NodeId::new(2)]);
@@ -678,7 +669,7 @@ mod tests {
         };
         assert!(colluder.verification_plane().covers_up());
         assert!(matches!(
-            colluder.membership_plane().policy(),
+            colluder.membership_plane(StreamId::PRIMARY).policy(),
             SelectionPolicy::ColludingBias { .. }
         ));
         let unbiased = Colluder {
@@ -686,7 +677,7 @@ mod tests {
             ..colluder
         };
         assert!(matches!(
-            unbiased.membership_plane().policy(),
+            unbiased.membership_plane(StreamId::PRIMARY).policy(),
             SelectionPolicy::Uniform
         ));
     }
@@ -719,10 +710,10 @@ mod tests {
         let adversary = SelectiveFreerider { silent_mask: 0b10 };
         assert!(adversary.is_freerider());
         assert_eq!(
-            adversary.dissemination_plane_for(StreamId::new(0)),
+            adversary.dissemination_plane(StreamId::new(0)),
             Behavior::Honest
         );
-        let silent = adversary.dissemination_plane_for(StreamId::new(1));
+        let silent = adversary.dissemination_plane(StreamId::new(1));
         assert!(silent.is_freerider());
         // Fully silent: zero effective fanout, zero serves.
         let mut rng = derive_rng(3, 0);
@@ -762,13 +753,13 @@ mod tests {
         let mut gossip = GossipNode::new(
             NodeId::new(4),
             GossipConfig::planetlab(),
-            adversary.dissemination_plane(),
+            adversary.dissemination_plane(StreamId::PRIMARY),
         );
         adversary.on_gossip_tick(StreamId::PRIMARY, 7, &mut gossip);
         assert_eq!(gossip.behavior(), &Behavior::Honest);
         // Scaled deltas: at intensity 0.5, half the configured degree.
         adversary.intensity = 0.5;
-        match adversary.dissemination_plane() {
+        match adversary.dissemination_plane(StreamId::PRIMARY) {
             Behavior::Freerider(d) => {
                 assert!((d.delta1 - 0.2).abs() < 1e-12);
                 assert!((d.delta2 - 0.2).abs() < 1e-12);
@@ -817,7 +808,7 @@ mod tests {
         let mut adversary =
             AdaptiveColluder::new(FreeriderConfig::planetlab(), coalition.clone(), 0.6, 4);
         assert!(adversary.verification_plane().covers_up());
-        let mut selector = adversary.membership_plane();
+        let mut selector = adversary.membership_plane(StreamId::PRIMARY);
         // Audits outside the coalition are ignored.
         adversary.on_audit_observed(NodeId::new(9), 10);
         adversary.retune_membership(StreamId::PRIMARY, 10, &mut selector);

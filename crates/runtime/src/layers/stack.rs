@@ -197,36 +197,12 @@ pub struct NodeStack {
 }
 
 impl NodeStack {
-    /// Builds a single-stream node stack for the paper's primary stream
-    /// ([`StreamClock::paper`]), in session 0: the adversary configures
-    /// every plane. Identical to [`with_streams`](NodeStack::with_streams)
-    /// with that one clock.
-    pub fn new(
-        id: NodeId,
-        gossip_config: GossipConfig,
-        lifting_config: LiftingConfig,
-        lifting_enabled: bool,
-        adversary: Box<dyn Adversary>,
-        rng: SmallRng,
-    ) -> Self {
-        NodeStack::with_streams(
-            id,
-            gossip_config,
-            lifting_config,
-            lifting_enabled,
-            adversary,
-            rng,
-            &[StreamClock::paper()],
-            0,
-        )
-    }
-
     /// Builds a node stack carrying one concurrent channel per clock (clock
     /// `s` defines stream `s`), for the node's session `session` (0 at
     /// start, one more at every rejoin: a rebuilt stack's verifiers issue
     /// tokens no earlier session used). The adversary configures each plane
     /// (possibly differently per stream — see
-    /// [`Adversary::dissemination_plane_for`]); the reputation book is one
+    /// [`Adversary::dissemination_plane`]); the reputation book is one
     /// and shared.
     #[allow(clippy::too_many_arguments)]
     pub fn with_streams(
@@ -247,12 +223,12 @@ impl NodeStack {
             .map(|(s, clock)| {
                 let stream = clock.stream;
                 debug_assert_eq!(stream.index(), s, "planes are indexed by stream");
-                let behavior = adversary.dissemination_plane_for(stream);
+                let behavior = adversary.dissemination_plane(stream);
                 let collusion = adversary.verification_plane();
                 StreamPlane {
                     stream,
                     gossip: GossipNode::for_stream(id, *clock, gossip_config, behavior),
-                    selector: adversary.membership_plane_for(stream),
+                    selector: adversary.membership_plane(stream),
                     verifier: Verifier::new(id, fanout, lifting_config, collusion)
                         .for_stream(stream)
                         .in_session(session),
@@ -422,13 +398,15 @@ mod tests {
     }
 
     fn stack_with_lifting(id: u32, adversary: Box<dyn Adversary>, lifting: bool) -> NodeStack {
-        NodeStack::new(
+        NodeStack::with_streams(
             NodeId::new(id),
             GossipConfig::planetlab(),
             LiftingConfig::planetlab(),
             lifting,
             adversary,
             derive_rng(1, id as u64),
+            &[StreamClock::paper()],
+            0,
         )
     }
 

@@ -60,7 +60,7 @@ pub use registry::{
 };
 pub use runner::{
     build_engine, run_jobs_parallel, run_scenario, run_scenario_sharded,
-    run_scenario_with_snapshots, run_scenarios_parallel, SHARDS_ENV,
+    run_scenario_with_snapshots, run_scenarios_parallel,
 };
 pub use scenario::{
     AuditRetryPolicy, ComponentSpec, ComponentsSpec, FreeriderScenario, OnlineRecalibration,

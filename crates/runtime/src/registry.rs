@@ -31,7 +31,7 @@ pub fn scenario_family(name: &str) -> &str {
 pub enum Scale {
     /// The paper's population sizes and durations.
     Paper,
-    /// A reduced scale for smoke runs and Criterion benches.
+    /// A reduced scale for smoke runs, tests and CI.
     Quick,
 }
 

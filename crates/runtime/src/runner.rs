@@ -26,23 +26,7 @@ pub fn default_lag_grid() -> Vec<SimDuration> {
     (0..=30).map(SimDuration::from_secs).collect()
 }
 
-/// Environment variable selecting the shard count used by the convenience
-/// entry points ([`run_scenario`], [`run_scenario_with_snapshots`] and the
-/// parallel fleets built on them). Outcomes are **bit-identical** at any
-/// value — the knob only changes how node-local event waves are executed —
-/// so CI runs the suite with and without it and diffs the numbers. The
-/// explicit `_sharded` variants ignore the variable; tests pass shard counts
-/// as parameters so concurrent tests cannot race on process environment.
-pub const SHARDS_ENV: &str = "LIFTING_SHARDS";
-
-fn env_shards() -> usize {
-    std::env::var(SHARDS_ENV)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-}
-
-/// Runs a scenario to completion and returns its outcome.
+/// Runs a scenario to completion, sequentially, and returns its outcome.
 pub fn run_scenario(config: ScenarioConfig) -> RunOutcome {
     run_scenario_with_snapshots(config, &[])
 }
@@ -60,7 +44,7 @@ pub fn run_scenario_with_snapshots(
     config: ScenarioConfig,
     snapshot_times: &[SimDuration],
 ) -> RunOutcome {
-    run_scenario_with_snapshots_sharded(config, snapshot_times, env_shards())
+    run_scenario_with_snapshots_sharded(config, snapshot_times, 1)
 }
 
 /// The sharded variant of [`run_scenario_with_snapshots`]: same outcome,

@@ -411,7 +411,8 @@ impl ScenarioConfig {
     /// gossip, LiFTinG, link-fault and freerider-degree parameters, fewer
     /// managers and freeriders than nodes, one to 64 non-empty streams with
     /// two subscribers each and the primary on air from the start, a
-    /// positive duration, and well-formed resilience policies.
+    /// positive duration and audit interval, a non-zero default uplink, and
+    /// well-formed resilience policies.
     pub fn validate(&self) -> Result<(), ComponentError> {
         let (nodes, managers, streams) = (self.nodes, self.lifting.managers, self.stream_count());
         require(
@@ -464,6 +465,16 @@ impl ScenarioConfig {
             !self.duration.is_zero(),
             "duration",
             "duration must be positive",
+        )?;
+        require(
+            !self.audit_interval.is_zero(),
+            "audit_interval",
+            "audit interval must be positive",
+        )?;
+        require(
+            self.default_upload_bps != Some(0),
+            "default_upload_bps",
+            "a zero uplink can send nothing",
         )?;
         if let Some(retry) = &self.audit_retry {
             retry.validate()?;

@@ -75,10 +75,11 @@ pub(crate) struct WaveExec {
     pub(crate) waves: u64,
     /// Events processed through those waves.
     pub(crate) wave_events: u64,
-    /// Cumulative effects committed per `(src, dst)` shard pair, at
-    /// `src * shards + dst`: `src` owns the acting node, `dst` the receiver
-    /// of a send (every other effect stays with `src`).
-    staged: Vec<u64>,
+    /// Effects committed whose destination is the acting node's own shard
+    /// (every effect but a send to another shard's node).
+    pub(crate) intra: u64,
+    /// Sends committed to a node of another shard.
+    pub(crate) cross: u64,
 }
 
 impl WaveExec {
@@ -91,20 +92,9 @@ impl WaveExec {
             owners: Vec::new(),
             waves: 0,
             wave_events: 0,
-            staged: vec![0; map.shards() * map.shards()],
+            intra: 0,
+            cross: 0,
         }
-    }
-
-    /// Cumulative staged effects for one `(src, dst)` shard pair.
-    pub(crate) fn staged(&self, src: usize, dst: usize) -> u64 {
-        self.staged[src * self.map.shards() + dst]
-    }
-
-    /// Cumulative staged effects over all waves: `(intra-shard, cross-shard)`.
-    pub(crate) fn staged_totals(&self) -> (u64, u64) {
-        let k = self.map.shards();
-        let intra: u64 = (0..k).map(|s| self.staged(s, s)).sum();
-        (intra, self.staged.iter().sum::<u64>() - intra)
     }
 }
 
@@ -186,8 +176,14 @@ impl SystemWorld {
             let outbox = &mut exec.shards[src].outbox;
             while outbox.front().is_some_and(|(p, ..)| *p == pos) {
                 let (_, node, downcall) = outbox.pop_front().expect("front was just seen");
-                let dst = downcall.receiver().map_or(src, |to| map.shard_of(to));
-                exec.staged[src * map.shards() + dst] += 1;
+                if downcall
+                    .receiver()
+                    .is_some_and(|to| map.shard_of(to) != src)
+                {
+                    exec.cross += 1;
+                } else {
+                    exec.intra += 1;
+                }
                 self.commit(node, downcall, now, ctx);
             }
         }

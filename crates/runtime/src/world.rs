@@ -247,11 +247,6 @@ impl SystemWorld {
         (view, &mut self.stacks)
     }
 
-    /// The number of shards the world executes waves over (1 = sequential).
-    pub fn shard_count(&self) -> usize {
-        self.wave_exec.as_ref().map_or(1, |e| e.map.shards())
-    }
-
     /// Switches the world to shard-parallel wave execution over `shards`
     /// contiguous node ranges (1 or 0 restores classic sequential dispatch).
     /// Results are bit-identical at any shard count; only wall-clock time and
@@ -269,36 +264,9 @@ impl SystemWorld {
     /// shard). `None` when running sequentially. Observability only — never
     /// part of a [`crate::RunOutcome`], which must be shard-invariant.
     pub fn wave_stats(&self) -> Option<(u64, u64, u64, u64)> {
-        self.wave_exec.as_ref().map(|e| {
-            let (intra, cross) = e.staged_totals();
-            (e.waves, e.wave_events, intra, cross)
-        })
-    }
-
-    /// Cumulative effects staged in waves for one `(src, dst)` shard pair:
-    /// `src` owns the acting node, `dst` the receiver of a send (every other
-    /// effect counts toward `src` itself); 0 when running sequentially.
-    pub fn wave_mailbox_pushed(&self, src: usize, dst: usize) -> u64 {
-        self.wave_exec.as_ref().map_or(0, |e| e.staged(src, dst))
-    }
-
-    /// The contiguous node-id range `[lo, hi)` owned by one shard; the whole
-    /// population as a single range when running sequentially.
-    pub fn shard_range(&self, shard: usize) -> (u32, u32) {
-        match &self.wave_exec {
-            Some(e) => {
-                let r = e.map.range(shard);
-                (r.start, r.end)
-            }
-            None => (0, self.config.nodes as u32),
-        }
-    }
-
-    /// Total messages handed to the network so far — a cheap divergence probe
-    /// for tools that compare a sharded run against a sequential one without
-    /// paying for a full [`crate::RunOutcome`].
-    pub fn traffic_messages_sent(&self) -> u64 {
-        self.network.stats().report().total_messages_sent
+        self.wave_exec
+            .as_ref()
+            .map(|e| (e.waves, e.wave_events, e.intra, e.cross))
     }
 
     pub(crate) fn send(
@@ -1066,7 +1034,7 @@ impl World for SystemWorld {
 
 impl lifting_sim::ShardedWorld for SystemWorld {
     fn shard_count(&self) -> usize {
-        self.shard_count()
+        self.wave_exec.as_ref().map_or(1, |e| e.map.shards())
     }
 
     /// Node-local events: handlers that mutate only the acting node's stack

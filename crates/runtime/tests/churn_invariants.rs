@@ -20,13 +20,15 @@ use lifting_runtime::{
 use lifting_sim::{derive_rng, NodeId, ParamValue, SimDuration, SimTime, StreamId};
 
 fn stack(id: u32) -> NodeStack {
-    NodeStack::new(
+    NodeStack::with_streams(
         NodeId::new(id),
         GossipConfig::planetlab(),
         LiftingConfig::planetlab(),
         true,
         Box::new(Honest),
         derive_rng(1, id as u64),
+        &[StreamClock::paper()],
+        0,
     )
 }
 

@@ -9,9 +9,10 @@
 //! of which route messages, timers and blames through the wave executor's
 //! Phase A/B split — runs each at 1, 2, 4 and 8 shards, and compares every
 //! number down to the bit pattern. Durations are truncated so the property
-//! stays fast; determinism must hold at every prefix of a run. Shard counts
-//! are passed as explicit parameters (never via `LIFTING_SHARDS`) so
-//! concurrently running tests cannot race on process environment.
+//! stays fast; determinism must hold at every prefix of a run. The shard
+//! count is a parameter of the runner (`run_scenario_sharded`) or of the
+//! world (`set_shard_count`); nothing reads it from the environment, so
+//! concurrently running tests cannot race on it.
 
 use lifting_runtime::runner::default_lag_grid;
 use lifting_runtime::{

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use lifting_core::{AckPayload, ConfirmPayload, LiftingConfig, VerificationMessage, VerifierTimer};
 use lifting_gossip::{
-    ChunkId, GossipConfig, GossipMessage, ProposePayload, RequestPayload, ServePayload,
+    ChunkId, GossipConfig, GossipMessage, ProposePayload, RequestPayload, ServePayload, StreamClock,
 };
 use lifting_membership::Directory;
 use lifting_runtime::layers::{Downcall, Honest, NodeStack};
@@ -82,13 +82,15 @@ impl Log {
 /// arms a timer, so the verification inputs cannot occur and are not fed;
 /// the gossip steps are identical.
 fn run_script(lifting_enabled: bool) -> (Vec<Step>, NodeStack) {
-    let mut stack = NodeStack::new(
+    let mut stack = NodeStack::with_streams(
         ME,
         GossipConfig::planetlab(),
         LiftingConfig::planetlab().with_pdcc(1.0),
         lifting_enabled,
         Box::new(Honest),
         derive_rng(11, 1),
+        &[StreamClock::paper()],
+        0,
     );
     let directory = Directory::new(12);
     let mut log = Log::default();

@@ -269,25 +269,6 @@ impl<W: World> Engine<W> {
         report.stopped_at = self.clock;
         report
     }
-
-    /// Runs until the queue is completely drained or `max_events` events have
-    /// been processed (a safety valve against livelock in tests).
-    pub fn run_to_completion(&mut self, max_events: u64) -> RunReport {
-        let mut report = RunReport::default();
-        while report.events_processed < max_events {
-            let Some((time, seq, event)) = self.queue.pop_due(SimTime::MAX) else {
-                report.drained = true;
-                break;
-            };
-            self.clock = time;
-            let mut ctx = Context::new(time, seq, &mut self.queue);
-            self.world.handle_event(time, event, &mut ctx);
-            self.events_processed += 1;
-            report.events_processed += 1;
-        }
-        report.stopped_at = self.clock;
-        report
-    }
 }
 
 impl<W: World + std::fmt::Debug> std::fmt::Debug for Engine<W> {
@@ -346,14 +327,15 @@ mod tests {
     }
 
     #[test]
-    fn run_to_completion_drains() {
+    fn run_until_reports_a_drained_queue() {
         let mut eng = Engine::new(PingPong {
             bounces: 0,
             limit: 5,
         });
         eng.schedule(SimTime::ZERO, Ev::Ping);
-        let report = eng.run_to_completion(1_000);
+        let report = eng.run_until(SimTime::from_millis(40));
         assert!(report.drained);
+        assert_eq!(report.events_processed, 5);
         assert_eq!(eng.world().bounces, 5);
         assert_eq!(eng.now(), SimTime::from_millis(40));
     }
@@ -374,7 +356,7 @@ mod tests {
         }
         let mut eng = Engine::new(Clamp { saw: vec![] });
         eng.schedule(SimTime::from_millis(50), true);
-        eng.run_to_completion(10);
+        eng.run_until(SimTime::MAX);
         assert_eq!(
             eng.world().saw,
             vec![SimTime::from_millis(50), SimTime::from_millis(50)]
