@@ -135,6 +135,17 @@ impl DeliveryOutcome {
     pub fn is_delivered(&self) -> bool {
         !matches!(self, DeliveryOutcome::Lost)
     }
+
+    /// The arrival time of each delivered copy: the original first, then
+    /// the duplicate. Empty when the message is lost.
+    pub fn arrivals(self) -> impl ExactSizeIterator<Item = SimTime> {
+        let (copies, at, duplicate_at) = match self {
+            DeliveryOutcome::Deliver { at } => (1, at, at),
+            DeliveryOutcome::Duplicated { at, duplicate_at } => (2, at, duplicate_at),
+            DeliveryOutcome::Lost => (0, SimTime::ZERO, SimTime::ZERO),
+        };
+        [at, duplicate_at].into_iter().take(copies)
+    }
 }
 
 /// The simulated network.
@@ -380,6 +391,24 @@ mod tests {
             }
         }
         assert_eq!(delivered, 100);
+    }
+
+    #[test]
+    fn arrivals_yield_the_original_then_the_duplicate() {
+        let (at, duplicate_at) = (SimTime::from_micros(5), SimTime::from_micros(3));
+        let arrivals = |o: DeliveryOutcome| o.arrivals().collect::<Vec<_>>();
+        assert_eq!(arrivals(DeliveryOutcome::Deliver { at }), [at]);
+        assert_eq!(
+            arrivals(DeliveryOutcome::Duplicated { at, duplicate_at }),
+            [at, duplicate_at]
+        );
+        assert!(arrivals(DeliveryOutcome::Lost).is_empty());
+        assert_eq!(
+            DeliveryOutcome::Duplicated { at, duplicate_at }
+                .arrivals()
+                .len(),
+            2
+        );
     }
 
     #[test]

@@ -26,6 +26,7 @@ use lifting_sim::{derive_rng, ComponentError, NodeId, SimDuration, SimTime};
 use crate::components::{resolve_components, ResolvedComponents};
 use crate::layers::{AuditCoordinator, NodeStack};
 use crate::message::{Event, CHURN_EPOCH_ANY};
+use crate::period::PeriodPlane;
 use crate::scenario::ScenarioConfig;
 use crate::world::SystemWorld;
 
@@ -203,11 +204,7 @@ pub fn build_world(config: ScenarioConfig) -> Result<SystemWorld, ComponentError
     };
 
     let hot = crate::hot::HotNodeState::from_stacks(&stacks);
-    // The resilience plane (partition waves, a closed-loop adversary, the
-    // online recalibration) is what the per-period recovery traces exist for.
-    let resilience_active = !workload.waves.is_empty()
-        || config.online_recalibration.is_some()
-        || adversary.closed_loop();
+    let traced = !workload.waves.is_empty() || adversary.closed_loop();
     Ok(SystemWorld {
         directory,
         network,
@@ -219,7 +216,6 @@ pub fn build_world(config: ScenarioConfig) -> Result<SystemWorld, ComponentError
         blame_counts: vec![0; n * streams],
         blame_values: vec![0.0; n * streams],
         blames_in_flight: Default::default(),
-        expulsion_voters: vec![Vec::new(); n],
         expelled: vec![false; n],
         hot,
         wave_exec: None,
@@ -235,12 +231,8 @@ pub fn build_world(config: ScenarioConfig) -> Result<SystemWorld, ComponentError
         mstream_rng: multistream_rng(seed),
         scratch_downcalls: Vec::new(),
         scratch_nodes: Vec::new(),
-        scratch_votes: Vec::new(),
         partition_holds: vec![0; n],
-        periods_elapsed: 0,
-        eta_live: config.lifting.eta,
-        eta_smoothed: config.lifting.eta,
-        recovery: resilience_active.then(crate::metrics::RecoveryReport::default),
+        period: PeriodPlane::new(&config, traced),
         config,
     })
 }
@@ -297,11 +289,7 @@ pub(crate) fn initial_events(world: &SystemWorld) -> Vec<(SimTime, Event)> {
                 up: false,
                 epoch: session.unwrap_or(CHURN_EPOCH_ANY),
             },
-            Edge::Rejoin { node } => Event::Churn {
-                node,
-                up: true,
-                epoch: CHURN_EPOCH_ANY,
-            },
+            Edge::Rejoin { node } => Event::rejoin(node),
             Edge::Switch { node, from, to } => Event::Resubscribe { node, from, to },
             Edge::Partition { wave, begin } => Event::Fault { wave, begin },
         };

@@ -37,6 +37,7 @@ pub mod layers;
 pub mod message;
 pub mod metrics;
 pub mod observe;
+pub(crate) mod period;
 pub mod registry;
 pub mod runner;
 pub mod scenario;

@@ -146,6 +146,17 @@ pub enum Event {
 /// the node's current session epoch.
 pub const CHURN_EPOCH_ANY: u32 = u32::MAX;
 
+impl Event {
+    /// A rejoin of `node`, applying to whatever session is live.
+    pub fn rejoin(node: NodeId) -> Self {
+        Event::Churn {
+            node,
+            up: true,
+            epoch: CHURN_EPOCH_ANY,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

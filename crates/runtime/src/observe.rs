@@ -1,6 +1,6 @@
 //! Metric readouts of a live [`SystemWorld`]: score snapshots, the
-//! stream-health curves (aggregate and per stream) and the assembled
-//! [`RunOutcome`].
+//! stream-health curves (aggregate and per stream), the memory walk, the
+//! per-node blame provenance and counters, and the assembled [`RunOutcome`].
 //!
 //! Kept apart from `world.rs` so the world module stays focused on event
 //! dispatch and the cross-layer glue.
@@ -9,7 +9,7 @@ use lifting_gossip::{Chunk, StreamHealth};
 use lifting_reputation::ManagerState;
 use lifting_sim::{NodeId, SimDuration, SimTime, StreamId};
 
-use crate::inflight::land;
+use crate::inflight::{land, BlamesInFlight};
 use crate::metrics::{
     layer_breakdown, ChurnStats, NodeOutcome, RunOutcome, ScoreSnapshot, StreamOutcome,
 };
@@ -138,14 +138,8 @@ impl SystemWorld {
             books += stack.reputation.estimated_heap_bytes();
             inline += stack.planes.capacity() * size_of::<StreamPlane>();
         }
-        let voters: usize = self
-            .expulsion_voters
-            .iter()
-            .map(|v| v.capacity() * size_of::<NodeId>())
-            .sum();
         let columns = self.hot.estimated_heap_bytes()
-            + voters
-            + self.expulsion_voters.capacity() * size_of::<Vec<NodeId>>()
+            + self.period.voter_heap_bytes()
             + self.blame_counts.capacity() * size_of::<u64>()
             + self.blame_values.capacity() * size_of::<f64>()
             + self.expelled.capacity()
@@ -254,7 +248,7 @@ impl SystemWorld {
             churn: self.churn_stats(),
             confirm_retry: self.confirm_retry_totals(),
             audit_rpc: self.audits.rpc_stats(),
-            recovery: self.recovery.clone(),
+            recovery: self.period.recovery().cloned(),
             memory_per_node_bytes: self.memory_per_node_bytes(),
             duration: now.saturating_since(SimTime::ZERO),
         }
@@ -271,5 +265,58 @@ impl SystemWorld {
             total.aborts += stats.aborts;
         }
         total
+    }
+
+    /// The per-period score compensation a fully subscribed node collects
+    /// (the sum over every stream's credit; in a single-channel run this is
+    /// exactly the primary stream's Equation 5 value).
+    pub fn compensation_per_period(&self) -> f64 {
+        self.compensation_per_stream.iter().sum()
+    }
+
+    /// Number of concurrent streams this world broadcasts.
+    pub fn stream_count(&self) -> usize {
+        self.sources.len()
+    }
+
+    /// The chunks emitted by the primary stream's source so far.
+    pub fn emitted_chunks(&self) -> Vec<Chunk> {
+        self.sources[0].emitted_chunks().collect()
+    }
+
+    /// Blames booked against `node` that were emitted by `stream`'s
+    /// verification plane (provenance; the score itself aggregates all
+    /// streams).
+    pub fn blames_against(&self, node: NodeId, stream: StreamId) -> u64 {
+        self.blame_counts[node.index() * self.stream_count() + stream.index()]
+    }
+
+    /// Total blame **value** booked against `node` from `stream`'s
+    /// verification plane (the quantity the score actually sums; counts
+    /// weigh a heavy missing-ack blame the same as a sliver of wrongful
+    /// partial-serve noise, values do not).
+    pub fn blame_value_against(&self, node: NodeId, stream: StreamId) -> f64 {
+        self.blame_values[node.index() * self.stream_count() + stream.index()]
+    }
+
+    /// Number of nodes expelled so far.
+    pub fn expelled_count(&self) -> usize {
+        self.expelled.iter().filter(|e| **e).count()
+    }
+
+    /// True if `node` has been expelled.
+    pub fn is_expelled(&self, node: NodeId) -> bool {
+        self.expelled[node.index()]
+    }
+
+    /// The copies in flight (observability and tests).
+    pub fn blames_in_flight(&self) -> &BlamesInFlight {
+        &self.blames_in_flight
+    }
+
+    /// Channel switches executed so far by the workload plan (zap-style
+    /// scenarios; 0 everywhere else).
+    pub fn workload_switches(&self) -> u64 {
+        self.workload_switches
     }
 }

@@ -14,9 +14,10 @@
 //! place the three node-local events are gated and handled), commits the
 //! [`Downcall`]s the stacks emit ([`SystemWorld::commit`], the one place they
 //! reach the network and the scheduler), coordinates cross-node concerns
-//! (audits, expulsion quorums, membership transitions) and reads out the
-//! metrics. The shard-parallel executor in [`crate::wave`] calls the same two
-//! functions.
+//! (audits, membership transitions, expulsions) and reads out the metrics.
+//! The shard-parallel executor in [`crate::wave`] calls the same two
+//! functions. A period end runs the steps of the period plane
+//! ([`crate::period`]) and applies their effects.
 //!
 //! **Membership invariant**: the [`Directory`] is the single source of truth
 //! for who participates. Every selection site — gossip partners, audit
@@ -26,18 +27,17 @@
 //! nor receive traffic. `expelled` only records *why* a node is inactive
 //! (expulsion is permanent; departure is reversible).
 
-use lifting_analysis::robust_outlier_threshold;
 use lifting_core::Blame;
-use lifting_gossip::{Chunk, StreamSource};
+use lifting_gossip::StreamSource;
 use lifting_membership::{Directory, Sessions, WorkloadPlan};
 use lifting_net::Network;
-use lifting_reputation::ManagerAssignment;
-use lifting_sim::{derive_rng, Context, NodeId, SimDuration, SimTime, StreamId, World};
+use lifting_reputation::{ManagerAssignment, ManagerState};
+use lifting_sim::{derive_rng, Context, NodeId, SimTime, StreamId, World};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::sync::Arc;
 
-use lifting_core::{ConfirmResponsePayload, VerificationMessage};
+use lifting_core::VerificationMessage;
 
 use crate::builder;
 use crate::components::AdversarySpawner;
@@ -45,7 +45,8 @@ use crate::hot::HotNodeState;
 use crate::inflight::{land, BlamesInFlight, InFlightBlame};
 use crate::layers::{AuditCoordinator, AuditOutcome, Downcall, FeedbackAction, NodeStack};
 use crate::message::{Event, Message, CHURN_EPOCH_ANY};
-use crate::metrics::{RecoveryReport, WaveKind, WaveRecovery};
+use crate::metrics::{ScoreSnapshot, WaveKind};
+use crate::period::PeriodPlane;
 use crate::scenario::ScenarioConfig;
 use crate::wave::WaveExec;
 
@@ -74,11 +75,6 @@ pub struct SystemWorld {
     pub(crate) blame_values: Vec<f64>,
     /// Delivered blame copies that have not reached their manager yet.
     pub(crate) blames_in_flight: BlamesInFlight,
-    /// Per target: the distinct managers that have voted to expel it. A set
-    /// of voters, not a bare counter: a manager whose stack was rebuilt
-    /// after a rejoin starts from a blank book and may re-derive the same
-    /// vote, which must not count twice toward the quorum.
-    pub(crate) expulsion_voters: Vec<Vec<NodeId>>,
     pub(crate) expelled: Vec<bool>,
     /// Dense hot columns (session epochs, freerider flags) — the
     /// struct-of-arrays fields every event gate reads (see [`crate::hot`]).
@@ -113,27 +109,16 @@ pub struct SystemWorld {
     pub(crate) mstream_rng: SmallRng,
     /// Recycled scratch buffer for stack downcalls (allocation-free loop).
     pub(crate) scratch_downcalls: Vec<Downcall>,
-    /// Recycled scratch for audit-target candidates and expulsion votes, so
-    /// the periodic events allocate nothing at steady state either.
+    /// Recycled scratch for audit-target candidates, so the periodic events
+    /// allocate nothing at steady state either.
     pub(crate) scratch_nodes: Vec<NodeId>,
-    /// Recycled scratch for per-period `(manager, target)` expulsion votes.
-    pub(crate) scratch_votes: Vec<(NodeId, NodeId)>,
     /// Per node: how many partition waves currently hold it partitioned. A
     /// node hit by overlapping waves stays partitioned until the count
     /// drains.
     pub(crate) partition_holds: Vec<u8>,
-    /// Gossip periods completed so far (drives the recovery traces).
-    pub(crate) periods_elapsed: u64,
-    /// The expulsion threshold actually applied this period: the static
-    /// configured η, or the online-recalibrated value when
-    /// [`crate::scenario::OnlineRecalibration`] is active.
-    pub(crate) eta_live: f64,
-    /// EWMA state of the online recalibration (equals η when off).
-    pub(crate) eta_smoothed: f64,
-    /// Recovery-convergence traces, populated only when the scenario's
-    /// resilience features are active (fault waves, a closed-loop adversary
-    /// or the online recalibration).
-    pub(crate) recovery: Option<RecoveryReport>,
+    /// Everything that changes only at a period end: the period count, the
+    /// applied threshold, the expulsion voters and the recovery trace.
+    pub(crate) period: PeriodPlane,
 }
 
 impl SystemWorld {
@@ -154,38 +139,6 @@ impl SystemWorld {
         &self.config
     }
 
-    /// The per-period score compensation a fully subscribed node collects
-    /// (the sum over every stream's credit; in a single-channel run this is
-    /// exactly the primary stream's Equation 5 value).
-    pub fn compensation_per_period(&self) -> f64 {
-        self.compensation_per_stream.iter().sum()
-    }
-
-    /// Number of concurrent streams this world broadcasts.
-    pub fn stream_count(&self) -> usize {
-        self.sources.len()
-    }
-
-    /// The chunks emitted by the primary stream's source so far.
-    pub fn emitted_chunks(&self) -> Vec<Chunk> {
-        self.sources[0].emitted_chunks().collect()
-    }
-
-    /// Blames booked against `node` that were emitted by `stream`'s
-    /// verification plane (provenance; the score itself aggregates all
-    /// streams).
-    pub fn blames_against(&self, node: NodeId, stream: StreamId) -> u64 {
-        self.blame_counts[node.index() * self.stream_count() + stream.index()]
-    }
-
-    /// Total blame **value** booked against `node` from `stream`'s
-    /// verification plane (the quantity the score actually sums; counts
-    /// weigh a heavy missing-ack blame the same as a sliver of wrongful
-    /// partial-serve noise, values do not).
-    pub fn blame_value_against(&self, node: NodeId, stream: StreamId) -> f64 {
-        self.blame_values[node.index() * self.stream_count() + stream.index()]
-    }
-
     /// The simulated network (traffic statistics, expulsions).
     pub fn network(&self) -> &Network {
         &self.network
@@ -202,16 +155,6 @@ impl SystemWorld {
         &self.directory
     }
 
-    /// Number of nodes expelled so far.
-    pub fn expelled_count(&self) -> usize {
-        self.expelled.iter().filter(|e| **e).count()
-    }
-
-    /// True if `node` has been expelled.
-    pub fn is_expelled(&self, node: NodeId) -> bool {
-        self.expelled[node.index()]
-    }
-
     /// Forcibly removes `node` from the system mid-run, as a churn departure
     /// would (deactivated in the directory, cut off the network, stack left
     /// to be torn down on a later rejoin). Exposed for fault injection
@@ -219,9 +162,13 @@ impl SystemWorld {
     /// last segment stopped, and the blames that arrived by then land first.
     pub fn force_depart(&mut self, node: NodeId, now: SimTime) {
         self.settle_blames((now, u64::MAX));
-        if node == NodeId::new(0) || !self.directory.is_active(node) {
-            return;
+        if node != NodeId::new(0) && self.directory.is_active(node) {
+            self.depart(node);
         }
+    }
+
+    /// A departure: deactivated in the directory, cut off the network.
+    fn depart(&mut self, node: NodeId) {
         self.directory.deactivate(node);
         self.network.set_cut_off(node, true);
         self.churn_departures += 1;
@@ -280,53 +227,25 @@ impl SystemWorld {
         let outcome = self
             .network
             .send(now, from, to, message.wire_size(), message.category());
+        // A witness's answer lands in the receiver's confirm check now, keyed
+        // `(arrival, stamp)` like a blame in flight: a confirm check is read
+        // only when its own timer fires, so the answer needs no event. If the
+        // receiver leaves before the answer arrives, the check it lands in
+        // never expires: a departed node's timers are dropped and a rejoin
+        // rebuilds its stack.
         if let Message::Verification(VerificationMessage::ConfirmResponse(response)) = &message {
-            self.land_confirm_response(from, to, response, outcome, ctx);
+            for at in outcome.arrivals() {
+                let key = (at.max(ctx.now()), ctx.stamp());
+                self.stacks[to.index()].land_confirm_response(from, response, key);
+            }
             return;
         }
-        match outcome {
-            lifting_net::DeliveryOutcome::Deliver { at } => {
-                ctx.schedule_at(at, Event::Deliver { from, to, message });
-            }
-            lifting_net::DeliveryOutcome::Duplicated { at, duplicate_at } => {
-                ctx.schedule_at(
-                    at,
-                    Event::Deliver {
-                        from,
-                        to,
-                        message: message.clone(),
-                    },
-                );
-                ctx.schedule_at(duplicate_at, Event::Deliver { from, to, message });
-            }
-            lifting_net::DeliveryOutcome::Lost => {}
-        }
-    }
-
-    /// Lands each delivered copy of a witness's answer in the receiver's
-    /// confirm check now, keyed `(arrival, stamp)` like a blame in flight: a
-    /// confirm check is read only when its own timer fires, so the answer
-    /// needs no event of its own. If the receiver leaves before the answer
-    /// arrives, the check it lands in never expires: a departed node's timers
-    /// are dropped and a rejoin rebuilds its stack.
-    fn land_confirm_response(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        response: &ConfirmResponsePayload,
-        outcome: lifting_net::DeliveryOutcome,
-        ctx: &mut Context<Event>,
-    ) {
-        let arrivals = match outcome {
-            lifting_net::DeliveryOutcome::Deliver { at } => [Some(at), None],
-            lifting_net::DeliveryOutcome::Duplicated { at, duplicate_at } => {
-                [Some(at), Some(duplicate_at)]
-            }
-            lifting_net::DeliveryOutcome::Lost => [None, None],
-        };
-        for at in arrivals.into_iter().flatten() {
-            let key = (at.max(ctx.now()), ctx.stamp());
-            self.stacks[to.index()].land_confirm_response(from, response, key);
+        // One copy per arrival; the last one moves (`repeat_n` clones the
+        // message only for a duplicate).
+        let arrivals = outcome.arrivals();
+        let copies = std::iter::repeat_n(message, arrivals.len());
+        for (at, message) in arrivals.zip(copies) {
+            ctx.schedule_at(at, Event::Deliver { from, to, message });
         }
     }
 
@@ -393,15 +312,9 @@ impl SystemWorld {
         let (size, category) = (message.wire_size(), message.category());
         for k in 0..self.assignment.managers_of(blame.target).len() {
             let manager = self.assignment.managers_of(blame.target)[k];
-            match self.network.send(now, from, manager, size, category) {
-                lifting_net::DeliveryOutcome::Deliver { at } => {
-                    self.deliver_blame(at, manager, &blame, ctx);
-                }
-                lifting_net::DeliveryOutcome::Duplicated { at, duplicate_at } => {
-                    self.deliver_blame(at, manager, &blame, ctx);
-                    self.deliver_blame(duplicate_at, manager, &blame, ctx);
-                }
-                lifting_net::DeliveryOutcome::Lost => {}
+            let outcome = self.network.send(now, from, manager, size, category);
+            for at in outcome.arrivals() {
+                self.deliver_blame(at, manager, &blame, ctx);
             }
         }
     }
@@ -435,11 +348,6 @@ impl SystemWorld {
             let book = &mut self.stacks[blame.manager.index()].reputation;
             land(&self.directory, book, &blame);
         }
-    }
-
-    /// The copies in flight (observability and tests).
-    pub fn blames_in_flight(&self) -> &BlamesInFlight {
-        &self.blames_in_flight
     }
 
     fn expel(&mut self, node: NodeId) {
@@ -541,19 +449,9 @@ impl SystemWorld {
             if self.expelled[node.index()] || !self.directory.is_active(node) {
                 return; // already gone (expelled, or a wave hit a churned node)
             }
-            self.directory.deactivate(node);
-            self.network.set_cut_off(node, true);
-            self.churn_departures += 1;
+            self.depart(node);
             if let Some(sessions) = self.churner(node) {
-                let offline = sessions.offline_length();
-                ctx.schedule_after(
-                    offline,
-                    Event::Churn {
-                        node,
-                        up: true,
-                        epoch: CHURN_EPOCH_ANY,
-                    },
-                );
+                ctx.schedule_after(sessions.offline_length(), Event::rejoin(node));
             }
         }
     }
@@ -577,35 +475,11 @@ impl SystemWorld {
         self.workload_switches += 1;
     }
 
-    /// Channel switches executed so far by the workload plan (zap-style
-    /// scenarios; 0 everywhere else).
-    pub fn workload_switches(&self) -> u64 {
-        self.workload_switches
-    }
-
     /// The expulsion threshold applied at the most recent period end: the
     /// configured η, or the online-recalibrated value when that defense is
     /// active.
     pub fn effective_eta(&self) -> f64 {
-        self.eta_live
-    }
-
-    /// Records the onset of a disruption (a partition wave beginning, a
-    /// whitewash departure burst) in the recovery traces, capturing the
-    /// detection quality just before the hit as the reconvergence baseline.
-    fn register_wave(&mut self, kind: WaveKind) {
-        let at_period = self.periods_elapsed;
-        if let Some(recovery) = &mut self.recovery {
-            let baseline_precision = recovery.period_precision.last().copied().unwrap_or(1.0);
-            let baseline_recall = recovery.period_recall.last().copied().unwrap_or(0.0);
-            recovery.waves.push(WaveRecovery {
-                kind,
-                at_period,
-                baseline_precision,
-                baseline_recall,
-                reconverged_after: None,
-            });
-        }
+        self.period.eta()
     }
 
     /// Applies one partition-wave transition: partitions the wave's members
@@ -617,233 +491,82 @@ impl SystemWorld {
             if !hit {
                 continue;
             }
-            let node = NodeId::new(i as u32);
-            if begin {
-                self.partition_holds[i] += 1;
-                if self.partition_holds[i] == 1 {
-                    self.network.set_partitioned(node, true);
-                }
+            let holds = &mut self.partition_holds[i];
+            let was = *holds > 0;
+            *holds = if begin {
+                *holds + 1
             } else {
-                self.partition_holds[i] = self.partition_holds[i].saturating_sub(1);
-                if self.partition_holds[i] == 0 {
-                    self.network.set_partitioned(node, false);
-                }
+                holds.saturating_sub(1)
+            };
+            if was != (*holds > 0) {
+                self.network.set_partitioned(NodeId::new(i as u32), !was);
             }
         }
         if begin {
-            self.register_wave(WaveKind::Partition);
+            self.period.begin_wave(WaveKind::Partition);
         }
     }
 
+    /// Ends a gossip period ([`crate::period`]): age, snapshot (every copy
+    /// ordered before this event has landed), recalibrate, vote and expel,
+    /// closed-loop feedback, then the recovery row, last because a whitewash
+    /// wave the feedback begins takes the previous period's row as baseline.
     fn handle_period_end(&mut self, now: SimTime, ctx: &mut Context<Event>) {
-        self.periods_elapsed += 1;
+        self.period.advance();
         if self.lifting_on() {
-            let min_periods = self.config.lifting.min_periods_before_expulsion;
-            // Score aging is churn-aware: a departed node is not being
-            // observed, so it neither accrues periods nor collects the
-            // per-period compensation while offline (otherwise leaving would
-            // launder a bad score); departed managers' books freeze wholesale.
-            // Expelled nodes keep aging, exactly as in a static population.
-            //
-            // The credit is per node: the sum of the per-stream compensations
-            // over the channels the node subscribes to that are already on
-            // air (a one-channel subscriber is only exposed to that
-            // channel's wrongful blames, and a stream that has not started
-            // yet cannot have produced any). With one stream this is the
-            // same single value for everyone.
-            let directory = &self.directory;
-            let expelled = &self.expelled;
-            let comp = &self.compensation_per_stream;
             let config = &self.config;
-            let observed = |n: NodeId| !departed(directory, expelled, n);
-            let credit = |n: NodeId| -> f64 {
-                if comp.len() == 1 {
-                    comp[0]
-                } else {
-                    comp.iter()
-                        .enumerate()
-                        .filter(|(s, _)| {
-                            let stream = StreamId::new(*s as u16);
-                            directory.is_subscribed(n, stream)
-                                && now >= SimTime::ZERO + config.stream_spec(stream).start_offset
-                        })
-                        .map(|(_, c)| *c)
-                        .sum()
-                }
-            };
-            for (i, stack) in self.stacks.iter_mut().enumerate() {
-                let manager = NodeId::new(i as u32);
-                if departed(directory, expelled, manager) {
-                    continue; // book frozen until rejoin
-                }
-                stack
-                    .reputation
-                    .end_period_credited(|n| observed(n).then(|| credit(n)));
+            let on_air = |s: StreamId| now >= SimTime::ZERO + config.stream_spec(s).start_offset;
+            let (directory, expelled) = (&self.directory, &self.expelled);
+            let (books, credit) = (books_of(&mut self.stacks), &self.compensation_per_stream);
+            self.period.age(books, directory, expelled, credit, on_air);
+            let traced = self.period.recovery().is_some();
+            let snap = traced.then(|| self.snapshot_of(now, &[]));
+            if let Some(snap) = &snap {
+                self.period.recalibrate(snap, &self.directory);
             }
-            // One post-aging score snapshot feeds every resilience feature of
-            // this period (recalibration, closed-loop feedback, recovery
-            // traces); legacy scenarios take none and pay nothing. The books
-            // hold every copy ordered before this event and none after it.
-            let snap = (self.recovery.is_some()
-                || self.config.online_recalibration.is_some()
-                || self.adversary.closed_loop())
-            .then(|| self.snapshot_of(now, &[]));
-            // Online defense: recalibrate the expulsion threshold from the
-            // live score distribution with a robust low-outlier rule — trim
-            // the suspected-freerider tail, then place the threshold `nmads`
-            // MADs below the surviving bulk's median. A coalition throttling
-            // just above the static η cannot drag the threshold down with it
-            // (it is trimmed away), and the honest bulk cannot be eaten by a
-            // fixed-quantile cut (the threshold tracks the bulk's own
-            // spread); the EWMA smooths period-to-period jitter and the
-            // static η stays a hard floor.
-            if let Some(online) = self.config.online_recalibration {
-                if self.periods_elapsed >= min_periods {
-                    let snap = snap.as_ref().expect("snapshot taken when online is set");
-                    let live: Vec<f64> = snap
-                        .outcomes
-                        .iter()
-                        .filter(|o| !o.expelled && self.directory.is_active(o.node))
-                        .filter_map(|o| o.score)
-                        .collect();
-                    if let Some(raw) = robust_outlier_threshold(&live, online.trim, online.nmads) {
-                        self.eta_smoothed =
-                            online.smoothing * raw + (1.0 - online.smoothing) * self.eta_smoothed;
-                        self.eta_live = self.eta_smoothed.max(self.config.lifting.eta);
-                    }
-                }
+            let (directory, expelled) = (&self.directory, &self.expelled);
+            let expelling = self
+                .period
+                .vote(books_of(&mut self.stacks), directory, expelled);
+            for target in expelling {
+                self.expel(target);
             }
-            // The threshold the managers apply this period: the configured η
-            // unless the online recalibration moved it (`eta_live == η`
-            // whenever that defense is off, keeping legacy runs bit-exact).
-            let eta = self.eta_live;
-            // Expulsion votes, attributed per manager. Departed managers are
-            // skipped (a node that left cannot cast votes, mirroring the
-            // frozen books above), and each (manager, target) pair counts at
-            // most once toward the quorum even if the manager's rebuilt book
-            // re-derives the vote after a rejoin.
-            let mut votes = std::mem::take(&mut self.scratch_votes);
-            votes.clear();
-            let mut newly_voted = std::mem::take(&mut self.scratch_nodes);
-            for (i, stack) in self.stacks.iter_mut().enumerate() {
-                let manager = NodeId::new(i as u32);
-                if departed(directory, expelled, manager) {
-                    continue; // no votes while offline
+            if let Some(snap) = &snap {
+                if self.adversary.closed_loop() {
+                    self.score_feedback(snap, now, ctx);
                 }
-                newly_voted.clear();
-                stack
-                    .reputation
-                    .expulsion_votes_into(eta, min_periods, &mut newly_voted);
-                votes.extend(newly_voted.drain(..).map(|target| (manager, target)));
-            }
-            self.scratch_nodes = newly_voted;
-            let quorum = (self.config.lifting.expulsion_quorum
-                * self.config.lifting.managers as f64)
-                .ceil()
-                .max(1.0) as usize;
-            for (manager, target) in votes.drain(..) {
-                let reached_quorum = {
-                    let voters = &mut self.expulsion_voters[target.index()];
-                    if voters.contains(&manager) {
-                        continue; // a rejoined manager's re-vote does not stack
-                    }
-                    voters.push(manager);
-                    voters.len() >= quorum
-                };
-                if reached_quorum {
-                    self.expel(target);
-                }
-            }
-            self.scratch_votes = votes;
-            // Closed-loop adversaries read their own manager-score feedback —
-            // the public score a freerider can probe for itself — and adapt.
-            // The feedback hands them the *static* η: the paper's threshold
-            // is public knowledge, the defender's recalibrated one is not.
-            if self.adversary.closed_loop() {
-                let snap = snap.as_ref().expect("snapshot taken for closed loop");
-                let eta_static = self.config.lifting.eta;
-                let mut departs: Vec<(NodeId, SimDuration)> = Vec::new();
-                for o in &snap.outcomes {
-                    let i = o.node.index();
-                    if !o.is_freerider || self.expelled[i] || !self.directory.is_active(o.node) {
-                        continue;
-                    }
-                    let adversary = &mut self.stacks[i].adversary;
-                    if !adversary.wants_score_feedback() {
-                        continue;
-                    }
-                    match adversary.on_score_feedback(self.periods_elapsed, o.score, eta_static) {
-                        FeedbackAction::None => {}
-                        FeedbackAction::Depart { offline } => departs.push((o.node, offline)),
-                    }
-                }
-                if !departs.is_empty() {
-                    // A whitewash burst is a disruption the detector must
-                    // reconverge from, just like a partition wave.
-                    self.register_wave(WaveKind::Whitewash);
-                }
-                for (node, offline) in departs {
-                    self.handle_churn(node, false, CHURN_EPOCH_ANY, now, ctx);
-                    ctx.schedule_after(
-                        offline,
-                        Event::Churn {
-                            node,
-                            up: true,
-                            epoch: CHURN_EPOCH_ANY,
-                        },
-                    );
-                }
-            }
-            // Recovery traces: per-period detection precision/recall against
-            // ground truth, the applied threshold, and per-wave reconvergence
-            // (first period back within 5 points of the pre-wave baseline).
-            if self.recovery.is_some() {
-                let snap = snap.as_ref().expect("snapshot taken for recovery");
-                let (mut tp, mut fp, mut freeriders) = (0u64, 0u64, 0u64);
-                for o in &snap.outcomes {
-                    if o.is_freerider {
-                        freeriders += 1;
-                    }
-                    // Expulsions may have landed after the snapshot was read,
-                    // so detection consults the live expulsion state.
-                    let detected =
-                        self.expelled[o.node.index()] || o.score.map(|s| s < eta).unwrap_or(false);
-                    if detected {
-                        if o.is_freerider {
-                            tp += 1;
-                        } else {
-                            fp += 1;
-                        }
-                    }
-                }
-                let precision = if tp + fp == 0 {
-                    1.0
-                } else {
-                    tp as f64 / (tp + fp) as f64
-                };
-                let recall = if freeriders == 0 {
-                    1.0
-                } else {
-                    tp as f64 / freeriders as f64
-                };
-                let period = self.periods_elapsed;
-                if let Some(recovery) = self.recovery.as_mut() {
-                    recovery.period_precision.push(precision);
-                    recovery.period_recall.push(recall);
-                    recovery.eta_trace.push(eta);
-                    for wave in &mut recovery.waves {
-                        if wave.reconverged_after.is_none()
-                            && period > wave.at_period
-                            && precision >= wave.baseline_precision - 0.05
-                            && recall >= wave.baseline_recall - 0.05
-                        {
-                            wave.reconverged_after = Some(period - wave.at_period);
-                        }
-                    }
-                }
+                self.period.record(snap, &self.expelled);
             }
         }
         ctx.schedule_after(self.config.gossip.gossip_period, Event::PeriodEnd);
+    }
+
+    /// Closed-loop adversaries read their own score (public: a freerider can
+    /// probe it) against the *static* η (the defender's recalibrated one is
+    /// not public) and adapt. Whitewashers that give up depart now and rejoin
+    /// later; the burst is a wave the detector must reconverge from.
+    fn score_feedback(&mut self, snap: &ScoreSnapshot, now: SimTime, ctx: &mut Context<Event>) {
+        let (period, eta_static) = (self.period.completed(), self.config.lifting.eta);
+        let mut burst = false;
+        for o in &snap.outcomes {
+            let (node, adversary) = (o.node, &mut self.stacks[o.node.index()].adversary);
+            // (an expelled node is inactive too)
+            if !o.is_freerider
+                || !self.directory.is_active(node)
+                || !adversary.wants_score_feedback()
+            {
+                continue;
+            }
+            let action = adversary.on_score_feedback(period, o.score, eta_static);
+            let FeedbackAction::Depart { offline } = action else {
+                continue;
+            };
+            if !std::mem::replace(&mut burst, true) {
+                self.period.begin_wave(WaveKind::Whitewash);
+            }
+            self.handle_churn(node, false, CHURN_EPOCH_ANY, now, ctx);
+            ctx.schedule_after(offline, Event::rejoin(node));
+        }
     }
 
     fn handle_audit_tick(
@@ -898,7 +621,7 @@ impl SystemWorld {
             // just answered for its history is "burned" and the coalition
             // re-aims its cover-traffic bias elsewhere for a cooldown.
             if self.adversary.closed_loop() {
-                let period = self.periods_elapsed;
+                let period = self.period.completed();
                 let freerider = &self.hot.freerider;
                 for (i, stack) in self.stacks.iter_mut().enumerate() {
                     if freerider[i] && self.directory.is_active(NodeId::new(i as u32)) {
@@ -915,11 +638,11 @@ impl SystemWorld {
     }
 }
 
-/// Offline due to churn: inactive in the directory but not expelled (the one
-/// spelling of "departed"; a free function because the period end reads it
-/// while it holds the stacks mutably).
-fn departed(directory: &Directory, expelled: &[bool], node: NodeId) -> bool {
-    !directory.is_active(node) && !expelled[node.index()]
+/// Every node's manager book, by node id: what the period plane ages and
+/// polls for votes.
+fn books_of(stacks: &mut [NodeStack]) -> impl Iterator<Item = (NodeId, &mut ManagerState)> {
+    let ids = (0..).map(NodeId::new);
+    ids.zip(stacks.iter_mut().map(|stack| &mut stack.reputation))
 }
 
 /// What a node-local handler may read of the world besides its own stack:
@@ -950,9 +673,9 @@ pub(crate) fn handle_local(
     if !view.directory.is_active(node) {
         return; // expelled or departed: tick chains die, in-flight traffic drops
     }
-    // Events of an earlier session must not fire into a rebuilt stack: the
-    // fresh verifier reissues timer tokens from zero, so a previous session's
-    // timer would collide with a live check.
+    // Events of an earlier session must not fire into a rebuilt stack: a
+    // stale tick would fork a second gossip chain, and a stale timer names a
+    // token of the old session's range, which no live check holds.
     let current = |epoch: u32| epoch == view.epochs[node.index()];
     match event {
         Event::GossipTick { epoch, .. } if current(epoch) => {

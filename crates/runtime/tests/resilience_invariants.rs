@@ -48,6 +48,12 @@ fn gradient_freerider_evades_static_eta_but_not_the_online_recalibration() {
         eta_final > static_eta(),
         "the recalibrated threshold must rise above the static η, got {eta_final}"
     );
+    assert!(
+        recovery.eta_trace.iter().all(|eta| *eta >= static_eta()),
+        "the static η is a floor of every recalibrated threshold"
+    );
+    assert_eq!(recovery.eta_trace.len(), recovery.period_precision.len());
+    assert_eq!(recovery.eta_trace.len(), recovery.period_recall.len());
     assert!(defended.expelled_count > 0, "the defence must expel");
     let expelled_freeriders = defended
         .finals
