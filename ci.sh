@@ -34,6 +34,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc -D warnings"
+# A doc link to a deleted or private item is a broken reference a reader
+# follows: rustdoc's link lints catch both.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> only binaries read the environment"
 # A library that reads a process-wide variable is a knob no call site can
 # see. Product code under crates/*/src reads none, except the worker pool's

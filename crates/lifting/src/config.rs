@@ -3,6 +3,24 @@
 use lifting_sim::{ComponentError, SimDuration};
 use serde::{Deserialize, Serialize};
 
+/// How long a requester waits for requested chunks before running direct
+/// verification: one gossip period `Tg` of the deployment (the paper checks
+/// at the next period).
+pub const SERVE_TIMEOUT: SimDuration = SimDuration::from_millis(500);
+
+/// How long a server waits for the receiver's acknowledgment before blaming
+/// it by `f`: the acknowledgment follows the receiver's next propose phase,
+/// so a bit more than two gossip periods (`3·Tg`).
+pub const ACK_TIMEOUT: SimDuration = SimDuration::from_millis(1_500);
+
+/// How long a verifier waits for confirm responses from the witnesses
+/// (`2·Tg`); retry `i` of the hardened path waits `(i + 1)` times this.
+pub const CONFIRM_TIMEOUT: SimDuration = SimDuration::from_millis(1_000);
+
+/// Fraction of a node's managers that must vote for expulsion before the
+/// node is cut off: a majority, `ceil(M/2)` distinct voters.
+pub const EXPULSION_QUORUM: f64 = 0.5;
+
 /// Static parameters of the LiFTinG verification layer.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LiftingConfig {
@@ -21,22 +39,13 @@ pub struct LiftingConfig {
     /// History length `nh` in gossip periods kept for a-posteriori audits
     /// (50 in the paper's entropy experiments).
     pub history_periods: usize,
-    /// How long a requester waits for requested chunks before running direct
-    /// verification (the paper checks at the next gossip period).
-    pub serve_timeout: SimDuration,
-    /// How long a server waits for the receiver's acknowledgment before
-    /// blaming it by `f` (the acknowledgment follows the receiver's next
-    /// propose phase, so a bit more than two gossip periods).
-    pub ack_timeout: SimDuration,
-    /// How long a verifier waits for confirm responses from the witnesses.
-    pub confirm_timeout: SimDuration,
     /// Bounded retries for unanswered cross-check confirms (resilience
     /// hardening). `0` — the paper's behaviour — converts every witness
     /// still unconfirmed at the first timeout into a contradicted-proposal
     /// blame, which under message loss wrongly blames honest proposers
     /// (Figure 10's σ). `k > 0` re-sends the confirm to the still-silent
     /// witnesses up to `k` times with a deterministic linear backoff
-    /// (attempt `i` waits `confirm_timeout · (i + 1)`), and when the retries
+    /// (attempt `i` waits [`CONFIRM_TIMEOUT`]` · (i + 1)`), and when the retries
     /// exhaust **aborts the check without blame**: a silent witness is then
     /// indistinguishable from a partitioned one, so contradiction evidence
     /// is left to the a-posteriori audit plane instead of being guessed.
@@ -45,9 +54,6 @@ pub struct LiftingConfig {
     /// on its score (a joining node's score is not yet comparable,
     /// Section 6.2).
     pub min_periods_before_expulsion: u64,
-    /// Fraction of a node's managers that must vote for expulsion before the
-    /// node is actually cut off.
-    pub expulsion_quorum: f64,
     /// Whether wrongful blames are compensated each period using the expected
     /// value from the loss rate (Equation 5). Disabling this is an ablation.
     pub compensate_wrongful_blames: bool,
@@ -56,19 +62,14 @@ pub struct LiftingConfig {
 impl LiftingConfig {
     /// The PlanetLab deployment parameters of Section 7.1.
     pub fn planetlab() -> Self {
-        let tg = SimDuration::from_millis(500);
         LiftingConfig {
             pdcc: 1.0,
             managers: 25,
             eta: -9.75,
             gamma: 8.95,
             history_periods: 50,
-            serve_timeout: tg,
-            ack_timeout: tg.saturating_mul(3),
-            confirm_timeout: tg.saturating_mul(2),
             confirm_retries: 0,
             min_periods_before_expulsion: 10,
-            expulsion_quorum: 0.5,
             compensate_wrongful_blames: true,
         }
     }
@@ -88,21 +89,15 @@ impl LiftingConfig {
         self
     }
 
-    /// Validates the configuration: probabilities in `[0, 1]`, thresholds
-    /// of the right sign, at least one manager and one history period,
-    /// positive timeouts. An error names the offending key of component
-    /// `lifting`.
+    /// Validates the configuration: `pdcc` in `[0, 1]`, thresholds of the
+    /// right sign, at least one manager and one history period. An error
+    /// names the offending key of component `lifting`.
     pub fn validate(&self) -> Result<(), ComponentError> {
         let require = |ok, key, reason| ComponentError::require(ok, "lifting", key, reason);
         require(
             (0.0..=1.0).contains(&self.pdcc),
             "pdcc",
             "pdcc out of range",
-        )?;
-        require(
-            (0.0..=1.0).contains(&self.expulsion_quorum),
-            "expulsion_quorum",
-            "expulsion quorum out of range",
         )?;
         require(
             self.managers > 0,
@@ -115,15 +110,7 @@ impl LiftingConfig {
             self.history_periods > 0,
             "history_periods",
             "history must cover ≥ 1 period",
-        )?;
-        for (key, timeout) in [
-            ("serve_timeout", self.serve_timeout),
-            ("ack_timeout", self.ack_timeout),
-            ("confirm_timeout", self.confirm_timeout),
-        ] {
-            require(!timeout.is_zero(), key, "timeouts must be positive")?;
-        }
-        Ok(())
+        )
     }
 }
 

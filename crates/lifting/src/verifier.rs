@@ -30,7 +30,7 @@ use serde::{Deserialize, Serialize};
 use crate::blame::{schedule, Blame, BlameReason};
 use crate::checks::{AckCheck, CheckRing, ConfirmCheck, ConfirmChecks, ServeCheck};
 use crate::collusion::CollusionConfig;
-use crate::config::LiftingConfig;
+use crate::config::{LiftingConfig, ACK_TIMEOUT, CONFIRM_TIMEOUT, SERVE_TIMEOUT};
 use crate::history::NodeHistory;
 use crate::messages::{AckPayload, ConfirmPayload, ConfirmResponsePayload, VerificationMessage};
 
@@ -90,6 +90,16 @@ pub struct ConfirmRetryStats {
     /// silent witnesses stayed silent — indistinguishable from loss or
     /// partition, so no contradiction is inferred).
     pub aborts: u64,
+}
+
+impl std::iter::Sum for ConfirmRetryStats {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(Self::default(), |total, s| ConfirmRetryStats {
+            timeouts: total.timeouts + s.timeouts,
+            resends: total.resends + s.resends,
+            aborts: total.aborts + s.aborts,
+        })
+    }
 }
 
 /// The per-node LiFTinG verification engine.
@@ -299,7 +309,7 @@ impl Verifier {
             return;
         }
         let token = self.serves.push(ServeCheck::new(proposer, requested));
-        let deadline = now + self.config.serve_timeout;
+        let deadline = now + SERVE_TIMEOUT;
         self.start_timer(VerifierTimer::ServeCheck { token }, deadline, out);
     }
 
@@ -397,7 +407,7 @@ impl Verifier {
             receiver: to,
             chunks: chunks.into_boxed_slice(),
         });
-        let deadline = now + self.config.ack_timeout;
+        let deadline = now + ACK_TIMEOUT;
         self.start_timer(VerifierTimer::AckCheck { token }, deadline, out);
     }
 
@@ -435,7 +445,7 @@ impl Verifier {
 
         // Causality: cross-check with the witnesses, with probability pdcc.
         if !ack.partners.is_empty() && rng.gen_bool(self.config.pdcc) {
-            let deadline = now + self.config.confirm_timeout;
+            let deadline = now + CONFIRM_TIMEOUT;
             let check = ConfirmCheck::new(from, ack.partners.clone(), ack.chunks.clone(), deadline);
             let token = self.confirms.ring.push(check);
             let confirm = Arc::new(ConfirmPayload {
@@ -578,15 +588,14 @@ impl Verifier {
         out: &mut Vec<T>,
     ) {
         let retries = self.config.confirm_retries;
-        let timeout = self.config.confirm_timeout;
         let check = self.confirms.ring.get_mut(token).expect("expired above");
         let silent: InlineVec<NodeId, 8> = check.silent().collect();
         if !silent.is_empty() && check.attempt < retries {
             // Retry: re-send the identical confirm to the still-silent
             // witnesses and re-arm the timer with a linear backoff
-            // (attempt i waits confirm_timeout · (i + 1)).
+            // (attempt i waits CONFIRM_TIMEOUT · (i + 1)).
             check.attempt += 1;
-            check.deadline = now + timeout.saturating_mul(u64::from(check.attempt) + 1);
+            check.deadline = now + CONFIRM_TIMEOUT.saturating_mul(u64::from(check.attempt) + 1);
             let deadline = check.deadline;
             let confirm = Arc::new(ConfirmPayload {
                 subject: check.subject,
@@ -890,7 +899,7 @@ mod tests {
                 _ => None,
             })
             .unwrap();
-        let backoff = LiftingConfig::planetlab().confirm_timeout.saturating_mul(2);
+        let backoff = CONFIRM_TIMEOUT.saturating_mul(2);
         assert_eq!(deadline, SimTime::from_secs(2) + backoff);
         // Second expiry: one retry left.
         let out = collect(|out| v.on_timer_into(timer, deadline, 0, out));

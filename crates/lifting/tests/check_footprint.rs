@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use lifting_core::{
     AckPayload, CollusionConfig, ConfirmResponsePayload, LiftingConfig, Verifier, VerifierAction,
-    VerifierTimer,
+    VerifierTimer, ACK_TIMEOUT, CONFIRM_TIMEOUT, SERVE_TIMEOUT,
 };
 use lifting_gossip::ChunkId;
 use lifting_sim::{derive_rng, NodeId, SimDuration, SimTime, StreamId};
@@ -184,12 +184,7 @@ impl Window {
 #[test]
 fn retained_heap_follows_the_checks_armed_within_one_timeout() {
     let mut rng: SmallRng = derive_rng(34, 0);
-    let config = LiftingConfig::planetlab();
-    let timeouts = [
-        config.serve_timeout,
-        config.ack_timeout,
-        config.confirm_timeout,
-    ];
+    let timeouts = [SERVE_TIMEOUT, ACK_TIMEOUT, CONFIRM_TIMEOUT];
     let mut node = Node::new();
     let mut windows: [Window; 3] = Default::default();
     let mut next_chunk = 0u64;

@@ -21,6 +21,7 @@ use lifting_core::blame::schedule;
 use lifting_core::{
     AckPayload, Blame, BlameReason, CollusionConfig, ConfirmPayload, ConfirmResponsePayload,
     ConfirmRetryStats, LiftingConfig, VerificationMessage, Verifier, VerifierAction, VerifierTimer,
+    ACK_TIMEOUT, CONFIRM_TIMEOUT, SERVE_TIMEOUT,
 };
 use lifting_gossip::ChunkId;
 use lifting_sim::{derive_rng, EventQueue, NodeId, SimDuration, SimTime, StreamId};
@@ -149,10 +150,7 @@ impl Naive {
                         chunks: p.chunks.clone(),
                         token,
                     });
-                    let backoff = self
-                        .config
-                        .confirm_timeout
-                        .saturating_mul(u64::from(p.attempt) + 1);
+                    let backoff = CONFIRM_TIMEOUT.saturating_mul(u64::from(p.attempt) + 1);
                     self.retry_stats.timeouts += 1;
                     self.retry_stats.resends += silent.len() as u64;
                     Self::confirms(&silent, &payload, out);
@@ -193,7 +191,7 @@ impl Tables {
                 let token = n.token(0);
                 n.serves
                     .insert(token, (proposer, requested, HashSet::new()));
-                let deadline = now + n.config.serve_timeout;
+                let deadline = now + SERVE_TIMEOUT;
                 Naive::timer(VerifierTimer::ServeCheck { token }, deadline, &mut out);
             }
         }
@@ -220,7 +218,7 @@ impl Tables {
             Tables::Naive(n) => {
                 let token = n.token(1);
                 n.acks.insert(token, (to, chunks));
-                let deadline = now + n.config.ack_timeout;
+                let deadline = now + ACK_TIMEOUT;
                 Naive::timer(VerifierTimer::AckCheck { token }, deadline, &mut out);
             }
         }
@@ -262,7 +260,7 @@ impl Tables {
                         token,
                     });
                     Naive::confirms(&ack.partners, &payload, &mut out);
-                    let deadline = now + n.config.confirm_timeout;
+                    let deadline = now + CONFIRM_TIMEOUT;
                     Naive::timer(VerifierTimer::ConfirmCheck { token }, deadline, &mut out);
                 }
             }
@@ -375,7 +373,7 @@ fn peer(rng: &mut SmallRng) -> NodeId {
 /// Runs one generated traffic case through `tables` and traces it. The
 /// generator draws only from its own stream, and from nothing either
 /// implementation emits, so both runs see the same traffic.
-fn run(mut tables: Tables, case: u64, config: &LiftingConfig) -> Trace {
+fn run(mut tables: Tables, case: u64) -> Trace {
     let mut traffic = derive_rng(case, 1);
     let mut pdcc_rng = derive_rng(case, 2);
     let mut queue: EventQueue<Ev> = EventQueue::new();
@@ -472,10 +470,8 @@ fn run(mut tables: Tables, case: u64, config: &LiftingConfig) -> Trace {
                 };
                 for _ in 0..copies {
                     let (deadline, attempt) = deadlines[&confirm.token];
-                    let next_deadline = deadline
-                        + config
-                            .confirm_timeout
-                            .saturating_mul(u64::from(attempt) + 2);
+                    let next_deadline =
+                        deadline + CONFIRM_TIMEOUT.saturating_mul(u64::from(attempt) + 2);
                     let tick = SimDuration::from_micros(1);
                     let arrival = match traffic.gen_range(0..8) {
                         0 => deadline,
@@ -559,8 +555,8 @@ fn compact_tables_match_the_naive_model() {
             .with_confirm_retries((case / 2 % 3) as u32);
         let compact = Verifier::new(NodeId::new(0), FANOUT, config, CollusionConfig::none())
             .in_session(session);
-        let a = run(Tables::Compact(compact), case, &config);
-        let b = run(Tables::Naive(Naive::new(config, session)), case, &config);
+        let a = run(Tables::Compact(compact), case);
+        let b = run(Tables::Naive(Naive::new(config, session)), case);
         assert_eq!(
             a.events.len(),
             b.events.len(),

@@ -9,13 +9,6 @@ use serde::{Deserialize, Serialize};
 pub enum LatencyModel {
     /// Every message takes exactly this long.
     Constant(SimDuration),
-    /// Latency drawn uniformly in `[min, max]` per message.
-    Uniform {
-        /// Lower bound.
-        min: SimDuration,
-        /// Upper bound (inclusive).
-        max: SimDuration,
-    },
     /// PlanetLab-like model: each node has a deterministic "region offset"
     /// derived from its identifier; the pairwise base latency is the sum of
     /// the two offsets plus a per-message jitter. This produces the broad,
@@ -58,11 +51,6 @@ impl LatencyModel {
     pub fn sample<R: Rng + ?Sized>(&self, from: NodeId, to: NodeId, rng: &mut R) -> SimDuration {
         match self {
             LatencyModel::Constant(d) => *d,
-            LatencyModel::Uniform { min, max } => {
-                let lo = min.as_micros();
-                let hi = max.as_micros().max(lo);
-                SimDuration::from_micros(rng.gen_range(lo..=hi))
-            }
             LatencyModel::PlanetLab {
                 base,
                 spread,
@@ -99,19 +87,6 @@ mod tests {
                 m.sample(NodeId::new(1), NodeId::new(2), &mut rng),
                 SimDuration::from_millis(80)
             );
-        }
-    }
-
-    #[test]
-    fn uniform_stays_in_bounds() {
-        let m = LatencyModel::Uniform {
-            min: SimDuration::from_millis(10),
-            max: SimDuration::from_millis(100),
-        };
-        let mut rng = derive_rng(1, 0);
-        for _ in 0..1000 {
-            let d = m.sample(NodeId::new(3), NodeId::new(4), &mut rng);
-            assert!(d >= SimDuration::from_millis(10) && d <= SimDuration::from_millis(100));
         }
     }
 

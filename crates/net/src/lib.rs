@@ -38,6 +38,6 @@ pub use loss::{BurstState, LossModel};
 pub use network::{DeliveryOutcome, LinkFaults, Network, NetworkConfig};
 pub use provider::{capability_components, CapabilityClassAssigner};
 pub use traffic::{TrafficCategory, TrafficReport, TrafficStats};
-pub use transport::{Transport, TransportPolicy};
+pub use transport::Transport;
 
 pub use lifting_sim::NodeId;

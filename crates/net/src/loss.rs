@@ -8,8 +8,8 @@ use serde::{Deserialize, Serialize};
 /// The paper's analysis (Section 6.2) assumes losses "independently drawn from
 /// a Bernoulli distribution of parameter `pl`"; PlanetLab exhibited an average
 /// loss of 4 % and the Monte-Carlo simulations use 7 %. Real wide-area loss is
-/// *bursty*, though: outages cluster in time. The [`GilbertElliott`]
-/// (`LossModel::GilbertElliott`) variant models that with the classic
+/// *bursty*, though: outages cluster in time. The
+/// [`GilbertElliott`](LossModel::GilbertElliott) variant models that with the classic
 /// two-state Markov chain (a low-loss "good" state and a high-loss "bad"
 /// state), whose per-message state lives in [`BurstState`] on the network
 /// side — the model itself stays a pure, comparable configuration value.

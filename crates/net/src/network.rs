@@ -10,7 +10,6 @@ use crate::bandwidth::{NodeCapability, UplinkState};
 use crate::latency::LatencyModel;
 use crate::loss::{BurstState, LossModel};
 use crate::traffic::{TrafficCategory, TrafficStats};
-use crate::transport::{Transport, TransportPolicy};
 
 /// Deterministic link-fault knobs applied on top of the loss model: latency
 /// spikes (a message occasionally takes a detour) and duplication (a message
@@ -62,16 +61,6 @@ pub struct NetworkConfig {
     /// Link-fault injection knobs (delay spikes, duplication); inert by
     /// default.
     pub faults: LinkFaults,
-    /// Per-message header bytes added to UDP payloads (IP + UDP headers).
-    pub udp_header_bytes: u64,
-    /// Per-message header bytes added to TCP payloads (IP + TCP headers;
-    /// connection setup cost is amortized and ignored, as in the paper).
-    pub tcp_header_bytes: u64,
-    /// Default capability assigned to nodes that are not given one explicitly.
-    pub default_capability: NodeCapability,
-    /// Which transport each traffic category travels over (Section 5.3:
-    /// audits over TCP, everything else over UDP).
-    pub transports: TransportPolicy,
 }
 
 impl Default for NetworkConfig {
@@ -80,10 +69,6 @@ impl Default for NetworkConfig {
             loss: LossModel::None,
             latency: LatencyModel::default(),
             faults: LinkFaults::default(),
-            udp_header_bytes: 28,
-            tcp_header_bytes: 40,
-            default_capability: NodeCapability::unconstrained(),
-            transports: TransportPolicy::paper(),
         }
     }
 }
@@ -166,12 +151,13 @@ pub struct Network {
 }
 
 impl Network {
-    /// Creates a network for `n` nodes with the given configuration and seed.
+    /// Creates a network for `n` nodes with the given configuration and seed;
+    /// every node starts unconstrained (see [`set_capability`](Self::set_capability)).
     pub fn new(n: usize, config: NetworkConfig, rng: SmallRng) -> Self {
         let NetworkConfig { faults, .. } = config;
         faults.validate().expect("invalid link faults");
         Network {
-            capabilities: vec![config.default_capability; n],
+            capabilities: vec![NodeCapability::unconstrained(); n],
             uplinks: vec![UplinkState::new(); n],
             expelled: vec![false; n],
             partitioned: vec![false; n],
@@ -278,9 +264,8 @@ impl Network {
     /// Adjudicates the transmission of a message of `payload_bytes` from
     /// `from` to `to`, returning when (and whether) it arrives.
     ///
-    /// The transport is resolved from the configured [`TransportPolicy`]:
-    /// call sites only name the [`TrafficCategory`], so audits-over-TCP vs
-    /// gossip-over-UDP is configuration rather than a per-call decision.
+    /// The transport is the category's ([`TrafficCategory::transport`]):
+    /// audits over TCP, everything else over UDP.
     /// The message is accounted to `category` whatever the outcome. Expelled
     /// endpoints, UDP loss and the sender's uplink serialization are all
     /// applied here.
@@ -292,12 +277,8 @@ impl Network {
         payload_bytes: u64,
         category: TrafficCategory,
     ) -> DeliveryOutcome {
-        let transport: Transport = self.config.transports.transport_for(category);
-        let header = match transport {
-            Transport::Udp => self.config.udp_header_bytes,
-            Transport::Tcp => self.config.tcp_header_bytes,
-        };
-        let wire_bytes = payload_bytes + header;
+        let transport = category.transport();
+        let wire_bytes = payload_bytes + transport.header_bytes();
         self.stats.record_sent(category, wire_bytes);
 
         if self.expelled[from.index()] || self.expelled[to.index()] {

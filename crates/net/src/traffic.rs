@@ -9,6 +9,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::transport::Transport;
+
 /// Category of a message, used for overhead accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum TrafficCategory {
@@ -36,6 +38,15 @@ impl TrafficCategory {
         TrafficCategory::Audit,
         TrafficCategory::Membership,
     ];
+
+    /// The transport messages of this category travel over (Section 5.3):
+    /// audits over TCP, everything else over UDP.
+    pub fn transport(self) -> Transport {
+        match self {
+            TrafficCategory::Audit => Transport::Tcp,
+            _ => Transport::Udp,
+        }
+    }
 
     /// True if this category is part of LiFTinG (verification overhead) rather
     /// than of the underlying dissemination protocol.

@@ -36,9 +36,10 @@ impl ScoreRecord {
 /// which is an O(n²) memory bill across the population: at 100k nodes that
 /// alone is hundreds of gigabytes. A manager only ever holds a small fixed
 /// fan-in of nodes, so lookups are a binary search over ~25 ids (cheaper
-/// than hashing) and every walk ([`end_period_credited`]
-/// (Self::end_period_credited), [`expulsion_votes_into`]
-/// (Self::expulsion_votes_into), [`iter`](Self::iter)) is a plain ascending
+/// than hashing) and every walk
+/// ([`end_period_credited`](Self::end_period_credited),
+/// [`expulsion_votes_into`](Self::expulsion_votes_into),
+/// [`iter`](Self::iter)) is a plain ascending
 /// scan of the managed records — the same visit order as the dense and
 /// hash-map layouts before it, so outputs are bit-identical.
 #[derive(Debug, Clone, Default)]

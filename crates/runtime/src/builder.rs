@@ -77,13 +77,13 @@ pub fn build_world(config: ScenarioConfig) -> Result<SystemWorld, ComponentError
 
     // Node capabilities: assigned per node by the scenario's capability-class
     // provider.
-    let default_capability = match config.default_upload_bps {
+    let baseline = match config.default_upload_bps {
         Some(bps) => NodeCapability::broadband(bps),
         None => NodeCapability::unconstrained(),
     };
     let mut cap_rng = derive_rng(seed, 2);
     for i in 0..n {
-        let cap = capability.assign(i, config.is_freerider(i), default_capability, &mut cap_rng);
+        let cap = capability.assign(i, config.is_freerider(i), baseline, &mut cap_rng);
         network.set_capability(NodeId::new(i as u32), cap);
     }
 
@@ -170,8 +170,7 @@ pub fn build_world(config: ScenarioConfig) -> Result<SystemWorld, ComponentError
         config.lifting,
         config.gossip.fanout,
         gamma,
-    ))
-    .with_retry(config.audit_retry);
+    ));
 
     // Disturbances: the declared generator's plan, expanded once. Flash-crowd
     // members are held offline from the start (the directory is the single
@@ -203,7 +202,6 @@ pub fn build_world(config: ScenarioConfig) -> Result<SystemWorld, ComponentError
         0
     };
 
-    let hot = crate::hot::HotNodeState::from_stacks(&stacks);
     let traced = !workload.waves.is_empty() || adversary.closed_loop();
     Ok(SystemWorld {
         directory,
@@ -217,7 +215,7 @@ pub fn build_world(config: ScenarioConfig) -> Result<SystemWorld, ComponentError
         blame_values: vec![0.0; n * streams],
         blames_in_flight: Default::default(),
         expelled: vec![false; n],
-        hot,
+        epochs: vec![0; n],
         wave_exec: None,
         workload,
         churn_departures: 0,
@@ -346,7 +344,7 @@ mod tests {
     #[test]
     fn out_of_range_protocol_parameters_are_typed_errors() {
         type Break = fn(&mut ScenarioConfig);
-        let cases: [(&str, &str, Break); 8] = [
+        let cases: [(&str, &str, Break); 7] = [
             ("gossip", "fanout", |c| c.gossip.fanout = 0),
             ("gossip", "gossip_period", |c| {
                 c.gossip.gossip_period = SimDuration::ZERO
@@ -355,9 +353,6 @@ mod tests {
                 c.gossip.clear_stream_threshold = 1.5
             }),
             ("lifting", "pdcc", |c| c.lifting.pdcc = 1.5),
-            ("lifting", "serve_timeout", |c| {
-                c.lifting.serve_timeout = SimDuration::ZERO
-            }),
             ("freerider", "delta1", |c| {
                 c.freeriders.as_mut().unwrap().degree.delta1 = 2.0
             }),

@@ -26,7 +26,7 @@ use lifting_membership::{
     ZapSwitching,
 };
 use lifting_net::provider::{capability_components, CapabilityClassAssigner};
-use lifting_net::{LossModel, TrafficCategory, TransportPolicy};
+use lifting_net::LossModel;
 use lifting_sim::{
     Component, ComponentError, ComponentRegistry, NodeId, ParamKind, ParamMap, ParamSpec,
     ParamValue, ParamsSchema, SeedSplitter, SimDuration,
@@ -268,7 +268,7 @@ fn workload_generators() -> [Row<Generator>; 5] {
                     int(
                         "waves",
                         2,
-                        "number of waves, the k-th at k/(waves+1) of the run",
+                        "number of waves (at most 255), the k-th at k/(waves+1) of the run",
                     ),
                     float("outage_secs", 4.0, "how long each partition lasts, seconds"),
                     float(
@@ -279,8 +279,11 @@ fn workload_generators() -> [Row<Generator>; 5] {
                 ]
             },
             build: |name, params| {
+                // A node's overlapping partitions are counted in a `u8`.
+                let waves =
+                    params.int_where(name, "waves", |x| (1..=255).contains(&x), "not in [1, 255]");
                 Ok(Box::new(PartitionWaves {
-                    waves: params.positive_int(name, "waves")? as usize,
+                    waves: waves? as usize,
                     outage: positive_secs(name, params, "outage_secs")?,
                     fraction: wave_fraction(name, params, "fraction")?,
                 }))
@@ -800,7 +803,7 @@ pub fn resolve_components(config: &ScenarioConfig) -> Result<ResolvedComponents,
 /// The scenario's composition across every component axis, as
 /// `run_scenario --list` prints it: declared specs verbatim, an undeclared
 /// capability, workload or adversary by its default component's name, and
-/// the transport and loss of its `NetworkConfig`.
+/// the loss of its `NetworkConfig`.
 pub fn component_summary(config: &ScenarioConfig) -> Vec<(&'static str, String)> {
     let spec_of = |spec: &ComponentSpec| {
         if spec.params.is_empty() {
@@ -812,16 +815,6 @@ pub fn component_summary(config: &ScenarioConfig) -> Vec<(&'static str, String)>
     let declared = &config.components;
     let or_default = |spec: &Option<ComponentSpec>, default: &str| {
         spec.as_ref().map_or(default.to_string(), spec_of)
-    };
-    let transports = &config.network.transports;
-    let transport = if *transports == TransportPolicy::paper() {
-        "paper".to_string()
-    } else {
-        let per_category: Vec<String> = TrafficCategory::ALL
-            .iter()
-            .map(|&category| format!("{category:?}={:?}", transports.transport_for(category)))
-            .collect();
-        format!("custom{{{}}}", per_category.join(","))
     };
     let loss = match config.network.loss {
         LossModel::None => "none".to_string(),
@@ -841,7 +834,6 @@ pub fn component_summary(config: &ScenarioConfig) -> Vec<(&'static str, String)>
         or_default(&declared.adversary, "baseline")
     };
     vec![
-        ("transport", transport),
         ("loss", loss),
         ("capability", or_default(&declared.capability, "uniform")),
         ("workload", or_default(&declared.workload, "static")),
@@ -937,7 +929,6 @@ mod tests {
         assert_eq!(
             summary,
             vec![
-                "transport=paper",
                 "loss=bernoulli{pl=0.04}",
                 "capability=tiered{fiber=0.2}",
                 "workload=static",
@@ -945,6 +936,6 @@ mod tests {
             ]
         );
         config.freeriders = None;
-        assert_eq!(component_summary(&config)[4].1, "none");
+        assert_eq!(component_summary(&config)[3].1, "none");
     }
 }

@@ -42,12 +42,6 @@ pub trait Adversary: std::fmt::Debug + Send {
     /// Short name for diagnostics.
     fn name(&self) -> &'static str;
 
-    /// Ground truth: whether this node misbehaves (used only by the metrics,
-    /// never by the protocol).
-    fn is_freerider(&self) -> bool {
-        false
-    }
-
     /// Dissemination-plane behaviour on `stream` (fanout decrease, partial
     /// propose, partial serve, period stretching — Section 4.1). Most
     /// adversaries deviate the same way on every channel; stream-selective
@@ -156,10 +150,6 @@ impl Adversary for Freerider {
         "freerider"
     }
 
-    fn is_freerider(&self) -> bool {
-        true
-    }
-
     fn dissemination_plane(&self, _stream: StreamId) -> Behavior {
         Behavior::Freerider(self.degree)
     }
@@ -186,10 +176,6 @@ pub struct Colluder {
 impl Adversary for Colluder {
     fn name(&self) -> &'static str {
         "colluder"
-    }
-
-    fn is_freerider(&self) -> bool {
-        true
     }
 
     fn dissemination_plane(&self, _stream: StreamId) -> Behavior {
@@ -244,10 +230,6 @@ impl Adversary for OnOffFreerider {
         "on-off-freerider"
     }
 
-    fn is_freerider(&self) -> bool {
-        true
-    }
-
     fn dissemination_plane(&self, _stream: StreamId) -> Behavior {
         Behavior::Freerider(self.degree)
     }
@@ -282,10 +264,6 @@ pub struct BlameSpammer {
 impl Adversary for BlameSpammer {
     fn name(&self) -> &'static str {
         "blame-spammer"
-    }
-
-    fn is_freerider(&self) -> bool {
-        true
     }
 
     fn fabricate_blames(
@@ -341,10 +319,6 @@ impl SelectiveFreerider {
 impl Adversary for SelectiveFreerider {
     fn name(&self) -> &'static str {
         "selective-freerider"
-    }
-
-    fn is_freerider(&self) -> bool {
-        true
     }
 
     fn dissemination_plane(&self, stream: StreamId) -> Behavior {
@@ -407,10 +381,6 @@ impl GradientFreerider {
 impl Adversary for GradientFreerider {
     fn name(&self) -> &'static str {
         "gradient-freerider"
-    }
-
-    fn is_freerider(&self) -> bool {
-        true
     }
 
     fn dissemination_plane(&self, _stream: StreamId) -> Behavior {
@@ -481,10 +451,6 @@ impl Whitewasher {
 impl Adversary for Whitewasher {
     fn name(&self) -> &'static str {
         "whitewasher"
-    }
-
-    fn is_freerider(&self) -> bool {
-        true
     }
 
     fn dissemination_plane(&self, _stream: StreamId) -> Behavior {
@@ -580,10 +546,6 @@ impl Adversary for AdaptiveColluder {
         "adaptive-colluder"
     }
 
-    fn is_freerider(&self) -> bool {
-        true
-    }
-
     fn dissemination_plane(&self, _stream: StreamId) -> Behavior {
         Behavior::Freerider(self.degree)
     }
@@ -643,7 +605,6 @@ mod tests {
     #[test]
     fn paper_adversaries_configure_the_planes_like_the_old_wiring() {
         let honest = Honest;
-        assert!(!honest.is_freerider());
         assert_eq!(
             honest.dissemination_plane(StreamId::PRIMARY),
             Behavior::Honest
@@ -653,7 +614,6 @@ mod tests {
         let freerider = Freerider {
             degree: FreeriderConfig::planetlab(),
         };
-        assert!(freerider.is_freerider());
         assert!(freerider
             .dissemination_plane(StreamId::PRIMARY)
             .is_freerider());
@@ -708,7 +668,6 @@ mod tests {
     #[test]
     fn selective_freerider_is_honest_per_channel() {
         let adversary = SelectiveFreerider { silent_mask: 0b10 };
-        assert!(adversary.is_freerider());
         assert_eq!(
             adversary.dissemination_plane(StreamId::new(0)),
             Behavior::Honest
@@ -724,7 +683,6 @@ mod tests {
     #[test]
     fn gradient_freerider_rides_the_threshold() {
         let mut adversary = GradientFreerider::new(FreeriderConfig::uniform(0.4), 2.0, 0.25);
-        assert!(adversary.is_freerider());
         assert!(adversary.wants_score_feedback());
         assert_eq!(adversary.intensity(), 1.0);
         // No score yet: nothing changes.

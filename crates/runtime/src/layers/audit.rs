@@ -13,16 +13,28 @@
 //! [`AuditOutcome::Aborted`] — the silence of a node that left is
 //! indistinguishable from misbehaviour, so the audit times out rather than
 //! wedging the cross-check into a wrongful blame or expulsion.
+//!
+//! Every audit RPC (the history poll, each witness poll) is partition-aware:
+//! a partitioned peer is still listed by the directory, so the request goes
+//! out, times out, and is re-sent `RPC_RETRIES` times `RPC_BACKOFF` apart;
+//! when the retries exhaust, a history poll aborts the audit and a witness
+//! poll counts as a missing witness. Without a partition no RPC times out,
+//! so the path costs nothing and changes nothing.
 
 use lifting_core::{AuditOracle, AuditVerdict, Auditor, Blame, BlameReason, VerificationMessage};
 use lifting_gossip::ChunkId;
 use lifting_membership::Directory;
 use lifting_net::{Network, TrafficCategory};
-use lifting_sim::{NodeId, SimTime, StreamId};
+use lifting_sim::{NodeId, SimDuration, SimTime, StreamId};
 use serde::{Deserialize, Serialize};
 
 use super::NodeStack;
-use crate::scenario::AuditRetryPolicy;
+
+/// Re-sends of an audit RPC whose peer is partitioned, after the first try.
+const RPC_RETRIES: u32 = 2;
+
+/// Deterministic delay between consecutive tries of an audit RPC.
+const RPC_BACKOFF: SimDuration = SimDuration::from_millis(500);
 
 /// What an audit concluded about its target.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -40,9 +52,8 @@ pub enum AuditOutcome {
     Aborted,
 }
 
-/// Counters of the hardened audit-RPC path ([`AuditRetryPolicy`]). All zero
-/// when no retry policy is configured — the paper's partition-oblivious
-/// behaviour.
+/// Counters of the partition-aware audit RPCs. All zero when no node is
+/// ever partitioned.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AuditRpcStats {
     /// Audit RPCs (history polls, witness cross-checks) that timed out
@@ -55,11 +66,31 @@ pub struct AuditRpcStats {
     pub aborted_unreachable: u64,
 }
 
+impl AuditRpcStats {
+    /// Sends an RPC of `bytes` that cannot reach `to`: the first try at
+    /// `now`, then [`RPC_RETRIES`] re-sends [`RPC_BACKOFF`] apart, each
+    /// timing out.
+    fn time_out(
+        &mut self,
+        network: &mut Network,
+        from: NodeId,
+        to: NodeId,
+        bytes: u64,
+        now: SimTime,
+    ) {
+        for attempt in 0..=RPC_RETRIES {
+            let at = now + RPC_BACKOFF.saturating_mul(u64::from(attempt));
+            network.send(at, from, to, bytes, TrafficCategory::Audit);
+            self.rpc_timeouts += 1;
+        }
+        self.rpc_retries += u64::from(RPC_RETRIES);
+    }
+}
+
 /// Runs a-posteriori audits over the node stacks.
 #[derive(Debug)]
 pub struct AuditCoordinator {
     auditor: Auditor,
-    retry: Option<AuditRetryPolicy>,
     stats: AuditRpcStats,
 }
 
@@ -68,18 +99,8 @@ impl AuditCoordinator {
     pub fn new(auditor: Auditor) -> Self {
         AuditCoordinator {
             auditor,
-            retry: None,
             stats: AuditRpcStats::default(),
         }
-    }
-
-    /// Enables (or disables, with `None`) the bounded-retry hardening: every
-    /// audit RPC first checks reachability, re-sends up to
-    /// `policy.attempts` times with deterministic backoff, and degrades the
-    /// audit to [`AuditOutcome::Aborted`] when the peer stays unreachable.
-    pub fn with_retry(mut self, retry: Option<AuditRetryPolicy>) -> Self {
-        self.retry = retry;
-        self
     }
 
     /// The entropy threshold the auditor applies.
@@ -87,8 +108,7 @@ impl AuditCoordinator {
         self.auditor.gamma()
     }
 
-    /// Counters of the hardened RPC path (all zero when the hardening is
-    /// off).
+    /// Counters of the partition-aware RPCs (all zero without partitions).
     pub fn rpc_stats(&self) -> AuditRpcStats {
         self.stats
     }
@@ -112,27 +132,17 @@ impl AuditCoordinator {
         stream: StreamId,
         now: SimTime,
     ) -> AuditOutcome {
-        // Hardened path: the history poll is an explicit RPC with a timeout.
-        // A partitioned target (or auditor) cannot complete the TCP transfer;
-        // the poll is re-sent `attempts` times with deterministic backoff —
-        // the partition cannot heal mid-audit, so the retries model the
-        // timeout traffic — and the audit then degrades to `Aborted` instead
-        // of judging the target on evidence it never received.
-        if let Some(policy) = self.retry {
-            let unreachable = network.is_partitioned(auditor) || network.is_partitioned(target);
-            if unreachable {
-                let request = VerificationMessage::HistoryRequest.wire_size();
-                for attempt in 0..=policy.attempts {
-                    let at = now + policy.backoff.saturating_mul(attempt as u64);
-                    network.send(at, auditor, target, request, TrafficCategory::Audit);
-                    self.stats.rpc_timeouts += 1;
-                    if attempt > 0 {
-                        self.stats.rpc_retries += 1;
-                    }
-                }
-                self.stats.aborted_unreachable += 1;
-                return AuditOutcome::Aborted;
-            }
+        // The history poll is an RPC with a timeout. A partitioned target (or
+        // auditor) cannot complete the TCP transfer; the poll is re-sent with
+        // deterministic backoff — the partition cannot heal mid-audit, so the
+        // retries model the timeout traffic — and the audit then degrades to
+        // `Aborted` instead of judging the target on evidence it never
+        // received.
+        if network.is_partitioned(auditor) || network.is_partitioned(target) {
+            let request = VerificationMessage::HistoryRequest.wire_size();
+            self.stats.time_out(network, auditor, target, request, now);
+            self.stats.aborted_unreachable += 1;
+            return AuditOutcome::Aborted;
         }
         // Account the TCP history transfer. The history is only read, so the
         // transfer is sized and the audit run entirely from a borrow — the
@@ -163,13 +173,9 @@ impl AuditCoordinator {
                 stream,
                 now,
                 missing_witness: false,
-                retry: self.retry,
-                rpc_timeouts: 0,
-                rpc_retries: 0,
+                stats: &mut self.stats,
             };
             let report = self.auditor.audit(history, &mut oracle);
-            self.stats.rpc_timeouts += oracle.rpc_timeouts;
-            self.stats.rpc_retries += oracle.rpc_retries;
             (report, oracle.missing_witness)
         };
 
@@ -192,8 +198,8 @@ impl AuditCoordinator {
 }
 
 /// Audit oracle backed by the live node stacks; every poll is accounted as
-/// audit traffic (TCP under the paper's transport policy). Inactive witnesses
-/// are never contacted: no traffic, no answer, `missing_witness` raised.
+/// audit traffic (TCP). Inactive witnesses are never contacted: no traffic,
+/// no answer, `missing_witness` raised.
 struct StackAuditOracle<'a> {
     stacks: &'a [NodeStack],
     network: &'a mut Network,
@@ -202,45 +208,24 @@ struct StackAuditOracle<'a> {
     stream: StreamId,
     now: SimTime,
     missing_witness: bool,
-    /// Hardened per-RPC timeout policy (`None` = the paper's behaviour).
-    retry: Option<AuditRetryPolicy>,
-    rpc_timeouts: u64,
-    rpc_retries: u64,
+    stats: &'a mut AuditRpcStats,
 }
 
 impl StackAuditOracle<'_> {
-    /// Hardened reachability check for one witness poll of `request_bytes`.
-    /// A partitioned witness is still listed by the directory, so the poll
-    /// goes out — and times out; it is re-sent with deterministic backoff
-    /// until the policy's attempts exhaust. Returns false when the witness
-    /// cannot answer (departed, expelled, or partitioned through every
-    /// retry).
+    /// Reachability check for one witness poll of `request_bytes`. A
+    /// partitioned witness is still listed by the directory, so the poll
+    /// goes out and times out through every retry. Returns false when the
+    /// witness cannot answer (departed, expelled or partitioned).
     fn poll_reaches(&mut self, witness: NodeId, request_bytes: u64) -> bool {
         if !self.directory.is_active(witness) {
-            // Departed or expelled: there is no endpoint to poll at all —
-            // identical in both the legacy and the hardened path.
+            // Departed or expelled: there is no endpoint to poll at all.
             return false;
         }
-        let Some(policy) = self.retry else {
-            return true;
-        };
         if !self.network.is_partitioned(witness) && !self.network.is_partitioned(self.auditor) {
             return true;
         }
-        for attempt in 0..=policy.attempts {
-            let at = self.now + policy.backoff.saturating_mul(attempt as u64);
-            self.network.send(
-                at,
-                self.auditor,
-                witness,
-                request_bytes,
-                TrafficCategory::Audit,
-            );
-            self.rpc_timeouts += 1;
-            if attempt > 0 {
-                self.rpc_retries += 1;
-            }
-        }
+        self.stats
+            .time_out(self.network, self.auditor, witness, request_bytes, self.now);
         false
     }
 }

@@ -68,8 +68,8 @@ use crate::message::Message;
 /// network's RNG consumption — and therefore whole runs — deterministic.
 #[derive(Debug)]
 pub enum Downcall {
-    /// Put a message on the wire (the transport is resolved from the
-    /// network's per-category [`lifting_net::TransportPolicy`]).
+    /// Put a message on the wire (the transport is the message category's,
+    /// [`lifting_net::TrafficCategory::transport`]).
     Send {
         /// Destination node.
         to: NodeId,

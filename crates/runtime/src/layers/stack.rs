@@ -192,8 +192,6 @@ pub struct NodeStack {
     /// The node's private RNG stream (shared by its planes; single-stream
     /// runs therefore consume exactly the draws they always did).
     pub rng: SmallRng,
-    /// Ground truth for the metrics (from the adversary, cached).
-    pub is_freerider: bool,
 }
 
 impl NodeStack {
@@ -216,7 +214,6 @@ impl NodeStack {
         session: u32,
     ) -> Self {
         let fanout = gossip_config.fanout;
-        let is_freerider = adversary.is_freerider();
         let planes = clocks
             .iter()
             .enumerate()
@@ -241,7 +238,6 @@ impl NodeStack {
             reputation: ManagerState::new(),
             adversary,
             rng,
-            is_freerider,
         }
     }
 
@@ -284,14 +280,10 @@ impl NodeStack {
 
     /// Hardened-confirm retry counters summed across every plane.
     pub fn confirm_retry_stats(&self) -> lifting_core::ConfirmRetryStats {
-        let mut total = lifting_core::ConfirmRetryStats::default();
-        for plane in &self.planes {
-            let stats = plane.verifier.confirm_retry_stats();
-            total.timeouts += stats.timeouts;
-            total.resends += stats.resends;
-            total.aborts += stats.aborts;
-        }
-        total
+        self.planes
+            .iter()
+            .map(|p| p.verifier.confirm_retry_stats())
+            .sum()
     }
 
     /// Runs one gossip tick: every subscribed plane runs its propose phase in
@@ -523,7 +515,6 @@ mod tests {
         assert_eq!(s.id(), NodeId::new(4));
         assert_eq!(s.primary().gossip.id(), NodeId::new(4));
         assert_eq!(s.primary().verifier.id(), s.primary().gossip.id());
-        assert!(!s.is_freerider);
         assert_eq!(s.planes.len(), 1);
     }
 
@@ -561,7 +552,6 @@ mod tests {
             &clocks(2),
             0,
         );
-        assert!(s.is_freerider);
         assert!(!s.plane(StreamId::new(0)).gossip.behavior().is_freerider());
         assert!(s.plane(StreamId::new(1)).gossip.behavior().is_freerider());
     }
@@ -574,7 +564,6 @@ mod tests {
                 degree: FreeriderConfig::planetlab(),
             }),
         );
-        assert!(s.is_freerider);
         assert!(s.primary().gossip.behavior().is_freerider());
         // Verification plane stays honest for an independent freerider.
         let collusion: &CollusionConfig = &CollusionConfig::none();

@@ -31,7 +31,6 @@
 
 pub mod builder;
 pub mod components;
-pub(crate) mod hot;
 pub mod inflight;
 pub mod layers;
 pub mod message;
@@ -64,7 +63,6 @@ pub use runner::{
     run_scenario_with_snapshots, run_scenarios_parallel,
 };
 pub use scenario::{
-    AuditRetryPolicy, ComponentSpec, ComponentsSpec, FreeriderScenario, OnlineRecalibration,
-    ScenarioConfig, StreamAudience, StreamSpec,
+    ComponentSpec, ComponentsSpec, FreeriderScenario, ScenarioConfig, StreamAudience, StreamSpec,
 };
 pub use world::SystemWorld;

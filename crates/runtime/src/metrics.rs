@@ -277,8 +277,8 @@ pub struct RunOutcome {
     /// Hardened-confirm retry counters summed over every node and stream
     /// plane (all zero when `confirm_retries = 0`).
     pub confirm_retry: lifting_core::ConfirmRetryStats,
-    /// Hardened audit-RPC counters (all zero without an
-    /// [`crate::AuditRetryPolicy`]).
+    /// Partition-aware audit-RPC counters (all zero when no node is ever
+    /// partitioned).
     pub audit_rpc: crate::layers::AuditRpcStats,
     /// Per-period recovery traces and reconvergence times; `None` unless the
     /// scenario exercises the resilience plane.

@@ -10,6 +10,7 @@ use lifting_reputation::ManagerState;
 use lifting_sim::{NodeId, SimDuration, SimTime, StreamId};
 
 use crate::inflight::{land, BlamesInFlight};
+use crate::layers::NodeStack;
 use crate::metrics::{
     layer_breakdown, ChurnStats, NodeOutcome, RunOutcome, ScoreSnapshot, StreamOutcome,
 };
@@ -60,7 +61,7 @@ impl SystemWorld {
                     .collect();
                 NodeOutcome {
                     node: id,
-                    is_freerider: self.hot.freerider[i],
+                    is_freerider: self.config.is_freerider(i),
                     score: lifting_reputation::aggregate_min(&replies),
                     expelled: self.expelled[i],
                 }
@@ -120,7 +121,7 @@ impl SystemWorld {
     /// simulated system. A shared `Arc` list is split over the holders the
     /// walk visits (`lifting_gossip::chunk::shared_list_heap_bytes`).
     pub fn memory_breakdown(&self) -> Vec<(&'static str, u64)> {
-        use crate::layers::{NodeStack, StreamPlane};
+        use crate::layers::StreamPlane;
         use std::mem::size_of;
         let (mut chunks, mut offers, mut history, mut books) = (0, 0, 0, 0);
         let mut checks = [0; 3];
@@ -138,7 +139,7 @@ impl SystemWorld {
             books += stack.reputation.estimated_heap_bytes();
             inline += stack.planes.capacity() * size_of::<StreamPlane>();
         }
-        let columns = self.hot.estimated_heap_bytes()
+        let columns = self.epochs.capacity() * size_of::<u32>()
             + self.period.voter_heap_bytes()
             + self.blame_counts.capacity() * size_of::<u64>()
             + self.blame_values.capacity() * size_of::<f64>()
@@ -207,7 +208,7 @@ impl SystemWorld {
                     .map(|i| self.blame_value_against(NodeId::new(i as u32), stream))
                     .sum();
                 let freerider_blame_value = (0..self.config.nodes)
-                    .filter(|i| self.hot.freerider[*i])
+                    .filter(|i| self.config.is_freerider(*i))
                     .map(|i| self.blame_value_against(NodeId::new(i as u32), stream))
                     .sum();
                 StreamOutcome {
@@ -257,14 +258,7 @@ impl SystemWorld {
     /// Confirm-RPC hardening counters summed over every node's planes (all
     /// zero when `confirm_retries` is 0 — the paper's semantics).
     pub fn confirm_retry_totals(&self) -> lifting_core::ConfirmRetryStats {
-        let mut total = lifting_core::ConfirmRetryStats::default();
-        for stack in &self.stacks {
-            let stats = stack.confirm_retry_stats();
-            total.timeouts += stats.timeouts;
-            total.resends += stats.resends;
-            total.aborts += stats.aborts;
-        }
-        total
+        self.stacks.iter().map(NodeStack::confirm_retry_stats).sum()
     }
 
     /// The per-period score compensation a fully subscribed node collects

@@ -7,12 +7,37 @@
 //! [`crate::SystemWorld`] runs its steps in order and applies the effects.
 
 use lifting_analysis::robust_outlier_threshold;
+use lifting_core::EXPULSION_QUORUM;
 use lifting_membership::Directory;
 use lifting_reputation::ManagerState;
 use lifting_sim::{NodeId, StreamId};
 
 use crate::metrics::{RecoveryReport, ScoreSnapshot, WaveKind, WaveRecovery};
-use crate::scenario::{OnlineRecalibration, ScenarioConfig};
+use crate::scenario::ScenarioConfig;
+
+// The online recalibration of η (`ScenarioConfig::online_recalibration`),
+// the closed-loop defence. The paper calibrates η = −9.75 offline against a
+// known honest score distribution; a closed-loop adversary parks its score
+// just above it. No ground truth splits honest from freerider scores, so the
+// rule must be robust to contamination: drop the worst `RECAL_TRIM` of the
+// live scores (where adversaries congregate), estimate the honest bulk's
+// location and spread by the median and MAD of the rest, and place the
+// threshold `RECAL_NMADS` (normal-consistent) MADs below that median. An EWMA
+// smooths period-to-period jitter, and the applied threshold is
+// `max(η, η_online)`: the defence only ever tightens the static calibration.
+//
+// An outlier rule, not a quantile: a quantile of the kept sample sits at the
+// trim boundary by construction and expels a fixed fraction of the
+// population every period regardless of how the scores actually cluster.
+
+/// Fraction of the worst live scores trimmed before estimating the bulk
+/// (covers the paper's ≤ 25 % adversary fractions).
+const RECAL_TRIM: f64 = 0.3;
+/// MADs below the bulk median the recalibrated threshold sits: an honest
+/// score needs a large excursion below the bulk to be flagged.
+const RECAL_NMADS: f64 = 4.0;
+/// EWMA weight of each period's raw threshold (1 = no smoothing).
+const RECAL_SMOOTHING: f64 = 0.3;
 
 /// The period-end state of a run.
 pub(crate) struct PeriodPlane {
@@ -22,9 +47,11 @@ pub(crate) struct PeriodPlane {
     eta_static: f64,
     /// EWMA state of the online recalibration; η until it first moves.
     eta_smoothed: f64,
-    online: Option<OnlineRecalibration>,
+    /// Whether the online recalibration runs.
+    online: bool,
     min_periods: u64,
-    /// Distinct voters needed to expel: `ceil(q·M)`, at least one.
+    /// Distinct voters needed to expel: `ceil(q·M)` with `q` =
+    /// [`EXPULSION_QUORUM`], at least one.
     quorum: usize,
     /// Per target: the distinct managers that voted to expel it. A set, not a
     /// counter: a manager rebuilt after a rejoin starts from a blank book and
@@ -47,12 +74,10 @@ impl PeriodPlane {
             eta_smoothed: lifting.eta,
             online,
             min_periods: lifting.min_periods_before_expulsion,
-            quorum: (lifting.expulsion_quorum * lifting.managers as f64)
-                .ceil()
-                .max(1.0) as usize,
+            quorum: (EXPULSION_QUORUM * lifting.managers as f64).ceil().max(1.0) as usize,
             voters: vec![Vec::new(); config.nodes],
             scratch_votes: Vec::new(),
-            recovery: (traced || online.is_some()).then(RecoveryReport::default),
+            recovery: (traced || online).then(RecoveryReport::default),
         }
     }
 
@@ -111,22 +136,22 @@ impl PeriodPlane {
 
     /// The online defence, once votes may be cast: trims the suspected
     /// freerider tail of the live scores and moves the threshold (EWMA)
-    /// toward `nmads` MADs below the bulk's median. A coalition sitting just
-    /// above η is trimmed and cannot drag the cut down; the bulk's own
-    /// spread, not a fixed quantile, sets how far below it the cut sits.
+    /// toward [`RECAL_NMADS`] MADs below the bulk's median. A coalition
+    /// sitting just above η is trimmed and cannot drag the cut down; the
+    /// bulk's own spread, not a fixed quantile, sets how far below it the cut
+    /// sits.
     pub(crate) fn recalibrate(&mut self, snap: &ScoreSnapshot, directory: &Directory) {
-        let Some(online) = self.online.filter(|_| self.completed >= self.min_periods) else {
+        if !self.online || self.completed < self.min_periods {
             return;
-        };
+        }
         let live: Vec<f64> = snap
             .outcomes
             .iter()
             .filter(|o| !o.expelled && directory.is_active(o.node))
             .filter_map(|o| o.score)
             .collect();
-        if let Some(raw) = robust_outlier_threshold(&live, online.trim, online.nmads) {
-            self.eta_smoothed =
-                online.smoothing * raw + (1.0 - online.smoothing) * self.eta_smoothed;
+        if let Some(raw) = robust_outlier_threshold(&live, RECAL_TRIM, RECAL_NMADS) {
+            self.eta_smoothed = RECAL_SMOOTHING * raw + (1.0 - RECAL_SMOOTHING) * self.eta_smoothed;
         }
     }
 
@@ -227,7 +252,7 @@ mod tests {
     const T: NodeId = NodeId::new(5);
 
     /// `M = 4`, `q = 0.5`: two distinct voters expel.
-    fn plane(min_periods: u64, online: Option<OnlineRecalibration>) -> PeriodPlane {
+    fn plane(min_periods: u64, online: bool) -> PeriodPlane {
         let mut config = ScenarioConfig::planetlab_baseline(1);
         (config.nodes, config.online_recalibration) = (N, online);
         config.lifting.managers = 4;
@@ -276,7 +301,7 @@ mod tests {
         let (mut dir, mut expelled, mut books) = (Directory::new(N), [false; N], books(true));
         books[1].register(NodeId::new(6));
         books[1].register(NodeId::new(7));
-        let mut p = plane(1, None);
+        let mut p = plane(1, false);
         p.age(ids(&mut books), &dir, &expelled, &[2.0], |_| true);
         for n in [2, 6, 7] {
             dir.deactivate(NodeId::new(n)); // manager 2 and node 7 depart, node 6 is expelled
@@ -296,7 +321,7 @@ mod tests {
 
     #[test]
     fn a_rebuilt_managers_repeated_vote_counts_once() {
-        let (mut p, mut books) = (plane(1, None), books(false));
+        let (mut p, mut books) = (plane(1, false), books(false));
         assert!(end(&mut p, &mut books).is_empty());
         books[1] = ManagerState::new(); // a rejoin rebuilds the book blank
         books[1].apply_blame(T, 100.0);
@@ -306,7 +331,7 @@ mod tests {
 
     #[test]
     fn two_of_four_managers_expel_and_one_does_not() {
-        let (mut p, mut books) = (plane(1, None), books(false));
+        let (mut p, mut books) = (plane(1, false), books(false));
         assert_eq!(p.quorum, 2);
         assert!(end(&mut p, &mut books).is_empty(), "one voter");
         books[2].apply_blame(T, 100.0);
@@ -321,7 +346,7 @@ mod tests {
 
     #[test]
     fn no_vote_before_min_periods() {
-        let (mut p, mut books) = (plane(3, None), books(true));
+        let (mut p, mut books) = (plane(3, false), books(true));
         for _ in 0..2 {
             assert!(end(&mut p, &mut books).is_empty());
             assert!(p.voters[5].is_empty());
@@ -331,10 +356,7 @@ mod tests {
 
     #[test]
     fn the_recalibrated_threshold_never_drops_below_the_static_eta() {
-        let (dir, mut p) = (
-            Directory::new(N),
-            plane(2, Some(OnlineRecalibration::planetlab())),
-        );
+        let (dir, mut p) = (Directory::new(N), plane(2, true));
         let eta = p.eta_static;
         let high = snap(&[0.0, 1.0, -1.0, 2.0, -2.0], 0); // a tight bulk near 0
         p.advance();

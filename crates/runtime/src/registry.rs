@@ -13,10 +13,7 @@ use lifting_gossip::FreeriderConfig;
 use lifting_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
-use crate::scenario::{
-    AuditRetryPolicy, ComponentSpec, OnlineRecalibration, ScenarioConfig, StreamAudience,
-    StreamSpec,
-};
+use crate::scenario::{ComponentSpec, ScenarioConfig, StreamAudience, StreamSpec};
 use lifting_sim::ParamValue;
 
 /// The family prefix of a scenario name: the part before the first `/`
@@ -552,11 +549,11 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
     );
     registry.register(
         "resilience/gradient-freerider-online",
-        "The same gradient freeriders against the online η recalibration (trimmed live-score quantile, EWMA-smoothed)",
+        "The same gradient freeriders against the online η recalibration (median/MAD outlier cut of the trimmed live scores, EWMA-smoothed)",
         move |scale: Scale, seed: u64| {
             let mut config = planetlab_family(40, 20, 0.15)(scale, seed);
             config.components.adversary = Some(gradient_freerider());
-            config.online_recalibration = Some(OnlineRecalibration::planetlab());
+            config.online_recalibration = true;
             config
         },
     );
@@ -580,7 +577,6 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
             let mut config = planetlab_family(40, 20, 0.1)(scale, seed);
             config.audits_enabled = true;
             config.audit_interval = SimDuration::from_secs(4);
-            config.audit_retry = Some(AuditRetryPolicy::default_policy());
             config.lifting = config.lifting.with_confirm_retries(2);
             config.components.workload = Some(
                 ComponentSpec::new("partition-waves")

@@ -38,8 +38,8 @@ impl ComponentSpec {
 /// The declarative component composition of a scenario: which registered
 /// component provides each axis of the system. One axis, one encoding: the
 /// capability, workload and adversary axes are configured *only* here (unset
-/// means `uniform`, an undisturbed run and `baseline`), just as transport and
-/// loss are configured only in [`ScenarioConfig::network`].
+/// means `uniform`, an undisturbed run and `baseline`), just as loss is
+/// configured only in [`ScenarioConfig::network`].
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct ComponentsSpec {
     /// Per-node capability class assignment (see
@@ -55,115 +55,6 @@ pub struct ComponentsSpec {
     /// [`crate::components::adversary_components`]); unset = `baseline`, the
     /// paper's independent freeriders (its parameters make them collude).
     pub adversary: Option<ComponentSpec>,
-}
-
-/// Bounded retry for the audit RPCs (history polls and witness
-/// cross-checks) — the resilience hardening of the a-posteriori plane.
-///
-/// `None` in [`ScenarioConfig::audit_retry`] keeps the paper's behaviour:
-/// audits assume the auditor can always reach its target and witnesses.
-/// With a policy set, every audit RPC first checks reachability (departed,
-/// expelled or *partitioned* peers cannot answer), re-issues the request up
-/// to `attempts` times with a deterministic `backoff` between tries, and —
-/// when the retries exhaust — degrades the audit to
-/// [`crate::layers::AuditOutcome::Aborted`] instead of manufacturing a
-/// verdict from missing evidence.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AuditRetryPolicy {
-    /// Maximum number of re-sends per unanswered RPC (≥ 1).
-    pub attempts: u32,
-    /// Deterministic delay between consecutive attempts.
-    pub backoff: SimDuration,
-}
-
-impl AuditRetryPolicy {
-    /// A conservative default: two retries, half a second apart.
-    pub fn default_policy() -> Self {
-        AuditRetryPolicy {
-            attempts: 2,
-            backoff: SimDuration::from_millis(500),
-        }
-    }
-
-    /// Validates the policy: at least one attempt, a positive backoff.
-    pub fn validate(&self) -> Result<(), ComponentError> {
-        require(
-            self.attempts >= 1,
-            "audit_retry.attempts",
-            "audit retry needs at least one attempt",
-        )?;
-        require(
-            !self.backoff.is_zero(),
-            "audit_retry.backoff",
-            "audit retry backoff must be positive",
-        )
-    }
-}
-
-/// Online recalibration of the detection threshold `η` — the closed-loop
-/// *defence* of the resilience plane.
-///
-/// The paper calibrates `η = −9.75` offline, for a false-positive budget
-/// `β < 1 %`, against a known honest score distribution. A closed-loop
-/// adversary (e.g. the `gradient-freerider` component) exploits
-/// exactly that: it parks its score just above the static threshold. With
-/// recalibration enabled the managers re-derive the threshold each period
-/// from the *live* score stream — no ground truth splits honest from
-/// freerider scores, so the rule must be robust to contamination: drop the
-/// worst `trim` fraction (where adversaries congregate), estimate the
-/// honest bulk's location and spread by the median and MAD of the
-/// remainder, and place the threshold `nmads` (normal-consistent) MADs
-/// below that median. An exponential moving average smooths
-/// period-to-period jitter, and the effective threshold is
-/// `max(η_static, η_online)` — the defence only ever *tightens* the static
-/// calibration.
-///
-/// An outlier rule, not a quantile: a quantile of the kept sample sits at
-/// the trim boundary by construction and expels a fixed fraction of the
-/// population every period regardless of how the scores actually cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct OnlineRecalibration {
-    /// Fraction of the worst scores discarded before estimating the bulk.
-    pub trim: f64,
-    /// How many (normal-consistent) MADs below the bulk median the
-    /// recalibrated threshold sits. Smaller is more aggressive.
-    pub nmads: f64,
-    /// EMA smoothing factor in `(0, 1]` (1 = no smoothing).
-    pub smoothing: f64,
-}
-
-impl OnlineRecalibration {
-    /// Defaults matched to the PlanetLab deployment: 30 % trim (covers the
-    /// paper's ≤ 25 % adversary fractions), a 4-MAD outlier cut
-    /// (conservative enough that an honest score needs a large excursion
-    /// below the bulk to be flagged), moderate smoothing.
-    pub fn planetlab() -> Self {
-        OnlineRecalibration {
-            trim: 0.3,
-            nmads: 4.0,
-            smoothing: 0.3,
-        }
-    }
-
-    /// Validates the parameters: `trim` in `[0, 0.5]`, a positive `nmads`,
-    /// `smoothing` in `(0, 1]`.
-    pub fn validate(&self) -> Result<(), ComponentError> {
-        require(
-            (0.0..=0.5).contains(&self.trim),
-            "online_recalibration.trim",
-            format!("{} is not in [0, 0.5]", self.trim),
-        )?;
-        require(
-            self.nmads > 0.0,
-            "online_recalibration.nmads",
-            format!("{} is not positive", self.nmads),
-        )?;
-        require(
-            self.smoothing > 0.0 && self.smoothing <= 1.0,
-            "online_recalibration.smoothing",
-            format!("{} is not in (0, 1]", self.smoothing),
-        )
-    }
 }
 
 /// Which nodes subscribe to a stream.
@@ -282,12 +173,11 @@ pub struct ScenarioConfig {
     pub streams: Vec<StreamSpec>,
     /// Freerider population, if any.
     pub freeriders: Option<FreeriderScenario>,
-    /// Bounded retry + timeout policy for audit RPCs; `None` keeps the
-    /// paper's partition-oblivious audits.
-    pub audit_retry: Option<AuditRetryPolicy>,
-    /// Online recalibration of the detection threshold from the live score
-    /// stream; `None` keeps the static `η` of [`LiftingConfig::eta`].
-    pub online_recalibration: Option<OnlineRecalibration>,
+    /// Whether the managers recalibrate the detection threshold each period
+    /// from the live score stream (the closed-loop defence: a median/MAD
+    /// outlier cut of the trimmed live scores); `false` keeps the static `η` of
+    /// [`LiftingConfig::eta`].
+    pub online_recalibration: bool,
     /// Uplink of a well-provisioned node, bits per second (`None` =
     /// unconstrained) — the default attachment every capability assigner
     /// receives.
@@ -316,8 +206,7 @@ impl ScenarioConfig {
             network: NetworkConfig::planetlab(0.04),
             streams: vec![StreamSpec::new(674_000, 4_096)],
             freeriders: None,
-            audit_retry: None,
-            online_recalibration: None,
+            online_recalibration: false,
             default_upload_bps: Some(5_000_000),
             // The paper attributes most false positives to poorly connected
             // honest nodes: 10 % of them get a low uplink and extra loss.
@@ -365,8 +254,7 @@ impl ScenarioConfig {
             network: NetworkConfig::ideal(),
             streams: vec![StreamSpec::new(200_000, 2_500)],
             freeriders: None,
-            audit_retry: None,
-            online_recalibration: None,
+            online_recalibration: false,
             default_upload_bps: None,
             components: ComponentsSpec::default(),
             duration: SimDuration::from_secs(15),
@@ -411,8 +299,7 @@ impl ScenarioConfig {
     /// gossip, LiFTinG, link-fault and freerider-degree parameters, fewer
     /// managers and freeriders than nodes, one to 64 non-empty streams with
     /// two subscribers each and the primary on air from the start, a
-    /// positive duration and audit interval, a non-zero default uplink, and
-    /// well-formed resilience policies.
+    /// positive duration and audit interval, and a non-zero default uplink.
     pub fn validate(&self) -> Result<(), ComponentError> {
         let (nodes, managers, streams) = (self.nodes, self.lifting.managers, self.stream_count());
         require(
@@ -476,12 +363,6 @@ impl ScenarioConfig {
             "default_upload_bps",
             "a zero uplink can send nothing",
         )?;
-        if let Some(retry) = &self.audit_retry {
-            retry.validate()?;
-        }
-        if let Some(online) = &self.online_recalibration {
-            online.validate()?;
-        }
         if let Some(f) = &self.freeriders {
             f.degree.validate()?;
         }
@@ -560,7 +441,7 @@ mod tests {
     #[test]
     fn malformed_scenarios_are_errors_not_panics() {
         type Edit = fn(&mut ScenarioConfig);
-        let cases: [(&str, Edit); 7] = [
+        let cases: [(&str, Edit); 6] = [
             ("nodes", |s| s.nodes = 2),
             ("lifting.managers", |s| s.lifting.managers = s.nodes),
             ("freeriders", |s| {
@@ -574,12 +455,6 @@ mod tests {
                 s.streams[0] = s.streams[0].starting_after(SimDuration::from_secs(1))
             }),
             ("duration", |s| s.duration = SimDuration::ZERO),
-            ("audit_retry.attempts", |s| {
-                s.audit_retry = Some(AuditRetryPolicy {
-                    attempts: 0,
-                    ..AuditRetryPolicy::default_policy()
-                })
-            }),
         ];
         for (key, edit) in cases {
             let mut s = ScenarioConfig::small_test(10, 0);

@@ -10,14 +10,14 @@
 //! receiver's confirm check at once, keyed the same way.
 //!
 //! All node-local protocol logic lives in [`crate::layers`]; the world only
-//! routes events into the right [`NodeStack`] ([`handle_local`], the one
+//! routes events into the right [`NodeStack`] (`handle_local`, the one
 //! place the three node-local events are gated and handled), commits the
-//! [`Downcall`]s the stacks emit ([`SystemWorld::commit`], the one place they
+//! [`Downcall`]s the stacks emit (`SystemWorld::commit`, the one place they
 //! reach the network and the scheduler), coordinates cross-node concerns
 //! (audits, membership transitions, expulsions) and reads out the metrics.
-//! The shard-parallel executor in [`crate::wave`] calls the same two
+//! The shard-parallel executor in `wave.rs` calls the same two
 //! functions. A period end runs the steps of the period plane
-//! ([`crate::period`]) and applies their effects.
+//! (`period.rs`) and applies their effects.
 //!
 //! **Membership invariant**: the [`Directory`] is the single source of truth
 //! for who participates. Every selection site — gossip partners, audit
@@ -41,7 +41,6 @@ use lifting_core::VerificationMessage;
 
 use crate::builder;
 use crate::components::AdversarySpawner;
-use crate::hot::HotNodeState;
 use crate::inflight::{land, BlamesInFlight, InFlightBlame};
 use crate::layers::{AuditCoordinator, AuditOutcome, Downcall, FeedbackAction, NodeStack};
 use crate::message::{Event, Message, CHURN_EPOCH_ANY};
@@ -76,9 +75,11 @@ pub struct SystemWorld {
     /// Delivered blame copies that have not reached their manager yet.
     pub(crate) blames_in_flight: BlamesInFlight,
     pub(crate) expelled: Vec<bool>,
-    /// Dense hot columns (session epochs, freerider flags) — the
-    /// struct-of-arrays fields every event gate reads (see [`crate::hot`]).
-    pub(crate) hot: HotNodeState,
+    /// Per node: the session epoch, bumped when churn rebuilds the node's
+    /// stack, so events scheduled for an earlier session are dropped (see
+    /// [`Event`]). A dense column, not a stack field: every event gate reads
+    /// it, and the wave executor shares it across shard threads.
+    pub(crate) epochs: Vec<u32>,
     /// Sharded-execution state; `None` runs the classic sequential dispatch
     /// (see [`crate::wave`] and [`SystemWorld::set_shard_count`]).
     pub(crate) wave_exec: Option<WaveExec>,
@@ -188,7 +189,7 @@ impl SystemWorld {
     pub(crate) fn split_local(&mut self) -> (LocalView<'_>, &mut [NodeStack]) {
         let view = LocalView {
             directory: &self.directory,
-            epochs: &self.hot.epochs,
+            epochs: &self.epochs,
             lifting_on: self.config.lifting_enabled,
         };
         (view, &mut self.stacks)
@@ -270,7 +271,7 @@ impl SystemWorld {
                 timer,
                 deadline,
             } => {
-                let epoch = self.hot.epoch(node);
+                let epoch = self.epochs[node.index()];
                 ctx.schedule_at(
                     deadline,
                     Event::Timer {
@@ -283,7 +284,7 @@ impl SystemWorld {
             }
             Downcall::Blame(blame) => self.route_blame(node, blame, now, ctx),
             Downcall::NextGossipTick => {
-                let epoch = self.hot.epoch(node);
+                let epoch = self.epochs[node.index()];
                 ctx.schedule_after(
                     self.config.gossip.gossip_period,
                     Event::GossipTick { node, epoch },
@@ -366,7 +367,7 @@ impl SystemWorld {
     /// below) and a new session RNG stream.
     fn rebuild_stack(&mut self, node: NodeId) {
         let i = node.index();
-        let session = self.hot.epochs[i] as u64;
+        let session = self.epochs[i] as u64;
         // A distinct, collision-free stream per (node, session): sessions ≥ 1
         // land past the builder's `1000 + i` block.
         let rng = derive_rng(self.config.seed, 1_000_000 + i as u64 + session * 1_000_003);
@@ -379,7 +380,7 @@ impl SystemWorld {
             self.adversary.spawn(&self.config, i, &self.coalition),
             rng,
             &clocks,
-            self.hot.epochs[i],
+            self.epochs[i],
         );
         // A crash loses the manager book; re-register this manager's charges
         // (their records restart — the other replicas of the min-vote still
@@ -391,7 +392,6 @@ impl SystemWorld {
             }
         }
         self.stacks[i] = stack;
-        self.hot.refresh(node, &self.stacks[i]);
     }
 
     /// Executes one membership transition: a departure or a (re)join of the
@@ -407,7 +407,7 @@ impl SystemWorld {
         if node == NodeId::new(0) {
             return; // the broadcast source never churns
         }
-        if !up && epoch != CHURN_EPOCH_ANY && epoch != self.hot.epoch(node) {
+        if !up && epoch != CHURN_EPOCH_ANY && epoch != self.epochs[node.index()] {
             // A session-end departure from a previous session: a wave already
             // took this node down and a rejoin opened a new session in the
             // meantime. Firing it would fork a second departure/rejoin chain.
@@ -419,11 +419,11 @@ impl SystemWorld {
             }
             self.directory.activate(node);
             self.network.set_cut_off(node, false);
-            self.hot.epochs[node.index()] += 1;
+            self.epochs[node.index()] += 1;
             self.rebuild_stack(node);
             self.churn_rejoins += 1;
             self.churn_sessions += 1;
-            let epoch = self.hot.epoch(node);
+            let epoch = self.epochs[node.index()];
             ctx.schedule_at(now, Event::GossipTick { node, epoch });
             if self.config.audits_enabled {
                 ctx.schedule_after(
@@ -576,7 +576,7 @@ impl SystemWorld {
         now: SimTime,
         ctx: &mut Context<Event>,
     ) {
-        if epoch != self.hot.epoch(auditor)
+        if epoch != self.epochs[auditor.index()]
             || !self.config.audits_enabled
             || !self.directory.is_active(auditor)
         {
@@ -622,9 +622,10 @@ impl SystemWorld {
             // re-aims its cover-traffic bias elsewhere for a cooldown.
             if self.adversary.closed_loop() {
                 let period = self.period.completed();
-                let freerider = &self.hot.freerider;
                 for (i, stack) in self.stacks.iter_mut().enumerate() {
-                    if freerider[i] && self.directory.is_active(NodeId::new(i as u32)) {
+                    if self.config.is_freerider(i)
+                        && self.directory.is_active(NodeId::new(i as u32))
+                    {
                         stack.adversary.on_audit_observed(target, period);
                     }
                 }

@@ -157,6 +157,7 @@ fn out_of_range_param_is_rejected_with_the_offending_key() {
             churn().with("flash_crowd_fraction", f(0.95)),
         ),
         ("waves", partitions().with("waves", ParamValue::Int(0))),
+        ("waves", partitions().with("waves", ParamValue::Int(256))),
         ("fraction", partitions().with("fraction", f(0.95))),
     ];
     for (key, spec) in cases {

@@ -11,9 +11,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use lifting_runtime::builder::build_world;
-use lifting_runtime::{
-    AuditRetryPolicy, OnlineRecalibration, Scale, ScenarioConfig, ScenarioRegistry,
-};
+use lifting_runtime::{Scale, ScenarioConfig, ScenarioRegistry};
 use lifting_sim::{ComponentError, SimDuration};
 use proptest::prelude::*;
 
@@ -60,7 +58,7 @@ fn count(u: f64) -> usize {
 
 /// `(component, key, break)`: every out-of-range field and the error that
 /// must name it.
-const CASES: [(&str, &str, Break); 37] = [
+const CASES: [(&str, &str, Break); 26] = [
     // ScenarioConfig
     ("scenario", "nodes", |c, u| c.nodes = (u * 3.0) as usize),
     ("scenario", "lifting.managers", |c, u| {
@@ -83,36 +81,6 @@ const CASES: [(&str, &str, Break); 37] = [
     ("scenario", "default_upload_bps", |c, _| {
         c.default_upload_bps = Some(0)
     }),
-    ("scenario", "audit_retry.attempts", |c, _| {
-        c.audit_retry = Some(AuditRetryPolicy {
-            attempts: 0,
-            ..AuditRetryPolicy::default_policy()
-        })
-    }),
-    ("scenario", "audit_retry.backoff", |c, _| {
-        c.audit_retry = Some(AuditRetryPolicy {
-            backoff: SimDuration::ZERO,
-            ..AuditRetryPolicy::default_policy()
-        })
-    }),
-    ("scenario", "online_recalibration.trim", |c, u| {
-        c.online_recalibration = Some(OnlineRecalibration {
-            trim: outside(0.0, 0.5, u),
-            ..OnlineRecalibration::planetlab()
-        })
-    }),
-    ("scenario", "online_recalibration.nmads", |c, u| {
-        c.online_recalibration = Some(OnlineRecalibration {
-            nmads: not_positive(u),
-            ..OnlineRecalibration::planetlab()
-        })
-    }),
-    ("scenario", "online_recalibration.smoothing", |c, u| {
-        c.online_recalibration = Some(OnlineRecalibration {
-            smoothing: outside_unit_open_below(u),
-            ..OnlineRecalibration::planetlab()
-        })
-    }),
     // GossipConfig
     ("gossip", "fanout", |c, _| c.gossip.fanout = 0),
     ("gossip", "gossip_period", |c, _| {
@@ -125,23 +93,11 @@ const CASES: [(&str, &str, Break); 37] = [
     ("lifting", "pdcc", |c, u| {
         c.lifting.pdcc = outside(0.0, 1.0, u)
     }),
-    ("lifting", "expulsion_quorum", |c, u| {
-        c.lifting.expulsion_quorum = outside(0.0, 1.0, u)
-    }),
     ("lifting", "managers", |c, _| c.lifting.managers = 0),
     ("lifting", "eta", |c, u| c.lifting.eta = -not_positive(u)),
     ("lifting", "gamma", |c, u| c.lifting.gamma = not_positive(u)),
     ("lifting", "history_periods", |c, _| {
         c.lifting.history_periods = 0
-    }),
-    ("lifting", "serve_timeout", |c, _| {
-        c.lifting.serve_timeout = SimDuration::ZERO
-    }),
-    ("lifting", "ack_timeout", |c, _| {
-        c.lifting.ack_timeout = SimDuration::ZERO
-    }),
-    ("lifting", "confirm_timeout", |c, _| {
-        c.lifting.confirm_timeout = SimDuration::ZERO
     }),
     // FreeriderConfig
     ("freerider", "delta1", |c, u| {
@@ -169,18 +125,6 @@ const CASES: [(&str, &str, Break); 37] = [
     }),
     ("lifting", "eta", |c, _| c.lifting.eta = 0.0),
     ("lifting", "gamma", |c, _| c.lifting.gamma = 0.0),
-    ("scenario", "online_recalibration.nmads", |c, _| {
-        c.online_recalibration = Some(OnlineRecalibration {
-            nmads: 0.0,
-            ..OnlineRecalibration::planetlab()
-        })
-    }),
-    ("scenario", "online_recalibration.smoothing", |c, _| {
-        c.online_recalibration = Some(OnlineRecalibration {
-            smoothing: 0.0,
-            ..OnlineRecalibration::planetlab()
-        })
-    }),
 ];
 
 fn smoke(seed: u64) -> ScenarioConfig {

@@ -100,7 +100,7 @@ fn blames_on_one_stream_expel_from_all_streams() {
     let world = engine.world();
     let expelled: Vec<NodeId> = (1..n)
         .map(|i| NodeId::new(i as u32))
-        .filter(|node| world.is_expelled(*node) && world.stacks()[node.index()].is_freerider)
+        .filter(|node| world.is_expelled(*node) && world.config().is_freerider(node.index()))
         .collect();
     assert!(
         !expelled.is_empty(),

@@ -517,7 +517,7 @@ impl SeedSplitter {
 /// A named, self-describing factory for providers of type `P`.
 ///
 /// `P` is the provider the embedding crate wants out of this registry kind:
-/// a `TransportPolicy`, a boxed `WorkloadGenerator`, a boxed adversary
+/// a boxed capability assigner, a boxed `WorkloadGenerator`, a boxed adversary
 /// factory, an exporter — the framework does not care.
 pub trait Component<P>: Send + Sync {
     /// Registry-unique component name (e.g. `"diurnal"`).

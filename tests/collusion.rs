@@ -29,7 +29,7 @@ fn collusion_as_baseline_params_reproduces_the_pinned_run() {
         .build("digest", &ParamMap::new(), &mut SeedSplitter::new(0))
         .unwrap()
         .export("collusion", -9.75, &outcome);
-    assert_eq!(digest, "collusion: 0x3bb152cadc1ad897 mem=18229.6");
+    assert_eq!(digest, "collusion: 0x3bb152cadc1ad897 mem=18188.6");
 }
 
 #[test]
