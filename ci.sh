@@ -5,22 +5,26 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Every snapshot and output of this run lives in one private scratch
+# directory, so two runs on one host never read or overwrite each other's
+# files; the exit trap removes it.
+scratch=$(mktemp -d "${TMPDIR:-/tmp}/lifting-ci.XXXXXX")
+
 # Snapshot the committed bench/summary files: the smoke runs below overwrite
 # them in the working tree, and the regression gate needs the committed one.
 # The restore runs from a trap so that *any* exit — success, a failed smoke
 # run, or an interrupt — puts the committed artifacts back and never leaves
 # the worktree dirty. INT/TERM/HUP are trapped explicitly because bash does
 # not run the EXIT trap when killed by an untrapped signal.
-cp BENCH_experiments.json /tmp/bench_committed.json
-# experiments_summary.json is git-ignored: a fresh clone has none to put back
-# (and must not be handed the snapshot of some earlier checkout).
-rm -f /tmp/summary_committed.json
+cp BENCH_experiments.json "$scratch/bench_committed.json"
+# experiments_summary.json is git-ignored: a fresh clone has none to put back.
 if [ -f experiments_summary.json ]; then
-    cp experiments_summary.json /tmp/summary_committed.json
+    cp experiments_summary.json "$scratch/summary_committed.json"
 fi
 restore_artifacts() {
-    [ -f /tmp/bench_committed.json ] && cp /tmp/bench_committed.json BENCH_experiments.json
-    [ -f /tmp/summary_committed.json ] && cp /tmp/summary_committed.json experiments_summary.json
+    [ -f "$scratch/bench_committed.json" ] && cp "$scratch/bench_committed.json" BENCH_experiments.json
+    [ -f "$scratch/summary_committed.json" ] && cp "$scratch/summary_committed.json" experiments_summary.json
+    rm -rf "$scratch"
     return 0
 }
 trap restore_artifacts EXIT
@@ -89,8 +93,8 @@ echo "==> registry validation (components + scenario manifest)"
 # scenario added without updating the manifest (or silently dropped by a
 # refactor) fails here before any experiment runs.
 ./target/release/run_scenario --validate-registry
-./target/release/run_scenario --list-names > /tmp/scenario_names.txt
-diff -u tests/scenario_manifest.txt /tmp/scenario_names.txt || {
+./target/release/run_scenario --list-names > "$scratch/scenario_names.txt"
+diff -u tests/scenario_manifest.txt "$scratch/scenario_names.txt" || {
     echo "scenario registry diverged from tests/scenario_manifest.txt;"
     echo "regenerate with: ./target/release/run_scenario --list-names > tests/scenario_manifest.txt"
     exit 1
@@ -98,8 +102,8 @@ diff -u tests/scenario_manifest.txt /tmp/scenario_names.txt || {
 # Each scenario's composition — every axis, every disturbance with its
 # parameters — is pinned too: a refactor that silently changes what a
 # scenario declares fails here.
-./target/release/run_scenario --list > /tmp/scenario_listing.txt
-diff -u tests/scenario_listing.txt /tmp/scenario_listing.txt || {
+./target/release/run_scenario --list > "$scratch/scenario_listing.txt"
+diff -u tests/scenario_listing.txt "$scratch/scenario_listing.txt" || {
     echo "a scenario's declared composition diverged from tests/scenario_listing.txt;"
     echo "if intended, regenerate with: ./target/release/run_scenario --list > tests/scenario_listing.txt"
     exit 1
@@ -120,8 +124,8 @@ scenario_digests() {
         ./target/release/run_scenario "$name" --quick --seed 7 "$@" --exporter digest
     done
 }
-scenario_digests > /tmp/scenario_digests.txt
-diff -u tests/scenario_digests.txt /tmp/scenario_digests.txt || {
+scenario_digests > "$scratch/scenario_digests.txt"
+diff -u tests/scenario_digests.txt "$scratch/scenario_digests.txt" || {
     echo "a scenario's pinned digest moved. Column 1 (0x...) is behaviour: the hash of the"
     echo "RunOutcome with memory_per_node_bytes zeroed. Column 2 (mem=...) is memory: that metric."
     echo "Only column 2 moved: a per-node struct or buffer changed size; if intended, regenerate"
@@ -136,8 +140,8 @@ echo "==> scenario digests again, every run through the wave executor (--shards 
 # outboxes (Phase B's position-ordered walk). The shard-invariance proptest
 # samples 6 (scenario, seed) pairs per run; this diffs all 43 scenarios
 # against the same pinned file.
-scenario_digests --shards 4 > /tmp/scenario_digests_sharded.txt
-diff -u tests/scenario_digests.txt /tmp/scenario_digests_sharded.txt || {
+scenario_digests --shards 4 > "$scratch/scenario_digests_sharded.txt"
+diff -u tests/scenario_digests.txt "$scratch/scenario_digests_sharded.txt" || {
     echo "a scenario's outcome at 4 shards differs from its pinned sequential digest:"
     echo "Phase A or Phase B of crates/runtime/src/wave.rs no longer reproduces sequential dispatch"
     exit 1
@@ -146,18 +150,18 @@ echo "sharded scenario digests OK"
 
 echo "==> run_all_experiments --quick (parallel)"
 ./target/release/run_all_experiments --quick
-mv experiments_summary.json /tmp/summary_parallel.json
+mv experiments_summary.json "$scratch/summary_parallel.json"
 
 echo "==> run_all_experiments --quick --sequential"
 ./target/release/run_all_experiments --quick --sequential
-mv experiments_summary.json /tmp/summary_sequential.json
-cp BENCH_experiments.json /tmp/bench_sequential.json
+mv experiments_summary.json "$scratch/summary_sequential.json"
+cp BENCH_experiments.json "$scratch/bench_sequential.json"
 
 echo "==> determinism check (parallel vs sequential)"
-python3 - <<'EOF'
+python3 - "$scratch/summary_parallel.json" "$scratch/summary_sequential.json" <<'EOF'
 import json, sys
-a = json.load(open('/tmp/summary_parallel.json'))
-b = json.load(open('/tmp/summary_sequential.json'))
+a = json.load(open(sys.argv[1]))
+b = json.load(open(sys.argv[2]))
 skip = {'timings_secs', 'total_wall_secs', 'workers', 'per_scale_timings'}
 a = {k: v for k, v in a.items() if k not in skip}
 b = {k: v for k, v in b.items() if k not in skip}
@@ -187,10 +191,10 @@ echo "==> fault-injection smoke (quick scale)"
 # One resilience scenario end to end outside the summary plumbing: partition
 # waves must produce aborted (never wrongfully blamed) audits, and the run
 # must finish with a live stream.
-./target/release/run_scenario resilience/partition-waves --quick > /tmp/fault_smoke.json
-python3 - <<'EOF'
+./target/release/run_scenario resilience/partition-waves --quick > "$scratch/fault_smoke.json"
+python3 - "$scratch/fault_smoke.json" <<'EOF'
 import json, sys
-d = json.load(open('/tmp/fault_smoke.json'))
+d = json.load(open(sys.argv[1]))
 rpc = d.get('audit_rpc') or {}
 if not rpc.get('aborted_unreachable'):
     sys.exit('fault smoke: partition waves produced no aborted audits')
@@ -209,12 +213,12 @@ echo "==> scale smoke (scale/1k sharded vs sequential, paper scale)"
 # must match the sequential run byte for byte at 4 shards, and the memory
 # metric must stay within the per-node budget the scale/ family exists to
 # protect.
-./target/release/run_scenario scale/1k > /tmp/scale_sequential.json
-./target/release/run_scenario scale/1k --shards 4 > /tmp/scale_sharded.json
-python3 - <<'EOF'
+./target/release/run_scenario scale/1k > "$scratch/scale_sequential.json"
+./target/release/run_scenario scale/1k --shards 4 > "$scratch/scale_sharded.json"
+python3 - "$scratch/scale_sequential.json" "$scratch/scale_sharded.json" <<'EOF'
 import json, sys
-a = json.load(open('/tmp/scale_sequential.json'))
-b = json.load(open('/tmp/scale_sharded.json'))
+a = json.load(open(sys.argv[1]))
+b = json.load(open(sys.argv[2]))
 if a != b:
     diff = {k for k in set(a) | set(b) if a.get(k) != b.get(k)}
     sys.exit(f'scale smoke: sharded readout diverged from sequential: {sorted(diff)}')
@@ -233,12 +237,12 @@ echo "==> queue footprint gate (headline/planetlab and scale/10k, quick scale)"
 # Each bound is the measured ratio plus about a tenth: 2.48x on the 300-node
 # headline, whose slots hold a few events each so partial blocks weigh,
 # and 1.34x on the 10 000-node population.
-./target/release/profile_scenario --scenario headline/planetlab > /tmp/profile_headline.txt
-./target/release/profile_scenario --scenario scale/10k > /tmp/profile_scale10k.txt
-python3 - <<'EOF'
+./target/release/profile_scenario --scenario headline/planetlab > "$scratch/profile_headline.txt"
+./target/release/profile_scenario --scenario scale/10k > "$scratch/profile_scale10k.txt"
+python3 - "$scratch/profile_headline.txt" "$scratch/profile_scale10k.txt" <<'EOF'
 import re, sys
-for path, name, bound in [('/tmp/profile_headline.txt', 'headline/planetlab', 2.75),
-                          ('/tmp/profile_scale10k.txt', 'scale/10k', 1.5)]:
+for path, name, bound in [(sys.argv[1], 'headline/planetlab', 2.75),
+                          (sys.argv[2], 'scale/10k', 1.5)]:
     text = open(path).read()
     m = re.search(r'^pending events (\d+)  queue heap bytes (\d+)  \(\S+ pending x (\d+)-byte entry\)$',
                   text, re.M)
@@ -258,9 +262,9 @@ echo "==> chunk table gate (headline/planetlab, quick scale)"
 # same build always prints the same row. The bound is the measured
 # 2 088 B/node plus about a tenth; a per-node copy of the stream's facts
 # (24-byte slots: 6 266 B/node) fails it.
-python3 - <<'EOF'
+python3 - "$scratch/profile_headline.txt" <<'EOF'
 import re, sys
-text = open('/tmp/profile_headline.txt').read()
+text = open(sys.argv[1]).read()
 m = re.search(r'^\s+chunk tables\s+\d+ B\s+(\d+) B/node$', text, re.M)
 if not m:
     sys.exit('chunk table gate: profile_scenario printed no chunk tables row')
@@ -275,9 +279,9 @@ echo "==> verifier check tables gate (headline/planetlab, quick scale)"
 # token-indexed ring per check kind with bitset evidence. The bound on their
 # sum is the measured 2 220 B/node plus about a tenth; the hash tables with
 # inline evidence sets they replaced read 3 954 B/node.
-python3 - <<'EOF'
+python3 - "$scratch/profile_headline.txt" <<'EOF'
 import re, sys
-text = open('/tmp/profile_headline.txt').read()
+text = open(sys.argv[1]).read()
 rows = {}
 for kind in ('serve', 'ack', 'confirm'):
     m = re.search(rf'^\s+{kind} checks\s+\d+ B\s+(\d+) B/node$', text, re.M)
@@ -293,9 +297,9 @@ EOF
 echo "==> no blame deliveries in the event queue (headline/planetlab, quick scale)"
 # Blame copies land from the world's in-flight buffer, never as queued
 # events: the per-event-kind table must show no Blame row with events.
-python3 - <<'EOF'
+python3 - "$scratch/profile_headline.txt" <<'EOF'
 import re, sys
-text = open('/tmp/profile_headline.txt').read()
+text = open(sys.argv[1]).read()
 if not re.search(r'^-- per-event-kind attribution', text, re.M):
     sys.exit('blame gate: profile_scenario printed no per-event-kind table')
 m = re.search(r'^\s+Blame\s+\S+s\s+(\d+) events', text, re.M)
@@ -308,9 +312,9 @@ echo "==> no witness answers in the event queue (headline/planetlab, quick scale
 # Witness answers land in their confirm check when they are sent, never as
 # queued events: the per-event-kind table must show no ConfirmResp row with
 # events.
-python3 - <<'EOF'
+python3 - "$scratch/profile_headline.txt" <<'EOF'
 import re, sys
-text = open('/tmp/profile_headline.txt').read()
+text = open(sys.argv[1]).read()
 if not re.search(r'^-- per-event-kind attribution', text, re.M):
     sys.exit('answer gate: profile_scenario printed no per-event-kind table')
 m = re.search(r'^\s+ConfirmResp\s+\S+s\s+(\d+) events', text, re.M)
@@ -320,7 +324,7 @@ print('answer gate OK (no ConfirmResp events in the queue)')
 EOF
 
 echo "==> bench smoke (quick wall-clock vs committed baseline)"
-python3 - <<'EOF'
+python3 - "$scratch/bench_committed.json" "$scratch/bench_sequential.json" <<'EOF'
 import json, sys
 
 def quick_total(d):
@@ -331,8 +335,8 @@ def quick_total(d):
         return d.get('total_wall_secs')
     return None
 
-committed = quick_total(json.load(open('/tmp/bench_committed.json')))
-fresh = quick_total(json.load(open('/tmp/bench_sequential.json')))
+committed = quick_total(json.load(open(sys.argv[1])))
+fresh = quick_total(json.load(open(sys.argv[2])))
 if committed is None:
     sys.exit('committed BENCH_experiments.json has no Quick-scale total')
 if fresh is None:

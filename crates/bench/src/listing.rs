@@ -11,7 +11,7 @@ use lifting_sim::{ComponentRegistry, ParamMap, SeedSplitter};
 
 /// Prints every registered scenario grouped by family, each with its
 /// description and the component composition the registry resolves it to
-/// (`transport=paper loss=bernoulli{pl=0.04} ...`).
+/// (`loss=bernoulli{pl=0.04} capability=... workload=static adversary=none`).
 pub fn print_registry_listing() {
     let registry = ScenarioRegistry::builtin();
     for (family, members) in registry.families() {
@@ -56,13 +56,14 @@ pub fn validate_component_registries() -> (usize, usize) {
 /// Builds every component of one registry with default parameters.
 fn validate<P>(registry: &ComponentRegistry<P>) -> usize {
     let kind = registry.kind();
-    for name in registry.names() {
+    for row in registry.rows() {
+        let name = row.name;
         if let Err(e) = registry.build(name, &ParamMap::new(), &mut SeedSplitter::new(0)) {
             panic!("{kind}/{name} failed to build: {e}");
         }
         eprintln!("  {kind}/{name} ok");
     }
-    registry.len()
+    registry.rows().len()
 }
 
 #[cfg(test)]

@@ -161,9 +161,6 @@ impl WorkloadPlan {
 
 /// A deterministic disturbance generator.
 pub trait WorkloadGenerator: Send + Sync {
-    /// The generator's registered name.
-    fn name(&self) -> &'static str;
-
     /// Expands the generator over `nodes` identifiers and `streams` channels
     /// for a run of `duration`, drawing only from its own streams of `seed`.
     /// Node 0 — the broadcast source — is never selected for anything.
@@ -225,10 +222,6 @@ pub struct Churn {
 }
 
 impl WorkloadGenerator for Churn {
-    fn name(&self) -> &'static str {
-        "churn"
-    }
-
     fn expand(&self, nodes: usize, _: usize, _: SimDuration, seed: u64) -> WorkloadPlan {
         // Fixed draw order on the plan stream: every churner flag, then every
         // flash-crowd flag, then every catastrophe flag. A fraction of 0
@@ -294,10 +287,6 @@ pub struct PartitionWaves {
 }
 
 impl WorkloadGenerator for PartitionWaves {
-    fn name(&self) -> &'static str {
-        "partition-waves"
-    }
-
     fn expand(&self, nodes: usize, _: usize, duration: SimDuration, seed: u64) -> WorkloadPlan {
         let mut rng = derive_rng(seed, PARTITION_STREAM);
         let spacing = SimDuration::from_micros(duration.as_micros() / (self.waves as u64 + 1));
@@ -330,10 +319,6 @@ pub struct DiurnalCycle {
 }
 
 impl WorkloadGenerator for DiurnalCycle {
-    fn name(&self) -> &'static str {
-        "diurnal"
-    }
-
     fn expand(&self, nodes: usize, _: usize, duration: SimDuration, seed: u64) -> WorkloadPlan {
         let rng = &mut derive_rng(seed, TRACE_STREAM);
         let mut plan = WorkloadPlan::default();
@@ -392,10 +377,6 @@ impl RegionalFailureWaves {
 }
 
 impl WorkloadGenerator for RegionalFailureWaves {
-    fn name(&self) -> &'static str {
-        "regional-failure"
-    }
-
     fn expand(&self, nodes: usize, _: usize, duration: SimDuration, seed: u64) -> WorkloadPlan {
         let rng = &mut derive_rng(seed, TRACE_STREAM);
         let mut plan = WorkloadPlan::default();
@@ -438,10 +419,6 @@ pub struct ZapSwitching {
 }
 
 impl WorkloadGenerator for ZapSwitching {
-    fn name(&self) -> &'static str {
-        "zap"
-    }
-
     fn expand(
         &self,
         nodes: usize,

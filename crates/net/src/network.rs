@@ -143,7 +143,7 @@ pub struct Network {
     config: NetworkConfig,
     capabilities: Vec<NodeCapability>,
     uplinks: Vec<UplinkState>,
-    expelled: Vec<bool>,
+    cut_off: Vec<bool>,
     partitioned: Vec<bool>,
     burst: BurstState,
     stats: TrafficStats,
@@ -159,7 +159,7 @@ impl Network {
         Network {
             capabilities: vec![NodeCapability::unconstrained(); n],
             uplinks: vec![UplinkState::new(); n],
-            expelled: vec![false; n],
+            cut_off: vec![false; n],
             partitioned: vec![false; n],
             burst: BurstState::default(),
             config,
@@ -179,7 +179,7 @@ impl Network {
         use std::mem::size_of;
         self.capabilities.capacity() * size_of::<NodeCapability>()
             + self.uplinks.capacity() * size_of::<UplinkState>()
-            + self.expelled.capacity()
+            + self.cut_off.capacity()
             + self.partitioned.capacity()
     }
 
@@ -207,33 +207,16 @@ impl Network {
         self.capabilities[node.index()]
     }
 
-    /// Marks a node as expelled: all traffic from and to it is dropped. This
-    /// is how the blaming architecture's expulsion decision takes effect.
-    pub fn set_expelled(&mut self, node: NodeId, expelled: bool) {
-        self.expelled[node.index()] = expelled;
-    }
-
     /// Cuts a node off the network (or reconnects it): all traffic from and
-    /// to it is dropped while cut off. Same mechanism as an expulsion, but
-    /// reversible — the churn engine uses it for departed nodes, which may
-    /// later rejoin.
+    /// to it is dropped while cut off. The runtime cuts off departed nodes,
+    /// which may later rejoin, and expelled ones, for good.
     pub fn set_cut_off(&mut self, node: NodeId, cut_off: bool) {
-        self.expelled[node.index()] = cut_off;
+        self.cut_off[node.index()] = cut_off;
     }
 
     /// True if the node is currently cut off (departed or expelled).
     pub fn is_cut_off(&self, node: NodeId) -> bool {
-        self.expelled[node.index()]
-    }
-
-    /// True if the node has been expelled from the system.
-    pub fn is_expelled(&self, node: NodeId) -> bool {
-        self.expelled[node.index()]
-    }
-
-    /// Number of nodes currently expelled.
-    pub fn expelled_count(&self) -> usize {
-        self.expelled.iter().filter(|e| **e).count()
+        self.cut_off[node.index()]
     }
 
     /// Partitions a node from the rest of the network (or heals it). Unlike
@@ -251,11 +234,6 @@ impl Network {
         self.partitioned[node.index()]
     }
 
-    /// Number of nodes currently partitioned.
-    pub fn partitioned_count(&self) -> usize {
-        self.partitioned.iter().filter(|p| **p).count()
-    }
-
     /// Accumulated traffic statistics.
     pub fn stats(&self) -> &TrafficStats {
         &self.stats
@@ -266,7 +244,7 @@ impl Network {
     ///
     /// The transport is the category's ([`TrafficCategory::transport`]):
     /// audits over TCP, everything else over UDP.
-    /// The message is accounted to `category` whatever the outcome. Expelled
+    /// The message is accounted to `category` whatever the outcome. Cut-off
     /// endpoints, UDP loss and the sender's uplink serialization are all
     /// applied here.
     pub fn send(
@@ -281,7 +259,7 @@ impl Network {
         let wire_bytes = payload_bytes + transport.header_bytes();
         self.stats.record_sent(category, wire_bytes);
 
-        if self.expelled[from.index()] || self.expelled[to.index()] {
+        if self.cut_off[from.index()] || self.cut_off[to.index()] {
             return DeliveryOutcome::Lost;
         }
 
@@ -434,9 +412,8 @@ mod tests {
     #[test]
     fn expelled_nodes_are_cut_off() {
         let mut net = net(3, NetworkConfig::ideal());
-        net.set_expelled(NodeId::new(1), true);
-        assert!(net.is_expelled(NodeId::new(1)));
-        assert_eq!(net.expelled_count(), 1);
+        net.set_cut_off(NodeId::new(1), true);
+        assert!(net.is_cut_off(NodeId::new(1)));
         let to_expelled = net.send(
             SimTime::ZERO,
             NodeId::new(0),
@@ -497,7 +474,6 @@ mod tests {
         let mut net = net(3, NetworkConfig::ideal());
         net.set_partitioned(NodeId::new(1), true);
         assert!(net.is_partitioned(NodeId::new(1)));
-        assert_eq!(net.partitioned_count(), 1);
         // Both directions, both transports (TCP audits included).
         for (from, to, category) in [
             (0, 1, TrafficCategory::GossipControl),

@@ -2,8 +2,7 @@
 //!
 //! Scenario construction used to hard-code node heterogeneity as one "poor
 //! fraction" loop in the runtime's world builder. This module turns it into
-//! named [`lifting_sim::Component`]s behind a
-//! [`lifting_sim::ComponentRegistry`], so scenarios declare
+//! rows of a [`lifting_sim::ComponentRegistry`], so scenarios declare
 //! `capability:tiered` and new classes slot in without touching the builder.
 //! (Transport and loss are plain values of [`crate::NetworkConfig`].)
 //!
@@ -14,12 +13,7 @@
 //! historical builder loop — the bit-compatibility anchor for every
 //! pre-registry scenario.
 
-use std::sync::OnceLock;
-
-use lifting_sim::{
-    Component, ComponentError, ComponentRegistry, ParamKind, ParamMap, ParamSpec, ParamValue,
-    ParamsSchema, SeedSplitter,
-};
+use lifting_sim::{Component, ComponentError, ComponentRegistry, ParamSpec};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -64,24 +58,6 @@ impl CapabilityClassAssigner for UniformAssigner {
     }
 }
 
-struct UniformComponent;
-
-impl Component<Box<dyn CapabilityClassAssigner>> for UniformComponent {
-    fn name(&self) -> &'static str {
-        "uniform"
-    }
-    fn description(&self) -> &'static str {
-        "Every node gets the scenario's default attachment"
-    }
-    fn build(
-        &self,
-        _: &ParamMap,
-        _: &mut SeedSplitter,
-    ) -> Result<Box<dyn CapabilityClassAssigner>, ComponentError> {
-        Ok(Box::new(UniformAssigner))
-    }
-}
-
 /// The historical heterogeneity model: a fraction of the *honest* population
 /// is poorly connected. Draw-for-draw identical to the pre-registry builder
 /// loop: the source never draws, freeriders never draw (the short-circuit is
@@ -108,50 +84,6 @@ impl CapabilityClassAssigner for PoorFractionAssigner {
         } else {
             default
         }
-    }
-}
-
-struct PoorFractionComponent;
-
-impl Component<Box<dyn CapabilityClassAssigner>> for PoorFractionComponent {
-    fn name(&self) -> &'static str {
-        "poor-fraction"
-    }
-    fn description(&self) -> &'static str {
-        "A fraction of the honest nodes is poorly connected (the paper's false-positive source)"
-    }
-    fn params_schema(&self) -> ParamsSchema {
-        ParamsSchema::of(vec![
-            ParamSpec::optional(
-                "fraction",
-                ParamKind::Float,
-                ParamValue::Float(0.1),
-                "fraction of honest nodes with a poor attachment",
-            ),
-            ParamSpec::optional(
-                "poor_upload_bps",
-                ParamKind::Int,
-                ParamValue::Int(800_000),
-                "uplink of a poor node, bits per second",
-            ),
-            ParamSpec::optional(
-                "poor_extra_loss",
-                ParamKind::Float,
-                ParamValue::Float(0.03),
-                "extra access-link loss of a poor node",
-            ),
-        ])
-    }
-    fn build(
-        &self,
-        params: &ParamMap,
-        _: &mut SeedSplitter,
-    ) -> Result<Box<dyn CapabilityClassAssigner>, ComponentError> {
-        Ok(Box::new(PoorFractionAssigner {
-            fraction: params.fraction("poor-fraction", "fraction")?,
-            poor_upload_bps: params.positive_int("poor-fraction", "poor_upload_bps")? as u64,
-            poor_extra_loss: params.fraction("poor-fraction", "poor_extra_loss")?,
-        }))
     }
 }
 
@@ -213,83 +145,64 @@ impl CapabilityClassAssigner for TieredAssigner {
     }
 }
 
-struct TieredComponent;
-
-impl Component<Box<dyn CapabilityClassAssigner>> for TieredComponent {
-    fn name(&self) -> &'static str {
-        "tiered"
-    }
-    fn description(&self) -> &'static str {
-        "Per-node access tiers: fiber/cable/DSL/mobile classes with uplink, loss and latency"
-    }
-    fn params_schema(&self) -> ParamsSchema {
-        ParamsSchema::of(vec![
-            ParamSpec::optional(
-                "fiber",
-                ParamKind::Float,
-                ParamValue::Float(0.15),
-                "fraction of fiber nodes (50 Mbps up, 0.8x latency)",
-            ),
-            ParamSpec::optional(
-                "cable",
-                ParamKind::Float,
-                ParamValue::Float(0.45),
-                "fraction of cable nodes (10 Mbps up)",
-            ),
-            ParamSpec::optional(
-                "dsl",
-                ParamKind::Float,
-                ParamValue::Float(0.3),
-                "fraction of DSL nodes (2 Mbps up, 1% access loss, 1.3x latency)",
-            ),
-        ])
-    }
-    fn build(
-        &self,
-        params: &ParamMap,
-        _: &mut SeedSplitter,
-    ) -> Result<Box<dyn CapabilityClassAssigner>, ComponentError> {
-        let fiber = params.fraction("tiered", "fiber")?;
-        let cable = params.fraction("tiered", "cable")?;
-        let dsl = params.fraction("tiered", "dsl")?;
-        if fiber + cable + dsl > 1.0 {
-            return Err(ComponentError::invalid(
-                "tiered",
-                "dsl",
-                format!(
-                    "class fractions sum to {} > 1 (the remainder is the mobile class)",
-                    fiber + cable + dsl
-                ),
-            ));
-        }
-        Ok(Box::new(TieredAssigner { fiber, cable, dsl }))
-    }
-}
-
 /// The registry of capability-class components: `uniform`, `poor-fraction`,
 /// `tiered`.
 pub fn capability_components() -> &'static ComponentRegistry<Box<dyn CapabilityClassAssigner>> {
-    static REGISTRY: OnceLock<ComponentRegistry<Box<dyn CapabilityClassAssigner>>> =
-        OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        let mut registry = ComponentRegistry::new("capability");
-        registry
-            .register(Box::new(UniformComponent))
-            .expect("unique capability component");
-        registry
-            .register(Box::new(PoorFractionComponent))
-            .expect("unique capability component");
-        registry
-            .register(Box::new(TieredComponent))
-            .expect("unique capability component");
-        registry
-    })
+    static REGISTRY: ComponentRegistry<Box<dyn CapabilityClassAssigner>> = ComponentRegistry::new(
+        "capability",
+        &[
+            Component {
+                name: "uniform",
+                params: &[],
+                build: |_, _| Ok(Box::new(UniformAssigner)),
+            },
+            Component {
+                name: "poor-fraction",
+                params: &[
+                    ParamSpec::float("fraction", 0.1),
+                    ParamSpec::int("poor_upload_bps", 800_000),
+                    ParamSpec::float("poor_extra_loss", 0.03),
+                ],
+                build: |name, params| {
+                    Ok(Box::new(PoorFractionAssigner {
+                        fraction: params.fraction(name, "fraction")?,
+                        poor_upload_bps: params.positive_int(name, "poor_upload_bps")? as u64,
+                        poor_extra_loss: params.fraction(name, "poor_extra_loss")?,
+                    }))
+                },
+            },
+            Component {
+                name: "tiered",
+                params: &[
+                    ParamSpec::float("fiber", 0.15),
+                    ParamSpec::float("cable", 0.45),
+                    ParamSpec::float("dsl", 0.3),
+                ],
+                build: |name, params| {
+                    let fiber = params.fraction(name, "fiber")?;
+                    let cable = params.fraction(name, "cable")?;
+                    let dsl = params.fraction(name, "dsl")?;
+                    let sum = fiber + cable + dsl;
+                    ComponentError::require(
+                        sum <= 1.0,
+                        name,
+                        "dsl",
+                        format!(
+                            "class fractions sum to {sum} > 1 (the remainder is the mobile class)"
+                        ),
+                    )?;
+                    Ok(Box::new(TieredAssigner { fiber, cable, dsl }))
+                },
+            },
+        ],
+    );
+    &REGISTRY
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lifting_sim::derive_rng;
+    use lifting_sim::{derive_rng, ParamMap, ParamValue, SeedSplitter};
 
     #[test]
     fn poor_fraction_assigner_replays_the_legacy_draw_order() {

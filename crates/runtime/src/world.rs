@@ -356,7 +356,7 @@ impl SystemWorld {
             return;
         }
         self.expelled[node.index()] = true;
-        self.network.set_expelled(node, true);
+        self.network.set_cut_off(node, true);
         self.directory.deactivate(node);
     }
 

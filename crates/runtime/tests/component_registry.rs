@@ -20,14 +20,14 @@
 
 use std::sync::Arc;
 
+use lifting_net::capability_components;
 use lifting_runtime::{
-    adversary_components, build_engine, resolve_components, run_scenario_sharded,
-    workload_components, ComponentSpec, RunOutcome, Scale, ScenarioConfig, ScenarioRegistry,
-    StreamSpec,
+    adversary_components, build_engine, exporter_components, resolve_components,
+    run_scenario_sharded, workload_components, ComponentSpec, RunOutcome, Scale, ScenarioConfig,
+    ScenarioRegistry, StreamSpec,
 };
 use lifting_sim::{
-    Component, ComponentError, ComponentRegistry, ParamKind, ParamMap, ParamSpec, ParamValue,
-    ParamsSchema, SeedSplitter, SimDuration, SimTime,
+    ComponentError, ComponentRegistry, ParamMap, ParamValue, SeedSplitter, SimDuration, SimTime,
 };
 
 // ---------------------------------------------------------------------------
@@ -114,8 +114,8 @@ fn unknown_names_error_on_every_axis() {
 fn ill_typed_param_is_rejected_with_the_offending_key() {
     let mut config = quick_config(1);
     config.components.workload =
-        Some(ComponentSpec::new("diurnal").with("participation", ParamValue::Text("high".into())));
-    let err = resolution_error(&config, "text for a float must not validate");
+        Some(ComponentSpec::new("diurnal").with("participation", ParamValue::Bool(true)));
+    let err = resolution_error(&config, "a flag for a float must not validate");
     match &err {
         ComponentError::BadParamType {
             component,
@@ -126,7 +126,7 @@ fn ill_typed_param_is_rejected_with_the_offending_key() {
             assert_eq!(component, "diurnal");
             assert_eq!(key, "participation");
             assert_eq!(*expected, "float");
-            assert_eq!(*got, "text");
+            assert_eq!(*got, "bool");
         }
         other => panic!("expected BadParamType, got {other:?}"),
     }
@@ -217,60 +217,21 @@ fn undeclared_param_key_is_rejected() {
     }
 }
 
-struct NeedsSeed;
-impl Component<u64> for NeedsSeed {
-    fn name(&self) -> &'static str {
-        "needs-seed"
-    }
-    fn params_schema(&self) -> ParamsSchema {
-        ParamsSchema::of(vec![ParamSpec::required(
-            "seed_offset",
-            ParamKind::Int,
-            "mandatory offset",
-        )])
-    }
-    fn build(&self, params: &ParamMap, seeds: &mut SeedSplitter) -> Result<u64, ComponentError> {
-        let offset = match params.get("seed_offset") {
-            Some(ParamValue::Int(x)) => *x as u64,
-            _ => unreachable!("schema validation supplies the key"),
-        };
-        Ok(seeds.seed(offset))
-    }
+/// Names within one registry are unique: a lookup by name finds one row.
+fn assert_unique_names<P>(registry: &ComponentRegistry<P>) {
+    let mut names: Vec<_> = registry.names().collect();
+    let count = names.len();
+    names.sort_unstable();
+    names.dedup();
+    assert_eq!(names.len(), count, "{} registry", registry.kind());
 }
 
 #[test]
-fn missing_required_param_is_rejected_before_build_runs() {
-    let mut registry: ComponentRegistry<u64> = ComponentRegistry::new("test");
-    registry.register(Box::new(NeedsSeed)).unwrap();
-    let mut seeds = SeedSplitter::new(42);
-    let err = registry
-        .build("needs-seed", &ParamMap::new(), &mut seeds)
-        .expect_err("missing required param must not build");
-    match &err {
-        ComponentError::MissingParam { component, key } => {
-            assert_eq!(component, "needs-seed");
-            assert_eq!(key, "seed_offset");
-        }
-        other => panic!("expected MissingParam, got {other:?}"),
-    }
-    assert!(err.to_string().contains("seed_offset"));
-}
-
-#[test]
-fn duplicate_registration_is_rejected() {
-    let mut registry: ComponentRegistry<u64> = ComponentRegistry::new("test");
-    registry.register(Box::new(NeedsSeed)).unwrap();
-    let err = registry
-        .register(Box::new(NeedsSeed))
-        .expect_err("second registration of the same name must fail");
-    match &err {
-        ComponentError::DuplicateComponent { kind, name } => {
-            assert_eq!(kind, "test");
-            assert_eq!(name, "needs-seed");
-        }
-        other => panic!("expected DuplicateComponent, got {other:?}"),
-    }
-    assert_eq!(registry.len(), 1, "the duplicate must not be registered");
+fn component_names_are_unique_within_each_registry() {
+    assert_unique_names(capability_components());
+    assert_unique_names(workload_components());
+    assert_unique_names(adversary_components());
+    assert_unique_names(exporter_components());
 }
 
 #[test]
@@ -278,10 +239,9 @@ fn every_registered_workload_component_builds_with_default_params() {
     let registry = workload_components();
     for name in registry.names() {
         let mut seeds = SeedSplitter::new(7);
-        let generator = registry
-            .build(name, &ParamMap::new(), &mut seeds)
-            .unwrap_or_else(|e| panic!("{name} must build with defaults: {e}"));
-        assert_eq!(generator.name(), name);
+        if let Err(e) = registry.build(name, &ParamMap::new(), &mut seeds) {
+            panic!("{name} must build with defaults: {e}");
+        }
     }
 }
 

@@ -9,7 +9,7 @@
 //! break the reproducibility contract of the simulator — every run must be
 //! bit-identical for a fixed scenario seed, sequential or parallel.
 //!
-//! [`DetHashMap`] / [`DetHashSet`] keep O(1) operations but hash with
+//! [`DetHashMap`] keeps O(1) operations but hashes with
 //! [`DefaultHasher`]'s fixed keys: iteration order becomes a pure function of
 //! the insertion sequence, identical across runs, threads and processes.
 //! (Simulation inputs are not attacker-controlled, so hash-flooding
@@ -30,7 +30,7 @@
 //! heap allocation; longer contents spill to an ordinary `Vec`.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize, Value};
@@ -38,15 +38,12 @@ use serde::{Deserialize, Serialize, Value};
 /// A `HashMap` whose iteration order is reproducible across runs.
 pub type DetHashMap<K, V> = HashMap<K, V, BuildHasherDefault<DefaultHasher>>;
 
-/// A `HashSet` whose iteration order is reproducible across runs.
-pub type DetHashSet<T> = HashSet<T, BuildHasherDefault<DefaultHasher>>;
-
 /// A fast multiply-rotate hasher (FxHash-style) with a fixed initial state.
 ///
 /// Deterministic like [`DefaultHasher`]-with-fixed-keys but several times
 /// cheaper per operation — `DefaultHasher` is SipHash, whose per-lookup cost
-/// shows up when a map sits on the per-message hot path. Use the `Fast*`
-/// aliases for bookkeeping maps whose iteration order is never observable in
+/// shows up when a map sits on the per-message hot path. Use [`FastHashMap`]
+/// for bookkeeping maps whose iteration order is never observable in
 /// outputs; maps whose (deterministic) walk order feeds message emission are
 /// pinned by golden digests to `DetHashMap` and must stay there.
 #[derive(Default)]
@@ -108,9 +105,6 @@ impl Hasher for FxHasher {
 /// A deterministic, fast `HashMap` for hot-path bookkeeping whose iteration
 /// order never reaches any output (see [`FxHasher`]).
 pub type FastHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-
-/// Set counterpart of [`FastHashMap`].
-pub type FastHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
 /// A vector that stores up to `N` elements inline (no heap allocation) and
 /// spills to a heap `Vec` beyond that.

@@ -53,8 +53,7 @@ pub mod time;
 
 pub use collections::InlineVec;
 pub use component::{
-    Component, ComponentError, ComponentRegistry, ParamKind, ParamMap, ParamSpec, ParamValue,
-    ParamsSchema, SeedSplitter,
+    Component, ComponentError, ComponentRegistry, ParamMap, ParamSpec, ParamValue, SeedSplitter,
 };
 pub use engine::{Context, Engine, RunReport, ShardedWorld, World};
 pub use event::EventQueue;
