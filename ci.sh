@@ -32,6 +32,11 @@ trap 'restore_artifacts; trap - INT; kill -INT $$' INT
 trap 'restore_artifacts; trap - TERM; kill -TERM $$' TERM
 trap 'restore_artifacts; trap - HUP; kill -HUP $$' HUP
 
+# This run's own summary and bench snapshot land here (git-ignored) for the
+# workflow's artifact upload; never a previous run's.
+artifacts=target/ci-artifacts
+rm -rf "$artifacts"
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -156,6 +161,9 @@ echo "==> run_all_experiments --quick --sequential"
 ./target/release/run_all_experiments --quick --sequential
 mv experiments_summary.json "$scratch/summary_sequential.json"
 cp BENCH_experiments.json "$scratch/bench_sequential.json"
+mkdir -p "$artifacts"
+cp "$scratch/summary_sequential.json" "$artifacts/experiments_summary.json"
+cp "$scratch/bench_sequential.json" "$artifacts/BENCH_experiments.json"
 
 echo "==> determinism check (parallel vs sequential)"
 python3 - "$scratch/summary_parallel.json" "$scratch/summary_sequential.json" <<'EOF'
@@ -351,6 +359,16 @@ print('bench smoke OK')
 EOF
 
 echo "==> benchmark/check.sh (the repo benchmark: lints, unit tests, smoke of every path)"
-benchmark/check.sh
+# check.sh sends its smoke runs' output to /dev/null: on a failure, run the
+# untraced and the traced smoke again with their output in the log.
+if ! benchmark/check.sh; then
+    echo "benchmark/check.sh FAILED; its smoke runs again, with their output:"
+    for trace in "" --trace; do
+        echo "--- benchmark run --smoke $trace"
+        cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+            run --smoke $trace --out "$scratch/bench_smoke${trace:+_traced}.json" || true
+    done
+    exit 1
+fi
 
 echo "==> OK"

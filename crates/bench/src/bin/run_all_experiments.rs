@@ -4,28 +4,23 @@
 //! `BENCH_experiments.json` for the performance trajectory, and prints the
 //! paper's claims (`lifting_bench::claims`) as a markdown table.
 //!
-//! Flags:
-//! * `--quick` shrinks every experiment for a smoke run (the tier tracked by
+//! Without flags the suite runs at the paper's own operating point (300
+//! PlanetLab nodes, full Monte-Carlo populations). Flags:
+//! * `--quick` shrinks every experiment for a smoke run (the scale tracked by
 //!   the CI bench-smoke step);
-//! * `--paper` runs the paper's own operating point (300 PlanetLab nodes,
-//!   full Monte-Carlo populations) — the default;
-//! * `--both` sweeps Quick then Paper and emits per-scale timings;
 //! * `--sequential` forces a single worker (`LIFTING_WORKERS=1`), which
 //!   produces **identical** figure/table numbers — only the wall-clock
 //!   changes;
 //! * `--filter <substring>` runs only the jobs whose name contains the
 //!   substring (e.g. `--filter multistream`) and writes a partial summary
 //!   marked `"filtered": true` — a development loop need not pay for the
-//!   full suite;
-//! * `--tier scale-heavy` opts into the heavy tail of the scale sweep
-//!   (`scale/100k`); the default tier stops at `scale/10k` so the `--paper`
-//!   suite stays around a minute. Both tiers' per-population timings are
-//!   recorded under `scale_tiers` in `BENCH_experiments.json`;
-//! * `--list` prints the scenario registry grouped by family, with each
-//!   scenario's resolved component composition, and exits.
+//!   full suite.
 //!
-//! A bad command line (an unknown flag or tier, a flag without its value, a
-//! filter that matches no job) is reported as a usage error, exit status 2.
+//! The scale sweep stops at `scale/10k` so the paper-scale suite stays
+//! around a minute; `run_scenario scale/100k` runs the largest population.
+//!
+//! A bad command line (an unknown flag, a flag without its value, a filter
+//! that matches no job) is reported as a usage error, exit status 2.
 
 use std::any::Any;
 use std::time::Instant;
@@ -36,10 +31,8 @@ use lifting_bench::Usage;
 use lifting_runtime::{run_jobs_parallel, ScenarioRegistry};
 use serde_json::{json, to_value, Value};
 
-const USAGE: Usage = Usage(
-    "usage: run_all_experiments [--quick | --paper | --both] [--sequential] \
-     [--filter SUBSTRING] [--tier scale-heavy] | --list",
-);
+const USAGE: Usage =
+    Usage("usage: run_all_experiments [--quick] [--sequential] [--filter SUBSTRING]");
 
 /// The scenario-family jobs, `(summary section, registry family, seed)`:
 /// each sweeps every registered member of its family and reports one
@@ -77,7 +70,7 @@ fn job<T: serde::Serialize + Send + 'static>(
     )
 }
 
-fn build_jobs(scale: Scale, heavy_scale_tier: bool) -> Vec<Job> {
+fn build_jobs(scale: Scale) -> Vec<Job> {
     // Every experiment is a job, seeded with its figure or table number (as
     // `claims::Evidence::run` seeds the ones it reads); independent scenarios
     // *inside* an experiment fan out further through the same pool (fig01's
@@ -101,12 +94,10 @@ fn build_jobs(scale: Scale, heavy_scale_tier: bool) -> Vec<Job> {
     ];
     for (section, family, seed) in FAMILY_SECTIONS {
         let name = family_job_name(section);
-        // The scale family runs one population at a time behind its tier
-        // gate; every other family fans out on the pool.
+        // The scale family runs one population at a time; every other
+        // family fans out on the pool.
         jobs.push(if family == "scale" {
-            job(name, move || {
-                scale_sweep_tier(scale, seed, heavy_scale_tier)
-            })
+            job(name, move || scale_sweep(scale, seed))
         } else {
             job(name, move || family_sweep(family, scale, seed))
         });
@@ -114,27 +105,8 @@ fn build_jobs(scale: Scale, heavy_scale_tier: bool) -> Vec<Job> {
     jobs
 }
 
-/// Recursively removes `key` from every object of a value tree — used to
-/// keep the nondeterministic per-population `wall_secs` timings out of
-/// `experiments_summary.json` (which CI diffs bit-for-bit across worker and
-/// shard counts) while `BENCH_experiments.json` keeps them.
-fn strip_key(value: &Value, key: &str) -> Value {
-    match value {
-        Value::Object(entries) => Value::Object(
-            entries
-                .iter()
-                .filter(|(k, _)| k != key)
-                .map(|(k, v)| (k.clone(), strip_key(v, key)))
-                .collect(),
-        ),
-        Value::Array(items) => Value::Array(items.iter().map(|v| strip_key(v, key)).collect()),
-        other => other.clone(),
-    }
-}
-
-/// Results of one full sweep at one scale.
+/// Results of one full sweep.
 struct SuiteRun {
-    scale: Scale,
     /// `(name, figure/table value, typed result, seconds)` per experiment, in
     /// job order.
     results: Vec<(&'static str, Value, Box<dyn Any + Send>, f64)>,
@@ -185,8 +157,8 @@ impl SuiteRun {
     }
 }
 
-fn run_suite(scale: Scale, filter: Option<&str>, heavy_scale_tier: bool) -> SuiteRun {
-    let mut jobs = build_jobs(scale, heavy_scale_tier);
+fn run_suite(scale: Scale, filter: Option<&str>) -> SuiteRun {
+    let mut jobs = build_jobs(scale);
     if let Some(needle) = filter {
         jobs.retain(|(name, _)| name.contains(needle));
     }
@@ -207,7 +179,6 @@ fn run_suite(scale: Scale, filter: Option<&str>, heavy_scale_tier: bool) -> Suit
     });
     let total_secs = wall_start.elapsed().as_secs_f64();
     SuiteRun {
-        scale,
         results: jobs
             .iter()
             .zip(results)
@@ -219,16 +190,15 @@ fn run_suite(scale: Scale, filter: Option<&str>, heavy_scale_tier: bool) -> Suit
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let switches = ["--quick", "--paper", "--both", "--sequential", "--list"];
     if let Some(extra) = USAGE
-        .positionals(&args, &switches, &["--filter", "--tier"])
+        .positionals(&args, &["--quick", "--sequential"], &["--filter"])
         .first()
     {
         USAGE.error(format_args!("unexpected argument {extra:?}"));
     }
     let filter: Option<String> = USAGE.flag_value(&args, "--filter", "a substring");
     if let Some(needle) = &filter {
-        let jobs = build_jobs(Scale::Quick, false);
+        let jobs = build_jobs(Scale::Quick);
         let known: Vec<&str> = jobs.iter().map(|(name, _)| *name).collect();
         if !known.iter().any(|name| name.contains(needle.as_str())) {
             USAGE.error(format_args!(
@@ -236,99 +206,58 @@ fn main() {
             ));
         }
     }
-    let tier: Option<String> = USAGE.flag_value(&args, "--tier", "a tier name");
-    if let Some(tier) = tier.as_deref().filter(|tier| *tier != "scale-heavy") {
-        USAGE.error(format_args!(
-            "unknown tier {tier:?}; the only opt-in tier is scale-heavy"
-        ));
-    }
-    let heavy_scale_tier = tier.is_some();
-    if args.iter().any(|a| a == "--list") {
-        lifting_bench::listing::print_registry_listing();
-        return;
-    }
     if args.iter().any(|a| a == "--sequential") {
         std::env::set_var(lifting_sim::pool::WORKERS_ENV, "1");
     }
-    let both = args.iter().any(|a| a == "--both");
-    let quick_only = args.iter().any(|a| a == "--quick") && !both;
+    let scale = if args.iter().any(|a| a == "--quick") {
+        Scale::Quick
+    } else {
+        Scale::Paper
+    };
     let workers = lifting_sim::worker_count(usize::MAX);
     eprintln!("experiment suite on {workers} worker(s)");
+    let run = run_suite(scale, filter.as_deref());
 
-    // Sweep the requested scales; the *primary* run (Quick for smoke runs,
-    // Paper otherwise) provides the figure/table values of the summary.
-    let mut runs: Vec<SuiteRun> = Vec::new();
-    if quick_only || both {
-        runs.push(run_suite(Scale::Quick, filter.as_deref(), heavy_scale_tier));
-    }
-    if !quick_only {
-        runs.push(run_suite(Scale::Paper, filter.as_deref(), heavy_scale_tier));
-    }
-    let primary = runs.last().expect("at least one scale runs");
-
-    // One per-scale timing record, shared verbatim by the summary's
-    // `per_scale_timings` and the bench snapshot's `scales` sections.
-    let per_scale_timings = Value::Object(
-        runs.iter()
-            .map(|run| {
-                (
-                    format!("{:?}", run.scale),
-                    json!({
-                        "experiments_secs": run.timings(),
-                        "total_wall_secs": run.total_secs,
-                    }),
-                )
-            })
-            .collect(),
-    );
-    let claims = filter.is_none().then(|| claims::table(&primary.evidence()));
-    let scale_tier = if heavy_scale_tier {
-        "scale-heavy"
-    } else {
-        "standard"
-    };
+    let claims = filter.is_none().then(|| claims::table(&run.evidence()));
     let mut sections: Vec<(&str, Value)> = vec![
-        ("scale", to_value(&format!("{:?}", primary.scale))),
+        ("scale", to_value(&format!("{scale:?}"))),
         ("workers", to_value(&workers)),
     ];
     if filter.is_some() {
         // Partial development summary: just the filtered jobs, flagged so it
         // is never mistaken for (or committed as) the full suite's output.
         sections.insert(0, ("filtered", Value::Bool(true)));
-        for (name, value, ..) in &primary.results {
-            sections.push((name, strip_key(value, "wall_secs")));
+        for (name, value, ..) in &run.results {
+            sections.push((name, value.clone()));
         }
-        sections.push(("timings_secs", primary.timings()));
+        sections.push(("timings_secs", run.timings()));
     } else {
         let scenario_names = ScenarioRegistry::builtin().names();
         sections.push(("scenarios", to_value(&scenario_names)));
         for name in ["fig01", "fig10", "fig11", "fig12", "fig13"] {
-            sections.push((name, primary.by_name(name).clone()));
+            sections.push((name, run.by_name(name).clone()));
         }
         sections.push((
             "fig14",
             json!({
-                "pdcc_1": primary.by_name("fig14_pdcc_1"),
-                "pdcc_05": primary.by_name("fig14_pdcc_05"),
+                "pdcc_1": run.by_name("fig14_pdcc_1"),
+                "pdcc_05": run.by_name("fig14_pdcc_05"),
             }),
         ));
         for name in ["table3", "table5", "layer_traffic"] {
-            sections.push((name, primary.by_name(name).clone()));
+            sections.push((name, run.by_name(name).clone()));
         }
         sections.push(("claims", to_value(&claims)));
         for (section, _, _) in FAMILY_SECTIONS {
-            let rows = primary.by_name(family_job_name(section));
-            sections.push((section, strip_key(rows, "wall_secs")));
+            sections.push((section, run.by_name(family_job_name(section)).clone()));
         }
         sections.extend([
-            ("scale_tier", to_value(scale_tier)),
             // Times a sweep's η calibration fell back to the paper's −9.75
             // because its honest sample was empty; anything non-zero means a
             // reported detection rate ran against an uncalibrated threshold.
             ("eta_fallbacks", to_value(&paper_eta_fallback_count())),
-            ("timings_secs", primary.timings()),
-            ("total_wall_secs", to_value(&primary.total_secs)),
-            ("per_scale_timings", per_scale_timings.clone()),
+            ("timings_secs", run.timings()),
+            ("total_wall_secs", to_value(&run.total_secs)),
         ]);
     }
     let summary = Value::Object(
@@ -341,64 +270,18 @@ fn main() {
     std::fs::write(path, serde_json::to_string_pretty(&summary).unwrap()).expect("write summary");
     println!("wrote {path}");
 
-    // Per-tier scale-sweep timings: the standard tier (always run) and the
-    // opt-in scale-heavy tail, each with per-population seconds pulled from
-    // the sweep's own `wall_secs` records. Keeping both in the snapshot lets
-    // the perf trajectory track the 100k run even though the default
-    // `--paper` suite no longer pays for it.
-    let scale_tiers = primary
-        .results
-        .iter()
-        .find(|(n, ..)| *n == "scale")
-        .map(|(_, v, ..)| {
-            let mut standard: Vec<(String, Value)> = Vec::new();
-            let mut heavy: Vec<(String, Value)> = Vec::new();
-            if let Value::Array(rows) = v {
-                for row in rows {
-                    let (Some(Value::String(name)), Some(secs)) =
-                        (row.get("scenario"), row.get("wall_secs"))
-                    else {
-                        continue;
-                    };
-                    if SCALE_HEAVY_SCENARIOS.contains(&name.as_str()) {
-                        heavy.push((name.clone(), secs.clone()));
-                    } else {
-                        standard.push((name.clone(), secs.clone()));
-                    }
-                }
-            }
-            let total = |entries: &[(String, Value)]| -> f64 {
-                entries.iter().filter_map(|(_, v)| v.as_f64()).sum()
-            };
-            json!({
-                "standard": json!({
-                    "scenario_secs": Value::Object(standard.clone()),
-                    "total_secs": total(&standard),
-                }),
-                "scale-heavy": json!({
-                    "ran": heavy_scale_tier,
-                    "scenario_secs": Value::Object(heavy.clone()),
-                    "total_secs": if heavy_scale_tier { Value::Float(total(&heavy)) } else { Value::Null },
-                }),
-            })
-        })
-        .unwrap_or(Value::Null);
-
     // Timing snapshot: the perf trajectory across PRs. With workers > 1 the
     // per-experiment spans overlap and include descheduled time (their sum
-    // exceeds the wall clock); `contended` flags that, and the per-scale
-    // `total_wall_secs` are the numbers to track across runs. Use
-    // `--sequential` when per-experiment spans themselves must be comparable.
+    // exceeds the wall clock); `contended` flags that, and `total_wall_secs`
+    // is the number to track across runs. Use `--sequential` when
+    // per-experiment spans themselves must be comparable.
     let bench = json!({
         "suite": "run_all_experiments",
-        "scale": format!("{:?}", primary.scale),
+        "scale": format!("{scale:?}"),
         "workers": workers,
         "contended": workers > 1,
-        "experiments_secs": primary.timings(),
-        "total_wall_secs": primary.total_secs,
-        "scales": per_scale_timings,
-        "scale_tier": scale_tier,
-        "scale_tiers": scale_tiers,
+        "experiments_secs": run.timings(),
+        "total_wall_secs": run.total_secs,
     });
     let bench_path = "BENCH_experiments.json";
     std::fs::write(bench_path, serde_json::to_string_pretty(&bench).unwrap())
@@ -408,10 +291,8 @@ fn main() {
     if let Some(claims) = &claims {
         print!("{}", claims::markdown(claims));
     }
-    for run in &runs {
-        println!(
-            "{:?} scale wall-clock: {:.2}s on {workers} worker(s)",
-            run.scale, run.total_secs
-        );
-    }
+    println!(
+        "{scale:?} scale wall-clock: {:.2}s on {workers} worker(s)",
+        run.total_secs
+    );
 }

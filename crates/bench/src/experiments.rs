@@ -359,16 +359,7 @@ fn snapshot_metrics(snap: &ScoreSnapshot, eta: f64) -> PlanetlabSnapshot {
 /// with Δ = (1/7, 0.1, 0.1)) observed at 25, 30 and 35 seconds, for the given
 /// cross-checking probability.
 pub fn fig14_planetlab_scores(scale: Scale, pdcc: f64, seed: u64) -> PlanetlabScoresResult {
-    // The paper's two pdcc values are registered scenarios; any other pdcc
-    // reuses the registered deployment with the probability overridden.
-    let registry = ScenarioRegistry::builtin();
-    let config = registry
-        .try_build(&fig14_scenario_name(pdcc), scale, seed)
-        .unwrap_or_else(|| {
-            let mut config = registry.build(&fig14_scenario_name(1.0), scale, seed);
-            config.lifting.pdcc = pdcc;
-            config
-        });
+    let config = ScenarioRegistry::builtin().build(&fig14_scenario_name(pdcc), scale, seed);
     let snaps = [
         SimDuration::from_secs(25),
         SimDuration::from_secs(30),
@@ -516,10 +507,10 @@ pub fn layer_traffic_breakdown(scale: Scale, seed: u64) -> LayerTrafficResult {
 // Scenario families: one readout per run, one sweep per registry family.
 // ---------------------------------------------------------------------------
 
-/// The heavy tail of the scale family: populations that dominate the Paper
-/// suite's wall clock. `run_all_experiments` runs them only behind
-/// `--tier scale-heavy`, so the default `--paper` sweep stays around a minute.
-pub const SCALE_HEAVY_SCENARIOS: [&str; 1] = ["scale/100k"];
+/// The members of the scale family that [`scale_sweep`] skips: the 100k
+/// population alone would dominate the paper-scale suite's wall clock
+/// (`run_scenario scale/100k` runs it).
+const SCALE_SWEEP_SKIPS: [&str; 1] = ["scale/100k"];
 
 /// Per-channel readout of one run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -551,7 +542,7 @@ pub struct FamilyRow {
     /// Simulated duration in seconds.
     pub duration_secs: f64,
     /// The threshold `detection`, `false_positives` and `precision` are read
-    /// at (chosen by [`family_sweep`] or [`scale_sweep_tier`]).
+    /// at (chosen by [`family_sweep`] or [`scale_sweep`]).
     pub eta: f64,
     /// Detection probability at `eta` (score below it, or expelled).
     pub detection: f64,
@@ -578,8 +569,6 @@ pub struct FamilyRow {
     /// Estimated protocol-state heap bytes per node at the end of the run
     /// (deterministic capacity walk; identical across worker/shard counts).
     pub memory_per_node_bytes: f64,
-    /// Wall-clock seconds of the run; 0 outside [`scale_sweep_tier`].
-    pub wall_secs: f64,
     /// Per-channel readouts.
     pub per_stream: Vec<StreamRow>,
     /// Membership dynamics: sessions, departures, rejoins, aborted audits.
@@ -629,7 +618,6 @@ impl FamilyRow {
                 .unwrap_or(0.0),
             waves: recovery.map(|r| r.waves.clone()).unwrap_or_default(),
             memory_per_node_bytes: outcome.memory_per_node_bytes,
-            wall_secs: 0.0,
             per_stream: outcome
                 .per_stream
                 .iter()
@@ -684,28 +672,21 @@ pub fn family_sweep(family: &str, scale: Scale, seed: u64) -> Vec<FamilyRow> {
         .collect()
 }
 
-/// Runs the `scale/*` family — the Figure 14 deployment pushed to 1k, 10k
-/// and 100k nodes — and reads each population at a threshold calibrated from
-/// its own honest scores (β = 1 %, the paper's η only on an empty sample).
-/// `include_heavy = false` skips the [`SCALE_HEAVY_SCENARIOS`] (the `--paper`
-/// default in `run_all_experiments`). The runs are deliberately sequential,
-/// smallest first: the 100k population dominates peak memory, stacking it on
-/// concurrent jobs would make the footprint depend on the worker count, and
-/// an out-of-memory failure there must not mask the populations below it.
-pub fn scale_sweep_tier(scale: Scale, seed: u64, include_heavy: bool) -> Vec<FamilyRow> {
+/// Runs the `scale/*` family — the Figure 14 deployment pushed to 1k and
+/// 10k nodes, without `scale/100k` — and reads each population
+/// at a threshold calibrated from its own honest scores (β = 1 %, the
+/// paper's η only on an empty sample). The runs are deliberately sequential,
+/// smallest first: stacking the large populations on concurrent jobs would
+/// make the peak footprint depend on the worker count.
+pub fn scale_sweep(scale: Scale, seed: u64) -> Vec<FamilyRow> {
     let registry = ScenarioRegistry::builtin();
     family_members("scale")
         .into_iter()
-        .filter(|name| include_heavy || !SCALE_HEAVY_SCENARIOS.contains(name))
+        .filter(|name| !SCALE_SWEEP_SKIPS.contains(name))
         .map(|name| {
-            let run_start = std::time::Instant::now();
             let outcome = run_scenario(registry.build(name, scale, seed));
-            let wall_secs = run_start.elapsed().as_secs_f64();
             let eta = calibrated_eta(&outcome.finals.honest_scores(), 0.01);
-            FamilyRow {
-                wall_secs,
-                ..FamilyRow::read(name, &outcome, eta)
-            }
+            FamilyRow::read(name, &outcome, eta)
         })
         .collect()
 }
@@ -884,17 +865,18 @@ mod tests {
     }
 
     #[test]
-    fn scale_sweep_standard_tier_skips_the_heavy_tail() {
-        let rows = scale_sweep_tier(Scale::Quick, 9, false);
-        let mut standard = family_members("scale");
-        assert_eq!(rows.len(), standard.len() - SCALE_HEAVY_SCENARIOS.len());
-        standard.retain(|name| !SCALE_HEAVY_SCENARIOS.contains(name));
-        assert_eq!(names(&rows), standard);
-    }
-
-    #[test]
     fn quick_scale_scale_sweep_reports_detection_and_memory() {
-        let rows = scale_sweep_tier(Scale::Quick, 9, true);
+        let mut rows = scale_sweep(Scale::Quick, 9);
+        let mut swept = family_members("scale");
+        swept.retain(|name| !SCALE_SWEEP_SKIPS.contains(name));
+        assert_eq!(names(&rows), swept);
+        // The skipped populations run on their own; their readout holds to
+        // the same checks.
+        for name in SCALE_SWEEP_SKIPS {
+            let outcome = run_scenario(ScenarioRegistry::builtin().build(name, Scale::Quick, 9));
+            let eta = calibrated_eta(&outcome.finals.honest_scores(), 0.01);
+            rows.push(FamilyRow::read(name, &outcome, eta));
+        }
         assert_eq!(names(&rows), family_members("scale"));
         // Populations ascend; every run reports a positive memory bill and a
         // live stream, and the η calibration keeps false positives near its

@@ -20,7 +20,6 @@
 pub mod claims;
 pub mod experiments;
 pub mod listing;
-pub mod output;
 
 pub use experiments::Scale;
 

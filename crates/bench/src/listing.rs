@@ -1,6 +1,6 @@
-//! The `--list` face of the scenario registry (shared by `run_scenario` and
-//! `run_all_experiments`): scenarios grouped by family with each one's
-//! component composition, plus the registry-validation pass the CI gate runs.
+//! The `--list` face of the scenario registry (`run_scenario --list`):
+//! scenarios grouped by family with each one's component composition, plus
+//! the registry-validation pass the CI gate runs.
 
 use lifting_net::capability_components;
 use lifting_runtime::{

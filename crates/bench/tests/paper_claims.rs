@@ -1,8 +1,8 @@
 //! The paper's claims, checked (`lifting_bench::claims`). At quick scale every
 //! row holds unless it declares a known deviation, and a declared deviation
 //! that starts to hold fails as well: the table says exactly what the
-//! reproduction reproduces. The README's "Paper claims" table — the `--paper`
-//! print-out of `run_all_experiments` — must list the same claims with the
+//! reproduction reproduces. The README's "Paper claims" table — the
+//! paper-scale print-out of `run_all_experiments` — must list the same claims with the
 //! same paper values, checks and verdicts.
 
 use lifting_bench::claims::{table, Evidence};
@@ -41,7 +41,7 @@ fn paper_claims_hold_or_deviate_as_declared_and_the_readme_lists_them() {
         .filter(|line| line.starts_with("| `"))
         .map(cells)
         .collect();
-    let regenerate = "regenerate README's claims section from `run_all_experiments --paper`";
+    let regenerate = "regenerate README's claims section from `run_all_experiments`";
     assert_eq!(rows.len(), claims.len(), "{regenerate}");
     for claim in &claims {
         let line = claim.markdown_row();

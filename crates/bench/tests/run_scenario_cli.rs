@@ -75,8 +75,10 @@ fn run_all_experiments_bad_command_lines_are_usage_errors() {
         stderr
     };
     assert!(of(&["--quick", "--filter"]).contains("--filter needs"));
-    assert!(of(&["--quick", "--tier", "bogus"]).contains("unknown tier \"bogus\""));
-    assert!(of(&["--quick", "--tier"]).contains("--tier needs"));
+    // The retired scale and tier switches are unknown flags now.
+    for retired in ["--paper", "--both", "--tier", "--list"] {
+        assert!(of(&["--quick", retired]).contains(&format!("unknown flag {retired}")));
+    }
     let stderr = of(&["--quick", "--filter", "no-such-job"]);
     assert!(
         stderr.contains("matches no experiment") && stderr.contains("multistream"),

@@ -200,12 +200,6 @@ impl PlayoutBuffer {
             .count();
         delivered as f64 / emitted.len() as f64
     }
-
-    /// True if this node views a clear stream at the given lag: at least
-    /// `threshold` of the reference chunks arrived within `lag`.
-    pub fn views_clear_stream(&self, emitted: &[Chunk], lag: SimDuration, threshold: f64) -> bool {
-        self.delivery_ratio_within(emitted, lag) >= threshold
-    }
 }
 
 impl Serialize for PlayoutBuffer {
@@ -292,16 +286,6 @@ impl StreamHealth {
         }
     }
 
-    /// The smallest lag at which at least `target` of the nodes view a clear
-    /// stream, if any.
-    pub fn lag_for_fraction(&self, target: f64) -> Option<f64> {
-        self.lag_secs
-            .iter()
-            .zip(&self.fraction_clear)
-            .find(|(_, frac)| **frac >= target)
-            .map(|(lag, _)| *lag)
-    }
-
     /// The fraction of nodes viewing a clear stream at the largest lag of the
     /// grid — the run's headline health figure; 0.0 for an empty grid.
     pub fn final_clear(&self) -> f64 {
@@ -374,8 +358,8 @@ mod tests {
         buf.record(&chunks[3], SimTime::from_millis(350));
         let ratio = buf.delivery_ratio_within(&chunks, SimDuration::from_millis(200));
         assert!((ratio - 0.5).abs() < 1e-12);
-        assert!(buf.views_clear_stream(&chunks, SimDuration::from_millis(200), 0.5));
-        assert!(!buf.views_clear_stream(&chunks, SimDuration::from_millis(200), 0.99));
+        assert!(ratio >= 0.5);
+        assert!(ratio < 0.99);
         // With a huge lag allowance the late chunk also counts, but not the missing one.
         let ratio = buf.delivery_ratio_within(&chunks, SimDuration::from_secs(10));
         assert!((ratio - 0.75).abs() < 1e-12);
@@ -433,8 +417,6 @@ mod tests {
         ];
         let health = StreamHealth::compute(&[&a, &b], &chunks, &lags, 0.99);
         assert_eq!(health.fraction_clear, vec![0.5, 0.5, 1.0]);
-        assert_eq!(health.lag_for_fraction(1.0), Some(3.0));
-        assert_eq!(health.lag_for_fraction(0.4), Some(0.5));
         assert_eq!(health.final_clear(), 1.0);
         let no_grid = StreamHealth::compute(&[&a], &chunks, &[], 0.99);
         assert_eq!(no_grid.final_clear(), 0.0);

@@ -73,11 +73,6 @@ impl GossipMessage {
         }
     }
 
-    /// True for serve messages (the only ones carrying stream data).
-    pub fn carries_data(&self) -> bool {
-        matches!(self, GossipMessage::Serve(_))
-    }
-
     /// The stream this message belongs to, derived from the chunk identities
     /// it carries (a stream id needs no wire bytes of its own: it is packed
     /// into every chunk id). `None` only for a degenerate empty proposal or
@@ -108,7 +103,6 @@ mod tests {
             .into(),
         });
         assert_eq!(propose.wire_size(), 16 + 3 * 8);
-        assert!(!propose.carries_data());
 
         let request = GossipMessage::Request(RequestPayload {
             chunks: vec![ChunkId::primary(1)].into(),
@@ -119,7 +113,6 @@ mod tests {
             chunk: Chunk::new(ChunkId::primary(9), 4_096, SimTime::ZERO),
         });
         assert_eq!(serve.wire_size(), 16 + 8 + 4_096);
-        assert!(serve.carries_data());
     }
 
     #[test]

@@ -117,16 +117,6 @@ impl StreamSource {
         self.next_index += 1;
         chunk
     }
-
-    /// Emits every chunk due at or before `now` (useful when driving the
-    /// source from a coarse timer).
-    pub fn emit_due(&mut self, now: SimTime) -> Vec<Chunk> {
-        let mut out = Vec::new();
-        while self.next_emission() <= now {
-            out.push(self.emit());
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -168,16 +158,6 @@ mod tests {
         assert_eq!(c.id, ChunkId::new(stream, 0));
         assert_eq!(c.emitted_at, SimTime::from_secs(2));
         assert_eq!(clock.chunk(5).emitted_at, SimTime::from_millis(2_050));
-    }
-
-    #[test]
-    fn emit_due_catches_up_to_now() {
-        let clock = StreamClock::new(StreamId::PRIMARY, 1_000_000, 1_250); // 10 ms per chunk
-        let mut src = StreamSource::new(clock);
-        let due = src.emit_due(SimTime::from_millis(35));
-        assert_eq!(due.len(), 4); // t = 0, 10, 20, 30
-        assert_eq!(src.next_emission(), SimTime::from_millis(40));
-        assert!(src.emit_due(SimTime::from_millis(35)).is_empty());
     }
 
     #[test]

@@ -143,12 +143,28 @@ impl<C> CheckRing<C> {
     pub(crate) fn remove(&mut self, token: u64) -> Option<C> {
         let at = self.slot_of(token)?;
         let check = self.slots[at].take()?;
+        self.drop_settled_front();
+        Some(check)
+    }
+
+    /// Settles every live check that `settles` accepts.
+    pub(crate) fn remove_where(&mut self, mut settles: impl FnMut(&C) -> bool) {
+        for i in 0..self.len {
+            let at = self.slot(i);
+            if self.slots[at].as_ref().is_some_and(&mut settles) {
+                self.slots[at] = None;
+            }
+        }
+        self.drop_settled_front();
+    }
+
+    /// Advances the front past settled slots.
+    fn drop_settled_front(&mut self) {
         while self.len > 0 && self.slots[self.head as usize].is_none() {
             self.head = (self.head + 1) % self.slots.len() as u32;
             self.front += 1;
             self.len -= 1;
         }
-        Some(check)
     }
 
     /// The live checks with their tokens, in arming order.

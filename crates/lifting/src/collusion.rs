@@ -68,11 +68,6 @@ impl CollusionConfig {
             .filter(|c| *c != me)
             .collect()
     }
-
-    /// Size of the coalition.
-    pub fn coalition_size(&self) -> usize {
-        self.coalition.len()
-    }
 }
 
 #[cfg(test)]
@@ -89,7 +84,6 @@ mod tests {
         assert!(!c.covers_up());
         assert!(!c.man_in_the_middle());
         assert!(!c.is_colluder(NodeId::new(3)));
-        assert_eq!(c.coalition_size(), 0);
     }
 
     #[test]
@@ -103,7 +97,6 @@ mod tests {
             c.accomplices(NodeId::new(2)),
             vec![NodeId::new(1), NodeId::new(3)]
         );
-        assert_eq!(c.coalition_size(), 3);
     }
 
     #[test]

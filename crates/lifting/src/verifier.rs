@@ -23,7 +23,7 @@
 use std::sync::Arc;
 
 use lifting_gossip::{ChunkId, ProposeRound};
-use lifting_sim::{InlineVec, NodeId, SimTime, StreamId};
+use lifting_sim::{NodeId, SimTime, StreamId};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -275,13 +275,13 @@ impl Verifier {
 
     /// Polls each of `witnesses` with the round's one shared confirm payload.
     fn send_confirms<T: From<VerifierAction>>(
-        witnesses: &[NodeId],
+        witnesses: impl IntoIterator<Item = NodeId>,
         confirm: &Arc<ConfirmPayload>,
         out: &mut Vec<T>,
     ) {
         for to in witnesses {
             let message = VerificationMessage::Confirm(confirm.clone());
-            out.push(VerifierAction::Send { to: *to, message }.into());
+            out.push(VerifierAction::Send { to, message }.into());
         }
     }
 
@@ -422,17 +422,10 @@ impl Verifier {
         rng: &mut R,
         out: &mut Vec<T>,
     ) {
-        // Clear every pending expectation this acknowledgment satisfies
-        // (collected on the stack: an ack rarely satisfies more than one).
-        let satisfied: InlineVec<u64, 8> = self
-            .acks
-            .iter_mut()
-            .filter(|(_, p)| p.receiver == from && p.chunks.iter().all(|c| ack.chunks.contains(c)))
-            .map(|(t, _)| t)
-            .collect();
-        for t in satisfied.iter() {
-            self.acks.remove(*t);
-        }
+        // Clear every pending expectation this acknowledgment satisfies.
+        self.acks.remove_where(|p| {
+            p.receiver == from && p.chunks.iter().all(|c| ack.chunks.contains(c))
+        });
 
         // A colluding verifier does not check coalition members.
         if self.collusion.covers_up() && self.collusion.is_colluder(from) {
@@ -453,7 +446,7 @@ impl Verifier {
                 chunks: ack.chunks.clone(),
                 token,
             });
-            Self::send_confirms(&ack.partners, &confirm, out);
+            Self::send_confirms(ack.partners.iter().copied(), &confirm, out);
             self.start_timer(VerifierTimer::ConfirmCheck { token }, deadline, out);
         }
     }
@@ -589,8 +582,8 @@ impl Verifier {
     ) {
         let retries = self.config.confirm_retries;
         let check = self.confirms.ring.get_mut(token).expect("expired above");
-        let silent: InlineVec<NodeId, 8> = check.silent().collect();
-        if !silent.is_empty() && check.attempt < retries {
+        let silent = check.silent().count();
+        if silent > 0 && check.attempt < retries {
             // Retry: re-send the identical confirm to the still-silent
             // witnesses and re-arm the timer with a linear backoff
             // (attempt i waits CONFIRM_TIMEOUT · (i + 1)).
@@ -603,13 +596,13 @@ impl Verifier {
                 token,
             });
             self.retry_stats.timeouts += 1;
-            self.retry_stats.resends += silent.len() as u64;
-            Self::send_confirms(silent.as_slice(), &confirm, out);
+            self.retry_stats.resends += silent as u64;
+            Self::send_confirms(check.silent(), &confirm, out);
             self.start_timer(VerifierTimer::ConfirmCheck { token }, deadline, out);
             return;
         }
         let check = self.confirms.remove(token).expect("expired above");
-        if !silent.is_empty() {
+        if silent > 0 {
             // Retries exhausted with witnesses still silent: graceful
             // degradation — no contradiction is inferred from silence.
             self.retry_stats.timeouts += 1;
@@ -781,6 +774,43 @@ mod tests {
             out
         )))
         .is_empty());
+    }
+
+    #[test]
+    fn one_ack_settles_every_check_it_covers() {
+        let mut rng = derive_rng(4, 0);
+        let mut v = verifier(1);
+        let receiver = NodeId::new(5);
+        let ack_timers: Vec<VerifierTimer> = [ids(&[1, 2]), ids(&[3]), ids(&[4, 5])]
+            .into_iter()
+            .map(|chunks| {
+                let actions =
+                    collect(|out| v.on_chunks_served_into(receiver, chunks, SimTime::ZERO, out));
+                timers(&actions)[0]
+            })
+            .collect();
+        assert_eq!(v.pending_checks(), 3);
+        // The ack covers the first two chunk lists, not the third.
+        let ack = AckPayload {
+            chunks: ids(&[1, 2, 3]).into(),
+            partners: (10..17).map(NodeId::new).collect::<Vec<_>>().into(),
+            period: 1,
+        };
+        let out =
+            collect(|out| v.on_ack_into(receiver, ack, SimTime::from_millis(900), &mut rng, out));
+        assert!(blames(&out).is_empty());
+        let expire = |v: &mut Verifier, timer| {
+            blames(&collect(|out| {
+                v.on_timer_into(timer, SimTime::from_secs(2), 0, out)
+            }))
+        };
+        assert!(expire(&mut v, ack_timers[0]).is_empty());
+        assert!(expire(&mut v, ack_timers[1]).is_empty());
+        let bs = expire(&mut v, ack_timers[2]);
+        assert_eq!(bs.len(), 1);
+        assert_eq!(bs[0].target, receiver);
+        assert_eq!(bs[0].value, schedule::missing_ack(7));
+        assert_eq!(bs[0].reason, BlameReason::MissingAck);
     }
 
     #[test]

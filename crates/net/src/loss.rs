@@ -149,14 +149,6 @@ impl LossModel {
             }
         }
     }
-
-    /// Samples whether a message is lost, using a throwaway burst state (the
-    /// chain starts in the good state on every call). Only meaningful for the
-    /// stateless variants; the network always uses
-    /// [`is_lost_with`](Self::is_lost_with).
-    pub fn is_lost<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
-        self.is_lost_with(&mut BurstState::default(), rng)
-    }
 }
 
 #[cfg(test)]
@@ -166,15 +158,17 @@ mod tests {
 
     #[test]
     fn none_never_loses() {
-        let mut rng = derive_rng(1, 0);
-        assert!((0..1000).all(|_| !LossModel::None.is_lost(&mut rng)));
+        let (mut rng, mut state) = (derive_rng(1, 0), BurstState::default());
+        assert!((0..1000).all(|_| !LossModel::None.is_lost_with(&mut state, &mut rng)));
     }
 
     #[test]
     fn bernoulli_rate_is_close_to_parameter() {
         let model = LossModel::bernoulli(0.07);
-        let mut rng = derive_rng(2, 0);
-        let losses = (0..100_000).filter(|_| model.is_lost(&mut rng)).count();
+        let (mut rng, mut state) = (derive_rng(2, 0), BurstState::default());
+        let losses = (0..100_000)
+            .filter(|_| model.is_lost_with(&mut state, &mut rng))
+            .count();
         let rate = losses as f64 / 100_000.0;
         assert!((rate - 0.07).abs() < 0.005, "observed rate {rate}");
     }
@@ -197,9 +191,10 @@ mod tests {
         assert_eq!(m.loss_probability(), 0.0);
         let mut a = derive_rng(3, 0);
         let mut b = derive_rng(3, 0);
-        assert!((0..1000).all(|_| !m.is_lost(&mut a)));
+        let mut state = BurstState::default();
+        assert!((0..1000).all(|_| !m.is_lost_with(&mut state, &mut a)));
         // Same draw count as None: the two RNGs stay in lockstep.
-        let _ = LossModel::None.is_lost(&mut b);
+        let _ = LossModel::None.is_lost_with(&mut state, &mut b);
         assert_eq!(a.gen_range(0..u64::MAX), b.gen_range(0..u64::MAX));
     }
 

@@ -28,11 +28,6 @@ pub struct LinkFaults {
 }
 
 impl LinkFaults {
-    /// True if every knob is off (the default).
-    pub fn is_inert(&self) -> bool {
-        self.delay_spike_probability <= 0.0 && self.duplicate_probability <= 0.0
-    }
-
     /// Validates the knobs: both probabilities in `[0, 1]`. An error names
     /// the offending key of component `link_faults`.
     pub fn validate(&self) -> Result<(), ComponentError> {
@@ -509,7 +504,6 @@ mod tests {
             delay_spike: SimDuration::from_millis(500),
             duplicate_probability: 1.0,
         };
-        assert!(!faults.is_inert());
         let config = NetworkConfig {
             faults,
             ..NetworkConfig::ideal()

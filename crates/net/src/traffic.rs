@@ -153,16 +153,6 @@ impl TrafficStats {
             overhead_ratio: self.overhead_ratio(),
         }
     }
-
-    /// Merges another set of statistics into this one.
-    pub fn merge(&mut self, other: &TrafficStats) {
-        for (e, c) in self.counters.iter_mut().zip(&other.counters) {
-            e.messages_sent += c.messages_sent;
-            e.bytes_sent += c.bytes_sent;
-            e.messages_delivered += c.messages_delivered;
-            e.bytes_delivered += c.bytes_delivered;
-        }
-    }
 }
 
 /// A flattened summary of [`TrafficStats`] suitable for serialization.
@@ -211,20 +201,6 @@ mod tests {
         assert_eq!(c.messages_delivered, 1);
         assert_eq!(c.bytes_sent, 200);
         assert_eq!(c.bytes_delivered, 100);
-    }
-
-    #[test]
-    fn merge_adds_counters() {
-        let mut a = TrafficStats::new();
-        a.record_sent(TrafficCategory::Blame, 10);
-        let mut b = TrafficStats::new();
-        b.record_sent(TrafficCategory::Blame, 32);
-        b.record_delivered(TrafficCategory::Blame, 32);
-        a.merge(&b);
-        let c = a.category(TrafficCategory::Blame);
-        assert_eq!(c.bytes_sent, 42);
-        assert_eq!(c.messages_sent, 2);
-        assert_eq!(c.bytes_delivered, 32);
     }
 
     #[test]

@@ -22,7 +22,6 @@ const REJECTION_SAMPLING_THRESHOLD: usize = 1_000;
 #[derive(Debug, Clone)]
 pub struct ManagerAssignment {
     managers: Vec<Vec<NodeId>>,
-    per_node: usize,
 }
 
 impl ManagerAssignment {
@@ -67,12 +66,7 @@ impl ManagerAssignment {
                 }
             })
             .collect();
-        ManagerAssignment { managers, per_node }
-    }
-
-    /// Number of managers assigned to each node (`M`).
-    pub fn managers_per_node(&self) -> usize {
-        self.per_node
+        ManagerAssignment { managers }
     }
 
     /// Number of nodes covered by the assignment.
@@ -125,7 +119,6 @@ mod tests {
     fn assignment_has_m_distinct_managers_excluding_self() {
         let a = ManagerAssignment::new(300, 25, 7);
         assert_eq!(a.len(), 300);
-        assert_eq!(a.managers_per_node(), 25);
         for i in 0..300u32 {
             let ms = a.managers_of(NodeId::new(i));
             assert_eq!(ms.len(), 25);

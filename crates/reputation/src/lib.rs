@@ -9,7 +9,7 @@
 //! The crate is transport-agnostic: [`ManagerAssignment`] computes who manages
 //! whom, [`ManagerState`] is the per-manager score book (blames, per-period
 //! compensation, normalized scores, expulsion votes), and [`voting`] holds the
-//! vote aggregation functions. `lifting-runtime` moves the blame messages and
+//! minimum vote. `lifting-runtime` moves the blame messages and
 //! expulsion decisions over the simulated network.
 
 #![forbid(unsafe_code)]
@@ -21,6 +21,6 @@ pub mod voting;
 
 pub use assignment::ManagerAssignment;
 pub use store::{ManagerState, ScoreRecord};
-pub use voting::{aggregate_mean, aggregate_min, VoteFunction};
+pub use voting::aggregate_min;
 
 pub use lifting_sim::NodeId;

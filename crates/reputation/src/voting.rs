@@ -3,44 +3,13 @@
 //! When a node queries the `M` managers of a peer for its score, the replies
 //! are aggregated with a **minimum** (Section 5.1): colluding managers can
 //! only *raise* a stored score, and a lost reply cannot make a node look
-//! better than its worst copy. The mean is provided as an ablation baseline.
-
-use serde::{Deserialize, Serialize};
-
-/// The vote function used to aggregate manager replies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum VoteFunction {
-    /// Minimum of the replies — the paper's choice.
-    Min,
-    /// Arithmetic mean of the replies — ablation baseline, vulnerable to
-    /// colluding managers inflating scores.
-    Mean,
-}
-
-impl VoteFunction {
-    /// Aggregates the replies; `None` if there are none.
-    pub fn aggregate(&self, replies: &[f64]) -> Option<f64> {
-        match self {
-            VoteFunction::Min => aggregate_min(replies),
-            VoteFunction::Mean => aggregate_mean(replies),
-        }
-    }
-}
+//! better than its worst copy.
 
 /// Minimum vote (the paper's choice). `None` for an empty slice.
 pub fn aggregate_min(replies: &[f64]) -> Option<f64> {
     replies.iter().copied().fold(None, |acc: Option<f64>, v| {
         Some(acc.map_or(v, |a| a.min(v)))
     })
-}
-
-/// Mean vote (ablation baseline). `None` for an empty slice.
-pub fn aggregate_mean(replies: &[f64]) -> Option<f64> {
-    if replies.is_empty() {
-        None
-    } else {
-        Some(replies.iter().sum::<f64>() / replies.len() as f64)
-    }
 }
 
 #[cfg(test)]
@@ -52,22 +21,15 @@ mod tests {
         // Two colluding managers report an inflated score; min ignores them.
         let replies = [-12.0, 40.0, 40.0, -11.5];
         assert_eq!(aggregate_min(&replies), Some(-12.0));
-        assert_eq!(VoteFunction::Min.aggregate(&replies), Some(-12.0));
-        // The mean is dragged up by the colluders — the vulnerability the
-        // paper avoids.
-        assert!(aggregate_mean(&replies).unwrap() > 0.0);
     }
 
     #[test]
     fn empty_replies_yield_none() {
         assert_eq!(aggregate_min(&[]), None);
-        assert_eq!(aggregate_mean(&[]), None);
-        assert_eq!(VoteFunction::Mean.aggregate(&[]), None);
     }
 
     #[test]
     fn single_reply_is_returned_verbatim() {
         assert_eq!(aggregate_min(&[-3.5]), Some(-3.5));
-        assert_eq!(aggregate_mean(&[-3.5]), Some(-3.5));
     }
 }

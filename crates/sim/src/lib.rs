@@ -51,7 +51,6 @@ pub mod rng;
 pub mod shard;
 pub mod time;
 
-pub use collections::InlineVec;
 pub use component::{
     Component, ComponentError, ComponentRegistry, ParamMap, ParamSpec, ParamValue, SeedSplitter,
 };
@@ -59,6 +58,6 @@ pub use engine::{Context, Engine, RunReport, ShardedWorld, World};
 pub use event::EventQueue;
 pub use id::{NodeId, StreamId};
 pub use pool::{run_indexed, run_owned, worker_count};
-pub use rng::{derive_rng, split_seed, SeedSequence};
+pub use rng::{derive_rng, split_seed};
 pub use shard::ShardMap;
 pub use time::{SimDuration, SimTime};

@@ -26,39 +26,6 @@ pub fn derive_rng(master: u64, stream: u64) -> SmallRng {
     SmallRng::seed_from_u64(split_seed(master, stream))
 }
 
-/// A convenience generator of decorrelated seeds, handing out one stream
-/// after another.
-///
-/// ```
-/// use lifting_sim::SeedSequence;
-/// let mut seq = SeedSequence::new(42);
-/// let a = seq.next_seed();
-/// let b = seq.next_seed();
-/// assert_ne!(a, b);
-/// ```
-#[derive(Debug, Clone)]
-pub struct SeedSequence {
-    master: u64,
-    next_stream: u64,
-}
-
-impl SeedSequence {
-    /// Creates a sequence rooted at `master`.
-    pub fn new(master: u64) -> Self {
-        SeedSequence {
-            master,
-            next_stream: 0,
-        }
-    }
-
-    /// Returns the next derived seed.
-    pub fn next_seed(&mut self) -> u64 {
-        let s = split_seed(self.master, self.next_stream);
-        self.next_stream += 1;
-        s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -87,15 +54,5 @@ mod tests {
         let xs: Vec<u32> = (0..8).map(|_| a.gen()).collect();
         let ys: Vec<u32> = (0..8).map(|_| b.gen()).collect();
         assert_ne!(xs, ys);
-    }
-
-    #[test]
-    fn sequence_hands_out_distinct_seeds() {
-        let mut seq = SeedSequence::new(99);
-        let seeds: Vec<u64> = (0..16).map(|_| seq.next_seed()).collect();
-        let mut unique = seeds.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(unique.len(), seeds.len());
     }
 }
