@@ -865,11 +865,17 @@ mod tests {
     }
 
     #[test]
-    fn quick_scale_scale_sweep_reports_detection_and_memory() {
-        let mut rows = scale_sweep(Scale::Quick, 9);
+    fn scale_sweep_standard_tier_skips_the_heavy_tail() {
+        let rows = scale_sweep(Scale::Quick, 9);
         let mut swept = family_members("scale");
+        assert_eq!(rows.len(), swept.len() - SCALE_SWEEP_SKIPS.len());
         swept.retain(|name| !SCALE_SWEEP_SKIPS.contains(name));
         assert_eq!(names(&rows), swept);
+    }
+
+    #[test]
+    fn quick_scale_scale_sweep_reports_detection_and_memory() {
+        let mut rows = scale_sweep(Scale::Quick, 9);
         // The skipped populations run on their own; their readout holds to
         // the same checks.
         for name in SCALE_SWEEP_SKIPS {
