@@ -170,7 +170,7 @@ python3 - "$scratch/summary_parallel.json" "$scratch/summary_sequential.json" <<
 import json, sys
 a = json.load(open(sys.argv[1]))
 b = json.load(open(sys.argv[2]))
-skip = {'timings_secs', 'total_wall_secs', 'workers', 'per_scale_timings'}
+skip = {'timings_secs', 'total_wall_secs', 'workers'}
 a = {k: v for k, v in a.items() if k not in skip}
 b = {k: v for k, v in b.items() if k not in skip}
 if a != b:
@@ -300,35 +300,6 @@ per_node, bound = sum(rows.values()), 2450
 if per_node > bound:
     sys.exit(f'check table gate FAILED: verifier check tables {per_node} B/node {rows} (bound {bound})')
 print(f'check table gate OK (verifier check tables {per_node} B/node {rows}, bound {bound})')
-EOF
-
-echo "==> no blame deliveries in the event queue (headline/planetlab, quick scale)"
-# Blame copies land from the world's in-flight buffer, never as queued
-# events: the per-event-kind table must show no Blame row with events.
-python3 - "$scratch/profile_headline.txt" <<'EOF'
-import re, sys
-text = open(sys.argv[1]).read()
-if not re.search(r'^-- per-event-kind attribution', text, re.M):
-    sys.exit('blame gate: profile_scenario printed no per-event-kind table')
-m = re.search(r'^\s+Blame\s+\S+s\s+(\d+) events', text, re.M)
-if m and int(m.group(1)) > 0:
-    sys.exit(f'blame gate FAILED: {m.group(1)} blame deliveries went through the event queue')
-print('blame gate OK (no Blame events in the queue)')
-EOF
-
-echo "==> no witness answers in the event queue (headline/planetlab, quick scale)"
-# Witness answers land in their confirm check when they are sent, never as
-# queued events: the per-event-kind table must show no ConfirmResp row with
-# events.
-python3 - "$scratch/profile_headline.txt" <<'EOF'
-import re, sys
-text = open(sys.argv[1]).read()
-if not re.search(r'^-- per-event-kind attribution', text, re.M):
-    sys.exit('answer gate: profile_scenario printed no per-event-kind table')
-m = re.search(r'^\s+ConfirmResp\s+\S+s\s+(\d+) events', text, re.M)
-if m and int(m.group(1)) > 0:
-    sys.exit(f'answer gate FAILED: {m.group(1)} witness answers went through the event queue')
-print('answer gate OK (no ConfirmResp events in the queue)')
 EOF
 
 echo "==> bench smoke (quick wall-clock vs committed baseline)"

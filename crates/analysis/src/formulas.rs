@@ -5,8 +5,6 @@
 //! reception probability `pr`) and, for freeriders, of the degree of
 //! freeriding [`FreeridingDegree`].
 
-use serde::{Deserialize, Serialize};
-
 /// Degree of freeriding `Δ = (δ1, δ2, δ3)` (Section 6.3.1).
 ///
 /// Each component is the *fraction by which the freerider decreases* the
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// * `δ3` — partial serve: only `(1-δ3)·|R|` of the requested chunks are served.
 ///
 /// The paper's PlanetLab experiment uses `Δ = (1/7, 0.1, 0.1)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FreeridingDegree {
     /// Fanout decrease fraction, in `[0, 1]`.
     pub delta1: f64,
@@ -78,7 +76,7 @@ impl Default for FreeridingDegree {
 }
 
 /// Protocol parameters entering the closed forms.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProtocolParams {
     /// Fanout `f`: number of partners per propose phase.
     pub fanout: usize,

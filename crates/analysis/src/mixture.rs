@@ -8,10 +8,8 @@
 //! `fig11_score_distributions` experiment compares the fixed threshold
 //! `η = −9.75` with the crossing point of a fitted mixture.
 
-use serde::{Deserialize, Serialize};
-
 /// One Gaussian component of the mixture.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Component {
     /// Mixing weight in `[0, 1]`.
     pub weight: f64,
@@ -33,7 +31,7 @@ impl Component {
 ///
 /// The component with the lower mean is always reported first (for the score
 /// mixtures of the paper that is the freerider mode).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GaussianMixture {
     /// Component with the lower mean (freeriders, for score data).
     pub low: Component,

@@ -11,7 +11,6 @@
 use lifting_sim::{pool, split_seed};
 use rand::rngs::SmallRng;
 use rand::{Bernoulli, Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::formulas::{FreeridingDegree, ProtocolParams};
 use crate::stats::Summary;
@@ -38,7 +37,7 @@ pub struct BlameModel {
 }
 
 /// Normalized scores sampled for a population of honest nodes and freeriders.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ScoreSamples {
     /// Normalized scores of honest nodes.
     pub honest: Vec<f64>,

@@ -2,10 +2,10 @@
 //! histograms (the pdf plots of Figures 10, 11a and 13) and empirical CDFs
 //! (Figures 11b and 14).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Summary statistics of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Summary {
     /// Number of samples.
     pub count: usize,
@@ -93,7 +93,7 @@ pub fn ecdf(values: &[f64], grid: &[f64]) -> Vec<f64> {
 
 /// A fixed-width histogram over a closed range, producing the "fraction of
 /// nodes" densities plotted in the paper.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

@@ -14,7 +14,7 @@ use lifting_runtime::{
     WaveRecovery, TABLE03_PDCCS, TABLE05_PDCCS, TABLE05_STREAM_KBPS,
 };
 use lifting_sim::SimDuration;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Experiment scale (re-exported from the runtime's scenario registry).
 pub use lifting_runtime::Scale;
@@ -56,7 +56,7 @@ fn calibrated_eta(honest: &[f64], target_beta: f64) -> f64 {
 // ---------------------------------------------------------------------------
 
 /// One stream-health curve of Figure 1.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct HealthCurve {
     /// Curve label.
     pub label: String,
@@ -102,7 +102,7 @@ pub fn fig01_stream_health(scale: Scale, seed: u64) -> Vec<HealthCurve> {
 // ---------------------------------------------------------------------------
 
 /// Result of the Figure 10 experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct WrongfulBlameResult {
     /// Expected wrongful blame per period from Equation 5 (the compensation).
     pub expected_compensation: f64,
@@ -149,7 +149,7 @@ pub const SCORE_PERIODS: usize = 50;
 pub const FIG11_DELTA: f64 = 0.1;
 
 /// Result of the Figure 11 experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ScoreDistributionResult {
     /// Grid of score values for the cdf (x-axis of Figure 11b).
     pub grid: Vec<f64>,
@@ -204,7 +204,7 @@ pub fn fig11_score_distributions(scale: Scale, seed: u64) -> ScoreDistributionRe
 // ---------------------------------------------------------------------------
 
 /// The Figure 12 sweep: the calibrated threshold and one point per δ.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct DetectionSweep {
     /// The threshold η, calibrated for β ≤ 1 % on the honest population.
     pub eta: f64,
@@ -213,7 +213,7 @@ pub struct DetectionSweep {
 }
 
 /// One row of the Figure 12 sweep.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct DetectionPoint {
     /// Degree of freeriding δ (δ1 = δ2 = δ3 = δ).
     pub delta: f64,
@@ -260,7 +260,7 @@ pub fn fig12_detection_vs_delta(scale: Scale, seed: u64) -> DetectionSweep {
 // ---------------------------------------------------------------------------
 
 /// Result of the Figure 13 experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct EntropyResult {
     /// Entropy samples of the fanout multiset (nh·f = 600 entries).
     pub fanout: Summary,
@@ -319,7 +319,7 @@ pub fn fig13_history_entropy(scale: Scale, seed: u64) -> EntropyResult {
 // ---------------------------------------------------------------------------
 
 /// Result of the Figure 14 experiment for one value of pdcc.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PlanetlabScoresResult {
     /// The cross-checking probability used.
     pub pdcc: f64,
@@ -331,7 +331,7 @@ pub struct PlanetlabScoresResult {
 }
 
 /// Detection metrics at one snapshot instant.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PlanetlabSnapshot {
     /// Snapshot time in seconds.
     pub at_secs: f64,
@@ -383,7 +383,7 @@ pub fn fig14_planetlab_scores(scale: Scale, pdcc: f64, seed: u64) -> PlanetlabSc
 // ---------------------------------------------------------------------------
 
 /// One row of Table 3: message counts per gossip period for one pdcc.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct VerificationOverheadRow {
     /// Cross-checking probability.
     pub pdcc: f64,
@@ -437,7 +437,7 @@ pub fn table03_verification_overhead(scale: Scale, seed: u64) -> Vec<Verificatio
 // ---------------------------------------------------------------------------
 
 /// One cell of Table 5.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PracticalOverheadCell {
     /// Stream rate (kbps).
     pub stream_kbps: u64,
@@ -481,7 +481,7 @@ pub fn table05_practical_overhead(scale: Scale, seed: u64) -> Vec<PracticalOverh
 
 /// Per-layer traffic of one full-system run (Table 3's overhead breakdown at
 /// system scale: gossip vs verification vs audit vs reputation bytes).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct LayerTrafficResult {
     /// The registered scenario that was run.
     pub scenario: String,
@@ -513,7 +513,7 @@ pub fn layer_traffic_breakdown(scale: Scale, seed: u64) -> LayerTrafficResult {
 const SCALE_SWEEP_SKIPS: [&str; 1] = ["scale/100k"];
 
 /// Per-channel readout of one run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct StreamRow {
     /// The stream index.
     pub stream: u16,
@@ -531,7 +531,7 @@ pub struct StreamRow {
 
 /// What every scenario family reports about one run — one shape, so a
 /// scenario added to the registry is swept and reported with no harness edit.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FamilyRow {
     /// The registered scenario that was run.
     pub scenario: String,

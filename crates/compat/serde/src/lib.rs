@@ -3,10 +3,11 @@
 //! The build environment cannot reach crates.io, so the workspace vendors the
 //! small part of serde's surface it actually uses: a `Serialize` trait that
 //! renders values into a JSON [`Value`] tree (consumed by the vendored
-//! `serde_json`), a marker `Deserialize` trait, and the two derive macros
-//! re-exported from the vendored `serde_derive`.
+//! `serde_json`), and its derive macro re-exported from the vendored
+//! `serde_derive`. Nothing in the workspace parses JSON, so there is no
+//! deserializing half.
 
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
 
 /// A JSON value tree — the single data model of the vendored serde stack.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,10 +64,6 @@ pub trait Serialize {
     fn to_json_value(&self) -> Value;
 }
 
-/// Marker trait backing `#[derive(Deserialize)]`; the workspace never
-/// deserializes, so no methods are required.
-pub trait Deserialize {}
-
 impl Serialize for Value {
     fn to_json_value(&self) -> Value {
         self.clone()
@@ -106,12 +103,6 @@ macro_rules! impl_serialize_unsigned {
 }
 impl_serialize_unsigned!(u8, u16, u32, u64, usize);
 
-impl Serialize for f32 {
-    fn to_json_value(&self) -> Value {
-        Value::Float(f64::from(*self))
-    }
-}
-
 impl Serialize for f64 {
     fn to_json_value(&self) -> Value {
         Value::Float(*self)
@@ -130,19 +121,7 @@ impl Serialize for str {
     }
 }
 
-impl Serialize for () {
-    fn to_json_value(&self) -> Value {
-        Value::Null
-    }
-}
-
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_json_value(&self) -> Value {
-        (**self).to_json_value()
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for Box<T> {
     fn to_json_value(&self) -> Value {
         (**self).to_json_value()
     }
@@ -164,12 +143,6 @@ impl<T: Serialize> Serialize for Option<T> {
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_json_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_json_value).collect())
-    }
-}
-
-impl<T: Serialize> Serialize for std::collections::VecDeque<T> {
     fn to_json_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_json_value).collect())
     }
@@ -197,32 +170,6 @@ macro_rules! impl_serialize_tuple {
     )*};
 }
 impl_serialize_tuple! {
-    (A: 0)
     (A: 0, B: 1)
     (A: 0, B: 1, C: 2)
-    (A: 0, B: 1, C: 2, D: 3)
-}
-
-impl<K: Serialize + Ord, V: Serialize, S> Serialize for std::collections::HashMap<K, V, S> {
-    fn to_json_value(&self) -> Value {
-        // Sort by key so the rendering is deterministic.
-        let mut pairs: Vec<(&K, &V)> = self.iter().collect();
-        pairs.sort_by(|a, b| a.0.cmp(b.0));
-        Value::Array(
-            pairs
-                .into_iter()
-                .map(|(k, v)| Value::Array(vec![k.to_json_value(), v.to_json_value()]))
-                .collect(),
-        )
-    }
-}
-
-impl<K: Serialize, V: Serialize> Serialize for std::collections::BTreeMap<K, V> {
-    fn to_json_value(&self) -> Value {
-        Value::Array(
-            self.iter()
-                .map(|(k, v)| Value::Array(vec![k.to_json_value(), v.to_json_value()]))
-                .collect(),
-        )
-    }
 }

@@ -1,12 +1,11 @@
 //! Offline substitute for `serde_derive`.
 //!
 //! The build environment has no access to crates.io, so this crate provides
-//! the two derive macros the workspace uses, implemented directly on top of
+//! the one derive macro the workspace uses, implemented directly on top of
 //! `proc_macro` (no `syn`/`quote`). `#[derive(Serialize)]` generates an
 //! implementation of the vendored `serde::Serialize` trait (which renders a
-//! `serde::Value` tree); `#[derive(Deserialize)]` generates a marker
-//! implementation. Container attributes (`#[serde(...)]`) are not supported —
-//! the workspace does not use any.
+//! `serde::Value` tree). Container attributes (`#[serde(...)]`) are not
+//! supported — the workspace does not use any.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -84,14 +83,6 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         item.name, body
     );
     out.parse().expect("generated Serialize impl must parse")
-}
-
-#[proc_macro_derive(Deserialize)]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let item = parse_item(input);
-    format!("impl serde::Deserialize for {} {{}}", item.name)
-        .parse()
-        .expect("generated Deserialize impl must parse")
 }
 
 // ---------------------------------------------------------------------------

@@ -8,10 +8,9 @@
 
 use lifting_sim::ComponentError;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Dissemination-level freeriding configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FreeriderConfig {
     /// `δ1` — fanout decrease: the node proposes to `(1-δ1)·f` partners.
     pub delta1: f64,
@@ -75,7 +74,7 @@ impl FreeriderConfig {
 }
 
 /// Behaviour of a node at the dissemination layer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum Behavior {
     /// Strictly follows the protocol.
     #[default]

@@ -16,13 +16,13 @@
 //! plots, for each lag, the fraction of nodes for which this holds.
 
 use lifting_sim::{SimDuration, SimTime, StreamId};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 
 use crate::chunk::{Chunk, ChunkId};
 use crate::source::StreamClock;
 
 /// Reception record of one chunk (built from its slot on demand).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Receipt {
     /// When the source emitted the chunk.
     pub emitted_at: SimTime,
@@ -219,10 +219,8 @@ impl Serialize for PlayoutBuffer {
     }
 }
 
-impl Deserialize for PlayoutBuffer {}
-
 /// System-wide stream-health series: Figure 1's y-axis over a grid of lags.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct StreamHealth {
     /// Lags (x-axis), in seconds.
     pub lag_secs: Vec<f64>,

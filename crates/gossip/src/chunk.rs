@@ -5,7 +5,7 @@ use std::mem::size_of;
 use std::sync::Arc;
 
 use lifting_sim::{SimTime, StreamId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Identifier of a stream chunk: the pair `(StreamId, ChunkIndex)`.
 ///
@@ -15,9 +15,7 @@ use serde::{Deserialize, Serialize};
 /// bits, index below — so a chunk id still costs 8 bytes on the wire and in
 /// every message payload, and per-stream state can keep using flat
 /// index-addressed storage via [`index`](ChunkId::index).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct ChunkId(pub u64);
 
 impl ChunkId {
@@ -83,7 +81,7 @@ pub fn shared_list_heap_bytes<T>(list: &Arc<[T]>) -> usize {
 /// The payload itself is modelled by its size only — every metric of the paper
 /// (stream health, overhead ratios, scores) is a function of chunk timing and
 /// byte counts, never of payload content.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct Chunk {
     /// Chunk identity (stream and sequence number within it).
     pub id: ChunkId,

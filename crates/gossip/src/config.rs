@@ -1,10 +1,9 @@
 //! Gossip protocol configuration.
 
 use lifting_sim::{ComponentError, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// Static parameters of the three-phase gossip protocol.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GossipConfig {
     /// Fanout `f`: number of partners each propose phase targets. The paper
     /// uses 7 on PlanetLab (300 nodes) and 12 in the 10,000-node simulations

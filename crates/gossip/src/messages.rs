@@ -8,8 +8,6 @@
 
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::chunk::{Chunk, ChunkId};
 
 /// Fixed application-level header of every gossip message (message type,
@@ -21,7 +19,7 @@ pub const CHUNK_ID_BYTES: u64 = 8;
 pub const NODE_ID_BYTES: u64 = 6;
 
 /// A propose message: the chunk ids received since the last propose phase.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProposePayload {
     /// The proposer's gossip-period counter (used by receivers to order
     /// proposals; not trusted by any verification).
@@ -33,21 +31,21 @@ pub struct ProposePayload {
 }
 
 /// A request message: the subset of proposed chunks the receiver needs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestPayload {
     /// Chunk ids requested (shared with the requester's pending serve check).
     pub chunks: Arc<[ChunkId]>,
 }
 
 /// A serve message carrying one chunk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServePayload {
     /// The chunk being served (payload modelled by its size).
     pub chunk: Chunk,
 }
 
 /// Any message of the three-phase gossip protocol.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GossipMessage {
     /// Phase 1: propose chunk ids to a partner.
     Propose(ProposePayload),

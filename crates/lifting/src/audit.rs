@@ -20,7 +20,6 @@
 use lifting_analysis::shannon_entropy_of_counts;
 use lifting_gossip::ChunkId;
 use lifting_sim::NodeId;
-use serde::{Deserialize, Serialize};
 
 use crate::blame::schedule;
 use crate::config::LiftingConfig;
@@ -43,7 +42,7 @@ pub trait AuditOracle {
 }
 
 /// Outcome category of an audit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AuditVerdict {
     /// Nothing suspicious.
     Pass,
@@ -54,7 +53,7 @@ pub enum AuditVerdict {
 }
 
 /// Detailed result of one audit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AuditReport {
     /// The audited node.
     pub subject: NodeId,

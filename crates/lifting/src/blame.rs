@@ -5,10 +5,9 @@
 //! comparable and summable into a single score.
 
 use lifting_sim::{NodeId, StreamId};
-use serde::{Deserialize, Serialize};
 
 /// Why a blame was emitted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BlameReason {
     /// Some requested chunks were never served (direct verification).
     PartialServe,
@@ -35,7 +34,7 @@ pub enum BlameReason {
 /// aggregation is what lets misbehaviour on one channel cost access to all
 /// of them), so scoring never reads the field — metrics and invariant tests
 /// do.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Blame {
     /// The node being blamed.
     pub target: NodeId,

@@ -1,7 +1,6 @@
 //! LiFTinG configuration.
 
 use lifting_sim::{ComponentError, SimDuration};
-use serde::{Deserialize, Serialize};
 
 /// How long a requester waits for requested chunks before running direct
 /// verification: one gossip period `Tg` of the deployment (the paper checks
@@ -22,7 +21,7 @@ pub const CONFIRM_TIMEOUT: SimDuration = SimDuration::from_millis(1_000);
 pub const EXPULSION_QUORUM: f64 = 0.5;
 
 /// Static parameters of the LiFTinG verification layer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LiftingConfig {
     /// Probability `pdcc` of triggering a direct cross-check after each serve
     /// (Section 5). 0 when the system is considered healthy, 1 when it must be

@@ -26,7 +26,7 @@ use lifting_gossip::chunk::shared_list_heap_bytes;
 use lifting_gossip::ChunkId;
 use lifting_sim::collections::FastHashMap;
 use lifting_sim::NodeId;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 
 use crate::messages::{CHUNK_ID_BYTES, NODE_ID_BYTES};
 
@@ -209,8 +209,6 @@ impl Serialize for NodeHistory {
         ])
     }
 }
-
-impl Deserialize for NodeHistory {}
 
 impl NodeHistory {
     /// Creates an empty history covering at most `capacity_periods` gossip

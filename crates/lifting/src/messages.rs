@@ -10,7 +10,6 @@ use std::sync::Arc;
 
 use lifting_gossip::ChunkId;
 use lifting_sim::{NodeId, StreamId};
-use serde::{Deserialize, Serialize};
 
 use crate::blame::Blame;
 use crate::history::NodeHistory;
@@ -27,7 +26,7 @@ pub const BLAME_VALUE_BYTES: u64 = 8;
 /// Acknowledgment sent by a receiver to the node that served it chunks,
 /// naming the partners to which the chunks were further proposed
 /// (`ack[i](p2, p3)` in Figure 7).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AckPayload {
     /// The chunks (served by the destination of this ack) that were proposed.
     /// Shared, not owned: the verifier forwards the same list into each of
@@ -42,7 +41,7 @@ pub struct AckPayload {
 
 /// Confirm request sent by a verifier to a witness: "did `subject` propose
 /// these chunks to you?".
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfirmPayload {
     /// The node whose forwarding is being verified.
     pub subject: NodeId,
@@ -54,7 +53,7 @@ pub struct ConfirmPayload {
 }
 
 /// A witness's answer to a confirm request.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfirmResponsePayload {
     /// The node whose forwarding was being verified.
     pub subject: NodeId,
@@ -78,7 +77,7 @@ pub struct ConfirmResponsePayload {
 /// simulation event carrying it through the scheduler's binary heap — stays
 /// small: the box is allocated when the payload (which already owns `Vec`s)
 /// is built, not on the per-event hot path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum VerificationMessage {
     /// Acknowledgment from a receiver to its server (UDP).
     Ack(Box<AckPayload>),

@@ -25,7 +25,7 @@ use std::sync::Arc;
 use lifting_gossip::{ChunkId, ProposeRound};
 use lifting_sim::{NodeId, SimTime, StreamId};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::blame::{schedule, Blame, BlameReason};
 use crate::checks::{AckCheck, CheckRing, ConfirmCheck, ConfirmChecks, ServeCheck};
@@ -80,7 +80,7 @@ pub enum VerifierAction {
 
 /// Counters of the hardened confirm path (`LiftingConfig::confirm_retries`).
 /// All zero when the hardening is off — the paper's single-shot behaviour.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct ConfirmRetryStats {
     /// Confirm timers that expired with at least one still-silent witness.
     pub timeouts: u64,

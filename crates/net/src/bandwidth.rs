@@ -9,10 +9,9 @@
 //! though they are honest.
 
 use lifting_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Static capability of a node's network attachment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeCapability {
     /// Uplink rate in bits per second. `None` models an unconstrained uplink.
     pub upload_bps: Option<u64>,

@@ -2,10 +2,9 @@
 
 use lifting_sim::{NodeId, SimDuration};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One-way propagation-delay model between two nodes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LatencyModel {
     /// Every message takes exactly this long.
     Constant(SimDuration),

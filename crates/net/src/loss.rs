@@ -1,7 +1,6 @@
 //! Message-loss models.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Probability model for losing a UDP message.
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// two-state Markov chain (a low-loss "good" state and a high-loss "bad"
 /// state), whose per-message state lives in [`BurstState`] on the network
 /// side — the model itself stays a pure, comparable configuration value.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum LossModel {
     /// No losses at all.
     #[default]

@@ -4,7 +4,6 @@
 use lifting_sim::{ComponentError, NodeId, SimDuration, SimTime};
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::bandwidth::{NodeCapability, UplinkState};
 use crate::latency::LatencyModel;
@@ -16,7 +15,7 @@ use crate::traffic::{TrafficCategory, TrafficStats};
 /// occasionally arrives twice — retransmission artifacts, routing loops).
 /// Both default to off and consume RNG draws **only when enabled**, so
 /// configurations without them stay bit-identical to the pre-fault runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LinkFaults {
     /// Probability that a delivered message suffers a delay spike.
     pub delay_spike_probability: f64,
@@ -47,7 +46,7 @@ impl LinkFaults {
 }
 
 /// Static configuration of the simulated network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkConfig {
     /// Loss model applied to UDP messages.
     pub loss: LossModel,

@@ -7,12 +7,12 @@
 //! [`TrafficCategory`] so that this ratio (and Table 3's message counts) can
 //! be measured rather than estimated.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::transport::Transport;
 
 /// Category of a message, used for overhead accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum TrafficCategory {
     /// Chunk payloads (the stream itself, carried by serve messages).
     StreamData,
@@ -59,7 +59,7 @@ impl TrafficCategory {
 }
 
 /// Per-category counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct CategoryCounters {
     /// Messages sent (attempted; includes messages later lost).
     pub messages_sent: u64,
@@ -75,7 +75,7 @@ pub struct CategoryCounters {
 ///
 /// Flat-indexed by category discriminant: accounting happens twice per
 /// message on the hot path, so it must be two array stores, not tree walks.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TrafficStats {
     counters: [CategoryCounters; TrafficCategory::ALL.len()],
 }
@@ -156,7 +156,7 @@ impl TrafficStats {
 }
 
 /// A flattened summary of [`TrafficStats`] suitable for serialization.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct TrafficReport {
     /// Counters per category, in [`TrafficCategory::ALL`] order.
     pub per_category: Vec<(TrafficCategory, CategoryCounters)>,

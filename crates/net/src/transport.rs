@@ -1,14 +1,12 @@
 //! Transport kinds.
 
-use serde::{Deserialize, Serialize};
-
 /// The transport used for a message.
 ///
 /// The paper sends all dissemination and direct-verification traffic over UDP
 /// (lossy, cheap) and runs a-posteriori audits over TCP (reliable, connection
 /// overhead amortized over a large transfer) — see Sections 3 and 5.3;
 /// [`crate::TrafficCategory::transport`] is that mapping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Transport {
     /// Unreliable datagram: subject to the configured loss model.
     Udp,

@@ -1,10 +1,9 @@
 //! The per-manager score book.
 
 use lifting_sim::NodeId;
-use serde::{Deserialize, Serialize, Value};
 
 /// Score record a manager keeps for one managed node.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ScoreRecord {
     /// Total blame value received for the node.
     pub blame: f64,
@@ -178,20 +177,6 @@ impl ManagerState {
             .map(|(&idx, r)| (NodeId::new(idx), r))
     }
 }
-
-impl Serialize for ManagerState {
-    fn to_json_value(&self) -> Value {
-        // Same shape the hash-map version rendered: `[[node, record], ...]`
-        // sorted by node id (the map serializer sorted by key).
-        Value::Array(
-            self.iter()
-                .map(|(n, r)| Value::Array(vec![n.to_json_value(), r.to_json_value()]))
-                .collect(),
-        )
-    }
-}
-
-impl Deserialize for ManagerState {}
 
 #[cfg(test)]
 mod tests {

@@ -26,7 +26,7 @@ use lifting_gossip::ChunkId;
 use lifting_membership::Directory;
 use lifting_net::{Network, TrafficCategory};
 use lifting_sim::{NodeId, SimDuration, SimTime, StreamId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use super::NodeStack;
 
@@ -54,7 +54,7 @@ pub enum AuditOutcome {
 
 /// Counters of the partition-aware audit RPCs. All zero when no node is
 /// ever partitioned.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct AuditRpcStats {
     /// Audit RPCs (history polls, witness cross-checks) that timed out
     /// because the peer was unreachable.

@@ -3,11 +3,11 @@
 use lifting_gossip::{Chunk, StreamHealth};
 use lifting_net::{TrafficCategory, TrafficReport};
 use lifting_sim::{NodeId, SimDuration, SimTime, StreamId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The planes of the node protocol stack, for per-layer traffic breakdowns
 /// (the paper's Table 3 splits overhead the same way).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum StackLayer {
     /// Dissemination: stream data plus propose/request control traffic.
     Gossip,
@@ -44,7 +44,7 @@ impl StackLayer {
 }
 
 /// Message/byte counters for one layer of the stack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct LayerTraffic {
     /// The layer.
     pub layer: StackLayer,
@@ -85,7 +85,7 @@ pub fn layer_breakdown(report: &TrafficReport) -> Vec<LayerTraffic> {
 }
 
 /// Per-node outcome at the end of a run (or at a snapshot instant).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct NodeOutcome {
     /// The node.
     pub node: NodeId,
@@ -99,7 +99,7 @@ pub struct NodeOutcome {
 }
 
 /// Scores of the whole population at one instant.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ScoreSnapshot {
     /// When the snapshot was taken.
     pub at: SimTime,
@@ -158,7 +158,7 @@ impl ScoreSnapshot {
 
 /// Membership dynamics observed during one run. All counters are zero for a
 /// static population (no `workload` component, or partition waves only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct ChurnStats {
     /// Online sessions begun: nodes that started online plus every rejoin.
     pub sessions: u64,
@@ -175,7 +175,7 @@ pub struct ChurnStats {
 }
 
 /// What kind of disturbance a recovery wave marks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum WaveKind {
     /// A scheduled network partition began (a `partition-waves` wave).
     /// Reconvergence is measured from the onset, so it spans the outage plus
@@ -187,7 +187,7 @@ pub enum WaveKind {
 }
 
 /// Reconvergence readout for one disturbance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct WaveRecovery {
     /// What happened.
     pub kind: WaveKind,
@@ -208,7 +208,7 @@ pub struct WaveRecovery {
 /// times — the resilience plane's headline readout. Only assembled when the
 /// scenario exercises that plane (fault waves, a closed-loop adversary or the
 /// online recalibration).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct RecoveryReport {
     /// Detection precision (TP / (TP + FP), 1.0 when nothing is flagged) at
     /// the end of each gossip period, against the effective threshold.
@@ -225,7 +225,7 @@ pub struct RecoveryReport {
 
 /// Per-stream readout of one run: each channel's dissemination quality over
 /// its own audience, plus the blame volume its verification plane produced.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct StreamOutcome {
     /// The stream.
     pub stream: StreamId,
@@ -250,7 +250,7 @@ pub struct StreamOutcome {
 }
 
 /// Everything measured during one run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RunOutcome {
     /// Final per-node outcomes.
     pub finals: ScoreSnapshot,

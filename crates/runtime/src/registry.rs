@@ -1,17 +1,15 @@
-//! The scenario registry: one named builder per experiment configuration.
+//! The scenario registry: one row per experiment configuration.
 //!
 //! Every figure and table of the paper used to hand-roll its own
 //! `ScenarioConfig` block inside the bench binaries; the registry is the
-//! single source of truth instead. A scenario is a *named builder*
-//! `(Scale, seed) -> ScenarioConfig`, so callers (the experiment functions
-//! of `lifting-bench`, the CLIs, tests) ask for `"fig01/no-freeriders"`
-//! rather than re-assembling the configuration.
-
-use std::sync::OnceLock;
+//! single source of truth instead. It is a static table of rows, each a
+//! name, a description and a builder `fn(Scale, seed) -> ScenarioConfig`,
+//! so callers (the experiment functions of `lifting-bench`, the CLIs, tests)
+//! ask for `"fig01/no-freeriders"` rather than re-assembling the
+//! configuration. Adding a scenario is adding a row.
 
 use lifting_gossip::FreeriderConfig;
 use lifting_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 use crate::scenario::{ComponentSpec, ScenarioConfig, StreamAudience, StreamSpec};
 use lifting_sim::ParamValue;
@@ -24,7 +22,7 @@ pub fn scenario_family(name: &str) -> &str {
 }
 
 /// Experiment scale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// The paper's population sizes and durations.
     Paper,
@@ -74,65 +72,57 @@ pub fn fig14_scenario_name(pdcc: f64) -> String {
     format!("fig14/planetlab-pdcc-{pdcc}")
 }
 
-type BuilderFn = Box<dyn Fn(Scale, u64) -> ScenarioConfig + Send + Sync>;
-
-struct ScenarioEntry {
-    name: String,
-    description: String,
-    builder: BuilderFn,
+/// One row of the registry: a named scenario and its builder.
+#[derive(Debug)]
+struct Scenario {
+    /// Registry-unique name, `family/variant` (see [`scenario_family`]).
+    name: &'static str,
+    /// One line on what the scenario shows; `run_scenario --list` prints it.
+    description: &'static str,
+    /// Builds the scenario's configuration at `scale` for `seed`.
+    build: fn(Scale, u64) -> ScenarioConfig,
 }
 
-/// Name → scenario builder map.
+/// The table of every scenario the experiment suite uses.
 ///
-/// [`ScenarioRegistry::builtin`] returns the registry of every scenario the
-/// experiment suite uses; [`ScenarioRegistry::register`] adds custom ones.
-#[derive(Default)]
+/// [`ScenarioRegistry::builtin`] returns it; its rows are listed in
+/// `run_scenario --list` order.
+#[derive(Debug)]
 pub struct ScenarioRegistry {
-    entries: Vec<ScenarioEntry>,
+    rows: &'static [Scenario],
 }
 
 impl ScenarioRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        ScenarioRegistry::default()
+    /// The registry of every built-in scenario (figures, tables, the
+    /// headline run and the beyond-the-paper families).
+    pub fn builtin() -> &'static ScenarioRegistry {
+        static BUILTIN: ScenarioRegistry = ScenarioRegistry { rows: &SCENARIOS };
+        &BUILTIN
     }
 
-    /// Registers a scenario builder under `name` (replacing any previous
-    /// entry with the same name).
-    pub fn register(
-        &mut self,
-        name: impl Into<String>,
-        description: impl Into<String>,
-        builder: impl Fn(Scale, u64) -> ScenarioConfig + Send + Sync + 'static,
-    ) {
-        let name = name.into();
-        self.entries.retain(|e| e.name != name);
-        self.entries.push(ScenarioEntry {
-            name,
-            description: description.into(),
-            builder: Box::new(builder),
-        });
+    fn row(&self, name: &str) -> Option<&Scenario> {
+        self.rows.iter().find(|row| row.name == name)
     }
 
     /// True if `name` is registered.
     pub fn contains(&self, name: &str) -> bool {
-        self.entries.iter().any(|e| e.name == name)
+        self.row(name).is_some()
     }
 
-    /// The registered scenario names, in registration order.
+    /// The registered scenario names, in table order.
     pub fn names(&self) -> Vec<&str> {
-        self.entries.iter().map(|e| e.name.as_str()).collect()
+        self.rows.iter().map(|row| row.name).collect()
     }
 
     /// The registry grouped by family prefix (see [`scenario_family`]), in
     /// first-appearance order — what `run_scenario --list` prints.
     pub fn families(&self) -> Vec<(&str, Vec<&str>)> {
         let mut grouped: Vec<(&str, Vec<&str>)> = Vec::new();
-        for entry in &self.entries {
-            let family = scenario_family(&entry.name);
+        for row in self.rows {
+            let family = scenario_family(row.name);
             match grouped.iter_mut().find(|(f, _)| *f == family) {
-                Some((_, members)) => members.push(entry.name.as_str()),
-                None => grouped.push((family, vec![entry.name.as_str()])),
+                Some((_, members)) => members.push(row.name),
+                None => grouped.push((family, vec![row.name])),
             }
         }
         grouped
@@ -140,28 +130,12 @@ impl ScenarioRegistry {
 
     /// The description of one scenario, if registered.
     pub fn description(&self, name: &str) -> Option<&str> {
-        self.entries
-            .iter()
-            .find(|e| e.name == name)
-            .map(|e| e.description.as_str())
-    }
-
-    /// Number of registered scenarios.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.row(name).map(|row| row.description)
     }
 
     /// Builds the scenario registered under `name`, if any.
     pub fn try_build(&self, name: &str, scale: Scale, seed: u64) -> Option<ScenarioConfig> {
-        self.entries
-            .iter()
-            .find(|e| e.name == name)
-            .map(|e| (e.builder)(scale, seed))
+        self.row(name).map(|row| (row.build)(scale, seed))
     }
 
     /// Builds the scenario registered under `name`.
@@ -177,25 +151,6 @@ impl ScenarioRegistry {
             )
         })
     }
-
-    /// The shared registry of every built-in scenario (figures, tables, the
-    /// headline run and the adversary showcases).
-    pub fn builtin() -> &'static ScenarioRegistry {
-        static BUILTIN: OnceLock<ScenarioRegistry> = OnceLock::new();
-        BUILTIN.get_or_init(|| {
-            let mut registry = ScenarioRegistry::new();
-            register_builtin(&mut registry);
-            registry
-        })
-    }
-}
-
-impl std::fmt::Debug for ScenarioRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScenarioRegistry")
-            .field("scenarios", &self.names())
-            .finish()
-    }
 }
 
 /// Shrinks a paper-scale PlanetLab configuration the way every experiment
@@ -207,136 +162,252 @@ fn shrink_below_planetlab(config: &mut ScenarioConfig) {
     }
 }
 
+/// Figure 1 — stream health with/without freeriders and LiFTinG.
+fn fig01(scale: Scale, seed: u64, freeriders: bool, lifting: bool) -> ScenarioConfig {
+    let mut config = ScenarioConfig::planetlab_baseline(seed);
+    config.nodes = scale.pick(300, 80);
+    config.duration = scale.secs(40, 20);
+    config.lifting_enabled = lifting;
+    shrink_below_planetlab(&mut config);
+    if freeriders {
+        config = config.with_planetlab_freeriders(0.25);
+        if let Some(f) = &mut config.freeriders {
+            // "Wise" freeriders of the introduction: they shave ~45 %
+            // of their upload duty, enough to visibly hurt the stream.
+            f.degree = FreeriderConfig {
+                delta1: 2.0 / 7.0,
+                delta2: 0.15,
+                delta3: 0.15,
+                period_stretch: 1,
+            };
+        }
+    }
+    config
+}
+
+/// Figure 14 — the PlanetLab deployment at `pdcc`.
+fn fig14(scale: Scale, seed: u64, pdcc: f64) -> ScenarioConfig {
+    let mut config = ScenarioConfig::planetlab_baseline(seed).with_planetlab_freeriders(0.1);
+    config.lifting.pdcc = pdcc;
+    config.nodes = scale.pick(300, 100);
+    shrink_below_planetlab(&mut config);
+    config.duration = scale.secs(36, 36);
+    config
+}
+
+/// Table 3 — verification message overhead at `pdcc`.
+fn table03(scale: Scale, seed: u64, pdcc: f64) -> ScenarioConfig {
+    let mut config = ScenarioConfig::planetlab_baseline(seed);
+    config.nodes = scale.pick(150, 60);
+    config.lifting.managers = 10;
+    config.lifting.pdcc = pdcc;
+    config.duration = scale.secs(20, 10);
+    config.streams[0].rate_bps = 400_000;
+    config
+}
+
+/// Table 5 — practical overhead at `stream_kbps` and `pdcc`.
+fn table05(scale: Scale, seed: u64, stream_kbps: u64, pdcc: f64) -> ScenarioConfig {
+    let mut config = ScenarioConfig::planetlab_baseline(seed);
+    config.nodes = scale.pick(150, 60);
+    config.lifting.managers = if config.nodes >= 300 { 25 } else { 10 };
+    config.lifting.pdcc = pdcc;
+    config.streams[0].rate_bps = stream_kbps * 1_000;
+    config.duration = scale.secs(20, 10);
+    config.default_upload_bps = Some(10_000_000);
+    config
+}
+
 /// The shape every beyond-the-paper family shares: the PlanetLab baseline at
 /// 300 (quick: 80) nodes, shrunk below paper scale, with `freeriders` of the
 /// population freeriding (0 = none) for `paper_secs` (quick: `quick_secs`).
 fn planetlab_family(
+    scale: Scale,
+    seed: u64,
     paper_secs: u64,
     quick_secs: u64,
     freeriders: f64,
-) -> impl Fn(Scale, u64) -> ScenarioConfig + Send + Sync + Copy {
-    move |scale: Scale, seed: u64| {
-        let mut config = ScenarioConfig::planetlab_baseline(seed);
-        config.nodes = scale.pick(300, 80);
-        shrink_below_planetlab(&mut config);
-        if freeriders > 0.0 {
-            config = config.with_planetlab_freeriders(freeriders);
-        }
-        config.duration = scale.secs(paper_secs, quick_secs);
-        config
+) -> ScenarioConfig {
+    let mut config = ScenarioConfig::planetlab_baseline(seed);
+    config.nodes = scale.pick(300, 80);
+    shrink_below_planetlab(&mut config);
+    if freeriders > 0.0 {
+        config = config.with_planetlab_freeriders(freeriders);
     }
+    config.duration = scale.secs(paper_secs, quick_secs);
+    config
 }
 
-fn register_builtin(registry: &mut ScenarioRegistry) {
+/// The scale/ family: Figure 14's detection readout (10% freeriders,
+/// pdcc = 1) at `paper_nodes` (quick: `quick_nodes`) for `paper_secs`
+/// (quick: `quick_secs`).
+fn scale_family(
+    scale: Scale,
+    seed: u64,
+    paper_nodes: usize,
+    quick_nodes: usize,
+    paper_secs: u64,
+    quick_secs: u64,
+) -> ScenarioConfig {
+    let mut config = ScenarioConfig::planetlab_baseline(seed).with_planetlab_freeriders(0.1);
+    config.lifting.pdcc = 1.0;
+    config.nodes = scale.pick(paper_nodes, quick_nodes);
+    config.duration = scale.secs(paper_secs, quick_secs);
+    // The paper's 674 kbps stream is not the point here; a lighter
+    // stream keeps the 100k-node run inside laptop memory while the
+    // detection statistics still have enough chunks to bite.
+    config.streams[0].rate_bps = 400_000;
+    shrink_below_planetlab(&mut config);
+    config
+}
+
+/// The `churn` workload component: `fraction` of the viewers cycle
+/// `session`-mean sessions and `offline`-mean spells after `warmup` seconds.
+fn steady(fraction: f64, session: f64, offline: f64, warmup: f64) -> ComponentSpec {
+    ComponentSpec::new("churn")
+        .with("fraction", ParamValue::Float(fraction))
+        .with("mean_session_secs", ParamValue::Float(session))
+        .with("mean_offline_secs", ParamValue::Float(offline))
+        .with("warmup_secs", ParamValue::Float(warmup))
+}
+
+/// The `churn` workload component with a fraction of 0: only the declared
+/// `wave` (`catastrophe`, `flash_crowd`) happens, to `fraction` of the
+/// nodes at `at`.
+fn wave(wave: &str, at: SimDuration, fraction: f64) -> ComponentSpec {
+    ComponentSpec::new("churn")
+        .with("fraction", ParamValue::Float(0.0))
+        .with(
+            &format!("{wave}_at_secs"),
+            ParamValue::Float(at.as_secs_f64()),
+        )
+        .with(&format!("{wave}_fraction"), ParamValue::Float(fraction))
+}
+
+fn gradient_freerider() -> ComponentSpec {
+    ComponentSpec::new("gradient-freerider")
+        .with("margin", ParamValue::Float(2.0))
+        .with("step", ParamValue::Float(0.25))
+}
+
+/// Every built-in scenario, in listing order. The name of each fig14,
+/// table03 and table05 row is what `fig14_scenario_name`,
+/// `table03_scenario_name` or `table05_scenario_name` prints for the row's
+/// grid point, which the experiments look it up by.
+static SCENARIOS: [Scenario; 43] = [
     // ------------------------------------------------------------------
     // Figure 1 — stream health with/without freeriders and LiFTinG.
     // ------------------------------------------------------------------
-    let fig01 = |freeriders: bool, lifting: bool| {
-        move |scale: Scale, seed: u64| {
-            let mut config = ScenarioConfig::planetlab_baseline(seed);
-            config.nodes = scale.pick(300, 80);
-            config.duration = scale.secs(40, 20);
-            config.lifting_enabled = lifting;
-            shrink_below_planetlab(&mut config);
-            if freeriders {
-                config = config.with_planetlab_freeriders(0.25);
-                if let Some(f) = &mut config.freeriders {
-                    // "Wise" freeriders of the introduction: they shave ~45 %
-                    // of their upload duty, enough to visibly hurt the stream.
-                    f.degree = FreeriderConfig {
-                        delta1: 2.0 / 7.0,
-                        delta2: 0.15,
-                        delta3: 0.15,
-                        period_stretch: 1,
-                    };
-                }
-            }
-            config
-        }
-    };
-    registry.register(
-        "fig01/no-freeriders",
-        "Figure 1 baseline: fully honest population, LiFTinG on",
-        fig01(false, true),
-    );
-    registry.register(
-        "fig01/freeriders-no-lifting",
-        "Figure 1: 25% wise freeriders, LiFTinG off",
-        fig01(true, false),
-    );
-    registry.register(
-        "fig01/freeriders-lifting",
-        "Figure 1: 25% wise freeriders, LiFTinG expelling them",
-        fig01(true, true),
-    );
+    Scenario {
+        name: "fig01/no-freeriders",
+        description: "Figure 1 baseline: fully honest population, LiFTinG on",
+        build: |scale, seed| fig01(scale, seed, false, true),
+    },
+    Scenario {
+        name: "fig01/freeriders-no-lifting",
+        description: "Figure 1: 25% wise freeriders, LiFTinG off",
+        build: |scale, seed| fig01(scale, seed, true, false),
+    },
+    Scenario {
+        name: "fig01/freeriders-lifting",
+        description: "Figure 1: 25% wise freeriders, LiFTinG expelling them",
+        build: |scale, seed| fig01(scale, seed, true, true),
+    },
 
     // ------------------------------------------------------------------
     // Figure 14 — the PlanetLab deployment at pdcc = 1 and 0.5.
     // ------------------------------------------------------------------
-    for pdcc in FIG14_PDCCS {
-        registry.register(
-            fig14_scenario_name(pdcc),
-            format!("Figure 14: PlanetLab run with 10% freeriders, pdcc = {pdcc}"),
-            move |scale: Scale, seed: u64| {
-                let mut config =
-                    ScenarioConfig::planetlab_baseline(seed).with_planetlab_freeriders(0.1);
-                config.lifting.pdcc = pdcc;
-                config.nodes = scale.pick(300, 100);
-                shrink_below_planetlab(&mut config);
-                config.duration = scale.secs(36, 36);
-                config
-            },
-        );
-    }
+    Scenario {
+        name: "fig14/planetlab-pdcc-1",
+        description: "Figure 14: PlanetLab run with 10% freeriders, pdcc = 1",
+        build: |scale, seed| fig14(scale, seed, 1.0),
+    },
+    Scenario {
+        name: "fig14/planetlab-pdcc-0.5",
+        description: "Figure 14: PlanetLab run with 10% freeriders, pdcc = 0.5",
+        build: |scale, seed| fig14(scale, seed, 0.5),
+    },
 
     // ------------------------------------------------------------------
     // Table 3 — verification message overhead per pdcc.
     // ------------------------------------------------------------------
-    for pdcc in TABLE03_PDCCS {
-        registry.register(
-            table03_scenario_name(pdcc),
-            format!("Table 3: honest run measuring verification messages at pdcc = {pdcc:.3}"),
-            move |scale: Scale, seed: u64| {
-                let mut config = ScenarioConfig::planetlab_baseline(seed);
-                config.nodes = scale.pick(150, 60);
-                config.lifting.managers = 10;
-                config.lifting.pdcc = pdcc;
-                config.duration = scale.secs(20, 10);
-                config.streams[0].rate_bps = 400_000;
-                config
-            },
-        );
-    }
+    Scenario {
+        name: "table03/pdcc-0.000",
+        description: "Table 3: honest run measuring verification messages at pdcc = 0.000",
+        build: |scale, seed| table03(scale, seed, 0.0),
+    },
+    Scenario {
+        name: "table03/pdcc-0.143",
+        description: "Table 3: honest run measuring verification messages at pdcc = 0.143",
+        build: |scale, seed| table03(scale, seed, 1.0 / 7.0),
+    },
+    Scenario {
+        name: "table03/pdcc-0.500",
+        description: "Table 3: honest run measuring verification messages at pdcc = 0.500",
+        build: |scale, seed| table03(scale, seed, 0.5),
+    },
+    Scenario {
+        name: "table03/pdcc-1.000",
+        description: "Table 3: honest run measuring verification messages at pdcc = 1.000",
+        build: |scale, seed| table03(scale, seed, 1.0),
+    },
 
     // ------------------------------------------------------------------
     // Table 5 — practical overhead per stream rate and pdcc.
     // ------------------------------------------------------------------
-    for stream_kbps in TABLE05_STREAM_KBPS {
-        for pdcc in TABLE05_PDCCS {
-            registry.register(
-                table05_scenario_name(stream_kbps, pdcc),
-                format!("Table 5: overhead at {stream_kbps} kbps, pdcc = {pdcc}"),
-                move |scale: Scale, seed: u64| {
-                    let mut config = ScenarioConfig::planetlab_baseline(seed);
-                    config.nodes = scale.pick(150, 60);
-                    config.lifting.managers = if config.nodes >= 300 { 25 } else { 10 };
-                    config.lifting.pdcc = pdcc;
-                    config.streams[0].rate_bps = stream_kbps * 1_000;
-                    config.duration = scale.secs(20, 10);
-                    config.default_upload_bps = Some(10_000_000);
-                    config
-                },
-            );
-        }
-    }
+    Scenario {
+        name: "table05/674kbps-pdcc-0",
+        description: "Table 5: overhead at 674 kbps, pdcc = 0",
+        build: |scale, seed| table05(scale, seed, 674, 0.0),
+    },
+    Scenario {
+        name: "table05/674kbps-pdcc-0.5",
+        description: "Table 5: overhead at 674 kbps, pdcc = 0.5",
+        build: |scale, seed| table05(scale, seed, 674, 0.5),
+    },
+    Scenario {
+        name: "table05/674kbps-pdcc-1",
+        description: "Table 5: overhead at 674 kbps, pdcc = 1",
+        build: |scale, seed| table05(scale, seed, 674, 1.0),
+    },
+    Scenario {
+        name: "table05/1082kbps-pdcc-0",
+        description: "Table 5: overhead at 1082 kbps, pdcc = 0",
+        build: |scale, seed| table05(scale, seed, 1082, 0.0),
+    },
+    Scenario {
+        name: "table05/1082kbps-pdcc-0.5",
+        description: "Table 5: overhead at 1082 kbps, pdcc = 0.5",
+        build: |scale, seed| table05(scale, seed, 1082, 0.5),
+    },
+    Scenario {
+        name: "table05/1082kbps-pdcc-1",
+        description: "Table 5: overhead at 1082 kbps, pdcc = 1",
+        build: |scale, seed| table05(scale, seed, 1082, 1.0),
+    },
+    Scenario {
+        name: "table05/2036kbps-pdcc-0",
+        description: "Table 5: overhead at 2036 kbps, pdcc = 0",
+        build: |scale, seed| table05(scale, seed, 2036, 0.0),
+    },
+    Scenario {
+        name: "table05/2036kbps-pdcc-0.5",
+        description: "Table 5: overhead at 2036 kbps, pdcc = 0.5",
+        build: |scale, seed| table05(scale, seed, 2036, 0.5),
+    },
+    Scenario {
+        name: "table05/2036kbps-pdcc-1",
+        description: "Table 5: overhead at 2036 kbps, pdcc = 1",
+        build: |scale, seed| table05(scale, seed, 2036, 1.0),
+    },
 
     // ------------------------------------------------------------------
     // The headline PlanetLab run (detection / false positives / overhead).
     // ------------------------------------------------------------------
-    registry.register(
-        "headline/planetlab",
-        "The headline PlanetLab run: 10% freeriders, scores read after 30 s",
-        |scale: Scale, seed: u64| {
+    Scenario {
+        name: "headline/planetlab",
+        description: "The headline PlanetLab run: 10% freeriders, scores read after 30 s",
+        build: |scale, seed| {
             let mut config =
                 ScenarioConfig::planetlab_baseline(seed).with_planetlab_freeriders(0.1);
             config.nodes = scale.pick(300, 100);
@@ -344,16 +415,16 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
             config.duration = scale.secs(30, 20);
             config
         },
-    );
+    },
 
     // ------------------------------------------------------------------
     // Adversary showcases: attacks the pre-refactor wiring could not express.
     // ------------------------------------------------------------------
-    registry.register(
-        "adversary/on-off-freeriders",
-        "20% on-off freeriders (2 periods on, 2 off) dodging the score normalization",
-        |scale: Scale, seed: u64| {
-            let mut config = planetlab_family(40, 20, 0.2)(scale, seed);
+    Scenario {
+        name: "adversary/on-off-freeriders",
+        description: "20% on-off freeriders (2 periods on, 2 off) dodging the score normalization",
+        build: |scale, seed| {
+            let mut config = planetlab_family(scale, seed, 40, 20, 0.2);
             config.components.adversary = Some(
                 ComponentSpec::new("on-off")
                     .with("on_periods", ParamValue::Int(2))
@@ -361,12 +432,12 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
             );
             config
         },
-    );
-    registry.register(
-        "adversary/blame-spam",
-        "10% blame spammers flooding the reputation plane with fabricated blames",
-        |scale: Scale, seed: u64| {
-            let mut config = planetlab_family(30, 15, 0.1)(scale, seed);
+    },
+    Scenario {
+        name: "adversary/blame-spam",
+        description: "10% blame spammers flooding the reputation plane with fabricated blames",
+        build: |scale, seed| {
+            let mut config = planetlab_family(scale, seed, 30, 15, 0.1);
             config.components.adversary = Some(
                 ComponentSpec::new("blame-spam")
                     .with("blames_per_period", ParamValue::Int(5))
@@ -374,7 +445,7 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
             );
             config
         },
-    );
+    },
 
     // ------------------------------------------------------------------
     // Churn: dynamic membership under the PlanetLab deployment. The paper's
@@ -382,39 +453,20 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
     // mid-stream; these scenarios exercise blame propagation, audit
     // timeouts and score-based expulsion under that dynamism.
     // ------------------------------------------------------------------
-    // The `churn` workload component: `fraction` of the viewers cycle
-    // `session`-mean sessions and `offline`-mean spells after `warmup`
-    // seconds, or — with a fraction of 0 — only the declared waves happen.
-    let steady = |fraction: f64, session: f64, offline: f64, warmup: f64| {
-        ComponentSpec::new("churn")
-            .with("fraction", ParamValue::Float(fraction))
-            .with("mean_session_secs", ParamValue::Float(session))
-            .with("mean_offline_secs", ParamValue::Float(offline))
-            .with("warmup_secs", ParamValue::Float(warmup))
-    };
-    let wave = |wave: &str, at: SimDuration, fraction: f64| {
-        ComponentSpec::new("churn")
-            .with("fraction", ParamValue::Float(0.0))
-            .with(
-                &format!("{wave}_at_secs"),
-                ParamValue::Float(at.as_secs_f64()),
-            )
-            .with(&format!("{wave}_fraction"), ParamValue::Float(fraction))
-    };
-    registry.register(
-        "churn/steady-slow",
-        "Steady churn, honest population: 25% of the nodes cycle 12s-mean sessions with 3s offline spells",
-        move |scale: Scale, seed: u64| {
-            let mut config = planetlab_family(40, 20, 0.0)(scale, seed);
+    Scenario {
+        name: "churn/steady-slow",
+        description: "Steady churn, honest population: 25% of the nodes cycle 12s-mean sessions with 3s offline spells",
+        build: |scale, seed| {
+            let mut config = planetlab_family(scale, seed, 40, 20, 0.0);
             config.components.workload = Some(steady(0.25, 12.0, 3.0, 3.0));
             config
         },
-    );
-    registry.register(
-        "churn/steady-fast",
-        "Aggressive churn with 10% freeriders and audits on: 40% of the nodes cycle 5s-mean sessions with 2s offline spells",
-        move |scale: Scale, seed: u64| {
-            let mut config = planetlab_family(40, 20, 0.1)(scale, seed);
+    },
+    Scenario {
+        name: "churn/steady-fast",
+        description: "Aggressive churn with 10% freeriders and audits on: 40% of the nodes cycle 5s-mean sessions with 2s offline spells",
+        build: |scale, seed| {
+            let mut config = planetlab_family(scale, seed, 40, 20, 0.1);
             config.components.workload = Some(steady(0.4, 5.0, 2.0, 2.0));
             // A-posteriori audits run here so the departed-witness timeout
             // path (audits aborted, not wedged into wrongful blame) is
@@ -423,38 +475,38 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
             config.audit_interval = SimDuration::from_secs(4);
             config
         },
-    );
-    registry.register(
-        "churn/catastrophe",
-        "Catastrophic failure: 30% of the nodes (10% freeriders present) crash at mid-run and never return",
-        move |scale: Scale, seed: u64| {
-            let mut config = planetlab_family(40, 20, 0.1)(scale, seed);
+    },
+    Scenario {
+        name: "churn/catastrophe",
+        description: "Catastrophic failure: 30% of the nodes (10% freeriders present) crash at mid-run and never return",
+        build: |scale, seed| {
+            let mut config = planetlab_family(scale, seed, 40, 20, 0.1);
             let mid_run = SimDuration::from_micros(config.duration.as_micros() / 2);
             config.components.workload = Some(wave("catastrophe", mid_run, 0.3));
             config
         },
-    );
-    registry.register(
-        "churn/flash-crowd",
-        "Flash crowd: 30% of the nodes start offline and all join a quarter into the stream",
-        move |scale: Scale, seed: u64| {
-            let mut config = planetlab_family(40, 20, 0.0)(scale, seed);
+    },
+    Scenario {
+        name: "churn/flash-crowd",
+        description: "Flash crowd: 30% of the nodes start offline and all join a quarter into the stream",
+        build: |scale, seed| {
+            let mut config = planetlab_family(scale, seed, 40, 20, 0.0);
             let quarter = SimDuration::from_micros(config.duration.as_micros() / 4);
             config.components.workload = Some(wave("flash_crowd", quarter, 0.3));
             config
         },
-    );
-    registry.register(
-        "churn/freeriders",
-        "Churn x freeriders with audits on: 20% freeriders while 35% of the nodes cycle 8s-mean sessions",
-        move |scale: Scale, seed: u64| {
-            let mut config = planetlab_family(40, 20, 0.2)(scale, seed);
+    },
+    Scenario {
+        name: "churn/freeriders",
+        description: "Churn x freeriders with audits on: 20% freeriders while 35% of the nodes cycle 8s-mean sessions",
+        build: |scale, seed| {
+            let mut config = planetlab_family(scale, seed, 40, 20, 0.2);
             config.components.workload = Some(steady(0.35, 8.0, 2.0, 2.0));
             config.audits_enabled = true;
             config.audit_interval = SimDuration::from_secs(5);
             config
         },
-    );
+    },
 
     // ------------------------------------------------------------------
     // Multi-channel streaming: several concurrent broadcasts over one
@@ -463,11 +515,11 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
     // manager-based accountability pays off (a freerider on channel B is
     // expelled from channel A too).
     // ------------------------------------------------------------------
-    registry.register(
-        "multistream/disjoint-audiences",
-        "Two channels with disjoint audiences (first vs second half of the population) over one membership plane",
-        move |scale: Scale, seed: u64| {
-            let mut config = planetlab_family(30, 15, 0.0)(scale, seed);
+    Scenario {
+        name: "multistream/disjoint-audiences",
+        description: "Two channels with disjoint audiences (first vs second half of the population) over one membership plane",
+        build: |scale, seed| {
+            let mut config = planetlab_family(scale, seed, 30, 15, 0.0);
             let primary = config.streams[0];
             config.streams[0] = primary.with_audience(StreamAudience::Slice { from: 0.0, to: 0.5 });
             config.streams.push(
@@ -475,22 +527,22 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
             );
             config
         },
-    );
-    registry.register(
-        "multistream/overlapping-audiences",
-        "Two full-audience channels with 10% freeriders shirking on both; their blames aggregate into one score",
-        move |scale: Scale, seed: u64| {
-            let mut config = planetlab_family(30, 15, 0.1)(scale, seed);
+    },
+    Scenario {
+        name: "multistream/overlapping-audiences",
+        description: "Two full-audience channels with 10% freeriders shirking on both; their blames aggregate into one score",
+        build: |scale, seed| {
+            let mut config = planetlab_family(scale, seed, 30, 15, 0.1);
             let chunk = config.streams[0].chunk_size;
             config.streams.push(StreamSpec::new(300_000, chunk));
             config
         },
-    );
-    registry.register(
-        "multistream/selective-freeriders",
-        "15% selective freeriders: honest on channel 0, fully silent on channel 1 — cross-stream scoring expels them from both",
-        move |scale: Scale, seed: u64| {
-            let mut config = planetlab_family(30, 15, 0.15)(scale, seed);
+    },
+    Scenario {
+        name: "multistream/selective-freeriders",
+        description: "15% selective freeriders: honest on channel 0, fully silent on channel 1 — cross-stream scoring expels them from both",
+        build: |scale, seed| {
+            let mut config = planetlab_family(scale, seed, 30, 15, 0.15);
             let chunk = config.streams[0].chunk_size;
             config.streams.push(StreamSpec::new(300_000, chunk));
             config.components.adversary = Some(
@@ -499,12 +551,12 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
             );
             config
         },
-    );
-    registry.register(
-        "multistream/rate-asymmetry",
-        "Three channels at 400/200/100 kbps; the slow ones start mid-run and serve three-quarters of the population",
-        move |scale: Scale, seed: u64| {
-            let mut config = planetlab_family(30, 15, 0.0)(scale, seed);
+    },
+    Scenario {
+        name: "multistream/rate-asymmetry",
+        description: "Three channels at 400/200/100 kbps; the slow ones start mid-run and serve three-quarters of the population",
+        build: |scale, seed| {
+            let mut config = planetlab_family(scale, seed, 30, 15, 0.0);
             let chunk = config.streams[0].chunk_size;
             config.streams.push(
                 StreamSpec::new(200_000, chunk)
@@ -524,7 +576,7 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
             );
             config
         },
-    );
+    },
 
     // ------------------------------------------------------------------
     // Resilience: closed-loop adversaries that react to the system's own
@@ -533,35 +585,30 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
     // `RunOutcome::recovery` with per-period precision/recall traces and
     // per-wave reconvergence times.
     // ------------------------------------------------------------------
-    let gradient_freerider = || {
-        ComponentSpec::new("gradient-freerider")
-            .with("margin", ParamValue::Float(2.0))
-            .with("step", ParamValue::Float(0.25))
-    };
-    registry.register(
-        "resilience/gradient-freerider",
-        "15% closed-loop freeriders throttle their shirking to ride just above the static η — the evasion baseline",
-        move |scale: Scale, seed: u64| {
-            let mut config = planetlab_family(40, 20, 0.15)(scale, seed);
+    Scenario {
+        name: "resilience/gradient-freerider",
+        description: "15% closed-loop freeriders throttle their shirking to ride just above the static η — the evasion baseline",
+        build: |scale, seed| {
+            let mut config = planetlab_family(scale, seed, 40, 20, 0.15);
             config.components.adversary = Some(gradient_freerider());
             config
         },
-    );
-    registry.register(
-        "resilience/gradient-freerider-online",
-        "The same gradient freeriders against the online η recalibration (median/MAD outlier cut of the trimmed live scores, EWMA-smoothed)",
-        move |scale: Scale, seed: u64| {
-            let mut config = planetlab_family(40, 20, 0.15)(scale, seed);
+    },
+    Scenario {
+        name: "resilience/gradient-freerider-online",
+        description: "The same gradient freeriders against the online η recalibration (median/MAD outlier cut of the trimmed live scores, EWMA-smoothed)",
+        build: |scale, seed| {
+            let mut config = planetlab_family(scale, seed, 40, 20, 0.15);
             config.components.adversary = Some(gradient_freerider());
             config.online_recalibration = true;
             config
         },
-    );
-    registry.register(
-        "resilience/whitewasher",
-        "10% whitewashers depart once blame drags their score 0.5 below its peak and rejoin under a rebuilt stack; frozen-score carryover catches them",
-        move |scale: Scale, seed: u64| {
-            let mut config = planetlab_family(40, 20, 0.1)(scale, seed);
+    },
+    Scenario {
+        name: "resilience/whitewasher",
+        description: "10% whitewashers depart once blame drags their score 0.5 below its peak and rejoin under a rebuilt stack; frozen-score carryover catches them",
+        build: |scale, seed| {
+            let mut config = planetlab_family(scale, seed, 40, 20, 0.1);
             config.components.adversary = Some(
                 ComponentSpec::new("whitewasher")
                     .with("margin", ParamValue::Float(0.5))
@@ -569,12 +616,12 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
             );
             config
         },
-    );
-    registry.register(
-        "resilience/partition-waves",
-        "Two partition waves hit 25% of the population mid-run; hardened audit and confirm RPCs abort instead of blaming the unreachable",
-        move |scale: Scale, seed: u64| {
-            let mut config = planetlab_family(40, 20, 0.1)(scale, seed);
+    },
+    Scenario {
+        name: "resilience/partition-waves",
+        description: "Two partition waves hit 25% of the population mid-run; hardened audit and confirm RPCs abort instead of blaming the unreachable",
+        build: |scale, seed| {
+            let mut config = planetlab_family(scale, seed, 40, 20, 0.1);
             config.audits_enabled = true;
             config.audit_interval = SimDuration::from_secs(4);
             config.lifting = config.lifting.with_confirm_retries(2);
@@ -586,12 +633,12 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
             );
             config
         },
-    );
-    registry.register(
-        "resilience/bursty-loss",
-        "Gilbert-Elliott bursty loss (≈7% stationary) plus delay spikes and duplication, with 10% freeriders and hardened confirms",
-        move |scale: Scale, seed: u64| {
-            let mut config = planetlab_family(40, 20, 0.1)(scale, seed);
+    },
+    Scenario {
+        name: "resilience/bursty-loss",
+        description: "Gilbert-Elliott bursty loss (≈7% stationary) plus delay spikes and duplication, with 10% freeriders and hardened confirms",
+        build: |scale, seed| {
+            let mut config = planetlab_family(scale, seed, 40, 20, 0.1);
             config.network.loss = lifting_net::LossModel::gilbert_elliott(0.05, 0.45, 0.02, 0.5);
             config.network.faults.delay_spike_probability = 0.05;
             config.network.faults.delay_spike = SimDuration::from_millis(300);
@@ -599,12 +646,12 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
             config.lifting = config.lifting.with_confirm_retries(2);
             config
         },
-    );
-    registry.register(
-        "resilience/adaptive-colluders",
-        "15% colluders re-aim their cover-traffic bias away from recently audited accomplices; audits on",
-        move |scale: Scale, seed: u64| {
-            let mut config = planetlab_family(40, 20, 0.15)(scale, seed);
+    },
+    Scenario {
+        name: "resilience/adaptive-colluders",
+        description: "15% colluders re-aim their cover-traffic bias away from recently audited accomplices; audits on",
+        build: |scale, seed| {
+            let mut config = planetlab_family(scale, seed, 40, 20, 0.15);
             config.audits_enabled = true;
             config.audit_interval = SimDuration::from_secs(4);
             config.components.adversary = Some(
@@ -614,7 +661,7 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
             );
             config
         },
-    );
+    },
 
     // ------------------------------------------------------------------
     // scale/ — beyond-paper populations. Figure 14's detection readout
@@ -622,37 +669,21 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
     // lighter stream than PlanetLab's and durations that shrink as the
     // population grows so the whole sweep stays tractable on one machine.
     // ------------------------------------------------------------------
-    let scale_family =
-        |paper_nodes: usize, quick_nodes: usize, paper_secs: u64, quick_secs: u64| {
-            move |scale: Scale, seed: u64| {
-                let mut config =
-                    ScenarioConfig::planetlab_baseline(seed).with_planetlab_freeriders(0.1);
-                config.lifting.pdcc = 1.0;
-                config.nodes = scale.pick(paper_nodes, quick_nodes);
-                config.duration = scale.secs(paper_secs, quick_secs);
-                // The paper's 674 kbps stream is not the point here; a lighter
-                // stream keeps the 100k-node run inside laptop memory while the
-                // detection statistics still have enough chunks to bite.
-                config.streams[0].rate_bps = 400_000;
-                shrink_below_planetlab(&mut config);
-                config
-            }
-        };
-    registry.register(
-        "scale/1k",
-        "Scale sweep: 1 000 nodes (3.3x the paper), 10% freeriders, pdcc = 1",
-        scale_family(1_000, 200, 24, 6),
-    );
-    registry.register(
-        "scale/10k",
-        "Scale sweep: 10 000 nodes (33x the paper), 10% freeriders, pdcc = 1",
-        scale_family(10_000, 400, 8, 4),
-    );
-    registry.register(
-        "scale/100k",
-        "Scale sweep: 100 000 nodes (333x the paper), 10% freeriders, pdcc = 1",
-        scale_family(100_000, 800, 4, 3),
-    );
+    Scenario {
+        name: "scale/1k",
+        description: "Scale sweep: 1 000 nodes (3.3x the paper), 10% freeriders, pdcc = 1",
+        build: |scale, seed| scale_family(scale, seed, 1_000, 200, 24, 6),
+    },
+    Scenario {
+        name: "scale/10k",
+        description: "Scale sweep: 10 000 nodes (33x the paper), 10% freeriders, pdcc = 1",
+        build: |scale, seed| scale_family(scale, seed, 10_000, 400, 8, 4),
+    },
+    Scenario {
+        name: "scale/100k",
+        description: "Scale sweep: 100 000 nodes (333x the paper), 10% freeriders, pdcc = 1",
+        build: |scale, seed| scale_family(scale, seed, 100_000, 800, 4, 3),
+    },
 
     // ------------------------------------------------------------------
     // workload/ — trace-driven membership workloads expanded from registered
@@ -662,11 +693,11 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
     // replay shaped audience behaviour: diurnal participation swings, correlated regional
     // outages, and zap-style channel surfing.
     // ------------------------------------------------------------------
-    registry.register(
-        "workload/diurnal",
-        "Diurnal audience: participation swings around 60% over a sinusoidal cycle, tiered access classes (fiber/cable/DSL/mobile), 10% freeriders",
-        move |scale: Scale, seed: u64| {
-            let mut config = planetlab_family(40, 20, 0.1)(scale, seed);
+    Scenario {
+        name: "workload/diurnal",
+        description: "Diurnal audience: participation swings around 60% over a sinusoidal cycle, tiered access classes (fiber/cable/DSL/mobile), 10% freeriders",
+        build: |scale, seed| {
+            let mut config = planetlab_family(scale, seed, 40, 20, 0.1);
             // The tiered capability component replaces the flat poor-node draw.
             config.components.capability = Some(ComponentSpec::new("tiered"));
             config.components.workload = Some(
@@ -676,12 +707,12 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
             );
             config
         },
-    );
-    registry.register(
-        "workload/regional-failure",
-        "Regional-failure waves: the population splits into 4 regions and 2 correlated outages knock whole regions offline before they rejoin",
-        move |scale: Scale, seed: u64| {
-            let mut config = planetlab_family(40, 20, 0.1)(scale, seed);
+    },
+    Scenario {
+        name: "workload/regional-failure",
+        description: "Regional-failure waves: the population splits into 4 regions and 2 correlated outages knock whole regions offline before they rejoin",
+        build: |scale, seed| {
+            let mut config = planetlab_family(scale, seed, 40, 20, 0.1);
             config.components.workload = Some(
                 ComponentSpec::new("regional-failure")
                     .with("regions", ParamValue::Int(4))
@@ -689,12 +720,12 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
             );
             config
         },
-    );
-    registry.register(
-        "workload/zap",
-        "Channel zapping: three channels, half the viewers surf between them with exponentially distributed dwell times",
-        move |scale: Scale, seed: u64| {
-            let mut config = planetlab_family(40, 20, 0.1)(scale, seed);
+    },
+    Scenario {
+        name: "workload/zap",
+        description: "Channel zapping: three channels, half the viewers surf between them with exponentially distributed dwell times",
+        build: |scale, seed| {
+            let mut config = planetlab_family(scale, seed, 40, 20, 0.1);
             config.duration = scale.secs(30, 15);
             let chunk = config.streams[0].chunk_size;
             config.streams.push(StreamSpec::new(300_000, chunk));
@@ -704,22 +735,22 @@ fn register_builtin(registry: &mut ScenarioRegistry) {
             );
             config
         },
-    );
+    },
 
     // ------------------------------------------------------------------
     // A small smoke scenario for tests and quick sanity checks.
     // ------------------------------------------------------------------
-    registry.register(
-        "smoke/small",
-        "A 30-node ideal-network run with 20% planetlab freeriders",
-        |scale: Scale, seed: u64| {
+    Scenario {
+        name: "smoke/small",
+        description: "A 30-node ideal-network run with 20% planetlab freeriders",
+        build: |scale, seed| {
             let mut config =
                 ScenarioConfig::small_test(scale.pick(60, 30), seed).with_planetlab_freeriders(0.2);
             config.duration = scale.secs(15, 8);
             config
         },
-    );
-}
+    },
+];
 
 #[cfg(test)]
 mod tests {
@@ -732,14 +763,6 @@ mod tests {
             "fig01/no-freeriders",
             "fig01/freeriders-no-lifting",
             "fig01/freeriders-lifting",
-            "fig14/planetlab-pdcc-1",
-            "fig14/planetlab-pdcc-0.5",
-            "table03/pdcc-0.000",
-            "table03/pdcc-0.143",
-            "table03/pdcc-0.500",
-            "table03/pdcc-1.000",
-            "table05/674kbps-pdcc-0",
-            "table05/2036kbps-pdcc-1",
             "headline/planetlab",
             "adversary/on-off-freeriders",
             "adversary/blame-spam",
@@ -769,7 +792,7 @@ mod tests {
             assert!(registry.contains(name), "missing scenario {name}");
             assert!(registry.description(name).is_some());
         }
-        assert_eq!(registry.len(), 43);
+        assert_eq!(registry.names().len(), 43);
     }
 
     #[test]
@@ -780,7 +803,7 @@ mod tests {
         assert_eq!(family_names.first(), Some(&"fig01"));
         assert_eq!(family_names.last(), Some(&"smoke"));
         let total: usize = families.iter().map(|(_, members)| members.len()).sum();
-        assert_eq!(total, registry.len());
+        assert_eq!(total, registry.names().len());
         let (_, workload) = families
             .iter()
             .find(|(f, _)| *f == "workload")
@@ -810,15 +833,37 @@ mod tests {
     }
 
     #[test]
-    fn registration_replaces_same_name() {
-        let mut registry = ScenarioRegistry::new();
-        registry.register("x", "first", |_, seed| ScenarioConfig::small_test(10, seed));
-        registry.register("x", "second", |_, seed| {
-            ScenarioConfig::small_test(12, seed)
-        });
-        assert_eq!(registry.len(), 1);
-        assert_eq!(registry.description("x"), Some("second"));
-        assert_eq!(registry.build("x", Scale::Quick, 1).nodes, 12);
+    fn names_are_unique_and_every_grid_point_is_a_row() {
+        let registry = ScenarioRegistry::builtin();
+        let mut names = registry.names();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(
+            names.len(),
+            registry.names().len(),
+            "duplicate scenario name"
+        );
+
+        // Each literal row must carry the name the readers of its grid ask
+        // for, and build the grid point that name promises.
+        let row = |name: String| {
+            registry
+                .try_build(&name, Scale::Quick, 1)
+                .unwrap_or_else(|| panic!("missing grid row {name}"))
+        };
+        for pdcc in TABLE03_PDCCS {
+            assert_eq!(row(table03_scenario_name(pdcc)).lifting.pdcc, pdcc);
+        }
+        for kbps in TABLE05_STREAM_KBPS {
+            for pdcc in TABLE05_PDCCS {
+                let config = row(table05_scenario_name(kbps, pdcc));
+                assert_eq!(config.lifting.pdcc, pdcc);
+                assert_eq!(config.streams[0].rate_bps, kbps * 1_000);
+            }
+        }
+        for pdcc in FIG14_PDCCS {
+            assert_eq!(row(fig14_scenario_name(pdcc)).lifting.pdcc, pdcc);
+        }
     }
 
     #[test]

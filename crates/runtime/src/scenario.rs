@@ -4,14 +4,13 @@ use lifting_core::LiftingConfig;
 use lifting_gossip::{FreeriderConfig, GossipConfig};
 use lifting_net::NetworkConfig;
 use lifting_sim::{ComponentError, ParamMap, ParamValue, SimDuration, StreamId};
-use serde::{Deserialize, Serialize};
 
 /// One named component with its parameter overrides — an entry of the
 /// declarative [`ScenarioConfig::components`] section. The name is looked up
 /// in the axis's [`lifting_sim::ComponentRegistry`] and the parameters are
 /// validated against the component's schema at resolution time (see
 /// [`crate::components::resolve_components`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ComponentSpec {
     /// Registered component name (e.g. `"tiered"`, `"diurnal"`).
     pub name: String,
@@ -40,7 +39,7 @@ impl ComponentSpec {
 /// capability, workload and adversary axes are configured *only* here (unset
 /// means `uniform`, an undisturbed run and `baseline`), just as loss is
 /// configured only in [`ScenarioConfig::network`].
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ComponentsSpec {
     /// Per-node capability class assignment (see
     /// [`lifting_net::provider::capability_components`]); unset = `uniform`,
@@ -62,7 +61,7 @@ pub struct ComponentsSpec {
 /// Audiences are expressed as population fractions so one scenario definition
 /// scales from quick to paper populations. The broadcast source (node 0)
 /// always subscribes to every stream — it feeds them all.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StreamAudience {
     /// Every node subscribes.
     All,
@@ -99,7 +98,7 @@ impl StreamAudience {
 }
 
 /// One broadcast channel: its rate, chunking, start offset and audience.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamSpec {
     /// Stream rate in bits per second.
     pub rate_bps: u64,
@@ -137,7 +136,7 @@ impl StreamSpec {
 }
 
 /// Freerider population and behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FreeriderScenario {
     /// Number of freeriders (the last `count` node identifiers, never the
     /// source).
@@ -147,7 +146,7 @@ pub struct FreeriderScenario {
 }
 
 /// Complete description of one experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioConfig {
     /// Number of nodes (node 0 is the broadcast source and is always honest).
     pub nodes: usize,

@@ -48,7 +48,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
     #[test]
     fn any_registered_scenario_runs_parallel_eq_sequential(
-        scenario_index in 0usize..ScenarioRegistry::builtin().len(),
+        scenario_index in 0usize..ScenarioRegistry::builtin().names().len(),
         seed in 1u64..10_000,
     ) {
         let registry = ScenarioRegistry::builtin();

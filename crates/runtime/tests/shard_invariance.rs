@@ -66,7 +66,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
     #[test]
     fn any_registered_scenario_is_shard_invariant(
-        scenario_index in 0usize..ScenarioRegistry::builtin().len(),
+        scenario_index in 0usize..ScenarioRegistry::builtin().names().len(),
         seed in 1u64..10_000,
     ) {
         let registry = ScenarioRegistry::builtin();

@@ -14,11 +14,10 @@
 //!   out-of-range value is a structured error naming the offender, never a
 //!   panic.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A typed parameter value accepted by component factories.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ParamValue {
     /// Boolean flag.
     Bool(bool),
@@ -54,7 +53,7 @@ impl fmt::Display for ParamValue {
 /// Insertion order is preserved so that rendered compositions (`--list`,
 /// manifests) are stable across runs; lookups are linear, which is fine for
 /// the handful of parameters a component takes.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ParamMap {
     entries: Vec<(String, ParamValue)>,
 }

@@ -2,16 +2,14 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Identifier of a node (peer) participating in the system.
 ///
 /// The paper's system model assumes `n` nodes addressable by identity (IP and
 /// port on PlanetLab); in the simulation we use dense integer identifiers so
 /// they can double as vector indices.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -50,9 +48,7 @@ impl fmt::Display for NodeId {
 /// reputation plane; each channel's data plane (source, chunk stores, playout
 /// buffers, verification histories) is keyed by its `StreamId`. Identifiers
 /// are dense so they can double as indices into per-stream state vectors.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct StreamId(pub u16);
 
 impl StreamId {
