@@ -78,7 +78,7 @@ fn headline_breakdown(base: &ScenarioConfig) {
         allocs as f64 / events as f64,
     );
     // What the scheduler retains against what it holds at the end of the run
-    // (`ci.sh` gates this line).
+    // (`crates/runtime/tests/footprint_bounds.rs` bounds the ratio).
     let pending = engine.pending_events();
     let entry = lifting_sim::EventQueue::<lifting_runtime::Event>::ENTRY_BYTES;
     let queue_bytes = engine.queue_heap_bytes();

@@ -1,24 +1,16 @@
 //! Runs one registered scenario by name and prints a compact JSON readout —
-//! the CLI face of the scenario registry, used by the CI fault-injection
-//! smoke gate and handy for ad-hoc inspection:
+//! the CLI face of the scenario registry, for ad-hoc inspection:
 //!
 //! ```text
 //! run_scenario resilience/partition-waves --quick [--seed N] [--shards K]
 //! ```
 //!
 //! `--shards K` runs the scenario through the sharded wave executor; the
-//! readout is bit-identical to the sequential one at any shard count, which
-//! is exactly what the CI scale gate diffs. `--exporter <name>` renders the
-//! outcome through a registered outcome exporter (`json`, `summary-line`,
-//! `digest`) instead of the default readout.
-//!
-//! Registry introspection:
-//! * `--list` prints every scenario grouped by family, with its description
-//!   and resolved component composition;
-//! * `--list-names` prints the bare names (the CI manifest gate diffs this
-//!   against `tests/scenario_manifest.txt`);
-//! * `--validate-registry` instantiates every registered component of every
-//!   kind with default parameters and exits non-zero on any failure.
+//! readout is bit-identical to the sequential one at any shard count.
+//! `--exporter <name>` renders the outcome through a registered outcome
+//! exporter (`json`, `summary-line`, `digest`) instead of the default
+//! readout. `--list` prints every scenario grouped by family, with its
+//! description and resolved component composition.
 //!
 //! A missing or unknown scenario name, an unknown flag, a second positional
 //! argument, a flag without its value and an unknown exporter are usage
@@ -33,28 +25,19 @@ use serde_json::{json, to_value};
 
 const USAGE: Usage = Usage(
     "usage: run_scenario <scenario-name> [--quick] [--seed N] [--shards K] \
-     [--exporter NAME] | --list | --list-names | --validate-registry",
+     [--exporter NAME] | --list",
 );
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let positionals = USAGE.positionals(
         &args,
-        &["--quick", "--list", "--list-names", "--validate-registry"],
+        &["--quick", "--list"],
         &["--seed", "--shards", "--exporter"],
     );
     let registry = ScenarioRegistry::builtin();
     if args.iter().any(|a| a == "--list") {
-        listing::print_registry_listing();
-        return;
-    }
-    if args.iter().any(|a| a == "--list-names") {
-        listing::print_registry_names();
-        return;
-    }
-    if args.iter().any(|a| a == "--validate-registry") {
-        let (components, registries) = listing::validate_component_registries();
-        println!("validated {components} components across {registries} registries");
+        print!("{}", listing::registry_listing());
         return;
     }
     let name = match positionals[..] {

@@ -8,7 +8,7 @@
 //! "Scenario families" says what `run_all_experiments` writes). Per-layer
 //! metrics and the micro-probes of the building blocks come from one place,
 //! the repo benchmark (`benchmark run --trace`); `profile_scenario` adds the
-//! queue readout, memory walk and per-event table that `ci.sh` gates.
+//! queue readout, memory walk and per-event table.
 //!
 //! Scale: every experiment accepts a [`Scale`]; `Scale::Paper` uses the
 //! paper's population sizes and durations, `Scale::Quick` shrinks them so the

@@ -1,80 +1,66 @@
 //! The `--list` face of the scenario registry (`run_scenario --list`):
-//! scenarios grouped by family with each one's component composition, plus
-//! the registry-validation pass the CI gate runs.
+//! scenarios grouped by family with each one's component composition.
 
-use lifting_net::capability_components;
-use lifting_runtime::{
-    adversary_components, component_summary, exporter_components, workload_components, Scale,
-    ScenarioRegistry,
-};
-use lifting_sim::{ComponentRegistry, ParamMap, SeedSplitter};
+use std::fmt::Write;
 
-/// Prints every registered scenario grouped by family, each with its
-/// description and the component composition the registry resolves it to
-/// (`loss=bernoulli{pl=0.04} capability=... workload=static adversary=none`).
-pub fn print_registry_listing() {
+use lifting_runtime::{component_summary, Scale, ScenarioRegistry};
+
+/// Every registered scenario grouped by family, each with its description
+/// and the component composition the registry resolves it to
+/// (`loss=bernoulli{pl=0.04} capability=... workload=static adversary=none`),
+/// one line per item. `tests/scenario_listing.txt` pins it.
+pub fn registry_listing() -> String {
     let registry = ScenarioRegistry::builtin();
+    let mut text = String::new();
     for (family, members) in registry.families() {
-        println!("{family}/");
+        let _ = writeln!(text, "{family}/");
         for name in members {
             let config = registry.build(name, Scale::Quick, 0);
             let composition: Vec<String> = component_summary(&config)
                 .into_iter()
                 .map(|(axis, value)| format!("{axis}={value}"))
                 .collect();
-            println!("  {name}");
+            let _ = writeln!(text, "  {name}");
             if let Some(description) = registry.description(name) {
-                println!("      {description}");
+                let _ = writeln!(text, "      {description}");
             }
-            println!("      [{}]", composition.join(" "));
+            let _ = writeln!(text, "      [{}]", composition.join(" "));
         }
     }
-}
-
-/// Prints the bare scenario names, one per line — the machine-readable
-/// format the CI manifest gate diffs against `tests/scenario_manifest.txt`.
-pub fn print_registry_names() {
-    for name in ScenarioRegistry::builtin().names() {
-        println!("{name}");
-    }
-}
-
-/// Instantiates every registered component of every kind with default
-/// parameters, panicking (with the component's own error message) on any
-/// failure — the CI registry-validation gate. Returns the number of
-/// components validated and the number of registries they span.
-pub fn validate_component_registries() -> (usize, usize) {
-    let counts = [
-        validate(capability_components()),
-        validate(workload_components()),
-        validate(adversary_components()),
-        validate(exporter_components()),
-    ];
-    (counts.iter().sum(), counts.len())
-}
-
-/// Builds every component of one registry with default parameters.
-fn validate<P>(registry: &ComponentRegistry<P>) -> usize {
-    let kind = registry.kind();
-    for row in registry.rows() {
-        let name = row.name;
-        if let Err(e) = registry.build(name, &ParamMap::new(), &mut SeedSplitter::new(0)) {
-            panic!("{kind}/{name} failed to build: {e}");
-        }
-        eprintln!("  {kind}/{name} ok");
-    }
-    registry.rows().len()
+    text
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use lifting_net::capability_components;
+    use lifting_runtime::{adversary_components, exporter_components, workload_components};
+    use lifting_sim::{ComponentRegistry, ParamMap, SeedSplitter};
+
+    /// Builds every component of one registry with default parameters,
+    /// panicking with the component's own error message on a failure, and
+    /// returns how many it built.
+    fn validate<P>(registry: &ComponentRegistry<P>) -> usize {
+        let kind = registry.kind();
+        for row in registry.rows() {
+            let name = row.name;
+            if let Err(e) = registry.build(name, &ParamMap::new(), &mut SeedSplitter::new(0)) {
+                panic!("{kind}/{name} failed to build: {e}");
+            }
+        }
+        registry.rows().len()
+    }
 
     #[test]
     fn every_component_of_every_kind_builds_with_defaults() {
         // 3 capability assigners + 5 workload generators (diurnal,
         // regional-failure, zap, churn, partition-waves) + 7 adversaries + 3
         // exporters, over 4 registries.
-        assert_eq!(validate_component_registries(), (18, 4));
+        let counts = [
+            validate(capability_components()),
+            validate(workload_components()),
+            validate(adversary_components()),
+            validate(exporter_components()),
+        ];
+        assert_eq!(counts, [3, 5, 7, 3]);
     }
 }

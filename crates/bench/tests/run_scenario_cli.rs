@@ -43,6 +43,10 @@ fn bad_command_lines_are_usage_errors() {
     assert!(usage_error_of(&["smoke/small", "--qiuck"]).contains("unknown flag --qiuck"));
     assert!(usage_error_of(&["smoke/small", "-q"]).contains("unknown flag -q"));
     assert!(usage_error_of(&["smoke/small", "--quick", "7"]).contains("unexpected argument"));
+    // The retired registry switches are unknown flags now.
+    for retired in ["--list-names", "--validate-registry"] {
+        assert!(usage_error_of(&[retired]).contains(&format!("unknown flag {retired}")));
+    }
     // The exporter registry's typed error, naming the known exporters.
     let stderr = usage_error_of(&["headline/planetlab", "--quick", "--exporter", "yaml"]);
     assert!(

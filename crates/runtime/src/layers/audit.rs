@@ -45,10 +45,15 @@ pub enum AuditOutcome {
     Blame(Blame),
     /// Entropy or phase-count checks failed hard: expel the target.
     Expel,
-    /// A witness named in the history departed before it could be polled and
-    /// the remaining evidence pointed at a negative verdict: the audit is
-    /// abandoned without consequence (it would otherwise convert churn into
-    /// blame). Counted per run as `audits_aborted_by_departure`.
+    /// The audit is abandoned without consequence, because the auditor or
+    /// the target stayed partitioned through every retry of the history
+    /// poll, or because a witness named in the history could not be polled
+    /// (departed, expelled or partitioned) and the remaining evidence pointed
+    /// at a negative verdict. Judging the target would otherwise convert
+    /// churn or a fault into blame. Every abort counts per run in
+    /// [`ChurnStats::audits_aborted_by_departure`](crate::metrics::ChurnStats::audits_aborted_by_departure);
+    /// the auditor-or-target share also counts in
+    /// [`AuditRpcStats::aborted_unreachable`].
     Aborted,
 }
 

@@ -166,9 +166,11 @@ pub struct ChurnStats {
     pub departures: u64,
     /// Rejoins executed (steady churn plus the flash-crowd wave).
     pub rejoins: u64,
-    /// Audits abandoned because a witness named in the audited history had
-    /// departed before it could be polled (see
-    /// [`crate::layers::AuditOutcome::Aborted`]).
+    /// Audits abandoned without a verdict, whatever the cause (see
+    /// [`crate::layers::AuditOutcome::Aborted`]): a departed, expelled or
+    /// partitioned witness, or a partitioned auditor or target. Despite the
+    /// name, partitions count here too; the auditor-or-target share is also
+    /// counted in [`crate::layers::AuditRpcStats::aborted_unreachable`].
     pub audits_aborted_by_departure: u64,
     /// Nodes offline (departed, not expelled) when the run ended.
     pub offline_at_end: usize,

@@ -157,6 +157,13 @@ fn partition_waves_abort_audits_instead_of_blaming_the_unreachable() {
         .filter(|w| w.kind == WaveKind::Partition)
         .collect();
     assert_eq!(partitions.len(), 2, "both fault waves must be traced");
+    // ... and the stream survived them: 0.367 of the nodes view it clear at
+    // the longest lag.
+    let clear = outcome.stream_health.fraction_clear.last().copied();
+    assert!(
+        clear.is_some_and(|clear| clear > 0.2),
+        "the stream collapsed under partition waves ({clear:?})"
+    );
 }
 
 #[test]
