@@ -90,11 +90,13 @@ cargo test -q --release -p lifting-bench --test scenario_digests
 cargo test -q --release -p lifting-runtime --test footprint_bounds
 
 echo "==> examples smoke (quick scale)"
-# Clippy only *compiles* the examples; actually execute the two entry-point
-# walkthroughs so a broken prelude or a panicking scenario is caught here.
+# Clippy only *compiles* the examples; actually execute every one so a broken
+# prelude or a panicking scenario is caught here.
 cargo build --release --examples
 LIFTING_EXAMPLE_QUICK=1 ./target/release/examples/quickstart > /dev/null
 LIFTING_EXAMPLE_QUICK=1 ./target/release/examples/streaming_freeriders > /dev/null
+./target/release/examples/collusion_audit > /dev/null
+./target/release/examples/planetlab_emulation > /dev/null
 echo "examples smoke OK"
 
 echo "==> run_all_experiments --quick (parallel)"

@@ -19,15 +19,14 @@ use serde::Serialize;
 /// Experiment scale (re-exported from the runtime's scenario registry).
 pub use lifting_runtime::Scale;
 
-/// The paper's expulsion threshold: η = −9.75, calibrated in Section 6.2 for
-/// a false-positive budget β < 1 % on the PlanetLab deployment's honest-score
-/// distribution. Experiments that sweep their own populations recalibrate η
-/// from their measured honest scores ([`calibrate_threshold`]) and fall back
-/// to this reference value only when the honest sample is empty; every
-/// fallback increments [`paper_eta_fallback_count`], which
-/// `run_all_experiments` surfaces in its summary so a silently
-/// miscalibrated sweep cannot masquerade as a measured one.
-pub const PAPER_ETA: f64 = -9.75;
+/// The paper's expulsion threshold. Experiments that sweep their own
+/// populations recalibrate η from their measured honest scores
+/// ([`calibrate_threshold`]) and fall back to this reference value only when
+/// the honest sample is empty; every fallback increments
+/// [`paper_eta_fallback_count`], which `run_all_experiments` surfaces in its
+/// summary so a silently miscalibrated sweep cannot masquerade as a measured
+/// one.
+pub use lifting_core::PAPER_ETA;
 
 static PAPER_ETA_FALLBACKS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 

@@ -20,6 +20,11 @@ pub const CONFIRM_TIMEOUT: SimDuration = SimDuration::from_millis(1_000);
 /// node is cut off: a majority, `ceil(M/2)` distinct voters.
 pub const EXPULSION_QUORUM: f64 = 0.5;
 
+/// The paper's expulsion threshold: η = −9.75, calibrated in Section 6.2 for
+/// a false-positive budget β < 1 % on the PlanetLab deployment's
+/// honest-score distribution.
+pub const PAPER_ETA: f64 = -9.75;
+
 /// Static parameters of the LiFTinG verification layer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LiftingConfig {
@@ -29,8 +34,8 @@ pub struct LiftingConfig {
     pub pdcc: f64,
     /// Number of reputation managers `M` per node (25 in the deployment).
     pub managers: usize,
-    /// Score-based detection threshold `η` (the paper uses −9.75, calibrated
-    /// for a false-positive probability below 1 %).
+    /// Score-based detection threshold `η` (the paper uses [`PAPER_ETA`],
+    /// calibrated for a false-positive probability below 1 %).
     pub eta: f64,
     /// Entropy-based detection threshold `γ` (the paper uses 8.95 for
     /// `nh·f = 600` history entries).
@@ -64,7 +69,7 @@ impl LiftingConfig {
         LiftingConfig {
             pdcc: 1.0,
             managers: 25,
-            eta: -9.75,
+            eta: PAPER_ETA,
             gamma: 8.95,
             history_periods: 50,
             confirm_retries: 0,
@@ -128,7 +133,7 @@ mod tests {
         let c = LiftingConfig::planetlab();
         assert_eq!(c.pdcc, 1.0);
         assert_eq!(c.managers, 25);
-        assert_eq!(c.eta, -9.75);
+        assert_eq!(c.eta, PAPER_ETA);
         assert_eq!(c.gamma, 8.95);
         assert_eq!(c.history_periods, 50);
         assert_eq!(c.validate(), Ok(()));

@@ -42,7 +42,9 @@ pub mod verifier;
 pub use audit::{AuditOracle, AuditReport, AuditVerdict, Auditor};
 pub use blame::{Blame, BlameReason};
 pub use collusion::CollusionConfig;
-pub use config::{LiftingConfig, ACK_TIMEOUT, CONFIRM_TIMEOUT, EXPULSION_QUORUM, SERVE_TIMEOUT};
+pub use config::{
+    LiftingConfig, ACK_TIMEOUT, CONFIRM_TIMEOUT, EXPULSION_QUORUM, PAPER_ETA, SERVE_TIMEOUT,
+};
 pub use history::{NodeHistory, PeriodRecord};
 pub use messages::{AckPayload, ConfirmPayload, ConfirmResponsePayload, VerificationMessage};
 pub use verifier::{ConfirmRetryStats, Verifier, VerifierAction, VerifierTimer};

@@ -11,7 +11,7 @@
 //!   colluders that favour each other with probability `pm`, and the
 //!   round-robin colluder selection that the entropy check of Section 6.3.2 is
 //!   designed to defeat, and
-//! * deterministic **disturbance generators** ([`WorkloadGenerator`]):
+//! * deterministic **disturbance generators** ([`Workload`]):
 //!   steady churn with catastrophe and flash-crowd waves, partition waves,
 //!   diurnal audience cycles, correlated regional-failure waves and zap-style
 //!   channel switching, each expanded once into a pre-drawn [`WorkloadPlan`]
@@ -28,7 +28,7 @@ pub use directory::Directory;
 pub use selector::{PartnerSelector, SelectionPolicy};
 pub use workload::{
     Churn, DiurnalCycle, Edge, PartitionWaves, RegionalFailureWaves, Sessions, TimedEdge, Wave,
-    WorkloadGenerator, WorkloadPlan, ZapSwitching,
+    Workload, WorkloadPlan, ZapSwitching,
 };
 
 pub use lifting_sim::NodeId;

@@ -3,15 +3,15 @@
 //!
 //! The paper's evaluation runs on PlanetLab, where nodes join, crash and
 //! rejoin mid-stream and links fail around nodes that stay up. A
-//! [`WorkloadGenerator`] describes one such shape declaratively and expands
-//! it, once, into a [`WorkloadPlan`]: an ordered list of typed [`Edge`]s plus
-//! the per-node start state the runtime applies before the first event. Each
+//! [`Workload`] describes one such shape declaratively and expands it, once,
+//! into a [`WorkloadPlan`]: an ordered list of typed [`Edge`]s plus the
+//! per-node start state the runtime applies before the first event. Each
 //! generator draws from its own seeded RNG streams in one fixed order (iterate
 //! nodes ascending, draw per-node decisions unconditionally where feasible),
 //! so a plan is a pure function of the seed and every scenario stays
 //! bit-for-bit deterministic and parallel == sequential.
 //!
-//! Five generators ship with the reproduction:
+//! Five generators ship with the reproduction, one [`Workload`] variant each:
 //!
 //! * [`Churn`] — steady session/offline cycling of a fraction of the viewers,
 //!   plus optional catastrophic-failure and flash-crowd waves.
@@ -26,7 +26,7 @@
 //!   of them zap to another channel after exponentially distributed dwell
 //!   times (the multi-channel audience of the multistream planes).
 
-use lifting_sim::{derive_rng, NodeId, SimDuration, StreamId};
+use lifting_sim::{derive_rng, ComponentError, NodeId, SimDuration, StreamId};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore};
 
@@ -159,18 +159,104 @@ impl WorkloadPlan {
     }
 }
 
-/// A deterministic disturbance generator.
-pub trait WorkloadGenerator: Send + Sync {
+/// A scenario's disturbance: which deterministic generator runs, with its
+/// parameters.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Workload {
+    /// Steady churn and its waves.
+    Churn(Churn),
+    /// Partition waves.
+    PartitionWaves(PartitionWaves),
+    /// Diurnal audience cycles.
+    DiurnalCycle(DiurnalCycle),
+    /// Correlated regional failures.
+    RegionalFailureWaves(RegionalFailureWaves),
+    /// Zap-style channel switching.
+    ZapSwitching(ZapSwitching),
+}
+
+impl Workload {
+    /// The generator's name, as errors and listings print it.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Workload::Churn(_) => "churn",
+            Workload::PartitionWaves(_) => "partition-waves",
+            Workload::DiurnalCycle(_) => "diurnal",
+            Workload::RegionalFailureWaves(_) => "regional-failure",
+            Workload::ZapSwitching(_) => "zap",
+        }
+    }
+
+    /// Checks every parameter's range, naming the first one out of it (keys
+    /// of durations end in `_secs`).
+    pub fn validate(&self) -> Result<(), ComponentError> {
+        let name = self.name();
+        let fraction = |key, x| ComponentError::require_fraction(name, key, x);
+        let positive = |key, d| ComponentError::require_positive_secs(name, key, d);
+        let count = |key, x: usize| ComponentError::require_at_least_one(name, key, x as u64);
+        // A wave must leave enough of the population standing for gossip to
+        // mean anything.
+        let wave_fraction = |key, x: f64| {
+            let ok = (0.0..=0.9).contains(&x);
+            ComponentError::require(ok, name, key, format!("{x} is not in [0, 0.9]"))
+        };
+        match *self {
+            Workload::Churn(c) => {
+                fraction("fraction", c.fraction)?;
+                positive("mean_session_secs", c.mean_session)?;
+                positive("mean_offline_secs", c.mean_offline)?;
+                positive("catastrophe_at_secs", c.catastrophe.at)?;
+                wave_fraction("catastrophe_fraction", c.catastrophe.fraction)?;
+                positive("flash_crowd_at_secs", c.flash_crowd.at)?;
+                wave_fraction("flash_crowd_fraction", c.flash_crowd.fraction)
+            }
+            Workload::PartitionWaves(p) => {
+                // A node's overlapping partitions are counted in a `u8`.
+                let waves = p.waves;
+                let reason = format!("{waves} not in [1, 255]");
+                ComponentError::require((1..=255).contains(&waves), name, "waves", reason)?;
+                positive("outage_secs", p.outage)?;
+                wave_fraction("fraction", p.fraction)
+            }
+            Workload::DiurnalCycle(d) => {
+                fraction("participation", d.participation)?;
+                positive("cycle_secs", d.cycle)?;
+                fraction("offline_fraction", d.offline_fraction)?;
+                positive("warmup_secs", d.warmup)
+            }
+            Workload::RegionalFailureWaves(r) => {
+                count("regions", r.regions)?;
+                count("waves", r.waves)?;
+                positive("outage_secs", r.outage)?;
+                positive("warmup_secs", r.warmup)
+            }
+            Workload::ZapSwitching(z) => {
+                fraction("zappers", z.zappers)?;
+                positive("mean_dwell_secs", z.mean_dwell)?;
+                positive("warmup_secs", z.warmup)
+            }
+        }
+    }
+
     /// Expands the generator over `nodes` identifiers and `streams` channels
     /// for a run of `duration`, drawing only from its own streams of `seed`.
     /// Node 0 — the broadcast source — is never selected for anything.
-    fn expand(
+    pub fn expand(
         &self,
         nodes: usize,
         streams: usize,
         duration: SimDuration,
         seed: u64,
-    ) -> WorkloadPlan;
+    ) -> WorkloadPlan {
+        let (n, s, d) = (nodes, streams, duration);
+        match self {
+            Workload::Churn(g) => g.expand(n, s, d, seed),
+            Workload::PartitionWaves(g) => g.expand(n, s, d, seed),
+            Workload::DiurnalCycle(g) => g.expand(n, s, d, seed),
+            Workload::RegionalFailureWaves(g) => g.expand(n, s, d, seed),
+            Workload::ZapSwitching(g) => g.expand(n, s, d, seed),
+        }
+    }
 }
 
 /// Exponentially distributed duration with the given mean, floored at 10 ms
@@ -221,7 +307,26 @@ pub struct Churn {
     pub flash_crowd: Wave,
 }
 
-impl WorkloadGenerator for Churn {
+impl Default for Churn {
+    /// A quarter of the viewers cycle 12 s sessions and 3 s offline spells
+    /// after a 3 s warmup; no wave (each would hit at 10 s).
+    fn default() -> Self {
+        let no_wave = Wave {
+            at: SimDuration::from_secs(10),
+            fraction: 0.0,
+        };
+        Churn {
+            fraction: 0.25,
+            mean_session: SimDuration::from_secs(12),
+            mean_offline: SimDuration::from_secs(3),
+            warmup: SimDuration::from_secs(3),
+            catastrophe: no_wave,
+            flash_crowd: no_wave,
+        }
+    }
+}
+
+impl Churn {
     fn expand(&self, nodes: usize, _: usize, _: SimDuration, seed: u64) -> WorkloadPlan {
         // Fixed draw order on the plan stream: every churner flag, then every
         // flash-crowd flag, then every catastrophe flag. A fraction of 0
@@ -286,7 +391,18 @@ pub struct PartitionWaves {
     pub fraction: f64,
 }
 
-impl WorkloadGenerator for PartitionWaves {
+impl Default for PartitionWaves {
+    /// Two waves, each cutting off a quarter of the population for 4 s.
+    fn default() -> Self {
+        PartitionWaves {
+            waves: 2,
+            outage: SimDuration::from_secs(4),
+            fraction: 0.25,
+        }
+    }
+}
+
+impl PartitionWaves {
     fn expand(&self, nodes: usize, _: usize, duration: SimDuration, seed: u64) -> WorkloadPlan {
         let mut rng = derive_rng(seed, PARTITION_STREAM);
         let spacing = SimDuration::from_micros(duration.as_micros() / (self.waves as u64 + 1));
@@ -318,7 +434,19 @@ pub struct DiurnalCycle {
     pub warmup: SimDuration,
 }
 
-impl WorkloadGenerator for DiurnalCycle {
+impl Default for DiurnalCycle {
+    /// 60 % of the viewers spend 35 % of every 12 s cycle offline, from 4 s.
+    fn default() -> Self {
+        DiurnalCycle {
+            participation: 0.6,
+            cycle: SimDuration::from_secs(12),
+            offline_fraction: 0.35,
+            warmup: SimDuration::from_secs(4),
+        }
+    }
+}
+
+impl DiurnalCycle {
     fn expand(&self, nodes: usize, _: usize, duration: SimDuration, seed: u64) -> WorkloadPlan {
         let rng = &mut derive_rng(seed, TRACE_STREAM);
         let mut plan = WorkloadPlan::default();
@@ -368,15 +496,25 @@ pub struct RegionalFailureWaves {
     pub warmup: SimDuration,
 }
 
+impl Default for RegionalFailureWaves {
+    /// Four regions, two 4 s outages, none before 5 s.
+    fn default() -> Self {
+        RegionalFailureWaves {
+            regions: 4,
+            waves: 2,
+            outage: SimDuration::from_secs(4),
+            warmup: SimDuration::from_secs(5),
+        }
+    }
+}
+
 impl RegionalFailureWaves {
     /// The region node `index` (≥ 1) belongs to.
     pub fn region_of(&self, index: usize, nodes: usize) -> usize {
         let population = nodes.saturating_sub(1).max(1);
         ((index - 1) * self.regions / population).min(self.regions - 1)
     }
-}
 
-impl WorkloadGenerator for RegionalFailureWaves {
     fn expand(&self, nodes: usize, _: usize, duration: SimDuration, seed: u64) -> WorkloadPlan {
         let rng = &mut derive_rng(seed, TRACE_STREAM);
         let mut plan = WorkloadPlan::default();
@@ -418,7 +556,18 @@ pub struct ZapSwitching {
     pub warmup: SimDuration,
 }
 
-impl WorkloadGenerator for ZapSwitching {
+impl Default for ZapSwitching {
+    /// 40 % of the viewers zap after 6 s mean dwells, from 3 s.
+    fn default() -> Self {
+        ZapSwitching {
+            zappers: 0.4,
+            mean_dwell: SimDuration::from_secs(6),
+            warmup: SimDuration::from_secs(3),
+        }
+    }
+}
+
+impl ZapSwitching {
     fn expand(
         &self,
         nodes: usize,

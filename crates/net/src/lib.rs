@@ -36,7 +36,7 @@ pub use bandwidth::{NodeCapability, UplinkState};
 pub use latency::LatencyModel;
 pub use loss::{BurstState, LossModel};
 pub use network::{DeliveryOutcome, LinkFaults, Network, NetworkConfig};
-pub use provider::{capability_components, CapabilityClassAssigner};
+pub use provider::Capability;
 pub use traffic::{TrafficCategory, TrafficReport, TrafficStats};
 pub use transport::Transport;
 

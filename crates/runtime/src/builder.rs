@@ -2,11 +2,11 @@
 //! stacks, the adversaries, the network, the manager assignment and the
 //! audit plane.
 //!
-//! [`build_world`] resolves the scenario's components once
-//! ([`resolve_components`]) and expands the declared disturbance generator
-//! once into its [`WorkloadPlan`]; the world keeps the adversary spawner (for
-//! stack rebuilds) and the plan, whose edges [`SystemWorld::initial_events`]
-//! turns into the run's first events.
+//! [`build_world`] validates the scenario once ([`ScenarioConfig::validate`])
+//! and expands its workload once into a [`WorkloadPlan`]; the world keeps the
+//! plan, whose edges [`SystemWorld::initial_events`] turns into the run's
+//! first events, and spawns a rebuilt stack's adversary from the config's
+//! family.
 //!
 //! The construction order (and in particular the order of RNG derivations)
 //! is part of the determinism contract: existing scenarios must produce
@@ -23,7 +23,6 @@ use lifting_net::{Network, NodeCapability};
 use lifting_reputation::ManagerAssignment;
 use lifting_sim::{derive_rng, ComponentError, NodeId, SimDuration, SimTime};
 
-use crate::components::{resolve_components, ResolvedComponents};
 use crate::layers::{AuditCoordinator, NodeStack};
 use crate::message::{Event, CHURN_EPOCH_ANY};
 use crate::period::PeriodPlane;
@@ -44,15 +43,9 @@ pub(crate) fn multistream_rng(seed: u64) -> rand::rngs::SmallRng {
     derive_rng(seed, MULTISTREAM_STREAM)
 }
 
-/// Builds the system described by `config`, or reports the component of its
-/// `components` section that failed to resolve or the scenario field that is
-/// out of range.
+/// Builds the system described by `config`, or reports the field that is out
+/// of range.
 pub fn build_world(config: ScenarioConfig) -> Result<SystemWorld, ComponentError> {
-    let ResolvedComponents {
-        capability,
-        workload,
-        adversary,
-    } = resolve_components(&config)?;
     config.validate()?;
     let n = config.nodes;
     let seed = config.seed;
@@ -75,15 +68,17 @@ pub fn build_world(config: ScenarioConfig) -> Result<SystemWorld, ComponentError
     }
     let mut network = Network::new(n, config.network.clone(), derive_rng(seed, 1));
 
-    // Node capabilities: assigned per node by the scenario's capability-class
-    // provider.
+    // Node capabilities: assigned per node by the scenario's capability
+    // class.
     let baseline = match config.default_upload_bps {
         Some(bps) => NodeCapability::broadband(bps),
         None => NodeCapability::unconstrained(),
     };
     let mut cap_rng = derive_rng(seed, 2);
     for i in 0..n {
-        let cap = capability.assign(i, config.is_freerider(i), baseline, &mut cap_rng);
+        let cap = config
+            .capability
+            .assign(i, config.is_freerider(i), baseline, &mut cap_rng);
         network.set_capability(NodeId::new(i as u32), cap);
     }
 
@@ -112,7 +107,7 @@ pub fn build_world(config: ScenarioConfig) -> Result<SystemWorld, ComponentError
                 config.gossip,
                 config.lifting,
                 config.lifting_enabled,
-                adversary.spawn(&config, i, &coalition),
+                config.adversary.spawn(&config, i, &coalition),
                 derive_rng(seed, 1000 + i as u64),
                 &clocks,
                 0,
@@ -178,9 +173,11 @@ pub fn build_world(config: ScenarioConfig) -> Result<SystemWorld, ComponentError
     // nodes); a zap viewer watches only its home channel. Every membership
     // generator counts each node online at the start as one session; rejoins
     // add to the count as the run progresses.
-    let workload = workload.map_or_else(WorkloadPlan::default, |generator| {
-        generator.expand(n, streams, config.duration, seed)
-    });
+    let workload = config
+        .workload
+        .map_or_else(WorkloadPlan::default, |workload| {
+            workload.expand(n, streams, config.duration, seed)
+        });
     for (i, held) in workload.held_offline.iter().enumerate() {
         if *held {
             let node = NodeId::new(i as u32);
@@ -195,14 +192,14 @@ pub fn build_world(config: ScenarioConfig) -> Result<SystemWorld, ComponentError
             }
         }
     }
-    let disturbs_membership = config.components.workload.is_some() && workload.waves.is_empty();
+    let disturbs_membership = config.workload.is_some() && workload.waves.is_empty();
     let initial_sessions = if disturbs_membership {
         directory.active_count() as u64 - 1
     } else {
         0
     };
 
-    let traced = !workload.waves.is_empty() || adversary.closed_loop();
+    let traced = !workload.waves.is_empty() || config.adversary.closed_loop();
     Ok(SystemWorld {
         directory,
         network,
@@ -224,7 +221,6 @@ pub fn build_world(config: ScenarioConfig) -> Result<SystemWorld, ComponentError
         workload_switches: 0,
         audits_aborted_by_departure: 0,
         coalition,
-        adversary,
         rng: derive_rng(seed, 3),
         mstream_rng: multistream_rng(seed),
         scratch_downcalls: Vec::new(),
@@ -299,18 +295,15 @@ pub(crate) fn initial_events(world: &SystemWorld) -> Vec<(SimTime, Event)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{ComponentSpec, FreeriderScenario};
+    use crate::components::AdversaryFamily;
+    use crate::scenario::FreeriderScenario;
     use lifting_gossip::FreeriderConfig;
-    use lifting_sim::ParamValue;
 
     /// The name of the adversary node `index` plays under `config`.
     fn played_by(config: &ScenarioConfig, index: usize) -> &'static str {
         let coalition = Arc::new(Vec::new());
-        resolve_components(config)
-            .unwrap_or_else(|e| panic!("{e}"))
-            .adversary
-            .spawn(config, index, &coalition)
-            .name()
+        config.validate().unwrap_or_else(|e| panic!("{e}"));
+        config.adversary.spawn(config, index, &coalition).name()
     }
 
     #[test]
@@ -318,11 +311,11 @@ mod tests {
         let mut config = ScenarioConfig::small_test(10, 1).with_planetlab_freeriders(0.3);
         assert_eq!(played_by(&config, 0), "honest");
         assert_eq!(played_by(&config, 7), "freerider");
-        config.components.adversary = Some(
-            ComponentSpec::new("baseline")
-                .with("partner_bias", ParamValue::Float(0.3))
-                .with("cover_up", ParamValue::Bool(true)),
-        );
+        config.adversary = AdversaryFamily::Baseline {
+            partner_bias: 0.3,
+            cover_up: true,
+            man_in_the_middle: false,
+        };
         assert_eq!(played_by(&config, 7), "colluder");
         assert_eq!(played_by(&config, 1), "honest");
     }
@@ -334,9 +327,15 @@ mod tests {
             count: 2,
             degree: FreeriderConfig::uniform(0.2),
         });
-        config.components.adversary = Some(ComponentSpec::new("on-off"));
+        config.adversary = AdversaryFamily::OnOff {
+            on_periods: 2,
+            off_periods: 2,
+        };
         assert_eq!(played_by(&config, 9), "on-off-freerider");
-        config.components.adversary = Some(ComponentSpec::new("blame-spam"));
+        config.adversary = AdversaryFamily::BlameSpam {
+            blames_per_period: 5,
+            blame_value: 5.0,
+        };
         assert_eq!(played_by(&config, 9), "blame-spammer");
         assert_eq!(played_by(&config, 0), "honest");
     }

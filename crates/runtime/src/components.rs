@@ -1,223 +1,210 @@
-//! Runtime-level component registries: workload generators, adversaries and
-//! outcome exporters, plus the one function that turns a [`ScenarioConfig`]'s
-//! declarative `components` section into live providers.
+//! The adversary axis of a scenario and the outcome exporters, plus the
+//! composition summary `run_scenario --list` prints.
 //!
-//! Together with the capability registry of [`lifting_net::provider`],
-//! these registries make scenario construction compositional: a scenario
-//! picks named components and parameter maps, and every axis is extended by
-//! adding a row — no builder surgery. The rule is **one axis, one encoding**:
-//! adding an adversary family is one row of [`adversary_components`]
-//! (parameters, range checks, cross-field rule and the constructor of the
-//! [`Adversary`] itself), and nothing else in the crate names the family —
-//! the paper's collusion included, which is parameters of `baseline`.
-//! Likewise every disturbance — steady churn and its waves, partition waves,
-//! the trace-driven audiences — is one row of [`workload_components`].
+//! A scenario's capability classes ([`lifting_net::Capability`]), workload
+//! ([`lifting_membership::Workload`]) and adversary family
+//! ([`AdversaryFamily`]) are typed values of its [`ScenarioConfig`], checked
+//! by their `validate` methods from [`ScenarioConfig::validate`]. Adding an
+//! adversary family is one variant of [`AdversaryFamily`] and one arm of
+//! each of its `match`es — parameters, range checks, cross-field rule and
+//! the constructor of the [`Adversary`] itself — and nothing else in the
+//! crate names the family: the paper's collusion included, which is
+//! parameters of `Baseline`.
 //!
-//! [`resolve_components`] runs once per world, in
-//! [`crate::builder::build_world`]; everything a component resolves to is
-//! derived from the scenario's fixed RNG streams, so the same declaration
-//! always yields the same run.
+//! Only the exporter is chosen by a name from outside the program
+//! (`run_scenario --exporter NAME`), so it alone is a registry
+//! ([`exporter_components`]).
 
 use std::sync::Arc;
 
-use lifting_gossip::FreeriderConfig;
-use lifting_membership::{
-    Churn, DiurnalCycle, PartitionWaves, RegionalFailureWaves, Wave, WorkloadGenerator,
-    ZapSwitching,
-};
-use lifting_net::provider::{capability_components, CapabilityClassAssigner};
-use lifting_net::LossModel;
-use lifting_sim::{
-    Component, ComponentError, ComponentRegistry, NodeId, ParamMap, ParamSpec, SeedSplitter,
-    SimDuration,
-};
+use lifting_membership::Workload;
+use lifting_net::{Capability, LossModel};
+use lifting_sim::{Component, ComponentError, ComponentRegistry, NodeId, SimDuration};
 
 use crate::layers::{
     AdaptiveColluder, Adversary, BlameSpammer, Colluder, Freerider, GradientFreerider, Honest,
     OnOffFreerider, SelectiveFreerider, Whitewasher,
 };
 use crate::metrics::RunOutcome;
-use crate::scenario::{ComponentSpec, ScenarioConfig};
-
-fn positive_secs(
-    component: &str,
-    params: &ParamMap,
-    key: &str,
-) -> Result<SimDuration, ComponentError> {
-    params
-        .float_where(component, key, |x| x > 0.0, "seconds is not positive")
-        .map(SimDuration::from_secs_f64)
-}
-
-/// The fraction of the population one wave may take: a wave must leave
-/// enough of it standing for gossip to mean anything.
-fn wave_fraction(component: &str, params: &ParamMap, key: &str) -> Result<f64, ComponentError> {
-    let at_most_90 = |x| (0.0..=0.9).contains(&x);
-    params.float_where(component, key, at_most_90, "is not in [0, 0.9]")
-}
+use crate::scenario::ScenarioConfig;
 
 // ---------------------------------------------------------------------------
-// Workload components: every disturbance of a run.
+// Adversary families.
 // ---------------------------------------------------------------------------
 
-type Generator = Box<dyn WorkloadGenerator>;
-
-/// Every disturbance generator. Adding one is one row here: parameters, range
-/// checks and constructor (the expansion lives in `lifting_membership`).
-static WORKLOADS: [Component<Generator>; 5] = [
-    Component {
-        name: "diurnal",
-        params: &[
-            ParamSpec::float("participation", 0.6),
-            ParamSpec::float("cycle_secs", 12.0),
-            ParamSpec::float("offline_fraction", 0.35),
-            ParamSpec::float("warmup_secs", 4.0),
-        ],
-        build: |name, params| {
-            Ok(Box::new(DiurnalCycle {
-                participation: params.fraction(name, "participation")?,
-                cycle: positive_secs(name, params, "cycle_secs")?,
-                offline_fraction: params.fraction(name, "offline_fraction")?,
-                warmup: positive_secs(name, params, "warmup_secs")?,
-            }))
-        },
+/// The family the freerider population plays: it makes the population's
+/// [`Adversary`] instances at world construction and again whenever a rejoin
+/// rebuilds a stack. The source and the honest nodes play [`Honest`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum AdversaryFamily {
+    /// The paper's adversary: freeriders, independent unless told to collude
+    /// (Section 5.2, Figure 8).
+    Baseline {
+        /// Probability of picking a partner inside the coalition.
+        partner_bias: f64,
+        /// Colluders cover each other up during confirmations.
+        cover_up: bool,
+        /// Colluders mount the man-in-the-middle attack of Figure 8b.
+        man_in_the_middle: bool,
     },
-    Component {
-        name: "regional-failure",
-        params: &[
-            ParamSpec::int("regions", 4),
-            ParamSpec::int("waves", 2),
-            ParamSpec::float("outage_secs", 4.0),
-            ParamSpec::float("warmup_secs", 5.0),
-        ],
-        build: |name, params| {
-            Ok(Box::new(RegionalFailureWaves {
-                regions: params.positive_int(name, "regions")? as usize,
-                waves: params.positive_int(name, "waves")? as usize,
-                outage: positive_secs(name, params, "outage_secs")?,
-                warmup: positive_secs(name, params, "warmup_secs")?,
-            }))
-        },
+    /// Freeride for `on_periods` gossip periods, then behave for
+    /// `off_periods`.
+    OnOff {
+        /// Periods spent freeriding (≥ 1).
+        on_periods: u64,
+        /// Periods spent honest (≥ 1).
+        off_periods: u64,
     },
-    Component {
-        name: "zap",
-        params: &[
-            ParamSpec::float("zappers", 0.4),
-            ParamSpec::float("mean_dwell_secs", 6.0),
-            ParamSpec::float("warmup_secs", 3.0),
-        ],
-        build: |name, params| {
-            Ok(Box::new(ZapSwitching {
-                zappers: params.fraction(name, "zappers")?,
-                mean_dwell: positive_secs(name, params, "mean_dwell_secs")?,
-                warmup: positive_secs(name, params, "warmup_secs")?,
-            }))
-        },
+    /// Flood the reputation plane with fabricated blames.
+    BlameSpam {
+        /// Fabricated blames per gossip tick (≥ 1).
+        blames_per_period: u32,
+        /// Value of each fabricated blame (≥ 0).
+        blame_value: f64,
     },
-    Component {
-        name: "churn",
-        // A wave fraction of 0 is no wave.
-        params: &[
-            ParamSpec::float("fraction", 0.25),
-            ParamSpec::float("mean_session_secs", 12.0),
-            ParamSpec::float("mean_offline_secs", 3.0),
-            ParamSpec::float("warmup_secs", 3.0),
-            ParamSpec::float("catastrophe_at_secs", 10.0),
-            ParamSpec::float("catastrophe_fraction", 0.0),
-            ParamSpec::float("flash_crowd_at_secs", 10.0),
-            ParamSpec::float("flash_crowd_fraction", 0.0),
-        ],
-        build: |name, params| {
-            let wave = |at: &str, fraction: &str| -> Result<Wave, ComponentError> {
-                Ok(Wave {
-                    at: positive_secs(name, params, at)?,
-                    fraction: wave_fraction(name, params, fraction)?,
-                })
-            };
-            Ok(Box::new(Churn {
-                fraction: params.fraction(name, "fraction")?,
-                mean_session: positive_secs(name, params, "mean_session_secs")?,
-                mean_offline: positive_secs(name, params, "mean_offline_secs")?,
-                warmup: params
-                    .float_where(name, "warmup_secs", |x| x >= 0.0, "seconds is negative")
-                    .map(SimDuration::from_secs_f64)?,
-                catastrophe: wave("catastrophe_at_secs", "catastrophe_fraction")?,
-                flash_crowd: wave("flash_crowd_at_secs", "flash_crowd_fraction")?,
-            }))
-        },
+    /// Honest on some channels, silent on others.
+    SelectiveFreerider {
+        /// Bit `s` silences stream `s` (non-zero, within the streams run).
+        silent_mask: u64,
     },
-    Component {
-        name: "partition-waves",
-        params: &[
-            ParamSpec::int("waves", 2),
-            ParamSpec::float("outage_secs", 4.0),
-            ParamSpec::float("fraction", 0.25),
-        ],
-        build: |name, params| {
-            // A node's overlapping partitions are counted in a `u8`.
-            let waves =
-                params.int_where(name, "waves", |x| (1..=255).contains(&x), "not in [1, 255]");
-            Ok(Box::new(PartitionWaves {
-                waves: waves? as usize,
-                outage: positive_secs(name, params, "outage_secs")?,
-                fraction: wave_fraction(name, params, "fraction")?,
-            }))
-        },
+    /// Throttle the shirking to ride `margin` above the static η.
+    GradientFreerider {
+        /// Score margin kept above η (≥ 0).
+        margin: f64,
+        /// Adjustment step of the freeriding degree, in `(0, 1]`.
+        step: f64,
     },
-];
-
-/// The registry of workload-generator components: `diurnal`,
-/// `regional-failure`, `zap`, `churn`, `partition-waves`.
-pub fn workload_components() -> &'static ComponentRegistry<Generator> {
-    static REGISTRY: ComponentRegistry<Generator> = ComponentRegistry::new("workload", &WORKLOADS);
-    &REGISTRY
+    /// Depart once blame drags the score `margin` below its peak, rejoin
+    /// after `offline`.
+    Whitewasher {
+        /// Score drop that triggers a departure (≥ 0).
+        margin: f64,
+        /// Offline spell before rejoining (positive).
+        offline: SimDuration,
+    },
+    /// Colluders re-aiming their bias away from recently audited
+    /// accomplices.
+    AdaptiveColluders {
+        /// Probability of picking a partner inside the coalition.
+        partner_bias: f64,
+        /// Periods an audited accomplice stays avoided (≥ 1).
+        cooldown_periods: u64,
+    },
 }
 
-// ---------------------------------------------------------------------------
-// Adversary components.
-// ---------------------------------------------------------------------------
-
-type SpawnFn = Box<dyn Fn(&ScenarioConfig, &Arc<Vec<NodeId>>) -> Box<dyn Adversary> + Send + Sync>;
-type CheckFn = Box<dyn Fn(&ScenarioConfig) -> Result<(), ComponentError> + Send + Sync>;
-
-/// What the adversary registry builds: the value that makes the freerider
-/// population's [`Adversary`] instances — at world construction and again
-/// whenever a rejoin rebuilds a stack — together with what the runtime has
-/// to know about the family.
-pub struct AdversarySpawner {
-    family: &'static str,
-    closed_loop: bool,
-    /// 0 for `baseline` (composes with an empty population); otherwise the
-    /// family replaces the freeriders' behaviour and needs at least this many
-    /// of them.
-    min_freeriders: usize,
-    check: Option<CheckFn>,
-    spawn: SpawnFn,
+impl Default for AdversaryFamily {
+    /// Independent freeriders, the paper's adversary.
+    fn default() -> Self {
+        AdversaryFamily::Baseline {
+            partner_bias: 0.0,
+            cover_up: false,
+            man_in_the_middle: false,
+        }
+    }
 }
 
-impl AdversarySpawner {
+impl AdversaryFamily {
+    /// The family's name, as errors and listings print it.
+    pub fn name(&self) -> &'static str {
+        match self {
+            AdversaryFamily::Baseline { .. } => "baseline",
+            AdversaryFamily::OnOff { .. } => "on-off",
+            AdversaryFamily::BlameSpam { .. } => "blame-spam",
+            AdversaryFamily::SelectiveFreerider { .. } => "selective-freerider",
+            AdversaryFamily::GradientFreerider { .. } => "gradient-freerider",
+            AdversaryFamily::Whitewasher { .. } => "whitewasher",
+            AdversaryFamily::AdaptiveColluders { .. } => "adaptive-colluders",
+        }
+    }
+
     /// True if the family reacts to runtime feedback (scores, audit
     /// observations) — i.e. the runtime must run the closed-loop upcalls.
     pub fn closed_loop(&self) -> bool {
-        self.closed_loop
+        matches!(
+            self,
+            AdversaryFamily::GradientFreerider { .. }
+                | AdversaryFamily::Whitewasher { .. }
+                | AdversaryFamily::AdaptiveColluders { .. }
+        )
     }
 
-    /// The family's cross-field rules against the scenario it is declared in.
-    /// A family that replaces the freeriders' behaviour needs a population to
-    /// replace.
-    fn check(&self, config: &ScenarioConfig) -> Result<(), ComponentError> {
-        let count = config.freerider_count();
-        if count < self.min_freeriders {
-            return Err(ComponentError::invalid(
-                self.family,
-                "freeriders",
-                format!(
-                    "{count} freeriders configured, the family needs at least {}",
-                    self.min_freeriders
-                ),
-            ));
+    /// Checks every parameter's range, then the family's cross-field rules
+    /// against the scenario it is declared in: a family that replaces the
+    /// freeriders' behaviour needs a population to replace (a coalition
+    /// needs two), and a selective mask must name streams the scenario runs.
+    pub fn validate(&self, config: &ScenarioConfig) -> Result<(), ComponentError> {
+        let name = self.name();
+        let fraction = |key, x| ComponentError::require_fraction(name, key, x);
+        let count = |key, x| ComponentError::require_at_least_one(name, key, x);
+        let non_negative = |key, x| ComponentError::require_non_negative(name, key, x);
+        let min_freeriders = match *self {
+            AdversaryFamily::Baseline { partner_bias, .. } => {
+                fraction("partner_bias", partner_bias)?;
+                0
+            }
+            AdversaryFamily::OnOff {
+                on_periods,
+                off_periods,
+            } => {
+                count("on_periods", on_periods)?;
+                count("off_periods", off_periods)?;
+                1
+            }
+            AdversaryFamily::BlameSpam {
+                blames_per_period,
+                blame_value,
+            } => {
+                count("blames_per_period", blames_per_period.into())?;
+                non_negative("blame_value", blame_value)?;
+                1
+            }
+            AdversaryFamily::SelectiveFreerider { silent_mask } => {
+                let reason = format!("{silent_mask} silences no stream");
+                ComponentError::require(silent_mask != 0, name, "silent_mask", reason)?;
+                1
+            }
+            AdversaryFamily::GradientFreerider { margin, step } => {
+                non_negative("margin", margin)?;
+                let reason = format!("{step} is not in (0, 1]");
+                ComponentError::require(step > 0.0 && step <= 1.0, name, "step", reason)?;
+                1
+            }
+            AdversaryFamily::Whitewasher { margin, offline } => {
+                non_negative("margin", margin)?;
+                ComponentError::require_positive_secs(name, "offline_secs", offline)?;
+                1
+            }
+            AdversaryFamily::AdaptiveColluders {
+                partner_bias,
+                cooldown_periods,
+            } => {
+                fraction("partner_bias", partner_bias)?;
+                count("cooldown_periods", cooldown_periods)?;
+                2
+            }
+        };
+        let freeriders = config.freerider_count();
+        ComponentError::require(
+            freeriders >= min_freeriders,
+            name,
+            "freeriders",
+            format!(
+                "{freeriders} freeriders configured, the family needs at least {min_freeriders}"
+            ),
+        )?;
+        if let AdversaryFamily::SelectiveFreerider { silent_mask: mask } = *self {
+            let streams = config.stream_count();
+            let reason = "needs at least two streams to select between";
+            ComponentError::require(streams > 1, name, "silent_mask", reason)?;
+            // With 64 streams every bit names one (and `>> 64` overflows).
+            ComponentError::require(
+                streams >= 64 || mask >> streams == 0,
+                name,
+                "silent_mask",
+                format!("{mask:#b} names streams beyond the {streams} the scenario runs"),
+            )?;
         }
-        self.check.as_ref().map_or(Ok(()), |check| check(config))
+        Ok(())
     }
 
     /// The adversary node `index` plays: node 0 (the source) and the honest
@@ -228,200 +215,58 @@ impl AdversarySpawner {
         index: usize,
         coalition: &Arc<Vec<NodeId>>,
     ) -> Box<dyn Adversary> {
-        if config.is_freerider(index) {
-            (self.spawn)(config, coalition)
-        } else {
-            Box::new(Honest)
+        let degree = match config.freeriders {
+            Some(population) if config.is_freerider(index) => population.degree,
+            _ => return Box::new(Honest),
+        };
+        match *self {
+            AdversaryFamily::Baseline {
+                partner_bias,
+                cover_up,
+                man_in_the_middle,
+            } if partner_bias > 0.0 || cover_up || man_in_the_middle => Box::new(Colluder {
+                degree,
+                coalition: coalition.clone(),
+                partner_bias,
+                cover_up,
+                man_in_the_middle,
+            }),
+            AdversaryFamily::Baseline { .. } => Box::new(Freerider { degree }),
+            AdversaryFamily::OnOff {
+                on_periods,
+                off_periods,
+            } => Box::new(OnOffFreerider {
+                degree,
+                on_periods,
+                off_periods,
+            }),
+            AdversaryFamily::BlameSpam {
+                blames_per_period,
+                blame_value,
+            } => Box::new(BlameSpammer {
+                blames_per_period,
+                blame_value,
+            }),
+            AdversaryFamily::SelectiveFreerider { silent_mask } => {
+                Box::new(SelectiveFreerider { silent_mask })
+            }
+            AdversaryFamily::GradientFreerider { margin, step } => {
+                Box::new(GradientFreerider::new(degree, margin, step))
+            }
+            AdversaryFamily::Whitewasher { margin, offline } => {
+                Box::new(Whitewasher::new(degree, margin, offline))
+            }
+            AdversaryFamily::AdaptiveColluders {
+                partner_bias,
+                cooldown_periods,
+            } => Box::new(AdaptiveColluder::new(
+                degree,
+                coalition.clone(),
+                partner_bias,
+                cooldown_periods,
+            )),
         }
     }
-}
-
-/// The open-loop spawner of `family`: it needs `min_freeriders` freeriders
-/// and has no cross-field rule of its own.
-fn spawner(
-    family: &'static str,
-    min_freeriders: usize,
-    spawn: impl Fn(&ScenarioConfig, &Arc<Vec<NodeId>>) -> Box<dyn Adversary> + Send + Sync + 'static,
-) -> AdversarySpawner {
-    AdversarySpawner {
-        family,
-        closed_loop: false,
-        min_freeriders,
-        check: None,
-        spawn: Box::new(spawn),
-    }
-}
-
-/// The dissemination-level degree the population freerides with (families
-/// are only spawned for freeriders, so the population is configured).
-fn degree(config: &ScenarioConfig) -> FreeriderConfig {
-    config
-        .freeriders
-        .expect("adversaries are spawned for freeriders only")
-        .degree
-}
-
-/// Every family the freerider population can play. Adding one is one row
-/// here: parameters, range checks, cross-field rule and constructor.
-static ADVERSARIES: [Component<AdversarySpawner>; 7] = [
-    // The paper's adversary: freeriders, independent unless told to collude
-    // (Section 5.2, Figure 8).
-    Component {
-        name: "baseline",
-        params: &[
-            ParamSpec::float("partner_bias", 0.0),
-            ParamSpec::flag("cover_up"),
-            ParamSpec::flag("man_in_the_middle"),
-        ],
-        build: |name, params| {
-            let partner_bias = params.fraction(name, "partner_bias")?;
-            let cover_up = params.bool("cover_up");
-            let man_in_the_middle = params.bool("man_in_the_middle");
-            let colludes = partner_bias > 0.0 || cover_up || man_in_the_middle;
-            Ok(spawner(name, 0, move |config, coalition| {
-                let degree = degree(config);
-                if !colludes {
-                    return Box::new(Freerider { degree });
-                }
-                Box::new(Colluder {
-                    degree,
-                    coalition: coalition.clone(),
-                    partner_bias,
-                    cover_up,
-                    man_in_the_middle,
-                })
-            }))
-        },
-    },
-    Component {
-        name: "on-off",
-        params: &[
-            ParamSpec::int("on_periods", 2),
-            ParamSpec::int("off_periods", 2),
-        ],
-        build: |name, params| {
-            let on_periods = params.positive_int(name, "on_periods")? as u64;
-            let off_periods = params.positive_int(name, "off_periods")? as u64;
-            Ok(spawner(name, 1, move |config, _| {
-                Box::new(OnOffFreerider {
-                    degree: degree(config),
-                    on_periods,
-                    off_periods,
-                })
-            }))
-        },
-    },
-    Component {
-        name: "blame-spam",
-        params: &[
-            ParamSpec::int("blames_per_period", 5),
-            ParamSpec::float("blame_value", 5.0),
-        ],
-        build: |name, params| {
-            let blames_per_period = params.positive_int(name, "blames_per_period")? as u32;
-            let blame_value =
-                params.float_where(name, "blame_value", |x| x >= 0.0, "is negative")?;
-            Ok(spawner(name, 1, move |_, _| {
-                Box::new(BlameSpammer {
-                    blames_per_period,
-                    blame_value,
-                })
-            }))
-        },
-    },
-    Component {
-        name: "selective-freerider",
-        // Bit s of the mask silences stream s.
-        params: &[ParamSpec::int("silent_mask", 0b10)],
-        build: |name, params| {
-            let mask =
-                params.int_where(name, "silent_mask", |m| m != 0, "silences no stream")? as u64;
-            let reject = move |reason: String| ComponentError::invalid(name, "silent_mask", reason);
-            let check = move |config: &ScenarioConfig| match config.stream_count() {
-                1 => Err(reject(
-                    "needs at least two streams to select between".into(),
-                )),
-                // With 64 streams every bit names one (and `>> 64` overflows).
-                streams if streams < 64 && mask >> streams != 0 => Err(reject(format!(
-                    "{mask:#b} names streams beyond the {streams} the scenario runs"
-                ))),
-                _ => Ok(()),
-            };
-            Ok(AdversarySpawner {
-                check: Some(Box::new(check)),
-                ..spawner(name, 1, move |_, _| {
-                    Box::new(SelectiveFreerider { silent_mask: mask })
-                })
-            })
-        },
-    },
-    Component {
-        name: "gradient-freerider",
-        params: &[
-            ParamSpec::float("margin", 2.0),
-            ParamSpec::float("step", 0.25),
-        ],
-        build: |name, params| {
-            let margin = params.float_where(name, "margin", |x| x >= 0.0, "is negative")?;
-            let in_unit = |x| x > 0.0 && x <= 1.0;
-            let step = params.float_where(name, "step", in_unit, "is not in (0, 1]")?;
-            Ok(AdversarySpawner {
-                closed_loop: true,
-                ..spawner(name, 1, move |config, _| {
-                    Box::new(GradientFreerider::new(degree(config), margin, step))
-                })
-            })
-        },
-    },
-    Component {
-        name: "whitewasher",
-        params: &[
-            ParamSpec::float("margin", 0.5),
-            ParamSpec::float("offline_secs", 2.0),
-        ],
-        build: |name, params| {
-            let margin = params.float_where(name, "margin", |x| x >= 0.0, "is negative")?;
-            let offline = positive_secs(name, params, "offline_secs")?;
-            Ok(AdversarySpawner {
-                closed_loop: true,
-                ..spawner(name, 1, move |config, _| {
-                    Box::new(Whitewasher::new(degree(config), margin, offline))
-                })
-            })
-        },
-    },
-    Component {
-        name: "adaptive-colluders",
-        params: &[
-            ParamSpec::float("partner_bias", 0.6),
-            ParamSpec::int("cooldown_periods", 6),
-        ],
-        build: |name, params| {
-            let partner_bias = params.fraction(name, "partner_bias")?;
-            let cooldown = params.positive_int(name, "cooldown_periods")? as u64;
-            Ok(AdversarySpawner {
-                closed_loop: true,
-                ..spawner(name, 2, move |config, coalition| {
-                    let coalition = coalition.clone();
-                    Box::new(AdaptiveColluder::new(
-                        degree(config),
-                        coalition,
-                        partner_bias,
-                        cooldown,
-                    ))
-                })
-            })
-        },
-    },
-];
-
-/// The registry of adversary components: `baseline`, `on-off`, `blame-spam`,
-/// `selective-freerider`, `gradient-freerider`, `whitewasher`,
-/// `adaptive-colluders`.
-pub fn adversary_components() -> &'static ComponentRegistry<AdversarySpawner> {
-    static REGISTRY: ComponentRegistry<AdversarySpawner> =
-        ComponentRegistry::new("adversary", &ADVERSARIES);
-    &REGISTRY
 }
 
 // ---------------------------------------------------------------------------
@@ -500,18 +345,15 @@ pub fn exporter_components() -> &'static ComponentRegistry<Exporter> {
         &[
             Component {
                 name: "json",
-                params: &[],
-                build: |_, _| Ok(Box::new(JsonExporter)),
+                build: || Box::new(JsonExporter),
             },
             Component {
                 name: "summary-line",
-                params: &[],
-                build: |_, _| Ok(Box::new(SummaryLineExporter)),
+                build: || Box::new(SummaryLineExporter),
             },
             Component {
                 name: "digest",
-                params: &[],
-                build: |_, _| Ok(Box::new(DigestExporter)),
+                build: || Box::new(DigestExporter),
             },
         ],
     );
@@ -519,74 +361,109 @@ pub fn exporter_components() -> &'static ComponentRegistry<Exporter> {
 }
 
 // ---------------------------------------------------------------------------
-// Resolution.
+// The composition listing.
 // ---------------------------------------------------------------------------
 
-/// The live providers a scenario's `components` section resolves to — what
-/// [`crate::builder::build_world`] consumes.
-pub struct ResolvedComponents {
-    /// The capability-class assigner (`uniform` when undeclared).
-    pub capability: Box<dyn CapabilityClassAssigner>,
-    /// The workload generator, when one is declared.
-    pub workload: Option<Box<dyn WorkloadGenerator>>,
-    /// The adversary family (`baseline` when undeclared), already checked
-    /// against the scenario's other fields.
-    pub adversary: AdversarySpawner,
-}
-
-/// Resolves the config's declarative `components` section into live
-/// providers: every declared component is looked up, schema-validated,
-/// range-checked and built exactly once. Returns a structured error naming
-/// the offending component or key; no registry path panics.
-pub fn resolve_components(config: &ScenarioConfig) -> Result<ResolvedComponents, ComponentError> {
-    fn build<P>(
-        registry: &ComponentRegistry<P>,
-        spec: &ComponentSpec,
-        seeds: &mut SeedSplitter,
-    ) -> Result<P, ComponentError> {
-        registry.build(&spec.name, &spec.params, seeds)
-    }
-    let seeds = &mut SeedSplitter::new(config.seed);
-    let declared = &config.components;
-    let uniform = ComponentSpec::new("uniform");
-    let baseline = ComponentSpec::new("baseline");
-    let resolved = ResolvedComponents {
-        capability: build(
-            capability_components(),
-            declared.capability.as_ref().unwrap_or(&uniform),
-            seeds,
-        )?,
-        workload: declared
-            .workload
-            .as_ref()
-            .map(|spec| build(workload_components(), spec, seeds))
-            .transpose()?,
-        adversary: build(
-            adversary_components(),
-            declared.adversary.as_ref().unwrap_or(&baseline),
-            seeds,
-        )?,
-    };
-    resolved.adversary.check(config)?;
-    Ok(resolved)
-}
-
-/// The scenario's composition across every component axis, as
-/// `run_scenario --list` prints it: declared specs verbatim, an undeclared
-/// capability, workload or adversary by its default component's name, and
-/// the loss of its `NetworkConfig`.
-pub fn component_summary(config: &ScenarioConfig) -> Vec<(&'static str, String)> {
-    let spec_of = |spec: &ComponentSpec| {
-        if spec.params.is_empty() {
-            spec.name.clone()
-        } else {
-            format!("{}{{{}}}", spec.name, spec.params.render())
+fn capability_spec(capability: &Capability) -> String {
+    let name = capability.name();
+    match *capability {
+        Capability::Uniform => name.to_string(),
+        Capability::PoorFraction {
+            fraction: f,
+            poor_upload_bps: bps,
+            poor_extra_loss: loss,
+        } => format!("{name}{{fraction={f},poor_upload_bps={bps},poor_extra_loss={loss}}}"),
+        Capability::Tiered { fiber, cable, dsl } => {
+            format!("{name}{{fiber={fiber},cable={cable},dsl={dsl}}}")
         }
-    };
-    let declared = &config.components;
-    let or_default = |spec: &Option<ComponentSpec>, default: &str| {
-        spec.as_ref().map_or(default.to_string(), spec_of)
-    };
+    }
+}
+
+fn workload_spec(workload: &Workload) -> String {
+    let (name, secs) = (workload.name(), SimDuration::as_secs_f64);
+    match *workload {
+        Workload::Churn(c) => format!(
+            "{name}{{fraction={},mean_session_secs={},mean_offline_secs={},warmup_secs={},\
+             catastrophe_at_secs={},catastrophe_fraction={},\
+             flash_crowd_at_secs={},flash_crowd_fraction={}}}",
+            c.fraction,
+            secs(c.mean_session),
+            secs(c.mean_offline),
+            secs(c.warmup),
+            secs(c.catastrophe.at),
+            c.catastrophe.fraction,
+            secs(c.flash_crowd.at),
+            c.flash_crowd.fraction,
+        ),
+        Workload::PartitionWaves(p) => format!(
+            "{name}{{waves={},outage_secs={},fraction={}}}",
+            p.waves,
+            secs(p.outage),
+            p.fraction
+        ),
+        Workload::DiurnalCycle(d) => format!(
+            "{name}{{participation={},cycle_secs={},offline_fraction={},warmup_secs={}}}",
+            d.participation,
+            secs(d.cycle),
+            d.offline_fraction,
+            secs(d.warmup)
+        ),
+        Workload::RegionalFailureWaves(r) => format!(
+            "{name}{{regions={},waves={},outage_secs={},warmup_secs={}}}",
+            r.regions,
+            r.waves,
+            secs(r.outage),
+            secs(r.warmup)
+        ),
+        Workload::ZapSwitching(z) => format!(
+            "{name}{{zappers={},mean_dwell_secs={},warmup_secs={}}}",
+            z.zappers,
+            secs(z.mean_dwell),
+            secs(z.warmup)
+        ),
+    }
+}
+
+fn adversary_spec(adversary: &AdversaryFamily) -> String {
+    let name = adversary.name();
+    match *adversary {
+        AdversaryFamily::Baseline {
+            partner_bias: bias,
+            cover_up,
+            man_in_the_middle: mitm,
+        } => {
+            format!("{name}{{partner_bias={bias},cover_up={cover_up},man_in_the_middle={mitm}}}")
+        }
+        AdversaryFamily::OnOff {
+            on_periods: on,
+            off_periods: off,
+        } => format!("{name}{{on_periods={on},off_periods={off}}}"),
+        AdversaryFamily::BlameSpam {
+            blames_per_period: blames,
+            blame_value: value,
+        } => format!("{name}{{blames_per_period={blames},blame_value={value}}}"),
+        AdversaryFamily::SelectiveFreerider { silent_mask } => {
+            format!("{name}{{silent_mask={silent_mask}}}")
+        }
+        AdversaryFamily::GradientFreerider { margin, step } => {
+            format!("{name}{{margin={margin},step={step}}}")
+        }
+        AdversaryFamily::Whitewasher { margin, offline } => format!(
+            "{name}{{margin={margin},offline_secs={}}}",
+            offline.as_secs_f64()
+        ),
+        AdversaryFamily::AdaptiveColluders {
+            partner_bias: bias,
+            cooldown_periods: cooldown,
+        } => format!("{name}{{partner_bias={bias},cooldown_periods={cooldown}}}"),
+    }
+}
+
+/// The scenario's composition across every axis, as `run_scenario --list`
+/// prints it: the loss of its `NetworkConfig`, then its capability class,
+/// workload (`static` when none) and adversary family (`none` without
+/// freeriders), each with every parameter.
+pub fn component_summary(config: &ScenarioConfig) -> Vec<(&'static str, String)> {
     let loss = match config.network.loss {
         LossModel::None => "none".to_string(),
         LossModel::Bernoulli { pl } => format!("bernoulli{{pl={pl}}}"),
@@ -602,12 +479,18 @@ pub fn component_summary(config: &ScenarioConfig) -> Vec<(&'static str, String)>
     let adversary = if config.freerider_count() == 0 {
         "none".to_string()
     } else {
-        or_default(&declared.adversary, "baseline")
+        adversary_spec(&config.adversary)
     };
     vec![
         ("loss", loss),
-        ("capability", or_default(&declared.capability, "uniform")),
-        ("workload", or_default(&declared.workload, "static")),
+        ("capability", capability_spec(&config.capability)),
+        (
+            "workload",
+            config
+                .workload
+                .as_ref()
+                .map_or("static".to_string(), workload_spec),
+        ),
         ("adversary", adversary),
     ]
 }
@@ -615,84 +498,88 @@ pub fn component_summary(config: &ScenarioConfig) -> Vec<(&'static str, String)>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lifting_sim::ParamValue;
-
-    #[test]
-    fn adversary_components_cover_every_family() {
-        // What each family spawns and declares is pinned by
-        // `tests/component_registry.rs`; this is the list itself.
-        assert_eq!(
-            adversary_components().names().collect::<Vec<_>>(),
-            vec![
-                "baseline",
-                "on-off",
-                "blame-spam",
-                "selective-freerider",
-                "gradient-freerider",
-                "whitewasher",
-                "adaptive-colluders",
-            ]
-        );
-    }
 
     #[test]
     fn bad_adversary_params_are_structured_errors() {
-        let registry = adversary_components();
-        let mut seeds = SeedSplitter::new(1);
-        for (family, key, value) in [
-            ("gradient-freerider", "step", ParamValue::Float(0.0)),
-            ("gradient-freerider", "margin", ParamValue::Float(-1.0)),
-            ("selective-freerider", "silent_mask", ParamValue::Int(0)),
-            ("on-off", "off_periods", ParamValue::Int(0)),
-            ("blame-spam", "blame_value", ParamValue::Float(-0.5)),
-            ("whitewasher", "offline_secs", ParamValue::Float(0.0)),
-            ("adaptive-colluders", "partner_bias", ParamValue::Float(1.5)),
-            ("baseline", "partner_bias", ParamValue::Float(1.5)),
+        // Enough freeriders and streams for every family's cross-field rule.
+        let mut config = ScenarioConfig::small_test(10, 1).with_planetlab_freeriders(0.3);
+        config.streams.push(config.streams[0]);
+        for (family, key) in [
+            (
+                AdversaryFamily::GradientFreerider {
+                    margin: 2.0,
+                    step: 0.0,
+                },
+                "step",
+            ),
+            (
+                AdversaryFamily::GradientFreerider {
+                    margin: -1.0,
+                    step: 0.25,
+                },
+                "margin",
+            ),
+            (
+                AdversaryFamily::SelectiveFreerider { silent_mask: 0 },
+                "silent_mask",
+            ),
+            (
+                AdversaryFamily::OnOff {
+                    on_periods: 2,
+                    off_periods: 0,
+                },
+                "off_periods",
+            ),
+            (
+                AdversaryFamily::BlameSpam {
+                    blames_per_period: 5,
+                    blame_value: -0.5,
+                },
+                "blame_value",
+            ),
+            (
+                AdversaryFamily::Whitewasher {
+                    margin: 0.5,
+                    offline: SimDuration::ZERO,
+                },
+                "offline_secs",
+            ),
+            (
+                AdversaryFamily::AdaptiveColluders {
+                    partner_bias: 1.5,
+                    cooldown_periods: 6,
+                },
+                "partner_bias",
+            ),
+            (
+                AdversaryFamily::Baseline {
+                    partner_bias: 1.5,
+                    cover_up: false,
+                    man_in_the_middle: false,
+                },
+                "partner_bias",
+            ),
         ] {
-            let params = ParamMap::new().with(key, value);
-            let err = registry
-                .build(family, &params, &mut seeds)
+            let err = family
+                .validate(&config)
                 .err()
-                .unwrap_or_else(|| panic!("{family}: bad `{key}` must not build"));
+                .unwrap_or_else(|| panic!("{family:?}: bad `{key}` must not validate"));
             assert!(
                 matches!(&err, ComponentError::InvalidParam { component, key: k, .. }
-                    if component == family && k == key),
+                    if component == family.name() && k == key),
                 "{err}"
             );
         }
     }
 
     #[test]
-    fn workload_components_build_their_generators() {
-        let registry = workload_components();
-        let mut seeds = SeedSplitter::new(1);
-        for name in [
-            "diurnal",
-            "regional-failure",
-            "zap",
-            "churn",
-            "partition-waves",
-        ] {
-            assert!(registry.build(name, &ParamMap::new(), &mut seeds).is_ok());
-        }
-        let params = ParamMap::new().with("cycle_secs", ParamValue::Float(-1.0));
-        assert!(registry.build("diurnal", &params, &mut seeds).is_err());
-    }
-
-    #[test]
-    fn resolution_rejects_unknown_components_cleanly() {
-        let mut config = ScenarioConfig::small_test(10, 3);
-        config.components.workload = Some(ComponentSpec::new("tidal"));
-        let err = resolve_components(&config).err().expect("must not resolve");
-        assert!(matches!(err, ComponentError::UnknownComponent { .. }));
-        assert!(err.to_string().contains("tidal"), "{err}");
-    }
-
-    #[test]
     fn summary_covers_every_axis() {
         let mut config = ScenarioConfig::planetlab_baseline(1).with_planetlab_freeriders(0.1);
-        config.components.capability =
-            Some(ComponentSpec::new("tiered").with("fiber", ParamValue::Float(0.2)));
+        config.capability = Capability::Tiered {
+            fiber: 0.2,
+            cable: 0.45,
+            dsl: 0.3,
+        };
         let summary: Vec<String> = component_summary(&config)
             .into_iter()
             .map(|(axis, value)| format!("{axis}={value}"))
@@ -701,9 +588,9 @@ mod tests {
             summary,
             vec![
                 "loss=bernoulli{pl=0.04}",
-                "capability=tiered{fiber=0.2}",
+                "capability=tiered{fiber=0.2,cable=0.45,dsl=0.3}",
                 "workload=static",
-                "adversary=baseline",
+                "adversary=baseline{partner_bias=0,cover_up=false,man_in_the_middle=false}",
             ]
         );
         config.freeriders = None;

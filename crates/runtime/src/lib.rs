@@ -17,9 +17,9 @@
 //! Entry points:
 //!
 //! * [`ScenarioConfig`] describes an experiment (population, freeriders,
-//!   streams, network conditions, LiFTinG parameters, and the named
-//!   components — capability classes, workload, adversary family and its
-//!   collusion — of its `components` section); the [`ScenarioRegistry`]
+//!   streams, network conditions, LiFTinG parameters, capability classes,
+//!   workload, and the adversary family with its collusion — all typed
+//!   values); the [`ScenarioRegistry`]
 //!   maps experiment names (`"fig01/no-freeriders"`, …) to ready-made
 //!   configurations.
 //! * [`run_scenario`] runs it to completion and returns a [`RunOutcome`].
@@ -43,10 +43,7 @@ pub mod scenario;
 pub(crate) mod wave;
 pub mod world;
 
-pub use components::{
-    adversary_components, component_summary, exporter_components, resolve_components,
-    workload_components, AdversarySpawner, OutcomeExporter, ResolvedComponents,
-};
+pub use components::{component_summary, exporter_components, AdversaryFamily, OutcomeExporter};
 pub use inflight::{BlamesInFlight, InFlightBlame};
 pub use layers::{Adversary, AuditRpcStats, FeedbackAction, NodeStack};
 pub use message::{Event, Message};
@@ -62,7 +59,5 @@ pub use runner::{
     build_engine, run_jobs_parallel, run_scenario, run_scenario_sharded,
     run_scenario_with_snapshots, run_scenarios_parallel,
 };
-pub use scenario::{
-    ComponentSpec, ComponentsSpec, FreeriderScenario, ScenarioConfig, StreamAudience, StreamSpec,
-};
+pub use scenario::{FreeriderScenario, ScenarioConfig, StreamAudience, StreamSpec};
 pub use world::SystemWorld;

@@ -9,10 +9,13 @@
 //! configuration. Adding a scenario is adding a row.
 
 use lifting_gossip::FreeriderConfig;
+use lifting_membership::{Churn, DiurnalCycle, PartitionWaves, RegionalFailureWaves, Wave};
+use lifting_membership::{Workload, ZapSwitching};
+use lifting_net::Capability;
 use lifting_sim::SimDuration;
 
-use crate::scenario::{ComponentSpec, ScenarioConfig, StreamAudience, StreamSpec};
-use lifting_sim::ParamValue;
+use crate::components::AdversaryFamily;
+use crate::scenario::{ScenarioConfig, StreamAudience, StreamSpec};
 
 /// The family prefix of a scenario name: the part before the first `/`
 /// (`"fig01"`, `"churn"`, `"workload"`, …). Scenario names are
@@ -261,34 +264,30 @@ fn scale_family(
     config
 }
 
-/// The `churn` workload component: `fraction` of the viewers cycle
-/// `session`-mean sessions and `offline`-mean spells after `warmup` seconds.
-fn steady(fraction: f64, session: f64, offline: f64, warmup: f64) -> ComponentSpec {
-    ComponentSpec::new("churn")
-        .with("fraction", ParamValue::Float(fraction))
-        .with("mean_session_secs", ParamValue::Float(session))
-        .with("mean_offline_secs", ParamValue::Float(offline))
-        .with("warmup_secs", ParamValue::Float(warmup))
+/// Steady churn: `fraction` of the viewers cycle `session`-mean sessions
+/// and `offline`-mean spells after `warmup` seconds.
+fn steady(fraction: f64, session: u64, offline: u64, warmup: u64) -> Option<Workload> {
+    Some(Workload::Churn(Churn {
+        fraction,
+        mean_session: SimDuration::from_secs(session),
+        mean_offline: SimDuration::from_secs(offline),
+        warmup: SimDuration::from_secs(warmup),
+        ..Churn::default()
+    }))
 }
 
-/// The `churn` workload component with a fraction of 0: only the declared
-/// `wave` (`catastrophe`, `flash_crowd`) happens, to `fraction` of the
-/// nodes at `at`.
-fn wave(wave: &str, at: SimDuration, fraction: f64) -> ComponentSpec {
-    ComponentSpec::new("churn")
-        .with("fraction", ParamValue::Float(0.0))
-        .with(
-            &format!("{wave}_at_secs"),
-            ParamValue::Float(at.as_secs_f64()),
-        )
-        .with(&format!("{wave}_fraction"), ParamValue::Float(fraction))
+/// Churn with a fraction of 0 and no waves, for one wave to be set.
+fn no_steady_churn() -> Churn {
+    Churn {
+        fraction: 0.0,
+        ..Churn::default()
+    }
 }
 
-fn gradient_freerider() -> ComponentSpec {
-    ComponentSpec::new("gradient-freerider")
-        .with("margin", ParamValue::Float(2.0))
-        .with("step", ParamValue::Float(0.25))
-}
+const GRADIENT_FREERIDER: AdversaryFamily = AdversaryFamily::GradientFreerider {
+    margin: 2.0,
+    step: 0.25,
+};
 
 /// Every built-in scenario, in listing order. The name of each fig14,
 /// table03 and table05 row is what `fig14_scenario_name`,
@@ -425,11 +424,10 @@ static SCENARIOS: [Scenario; 43] = [
         description: "20% on-off freeriders (2 periods on, 2 off) dodging the score normalization",
         build: |scale, seed| {
             let mut config = planetlab_family(scale, seed, 40, 20, 0.2);
-            config.components.adversary = Some(
-                ComponentSpec::new("on-off")
-                    .with("on_periods", ParamValue::Int(2))
-                    .with("off_periods", ParamValue::Int(2)),
-            );
+            config.adversary = AdversaryFamily::OnOff {
+                on_periods: 2,
+                off_periods: 2,
+            };
             config
         },
     },
@@ -438,11 +436,10 @@ static SCENARIOS: [Scenario; 43] = [
         description: "10% blame spammers flooding the reputation plane with fabricated blames",
         build: |scale, seed| {
             let mut config = planetlab_family(scale, seed, 30, 15, 0.1);
-            config.components.adversary = Some(
-                ComponentSpec::new("blame-spam")
-                    .with("blames_per_period", ParamValue::Int(5))
-                    .with("blame_value", ParamValue::Float(5.0)),
-            );
+            config.adversary = AdversaryFamily::BlameSpam {
+                blames_per_period: 5,
+                blame_value: 5.0,
+            };
             config
         },
     },
@@ -458,7 +455,7 @@ static SCENARIOS: [Scenario; 43] = [
         description: "Steady churn, honest population: 25% of the nodes cycle 12s-mean sessions with 3s offline spells",
         build: |scale, seed| {
             let mut config = planetlab_family(scale, seed, 40, 20, 0.0);
-            config.components.workload = Some(steady(0.25, 12.0, 3.0, 3.0));
+            config.workload = steady(0.25, 12, 3, 3);
             config
         },
     },
@@ -467,7 +464,7 @@ static SCENARIOS: [Scenario; 43] = [
         description: "Aggressive churn with 10% freeriders and audits on: 40% of the nodes cycle 5s-mean sessions with 2s offline spells",
         build: |scale, seed| {
             let mut config = planetlab_family(scale, seed, 40, 20, 0.1);
-            config.components.workload = Some(steady(0.4, 5.0, 2.0, 2.0));
+            config.workload = steady(0.4, 5, 2, 2);
             // A-posteriori audits run here so the departed-witness timeout
             // path (audits aborted, not wedged into wrongful blame) is
             // exercised at system scale.
@@ -482,7 +479,13 @@ static SCENARIOS: [Scenario; 43] = [
         build: |scale, seed| {
             let mut config = planetlab_family(scale, seed, 40, 20, 0.1);
             let mid_run = SimDuration::from_micros(config.duration.as_micros() / 2);
-            config.components.workload = Some(wave("catastrophe", mid_run, 0.3));
+            config.workload = Some(Workload::Churn(Churn {
+                catastrophe: Wave {
+                    at: mid_run,
+                    fraction: 0.3,
+                },
+                ..no_steady_churn()
+            }));
             config
         },
     },
@@ -492,7 +495,13 @@ static SCENARIOS: [Scenario; 43] = [
         build: |scale, seed| {
             let mut config = planetlab_family(scale, seed, 40, 20, 0.0);
             let quarter = SimDuration::from_micros(config.duration.as_micros() / 4);
-            config.components.workload = Some(wave("flash_crowd", quarter, 0.3));
+            config.workload = Some(Workload::Churn(Churn {
+                flash_crowd: Wave {
+                    at: quarter,
+                    fraction: 0.3,
+                },
+                ..no_steady_churn()
+            }));
             config
         },
     },
@@ -501,7 +510,7 @@ static SCENARIOS: [Scenario; 43] = [
         description: "Churn x freeriders with audits on: 20% freeriders while 35% of the nodes cycle 8s-mean sessions",
         build: |scale, seed| {
             let mut config = planetlab_family(scale, seed, 40, 20, 0.2);
-            config.components.workload = Some(steady(0.35, 8.0, 2.0, 2.0));
+            config.workload = steady(0.35, 8, 2, 2);
             config.audits_enabled = true;
             config.audit_interval = SimDuration::from_secs(5);
             config
@@ -545,10 +554,7 @@ static SCENARIOS: [Scenario; 43] = [
             let mut config = planetlab_family(scale, seed, 30, 15, 0.15);
             let chunk = config.streams[0].chunk_size;
             config.streams.push(StreamSpec::new(300_000, chunk));
-            config.components.adversary = Some(
-                ComponentSpec::new("selective-freerider")
-                    .with("silent_mask", ParamValue::Int(0b10)),
-            );
+            config.adversary = AdversaryFamily::SelectiveFreerider { silent_mask: 0b10 };
             config
         },
     },
@@ -590,7 +596,7 @@ static SCENARIOS: [Scenario; 43] = [
         description: "15% closed-loop freeriders throttle their shirking to ride just above the static η — the evasion baseline",
         build: |scale, seed| {
             let mut config = planetlab_family(scale, seed, 40, 20, 0.15);
-            config.components.adversary = Some(gradient_freerider());
+            config.adversary = GRADIENT_FREERIDER;
             config
         },
     },
@@ -599,7 +605,7 @@ static SCENARIOS: [Scenario; 43] = [
         description: "The same gradient freeriders against the online η recalibration (median/MAD outlier cut of the trimmed live scores, EWMA-smoothed)",
         build: |scale, seed| {
             let mut config = planetlab_family(scale, seed, 40, 20, 0.15);
-            config.components.adversary = Some(gradient_freerider());
+            config.adversary = GRADIENT_FREERIDER;
             config.online_recalibration = true;
             config
         },
@@ -609,11 +615,10 @@ static SCENARIOS: [Scenario; 43] = [
         description: "10% whitewashers depart once blame drags their score 0.5 below its peak and rejoin under a rebuilt stack; frozen-score carryover catches them",
         build: |scale, seed| {
             let mut config = planetlab_family(scale, seed, 40, 20, 0.1);
-            config.components.adversary = Some(
-                ComponentSpec::new("whitewasher")
-                    .with("margin", ParamValue::Float(0.5))
-                    .with("offline_secs", ParamValue::Float(2.0)),
-            );
+            config.adversary = AdversaryFamily::Whitewasher {
+                margin: 0.5,
+                offline: SimDuration::from_secs(2),
+            };
             config
         },
     },
@@ -625,12 +630,11 @@ static SCENARIOS: [Scenario; 43] = [
             config.audits_enabled = true;
             config.audit_interval = SimDuration::from_secs(4);
             config.lifting = config.lifting.with_confirm_retries(2);
-            config.components.workload = Some(
-                ComponentSpec::new("partition-waves")
-                    .with("waves", ParamValue::Int(2))
-                    .with("outage_secs", ParamValue::Float(4.0))
-                    .with("fraction", ParamValue::Float(0.25)),
-            );
+            config.workload = Some(Workload::PartitionWaves(PartitionWaves {
+                waves: 2,
+                outage: SimDuration::from_secs(4),
+                fraction: 0.25,
+            }));
             config
         },
     },
@@ -654,11 +658,10 @@ static SCENARIOS: [Scenario; 43] = [
             let mut config = planetlab_family(scale, seed, 40, 20, 0.15);
             config.audits_enabled = true;
             config.audit_interval = SimDuration::from_secs(4);
-            config.components.adversary = Some(
-                ComponentSpec::new("adaptive-colluders")
-                    .with("partner_bias", ParamValue::Float(0.6))
-                    .with("cooldown_periods", ParamValue::Int(6)),
-            );
+            config.adversary = AdversaryFamily::AdaptiveColluders {
+                partner_bias: 0.6,
+                cooldown_periods: 6,
+            };
             config
         },
     },
@@ -686,9 +689,8 @@ static SCENARIOS: [Scenario; 43] = [
     },
 
     // ------------------------------------------------------------------
-    // workload/ — trace-driven membership workloads expanded from registered
-    // generator components (see `lifting_membership::workload` and the
-    // component registry in `crate::components`). Where the churn/ family's
+    // workload/ — trace-driven membership workloads expanded from typed
+    // generators (see `lifting_membership::workload`). Where the churn/ family's
     // `churn` generator draws sessions from exponential distributions, these
     // replay shaped audience behaviour: diurnal participation swings, correlated regional
     // outages, and zap-style channel surfing.
@@ -698,13 +700,13 @@ static SCENARIOS: [Scenario; 43] = [
         description: "Diurnal audience: participation swings around 60% over a sinusoidal cycle, tiered access classes (fiber/cable/DSL/mobile), 10% freeriders",
         build: |scale, seed| {
             let mut config = planetlab_family(scale, seed, 40, 20, 0.1);
-            // The tiered capability component replaces the flat poor-node draw.
-            config.components.capability = Some(ComponentSpec::new("tiered"));
-            config.components.workload = Some(
-                ComponentSpec::new("diurnal")
-                    .with("participation", ParamValue::Float(0.6))
-                    .with("cycle_secs", ParamValue::Float(12.0)),
-            );
+            // The tiered capability classes replace the flat poor-node draw.
+            config.capability = Capability::TIERED;
+            config.workload = Some(Workload::DiurnalCycle(DiurnalCycle {
+                participation: 0.6,
+                cycle: SimDuration::from_secs(12),
+                ..DiurnalCycle::default()
+            }));
             config
         },
     },
@@ -713,11 +715,11 @@ static SCENARIOS: [Scenario; 43] = [
         description: "Regional-failure waves: the population splits into 4 regions and 2 correlated outages knock whole regions offline before they rejoin",
         build: |scale, seed| {
             let mut config = planetlab_family(scale, seed, 40, 20, 0.1);
-            config.components.workload = Some(
-                ComponentSpec::new("regional-failure")
-                    .with("regions", ParamValue::Int(4))
-                    .with("waves", ParamValue::Int(2)),
-            );
+            config.workload = Some(Workload::RegionalFailureWaves(RegionalFailureWaves {
+                regions: 4,
+                waves: 2,
+                ..RegionalFailureWaves::default()
+            }));
             config
         },
     },
@@ -730,9 +732,10 @@ static SCENARIOS: [Scenario; 43] = [
             let chunk = config.streams[0].chunk_size;
             config.streams.push(StreamSpec::new(300_000, chunk));
             config.streams.push(StreamSpec::new(200_000, chunk));
-            config.components.workload = Some(
-                ComponentSpec::new("zap").with("zappers", ParamValue::Float(0.5)),
-            );
+            config.workload = Some(Workload::ZapSwitching(ZapSwitching {
+                zappers: 0.5,
+                ..ZapSwitching::default()
+            }));
             config
         },
     },

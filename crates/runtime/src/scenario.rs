@@ -2,59 +2,11 @@
 
 use lifting_core::LiftingConfig;
 use lifting_gossip::{FreeriderConfig, GossipConfig};
-use lifting_net::NetworkConfig;
-use lifting_sim::{ComponentError, ParamMap, ParamValue, SimDuration, StreamId};
+use lifting_membership::Workload;
+use lifting_net::{Capability, NetworkConfig};
+use lifting_sim::{ComponentError, SimDuration, StreamId};
 
-/// One named component with its parameter overrides — an entry of the
-/// declarative [`ScenarioConfig::components`] section. The name is looked up
-/// in the axis's [`lifting_sim::ComponentRegistry`] and the parameters are
-/// validated against the component's schema at resolution time (see
-/// [`crate::components::resolve_components`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ComponentSpec {
-    /// Registered component name (e.g. `"tiered"`, `"diurnal"`).
-    pub name: String,
-    /// Parameter overrides; unset parameters take the schema's defaults.
-    pub params: ParamMap,
-}
-
-impl ComponentSpec {
-    /// A spec with no parameter overrides.
-    pub fn new(name: impl Into<String>) -> Self {
-        ComponentSpec {
-            name: name.into(),
-            params: ParamMap::new(),
-        }
-    }
-
-    /// Adds a parameter override (builder style).
-    pub fn with(mut self, key: &str, value: ParamValue) -> Self {
-        self.params.set(key, value);
-        self
-    }
-}
-
-/// The declarative component composition of a scenario: which registered
-/// component provides each axis of the system. One axis, one encoding: the
-/// capability, workload and adversary axes are configured *only* here (unset
-/// means `uniform`, an undisturbed run and `baseline`), just as loss is
-/// configured only in [`ScenarioConfig::network`].
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ComponentsSpec {
-    /// Per-node capability class assignment (see
-    /// [`lifting_net::provider::capability_components`]); unset = `uniform`,
-    /// every node gets [`ScenarioConfig::default_upload_bps`].
-    pub capability: Option<ComponentSpec>,
-    /// The disturbance generator — steady churn and its waves, partition
-    /// waves, or a trace-driven audience (see
-    /// [`crate::components::workload_components`]); unset = no node or link
-    /// ever leaves.
-    pub workload: Option<ComponentSpec>,
-    /// The adversary family the freerider population plays (see
-    /// [`crate::components::adversary_components`]); unset = `baseline`, the
-    /// paper's independent freeriders (its parameters make them collude).
-    pub adversary: Option<ComponentSpec>,
-}
+use crate::components::AdversaryFamily;
 
 /// Which nodes subscribe to a stream.
 ///
@@ -178,12 +130,18 @@ pub struct ScenarioConfig {
     /// [`LiftingConfig::eta`].
     pub online_recalibration: bool,
     /// Uplink of a well-provisioned node, bits per second (`None` =
-    /// unconstrained) — the default attachment every capability assigner
-    /// receives.
+    /// unconstrained) — the default attachment every capability class
+    /// starts from.
     pub default_upload_bps: Option<u64>,
-    /// Declarative component composition: named providers for the
-    /// capability, workload and adversary axes.
-    pub components: ComponentsSpec,
+    /// How every node gets its uplink, access loss and latency class
+    /// (`Uniform`: everyone gets [`ScenarioConfig::default_upload_bps`]).
+    pub capability: Capability,
+    /// The disturbance — steady churn and its waves, partition waves, or a
+    /// trace-driven audience; `None` = no node or link ever leaves.
+    pub workload: Option<Workload>,
+    /// The family the freerider population plays (`Baseline`: the paper's
+    /// independent freeriders; its parameters make them collude).
+    pub adversary: AdversaryFamily,
     /// Total simulated duration.
     pub duration: SimDuration,
     /// Master seed.
@@ -209,15 +167,9 @@ impl ScenarioConfig {
             default_upload_bps: Some(5_000_000),
             // The paper attributes most false positives to poorly connected
             // honest nodes: 10 % of them get a low uplink and extra loss.
-            components: ComponentsSpec {
-                capability: Some(
-                    ComponentSpec::new("poor-fraction")
-                        .with("fraction", ParamValue::Float(0.1))
-                        .with("poor_upload_bps", ParamValue::Int(800_000))
-                        .with("poor_extra_loss", ParamValue::Float(0.03)),
-                ),
-                ..ComponentsSpec::default()
-            },
+            capability: Capability::POOR_FRACTION,
+            workload: None,
+            adversary: AdversaryFamily::default(),
             duration: SimDuration::from_secs(40),
             seed,
         }
@@ -255,7 +207,9 @@ impl ScenarioConfig {
             freeriders: None,
             online_recalibration: false,
             default_upload_bps: None,
-            components: ComponentsSpec::default(),
+            capability: Capability::Uniform,
+            workload: None,
+            adversary: AdversaryFamily::default(),
             duration: SimDuration::from_secs(15),
             seed,
         }
@@ -298,7 +252,9 @@ impl ScenarioConfig {
     /// gossip, LiFTinG, link-fault and freerider-degree parameters, fewer
     /// managers and freeriders than nodes, one to 64 non-empty streams with
     /// two subscribers each and the primary on air from the start, a
-    /// positive duration and audit interval, and a non-zero default uplink.
+    /// positive duration and audit interval, a non-zero default uplink, and
+    /// in-range capability, workload and adversary parameters (the family's
+    /// cross-field rules included).
     pub fn validate(&self) -> Result<(), ComponentError> {
         let (nodes, managers, streams) = (self.nodes, self.lifting.managers, self.stream_count());
         require(
@@ -365,7 +321,11 @@ impl ScenarioConfig {
         if let Some(f) = &self.freeriders {
             f.degree.validate()?;
         }
-        Ok(())
+        self.capability.validate()?;
+        if let Some(workload) = &self.workload {
+            workload.validate()?;
+        }
+        self.adversary.validate(self)
     }
 }
 

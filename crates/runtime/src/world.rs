@@ -40,7 +40,6 @@ use std::sync::Arc;
 use lifting_core::VerificationMessage;
 
 use crate::builder;
-use crate::components::AdversarySpawner;
 use crate::inflight::{land, BlamesInFlight, InFlightBlame};
 use crate::layers::{AuditCoordinator, AuditOutcome, Downcall, FeedbackAction, NodeStack};
 use crate::message::{Event, Message, CHURN_EPOCH_ANY};
@@ -100,9 +99,6 @@ pub struct SystemWorld {
     pub(crate) audits_aborted_by_departure: u64,
     /// The freerider coalition (kept for stack rebuilds after a rejoin).
     pub(crate) coalition: Arc<Vec<NodeId>>,
-    /// The resolved adversary family: spawns the population's adversaries at
-    /// construction and again for every stack rebuilt after a rejoin.
-    pub(crate) adversary: AdversarySpawner,
     pub(crate) rng: SmallRng,
     /// Draws that only exist in multi-channel runs (audit stream picks).
     /// Never consumed when one stream runs, so single-stream scenarios keep
@@ -127,12 +123,11 @@ impl SystemWorld {
     ///
     /// # Panics
     ///
-    /// Panics if the scenario's `components` section does not resolve (an
-    /// unknown component, a bad parameter, a cross-field rule); use
-    /// [`crate::resolve_components`] to get the typed error instead.
+    /// Panics if the scenario does not validate (a field out of range, a
+    /// cross-field rule); use [`builder::build_world`] to get the typed
+    /// error instead.
     pub fn new(config: ScenarioConfig) -> Self {
-        builder::build_world(config)
-            .unwrap_or_else(|e| panic!("scenario component resolution failed: {e}"))
+        builder::build_world(config).unwrap_or_else(|e| panic!("invalid scenario: {e}"))
     }
 
     /// The scenario this world was built from.
@@ -377,7 +372,9 @@ impl SystemWorld {
             self.config.gossip,
             self.config.lifting,
             self.config.lifting_enabled,
-            self.adversary.spawn(&self.config, i, &self.coalition),
+            self.config
+                .adversary
+                .spawn(&self.config, i, &self.coalition),
             rng,
             &clocks,
             self.epochs[i],
@@ -532,7 +529,7 @@ impl SystemWorld {
                 self.expel(target);
             }
             if let Some(snap) = &snap {
-                if self.adversary.closed_loop() {
+                if self.config.adversary.closed_loop() {
                     self.score_feedback(snap, now, ctx);
                 }
                 self.period.record(snap, &self.expelled);
@@ -620,7 +617,7 @@ impl SystemWorld {
             // Closed-loop colluders watch the audit plane: an accomplice that
             // just answered for its history is "burned" and the coalition
             // re-aims its cover-traffic bias elsewhere for a cooldown.
-            if self.adversary.closed_loop() {
+            if self.config.adversary.closed_loop() {
                 let period = self.period.completed();
                 for (i, stack) in self.stacks.iter_mut().enumerate() {
                     if self.config.is_freerider(i)

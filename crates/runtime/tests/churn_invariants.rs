@@ -11,13 +11,13 @@ use lifting_core::{
 };
 use lifting_gossip::{ChunkId, GossipConfig, ProposeRound, StreamClock};
 use lifting_membership::Directory;
+use lifting_membership::{Churn, Wave, Workload};
 use lifting_net::{Network, NetworkConfig, TrafficCategory};
 use lifting_runtime::layers::{AuditCoordinator, AuditOutcome, Downcall, Honest, NodeStack};
 use lifting_runtime::{
-    build_engine, resolve_components, run_scenario, run_scenarios_parallel, ComponentSpec, Message,
-    Scale, ScenarioRegistry,
+    build_engine, run_scenario, run_scenarios_parallel, Message, Scale, ScenarioRegistry,
 };
-use lifting_sim::{derive_rng, NodeId, ParamValue, SimDuration, SimTime, StreamId};
+use lifting_sim::{derive_rng, NodeId, SimDuration, SimTime, StreamId};
 
 fn stack(id: u32) -> NodeStack {
     NodeStack::with_streams(
@@ -221,16 +221,22 @@ fn combined_waves_and_steady_churn_compose() {
     // must stay bit-for-bit deterministic.
     let registry = ScenarioRegistry::builtin();
     let mut config = registry.build("churn/steady-fast", Scale::Quick, 17);
-    let steady = config.components.workload.take().unwrap();
-    config.components.workload = Some(
-        steady
-            .with("catastrophe_at_secs", ParamValue::Float(6.0))
-            .with("catastrophe_fraction", ParamValue::Float(0.2))
-            // After the catastrophe: the worst ordering.
-            .with("flash_crowd_at_secs", ParamValue::Float(9.0))
-            .with("flash_crowd_fraction", ParamValue::Float(0.2)),
-    );
-    resolve_components(&config).expect("waves within range");
+    let Some(Workload::Churn(steady)) = config.workload else {
+        panic!("churn/steady-fast runs steady churn");
+    };
+    config.workload = Some(Workload::Churn(Churn {
+        catastrophe: Wave {
+            at: SimDuration::from_secs(6),
+            fraction: 0.2,
+        },
+        // After the catastrophe: the worst ordering.
+        flash_crowd: Wave {
+            at: SimDuration::from_secs(9),
+            fraction: 0.2,
+        },
+        ..steady
+    }));
+    config.validate().expect("waves within range");
 
     std::env::set_var(lifting_sim::pool::WORKERS_ENV, "3");
     let parallel = run_scenarios_parallel(vec![config.clone()]);
@@ -264,13 +270,13 @@ fn expelled_nodes_stay_out_under_churn() {
     let registry = ScenarioRegistry::builtin();
     let mut config = registry.build("fig01/freeriders-lifting", Scale::Quick, 21);
     config.lifting.compensate_wrongful_blames = false;
-    config.components.workload = Some(
-        ComponentSpec::new("churn")
-            .with("fraction", ParamValue::Float(0.25))
-            .with("mean_session_secs", ParamValue::Float(8.0))
-            .with("mean_offline_secs", ParamValue::Float(2.0))
-            .with("warmup_secs", ParamValue::Float(2.0)),
-    );
+    config.workload = Some(Workload::Churn(Churn {
+        fraction: 0.25,
+        mean_session: SimDuration::from_secs(8),
+        mean_offline: SimDuration::from_secs(2),
+        warmup: SimDuration::from_secs(2),
+        ..Churn::default()
+    }));
     config.duration = SimDuration::from_secs(20);
     let mut engine = build_engine(config.clone());
     engine.run_until(SimTime::ZERO + config.duration);

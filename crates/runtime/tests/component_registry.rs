@@ -1,14 +1,15 @@
-//! Integration coverage for the component registry plane — the one path a
-//! scenario's capability, workload and adversary axes are configured by.
+//! Integration coverage for the typed scenario axes — the capability,
+//! workload and adversary values of a `ScenarioConfig` — and the exporter
+//! registry, the one axis chosen by name.
 //!
 //! Four concerns live here:
 //!
-//! 1. **Error paths** — every mis-declared component in a scenario's
-//!    `components:` section must come back as a structured
-//!    [`ComponentError`] naming the offending key, never a panic. The
-//!    registry is the first thing a scenario author touches, so the error
-//!    text is part of the interface.
-//! 2. **The adversary registry makes the adversaries** — every family spawns
+//! 1. **Error paths** — every out-of-range axis parameter comes back out of
+//!    `build_world` as a structured [`ComponentError`] naming the offending
+//!    key, never a panic (`config_errors.rs` pushes every such field out of
+//!    range; the cases here spell out why a rule exists). An unknown
+//!    exporter name is a structured error too.
+//! 2. **The adversary families make the adversaries** — every family spawns
 //!    the adversary it names, declares its closed-loop flag, reports its
 //!    cross-field rules as typed errors, and is the family a rejoin rebuilds.
 //! 3. **Workload scenarios do what their generators promise** — diurnal and
@@ -20,15 +21,15 @@
 
 use std::sync::Arc;
 
-use lifting_net::capability_components;
+use lifting_membership::{
+    Churn, DiurnalCycle, PartitionWaves, RegionalFailureWaves, Wave, Workload, ZapSwitching,
+};
+use lifting_runtime::builder::build_world;
 use lifting_runtime::{
-    adversary_components, build_engine, exporter_components, resolve_components,
-    run_scenario_sharded, workload_components, ComponentSpec, RunOutcome, Scale, ScenarioConfig,
-    ScenarioRegistry, StreamSpec,
+    build_engine, exporter_components, run_scenario_sharded, AdversaryFamily, RunOutcome, Scale,
+    ScenarioConfig, ScenarioRegistry, StreamSpec,
 };
-use lifting_sim::{
-    ComponentError, ComponentRegistry, ParamMap, ParamValue, SeedSplitter, SimDuration, SimTime,
-};
+use lifting_sim::{ComponentError, ParamMap, SeedSplitter, SimDuration, SimTime};
 
 // ---------------------------------------------------------------------------
 // 1. Error paths: structured Err, never panic, offending key in the message.
@@ -38,9 +39,9 @@ fn quick_config(seed: u64) -> ScenarioConfig {
     ScenarioRegistry::builtin().build("smoke/small", Scale::Quick, seed)
 }
 
-/// The typed error `config` fails to resolve with.
-fn resolution_error(config: &ScenarioConfig, why: &str) -> ComponentError {
-    resolve_components(config)
+/// The typed error `config` fails to build with.
+fn build_error(config: &ScenarioConfig, why: &str) -> ComponentError {
+    build_world(config.clone())
         .err()
         .unwrap_or_else(|| panic!("{why}"))
 }
@@ -51,8 +52,8 @@ fn every_registered_scenario_resolves_at_both_scales() {
     for name in registry.names() {
         for scale in [Scale::Paper, Scale::Quick] {
             let config = registry.build(name, scale, 7);
-            if let Err(err) = resolve_components(&config) {
-                panic!("{name} at {scale:?} does not resolve: {err}");
+            if let Err(err) = config.validate() {
+                panic!("{name} at {scale:?} does not validate: {err}");
             }
         }
     }
@@ -60,17 +61,15 @@ fn every_registered_scenario_resolves_at_both_scales() {
 
 #[test]
 fn unknown_component_name_is_a_structured_error_naming_the_kind() {
-    let mut config = quick_config(1);
-    config.components.workload = Some(ComponentSpec::new("tidal"));
-    let err = resolution_error(&config, "unknown name must not resolve");
+    let err = exporter_components()
+        .build("tidal", &ParamMap::new(), &mut SeedSplitter::new(1))
+        .err()
+        .expect("an unknown name must not build");
     match &err {
         ComponentError::UnknownComponent { kind, name, known } => {
-            assert_eq!(kind, "workload");
+            assert_eq!(kind, "exporter");
             assert_eq!(name, "tidal");
-            assert!(
-                known.iter().any(|n| n == "diurnal"),
-                "known list: {known:?}"
-            );
+            assert!(known.iter().any(|n| n == "digest"), "known list: {known:?}");
         }
         other => panic!("expected UnknownComponent, got {other:?}"),
     }
@@ -80,115 +79,102 @@ fn unknown_component_name_is_a_structured_error_naming_the_kind() {
         "error must name the component: {text}"
     );
     assert!(
-        text.contains("diurnal"),
+        text.contains("digest"),
         "error must list known names: {text}"
     );
 }
 
-#[test]
-fn unknown_names_error_on_every_axis() {
-    type Setter = fn(&mut ScenarioConfig);
-    let axes: [(&str, Setter); 3] = [
-        ("capability", |c| {
-            c.components.capability = Some(ComponentSpec::new("quantum"))
-        }),
-        ("workload", |c| {
-            c.components.workload = Some(ComponentSpec::new("tidal"))
-        }),
-        ("adversary", |c| {
-            c.components.adversary = Some(ComponentSpec::new("mastermind"))
-        }),
-    ];
-    for (axis, set) in axes {
-        let mut config = quick_config(1);
-        set(&mut config);
-        let err = resolution_error(&config, "unknown name must not resolve");
-        assert!(
-            matches!(&err, ComponentError::UnknownComponent { kind, .. } if kind == axis),
-            "axis {axis}: expected UnknownComponent, got {err:?}"
-        );
-    }
-}
-
-#[test]
-fn ill_typed_param_is_rejected_with_the_offending_key() {
+/// `workload` fails to build with an `InvalidParam` naming its generator
+/// and `key`.
+fn assert_invalid_workload_param(workload: Workload, key: &str) {
+    let generator = workload.name();
     let mut config = quick_config(1);
-    config.components.workload =
-        Some(ComponentSpec::new("diurnal").with("participation", ParamValue::Bool(true)));
-    let err = resolution_error(&config, "a flag for a float must not validate");
-    match &err {
-        ComponentError::BadParamType {
-            component,
-            key,
-            expected,
-            got,
-        } => {
-            assert_eq!(component, "diurnal");
-            assert_eq!(key, "participation");
-            assert_eq!(*expected, "float");
-            assert_eq!(*got, "bool");
-        }
-        other => panic!("expected BadParamType, got {other:?}"),
-    }
-    assert!(err.to_string().contains("participation"));
+    config.workload = Some(workload);
+    let err = build_error(&config, &format!("{generator}: bad `{key}` must not build"));
+    assert!(
+        matches!(&err, ComponentError::InvalidParam { component, key: k, .. }
+            if component == generator && k == key),
+        "{generator}: expected InvalidParam naming `{key}`, got {err:?}"
+    );
+    assert!(err.to_string().contains(key), "{err}");
 }
 
 #[test]
 fn out_of_range_param_is_rejected_with_the_offending_key() {
-    // `(offending key, spec)`: every disturbance that could not run is a
-    // typed error naming the generator and the key.
-    let f = ParamValue::Float;
-    let churn = || ComponentSpec::new("churn");
-    let partitions = || ComponentSpec::new("partition-waves");
+    // Every disturbance that could not run is a typed error naming the
+    // generator and the key.
+    let churn = Churn::default();
+    let partitions = PartitionWaves::default();
     let cases = [
         (
             "participation",
-            ComponentSpec::new("diurnal").with("participation", f(1.5)),
+            Workload::DiurnalCycle(DiurnalCycle {
+                participation: 1.5,
+                ..DiurnalCycle::default()
+            }),
         ),
-        ("fraction", churn().with("fraction", f(1.5))),
+        (
+            "fraction",
+            Workload::Churn(Churn {
+                fraction: 1.5,
+                ..churn
+            }),
+        ),
         (
             "mean_session_secs",
-            churn()
-                .with("fraction", f(0.3))
-                .with("mean_session_secs", f(0.0)),
+            Workload::Churn(Churn {
+                mean_session: SimDuration::ZERO,
+                ..churn
+            }),
         ),
         (
             "flash_crowd_fraction",
-            churn().with("flash_crowd_fraction", f(0.95)),
+            Workload::Churn(Churn {
+                flash_crowd: Wave {
+                    fraction: 0.95,
+                    ..churn.flash_crowd
+                },
+                ..churn
+            }),
         ),
-        ("waves", partitions().with("waves", ParamValue::Int(0))),
-        ("waves", partitions().with("waves", ParamValue::Int(256))),
-        ("fraction", partitions().with("fraction", f(0.95))),
+        (
+            "waves",
+            Workload::PartitionWaves(PartitionWaves {
+                waves: 0,
+                ..partitions
+            }),
+        ),
+        (
+            "waves",
+            Workload::PartitionWaves(PartitionWaves {
+                waves: 256,
+                ..partitions
+            }),
+        ),
+        (
+            "fraction",
+            Workload::PartitionWaves(PartitionWaves {
+                fraction: 0.95,
+                ..partitions
+            }),
+        ),
     ];
-    for (key, spec) in cases {
-        assert_invalid_workload_param(spec, key);
+    for (key, workload) in cases {
+        assert_invalid_workload_param(workload, key);
     }
-}
-
-/// `spec` as the workload fails to resolve with an `InvalidParam` naming
-/// its generator and `key`.
-fn assert_invalid_workload_param(spec: ComponentSpec, key: &str) {
-    let generator = spec.name.clone();
-    let mut config = quick_config(1);
-    config.components.workload = Some(spec);
-    let err = resolution_error(
-        &config,
-        &format!("{generator}: bad `{key}` must not resolve"),
-    );
-    assert!(
-        matches!(&err, ComponentError::InvalidParam { component, key: k, .. }
-            if *component == generator && k == key),
-        "{generator}: expected InvalidParam naming `{key}`, got {err:?}"
-    );
 }
 
 #[test]
 fn churn_wave_at_instant_zero_is_rejected() {
     // A catastrophe at t = 0 would crash nodes before the stream starts.
     assert_invalid_workload_param(
-        ComponentSpec::new("churn")
-            .with("catastrophe_fraction", ParamValue::Float(0.1))
-            .with("catastrophe_at_secs", ParamValue::Float(0.0)),
+        Workload::Churn(Churn {
+            catastrophe: Wave {
+                at: SimDuration::ZERO,
+                fraction: 0.1,
+            },
+            ..Churn::default()
+        }),
         "catastrophe_at_secs",
     );
 }
@@ -197,96 +183,131 @@ fn churn_wave_at_instant_zero_is_rejected() {
 fn partition_wave_with_zero_outage_is_rejected() {
     // A zero-length outage would heal in the instant it begins.
     assert_invalid_workload_param(
-        ComponentSpec::new("partition-waves").with("outage_secs", ParamValue::Float(0.0)),
+        Workload::PartitionWaves(PartitionWaves {
+            outage: SimDuration::ZERO,
+            ..PartitionWaves::default()
+        }),
         "outage_secs",
     );
 }
 
 #[test]
-fn undeclared_param_key_is_rejected() {
-    let mut config = quick_config(1);
-    config.components.workload =
-        Some(ComponentSpec::new("zap").with("zapers", ParamValue::Float(0.5)));
-    let err = resolution_error(&config, "misspelled key must not validate");
-    match &err {
-        ComponentError::UnknownParam { component, key, .. } => {
-            assert_eq!(component, "zap");
-            assert_eq!(key, "zapers");
-        }
-        other => panic!("expected UnknownParam, got {other:?}"),
-    }
-}
-
-/// Names within one registry are unique: a lookup by name finds one row.
-fn assert_unique_names<P>(registry: &ComponentRegistry<P>) {
+fn component_names_are_unique_within_each_registry() {
+    let registry = exporter_components();
     let mut names: Vec<_> = registry.names().collect();
     let count = names.len();
     names.sort_unstable();
     names.dedup();
-    assert_eq!(names.len(), count, "{} registry", registry.kind());
-}
-
-#[test]
-fn component_names_are_unique_within_each_registry() {
-    assert_unique_names(capability_components());
-    assert_unique_names(workload_components());
-    assert_unique_names(adversary_components());
-    assert_unique_names(exporter_components());
+    assert_eq!(names.len(), count, "exporter registry");
 }
 
 #[test]
 fn every_registered_workload_component_builds_with_default_params() {
-    let registry = workload_components();
-    for name in registry.names() {
-        let mut seeds = SeedSplitter::new(7);
-        if let Err(e) = registry.build(name, &ParamMap::new(), &mut seeds) {
-            panic!("{name} must build with defaults: {e}");
+    let mut config = quick_config(7);
+    config.streams.push(config.streams[0]); // something to zap between
+    for workload in [
+        Workload::DiurnalCycle(DiurnalCycle::default()),
+        Workload::RegionalFailureWaves(RegionalFailureWaves::default()),
+        Workload::ZapSwitching(ZapSwitching::default()),
+        Workload::Churn(Churn::default()),
+        Workload::PartitionWaves(PartitionWaves::default()),
+    ] {
+        config.workload = Some(workload);
+        if let Err(e) = build_world(config.clone()) {
+            panic!("{} must build with defaults: {e}", workload.name());
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// 2. The adversary registry makes the adversaries.
+// 2. The adversary families make the adversaries.
 // ---------------------------------------------------------------------------
 
-/// `(family, name() of the adversary it spawns, closed loop)`.
-const FAMILIES: [(&str, &str, bool); 7] = [
-    ("baseline", "freerider", false),
-    ("on-off", "on-off-freerider", false),
-    ("blame-spam", "blame-spammer", false),
-    ("selective-freerider", "selective-freerider", false),
-    ("gradient-freerider", "gradient-freerider", true),
-    ("whitewasher", "whitewasher", true),
-    ("adaptive-colluders", "adaptive-colluder", true),
+/// `(family at its defaults, its name, name() of the adversary it spawns,
+/// closed loop)`.
+const FAMILIES: [(AdversaryFamily, &str, &str, bool); 7] = [
+    (
+        AdversaryFamily::Baseline {
+            partner_bias: 0.0,
+            cover_up: false,
+            man_in_the_middle: false,
+        },
+        "baseline",
+        "freerider",
+        false,
+    ),
+    (
+        AdversaryFamily::OnOff {
+            on_periods: 2,
+            off_periods: 2,
+        },
+        "on-off",
+        "on-off-freerider",
+        false,
+    ),
+    (
+        AdversaryFamily::BlameSpam {
+            blames_per_period: 5,
+            blame_value: 5.0,
+        },
+        "blame-spam",
+        "blame-spammer",
+        false,
+    ),
+    (
+        AdversaryFamily::SelectiveFreerider { silent_mask: 0b10 },
+        "selective-freerider",
+        "selective-freerider",
+        false,
+    ),
+    (
+        AdversaryFamily::GradientFreerider {
+            margin: 2.0,
+            step: 0.25,
+        },
+        "gradient-freerider",
+        "gradient-freerider",
+        true,
+    ),
+    (
+        AdversaryFamily::Whitewasher {
+            margin: 0.5,
+            offline: SimDuration::from_secs(2),
+        },
+        "whitewasher",
+        "whitewasher",
+        true,
+    ),
+    (
+        AdversaryFamily::AdaptiveColluders {
+            partner_bias: 0.6,
+            cooldown_periods: 6,
+        },
+        "adaptive-colluders",
+        "adaptive-colluder",
+        true,
+    ),
 ];
 
 #[test]
 fn every_adversary_component_spawns_the_adversary_it_names() {
-    let registry = adversary_components();
-    assert_eq!(
-        registry.names().collect::<Vec<_>>(),
-        FAMILIES.map(|(family, _, _)| family),
-        "a family was registered without being listed here"
-    );
     // Ten nodes, the last three freeride.
     let config = ScenarioConfig::small_test(10, 1).with_planetlab_freeriders(0.3);
     let coalition = Arc::new(Vec::new());
-    for (family, adversary, closed_loop) in FAMILIES {
-        let spawner = registry
-            .build(family, &ParamMap::new(), &mut SeedSplitter::new(1))
-            .unwrap_or_else(|e| panic!("{family} must build with defaults: {e}"));
-        assert_eq!(spawner.closed_loop(), closed_loop, "{family}");
-        assert_eq!(spawner.spawn(&config, 9, &coalition).name(), adversary);
-        assert_eq!(spawner.spawn(&config, 0, &coalition).name(), "honest");
-        assert_eq!(spawner.spawn(&config, 6, &coalition).name(), "honest");
+    for (family, name, adversary, closed_loop) in FAMILIES {
+        assert_eq!(family.name(), name);
+        assert_eq!(family.closed_loop(), closed_loop, "{name}");
+        assert_eq!(family.spawn(&config, 9, &coalition).name(), adversary);
+        assert_eq!(family.spawn(&config, 0, &coalition).name(), "honest");
+        assert_eq!(family.spawn(&config, 6, &coalition).name(), "honest");
     }
 }
 
-/// Asserts that `config` fails to resolve with an `InvalidParam` of the
-/// declared adversary family naming `key`.
+/// Asserts that `config` fails to build with an `InvalidParam` of its
+/// adversary family naming `key`.
 fn assert_rejected(config: &ScenarioConfig, key: &str) {
-    let family = &config.components.adversary.as_ref().unwrap().name;
-    let err = resolution_error(config, &format!("{family}: bad `{key}` must not resolve"));
+    let family = config.adversary.name();
+    let err = build_error(config, &format!("{family}: bad `{key}` must not build"));
     assert!(
         matches!(&err, ComponentError::InvalidParam { component, key: k, .. }
             if component == family && k == key),
@@ -300,55 +321,38 @@ fn adversary_cross_field_rules_are_typed_errors_naming_the_key() {
         let chunk = config.streams[0].chunk_size;
         config.with_stream(StreamSpec::new(100_000, chunk))
     };
-    let selective = |mask: i64| {
-        Some(ComponentSpec::new("selective-freerider").with("silent_mask", ParamValue::Int(mask)))
-    };
+    let selective = |silent_mask| AdversaryFamily::SelectiveFreerider { silent_mask };
 
     // A selective freerider needs two streams, and a mask within them.
     let mut config = quick_config(1);
-    config.components.adversary = selective(0b10);
+    config.adversary = selective(0b10);
     assert_rejected(&config, "silent_mask");
     let mut config = two_streams(quick_config(1));
-    config.components.adversary = selective(0b100);
+    config.adversary = selective(0b100);
     assert_rejected(&config, "silent_mask");
-    config.components.adversary = selective(0b10);
-    assert!(resolve_components(&config).is_ok());
+    config.adversary = selective(0b10);
+    assert!(build_world(config).is_ok());
 
     // Adaptive colluders need a coalition of at least two.
     let mut config = quick_config(1);
-    config.components.adversary = Some(ComponentSpec::new("adaptive-colluders"));
-    assert!(resolve_components(&config).is_ok());
+    config.adversary = FAMILIES[6].0;
+    assert!(build_world(config.clone()).is_ok());
     config.freeriders.as_mut().unwrap().count = 1;
     assert_rejected(&config, "freeriders");
 
     // Every family but the baseline replaces the freeriders' behaviour: it
     // needs freeriders to replace.
-    for (family, _, _) in FAMILIES {
+    for (family, name, _, _) in FAMILIES {
         let mut config = two_streams(quick_config(1));
-        config.components.adversary = Some(ComponentSpec::new(family));
-        assert!(resolve_components(&config).is_ok(), "{family}");
+        config.adversary = family;
+        assert!(build_world(config.clone()).is_ok(), "{name}");
         config.freeriders = None;
-        if family == "baseline" {
-            assert!(resolve_components(&config).is_ok());
+        if name == "baseline" {
+            assert!(build_world(config).is_ok());
         } else {
             assert_rejected(&config, "freeriders");
         }
     }
-}
-
-#[test]
-fn collusion_parameters_exist_only_on_the_baseline_adversary() {
-    // Another family has no collusion parameters to set: the combination
-    // cannot be written.
-    let mut config = quick_config(1);
-    config.components.adversary =
-        Some(ComponentSpec::new("on-off").with("cover_up", ParamValue::Bool(true)));
-    let err = resolution_error(&config, "on-off has no `cover_up`");
-    assert!(
-        matches!(&err, ComponentError::UnknownParam { component, key, .. }
-            if component == "on-off" && key == "cover_up"),
-        "expected UnknownParam naming `cover_up`, got {err:?}"
-    );
 }
 
 #[test]

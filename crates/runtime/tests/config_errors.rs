@@ -3,15 +3,22 @@
 //!
 //! Every case starts from a valid `smoke/small` configuration and pushes one
 //! numeric field of `ScenarioConfig`, `GossipConfig`, `LiftingConfig`,
-//! `FreeriderConfig` or `LinkFaults` outside the range its `validate` method
-//! declares; the generated value covers both sides of the range, NaN and the
-//! infinities where the field is a float. `build_world` must return
+//! `FreeriderConfig`, `LinkFaults`, or of a capability class, workload or
+//! adversary family set at its defaults, outside the range its `validate`
+//! method declares; the generated value covers both sides of the range, NaN
+//! and the infinities where the field is a float. The adversary families'
+//! cross-field rules (a population to replace, a selective mask within the
+//! streams) are cases too. `build_world` must return
 //! `Err(InvalidParam { component, key, .. })` naming exactly that field.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use lifting_membership::{
+    Churn, DiurnalCycle, PartitionWaves, RegionalFailureWaves, Workload, ZapSwitching,
+};
+use lifting_net::Capability;
 use lifting_runtime::builder::build_world;
-use lifting_runtime::{Scale, ScenarioConfig, ScenarioRegistry};
+use lifting_runtime::{AdversaryFamily, Scale, ScenarioConfig, ScenarioRegistry};
 use lifting_sim::{ComponentError, SimDuration};
 use proptest::prelude::*;
 
@@ -40,6 +47,15 @@ fn not_positive(u: f64) -> f64 {
     }
 }
 
+/// A float below zero: negative, NaN or minus infinity.
+fn negative(u: f64) -> f64 {
+    match (u * 3.0) as u32 {
+        0 => -1e-9 - u * 1e3,
+        1 => f64::NAN,
+        _ => f64::NEG_INFINITY,
+    }
+}
+
 /// A float outside `(0, 1]`: not positive, or above one.
 fn outside_unit_open_below(u: f64) -> f64 {
     if u < 0.5 {
@@ -56,9 +72,64 @@ fn count(u: f64) -> usize {
     1 + (u * 1000.0) as usize
 }
 
+/// Sets the workload to `W`'s defaults edited by `edit`.
+fn workload<W: Default>(
+    c: &mut ScenarioConfig,
+    wrap: fn(W) -> Workload,
+    edit: impl FnOnce(&mut W),
+) {
+    let mut generator = W::default();
+    edit(&mut generator);
+    c.workload = Some(wrap(generator));
+}
+
+fn churn(c: &mut ScenarioConfig, edit: impl FnOnce(&mut Churn)) {
+    workload(c, Workload::Churn, edit)
+}
+
+fn partitions(c: &mut ScenarioConfig, edit: impl FnOnce(&mut PartitionWaves)) {
+    workload(c, Workload::PartitionWaves, edit)
+}
+
+fn diurnal(c: &mut ScenarioConfig, edit: impl FnOnce(&mut DiurnalCycle)) {
+    workload(c, Workload::DiurnalCycle, edit)
+}
+
+fn regional(c: &mut ScenarioConfig, edit: impl FnOnce(&mut RegionalFailureWaves)) {
+    workload(c, Workload::RegionalFailureWaves, edit)
+}
+
+fn zap(c: &mut ScenarioConfig, edit: impl FnOnce(&mut ZapSwitching)) {
+    workload(c, Workload::ZapSwitching, edit)
+}
+
+/// `poor-fraction` with these parameters.
+fn poor(c: &mut ScenarioConfig, fraction: f64, poor_upload_bps: u64, poor_extra_loss: f64) {
+    c.capability = Capability::PoorFraction {
+        fraction,
+        poor_upload_bps,
+        poor_extra_loss,
+    };
+}
+
+/// `tiered` with these class fractions.
+fn tiered(c: &mut ScenarioConfig, fiber: f64, cable: f64, dsl: f64) {
+    c.capability = Capability::Tiered { fiber, cable, dsl };
+}
+
+/// Adds a second stream, for the selective freerider to select between.
+fn two_streams(c: &mut ScenarioConfig) {
+    c.streams.push(c.streams[0]);
+}
+
+/// A mask naming a stream beyond the first two.
+fn beyond_two_streams(u: f64) -> u64 {
+    1 << (2 + (u * 61.0) as u32)
+}
+
 /// `(component, key, break)`: every out-of-range field and the error that
 /// must name it.
-const CASES: [(&str, &str, Break); 26] = [
+const CASES: [(&str, &str, Break); 71] = [
     // ScenarioConfig
     ("scenario", "nodes", |c, u| c.nodes = (u * 3.0) as usize),
     ("scenario", "lifting.managers", |c, u| {
@@ -125,6 +196,203 @@ const CASES: [(&str, &str, Break); 26] = [
     }),
     ("lifting", "eta", |c, _| c.lifting.eta = 0.0),
     ("lifting", "gamma", |c, _| c.lifting.gamma = 0.0),
+    // Capability classes
+    ("poor-fraction", "fraction", |c, u| {
+        poor(c, outside(0.0, 1.0, u), 800_000, 0.03)
+    }),
+    ("poor-fraction", "poor_upload_bps", |c, _| {
+        poor(c, 0.1, 0, 0.03)
+    }),
+    ("poor-fraction", "poor_extra_loss", |c, u| {
+        poor(c, 0.1, 800_000, outside(0.0, 1.0, u))
+    }),
+    ("tiered", "fiber", |c, u| {
+        tiered(c, outside(0.0, 1.0, u), 0.45, 0.3)
+    }),
+    ("tiered", "cable", |c, u| {
+        tiered(c, 0.15, outside(0.0, 1.0, u), 0.3)
+    }),
+    ("tiered", "dsl", |c, u| {
+        tiered(c, 0.15, 0.45, outside(0.0, 1.0, u))
+    }),
+    // The classes cover more than the population.
+    ("tiered", "dsl", |c, u| {
+        let x = 0.34 + 0.66 * u;
+        tiered(c, x, x, x)
+    }),
+    // Workloads
+    ("churn", "fraction", |c, u| {
+        churn(c, |w| w.fraction = outside(0.0, 1.0, u))
+    }),
+    ("churn", "mean_session_secs", |c, _| {
+        churn(c, |w| w.mean_session = SimDuration::ZERO)
+    }),
+    ("churn", "mean_offline_secs", |c, _| {
+        churn(c, |w| w.mean_offline = SimDuration::ZERO)
+    }),
+    ("churn", "catastrophe_at_secs", |c, _| {
+        churn(c, |w| {
+            w.catastrophe.at = SimDuration::ZERO;
+            w.catastrophe.fraction = 0.1;
+        })
+    }),
+    ("churn", "catastrophe_fraction", |c, u| {
+        churn(c, |w| w.catastrophe.fraction = outside(0.0, 0.9, u))
+    }),
+    ("churn", "flash_crowd_at_secs", |c, _| {
+        churn(c, |w| {
+            w.flash_crowd.at = SimDuration::ZERO;
+            w.flash_crowd.fraction = 0.1;
+        })
+    }),
+    ("churn", "flash_crowd_fraction", |c, u| {
+        churn(c, |w| w.flash_crowd.fraction = outside(0.0, 0.9, u))
+    }),
+    ("partition-waves", "waves", |c, _| {
+        partitions(c, |w| w.waves = 0)
+    }),
+    ("partition-waves", "waves", |c, u| {
+        partitions(c, |w| w.waves = 255 + count(u))
+    }),
+    ("partition-waves", "outage_secs", |c, _| {
+        partitions(c, |w| w.outage = SimDuration::ZERO)
+    }),
+    ("partition-waves", "fraction", |c, u| {
+        partitions(c, |w| w.fraction = outside(0.0, 0.9, u))
+    }),
+    ("diurnal", "participation", |c, u| {
+        diurnal(c, |w| w.participation = outside(0.0, 1.0, u))
+    }),
+    ("diurnal", "cycle_secs", |c, _| {
+        diurnal(c, |w| w.cycle = SimDuration::ZERO)
+    }),
+    ("diurnal", "offline_fraction", |c, u| {
+        diurnal(c, |w| w.offline_fraction = outside(0.0, 1.0, u))
+    }),
+    ("diurnal", "warmup_secs", |c, _| {
+        diurnal(c, |w| w.warmup = SimDuration::ZERO)
+    }),
+    ("regional-failure", "regions", |c, _| {
+        regional(c, |w| w.regions = 0)
+    }),
+    ("regional-failure", "waves", |c, _| {
+        regional(c, |w| w.waves = 0)
+    }),
+    ("regional-failure", "outage_secs", |c, _| {
+        regional(c, |w| w.outage = SimDuration::ZERO)
+    }),
+    ("regional-failure", "warmup_secs", |c, _| {
+        regional(c, |w| w.warmup = SimDuration::ZERO)
+    }),
+    ("zap", "zappers", |c, u| {
+        zap(c, |w| w.zappers = outside(0.0, 1.0, u))
+    }),
+    ("zap", "mean_dwell_secs", |c, _| {
+        zap(c, |w| w.mean_dwell = SimDuration::ZERO)
+    }),
+    ("zap", "warmup_secs", |c, _| {
+        zap(c, |w| w.warmup = SimDuration::ZERO)
+    }),
+    // Adversary families
+    ("baseline", "partner_bias", |c, u| {
+        c.adversary = AdversaryFamily::Baseline {
+            partner_bias: outside(0.0, 1.0, u),
+            cover_up: u < 0.5,
+            man_in_the_middle: u >= 0.5,
+        }
+    }),
+    ("on-off", "on_periods", |c, _| {
+        c.adversary = AdversaryFamily::OnOff {
+            on_periods: 0,
+            off_periods: 2,
+        }
+    }),
+    ("on-off", "off_periods", |c, _| {
+        c.adversary = AdversaryFamily::OnOff {
+            on_periods: 2,
+            off_periods: 0,
+        }
+    }),
+    ("blame-spam", "blames_per_period", |c, _| {
+        c.adversary = AdversaryFamily::BlameSpam {
+            blames_per_period: 0,
+            blame_value: 5.0,
+        }
+    }),
+    ("blame-spam", "blame_value", |c, u| {
+        c.adversary = AdversaryFamily::BlameSpam {
+            blames_per_period: 5,
+            blame_value: negative(u),
+        }
+    }),
+    ("selective-freerider", "silent_mask", |c, _| {
+        two_streams(c);
+        c.adversary = AdversaryFamily::SelectiveFreerider { silent_mask: 0 }
+    }),
+    ("gradient-freerider", "margin", |c, u| {
+        c.adversary = AdversaryFamily::GradientFreerider {
+            margin: negative(u),
+            step: 0.25,
+        }
+    }),
+    ("gradient-freerider", "step", |c, u| {
+        c.adversary = AdversaryFamily::GradientFreerider {
+            margin: 2.0,
+            step: outside_unit_open_below(u),
+        }
+    }),
+    ("whitewasher", "margin", |c, u| {
+        c.adversary = AdversaryFamily::Whitewasher {
+            margin: negative(u),
+            offline: SimDuration::from_secs(2),
+        }
+    }),
+    ("whitewasher", "offline_secs", |c, _| {
+        c.adversary = AdversaryFamily::Whitewasher {
+            margin: 0.5,
+            offline: SimDuration::ZERO,
+        }
+    }),
+    ("adaptive-colluders", "partner_bias", |c, u| {
+        c.adversary = AdversaryFamily::AdaptiveColluders {
+            partner_bias: outside(0.0, 1.0, u),
+            cooldown_periods: 6,
+        }
+    }),
+    ("adaptive-colluders", "cooldown_periods", |c, _| {
+        c.adversary = AdversaryFamily::AdaptiveColluders {
+            partner_bias: 0.6,
+            cooldown_periods: 0,
+        }
+    }),
+    // Cross-field rules: a family that replaces the freeriders needs them
+    // (a coalition needs two), and a selective mask names two or more
+    // streams the scenario runs.
+    ("on-off", "freeriders", |c, _| {
+        c.freeriders = None;
+        c.adversary = AdversaryFamily::OnOff {
+            on_periods: 2,
+            off_periods: 2,
+        }
+    }),
+    ("adaptive-colluders", "freeriders", |c, _| {
+        c.freeriders.as_mut().unwrap().count = 1;
+        c.adversary = AdversaryFamily::AdaptiveColluders {
+            partner_bias: 0.6,
+            cooldown_periods: 6,
+        }
+    }),
+    // Silencing the only stream: the mask is within the streams, but there
+    // is nothing to select between.
+    ("selective-freerider", "silent_mask", |c, _| {
+        c.adversary = AdversaryFamily::SelectiveFreerider { silent_mask: 0b1 }
+    }),
+    ("selective-freerider", "silent_mask", |c, u| {
+        two_streams(c);
+        c.adversary = AdversaryFamily::SelectiveFreerider {
+            silent_mask: beyond_two_streams(u),
+        }
+    }),
 ];
 
 fn smoke(seed: u64) -> ScenarioConfig {
@@ -139,7 +407,7 @@ fn the_unbroken_config_builds() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
+    #![proptest_config(ProptestConfig::with_cases(1024))]
 
     #[test]
     fn one_field_out_of_range_is_a_typed_error_naming_it(

@@ -51,9 +51,7 @@ pub mod rng;
 pub mod shard;
 pub mod time;
 
-pub use component::{
-    Component, ComponentError, ComponentRegistry, ParamMap, ParamSpec, ParamValue, SeedSplitter,
-};
+pub use component::{Component, ComponentError, ComponentRegistry, ParamMap, SeedSplitter};
 pub use engine::{Context, Engine, RunReport, ShardedWorld, World};
 pub use event::EventQueue;
 pub use id::{NodeId, StreamId};

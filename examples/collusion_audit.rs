@@ -13,19 +13,18 @@ fn scenario(audits: bool, seed: u64) -> ScenarioConfig {
     let mut config = ScenarioConfig::small_test(100, seed).with_planetlab_freeriders(0.15);
     config.duration = SimDuration::from_secs(30);
     config.streams[0].rate_bps = 300_000;
-    config.components.adversary = Some(
-        ComponentSpec::new("baseline")
-            .with("partner_bias", ParamValue::Float(0.6))
-            .with("cover_up", ParamValue::Bool(true))
-            .with("man_in_the_middle", ParamValue::Bool(true)),
-    );
+    config.adversary = AdversaryFamily::Baseline {
+        partner_bias: 0.6,
+        cover_up: true,
+        man_in_the_middle: true,
+    };
     config.audits_enabled = audits;
     config.audit_interval = SimDuration::from_secs(5);
     config
 }
 
 fn report(label: &str, outcome: &RunOutcome) {
-    let eta = -9.75;
+    let eta = PAPER_ETA;
     println!("== {label} ==");
     println!(
         "  detection rate      : {:.1} %",

@@ -25,7 +25,7 @@ fn main() {
     ];
     let outcome = run_scenario_with_snapshots(config, &snapshots);
 
-    let eta = -9.75;
+    let eta = PAPER_ETA;
     for snap in &outcome.snapshots {
         let honest = Summary::of(&snap.honest_scores());
         let freeriders = Summary::of(&snap.freerider_scores());

@@ -23,7 +23,7 @@ fn main() {
     );
     let outcome = run_scenario(config);
 
-    let eta = -9.75;
+    let eta = PAPER_ETA;
     println!();
     println!("== scores after {} ==", outcome.duration);
     let honest = outcome.finals.honest_scores();

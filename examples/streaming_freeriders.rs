@@ -18,12 +18,11 @@ fn scenario(freerider_fraction: f64, lifting_enabled: bool, seed: u64) -> Scenar
     config.network = NetworkConfig::planetlab(0.04);
     config.default_upload_bps = Some(2_000_000);
     // 5 % of the honest nodes sit behind a 500 kbps uplink.
-    config.components.capability = Some(
-        ComponentSpec::new("poor-fraction")
-            .with("fraction", ParamValue::Float(0.05))
-            .with("poor_upload_bps", ParamValue::Int(500_000))
-            .with("poor_extra_loss", ParamValue::Float(0.0)),
-    );
+    config.capability = Capability::PoorFraction {
+        fraction: 0.05,
+        poor_upload_bps: 500_000,
+        poor_extra_loss: 0.0,
+    };
     config.lifting_enabled = lifting_enabled;
     if freerider_fraction > 0.0 {
         // Aggressive freeriders: they keep only ~45 % of their upload duty.

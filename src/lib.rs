@@ -26,8 +26,8 @@
 //! let mut config = ScenarioConfig::small_test(40, 1).with_planetlab_freeriders(0.25);
 //! config.duration = SimDuration::from_secs(8);
 //! let outcome = run_scenario(config);
-//! let detection = outcome.detection_rate(-9.75);
-//! let false_positives = outcome.false_positive_rate(-9.75);
+//! let detection = outcome.detection_rate(PAPER_ETA);
+//! let false_positives = outcome.false_positive_rate(PAPER_ETA);
 //! assert!(detection >= false_positives);
 //! ```
 //!
@@ -51,14 +51,14 @@ pub use lifting_sim as sim;
 /// The most commonly used types, re-exported for convenience.
 pub mod prelude {
     pub use lifting_analysis::{BlameModel, FreeridingDegree, ProtocolParams, Summary};
-    pub use lifting_core::{Auditor, Blame, LiftingConfig, Verifier};
+    pub use lifting_core::{Auditor, Blame, LiftingConfig, Verifier, PAPER_ETA};
     pub use lifting_gossip::{Behavior, FreeriderConfig, GossipConfig, GossipNode, StreamSource};
-    pub use lifting_membership::{Directory, PartnerSelector, SelectionPolicy};
-    pub use lifting_net::{LatencyModel, LossModel, Network, NetworkConfig};
+    pub use lifting_membership::{Directory, PartnerSelector, SelectionPolicy, Workload};
+    pub use lifting_net::{Capability, LatencyModel, LossModel, Network, NetworkConfig};
     pub use lifting_reputation::{ManagerAssignment, ManagerState};
     pub use lifting_runtime::{
-        run_scenario, run_scenario_with_snapshots, ComponentSpec, FreeriderScenario, RunOutcome,
+        run_scenario, run_scenario_with_snapshots, AdversaryFamily, FreeriderScenario, RunOutcome,
         Scale, ScenarioConfig, ScenarioRegistry, StreamAudience, StreamSpec,
     };
-    pub use lifting_sim::{NodeId, ParamValue, SimDuration, SimTime, StreamId};
+    pub use lifting_sim::{NodeId, SimDuration, SimTime, StreamId};
 }

@@ -4,16 +4,18 @@
 use lifting::prelude::*;
 use lifting::runtime::{build_engine, StackLayer};
 
-fn on_off(on_periods: i64, off_periods: i64) -> ComponentSpec {
-    ComponentSpec::new("on-off")
-        .with("on_periods", ParamValue::Int(on_periods))
-        .with("off_periods", ParamValue::Int(off_periods))
+fn on_off(on_periods: u64, off_periods: u64) -> AdversaryFamily {
+    AdversaryFamily::OnOff {
+        on_periods,
+        off_periods,
+    }
 }
 
-fn blame_spam(blames_per_period: i64, blame_value: f64) -> ComponentSpec {
-    ComponentSpec::new("blame-spam")
-        .with("blames_per_period", ParamValue::Int(blames_per_period))
-        .with("blame_value", ParamValue::Float(blame_value))
+fn blame_spam(blames_per_period: u32, blame_value: f64) -> AdversaryFamily {
+    AdversaryFamily::BlameSpam {
+        blames_per_period,
+        blame_value,
+    }
 }
 
 #[test]
@@ -21,7 +23,7 @@ fn on_off_freeriders_run_through_the_registry_and_score_below_honest() {
     let mut config =
         ScenarioRegistry::builtin().build("adversary/on-off-freeriders", Scale::Quick, 5);
     config.duration = SimDuration::from_secs(12);
-    assert_eq!(config.components.adversary, Some(on_off(2, 2)));
+    assert_eq!(config.adversary, on_off(2, 2));
     let outcome = run_scenario(config);
     let honest = outcome.finals.honest_scores();
     let freeriders = outcome.finals.freerider_scores();
@@ -40,14 +42,14 @@ fn on_off_freeriders_dilute_blame_relative_to_constant_freeriders() {
     // Same population, same degree: the on-off adversary spends half its
     // periods honest, so its mean score must sit above the always-on
     // freerider's (that dilution is the attack).
-    let build = |adversary: Option<ComponentSpec>| {
+    let build = |adversary: AdversaryFamily| {
         let mut config = ScenarioConfig::small_test(40, 77).with_planetlab_freeriders(0.25);
         config.duration = SimDuration::from_secs(15);
-        config.components.adversary = adversary;
+        config.adversary = adversary;
         config
     };
-    let constant = run_scenario(build(None));
-    let on_off = run_scenario(build(Some(on_off(1, 3))));
+    let constant = run_scenario(build(AdversaryFamily::default()));
+    let on_off = run_scenario(build(on_off(1, 3)));
     let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
     let constant_mean = mean(&constant.finals.freerider_scores());
     let on_off_mean = mean(&on_off.finals.freerider_scores());
@@ -59,14 +61,14 @@ fn on_off_freeriders_dilute_blame_relative_to_constant_freeriders() {
 
 #[test]
 fn blame_spammers_inflate_reputation_traffic_and_hurt_honest_scores() {
-    let build = |adversary: Option<ComponentSpec>| {
+    let build = |adversary: AdversaryFamily| {
         let mut config = ScenarioConfig::small_test(30, 9).with_planetlab_freeriders(0.2);
         config.duration = SimDuration::from_secs(10);
-        config.components.adversary = adversary;
+        config.adversary = adversary;
         config
     };
-    let baseline = run_scenario(build(None));
-    let spammed = run_scenario(build(Some(blame_spam(5, 5.0))));
+    let baseline = run_scenario(build(AdversaryFamily::default()));
+    let spammed = run_scenario(build(blame_spam(5, 5.0)));
     let blame_bytes = |o: &RunOutcome| {
         o.layer_traffic
             .iter()
@@ -93,7 +95,7 @@ fn blame_spam_can_never_score_or_expel_the_source() {
     // manager, so even an extreme spam volume cannot create a score record
     // for the source, let alone expel it.
     let mut config = ScenarioConfig::small_test(15, 13).with_planetlab_freeriders(0.2);
-    config.components.adversary = Some(blame_spam(50, 100.0));
+    config.adversary = blame_spam(50, 100.0);
     config.duration = SimDuration::from_secs(8);
     let mut engine = build_engine(config);
     engine.run_until(SimTime::from_secs(8));

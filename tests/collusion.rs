@@ -8,12 +8,11 @@ use lifting::sim::{ParamMap, SeedSplitter};
 fn colluding_scenario(seed: u64, audits: bool) -> ScenarioConfig {
     let mut config = ScenarioConfig::small_test(60, seed).with_planetlab_freeriders(0.2);
     config.duration = SimDuration::from_secs(20);
-    config.components.adversary = Some(
-        ComponentSpec::new("baseline")
-            .with("partner_bias", ParamValue::Float(0.7))
-            .with("cover_up", ParamValue::Bool(true))
-            .with("man_in_the_middle", ParamValue::Bool(true)),
-    );
+    config.adversary = AdversaryFamily::Baseline {
+        partner_bias: 0.7,
+        cover_up: true,
+        man_in_the_middle: true,
+    };
     config.audits_enabled = audits;
     config.audit_interval = SimDuration::from_secs(4);
     config
