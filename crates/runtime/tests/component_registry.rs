@@ -219,6 +219,32 @@ fn every_registered_workload_component_builds_with_default_params() {
     }
 }
 
+#[test]
+fn every_workload_default_validates_and_expands_deterministically() {
+    for workload in [
+        Workload::DiurnalCycle(DiurnalCycle::default()),
+        Workload::RegionalFailureWaves(RegionalFailureWaves::default()),
+        Workload::ZapSwitching(ZapSwitching::default()),
+        Workload::Churn(Churn::default()),
+        Workload::PartitionWaves(PartitionWaves::default()),
+    ] {
+        assert_eq!(workload.validate(), Ok(()), "{}", workload.name());
+        let expand = || workload.expand(20, 2, SimDuration::from_secs(30), 1);
+        assert_eq!(expand(), expand(), "{}", workload.name());
+    }
+    let mut config = quick_config(7);
+    config.workload = Some(Workload::DiurnalCycle(DiurnalCycle {
+        cycle: SimDuration::ZERO,
+        ..DiurnalCycle::default()
+    }));
+    let err = build_error(&config, "a zero diurnal cycle must not build");
+    assert!(
+        matches!(&err, ComponentError::InvalidParam { component, key, .. }
+            if component == "diurnal" && key == "cycle_secs"),
+        "{err:?}"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // 2. The adversary families make the adversaries.
 // ---------------------------------------------------------------------------
@@ -301,6 +327,28 @@ fn every_adversary_component_spawns_the_adversary_it_names() {
         assert_eq!(family.spawn(&config, 0, &coalition).name(), "honest");
         assert_eq!(family.spawn(&config, 6, &coalition).name(), "honest");
     }
+}
+
+#[test]
+fn every_adversary_family_is_named_and_validates() {
+    // Enough freeriders and streams for every family's cross-field rule.
+    let mut config = ScenarioConfig::small_test(10, 1).with_planetlab_freeriders(0.3);
+    config.streams.push(config.streams[0]);
+    for (family, _, _, _) in FAMILIES {
+        assert_eq!(family.validate(&config), Ok(()), "{family:?}");
+    }
+    assert_eq!(
+        FAMILIES.map(|(family, ..)| family.name()),
+        [
+            "baseline",
+            "on-off",
+            "blame-spam",
+            "selective-freerider",
+            "gradient-freerider",
+            "whitewasher",
+            "adaptive-colluders",
+        ]
+    );
 }
 
 /// Asserts that `config` fails to build with an `InvalidParam` of its
