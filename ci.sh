@@ -71,9 +71,10 @@ cargo test -q --workspace
 # The event queue's allocation and footprint contracts are about optimized
 # code (capacity growth, inlined pushes): pin them in release as well.
 cargo test -q --release -p lifting-sim --test zero_alloc --test queue_footprint
-# Likewise the chunk table against its naive reference model: the optimized
-# build is the one the digests and the benchmark run.
-cargo test -q --release -p lifting-gossip --test chunk_table_reference
+# Likewise the chunk table against its naive reference model (the optimized
+# build is the one the digests and the benchmark run), and the bound on the
+# capacity the chunk table and the offers retain.
+cargo test -q --release -p lifting-gossip --test chunk_table_reference --test buffer_footprint
 # And the verification history: against its naive model, and the bound on
 # the capacity its logs retain.
 cargo test -q --release -p lifting-core --test history_reference --test history_footprint

@@ -15,6 +15,7 @@
 //! the observation window reached it within `L` of their emission. Figure 1
 //! plots, for each lag, the fraction of nodes for which this holds.
 
+use lifting_sim::collections::BoundedGrowth;
 use lifting_sim::{SimDuration, SimTime, StreamId};
 use serde::{Serialize, Value};
 
@@ -85,6 +86,12 @@ impl PlayoutBuffer {
         self.slots.capacity() * std::mem::size_of::<Slot>()
     }
 
+    /// `(slots, capacity)` of the slot table: one slot per chunk index up to
+    /// the highest seen.
+    pub(crate) fn slot_occupancy(&self) -> (usize, usize) {
+        (self.slots.len(), self.slots.capacity())
+    }
+
     /// The stream this buffer plays out.
     pub fn stream(&self) -> StreamId {
         self.clock.stream
@@ -99,6 +106,7 @@ impl PlayoutBuffer {
     fn slot_mut(&mut self, id: ChunkId) -> &mut Slot {
         let idx = id.index() as usize;
         if idx >= self.slots.len() {
+            self.slots.reserve_bounded(idx + 1 - self.slots.len());
             self.slots.resize(idx + 1, Slot::default());
         }
         &mut self.slots[idx]

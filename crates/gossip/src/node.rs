@@ -9,9 +9,10 @@
 //! the wire; they never perform I/O themselves, which keeps the protocol
 //! unit-testable without a network.
 
+use std::mem::size_of;
 use std::sync::Arc;
 
-use lifting_sim::collections::DetHashMap;
+use lifting_sim::collections::{BoundedGrowth, DetHashMap};
 
 use lifting_sim::{NodeId, SimDuration, SimTime, StreamId};
 use rand::Rng;
@@ -175,25 +176,46 @@ impl GossipNode {
     }
 
     /// Heap bytes held by this plane's gossip state: the playout buffer's
-    /// chunk table, outstanding offers and the fresh lists. A deterministic
+    /// chunk table, [`offers_heap_bytes`](Self::offers_heap_bytes) and
+    /// [`fresh_heap_bytes`](Self::fresh_heap_bytes). A deterministic
     /// capacity walk (no allocator queries), so the number is identical
-    /// across worker counts and shard counts; each shared `Arc` chunk list is
-    /// split over its holders ([`shared_list_heap_bytes`]).
+    /// across worker counts and shard counts.
     pub fn estimated_heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let mut bytes = self.playout.estimated_heap_bytes()
-            + self.offers_out.capacity() * size_of::<(u32, Arc<[ChunkId]>)>();
-        bytes += self
-            .fresh_by_source
+        self.playout.estimated_heap_bytes() + self.offers_heap_bytes() + self.fresh_heap_bytes()
+    }
+
+    /// Heap bytes of the outstanding offers: the sorted pair vector and each
+    /// offered list's share ([`shared_list_heap_bytes`]).
+    pub fn offers_heap_bytes(&self) -> usize {
+        self.offers_out.capacity() * size_of::<(u32, Arc<[ChunkId]>)>()
+            + self
+                .offers_out
+                .iter()
+                .map(|(_, offered)| shared_list_heap_bytes(offered))
+                .sum::<usize>()
+    }
+
+    /// Heap bytes of the fresh lists: the per-source table and its lists.
+    pub fn fresh_heap_bytes(&self) -> usize {
+        self.fresh_by_source
             .capacity()
-            .saturating_mul(size_of::<(NodeId, Vec<ChunkId>)>());
-        for fresh in self.fresh_by_source.values() {
-            bytes += fresh.capacity() * size_of::<ChunkId>();
-        }
-        for (_, offered) in &self.offers_out {
-            bytes += shared_list_heap_bytes(offered);
-        }
-        bytes
+            .saturating_mul(size_of::<(NodeId, Vec<ChunkId>)>())
+            + self
+                .fresh_by_source
+                .values()
+                .map(|fresh| fresh.capacity() * size_of::<ChunkId>())
+                .sum::<usize>()
+    }
+
+    /// `(name, entries, capacity)` of the chunk table (one slot per chunk
+    /// index up to the highest seen) and of the offers (one per partner):
+    /// `tests/buffer_footprint.rs` bounds capacity by entries.
+    pub fn table_occupancy(&self) -> [(&'static str, usize, usize); 2] {
+        let (slots, capacity) = self.playout.slot_occupancy();
+        [
+            ("chunk table", slots, capacity),
+            ("offers", self.offers_out.len(), self.offers_out.capacity()),
+        ]
     }
 
     /// Number of partners this node will contact in its next propose phase
@@ -208,10 +230,14 @@ impl GossipNode {
         if !self.playout.record(&chunk, now) {
             return;
         }
-        self.fresh_by_source
-            .entry(self.id)
-            .or_default()
-            .push(chunk.id);
+        self.push_fresh(self.id, chunk.id);
+    }
+
+    /// Adds a newly held chunk to the fresh list of the node it came from.
+    fn push_fresh(&mut self, from: NodeId, id: ChunkId) {
+        let fresh = self.fresh_by_source.entry(from).or_default();
+        fresh.reserve_bounded(1);
+        fresh.push(id);
     }
 
     /// Runs one propose phase at `now` towards the given `partners` (already
@@ -285,7 +311,10 @@ impl GossipNode {
             // rare, so the sorted pair vector stays cheap to maintain.
             match self.offers_out.binary_search_by_key(&idx, |(i, _)| *i) {
                 Ok(pos) => self.offers_out[pos].1 = chunks.clone(),
-                Err(pos) => self.offers_out.insert(pos, (idx, chunks.clone())),
+                Err(pos) => {
+                    self.offers_out.reserve_bounded(1);
+                    self.offers_out.insert(pos, (idx, chunks.clone()));
+                }
             }
         }
 
@@ -355,7 +384,7 @@ impl GossipNode {
         if !self.playout.record(&chunk, now) {
             return false;
         }
-        self.fresh_by_source.entry(from).or_default().push(chunk.id);
+        self.push_fresh(from, chunk.id);
         true
     }
 
@@ -482,7 +511,6 @@ mod tests {
 
     #[test]
     fn a_thousand_chunks_cost_one_slot_each() {
-        use std::mem::size_of;
         let mut rng = derive_rng(9, 0);
         let mut b = honest(1);
         for i in 0..1000 {
@@ -496,14 +524,16 @@ mod tests {
             .unwrap();
         assert_eq!(round.chunks.len(), 1000);
         drop(round);
-        // One table per chunk index (grown by doubling to 1024 slots), and
-        // nothing else left but the two offers sharing the round's list,
-        // which is charged once between them.
+        // One table per chunk index (grown by an eighth at a time, so at
+        // most 1 125 slots), and nothing else left but the two offers sharing
+        // the round's list, which is charged once between them.
         let offers = b.offers_out.capacity() * size_of::<(u32, Arc<[ChunkId]>)>()
             + 16
             + 1000 * size_of::<ChunkId>();
+        assert_eq!(b.offers_heap_bytes(), offers);
+        assert_eq!(b.fresh_heap_bytes(), 0);
         assert!(
-            b.estimated_heap_bytes() <= 8 * 1024 + offers,
+            b.estimated_heap_bytes() <= 8 * 1_125 + offers,
             "{} B",
             b.estimated_heap_bytes()
         );

@@ -1,0 +1,81 @@
+//! The heap a node's chunk table and offers retain must follow what they
+//! hold. One honest node receives a 600-chunk stream 8 to 12 chunks per
+//! period, one in twenty a period late, and proposes what it received to 7
+//! partners drawn from 300 every period.
+//!
+//! Both tables never shrink and, when full, grow by an eighth of their
+//! length, at least four entries: capacity is at most the most entries held
+//! plus that step. The bound below is that growth rule, not a tuned figure.
+
+use lifting_gossip::{Behavior, GossipConfig, GossipNode, StreamClock};
+use lifting_sim::{derive_rng, NodeId, SimDuration, SimTime};
+use rand::rngs::SmallRng;
+use rand::Rng;
+
+const CHUNKS: u64 = 600;
+const PARTNERS: u32 = 300;
+const FANOUT: usize = 7;
+
+/// The most slots the growth rule lets a table retain after holding at most
+/// `peak` entries.
+fn grown_from(peak: usize) -> usize {
+    peak + (peak / 8).max(4)
+}
+
+#[test]
+fn chunk_table_and_offers_follow_what_they_hold() {
+    let mut rng: SmallRng = derive_rng(44, 0);
+    let clock = StreamClock::paper();
+    let config = GossipConfig::planetlab();
+    let me = NodeId::new(0);
+    let mut node = GossipNode::for_stream(me, clock, config, Behavior::Honest);
+    let mut peaks = [0; 2];
+    let (mut next, mut period) = (0u64, 0u64);
+    let mut withheld: Vec<u64> = Vec::new();
+    while next < CHUNKS || !withheld.is_empty() {
+        let now = SimTime::ZERO + config.gossip_period.saturating_mul(period);
+        let proposer = NodeId::new(rng.gen_range(1..=PARTNERS));
+        // The next 8 to 12 chunks, a few held back to the next period.
+        let mut offered = std::mem::take(&mut withheld);
+        let count = rng.gen_range(8..=12u64).min(CHUNKS - next);
+        for index in next..next + count {
+            if rng.gen_bool(0.05) {
+                withheld.push(index);
+            } else {
+                offered.push(index);
+            }
+        }
+        next += count;
+        let ids: Vec<_> = offered.iter().map(|i| clock.chunk(*i).id).collect();
+        for id in node.on_propose(proposer, &ids, now) {
+            let chunk = clock.chunk(id.index());
+            assert!(node.on_serve(proposer, chunk, now + SimDuration::from_millis(50)));
+        }
+        let partners = (0..FANOUT)
+            .map(|_| NodeId::new(rng.gen_range(1..=PARTNERS)))
+            .collect();
+        let tick = now + SimDuration::from_millis(400);
+        node.begin_propose_round(tick, partners, &mut rng);
+        for ((table, held, capacity), peak) in node.table_occupancy().into_iter().zip(&mut peaks) {
+            *peak = held.max(*peak);
+            assert!(
+                capacity <= grown_from(*peak),
+                "period {period}: the {table} retains {capacity} slots after holding at most \
+                 {peak} (bound {})",
+                grown_from(*peak)
+            );
+        }
+        period += 1;
+    }
+    let [(_, slots, _), (_, offers, _)] = node.table_occupancy();
+    assert_eq!(slots, CHUNKS as usize, "one slot per chunk index");
+    assert!(
+        offers > 200,
+        "{offers} distinct partners: the offers were exercised"
+    );
+    assert_eq!(
+        node.playout().estimated_heap_bytes(),
+        8 * node.table_occupancy()[0].2,
+        "one 8-byte word per slot"
+    );
+}

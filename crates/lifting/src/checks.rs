@@ -25,6 +25,7 @@ use std::sync::Arc;
 
 use lifting_gossip::chunk::shared_list_heap_bytes;
 use lifting_gossip::ChunkId;
+use lifting_sim::collections::{grown_capacity, BoundedGrowth};
 use lifting_sim::{NodeId, SimTime};
 
 /// A `(time, seq)` event key: the order the engine pops events in.
@@ -109,8 +110,9 @@ impl<C> CheckRing<C> {
     /// Arms `check` and returns its token.
     pub(crate) fn push(&mut self, check: C) -> u64 {
         if self.len as usize == self.slots.len() {
-            // Full: double the buffer, unrolling the ring to its start.
-            let grown = (2 * self.slots.len()).max(4);
+            // Full: grow by the per-node rule, unrolling the ring to its
+            // start.
+            let grown = grown_capacity(self.slots.len());
             let mut slots: Vec<Option<C>> = Vec::with_capacity(grown);
             for i in 0..self.len {
                 let at = self.slot(i);
@@ -376,6 +378,7 @@ impl ConfirmChecks {
             check.record(from, confirmed);
         } else {
             let late = self.late.get_or_insert_with(Box::default);
+            late.0.reserve_bounded(1);
             late.0.push(LateAnswer {
                 key,
                 token,

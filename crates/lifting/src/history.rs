@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use lifting_gossip::chunk::shared_list_heap_bytes;
 use lifting_gossip::ChunkId;
-use lifting_sim::collections::FastHashMap;
+use lifting_sim::collections::{BoundedGrowth, FastHashMap};
 use lifting_sim::NodeId;
 use serde::{Serialize, Value};
 
@@ -300,14 +300,15 @@ impl NodeHistory {
     /// history is full).
     fn current_mut(&mut self, period: u64) -> &mut PeriodRecord {
         if self.periods.back().map(|last| last.period) != Some(period) {
+            if self.periods.len() == self.capacity_periods {
+                self.evict_oldest();
+            }
+            self.periods.reserve_bounded(1);
             self.periods.push_back(PeriodRecord {
                 period,
                 ..PeriodRecord::default()
             });
             self.wire_bytes += WIRE_PERIOD_BYTES;
-            if self.periods.len() > self.capacity_periods {
-                self.evict_oldest();
-            }
         }
         self.periods.back_mut().expect("just pushed")
     }
@@ -356,7 +357,9 @@ impl NodeHistory {
             partners: partners.len() as u32,
         };
         self.wire_bytes += record.wire_bytes();
+        self.proposals_sent.reserve_bounded(1);
         self.proposals_sent.push_back(record);
+        self.partners_sent.reserve_bounded(partners.len());
         self.partners_sent.extend(partners);
     }
 
@@ -395,6 +398,7 @@ impl NodeHistory {
         chain.newest_seq = seq;
         chain.live += 1;
         self.wire_bytes += record.wire_bytes();
+        self.proposals_received.reserve_bounded(1);
         self.proposals_received.push_back(record);
     }
 
@@ -403,6 +407,7 @@ impl NodeHistory {
     pub fn record_confirm_received(&mut self, period: u64, asker: NodeId, subject: NodeId) {
         self.current_mut(period).confirms_received += 1;
         self.wire_bytes += WIRE_CONFIRM_BYTES;
+        self.confirms_received.reserve_bounded(1);
         self.confirms_received.push_back((asker, subject));
     }
 

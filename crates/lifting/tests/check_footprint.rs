@@ -3,10 +3,11 @@
 //! — per 500 ms period about two requests and two serves of 1 to 12 chunks,
 //! and two cross-checks over 7 witnesses — and every timer fires at its
 //! deadline. A kind's checks expire in the order they were armed, so its
-//! ring spans at most the checks armed within one timeout and, grown by
-//! doubling, retains at most two slots per such check; each check adds its
-//! lists. The bound below is that rule with the slot sizes the design
-//! promises (serve 40 B, ack 24 B, confirm 80 B), not a tuned figure.
+//! ring spans at most the checks armed within one timeout and, grown by an
+//! eighth of its length (at least four slots) when full, retains at most
+//! that many checks plus one step; each check adds its lists. The bound
+//! below is that rule with the slot sizes the design promises (serve 40 B,
+//! ack 24 B, confirm 80 B), not a tuned figure.
 //!
 //! A check over at most 64 entries keeps its evidence in one inline word:
 //! arming it, feeding it and expiring it allocates nothing (a cross-check
@@ -239,22 +240,46 @@ fn retained_heap_follows_the_checks_armed_within_one_timeout() {
                 }
             }
         }
-        let bytes = node.verifier.check_heap_bytes();
-        for kind in 0..3 {
-            let armed = windows[kind].peak;
-            let bound = (2 * armed).max(4) * SLOTS[kind] + armed * lists[kind];
-            assert!(
-                bytes[kind] <= bound,
-                "period {period}: check kind {kind} retains {} B for at most {armed} checks \
-                 armed per timeout (bound {bound} B)",
-                bytes[kind]
-            );
-        }
+        assert_within_rule(&node, &windows, &lists, &format!("period {period}"));
     }
     assert!(
         windows.iter().all(|w| w.peak >= 2),
         "every kind was exercised"
     );
+
+    // A burst: 40 requests of 12 chunks at one instant, from a node that
+    // hears from many proposers at once. The serve ring spans them all;
+    // doubling would retain 64 slots for them.
+    let now = SimTime::ZERO + PERIOD.saturating_mul(251);
+    node.expire_until(now);
+    for _ in 0..40 {
+        let proposer = NodeId::new(rng.gen_range(1..300));
+        let requested = chunks(&mut next_chunk, 12);
+        node.verifier
+            .on_request_sent_into(proposer, requested.into(), now, &mut node.out);
+        node.settle();
+        windows[0].arm(now, timeouts[0]);
+    }
+    assert_eq!(windows[0].peak, 40);
+    assert_within_rule(&node, &windows, &lists, "the burst");
+}
+
+/// Fails unless each kind's checks retain at most the growth rule's slots
+/// for the most checks armed within one timeout, plus the largest lists
+/// each such check holds (`lists`).
+fn assert_within_rule(node: &Node, windows: &[Window; 3], lists: &[usize; 3], when: &str) {
+    let bytes = node.verifier.check_heap_bytes();
+    for kind in 0..3 {
+        let armed = windows[kind].peak;
+        let slots = armed + (armed / 8).max(4);
+        let bound = slots * SLOTS[kind] + armed * lists[kind];
+        assert!(
+            bytes[kind] <= bound,
+            "{when}: check kind {kind} retains {} B for at most {armed} checks armed per \
+             timeout (bound {bound} B)",
+            bytes[kind]
+        );
+    }
 }
 
 #[test]

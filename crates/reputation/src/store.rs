@@ -1,5 +1,6 @@
 //! The per-manager score book.
 
+use lifting_sim::collections::BoundedGrowth;
 use lifting_sim::NodeId;
 
 /// Score record a manager keeps for one managed node.
@@ -61,6 +62,8 @@ impl ManagerState {
         // sorted on insert so every hot walk stays a plain ascending scan.
         let pos = self.ids.partition_point(|&i| i < idx);
         if self.ids.get(pos) != Some(&idx) {
+            self.ids.reserve_bounded(1);
+            self.records.reserve_bounded(1);
             self.ids.insert(pos, idx);
             self.records.insert(pos, ScoreRecord::default());
         }
@@ -73,6 +76,13 @@ impl ManagerState {
             .binary_search(&idx)
             .ok()
             .map(|pos| &self.records[pos])
+    }
+
+    /// Makes room for exactly `additional` more managed nodes: a book whose
+    /// charges are known up front is sized to them, with no slack.
+    pub fn reserve_exact(&mut self, additional: usize) {
+        self.ids.reserve_exact(additional);
+        self.records.reserve_exact(additional);
     }
 
     /// Registers a node under this manager (idempotent).

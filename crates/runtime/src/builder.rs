@@ -117,7 +117,17 @@ pub fn build_world(config: ScenarioConfig) -> Result<SystemWorld, ComponentError
 
     let assignment = ManagerAssignment::new(n, config.lifting.managers, seed);
     let mut stacks = stacks;
-    // Register every scored node (the source is never scored or expelled).
+    // Register every scored node (the source is never scored or expelled),
+    // each book sized to its manager's charges first.
+    let mut charges = vec![0; n];
+    for i in 1..n {
+        for m in assignment.managers_of(NodeId::new(i as u32)) {
+            charges[m.index()] += 1;
+        }
+    }
+    for (stack, &count) in stacks.iter_mut().zip(&charges) {
+        stack.reputation.reserve_exact(count);
+    }
     for i in 1..n {
         let id = NodeId::new(i as u32);
         for m in assignment.managers_of(id) {

@@ -13,6 +13,7 @@
 
 use lifting_membership::Directory;
 use lifting_reputation::ManagerState;
+use lifting_sim::collections::BoundedGrowth;
 use lifting_sim::{NodeId, SimDuration, SimTime};
 
 /// One delivered blame copy on its way to a manager.
@@ -51,16 +52,6 @@ pub(crate) fn land(directory: &Directory, book: &mut ManagerState, blame: &InFli
 /// flight, so a fresh copy almost never lands inside the sorted tier and the
 /// tier stays a few hundred cache-resident entries.
 const WINDOW: SimDuration = SimDuration::from_micros(1 << 14);
-
-/// Appends `blame`, growing a full list by half rather than doubling it:
-/// the tiers hold every copy in flight, and doubling would retain up to
-/// twice their peak.
-fn push_growing_by_half(list: &mut Vec<InFlightBlame>, blame: InFlightBlame) {
-    if list.len() == list.capacity() {
-        list.reserve_exact(list.len() / 2 + 16);
-    }
-    list.push(blame);
-}
 
 /// Sorts `copies`, given in stamp order, descending by `(arrival, stamp)`: a
 /// stable radix sort on arrival, a byte per pass over the span the arrivals
@@ -104,7 +95,8 @@ fn sort_descending(copies: &mut Vec<InFlightBlame>, scratch: &mut Vec<InFlightBl
 /// the copies arriving before it sorted descending by `(arrival, stamp)`,
 /// so the next to land is the last, and the rest in push order, read once
 /// per refill. Stamps are engine seqs, so keys are unique and the landing
-/// order is total.
+/// order is total. The tiers hold every copy in flight, so they grow by the
+/// bounded rule ([`BoundedGrowth`]), not by doubling.
 #[derive(Debug, Default)]
 pub struct BlamesInFlight {
     near: Vec<InFlightBlame>,
@@ -119,9 +111,11 @@ impl BlamesInFlight {
     pub(crate) fn push(&mut self, blame: InFlightBlame) {
         if blame.arrival < self.horizon {
             let at = self.near.partition_point(|b| b.key() > blame.key());
+            self.near.reserve_bounded(1);
             self.near.insert(at, blame);
         } else {
-            push_growing_by_half(&mut self.far, blame);
+            self.far.reserve_bounded(1);
+            self.far.push(blame);
         }
         self.peak = self.peak.max(self.len());
     }
@@ -149,7 +143,8 @@ impl BlamesInFlight {
         self.far.retain(|b| {
             let due = b.arrival < horizon;
             if due {
-                push_growing_by_half(near, *b);
+                near.reserve_bounded(1);
+                near.push(*b);
             }
             !due
         });

@@ -123,14 +123,14 @@ impl SystemWorld {
     pub fn memory_breakdown(&self) -> Vec<(&'static str, u64)> {
         use crate::layers::StreamPlane;
         use std::mem::size_of;
-        let (mut chunks, mut offers, mut history, mut books) = (0, 0, 0, 0);
+        let (mut chunks, mut offers, mut fresh, mut history, mut books) = (0, 0, 0, 0, 0);
         let mut checks = [0; 3];
         let mut inline = self.stacks.capacity() * size_of::<NodeStack>();
         for stack in &self.stacks {
             for plane in &stack.planes {
-                let table = plane.gossip.playout().estimated_heap_bytes();
-                chunks += table;
-                offers += plane.gossip.estimated_heap_bytes() - table;
+                chunks += plane.gossip.playout().estimated_heap_bytes();
+                offers += plane.gossip.offers_heap_bytes();
+                fresh += plane.gossip.fresh_heap_bytes();
                 history += plane.verifier.history().estimated_heap_bytes();
                 for (sum, bytes) in checks.iter_mut().zip(plane.verifier.check_heap_bytes()) {
                     *sum += bytes;
@@ -147,7 +147,8 @@ impl SystemWorld {
             + self.partition_holds.capacity();
         [
             ("chunk tables", chunks),
-            ("offers and fresh lists", offers),
+            ("offers", offers),
+            ("fresh lists", fresh),
             ("serve checks", checks[0]),
             ("ack checks", checks[1]),
             ("confirm checks", checks[2]),

@@ -381,12 +381,14 @@ impl SystemWorld {
         );
         // A crash loses the manager book; re-register this manager's charges
         // (their records restart — the other replicas of the min-vote still
-        // hold the accumulated scores).
-        for j in 1..self.config.nodes {
-            let id = NodeId::new(j as u32);
-            if self.assignment.managers_of(id).contains(&node) {
-                stack.reputation.register(id);
-            }
+        // hold the accumulated scores), the book sized to them.
+        let charges: Vec<NodeId> = (1..self.config.nodes)
+            .map(|j| NodeId::new(j as u32))
+            .filter(|id| self.assignment.managers_of(*id).contains(&node))
+            .collect();
+        stack.reputation.reserve_exact(charges.len());
+        for id in charges {
+            stack.reputation.register(id);
         }
         self.stacks[i] = stack;
     }

@@ -28,7 +28,10 @@ fn collusion_as_baseline_params_reproduces_the_pinned_run() {
         .build("digest", &ParamMap::new(), &mut SeedSplitter::new(0))
         .unwrap()
         .export("collusion", -9.75, &outcome);
-    assert_eq!(digest, "collusion: 0x3bb152cadc1ad897 mem=18188.6");
+    assert_eq!(
+        digest,
+        "collusion: 0x3bb152cadc1ad897 mem=15269.133333333333"
+    );
 }
 
 #[test]
