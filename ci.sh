@@ -88,6 +88,9 @@ cargo test -q --release -p lifting-runtime --test blame_delivery --test blame_fo
 # benchmark runs, and the memory bounds with the paper-scale scale/1k smoke,
 # which a debug build skips.
 cargo test -q --release -p lifting-bench --test scenario_digests
+# The pinned digest of the one run whose freeriders collude with all three
+# flags set, on the same build.
+cargo test -q --release --test collusion
 cargo test -q --release -p lifting-runtime --test footprint_bounds
 
 echo "==> examples smoke (quick scale)"

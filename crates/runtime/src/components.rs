@@ -1,273 +1,24 @@
-//! The adversary axis of a scenario and the outcome exporters, plus the
-//! composition summary `run_scenario --list` prints.
+//! The outcome exporters, and the composition summary `run_scenario --list`
+//! prints.
 //!
 //! A scenario's capability classes ([`lifting_net::Capability`]), workload
 //! ([`lifting_membership::Workload`]) and adversary family
-//! ([`AdversaryFamily`]) are typed values of its [`ScenarioConfig`], checked
-//! by their `validate` methods from [`ScenarioConfig::validate`]. Adding an
-//! adversary family is one variant of [`AdversaryFamily`] and one arm of
-//! each of its `match`es — parameters, range checks, cross-field rule and
-//! the constructor of the [`Adversary`] itself — and nothing else in the
-//! crate names the family: the paper's collusion included, which is
-//! parameters of `Baseline`.
+//! ([`AdversaryFamily`], declared with the adversary it makes in
+//! [`crate::layers::adversary`]) are typed values of its [`ScenarioConfig`],
+//! checked by their `validate` methods from [`ScenarioConfig::validate`];
+//! the summary prints each with every parameter.
 //!
 //! Only the exporter is chosen by a name from outside the program
 //! (`run_scenario --exporter NAME`), so it alone is a registry
 //! ([`exporter_components`]).
 
-use std::sync::Arc;
-
 use lifting_membership::Workload;
 use lifting_net::{Capability, LossModel};
-use lifting_sim::{Component, ComponentError, ComponentRegistry, NodeId, SimDuration};
+use lifting_sim::{Component, ComponentRegistry, SimDuration};
 
-use crate::layers::{
-    AdaptiveColluder, Adversary, BlameSpammer, Colluder, Freerider, GradientFreerider, Honest,
-    OnOffFreerider, SelectiveFreerider, Whitewasher,
-};
+pub use crate::layers::AdversaryFamily;
 use crate::metrics::RunOutcome;
 use crate::scenario::ScenarioConfig;
-
-// ---------------------------------------------------------------------------
-// Adversary families.
-// ---------------------------------------------------------------------------
-
-/// The family the freerider population plays: it makes the population's
-/// [`Adversary`] instances at world construction and again whenever a rejoin
-/// rebuilds a stack. The source and the honest nodes play [`Honest`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AdversaryFamily {
-    /// The paper's adversary: freeriders, independent unless told to collude
-    /// (Section 5.2, Figure 8).
-    Baseline {
-        /// Probability of picking a partner inside the coalition.
-        partner_bias: f64,
-        /// Colluders cover each other up during confirmations.
-        cover_up: bool,
-        /// Colluders mount the man-in-the-middle attack of Figure 8b.
-        man_in_the_middle: bool,
-    },
-    /// Freeride for `on_periods` gossip periods, then behave for
-    /// `off_periods`.
-    OnOff {
-        /// Periods spent freeriding (≥ 1).
-        on_periods: u64,
-        /// Periods spent honest (≥ 1).
-        off_periods: u64,
-    },
-    /// Flood the reputation plane with fabricated blames.
-    BlameSpam {
-        /// Fabricated blames per gossip tick (≥ 1).
-        blames_per_period: u32,
-        /// Value of each fabricated blame (≥ 0).
-        blame_value: f64,
-    },
-    /// Honest on some channels, silent on others.
-    SelectiveFreerider {
-        /// Bit `s` silences stream `s` (non-zero, within the streams run).
-        silent_mask: u64,
-    },
-    /// Throttle the shirking to ride `margin` above the static η.
-    GradientFreerider {
-        /// Score margin kept above η (≥ 0).
-        margin: f64,
-        /// Adjustment step of the freeriding degree, in `(0, 1]`.
-        step: f64,
-    },
-    /// Depart once blame drags the score `margin` below its peak, rejoin
-    /// after `offline`.
-    Whitewasher {
-        /// Score drop that triggers a departure (≥ 0).
-        margin: f64,
-        /// Offline spell before rejoining (positive).
-        offline: SimDuration,
-    },
-    /// Colluders re-aiming their bias away from recently audited
-    /// accomplices.
-    AdaptiveColluders {
-        /// Probability of picking a partner inside the coalition.
-        partner_bias: f64,
-        /// Periods an audited accomplice stays avoided (≥ 1).
-        cooldown_periods: u64,
-    },
-}
-
-impl Default for AdversaryFamily {
-    /// Independent freeriders, the paper's adversary.
-    fn default() -> Self {
-        AdversaryFamily::Baseline {
-            partner_bias: 0.0,
-            cover_up: false,
-            man_in_the_middle: false,
-        }
-    }
-}
-
-impl AdversaryFamily {
-    /// The family's name, as errors and listings print it.
-    pub fn name(&self) -> &'static str {
-        match self {
-            AdversaryFamily::Baseline { .. } => "baseline",
-            AdversaryFamily::OnOff { .. } => "on-off",
-            AdversaryFamily::BlameSpam { .. } => "blame-spam",
-            AdversaryFamily::SelectiveFreerider { .. } => "selective-freerider",
-            AdversaryFamily::GradientFreerider { .. } => "gradient-freerider",
-            AdversaryFamily::Whitewasher { .. } => "whitewasher",
-            AdversaryFamily::AdaptiveColluders { .. } => "adaptive-colluders",
-        }
-    }
-
-    /// True if the family reacts to runtime feedback (scores, audit
-    /// observations) — i.e. the runtime must run the closed-loop upcalls.
-    pub fn closed_loop(&self) -> bool {
-        matches!(
-            self,
-            AdversaryFamily::GradientFreerider { .. }
-                | AdversaryFamily::Whitewasher { .. }
-                | AdversaryFamily::AdaptiveColluders { .. }
-        )
-    }
-
-    /// Checks every parameter's range, then the family's cross-field rules
-    /// against the scenario it is declared in: a family that replaces the
-    /// freeriders' behaviour needs a population to replace (a coalition
-    /// needs two), and a selective mask must name streams the scenario runs.
-    pub fn validate(&self, config: &ScenarioConfig) -> Result<(), ComponentError> {
-        let name = self.name();
-        let fraction = |key, x| ComponentError::require_fraction(name, key, x);
-        let count = |key, x| ComponentError::require_at_least_one(name, key, x);
-        let non_negative = |key, x| ComponentError::require_non_negative(name, key, x);
-        let min_freeriders = match *self {
-            AdversaryFamily::Baseline { partner_bias, .. } => {
-                fraction("partner_bias", partner_bias)?;
-                0
-            }
-            AdversaryFamily::OnOff {
-                on_periods,
-                off_periods,
-            } => {
-                count("on_periods", on_periods)?;
-                count("off_periods", off_periods)?;
-                1
-            }
-            AdversaryFamily::BlameSpam {
-                blames_per_period,
-                blame_value,
-            } => {
-                count("blames_per_period", blames_per_period.into())?;
-                non_negative("blame_value", blame_value)?;
-                1
-            }
-            AdversaryFamily::SelectiveFreerider { silent_mask } => {
-                let reason = format!("{silent_mask} silences no stream");
-                ComponentError::require(silent_mask != 0, name, "silent_mask", reason)?;
-                1
-            }
-            AdversaryFamily::GradientFreerider { margin, step } => {
-                non_negative("margin", margin)?;
-                let reason = format!("{step} is not in (0, 1]");
-                ComponentError::require(step > 0.0 && step <= 1.0, name, "step", reason)?;
-                1
-            }
-            AdversaryFamily::Whitewasher { margin, offline } => {
-                non_negative("margin", margin)?;
-                ComponentError::require_positive_secs(name, "offline_secs", offline)?;
-                1
-            }
-            AdversaryFamily::AdaptiveColluders {
-                partner_bias,
-                cooldown_periods,
-            } => {
-                fraction("partner_bias", partner_bias)?;
-                count("cooldown_periods", cooldown_periods)?;
-                2
-            }
-        };
-        let freeriders = config.freerider_count();
-        ComponentError::require(
-            freeriders >= min_freeriders,
-            name,
-            "freeriders",
-            format!(
-                "{freeriders} freeriders configured, the family needs at least {min_freeriders}"
-            ),
-        )?;
-        if let AdversaryFamily::SelectiveFreerider { silent_mask: mask } = *self {
-            let streams = config.stream_count();
-            let reason = "needs at least two streams to select between";
-            ComponentError::require(streams > 1, name, "silent_mask", reason)?;
-            // With 64 streams every bit names one (and `>> 64` overflows).
-            ComponentError::require(
-                streams >= 64 || mask >> streams == 0,
-                name,
-                "silent_mask",
-                format!("{mask:#b} names streams beyond the {streams} the scenario runs"),
-            )?;
-        }
-        Ok(())
-    }
-
-    /// The adversary node `index` plays: node 0 (the source) and the honest
-    /// population play [`Honest`], the freerider suffix plays the family.
-    pub fn spawn(
-        &self,
-        config: &ScenarioConfig,
-        index: usize,
-        coalition: &Arc<Vec<NodeId>>,
-    ) -> Box<dyn Adversary> {
-        let degree = match config.freeriders {
-            Some(population) if config.is_freerider(index) => population.degree,
-            _ => return Box::new(Honest),
-        };
-        match *self {
-            AdversaryFamily::Baseline {
-                partner_bias,
-                cover_up,
-                man_in_the_middle,
-            } if partner_bias > 0.0 || cover_up || man_in_the_middle => Box::new(Colluder {
-                degree,
-                coalition: coalition.clone(),
-                partner_bias,
-                cover_up,
-                man_in_the_middle,
-            }),
-            AdversaryFamily::Baseline { .. } => Box::new(Freerider { degree }),
-            AdversaryFamily::OnOff {
-                on_periods,
-                off_periods,
-            } => Box::new(OnOffFreerider {
-                degree,
-                on_periods,
-                off_periods,
-            }),
-            AdversaryFamily::BlameSpam {
-                blames_per_period,
-                blame_value,
-            } => Box::new(BlameSpammer {
-                blames_per_period,
-                blame_value,
-            }),
-            AdversaryFamily::SelectiveFreerider { silent_mask } => {
-                Box::new(SelectiveFreerider { silent_mask })
-            }
-            AdversaryFamily::GradientFreerider { margin, step } => {
-                Box::new(GradientFreerider::new(degree, margin, step))
-            }
-            AdversaryFamily::Whitewasher { margin, offline } => {
-                Box::new(Whitewasher::new(degree, margin, offline))
-            }
-            AdversaryFamily::AdaptiveColluders {
-                partner_bias,
-                cooldown_periods,
-            } => Box::new(AdaptiveColluder::new(
-                degree,
-                coalition.clone(),
-                partner_bias,
-                cooldown_periods,
-            )),
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Outcome exporters.
@@ -498,6 +249,7 @@ pub fn component_summary(config: &ScenarioConfig) -> Vec<(&'static str, String)>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lifting_sim::ComponentError;
 
     #[test]
     fn bad_adversary_params_are_structured_errors() {

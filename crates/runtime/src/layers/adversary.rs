@@ -1,21 +1,22 @@
-//! Pluggable adversaries.
+//! Adversaries: how a node deviates from the protocol (Section 4 of the
+//! paper lists the deviations of each phase).
 //!
-//! Section 4 of the paper enumerates the ways a node can deviate in each
-//! phase; the monolithic runtime used to hard-wire those deviations at
-//! construction time (`if is_freerider` branches picking a `Behavior`, a
-//! `PartnerSelector` and a `CollusionConfig`). The [`Adversary`] trait makes
-//! misbehaviour a first-class, composable plug-in instead: an adversary
-//! *configures* each plane of the stack when the node is built, and may keep
-//! *reshaping* them as the run progresses (time-varying attacks) or inject
-//! traffic of its own (fabricated blames).
+//! An [`AdversaryFamily`] declares one attack with its parameters; a
+//! scenario's freerider population plays it, every other node is honest.
+//! [`Adversary`] is what one node runs: its family (none when honest), the
+//! population's degree, the coalition and the state an attack changes during
+//! a run. The stack's hooks read it to configure each plane when the node is
+//! built, to reshape the planes as the run goes, and to inject traffic.
 
 use std::sync::Arc;
 
 use lifting_core::{Blame, BlameReason, CollusionConfig};
 use lifting_gossip::{Behavior, FreeriderConfig, GossipNode};
 use lifting_membership::{Directory, PartnerSelector, SelectionPolicy};
-use lifting_sim::{NodeId, SimDuration, StreamId};
+use lifting_sim::{ComponentError, NodeId, SimDuration, StreamId};
 use rand::rngs::SmallRng;
+
+use crate::scenario::ScenarioConfig;
 
 /// What a closed-loop adversary decides to do with its per-period score
 /// feedback (see [`Adversary::on_score_feedback`]).
@@ -32,566 +33,559 @@ pub enum FeedbackAction {
     },
 }
 
+/// The attack a scenario's freerider population plays, with its parameters.
+/// Every variant but the baseline replaces the freeriders' behaviour; all of
+/// them freeride with the population's degree `Δ = (δ1, δ2, δ3)` except the
+/// blame spammer and the selective freerider, which bring their own.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum AdversaryFamily {
+    /// The paper's adversary: freeriders deviating at the dissemination plane
+    /// only (Section 4.1), independent unless told to collude. Colluders
+    /// additionally subvert partner selection and the verification procedures
+    /// together with their accomplices (Sections 4.1(iii) and 5.2, Figure 8).
+    Baseline {
+        /// Probability of picking a partner inside the coalition (`pm`); 0
+        /// keeps the selection uniform.
+        partner_bias: f64,
+        /// Colluders vouch for each other during confirmations and never
+        /// blame each other.
+        cover_up: bool,
+        /// Colluders mount the man-in-the-middle attack of Figure 8b.
+        man_in_the_middle: bool,
+    },
+    /// A time-varying attack: freeride for `on_periods` gossip periods, then
+    /// behave for `off_periods`, and so on. Dodging detection this way
+    /// exploits the score's `1/r` normalization (Equation 6): blame collected
+    /// while "on" is diluted by the honest windows.
+    OnOff {
+        /// Periods spent freeriding (≥ 1).
+        on_periods: u64,
+        /// Periods spent honest (≥ 1).
+        off_periods: u64,
+    },
+    /// An attack on the reputation plane: participate honestly in the
+    /// dissemination but flood the managers with fabricated blames against
+    /// random peers, trying to drive honest nodes below the expulsion
+    /// threshold and erode trust in the scores. The per-period compensation
+    /// `b̃` (Equation 5) is LiFTinG's only systemic defence, which is exactly
+    /// what this attack stresses.
+    BlameSpam {
+        /// Fabricated blames per gossip tick (≥ 1).
+        blames_per_period: u32,
+        /// Value of each fabricated blame (≥ 0).
+        blame_value: f64,
+    },
+    /// The multi-channel attack: honest on some channels, fully silent
+    /// (proposes to nobody, serves nothing) on the channels named in the
+    /// mask. With per-channel reputation the node would keep its good
+    /// standing — and its stream — on the honest channels; because the
+    /// managers aggregate blames *across* channels into one score per node,
+    /// the silence on one channel gets it expelled from all of them.
+    SelectiveFreerider {
+        /// Bit `s` silences stream `s` (non-zero, within the streams run).
+        silent_mask: u64,
+    },
+    /// The closed-loop version of the independent freerider: each period it
+    /// reads its own aggregated manager score and throttles its freeriding
+    /// *intensity* so the score rides just above the public threshold `η`.
+    /// When the score dips below `η + margin` it backs off by `step`; while
+    /// comfortably above, it creeps back up by `step / 2` (back off fast, get
+    /// greedy slowly). Against a static `η` this extracts near-maximal gain
+    /// while staying undetected; the online-recalibration defence moves the
+    /// effective threshold into the band the adversary is hiding in.
+    GradientFreerider {
+        /// Score margin kept above η (≥ 0).
+        margin: f64,
+        /// Adjustment step of the freeriding intensity, in `(0, 1]`.
+        step: f64,
+    },
+    /// The churn-exploiting closed-loop attack: freeride greedily and watch
+    /// the own score trajectory; once blame has dragged the score `margin`
+    /// below the best value seen (a drawdown measurable locally, with no
+    /// knowledge of the managers' threshold) *leave* and rejoin after
+    /// `offline`, betting that the rejoin launders the bad reputation. The
+    /// defence is the frozen-score carryover: departed nodes' manager books
+    /// are frozen (not deleted) and expulsion votes persist, so the
+    /// identity's history survives the wash cycle.
+    Whitewasher {
+        /// Score drop that triggers a departure (≥ 0).
+        margin: f64,
+        /// Offline spell before rejoining (positive, at most the scenario's
+        /// duration).
+        offline: SimDuration,
+    },
+    /// Coalition members that watch which accomplices get audited and re-aim
+    /// their cover traffic away from them for `cooldown_periods`: biased
+    /// partner selection towards a peer whose history is about to be
+    /// entropy-checked is exactly what the `γ` test catches, so the coalition
+    /// rotates its bias towards unscrutinized members instead. Pure reshaping
+    /// of the membership plane; consumes no RNG.
+    AdaptiveColluders {
+        /// Probability of picking a partner inside the coalition.
+        partner_bias: f64,
+        /// Periods an audited accomplice stays avoided (≥ 1).
+        cooldown_periods: u64,
+    },
+}
+
+impl Default for AdversaryFamily {
+    /// Independent freeriders, the paper's adversary.
+    fn default() -> Self {
+        AdversaryFamily::Baseline {
+            partner_bias: 0.0,
+            cover_up: false,
+            man_in_the_middle: false,
+        }
+    }
+}
+
+impl AdversaryFamily {
+    /// The family's name, as errors and listings print it.
+    pub fn name(&self) -> &'static str {
+        match self {
+            AdversaryFamily::Baseline { .. } => "baseline",
+            AdversaryFamily::OnOff { .. } => "on-off",
+            AdversaryFamily::BlameSpam { .. } => "blame-spam",
+            AdversaryFamily::SelectiveFreerider { .. } => "selective-freerider",
+            AdversaryFamily::GradientFreerider { .. } => "gradient-freerider",
+            AdversaryFamily::Whitewasher { .. } => "whitewasher",
+            AdversaryFamily::AdaptiveColluders { .. } => "adaptive-colluders",
+        }
+    }
+
+    /// True if the family reacts to runtime feedback (scores, audit
+    /// observations) — i.e. the runtime must run the closed-loop upcalls.
+    pub fn closed_loop(&self) -> bool {
+        matches!(
+            self,
+            AdversaryFamily::GradientFreerider { .. }
+                | AdversaryFamily::Whitewasher { .. }
+                | AdversaryFamily::AdaptiveColluders { .. }
+        )
+    }
+
+    /// True for a baseline population that colludes: it biases partner
+    /// selection, covers up or mounts the man-in-the-middle attack.
+    fn colludes(&self) -> bool {
+        matches!(*self, AdversaryFamily::Baseline { partner_bias, cover_up, man_in_the_middle }
+            if partner_bias > 0.0 || cover_up || man_in_the_middle)
+    }
+
+    /// Checks every parameter's range, then the family's cross-field rules
+    /// against the scenario it is declared in: a family that replaces the
+    /// freeriders' behaviour needs a population to replace (a coalition
+    /// needs two), a selective mask must name streams the scenario runs, and
+    /// a whitewasher's offline spell must fit in the run.
+    pub fn validate(&self, config: &ScenarioConfig) -> Result<(), ComponentError> {
+        let name = self.name();
+        let fraction = |key, x| ComponentError::require_fraction(name, key, x);
+        let count = |key, x| ComponentError::require_at_least_one(name, key, x);
+        let non_negative = |key, x| ComponentError::require_non_negative(name, key, x);
+        let min_freeriders = match *self {
+            AdversaryFamily::Baseline { partner_bias, .. } => {
+                fraction("partner_bias", partner_bias)?;
+                0
+            }
+            AdversaryFamily::OnOff {
+                on_periods,
+                off_periods,
+            } => {
+                count("on_periods", on_periods)?;
+                count("off_periods", off_periods)?;
+                ComponentError::require(
+                    on_periods.checked_add(off_periods).is_some(),
+                    name,
+                    "off_periods",
+                    format!("a cycle of {on_periods} + {off_periods} periods overflows"),
+                )?;
+                1
+            }
+            AdversaryFamily::BlameSpam {
+                blames_per_period,
+                blame_value,
+            } => {
+                count("blames_per_period", blames_per_period.into())?;
+                non_negative("blame_value", blame_value)?;
+                1
+            }
+            AdversaryFamily::SelectiveFreerider { silent_mask } => {
+                let reason = format!("{silent_mask} silences no stream");
+                ComponentError::require(silent_mask != 0, name, "silent_mask", reason)?;
+                1
+            }
+            AdversaryFamily::GradientFreerider { margin, step } => {
+                non_negative("margin", margin)?;
+                let reason = format!("{step} is not in (0, 1]");
+                ComponentError::require(step > 0.0 && step <= 1.0, name, "step", reason)?;
+                1
+            }
+            AdversaryFamily::Whitewasher { margin, offline } => {
+                non_negative("margin", margin)?;
+                ComponentError::require_positive_secs(name, "offline_secs", offline)?;
+                let reason = format!("{} seconds outlasts the run", offline.as_secs_f64());
+                let fits = offline <= config.duration;
+                ComponentError::require(fits, name, "offline_secs", reason)?;
+                1
+            }
+            AdversaryFamily::AdaptiveColluders {
+                partner_bias,
+                cooldown_periods,
+            } => {
+                fraction("partner_bias", partner_bias)?;
+                count("cooldown_periods", cooldown_periods)?;
+                2
+            }
+        };
+        let freeriders = config.freerider_count();
+        ComponentError::require(
+            freeriders >= min_freeriders,
+            name,
+            "freeriders",
+            format!(
+                "{freeriders} freeriders configured, the family needs at least {min_freeriders}"
+            ),
+        )?;
+        if let AdversaryFamily::SelectiveFreerider { silent_mask: mask } = *self {
+            let streams = config.stream_count();
+            let reason = "needs at least two streams to select between";
+            ComponentError::require(streams > 1, name, "silent_mask", reason)?;
+            // With 64 streams every bit names one (and `>> 64` overflows).
+            ComponentError::require(
+                streams >= 64 || mask >> streams == 0,
+                name,
+                "silent_mask",
+                format!("{mask:#b} names streams beyond the {streams} the scenario runs"),
+            )?;
+        }
+        Ok(())
+    }
+
+    /// The adversary node `index` plays: node 0 (the source) and the honest
+    /// population play honest, the freerider suffix plays the family with
+    /// the population's degree.
+    pub fn spawn(
+        &self,
+        config: &ScenarioConfig,
+        index: usize,
+        coalition: &Arc<Vec<NodeId>>,
+    ) -> Adversary {
+        let Some(population) = config.freeriders.filter(|_| config.is_freerider(index)) else {
+            return Adversary::default();
+        };
+        Adversary(Some(Box::new(Attack {
+            family: *self,
+            degree: population.degree,
+            coalition: coalition.clone(),
+            intensity: 1.0,
+            peak: f64::NEG_INFINITY,
+            recently_audited: Vec::new(),
+        })))
+    }
+}
+
+/// A selective freerider's degree on a silenced channel: never propose,
+/// never serve. The absent proposals starve the plane of acks (`MissingAck`
+/// blames, `f` each) — the strongest per-channel misbehaviour short of
+/// leaving.
+const SILENT: FreeriderConfig = FreeriderConfig {
+    delta1: 1.0,
+    delta2: 0.0,
+    delta3: 1.0,
+    period_stretch: 1,
+};
+
 /// A node's strategy: how each plane of its protocol stack deviates (or not)
-/// from the protocol.
-///
-/// The three `*_plane` methods are consulted once, when the stack is built;
-/// the hooks run during the simulation. Every implementation must be
-/// deterministic given the node's RNG stream.
-pub trait Adversary: std::fmt::Debug + Send {
+/// from the protocol. The three `*_plane` methods are consulted once, when
+/// the stack is built; the hooks run during the simulation. Every hook is
+/// deterministic given the node's RNG stream. An honest node holds `None`
+/// (one word in its stack); a freerider boxes its `Attack`.
+#[derive(Debug, Default)]
+pub struct Adversary(Option<Box<Attack>>);
+
+/// The attack a freerider plays and the only state it changes during a run.
+#[derive(Debug)]
+struct Attack {
+    /// The family this node plays.
+    family: AdversaryFamily,
+    /// The freerider population's degree of freeriding.
+    degree: FreeriderConfig,
+    /// The whole coalition (including this node, if it colludes).
+    coalition: Arc<Vec<NodeId>>,
+    /// A gradient freerider's current intensity in `[0, 1]`, scaling all
+    /// three deltas; 1 for every other family.
+    intensity: f64,
+    /// A whitewasher's best score observed so far (the drawdown baseline).
+    peak: f64,
+    /// An adaptive colluder's accomplices recently picked as audit targets:
+    /// `(member, period seen)`.
+    recently_audited: Vec<(NodeId, u64)>,
+}
+
+impl Adversary {
+    /// The family this node plays; `None` for an honest node.
+    fn family(&self) -> Option<AdversaryFamily> {
+        self.0.as_ref().map(|attack| attack.family)
+    }
+
     /// Short name for diagnostics.
-    fn name(&self) -> &'static str;
+    pub fn name(&self) -> &'static str {
+        match self.family() {
+            None => "honest",
+            Some(family @ AdversaryFamily::Baseline { .. }) if family.colludes() => "colluder",
+            Some(AdversaryFamily::Baseline { .. }) => "freerider",
+            Some(AdversaryFamily::OnOff { .. }) => "on-off-freerider",
+            Some(AdversaryFamily::BlameSpam { .. }) => "blame-spammer",
+            Some(AdversaryFamily::SelectiveFreerider { .. }) => "selective-freerider",
+            Some(AdversaryFamily::GradientFreerider { .. }) => "gradient-freerider",
+            Some(AdversaryFamily::Whitewasher { .. }) => "whitewasher",
+            Some(AdversaryFamily::AdaptiveColluders { .. }) => "adaptive-colluder",
+        }
+    }
+
+    /// True if an on-off freerider freerides during `period`.
+    fn is_on(&self, period: u64) -> bool {
+        match self.family() {
+            Some(AdversaryFamily::OnOff {
+                on_periods,
+                off_periods,
+            }) => period % (on_periods + off_periods) < on_periods,
+            _ => false,
+        }
+    }
 
     /// Dissemination-plane behaviour on `stream` (fanout decrease, partial
-    /// propose, partial serve, period stretching — Section 4.1). Most
-    /// adversaries deviate the same way on every channel; stream-selective
-    /// ones (honest on one channel, silent on another) read `stream`.
-    fn dissemination_plane(&self, _stream: StreamId) -> Behavior {
-        Behavior::Honest
+    /// propose, partial serve, period stretching — Section 4.1). A selective
+    /// freerider reads `stream`; every other family deviates the same way on
+    /// every channel.
+    pub fn dissemination_plane(&self, stream: StreamId) -> Behavior {
+        let Some(attack) = &self.0 else {
+            return Behavior::Honest;
+        };
+        match attack.family {
+            AdversaryFamily::BlameSpam { .. } => Behavior::Honest,
+            AdversaryFamily::SelectiveFreerider { silent_mask } => {
+                if (silent_mask >> stream.index()) & 1 == 1 {
+                    Behavior::Freerider(SILENT)
+                } else {
+                    Behavior::Honest
+                }
+            }
+            // Freeriding at the current intensity (all deltas scaled).
+            _ => Behavior::Freerider(FreeriderConfig {
+                delta1: attack.degree.delta1 * attack.intensity,
+                delta2: attack.degree.delta2 * attack.intensity,
+                delta3: attack.degree.delta3 * attack.intensity,
+                period_stretch: attack.degree.period_stretch,
+            }),
+        }
     }
 
     /// Membership-plane partner selection on `stream` (colluders bias it
     /// towards the coalition — Section 4.1(iii)). Each plane gets its
     /// **own** selector instance: round-robin cursors and the like are
     /// plane-local state.
-    fn membership_plane(&self, _stream: StreamId) -> PartnerSelector {
-        PartnerSelector::uniform()
+    pub fn membership_plane(&self, _stream: StreamId) -> PartnerSelector {
+        let Some(attack) = &self.0 else {
+            return PartnerSelector::uniform();
+        };
+        let pm = match attack.family {
+            AdversaryFamily::Baseline { partner_bias, .. } if partner_bias > 0.0 => partner_bias,
+            AdversaryFamily::AdaptiveColluders { partner_bias, .. } => partner_bias,
+            _ => return PartnerSelector::uniform(),
+        };
+        PartnerSelector::new(SelectionPolicy::ColludingBias {
+            colluders: attack.coalition.clone(),
+            pm,
+        })
     }
 
     /// Verification-plane collusion (cover-up, man-in-the-middle —
     /// Section 5.2, Figure 8).
-    fn verification_plane(&self) -> CollusionConfig {
-        CollusionConfig::none()
+    pub fn verification_plane(&self) -> CollusionConfig {
+        let Some(attack) = &self.0 else {
+            return CollusionConfig::none();
+        };
+        let coalition = attack.coalition.clone();
+        match attack.family {
+            family @ AdversaryFamily::Baseline {
+                cover_up,
+                man_in_the_middle,
+                ..
+            } if family.colludes() => {
+                CollusionConfig::coalition(coalition, cover_up, man_in_the_middle)
+            }
+            AdversaryFamily::AdaptiveColluders { .. } => {
+                CollusionConfig::coalition(coalition, true, false)
+            }
+            _ => CollusionConfig::none(),
+        }
     }
 
     /// Hook run at the start of every gossip tick, once per stream plane and
     /// before that plane's propose phase; `period` is the counter the
     /// upcoming propose round will carry (i.e. `ProposeRound::period`, the
     /// pre-increment value the verifier's history records for the round).
-    /// Time-varying adversaries reshape the dissemination plane here.
-    /// Implementations used by the paper's scenarios must not consume RNG.
-    fn on_gossip_tick(&mut self, _stream: StreamId, _period: u64, _gossip: &mut GossipNode) {}
+    /// The on-off and gradient freeriders reshape the dissemination plane
+    /// here. Consumes no RNG.
+    pub fn on_gossip_tick(&mut self, stream: StreamId, period: u64, gossip: &mut GossipNode) {
+        let Some(attack) = &self.0 else { return };
+        let behavior = match attack.family {
+            AdversaryFamily::OnOff { .. } if !self.is_on(period) => Behavior::Honest,
+            AdversaryFamily::GradientFreerider { .. } if attack.intensity <= 0.0 => {
+                Behavior::Honest
+            }
+            AdversaryFamily::OnOff { .. } | AdversaryFamily::GradientFreerider { .. } => {
+                self.dissemination_plane(stream)
+            }
+            _ => return,
+        };
+        if gossip.behavior() != &behavior {
+            gossip.set_behavior(behavior);
+        }
+    }
 
     /// Blames this node fabricates out of thin air at the end of its gossip
     /// tick (the blame-spamming attack on the reputation plane), given the
     /// node's identity, the membership view and its private RNG stream.
-    /// Honest and paper adversaries return nothing and consume no RNG.
-    fn fabricate_blames(
+    /// Every other family returns nothing and consumes no RNG.
+    pub fn fabricate_blames(
         &mut self,
-        _me: NodeId,
-        _directory: &Directory,
-        _rng: &mut SmallRng,
+        me: NodeId,
+        directory: &Directory,
+        rng: &mut SmallRng,
     ) -> Vec<Blame> {
-        Vec::new()
+        let Some(AdversaryFamily::BlameSpam {
+            blames_per_period,
+            blame_value,
+        }) = self.family()
+        else {
+            return Vec::new();
+        };
+        (0..blames_per_period)
+            .filter_map(|_| {
+                let target = *directory.sample_uniform(rng, 1, me).first()?;
+                Some(Blame::new(target, blame_value, BlameReason::PartialServe))
+            })
+            .collect()
     }
 
-    /// Whether this adversary wants the per-period score feedback upcall.
-    /// The runtime only pays for the feedback pass when a closed-loop
-    /// scenario is configured, and within it only polls adversaries that
-    /// return `true` here.
-    fn wants_score_feedback(&self) -> bool {
-        false
+    /// Whether this node wants the per-period score feedback upcall. The
+    /// runtime only pays for the feedback pass when a closed-loop scenario is
+    /// configured, and within it only polls the gradient freeriders and the
+    /// whitewashers.
+    pub fn wants_score_feedback(&self) -> bool {
+        matches!(
+            self.family(),
+            Some(AdversaryFamily::GradientFreerider { .. } | AdversaryFamily::Whitewasher { .. })
+        )
     }
 
     /// Closed-loop feedback: at the end of gossip period `period` the
     /// adversary learns its own aggregated manager score (`None` while no
     /// manager has a book for it yet) and the *public* detection threshold
     /// `η`. This models a rational freerider that probes its standing — e.g.
-    /// by polling its managers — and adapts. Must be deterministic and must
-    /// not consume RNG.
-    fn on_score_feedback(
+    /// by polling its managers — and adapts. Deterministic; consumes no RNG.
+    pub fn on_score_feedback(
         &mut self,
         _period: u64,
-        _score: Option<f64>,
-        _eta: f64,
+        score: Option<f64>,
+        eta: f64,
     ) -> FeedbackAction {
-        FeedbackAction::None
+        let (Some(score), Some(attack)) = (score, &mut self.0) else {
+            return FeedbackAction::None;
+        };
+        match attack.family {
+            AdversaryFamily::GradientFreerider { margin, step } => {
+                let change = if score < eta + margin {
+                    -step
+                } else {
+                    step * 0.5
+                };
+                attack.intensity = (attack.intensity + change).clamp(0.0, 1.0);
+                FeedbackAction::None
+            }
+            AdversaryFamily::Whitewasher { margin, offline } => {
+                attack.peak = attack.peak.max(score);
+                if attack.peak - score > margin {
+                    // Rebaseline so the post-rejoin cycle measures a fresh
+                    // drawdown (the rejoin also respawns this adversary,
+                    // which has the same effect; this keeps the state
+                    // machine correct on its own).
+                    attack.peak = score;
+                    FeedbackAction::Depart { offline }
+                } else {
+                    FeedbackAction::None
+                }
+            }
+            _ => FeedbackAction::None,
+        }
     }
 
     /// Closed-loop observation: a coalition accomplice (`target`) was picked
     /// as an audit target during `period`. Adaptive colluders use this to
-    /// steer cover traffic away from peers under scrutiny. Default: ignore.
-    fn on_audit_observed(&mut self, _target: NodeId, _period: u64) {}
-
-    /// Hook run right after [`on_gossip_tick`](Self::on_gossip_tick) with the
-    /// plane's partner selector: adaptive adversaries re-pick their selection
-    /// policy here (e.g. re-aim collusion bias away from recently audited
-    /// accomplices). Must not consume RNG; the default keeps the selector
-    /// untouched.
-    fn retune_membership(
-        &mut self,
-        _stream: StreamId,
-        _period: u64,
-        _selector: &mut PartnerSelector,
-    ) {
-    }
-}
-
-/// Strict protocol compliance on every plane.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Honest;
-
-impl Adversary for Honest {
-    fn name(&self) -> &'static str {
-        "honest"
-    }
-}
-
-/// The paper's independent freerider: deviates at the dissemination plane
-/// only, with degree `Δ = (δ1, δ2, δ3)` (Section 4.1).
-#[derive(Debug, Clone, Copy)]
-pub struct Freerider {
-    /// The degree of freeriding.
-    pub degree: FreeriderConfig,
-}
-
-impl Adversary for Freerider {
-    fn name(&self) -> &'static str {
-        "freerider"
-    }
-
-    fn dissemination_plane(&self, _stream: StreamId) -> Behavior {
-        Behavior::Freerider(self.degree)
-    }
-}
-
-/// A coalition member: freerides at the dissemination plane and additionally
-/// subverts partner selection and the verification procedures together with
-/// its accomplices (Sections 4.1(iii) and 5.2).
-#[derive(Debug, Clone)]
-pub struct Colluder {
-    /// The degree of freeriding.
-    pub degree: FreeriderConfig,
-    /// The whole coalition (including this node).
-    pub coalition: Arc<Vec<NodeId>>,
-    /// Probability of picking a coalition member as gossip partner (`pm`);
-    /// 0 keeps the selection uniform.
-    pub partner_bias: f64,
-    /// Vouch for coalition members during confirmations, never blame them.
-    pub cover_up: bool,
-    /// Mount the man-in-the-middle attack of Figure 8b.
-    pub man_in_the_middle: bool,
-}
-
-impl Adversary for Colluder {
-    fn name(&self) -> &'static str {
-        "colluder"
-    }
-
-    fn dissemination_plane(&self, _stream: StreamId) -> Behavior {
-        Behavior::Freerider(self.degree)
-    }
-
-    fn membership_plane(&self, _stream: StreamId) -> PartnerSelector {
-        if self.partner_bias > 0.0 {
-            PartnerSelector::new(SelectionPolicy::ColludingBias {
-                colluders: self.coalition.clone(),
-                pm: self.partner_bias,
-            })
-        } else {
-            PartnerSelector::uniform()
-        }
-    }
-
-    fn verification_plane(&self) -> CollusionConfig {
-        CollusionConfig::coalition(
-            self.coalition.clone(),
-            self.cover_up,
-            self.man_in_the_middle,
-        )
-    }
-}
-
-/// An **on-off freerider** — a time-varying attack the old `Behavior` enum
-/// could not express: the node freerides for `on_periods` gossip periods,
-/// then behaves honestly for `off_periods`, and so on. Dodging detection this
-/// way exploits the score's `1/r` normalization (Equation 6): blame collected
-/// while "on" is diluted by the honest windows.
-#[derive(Debug, Clone, Copy)]
-pub struct OnOffFreerider {
-    /// The degree of freeriding while "on".
-    pub degree: FreeriderConfig,
-    /// Length of the freeriding window, in gossip periods (≥ 1).
-    pub on_periods: u64,
-    /// Length of the honest window, in gossip periods (≥ 1).
-    pub off_periods: u64,
-}
-
-impl OnOffFreerider {
-    /// True if the node freerides during `period`.
-    pub fn is_on(&self, period: u64) -> bool {
-        let cycle = (self.on_periods + self.off_periods).max(1);
-        period % cycle < self.on_periods
-    }
-}
-
-impl Adversary for OnOffFreerider {
-    fn name(&self) -> &'static str {
-        "on-off-freerider"
-    }
-
-    fn dissemination_plane(&self, _stream: StreamId) -> Behavior {
-        Behavior::Freerider(self.degree)
-    }
-
-    fn on_gossip_tick(&mut self, _stream: StreamId, period: u64, gossip: &mut GossipNode) {
-        let behavior = if self.is_on(period) {
-            Behavior::Freerider(self.degree)
-        } else {
-            Behavior::Honest
-        };
-        if gossip.behavior() != &behavior {
-            gossip.set_behavior(behavior);
-        }
-    }
-}
-
-/// A **blame spammer** — an attack on the reputation plane the old
-/// construction could not express: the node participates honestly in the
-/// dissemination but floods the managers with fabricated blames against
-/// random peers, trying to drive honest nodes below the expulsion threshold
-/// and erode trust in the scores. The per-period compensation `b̃`
-/// (Equation 5) is LiFTinG's only systemic defence, which is exactly what
-/// this adversary stresses.
-#[derive(Debug, Clone, Copy)]
-pub struct BlameSpammer {
-    /// Fabricated blames emitted per gossip tick.
-    pub blames_per_period: u32,
-    /// Value of each fabricated blame.
-    pub blame_value: f64,
-}
-
-impl Adversary for BlameSpammer {
-    fn name(&self) -> &'static str {
-        "blame-spammer"
-    }
-
-    fn fabricate_blames(
-        &mut self,
-        me: NodeId,
-        directory: &Directory,
-        rng: &mut SmallRng,
-    ) -> Vec<Blame> {
-        (0..self.blames_per_period)
-            .filter_map(|_| {
-                let target = *directory.sample_uniform(rng, 1, me).first()?;
-                Some(Blame::new(
-                    target,
-                    self.blame_value,
-                    BlameReason::PartialServe,
-                ))
-            })
-            .collect()
-    }
-}
-
-/// A **selective freerider** — the multi-channel attack: the node behaves
-/// honestly on some channels and goes fully silent (proposes to nobody,
-/// serves nothing) on the channels named in its mask. With per-channel
-/// reputation the node would keep its good standing — and its stream — on
-/// the honest channels; because the managers aggregate blames *across*
-/// channels into one score per node, the silence on one channel gets it
-/// expelled from all of them.
-#[derive(Debug, Clone, Copy)]
-pub struct SelectiveFreerider {
-    /// Bitmask of silenced streams (bit `s` = stream `s`).
-    pub silent_mask: u64,
-}
-
-impl SelectiveFreerider {
-    /// Full silence: never propose, never serve. The absent proposals starve
-    /// the plane of acks (`MissingAck` blames, `f` each) and every request
-    /// the node *does* make goes unserved nowhere — the strongest
-    /// per-channel misbehaviour short of leaving.
-    pub const SILENT: FreeriderConfig = FreeriderConfig {
-        delta1: 1.0,
-        delta2: 0.0,
-        delta3: 1.0,
-        period_stretch: 1,
-    };
-
-    /// True if the node is silent on `stream`.
-    pub fn silences(&self, stream: StreamId) -> bool {
-        (self.silent_mask >> stream.index()) & 1 == 1
-    }
-}
-
-impl Adversary for SelectiveFreerider {
-    fn name(&self) -> &'static str {
-        "selective-freerider"
-    }
-
-    fn dissemination_plane(&self, stream: StreamId) -> Behavior {
-        if self.silences(stream) {
-            Behavior::Freerider(Self::SILENT)
-        } else {
-            Behavior::Honest
-        }
-    }
-}
-
-/// A **gradient freerider** — the closed-loop version of the independent
-/// freerider: each period it reads its own aggregated manager score and
-/// throttles its freeriding *intensity* so the score rides just above the
-/// public threshold `η`. When the score dips below `η + margin` it backs off
-/// by `step`; while comfortably above, it creeps back up by `step / 2`
-/// (back off fast, get greedy slowly). Against a static `η` this extracts
-/// near-maximal gain while staying undetected; the online-recalibration
-/// defence moves the effective threshold into the band the adversary is
-/// hiding in.
-#[derive(Debug, Clone, Copy)]
-pub struct GradientFreerider {
-    /// The maximal degree of freeriding, applied at intensity 1.
-    pub degree: FreeriderConfig,
-    /// Safety margin above `η` the adversary tries to keep.
-    pub margin: f64,
-    /// Intensity decrement applied when the score gets too close to `η`.
-    pub step: f64,
-    /// Current freeriding intensity in `[0, 1]`; scales all three deltas.
-    intensity: f64,
-}
-
-impl GradientFreerider {
-    /// A gradient freerider that starts fully greedy (intensity 1).
-    pub fn new(degree: FreeriderConfig, margin: f64, step: f64) -> Self {
-        GradientFreerider {
-            degree,
-            margin,
-            step,
-            intensity: 1.0,
-        }
-    }
-
-    /// The current freeriding intensity.
-    pub fn intensity(&self) -> f64 {
-        self.intensity
-    }
-
-    /// The degree at the current intensity (all deltas scaled).
-    fn scaled_degree(&self) -> FreeriderConfig {
-        FreeriderConfig {
-            delta1: self.degree.delta1 * self.intensity,
-            delta2: self.degree.delta2 * self.intensity,
-            delta3: self.degree.delta3 * self.intensity,
-            period_stretch: self.degree.period_stretch,
-        }
-    }
-}
-
-impl Adversary for GradientFreerider {
-    fn name(&self) -> &'static str {
-        "gradient-freerider"
-    }
-
-    fn dissemination_plane(&self, _stream: StreamId) -> Behavior {
-        Behavior::Freerider(self.scaled_degree())
-    }
-
-    fn on_gossip_tick(&mut self, _stream: StreamId, _period: u64, gossip: &mut GossipNode) {
-        let behavior = if self.intensity <= 0.0 {
-            Behavior::Honest
-        } else {
-            Behavior::Freerider(self.scaled_degree())
-        };
-        if gossip.behavior() != &behavior {
-            gossip.set_behavior(behavior);
-        }
-    }
-
-    fn wants_score_feedback(&self) -> bool {
-        true
-    }
-
-    fn on_score_feedback(&mut self, _period: u64, score: Option<f64>, eta: f64) -> FeedbackAction {
-        if let Some(score) = score {
-            if score < eta + self.margin {
-                self.intensity = (self.intensity - self.step).max(0.0);
-            } else {
-                self.intensity = (self.intensity + self.step * 0.5).min(1.0);
-            }
-        }
-        FeedbackAction::None
-    }
-}
-
-/// A **whitewasher** — the churn-exploiting closed-loop attack: the node
-/// freerides greedily and watches its own score trajectory; once blame has
-/// dragged the score `margin` below the best value it has seen (a drawdown
-/// it can measure locally, with no knowledge of the managers' threshold) it
-/// *leaves* and rejoins after `offline`, betting that the rejoin launders
-/// the bad reputation. The defence is the frozen-score carryover: departed
-/// nodes' manager books are frozen (not deleted) and expulsion votes
-/// persist, so the identity's history survives the wash cycle.
-#[derive(Debug, Clone, Copy)]
-pub struct Whitewasher {
-    /// The degree of freeriding.
-    pub degree: FreeriderConfig,
-    /// Departure trigger: leave once the score has fallen `margin` below its
-    /// observed peak.
-    pub margin: f64,
-    /// How long to stay offline before rejoining.
-    pub offline: SimDuration,
-    /// Best score observed so far (the drawdown baseline).
-    peak: f64,
-}
-
-impl Whitewasher {
-    /// A whitewasher of the given freeriding degree that washes after a
-    /// `margin` drawdown and stays away for `offline`.
-    pub fn new(degree: FreeriderConfig, margin: f64, offline: SimDuration) -> Self {
-        Whitewasher {
-            degree,
-            margin,
-            offline,
-            peak: f64::NEG_INFINITY,
-        }
-    }
-}
-
-impl Adversary for Whitewasher {
-    fn name(&self) -> &'static str {
-        "whitewasher"
-    }
-
-    fn dissemination_plane(&self, _stream: StreamId) -> Behavior {
-        Behavior::Freerider(self.degree)
-    }
-
-    fn wants_score_feedback(&self) -> bool {
-        true
-    }
-
-    fn on_score_feedback(&mut self, _period: u64, score: Option<f64>, _eta: f64) -> FeedbackAction {
-        let Some(score) = score else {
-            return FeedbackAction::None;
-        };
-        self.peak = self.peak.max(score);
-        if self.peak - score > self.margin {
-            // Rebaseline so the post-rejoin cycle measures a fresh drawdown
-            // (the rejoin also rebuilds this adversary, which has the same
-            // effect; this keeps the state machine correct on its own).
-            self.peak = score;
-            FeedbackAction::Depart {
-                offline: self.offline,
-            }
-        } else {
-            FeedbackAction::None
-        }
-    }
-}
-
-/// An **adaptive colluder** — a coalition member that watches which of its
-/// accomplices get audited and re-aims its cover traffic away from them for
-/// `cooldown_periods`: biased partner selection towards a peer whose history
-/// is about to be entropy-checked is exactly what the `γ` test catches, so
-/// the coalition rotates its bias towards unscrutinized members instead.
-/// Pure reshaping of the membership plane; consumes no RNG.
-#[derive(Debug, Clone)]
-pub struct AdaptiveColluder {
-    /// The degree of freeriding.
-    pub degree: FreeriderConfig,
-    /// The whole coalition (including this node).
-    pub coalition: Arc<Vec<NodeId>>,
-    /// Probability of picking a coalition member as gossip partner (`pm`).
-    pub partner_bias: f64,
-    /// How many gossip periods an audited accomplice stays off the bias list.
-    pub cooldown_periods: u64,
-    /// Accomplices recently picked as audit targets: `(member, period seen)`.
-    recently_audited: Vec<(NodeId, u64)>,
-}
-
-impl AdaptiveColluder {
-    /// A fresh adaptive colluder with an empty audit memory.
-    pub fn new(
-        degree: FreeriderConfig,
-        coalition: Arc<Vec<NodeId>>,
-        partner_bias: f64,
-        cooldown_periods: u64,
-    ) -> Self {
-        AdaptiveColluder {
-            degree,
-            coalition,
-            partner_bias,
-            cooldown_periods,
-            recently_audited: Vec::new(),
-        }
-    }
-
-    /// Coalition members currently safe to bias towards (not audited within
-    /// the cooldown window ending at `period`). Falls back to the full
-    /// coalition when fewer than two members are unscrutinized — a bias list
-    /// needs somebody on it.
-    fn safe_coalition(&self, period: u64) -> Arc<Vec<NodeId>> {
-        let burned = |n: &NodeId| {
-            self.recently_audited
-                .iter()
-                .any(|(m, p)| m == n && period.saturating_sub(*p) < self.cooldown_periods)
-        };
-        let safe: Vec<NodeId> = self
-            .coalition
-            .iter()
-            .filter(|n| !burned(n))
-            .copied()
-            .collect();
-        if safe.len() < 2 {
-            self.coalition.clone()
-        } else {
-            Arc::new(safe)
-        }
-    }
-}
-
-impl Adversary for AdaptiveColluder {
-    fn name(&self) -> &'static str {
-        "adaptive-colluder"
-    }
-
-    fn dissemination_plane(&self, _stream: StreamId) -> Behavior {
-        Behavior::Freerider(self.degree)
-    }
-
-    fn membership_plane(&self, _stream: StreamId) -> PartnerSelector {
-        PartnerSelector::new(SelectionPolicy::ColludingBias {
-            colluders: self.coalition.clone(),
-            pm: self.partner_bias,
-        })
-    }
-
-    fn verification_plane(&self) -> CollusionConfig {
-        CollusionConfig::coalition(self.coalition.clone(), true, false)
-    }
-
-    fn on_audit_observed(&mut self, target: NodeId, period: u64) {
-        if !self.coalition.contains(&target) {
+    /// steer cover traffic away from peers under scrutiny; every other family
+    /// ignores it.
+    pub fn on_audit_observed(&mut self, target: NodeId, period: u64) {
+        let Some(attack) = &mut self.0 else { return };
+        if !matches!(attack.family, AdversaryFamily::AdaptiveColluders { .. })
+            || !attack.coalition.contains(&target)
+        {
             return;
         }
-        if let Some(entry) = self.recently_audited.iter_mut().find(|(m, _)| *m == target) {
+        let audited = &mut attack.recently_audited;
+        if let Some(entry) = audited.iter_mut().find(|(m, _)| *m == target) {
             entry.1 = period;
         } else {
-            self.recently_audited.push((target, period));
+            audited.push((target, period));
         }
     }
 
-    fn retune_membership(
+    /// Hook run right after [`on_gossip_tick`](Self::on_gossip_tick) with the
+    /// plane's partner selector: an adaptive colluder re-aims its bias away
+    /// from recently audited accomplices here. Consumes no RNG; every other
+    /// family keeps the selector untouched.
+    pub fn retune_membership(
         &mut self,
         _stream: StreamId,
         period: u64,
         selector: &mut PartnerSelector,
     ) {
-        self.recently_audited
-            .retain(|(_, p)| period.saturating_sub(*p) < self.cooldown_periods);
-        if self.recently_audited.is_empty() {
+        let Some(Attack {
+            family:
+                AdversaryFamily::AdaptiveColluders {
+                    partner_bias,
+                    cooldown_periods,
+                },
+            coalition,
+            recently_audited,
+            ..
+        }) = self.0.as_deref_mut()
+        else {
+            return;
+        };
+        recently_audited.retain(|(_, p)| period.saturating_sub(*p) < *cooldown_periods);
+        if recently_audited.is_empty() {
             // Nothing burned: only rebuild if a previous retune shrank the
             // bias list (cheap equality on the Arc'd full coalition).
             if let SelectionPolicy::ColludingBias { colluders, .. } = selector.policy() {
-                if Arc::ptr_eq(colluders, &self.coalition) {
+                if Arc::ptr_eq(colluders, coalition) {
                     return;
                 }
             }
         }
+        // Bias towards the members not audited within the cooldown; fall
+        // back to the full coalition when fewer than two are unscrutinized —
+        // a bias list needs somebody on it.
+        let burned = |n: &&NodeId| recently_audited.iter().any(|(m, _)| m == *n);
+        let safe: Vec<NodeId> = coalition.iter().filter(|n| !burned(n)).copied().collect();
+        let colluders = if safe.len() < 2 {
+            coalition.clone()
+        } else {
+            Arc::new(safe)
+        };
         *selector = PartnerSelector::new(SelectionPolicy::ColludingBias {
-            colluders: self.safe_coalition(period),
-            pm: self.partner_bias,
+            colluders,
+            pm: *partner_bias,
         });
     }
 }
@@ -602,53 +596,86 @@ mod tests {
     use lifting_gossip::GossipConfig;
     use lifting_sim::derive_rng;
 
+    /// Node 9 of ten, the last three of which freeride at degree `degree`
+    /// playing `family`, in the coalition of nodes 1, 2 and 3.
+    fn playing(family: AdversaryFamily, degree: FreeriderConfig) -> Adversary {
+        let coalition = Arc::new(vec![NodeId::new(1), NodeId::new(2), NodeId::new(3)]);
+        let mut config = ScenarioConfig::small_test(10, 1);
+        config.freeriders = Some(crate::scenario::FreeriderScenario { count: 3, degree });
+        family.spawn(&config, 9, &coalition)
+    }
+
+    /// The attack state of a freerider built by [`playing`].
+    fn attack(adversary: &Adversary) -> &Attack {
+        adversary.0.as_deref().expect("a freerider")
+    }
+
+    fn baseline(partner_bias: f64, cover_up: bool, man_in_the_middle: bool) -> AdversaryFamily {
+        AdversaryFamily::Baseline {
+            partner_bias,
+            cover_up,
+            man_in_the_middle,
+        }
+    }
+
     #[test]
     fn paper_adversaries_configure_the_planes_like_the_old_wiring() {
-        let honest = Honest;
+        let honest = Adversary::default();
+        assert_eq!(honest.name(), "honest");
         assert_eq!(
             honest.dissemination_plane(StreamId::PRIMARY),
             Behavior::Honest
         );
         assert!(!honest.verification_plane().covers_up());
 
-        let freerider = Freerider {
-            degree: FreeriderConfig::planetlab(),
-        };
+        let freerider = playing(AdversaryFamily::default(), FreeriderConfig::planetlab());
+        assert_eq!(freerider.name(), "freerider");
         assert!(freerider
             .dissemination_plane(StreamId::PRIMARY)
             .is_freerider());
         assert!(!freerider.verification_plane().man_in_the_middle());
+        assert!(!freerider.verification_plane().is_colluder(NodeId::new(1)));
 
-        let coalition = Arc::new(vec![NodeId::new(1), NodeId::new(2)]);
-        let colluder = Colluder {
-            degree: FreeriderConfig::planetlab(),
-            coalition: coalition.clone(),
-            partner_bias: 0.3,
-            cover_up: true,
-            man_in_the_middle: false,
-        };
+        let colluder = playing(baseline(0.3, true, false), FreeriderConfig::planetlab());
         assert!(colluder.verification_plane().covers_up());
         assert!(matches!(
             colluder.membership_plane(StreamId::PRIMARY).policy(),
             SelectionPolicy::ColludingBias { .. }
         ));
-        let unbiased = Colluder {
-            partner_bias: 0.0,
-            ..colluder
-        };
+        let unbiased = playing(baseline(0.0, true, false), FreeriderConfig::planetlab());
         assert!(matches!(
             unbiased.membership_plane(StreamId::PRIMARY).policy(),
             SelectionPolicy::Uniform
         ));
+
+        // Each collusion flag alone makes a colluder and shapes its plane.
+        let alone = [(0.0, false, true), (0.0, true, false), (0.4, false, false)];
+        for (bias, cover_up, mitm) in alone {
+            let adversary = playing(baseline(bias, cover_up, mitm), FreeriderConfig::planetlab());
+            assert_eq!(adversary.name(), "colluder");
+            let selector = adversary.membership_plane(StreamId::PRIMARY);
+            let biased = matches!(selector.policy(), SelectionPolicy::ColludingBias { colluders, pm }
+                if Arc::ptr_eq(colluders, &attack(&adversary).coalition) && *pm == bias);
+            let uniform = matches!(selector.policy(), SelectionPolicy::Uniform);
+            assert_eq!((biased, uniform), (bias > 0.0, bias == 0.0), "bias {bias}");
+            let collusion = adversary.verification_plane();
+            assert!(collusion.is_colluder(NodeId::new(3)));
+            assert_eq!(
+                (collusion.covers_up(), collusion.man_in_the_middle()),
+                (cover_up, mitm)
+            );
+        }
     }
 
     #[test]
     fn on_off_freerider_alternates_windows() {
-        let mut adversary = OnOffFreerider {
-            degree: FreeriderConfig::uniform(0.3),
-            on_periods: 2,
-            off_periods: 3,
-        };
+        let mut adversary = playing(
+            AdversaryFamily::OnOff {
+                on_periods: 2,
+                off_periods: 3,
+            },
+            FreeriderConfig::uniform(0.3),
+        );
         let on: Vec<bool> = (0..10).map(|p| adversary.is_on(p)).collect();
         assert_eq!(
             on,
@@ -657,7 +684,7 @@ mod tests {
         let mut gossip = GossipNode::new(
             NodeId::new(4),
             GossipConfig::planetlab(),
-            Behavior::Freerider(adversary.degree),
+            Behavior::Freerider(attack(&adversary).degree),
         );
         adversary.on_gossip_tick(StreamId::PRIMARY, 2, &mut gossip);
         assert_eq!(gossip.behavior(), &Behavior::Honest);
@@ -667,7 +694,10 @@ mod tests {
 
     #[test]
     fn selective_freerider_is_honest_per_channel() {
-        let adversary = SelectiveFreerider { silent_mask: 0b10 };
+        let adversary = playing(
+            AdversaryFamily::SelectiveFreerider { silent_mask: 0b10 },
+            FreeriderConfig::planetlab(),
+        );
         assert_eq!(
             adversary.dissemination_plane(StreamId::new(0)),
             Behavior::Honest
@@ -682,32 +712,38 @@ mod tests {
 
     #[test]
     fn gradient_freerider_rides_the_threshold() {
-        let mut adversary = GradientFreerider::new(FreeriderConfig::uniform(0.4), 2.0, 0.25);
+        let mut adversary = playing(
+            AdversaryFamily::GradientFreerider {
+                margin: 2.0,
+                step: 0.25,
+            },
+            FreeriderConfig::uniform(0.4),
+        );
         assert!(adversary.wants_score_feedback());
-        assert_eq!(adversary.intensity(), 1.0);
+        assert_eq!(attack(&adversary).intensity, 1.0);
         // No score yet: nothing changes.
         assert_eq!(
             adversary.on_score_feedback(1, None, -9.75),
             FeedbackAction::None
         );
-        assert_eq!(adversary.intensity(), 1.0);
+        assert_eq!(attack(&adversary).intensity, 1.0);
         // Score in the danger zone (η + margin): back off by `step`.
         adversary.on_score_feedback(2, Some(-8.5), -9.75);
-        assert_eq!(adversary.intensity(), 0.75);
+        assert_eq!(attack(&adversary).intensity, 0.75);
         adversary.on_score_feedback(3, Some(-9.0), -9.75);
-        assert_eq!(adversary.intensity(), 0.5);
+        assert_eq!(attack(&adversary).intensity, 0.5);
         // Comfortable again: creep back up by `step / 2`, capped at 1.
         adversary.on_score_feedback(4, Some(-1.0), -9.75);
-        assert_eq!(adversary.intensity(), 0.625);
+        assert_eq!(attack(&adversary).intensity, 0.625);
         for _ in 0..10 {
             adversary.on_score_feedback(5, Some(-1.0), -9.75);
         }
-        assert_eq!(adversary.intensity(), 1.0);
+        assert_eq!(attack(&adversary).intensity, 1.0);
         // Intensity clamps at 0 and the plane degrades to honest behaviour.
         for _ in 0..10 {
             adversary.on_score_feedback(6, Some(-20.0), -9.75);
         }
-        assert_eq!(adversary.intensity(), 0.0);
+        assert_eq!(attack(&adversary).intensity, 0.0);
         let mut gossip = GossipNode::new(
             NodeId::new(4),
             GossipConfig::planetlab(),
@@ -716,7 +752,7 @@ mod tests {
         adversary.on_gossip_tick(StreamId::PRIMARY, 7, &mut gossip);
         assert_eq!(gossip.behavior(), &Behavior::Honest);
         // Scaled deltas: at intensity 0.5, half the configured degree.
-        adversary.intensity = 0.5;
+        adversary.0.as_deref_mut().expect("a freerider").intensity = 0.5;
         match adversary.dissemination_plane(StreamId::PRIMARY) {
             Behavior::Freerider(d) => {
                 assert!((d.delta1 - 0.2).abs() < 1e-12);
@@ -729,8 +765,13 @@ mod tests {
 
     #[test]
     fn whitewasher_departs_on_drawdown_not_on_low_absolute_score() {
-        let mut adversary =
-            Whitewasher::new(FreeriderConfig::planetlab(), 1.0, SimDuration::from_secs(2));
+        let mut adversary = playing(
+            AdversaryFamily::Whitewasher {
+                margin: 1.0,
+                offline: SimDuration::from_secs(2),
+            },
+            FreeriderConfig::planetlab(),
+        );
         assert!(adversary.wants_score_feedback());
         // A low but *rising* score is not a drawdown — no wash, regardless of
         // how the absolute value compares to η.
@@ -762,9 +803,13 @@ mod tests {
 
     #[test]
     fn adaptive_colluder_rotates_bias_away_from_audited_accomplices() {
-        let coalition = Arc::new(vec![NodeId::new(1), NodeId::new(2), NodeId::new(3)]);
-        let mut adversary =
-            AdaptiveColluder::new(FreeriderConfig::planetlab(), coalition.clone(), 0.6, 4);
+        let mut adversary = playing(
+            AdversaryFamily::AdaptiveColluders {
+                partner_bias: 0.6,
+                cooldown_periods: 4,
+            },
+            FreeriderConfig::planetlab(),
+        );
         assert!(adversary.verification_plane().covers_up());
         let mut selector = adversary.membership_plane(StreamId::PRIMARY);
         // Audits outside the coalition are ignored.
@@ -809,10 +854,13 @@ mod tests {
 
     #[test]
     fn blame_spammer_fabricates_the_configured_volume() {
-        let mut adversary = BlameSpammer {
-            blames_per_period: 3,
-            blame_value: 10.0,
-        };
+        let mut adversary = playing(
+            AdversaryFamily::BlameSpam {
+                blames_per_period: 3,
+                blame_value: 10.0,
+            },
+            FreeriderConfig::planetlab(),
+        );
         let directory = Directory::new(20);
         let mut rng = derive_rng(7, 0);
         let blames = adversary.fabricate_blames(NodeId::new(5), &directory, &mut rng);

@@ -33,11 +33,12 @@
 //! * The reputation plane is per node, not per stream: the stack holds the
 //!   node's [`lifting_reputation::ManagerState`], into which the world lands
 //!   the blame copies delivered to it ([`crate::inflight`]).
-//! * Misbehaviour is not wired into the planes: an [`Adversary`]
-//!   implementation reshapes each plane (dissemination behaviour, partner
-//!   selection, verification collusion) and may inject traffic of its own,
-//!   so attacks compose across layers instead of being scattered through the
-//!   runtime.
+//! * Misbehaviour is not wired into the planes: each node's [`Adversary`]
+//!   holds the [`AdversaryFamily`] it plays (none when honest), and the
+//!   stack's hooks read it to shape each plane (dissemination behaviour,
+//!   partner selection, verification collusion) and to inject traffic of its
+//!   own, so one module owns every attack instead of the runtime scattering
+//!   them.
 //! * A-posteriori audits need cross-node state (the auditor polls witnesses),
 //!   so they are coordinated by [`audit::AuditCoordinator`] over the whole
 //!   stack array rather than inside a single node's stack.
@@ -49,10 +50,7 @@ pub mod adversary;
 pub mod audit;
 pub mod stack;
 
-pub use adversary::{
-    AdaptiveColluder, Adversary, BlameSpammer, Colluder, FeedbackAction, Freerider,
-    GradientFreerider, Honest, OnOffFreerider, SelectiveFreerider, Whitewasher,
-};
+pub use adversary::{Adversary, AdversaryFamily, FeedbackAction};
 pub use audit::{AuditCoordinator, AuditOutcome, AuditRpcStats};
 pub use stack::{NodeStack, StreamPlane};
 

@@ -188,7 +188,7 @@ pub struct NodeStack {
     /// every stream: blames aggregate across channels.
     pub reputation: ManagerState,
     /// The node's strategy; configured the planes and keeps reshaping them.
-    pub adversary: Box<dyn Adversary>,
+    pub adversary: Adversary,
     /// The node's private RNG stream (shared by its planes; single-stream
     /// runs therefore consume exactly the draws they always did).
     pub rng: SmallRng,
@@ -208,7 +208,7 @@ impl NodeStack {
         gossip_config: GossipConfig,
         lifting_config: LiftingConfig,
         lifting_enabled: bool,
-        adversary: Box<dyn Adversary>,
+        adversary: Adversary,
         rng: SmallRng,
         clocks: &[StreamClock],
         session: u32,
@@ -369,9 +369,9 @@ impl NodeStack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Freerider, Honest, SelectiveFreerider};
+    use crate::layers::AdversaryFamily;
+    use crate::scenario::ScenarioConfig;
     use lifting_core::CollusionConfig;
-    use lifting_gossip::FreeriderConfig;
     use lifting_sim::derive_rng;
 
     /// One paper-rate clock per stream.
@@ -385,11 +385,18 @@ mod tests {
             .collect()
     }
 
-    fn stack(id: u32, adversary: Box<dyn Adversary>) -> NodeStack {
+    /// The adversary a freerider plays under `family`: node 9 of ten, the
+    /// last three of which freeride at PlanetLab's degree.
+    fn freerider(family: AdversaryFamily) -> Adversary {
+        let config = ScenarioConfig::small_test(10, 1).with_planetlab_freeriders(0.3);
+        family.spawn(&config, 9, &Arc::default())
+    }
+
+    fn stack(id: u32, adversary: Adversary) -> NodeStack {
         stack_with_lifting(id, adversary, true)
     }
 
-    fn stack_with_lifting(id: u32, adversary: Box<dyn Adversary>, lifting: bool) -> NodeStack {
+    fn stack_with_lifting(id: u32, adversary: Adversary, lifting: bool) -> NodeStack {
         NodeStack::with_streams(
             NodeId::new(id),
             GossipConfig::planetlab(),
@@ -426,7 +433,7 @@ mod tests {
     #[test]
     fn tick_begins_the_period_records_the_round_and_sends_proposes() {
         let directory = Directory::new(10);
-        let mut s = stack(0, Box::new(Honest));
+        let mut s = stack(0, Adversary::default());
         let chunk = s.primary().gossip.playout().clock().chunk(1);
         s.planes[0].gossip.inject_source_chunk(chunk, SimTime::ZERO);
         let mut out = Vec::new();
@@ -444,7 +451,7 @@ mod tests {
 
     #[test]
     fn propose_inbound_is_recorded_and_answered_with_a_request() {
-        let mut s = stack(1, Box::new(Honest));
+        let mut s = stack(1, Adversary::default());
         let out = deliver_propose(&mut s);
         assert_eq!(out.len(), 2, "serve-check timer, then the request");
         assert!(is_request(&out[1]));
@@ -458,7 +465,7 @@ mod tests {
 
     #[test]
     fn lifting_off_plane_builds_nothing_for_the_verifier() {
-        let mut s = stack_with_lifting(1, Box::new(Honest), false);
+        let mut s = stack_with_lifting(1, Adversary::default(), false);
         let out = deliver_propose(&mut s);
         assert_eq!(out.len(), 1, "the request still goes on the wire");
         assert!(is_request(&out[0]));
@@ -475,7 +482,7 @@ mod tests {
         // The serving side: a tick proposes the node's chunk, a partner
         // requests it, and only the serve goes out — no ack check is armed.
         let directory = Directory::new(10);
-        let mut s = stack_with_lifting(0, Box::new(Honest), false);
+        let mut s = stack_with_lifting(0, Adversary::default(), false);
         let chunk = s.primary().gossip.playout().clock().chunk(1);
         s.planes[0].gossip.inject_source_chunk(chunk, SimTime::ZERO);
         let mut out = Vec::new();
@@ -496,7 +503,7 @@ mod tests {
 
     #[test]
     fn request_sent_arms_a_serve_check_timer() {
-        let mut s = stack(1, Box::new(Honest));
+        let mut s = stack(1, Adversary::default());
         let out = deliver_propose(&mut s);
         assert!(matches!(
             out[0],
@@ -511,7 +518,7 @@ mod tests {
 
     #[test]
     fn stack_wires_every_layer_with_the_same_identity() {
-        let s = stack(4, Box::new(Honest));
+        let s = stack(4, Adversary::default());
         assert_eq!(s.id(), NodeId::new(4));
         assert_eq!(s.primary().gossip.id(), NodeId::new(4));
         assert_eq!(s.primary().verifier.id(), s.primary().gossip.id());
@@ -525,7 +532,7 @@ mod tests {
             GossipConfig::planetlab(),
             LiftingConfig::planetlab(),
             true,
-            Box::new(Honest),
+            Adversary::default(),
             derive_rng(1, 2),
             &clocks(3),
             0,
@@ -547,7 +554,7 @@ mod tests {
             GossipConfig::planetlab(),
             LiftingConfig::planetlab(),
             true,
-            Box::new(SelectiveFreerider { silent_mask: 0b10 }),
+            freerider(AdversaryFamily::SelectiveFreerider { silent_mask: 0b10 }),
             derive_rng(1, 3),
             &clocks(2),
             0,
@@ -558,12 +565,7 @@ mod tests {
 
     #[test]
     fn freerider_adversary_shapes_the_dissemination_plane() {
-        let s = stack(
-            2,
-            Box::new(Freerider {
-                degree: FreeriderConfig::planetlab(),
-            }),
-        );
+        let s = stack(2, freerider(AdversaryFamily::default()));
         assert!(s.primary().gossip.behavior().is_freerider());
         // Verification plane stays honest for an independent freerider.
         let collusion: &CollusionConfig = &CollusionConfig::none();
@@ -577,7 +579,7 @@ mod tests {
     #[test]
     fn blames_lower_the_managed_score_and_trigger_votes() {
         use crate::inflight::{land, InFlightBlame};
-        let mut s = stack(1, Box::new(Honest));
+        let mut s = stack(1, Adversary::default());
         let target = NodeId::new(3);
         s.reputation.register(target);
         let copy = InFlightBlame {
@@ -601,7 +603,7 @@ mod tests {
 
     #[test]
     fn gossip_tick_on_empty_node_still_begins_a_period() {
-        let mut s = stack(1, Box::new(Honest));
+        let mut s = stack(1, Adversary::default());
         let directory = Directory::new(8);
         let mut out = Vec::new();
         s.on_gossip_tick(NodeId::new(1), SimTime::ZERO, &directory, &mut out);

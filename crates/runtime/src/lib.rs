@@ -4,8 +4,8 @@
 //! Each node is a protocol stack ([`layers::NodeStack`]): per stream, the
 //! sans-IO gossip and verification state machines wired directly to each
 //! other, over one reputation plane, emitting typed downcalls (see [`layers`]
-//! and `ARCHITECTURE.md`), with misbehaviour plugged in through the
-//! [`layers::Adversary`] trait. The
+//! and `ARCHITECTURE.md`); its [`layers::Adversary`] value says whether the
+//! node is honest or plays the [`AdversaryFamily`] its scenario declares. The
 //! [`SystemWorld`] owns the stacks and the event-loop glue the sans-IO
 //! protocol crates deliberately avoid: it moves messages through
 //! [`lifting_net::Network`], schedules verifier timers, routes blames to
@@ -43,9 +43,9 @@ pub mod scenario;
 pub(crate) mod wave;
 pub mod world;
 
-pub use components::{component_summary, exporter_components, AdversaryFamily, OutcomeExporter};
+pub use components::{component_summary, exporter_components, OutcomeExporter};
 pub use inflight::{BlamesInFlight, InFlightBlame};
-pub use layers::{Adversary, AuditRpcStats, FeedbackAction, NodeStack};
+pub use layers::{Adversary, AdversaryFamily, AuditRpcStats, FeedbackAction, NodeStack};
 pub use message::{Event, Message};
 pub use metrics::{
     ChurnStats, LayerTraffic, NodeOutcome, RecoveryReport, RunOutcome, ScoreSnapshot, StackLayer,

@@ -14,7 +14,7 @@ use lifting_membership::{Workload, ZapSwitching};
 use lifting_net::Capability;
 use lifting_sim::SimDuration;
 
-use crate::components::AdversaryFamily;
+use crate::layers::AdversaryFamily;
 use crate::scenario::{ScenarioConfig, StreamAudience, StreamSpec};
 
 /// The family prefix of a scenario name: the part before the first `/`

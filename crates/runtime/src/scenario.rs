@@ -6,7 +6,7 @@ use lifting_membership::Workload;
 use lifting_net::{Capability, NetworkConfig};
 use lifting_sim::{ComponentError, SimDuration, StreamId};
 
-use crate::components::AdversaryFamily;
+use crate::layers::AdversaryFamily;
 
 /// Which nodes subscribe to a stream.
 ///

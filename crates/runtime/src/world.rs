@@ -550,10 +550,7 @@ impl SystemWorld {
         for o in &snap.outcomes {
             let (node, adversary) = (o.node, &mut self.stacks[o.node.index()].adversary);
             // (an expelled node is inactive too)
-            if !o.is_freerider
-                || !self.directory.is_active(node)
-                || !adversary.wants_score_feedback()
-            {
+            if !self.directory.is_active(node) || !adversary.wants_score_feedback() {
                 continue;
             }
             let action = adversary.on_score_feedback(period, o.score, eta_static);
@@ -622,9 +619,7 @@ impl SystemWorld {
             if self.config.adversary.closed_loop() {
                 let period = self.period.completed();
                 for (i, stack) in self.stacks.iter_mut().enumerate() {
-                    if self.config.is_freerider(i)
-                        && self.directory.is_active(NodeId::new(i as u32))
-                    {
+                    if self.directory.is_active(NodeId::new(i as u32)) {
                         stack.adversary.on_audit_observed(target, period);
                     }
                 }

@@ -13,7 +13,7 @@ use lifting_gossip::{ChunkId, GossipConfig, ProposeRound, StreamClock};
 use lifting_membership::Directory;
 use lifting_membership::{Churn, Wave, Workload};
 use lifting_net::{Network, NetworkConfig, TrafficCategory};
-use lifting_runtime::layers::{AuditCoordinator, AuditOutcome, Downcall, Honest, NodeStack};
+use lifting_runtime::layers::{Adversary, AuditCoordinator, AuditOutcome, Downcall, NodeStack};
 use lifting_runtime::{
     build_engine, run_scenario, run_scenarios_parallel, Message, Scale, ScenarioRegistry,
 };
@@ -25,7 +25,7 @@ fn stack(id: u32) -> NodeStack {
         GossipConfig::planetlab(),
         LiftingConfig::planetlab(),
         true,
-        Box::new(Honest),
+        Adversary::default(),
         derive_rng(1, id as u64),
         &[StreamClock::paper()],
         0,
@@ -305,7 +305,7 @@ fn session_stack(session: u32) -> NodeStack {
         GossipConfig::planetlab(),
         LiftingConfig::planetlab().with_pdcc(1.0),
         true,
-        Box::new(Honest),
+        Adversary::default(),
         derive_rng(1, 1),
         &[StreamClock::paper()],
         session,

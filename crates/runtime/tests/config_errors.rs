@@ -8,7 +8,8 @@
 //! method declares; the generated value covers both sides of the range, NaN
 //! and the infinities where the field is a float. The adversary families'
 //! cross-field rules (a population to replace, a selective mask within the
-//! streams) are cases too. `build_world` must return
+//! streams, an on-off cycle that fits a `u64`, a whitewasher offline spell
+//! within the run) are cases too. `build_world` must return
 //! `Err(InvalidParam { component, key, .. })` naming exactly that field.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -129,7 +130,7 @@ fn beyond_two_streams(u: f64) -> u64 {
 
 /// `(component, key, break)`: every out-of-range field and the error that
 /// must name it.
-const CASES: [(&str, &str, Break); 71] = [
+const CASES: [(&str, &str, Break); 73] = [
     // ScenarioConfig
     ("scenario", "nodes", |c, u| c.nodes = (u * 3.0) as usize),
     ("scenario", "lifting.managers", |c, u| {
@@ -363,6 +364,25 @@ const CASES: [(&str, &str, Break); 71] = [
         c.adversary = AdversaryFamily::AdaptiveColluders {
             partner_bias: 0.6,
             cooldown_periods: 0,
+        }
+    }),
+    // An on-off cycle whose length overflows, and a whitewasher offline
+    // longer than the run (up to the largest duration).
+    ("on-off", "off_periods", |c, u| {
+        let off = count(u) as u64;
+        c.adversary = AdversaryFamily::OnOff {
+            on_periods: u64::MAX - off + 1,
+            off_periods: off,
+        }
+    }),
+    ("whitewasher", "offline_secs", |c, u| {
+        c.adversary = AdversaryFamily::Whitewasher {
+            margin: 0.5,
+            offline: if u < 0.5 {
+                c.duration + SimDuration::from_micros(count(u) as u64)
+            } else {
+                SimDuration::from_micros(u64::MAX)
+            },
         }
     }),
     // Cross-field rules: a family that replaces the freeriders needs them

@@ -16,7 +16,7 @@ use lifting_gossip::{
     ChunkId, GossipConfig, GossipMessage, ProposePayload, RequestPayload, ServePayload, StreamClock,
 };
 use lifting_membership::Directory;
-use lifting_runtime::layers::{Downcall, Honest, NodeStack};
+use lifting_runtime::layers::{Adversary, Downcall, NodeStack};
 use lifting_runtime::Message;
 use lifting_sim::{derive_rng, NodeId, SimTime, StreamId};
 
@@ -87,7 +87,7 @@ fn run_script(lifting_enabled: bool) -> (Vec<Step>, NodeStack) {
         GossipConfig::planetlab(),
         LiftingConfig::planetlab().with_pdcc(1.0),
         lifting_enabled,
-        Box::new(Honest),
+        Adversary::default(),
         derive_rng(11, 1),
         &[StreamClock::paper()],
         0,

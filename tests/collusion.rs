@@ -20,9 +20,9 @@ fn colluding_scenario(seed: u64, audits: bool) -> ScenarioConfig {
 
 #[test]
 fn collusion_as_baseline_params_reproduces_the_pinned_run() {
-    // The only run that reaches `Colluder`: its `digest` export is pinned,
-    // so a change to how collusion is declared or wired that moves the run
-    // fails here.
+    // The only run whose freeriders collude with all three flags: its
+    // `digest` export is pinned, so a change to how collusion is declared or
+    // wired that moves the run fails here.
     let outcome = run_scenario(colluding_scenario(3, true));
     let digest = lifting::runtime::exporter_components()
         .build("digest", &ParamMap::new(), &mut SeedSplitter::new(0))
@@ -30,7 +30,7 @@ fn collusion_as_baseline_params_reproduces_the_pinned_run() {
         .export("collusion", -9.75, &outcome);
     assert_eq!(
         digest,
-        "collusion: 0x3bb152cadc1ad897 mem=15269.133333333333"
+        "collusion: 0x3bb152cadc1ad897 mem=15261.133333333333"
     );
 }
 
