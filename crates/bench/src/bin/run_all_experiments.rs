@@ -22,128 +22,119 @@
 //! A bad command line (an unknown flag, a flag without its value, a filter
 //! that matches no job) is reported as a usage error, exit status 2.
 
-use std::any::Any;
 use std::time::Instant;
 
 use lifting_bench::claims::{self, Evidence};
 use lifting_bench::experiments::*;
 use lifting_bench::Usage;
-use lifting_runtime::{run_jobs_parallel, ScenarioRegistry};
+use lifting_runtime::{run_jobs_parallel, ScenarioRegistry, FIG14_PDCCS};
 use serde_json::{json, to_value, Value};
 
 const USAGE: Usage =
     Usage("usage: run_all_experiments [--quick] [--sequential] [--filter SUBSTRING]");
 
-/// The scenario-family jobs, `(summary section, registry family, seed)`:
-/// each sweeps every registered member of its family and reports one
-/// `FamilyRow` per scenario.
-const FAMILY_SECTIONS: [(&str, &str, u64); 6] = [
-    ("adversaries", "adversary", 21),
-    ("churn", "churn", 33),
-    ("multistream", "multistream", 44),
-    ("resilience", "resilience", 55),
-    ("workload", "workload", 77),
-    ("scale_sweep", "scale", 66),
+/// The registry families the suite sweeps, `(family, seed)`: each is one job
+/// and one summary section of the family's name, with one `FamilyRow` per
+/// registered member. Every family is here but `fig14`, whose runs are read
+/// at timed snapshots by a job of their own, and `smoke`, a test fixture.
+const FAMILIES: [(&str, u64); 10] = [
+    ("fig01", 1),
+    ("table03", 3),
+    ("table05", 5),
+    ("headline", 30),
+    ("adversary", 21),
+    ("churn", 33),
+    ("multistream", 44),
+    ("resilience", 55),
+    ("scale", 66),
+    ("workload", 77),
 ];
 
-/// A family job is named after its section; the `scale_sweep` section's job
-/// is plain `scale` (its `timings_secs` key, what `--filter scale` matches).
-fn family_job_name(section: &'static str) -> &'static str {
-    section.strip_suffix("_sweep").unwrap_or(section)
+/// A job's result, kept typed for the claims.
+enum Output {
+    Fig10(WrongfulBlameResult),
+    Fig11(ScoreDistributionResult),
+    Fig12(DetectionSweep),
+    Fig13(EntropyResult),
+    /// One result per pdcc of `FIG14_PDCCS`.
+    Fig14(Vec<PlanetlabScoresResult>),
+    Family(Vec<FamilyRow>),
 }
 
-/// A job's result: rendered for the summary, and kept typed for the claims.
-type Output = (Value, Box<dyn Any + Send>);
+impl Output {
+    /// The job's summary section.
+    fn value(&self) -> Value {
+        match self {
+            Output::Fig10(result) => to_value(result),
+            Output::Fig11(result) => to_value(result),
+            Output::Fig12(result) => to_value(result),
+            Output::Fig13(result) => to_value(result),
+            Output::Fig14(results) => json!({
+                "pdcc_1": to_value(&results[0]),
+                "pdcc_05": to_value(&results[1]),
+            }),
+            Output::Family(rows) => to_value(rows),
+        }
+    }
+}
 
 type Job = (&'static str, Box<dyn Fn() -> Output + Send + Sync>);
 
-fn job<T: serde::Serialize + Send + 'static>(
-    name: &'static str,
-    run: impl Fn() -> T + Send + Sync + 'static,
-) -> Job {
-    (
-        name,
-        Box::new(move || {
-            let result = run();
-            (to_value(&result), Box::new(result))
-        }),
-    )
+fn job(name: &'static str, run: impl Fn() -> Output + Send + Sync + 'static) -> Job {
+    (name, Box::new(run))
 }
 
 fn build_jobs(scale: Scale) -> Vec<Job> {
+    use Output::*;
     // Every experiment is a job, seeded with its figure or table number (as
     // `claims::Evidence::run` seeds the ones it reads); independent scenarios
-    // *inside* an experiment fan out further through the same pool (fig01's
-    // three cases, fig12's delta sweep, the table grids), and fig14's two pdcc
-    // runs are jobs of their own.
+    // *inside* an experiment fan out further through the same pool (a
+    // family's members, fig12's delta sweep, fig14's two pdcc runs).
+    let fig14 = move |i: usize| fig14_planetlab_scores(scale, FIG14_PDCCS[i], 14);
     let mut jobs = vec![
-        job("fig01", move || fig01_stream_health(scale, 1)),
-        job("fig10", move || fig10_wrongful_blames(scale, 10)),
-        job("fig11", move || fig11_score_distributions(scale, 11)),
-        job("fig12", move || fig12_detection_vs_delta(scale, 12)),
-        job("fig13", move || fig13_history_entropy(scale, 13)),
-        job("fig14_pdcc_1", move || {
-            fig14_planetlab_scores(scale, 1.0, 14)
+        job("fig10", move || Fig10(fig10_wrongful_blames(scale, 10))),
+        job("fig11", move || Fig11(fig11_score_distributions(scale, 11))),
+        job("fig12", move || Fig12(fig12_detection_vs_delta(scale, 12))),
+        job("fig13", move || Fig13(fig13_history_entropy(scale, 13))),
+        job("fig14", move || {
+            Fig14(run_jobs_parallel(FIG14_PDCCS.len(), fig14))
         }),
-        job("fig14_pdcc_05", move || {
-            fig14_planetlab_scores(scale, 0.5, 14)
-        }),
-        job("table3", move || table03_verification_overhead(scale, 3)),
-        job("table5", move || table05_practical_overhead(scale, 5)),
-        job("layer_traffic", move || layer_traffic_breakdown(scale, 30)),
     ];
-    for (section, family, seed) in FAMILY_SECTIONS {
-        let name = family_job_name(section);
-        // The scale family runs one population at a time; every other
-        // family fans out on the pool.
-        jobs.push(if family == "scale" {
-            job(name, move || scale_sweep(scale, seed))
-        } else {
-            job(name, move || family_sweep(family, scale, seed))
-        });
-    }
+    // The scale family runs one population at a time; every other family
+    // fans out on the pool.
+    jobs.extend(FAMILIES.map(|(family, seed)| match family {
+        "scale" => job(family, move || Family(scale_sweep(scale, seed))),
+        _ => job(family, move || Family(family_sweep(family, scale, seed))),
+    }));
     jobs
 }
 
 /// Results of one full sweep.
 struct SuiteRun {
-    /// `(name, figure/table value, typed result, seconds)` per experiment, in
-    /// job order.
-    results: Vec<(&'static str, Value, Box<dyn Any + Send>, f64)>,
+    /// `(name, result, seconds)` per experiment, in job order.
+    results: Vec<(&'static str, Output, f64)>,
     total_secs: f64,
 }
 
 impl SuiteRun {
-    fn by_name(&self, name: &str) -> &Value {
-        &self.result(name).1
-    }
-
-    fn result(&self, name: &str) -> &(&'static str, Value, Box<dyn Any + Send>, f64) {
-        self.results
-            .iter()
-            .find(|(n, ..)| *n == name)
-            .expect("known experiment name")
-    }
-
-    /// The typed result of job `name`.
-    fn typed<T: Clone + 'static>(&self, name: &str) -> T {
-        self.result(name)
-            .2
-            .downcast_ref::<T>()
-            .expect("job result of the expected type")
-            .clone()
-    }
-
     /// The results the claims table reads.
     fn evidence(&self) -> Evidence {
+        macro_rules! read {
+            ($job:literal, $variant:ident) => {
+                match self.results.iter().find(|(name, ..)| *name == $job) {
+                    Some((_, Output::$variant(result), _)) => result.clone(),
+                    _ => unreachable!("job {} returns {}", $job, stringify!($variant)),
+                }
+            };
+        }
         Evidence {
-            fig10: self.typed("fig10"),
-            fig11: self.typed("fig11"),
-            fig12: self.typed("fig12"),
-            fig13: self.typed("fig13"),
-            fig14: self.typed("fig14_pdcc_1"),
-            table3: self.typed("table3"),
-            table5: self.typed("table5"),
+            fig10: read!("fig10", Fig10),
+            fig11: read!("fig11", Fig11),
+            fig12: read!("fig12", Fig12),
+            fig13: read!("fig13", Fig13),
+            fig14: read!("fig14", Fig14).swap_remove(0),
+            table03: read!("table03", Family),
+            table05: read!("table05", Family),
         }
     }
 
@@ -151,7 +142,7 @@ impl SuiteRun {
         Value::Object(
             self.results
                 .iter()
-                .map(|(name, .., secs)| (name.to_string(), Value::Float(*secs)))
+                .map(|(name, _, secs)| (name.to_string(), Value::Float(*secs)))
                 .collect(),
         )
     }
@@ -164,25 +155,22 @@ fn run_suite(scale: Scale, filter: Option<&str>) -> SuiteRun {
     }
     eprintln!("running all experiments at {scale:?} scale ...");
     let wall_start = Instant::now();
-    let results: Vec<(Output, f64)> = run_jobs_parallel(jobs.len(), |i| {
+    let n = jobs.len();
+    let results: Vec<(Output, f64)> = run_jobs_parallel(n, |i| {
         let (name, run) = &jobs[i];
-        eprintln!("[{}/{}] {scale:?}/{name} ...", i + 1, jobs.len());
+        eprintln!("[{}/{n}] {scale:?}/{name} ...", i + 1);
         let start = Instant::now();
-        let value = run();
+        let output = run();
         let secs = start.elapsed().as_secs_f64();
-        eprintln!(
-            "[{}/{}] {scale:?}/{name} done in {secs:.2}s",
-            i + 1,
-            jobs.len()
-        );
-        (value, secs)
+        eprintln!("[{}/{n}] {scale:?}/{name} done in {secs:.2}s", i + 1);
+        (output, secs)
     });
     let total_secs = wall_start.elapsed().as_secs_f64();
     SuiteRun {
         results: jobs
             .iter()
             .zip(results)
-            .map(|((name, _), ((value, typed), secs))| (*name, value, typed, secs))
+            .map(|((name, _), (output, secs))| (*name, output, secs))
             .collect(),
         total_secs,
     }
@@ -219,53 +207,35 @@ fn main() {
     let run = run_suite(scale, filter.as_deref());
 
     let claims = filter.is_none().then(|| claims::table(&run.evidence()));
-    let mut sections: Vec<(&str, Value)> = vec![
-        ("scale", to_value(&format!("{scale:?}"))),
-        ("workers", to_value(&workers)),
+    let mut sections: Vec<(String, Value)> = vec![
+        // Not `scale`: that section is the scale family's.
+        ("run_scale".into(), to_value(&format!("{scale:?}"))),
+        ("workers".into(), to_value(&workers)),
     ];
-    if filter.is_some() {
+    if let Some(claims) = &claims {
+        let scenario_names = ScenarioRegistry::builtin().names();
+        sections.push(("scenarios".into(), to_value(&scenario_names)));
+        sections.push(("claims".into(), to_value(claims)));
+    } else {
         // Partial development summary: just the filtered jobs, flagged so it
         // is never mistaken for (or committed as) the full suite's output.
-        sections.insert(0, ("filtered", Value::Bool(true)));
-        for (name, value, ..) in &run.results {
-            sections.push((name, value.clone()));
-        }
-        sections.push(("timings_secs", run.timings()));
-    } else {
-        let scenario_names = ScenarioRegistry::builtin().names();
-        sections.push(("scenarios", to_value(&scenario_names)));
-        for name in ["fig01", "fig10", "fig11", "fig12", "fig13"] {
-            sections.push((name, run.by_name(name).clone()));
-        }
-        sections.push((
-            "fig14",
-            json!({
-                "pdcc_1": run.by_name("fig14_pdcc_1"),
-                "pdcc_05": run.by_name("fig14_pdcc_05"),
-            }),
-        ));
-        for name in ["table3", "table5", "layer_traffic"] {
-            sections.push((name, run.by_name(name).clone()));
-        }
-        sections.push(("claims", to_value(&claims)));
-        for (section, _, _) in FAMILY_SECTIONS {
-            sections.push((section, run.by_name(family_job_name(section)).clone()));
-        }
-        sections.extend([
-            // Times a sweep's η calibration fell back to the paper's −9.75
-            // because its honest sample was empty; anything non-zero means a
-            // reported detection rate ran against an uncalibrated threshold.
-            ("eta_fallbacks", to_value(&paper_eta_fallback_count())),
-            ("timings_secs", run.timings()),
-            ("total_wall_secs", to_value(&run.total_secs)),
-        ]);
+        sections.insert(0, ("filtered".into(), Value::Bool(true)));
     }
-    let summary = Value::Object(
-        sections
-            .into_iter()
-            .map(|(name, value)| (name.to_string(), value))
-            .collect(),
-    );
+    for (name, output, _) in &run.results {
+        sections.push((name.to_string(), output.value()));
+    }
+    if claims.is_some() {
+        // Times a sweep's η calibration fell back to the paper's −9.75
+        // because its honest sample was empty; anything non-zero means a
+        // reported detection rate ran against an uncalibrated threshold.
+        sections.push((
+            "eta_fallbacks".into(),
+            to_value(&paper_eta_fallback_count()),
+        ));
+        sections.push(("total_wall_secs".into(), to_value(&run.total_secs)));
+    }
+    sections.push(("timings_secs".into(), run.timings()));
+    let summary = Value::Object(sections);
     let path = "experiments_summary.json";
     std::fs::write(path, serde_json::to_string_pretty(&summary).unwrap()).expect("write summary");
     println!("wrote {path}");
@@ -295,4 +265,20 @@ fn main() {
         "{scale:?} scale wall-clock: {:.2}s on {workers} worker(s)",
         run.total_secs
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_family_table_sweeps_every_registry_family_but_fig14_and_smoke() {
+        let mut swept: Vec<&str> = FAMILIES.iter().map(|(family, _)| *family).collect();
+        swept.extend(["fig14", "smoke"]);
+        swept.sort_unstable();
+        let registry = ScenarioRegistry::builtin();
+        let mut families: Vec<&str> = registry.families().into_iter().map(|(f, _)| f).collect();
+        families.sort_unstable();
+        assert_eq!(swept, families);
+    }
 }

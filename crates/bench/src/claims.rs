@@ -15,11 +15,10 @@ use lifting_analysis::{max_entropy, max_undetectable_bias, FreeridingDegree, Pro
 use serde::Serialize;
 
 use crate::experiments::{
-    fig10_wrongful_blames, fig11_score_distributions, fig12_detection_vs_delta,
-    fig13_history_entropy, fig14_planetlab_scores, table03_verification_overhead,
-    table05_practical_overhead, DetectionSweep, EntropyResult, PlanetlabScoresResult,
-    PracticalOverheadCell, Scale, ScoreDistributionResult, VerificationOverheadRow,
-    WrongfulBlameResult, FIG11_DELTA, HISTORY_ENTRIES, PAPER_ETA, SCORE_PERIODS,
+    family_sweep, fig10_wrongful_blames, fig11_score_distributions, fig12_detection_vs_delta,
+    fig13_history_entropy, fig14_planetlab_scores, DetectionSweep, EntropyResult, FamilyRow,
+    PlanetlabScoresResult, Scale, ScoreDistributionResult, WrongfulBlameResult, FIG11_DELTA,
+    HISTORY_ENTRIES, PAPER_ETA, SCORE_PERIODS,
 };
 
 /// How a claim's values must relate for it to hold. The reference is the
@@ -168,10 +167,10 @@ pub struct Evidence {
     pub fig13: EntropyResult,
     /// Figure 14 at `pdcc = 1`: the PlanetLab deployment's snapshots.
     pub fig14: PlanetlabScoresResult,
-    /// Table 3: verification messages per node and period.
-    pub table3: Vec<VerificationOverheadRow>,
-    /// Table 5: practical overhead per stream rate and pdcc.
-    pub table5: Vec<PracticalOverheadCell>,
+    /// The `table03` family: LiFTinG messages per node and period, per pdcc.
+    pub table03: Vec<FamilyRow>,
+    /// The `table05` family: practical overhead per stream rate and pdcc.
+    pub table05: Vec<FamilyRow>,
 }
 
 impl Evidence {
@@ -184,9 +183,16 @@ impl Evidence {
             fig12: fig12_detection_vs_delta(scale, 12),
             fig13: fig13_history_entropy(scale, 13),
             fig14: fig14_planetlab_scores(scale, 1.0, 14),
-            table3: table03_verification_overhead(scale, 3),
-            table5: table05_practical_overhead(scale, 5),
+            table03: family_sweep("table03", scale, 3),
+            table05: family_sweep("table05", scale, 5),
         }
+    }
+
+    /// The `table03` or `table05` row of the registered scenario `name`.
+    fn row(&self, name: &str) -> &FamilyRow {
+        let mut rows = self.table03.iter().chain(&self.table05);
+        rows.find(|r| r.scenario == name)
+            .unwrap_or_else(|| panic!("no row {name}"))
     }
 
     /// Figure 12's detection at `delta`, linearly interpolated between the
@@ -216,13 +222,6 @@ pub fn table(evidence: &Evidence) -> Vec<Claim> {
         .iter()
         .find(|s| s.at_secs == 30.0)
         .expect("a 30 s snapshot");
-    let overhead_674 = |pdcc: f64| {
-        e.table5
-            .iter()
-            .find(|c| c.stream_kbps == 674 && c.pdcc == pdcc)
-            .expect("a 674 kbps cell")
-            .overhead
-    };
     // σ(b') of one period, from the spread of the freeriders' scores averaged
     // over r periods.
     let sigma_freerider = e.fig11.freeriders.std_dev * (SCORE_PERIODS as f64).sqrt();
@@ -442,20 +441,30 @@ pub fn table(evidence: &Evidence) -> Vec<Claim> {
             )
         },
     ];
-    rows.extend(e.table3.iter().map(|r| Claim {
-        analytic: Some(r.analytical_bound),
-        measured: Some(r.measured_per_node_period),
-        ..Claim::new(
-            format!("table3.pdcc_{:.3}", r.pdcc),
-            "Table 3, §6.1",
-            "verification messages per node and period within the analytical bound",
-            Check::AtMost,
-        )
+    // Table 3's pdcc columns; the bound is for the PlanetLab fanout and M = 25.
+    let planetlab = ProtocolParams::planetlab_defaults();
+    rows.extend([0.0, 1.0 / 7.0, 0.5, 1.0].map(|pdcc| {
+        Claim {
+            analytic: Some(planetlab.verification_message_bound(pdcc, 25)),
+            measured: Some(
+                e.row(&format!("table03/pdcc-{pdcc:.3}"))
+                    .overhead_messages_per_node_period,
+            ),
+            ..Claim::new(
+                format!("table3.pdcc_{pdcc:.3}"),
+                "Table 3, §6.1",
+                "verification messages per node and period within the analytical bound",
+                Check::AtMost,
+            )
+        }
     }));
     rows.extend(
         [(0.0, 0.0107), (0.5, 0.0453), (1.0, 0.0801)].map(|(pdcc, paper)| Claim {
             paper: Some(paper),
-            measured: Some(overhead_674(pdcc)),
+            measured: Some(
+                e.row(&format!("table05/674kbps-pdcc-{pdcc}"))
+                    .overhead_ratio,
+            ),
             ..Claim::new(
                 format!("table5.674kbps_pdcc_{pdcc}"),
                 "Table 5",

@@ -1,4 +1,6 @@
-//! The experiments themselves: one function per table/figure of the paper.
+//! The experiments themselves: one function per Monte-Carlo figure of the
+//! paper (10 to 13), Figure 14's timed snapshots, and one sweep that reads
+//! every other registered scenario family as [`FamilyRow`]s.
 
 use lifting_analysis::entropy::calibrate_gamma;
 use lifting_analysis::{
@@ -7,11 +9,11 @@ use lifting_analysis::{
     ProtocolParams, Summary,
 };
 use lifting_core::ConfirmRetryStats;
+use lifting_gossip::StreamHealth;
 use lifting_runtime::{
     fig14_scenario_name, run_jobs_parallel, run_scenario, run_scenario_with_snapshots,
-    run_scenarios_parallel, table03_scenario_name, table05_scenario_name, AuditRpcStats,
-    ChurnStats, LayerTraffic, RunOutcome, ScenarioConfig, ScenarioRegistry, ScoreSnapshot,
-    WaveRecovery, TABLE03_PDCCS, TABLE05_PDCCS, TABLE05_STREAM_KBPS,
+    run_scenarios_parallel, AuditRpcStats, ChurnStats, LayerTraffic, RunOutcome, ScenarioConfig,
+    ScenarioRegistry, ScoreSnapshot, WaveRecovery,
 };
 use lifting_sim::SimDuration;
 use serde::Serialize;
@@ -48,52 +50,6 @@ fn calibrated_eta(honest: &[f64], target_beta: f64) -> f64 {
         );
         PAPER_ETA
     })
-}
-
-// ---------------------------------------------------------------------------
-// Figure 1 — system efficiency in the presence of freeriders.
-// ---------------------------------------------------------------------------
-
-/// One stream-health curve of Figure 1.
-#[derive(Debug, Clone, Serialize)]
-pub struct HealthCurve {
-    /// Curve label.
-    pub label: String,
-    /// Stream lags (seconds).
-    pub lag_secs: Vec<f64>,
-    /// Fraction of nodes viewing a clear stream at each lag.
-    pub fraction_clear: Vec<f64>,
-    /// Nodes expelled during the run.
-    pub expelled: usize,
-}
-
-/// Figure 1: fraction of nodes viewing a clear stream vs. stream lag, for a
-/// baseline run, 25 % freeriders without LiFTinG, and 25 % freeriders with
-/// LiFTinG expelling them.
-pub fn fig01_stream_health(scale: Scale, seed: u64) -> Vec<HealthCurve> {
-    let registry = ScenarioRegistry::builtin();
-    let (labels, configs): (Vec<String>, Vec<ScenarioConfig>) = [
-        ("no freeriders", "fig01/no-freeriders"),
-        ("25% freeriders", "fig01/freeriders-no-lifting"),
-        ("25% freeriders (LiFTinG)", "fig01/freeriders-lifting"),
-    ]
-    .into_iter()
-    .map(|(label, scenario)| (label.to_string(), registry.build(scenario, scale, seed)))
-    .unzip();
-    // The three cases are independent full-system runs; fan them out on the
-    // scenario fleet (each carries its own seed, so results are identical to
-    // running them one by one).
-    let outcomes = run_scenarios_parallel(configs);
-    labels
-        .into_iter()
-        .zip(outcomes)
-        .map(|(label, outcome)| HealthCurve {
-            label,
-            lag_secs: outcome.stream_health.lag_secs.clone(),
-            fraction_clear: outcome.stream_health.fraction_clear.clone(),
-            expelled: outcome.expelled_count,
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -378,131 +334,6 @@ pub fn fig14_planetlab_scores(scale: Scale, pdcc: f64, seed: u64) -> PlanetlabSc
 }
 
 // ---------------------------------------------------------------------------
-// Table 3 — message overhead of the verifications.
-// ---------------------------------------------------------------------------
-
-/// One row of Table 3: message counts per gossip period for one pdcc.
-#[derive(Debug, Clone, Serialize)]
-pub struct VerificationOverheadRow {
-    /// Cross-checking probability.
-    pub pdcc: f64,
-    /// Analytical bound on verification + blame messages per node per period.
-    pub analytical_bound: f64,
-    /// Messages sent per period by the gossip protocol itself, `f(2 + |R|)`.
-    pub gossip_messages: f64,
-    /// Measured verification + blame messages per node per period.
-    pub measured_per_node_period: f64,
-}
-
-/// Table 3: analytical bounds (Section 6.1) and measured per-node, per-period
-/// verification message counts for several values of pdcc.
-pub fn table03_verification_overhead(scale: Scale, seed: u64) -> Vec<VerificationOverheadRow> {
-    let params = ProtocolParams::planetlab_defaults();
-    let pdccs = TABLE03_PDCCS;
-    let registry = ScenarioRegistry::builtin();
-    let configs: Vec<ScenarioConfig> = pdccs
-        .iter()
-        .map(|&pdcc| registry.build(&table03_scenario_name(pdcc), scale, seed))
-        .collect();
-    // Normalize by the population/duration of the scenarios actually run, so
-    // the registry stays the single source of truth.
-    let nodes = configs[0].nodes;
-    let duration = configs[0].duration;
-    let outcomes = run_scenarios_parallel(configs);
-    pdccs
-        .into_iter()
-        .zip(outcomes)
-        .map(|(pdcc, outcome)| {
-            let verification_msgs: u64 = outcome
-                .traffic
-                .per_category
-                .iter()
-                .filter(|(c, _)| c.is_lifting_overhead())
-                .map(|(_, v)| v.messages_sent)
-                .sum();
-            let periods = duration.as_secs_f64() / 0.5;
-            VerificationOverheadRow {
-                pdcc,
-                analytical_bound: params.verification_message_bound(pdcc, 25),
-                gossip_messages: params.gossip_message_count(),
-                measured_per_node_period: verification_msgs as f64 / (nodes as f64 * periods),
-            }
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Table 5 — practical bandwidth overhead.
-// ---------------------------------------------------------------------------
-
-/// One cell of Table 5.
-#[derive(Debug, Clone, Serialize)]
-pub struct PracticalOverheadCell {
-    /// Stream rate (kbps).
-    pub stream_kbps: u64,
-    /// Cross-checking probability.
-    pub pdcc: f64,
-    /// Measured LiFTinG overhead (verification + blame + audit bytes divided
-    /// by gossip bytes).
-    pub overhead: f64,
-}
-
-/// Table 5: cross-checking and blaming overhead for stream rates of 674, 1082
-/// and 2036 kbps and pdcc ∈ {0, 0.5, 1}.
-pub fn table05_practical_overhead(scale: Scale, seed: u64) -> Vec<PracticalOverheadCell> {
-    let mut grid = Vec::new();
-    for stream_kbps in TABLE05_STREAM_KBPS {
-        for pdcc in TABLE05_PDCCS {
-            grid.push((stream_kbps, pdcc));
-        }
-    }
-    let registry = ScenarioRegistry::builtin();
-    let configs: Vec<ScenarioConfig> = grid
-        .iter()
-        .map(|&(stream_kbps, pdcc)| {
-            registry.build(&table05_scenario_name(stream_kbps, pdcc), scale, seed)
-        })
-        .collect();
-    let outcomes = run_scenarios_parallel(configs);
-    grid.into_iter()
-        .zip(outcomes)
-        .map(|((stream_kbps, pdcc), outcome)| PracticalOverheadCell {
-            stream_kbps,
-            pdcc,
-            overhead: outcome.traffic.overhead_ratio,
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Per-layer overhead breakdown and the adversary showcases.
-// ---------------------------------------------------------------------------
-
-/// Per-layer traffic of one full-system run (Table 3's overhead breakdown at
-/// system scale: gossip vs verification vs audit vs reputation bytes).
-#[derive(Debug, Clone, Serialize)]
-pub struct LayerTrafficResult {
-    /// The registered scenario that was run.
-    pub scenario: String,
-    /// Per-layer message/byte counters.
-    pub per_layer: Vec<LayerTraffic>,
-    /// Overall LiFTinG overhead ratio (Table 5's headline number).
-    pub overhead: f64,
-}
-
-/// Runs the headline PlanetLab scenario and reports its traffic split by
-/// protocol-stack layer.
-pub fn layer_traffic_breakdown(scale: Scale, seed: u64) -> LayerTrafficResult {
-    let scenario = "headline/planetlab";
-    let outcome = run_scenario(ScenarioRegistry::builtin().build(scenario, scale, seed));
-    LayerTrafficResult {
-        scenario: scenario.to_string(),
-        per_layer: outcome.layer_traffic.clone(),
-        overhead: outcome.traffic.overhead_ratio,
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Scenario families: one readout per run, one sweep per registry family.
 // ---------------------------------------------------------------------------
 
@@ -559,6 +390,15 @@ pub struct FamilyRow {
     pub freerider_mean: f64,
     /// Fraction of nodes viewing a clear stream at the largest lag.
     pub final_clear_fraction: f64,
+    /// The primary stream's health at every lag of the grid (Figure 1).
+    pub stream_health: StreamHealth,
+    /// LiFTinG bytes (verification, blame, audit) over gossip bytes (Table 5).
+    pub overhead_ratio: f64,
+    /// LiFTinG messages (verification, blame, audit) sent per node and
+    /// gossip period (Table 3's measured column).
+    pub overhead_messages_per_node_period: f64,
+    /// The run's traffic split by protocol-stack layer.
+    pub per_layer: Vec<LayerTraffic>,
     /// Precision over the recovery trace's final period (1 without a trace).
     pub final_precision: f64,
     /// Recall over the recovery trace's final period (0 without a trace).
@@ -579,8 +419,23 @@ pub struct FamilyRow {
 }
 
 impl FamilyRow {
-    /// Projects `outcome` onto the reported numbers, detection read at `eta`.
-    pub fn read(scenario: &str, outcome: &RunOutcome, eta: f64) -> FamilyRow {
+    /// Projects the `outcome` of a run of `config` onto the reported numbers,
+    /// detection read at `eta`.
+    pub fn read(
+        scenario: &str,
+        config: &ScenarioConfig,
+        outcome: &RunOutcome,
+        eta: f64,
+    ) -> FamilyRow {
+        let nodes = outcome.finals.outcomes.len() + 1;
+        let overhead_messages: u64 = outcome
+            .traffic
+            .per_category
+            .iter()
+            .filter(|(c, _)| c.is_lifting_overhead())
+            .map(|(_, v)| v.messages_sent)
+            .sum();
+        let periods = outcome.duration.as_secs_f64() / config.gossip.gossip_period.as_secs_f64();
         let honest = outcome.finals.honest_scores();
         let freeriders = outcome.finals.freerider_scores();
         let detection = outcome.detection_rate(eta);
@@ -597,7 +452,7 @@ impl FamilyRow {
         let recovery = outcome.recovery.as_ref();
         FamilyRow {
             scenario: scenario.to_string(),
-            nodes: outcome.finals.outcomes.len() + 1,
+            nodes,
             streams: outcome.per_stream.len(),
             duration_secs: outcome.duration.as_secs_f64(),
             eta,
@@ -609,6 +464,10 @@ impl FamilyRow {
             honest_mean: Summary::of(&honest).mean,
             freerider_mean: Summary::of(&freeriders).mean,
             final_clear_fraction: outcome.stream_health.final_clear(),
+            stream_health: outcome.stream_health.clone(),
+            overhead_ratio: outcome.traffic.overhead_ratio,
+            overhead_messages_per_node_period: overhead_messages as f64 / (nodes as f64 * periods),
+            per_layer: outcome.layer_traffic.clone(),
             final_precision: recovery
                 .and_then(|r| r.period_precision.last().copied())
                 .unwrap_or(1.0),
@@ -657,16 +516,18 @@ pub fn family_sweep(family: &str, scale: Scale, seed: u64) -> Vec<FamilyRow> {
         .iter()
         .map(|name| registry.build(name, scale, seed))
         .collect();
+    let outcomes = run_scenarios_parallel(configs.clone());
     members
         .iter()
-        .zip(run_scenarios_parallel(configs))
-        .map(|(name, outcome)| {
+        .zip(&configs)
+        .zip(outcomes)
+        .map(|((name, config), outcome)| {
             let eta = outcome
                 .recovery
                 .as_ref()
                 .and_then(|r| r.eta_trace.last().copied())
                 .unwrap_or(PAPER_ETA);
-            FamilyRow::read(name, &outcome, eta)
+            FamilyRow::read(name, config, &outcome, eta)
         })
         .collect()
 }
@@ -683,9 +544,10 @@ pub fn scale_sweep(scale: Scale, seed: u64) -> Vec<FamilyRow> {
         .into_iter()
         .filter(|name| !SCALE_SWEEP_SKIPS.contains(name))
         .map(|name| {
-            let outcome = run_scenario(registry.build(name, scale, seed));
+            let config = registry.build(name, scale, seed);
+            let outcome = run_scenario(config.clone());
             let eta = calibrated_eta(&outcome.finals.honest_scores(), 0.01);
-            FamilyRow::read(name, &outcome, eta)
+            FamilyRow::read(name, &config, &outcome, eta)
         })
         .collect()
 }
@@ -693,6 +555,7 @@ pub fn scale_sweep(scale: Scale, seed: u64) -> Vec<FamilyRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lifting_runtime::StackLayer;
 
     #[test]
     fn quick_scale_experiments_run_end_to_end() {
@@ -745,13 +608,13 @@ mod tests {
     #[test]
     fn family_row_reads_the_outcome_field_by_field() {
         let config = ScenarioRegistry::builtin().build("smoke/small", Scale::Quick, 9);
-        let outcome = run_scenario(config);
+        let outcome = run_scenario(config.clone());
         let honest = outcome.finals.honest_scores();
         let freeriders = outcome.finals.freerider_scores();
         // Two thresholds that split the populations differently from each
         // other and from the paper's η (which flags nobody in this run).
         for eta in [-1.0, 0.5] {
-            let r = FamilyRow::read("smoke/small", &outcome, eta);
+            let r = FamilyRow::read("smoke/small", &config, &outcome, eta);
             assert_eq!((r.scenario.as_str(), r.eta), ("smoke/small", eta));
             assert_eq!(r.nodes, outcome.finals.outcomes.len() + 1);
             assert_eq!(r.duration_secs, outcome.duration.as_secs_f64());
@@ -766,6 +629,32 @@ mod tests {
             assert_eq!(r.honest_mean, Summary::of(&honest).mean);
             assert_eq!(r.freerider_mean, Summary::of(&freeriders).mean);
             assert_eq!(r.final_clear_fraction, outcome.stream_health.final_clear());
+            assert_eq!(r.stream_health.lag_secs, outcome.stream_health.lag_secs);
+            assert_eq!(
+                r.stream_health.fraction_clear,
+                outcome.stream_health.fraction_clear
+            );
+            assert_eq!(r.overhead_ratio, outcome.traffic.overhead_ratio);
+            assert_eq!(r.per_layer, outcome.layer_traffic);
+            // LiFTinG's messages are its three layers' (blames are the
+            // reputation layer's), over every node and 500 ms gossip period.
+            let lifting = [
+                StackLayer::Verification,
+                StackLayer::Audit,
+                StackLayer::Reputation,
+            ];
+            let sent: u64 = r
+                .per_layer
+                .iter()
+                .filter(|l| lifting.contains(&l.layer))
+                .map(|l| l.messages_sent)
+                .sum();
+            let periods = outcome.duration.as_secs_f64() / 0.5;
+            assert!(sent > 0);
+            assert_eq!(
+                r.overhead_messages_per_node_period,
+                sent as f64 / (r.nodes as f64 * periods)
+            );
             assert_eq!(r.memory_per_node_bytes, outcome.memory_per_node_bytes);
             assert_eq!(r.churn, outcome.churn);
             assert_eq!(r.confirm_retry, outcome.confirm_retry);
@@ -878,9 +767,10 @@ mod tests {
         // The skipped populations run on their own; their readout holds to
         // the same checks.
         for name in SCALE_SWEEP_SKIPS {
-            let outcome = run_scenario(ScenarioRegistry::builtin().build(name, Scale::Quick, 9));
+            let config = ScenarioRegistry::builtin().build(name, Scale::Quick, 9);
+            let outcome = run_scenario(config.clone());
             let eta = calibrated_eta(&outcome.finals.honest_scores(), 0.01);
-            rows.push(FamilyRow::read(name, &outcome, eta));
+            rows.push(FamilyRow::read(name, &config, &outcome, eta));
         }
         assert_eq!(names(&rows), family_members("scale"));
         // Populations ascend; every run reports a positive memory bill and a
@@ -933,23 +823,12 @@ mod tests {
 
     #[test]
     fn quick_scale_table05_shows_overhead_decreasing_with_stream_rate() {
-        let cells = table05_practical_overhead(Scale::Quick, 5);
-        assert_eq!(cells.len(), 9);
+        let rows = family_sweep("table05", Scale::Quick, 5);
+        assert_eq!(rows.len(), 9);
+        let overhead = |name: &str| row(&rows, name).overhead_ratio;
         // At pdcc = 1, the relative overhead shrinks as the stream rate grows.
-        let at = |kbps: u64| {
-            cells
-                .iter()
-                .find(|c| c.stream_kbps == kbps && c.pdcc == 1.0)
-                .unwrap()
-                .overhead
-        };
-        assert!(at(674) > at(2036));
+        assert!(overhead("table05/674kbps-pdcc-1") > overhead("table05/2036kbps-pdcc-1"));
         // And overhead grows with pdcc for a fixed stream.
-        let low = cells
-            .iter()
-            .find(|c| c.stream_kbps == 674 && c.pdcc == 0.0)
-            .unwrap()
-            .overhead;
-        assert!(low < at(674));
+        assert!(overhead("table05/674kbps-pdcc-0") < overhead("table05/674kbps-pdcc-1"));
     }
 }

@@ -1,8 +1,9 @@
 //! Experiment harness of the LiFTinG reproduction.
 //!
-//! [`experiments`] has one function per table and figure of the paper's
-//! evaluation plus the sweep over every registered scenario family;
-//! [`claims`] reads the paper's checkable numbers off those experiments as one
+//! [`experiments`] has one function per Monte-Carlo figure (10 to 13) and
+//! one for Figure 14's timed snapshots; every other figure and table is a
+//! registered scenario family, read by one sweep as one row shape per run
+//! (`FamilyRow`); [`claims`] reads the paper's checkable numbers off those experiments as one
 //! table, which `run_all_experiments` prints and the `paper_claims` test
 //! checks (the repository's `README.md`, "Paper claims", holds the table, and
 //! "Scenario families" says what `run_all_experiments` writes). Per-layer

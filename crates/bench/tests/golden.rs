@@ -9,9 +9,7 @@
 //! re-run with `LIFTING_PRINT_GOLDEN=1` and update the constants; silent
 //! drift is the thing this file exists to catch.
 
-use lifting_bench::experiments::{
-    family_sweep, fig01_stream_health, fig12_detection_vs_delta, DetectionSweep, Scale,
-};
+use lifting_bench::experiments::{family_sweep, fig12_detection_vs_delta, DetectionSweep, Scale};
 
 /// FNV-1a over a stream of 64-bit words.
 fn fnv1a(words: impl Iterator<Item = u64>) -> u64 {
@@ -39,15 +37,20 @@ const WORKLOAD_DIGEST: u64 = 0x78c5d274fdcc256e;
 
 #[test]
 fn fig01_quick_scale_run_outcome_is_pinned() {
-    let curves = fig01_stream_health(Scale::Quick, 1);
-    assert_eq!(curves.len(), 3);
-    assert_eq!(curves[0].label, "no freeriders");
-    assert_eq!(curves[1].label, "25% freeriders");
-    assert_eq!(curves[2].label, "25% freeriders (LiFTinG)");
-    let words = curves.iter().flat_map(|curve| {
-        std::iter::once(curve.expelled as u64)
-            .chain(curve.lag_secs.iter().map(|x| x.to_bits()))
-            .chain(curve.fraction_clear.iter().map(|x| x.to_bits()))
+    let rows = family_sweep("fig01", Scale::Quick, 1);
+    let names: Vec<&str> = rows.iter().map(|r| r.scenario.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "fig01/no-freeriders",
+            "fig01/freeriders-no-lifting",
+            "fig01/freeriders-lifting"
+        ]
+    );
+    let words = rows.iter().flat_map(|r| {
+        std::iter::once(r.expelled as u64)
+            .chain(r.stream_health.lag_secs.iter().map(|x| x.to_bits()))
+            .chain(r.stream_health.fraction_clear.iter().map(|x| x.to_bits()))
     });
     let digest = fnv1a(words);
     maybe_print("FIG01_DIGEST", digest);

@@ -235,10 +235,9 @@ impl Directory {
     }
 
     /// Like [`sample_uniform`](Self::sample_uniform), but appends to `picked`
-    /// and never selects a node already present in it (nor `exclude`). The
-    /// round-robin colluder selector uses this to top a too-small coalition up
-    /// to the full fanout without handing out duplicates. With an empty
-    /// `picked`, the RNG draw sequence is identical to `sample_uniform`.
+    /// and never selects a node already present in it (nor `exclude`). With
+    /// an empty `picked`, the RNG draw sequence is identical to
+    /// `sample_uniform`.
     pub fn sample_uniform_into<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
@@ -263,27 +262,14 @@ impl Directory {
         exclude: NodeId,
         stream: StreamId,
     ) -> Vec<NodeId> {
-        let mut picked = Vec::with_capacity(count);
-        self.sample_stream_into(rng, count, exclude, stream, &mut picked);
-        picked
-    }
-
-    /// Appending variant of [`sample_stream`](Self::sample_stream); never
-    /// selects a node already present in `picked`.
-    pub fn sample_stream_into<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        count: usize,
-        exclude: NodeId,
-        stream: StreamId,
-        picked: &mut Vec<NodeId>,
-    ) {
         let filter = if self.subscriptions.is_empty() {
             None // single stream: exactly the stream-less path
         } else {
             Some(stream)
         };
-        self.sample_into_where(rng, count, exclude, picked, filter);
+        let mut picked = Vec::with_capacity(count);
+        self.sample_into_where(rng, count, exclude, &mut picked, filter);
+        picked
     }
 
     /// The one sampling routine. `stream = None` means "any active node";

@@ -7,10 +7,8 @@
 //! * a [`Directory`] of the nodes currently in the system (supporting joins
 //!   and the expulsions decided by the reputation managers),
 //! * uniform partner selection over that directory (what honest nodes do),
-//! * the **biased** selection policies used by freeriders in Section 4.1(iii):
-//!   colluders that favour each other with probability `pm`, and the
-//!   round-robin colluder selection that the entropy check of Section 6.3.2 is
-//!   designed to defeat, and
+//! * the **biased** selection policy used by freeriders in Section 4.1(iii):
+//!   colluders that favour each other with probability `pm`, and
 //! * deterministic **disturbance generators** ([`Workload`]):
 //!   steady churn with catastrophe and flash-crowd waves, partition waves,
 //!   diurnal audience cycles, correlated regional-failure waves and zap-style

@@ -1,11 +1,8 @@
 //! Partner-selection policies.
 //!
 //! Honest nodes select gossip partners uniformly at random (Section 3 of the
-//! paper). Colluding freeriders *bias* this selection (Section 4.1(iii)):
-//! either probabilistically — choosing a colluder with probability `pm` — or
-//! deterministically in a round-robin over the coalition, which maximizes the
-//! entropy of their history and is the motivating case for requiring
-//! `nh·f ≫ m'` in Section 6.3.2.
+//! paper). Colluding freeriders *bias* this selection (Section 4.1(iii)),
+//! choosing a colluder with probability `pm`.
 
 use std::sync::Arc;
 
@@ -28,30 +25,18 @@ pub enum SelectionPolicy {
         /// Probability of picking a colluder for each partner slot.
         pm: f64,
     },
-    /// Deterministic round-robin over the coalition: each period the node
-    /// proposes to the next `f` colluders in order. With a small coalition and
-    /// a short history this can look uniform to the entropy check — which is
-    /// why the paper requires `nh·f ≫ m'`.
-    RoundRobinColluders {
-        /// The coalition (includes the selecting node itself, which is skipped).
-        colluders: Arc<Vec<NodeId>>,
-    },
 }
 
-/// Stateful partner selector for one node.
+/// Partner selector for one node.
 #[derive(Debug, Clone)]
 pub struct PartnerSelector {
     policy: SelectionPolicy,
-    round_robin_cursor: usize,
 }
 
 impl PartnerSelector {
     /// Creates a selector with the given policy.
     pub fn new(policy: SelectionPolicy) -> Self {
-        PartnerSelector {
-            policy,
-            round_robin_cursor: 0,
-        }
+        PartnerSelector { policy }
     }
 
     /// A uniform (honest) selector.
@@ -102,37 +87,6 @@ impl PartnerSelector {
                     if !picked.contains(&candidate) {
                         picked.push(candidate);
                     }
-                }
-                picked
-            }
-            SelectionPolicy::RoundRobinColluders { colluders } => {
-                // The cursor walks the *full* coalition list (a stable order)
-                // and skips departed/expelled members in place. Indexing a
-                // filtered snapshot instead — as this selector once did —
-                // shifts every position when a member leaves, silently
-                // skipping or double-counting the survivors.
-                let mut picked = Vec::with_capacity(fanout);
-                if !colluders.is_empty() {
-                    let total = colluders.len();
-                    let mut scanned = 0;
-                    while picked.len() < fanout && scanned < total {
-                        let candidate = colluders[self.round_robin_cursor % total];
-                        self.round_robin_cursor = self.round_robin_cursor.wrapping_add(1);
-                        scanned += 1;
-                        if candidate != me
-                            && directory.is_participant(candidate, stream)
-                            && !picked.contains(&candidate)
-                        {
-                            picked.push(candidate);
-                        }
-                    }
-                }
-                // A coalition smaller than the fanout must not silently shrink
-                // the node's fanout (that alone would flag it): top up with
-                // uniformly sampled non-coalition partners, duplicates barred.
-                if picked.len() < fanout {
-                    let need = fanout - picked.len();
-                    directory.sample_stream_into(rng, need, me, stream, &mut picked);
                 }
                 picked
             }
@@ -193,86 +147,6 @@ mod tests {
         let mut rng = derive_rng(3, 0);
         let partners = sel.select(NodeId::new(0), 10, &dir, StreamId::PRIMARY, &mut rng);
         assert_eq!(partners.len(), 10);
-    }
-
-    #[test]
-    fn round_robin_cycles_through_coalition() {
-        let dir = Directory::new(100);
-        let coalition = coalition(&[10, 11, 12, 13, 14]);
-        let mut sel = PartnerSelector::new(SelectionPolicy::RoundRobinColluders {
-            colluders: coalition,
-        });
-        let mut rng = derive_rng(4, 0);
-        // Node 10 cycles over the other 4 members.
-        let first = sel.select(NodeId::new(10), 2, &dir, StreamId::PRIMARY, &mut rng);
-        let second = sel.select(NodeId::new(10), 2, &dir, StreamId::PRIMARY, &mut rng);
-        assert_eq!(first, vec![NodeId::new(11), NodeId::new(12)]);
-        assert_eq!(second, vec![NodeId::new(13), NodeId::new(14)]);
-    }
-
-    #[test]
-    fn round_robin_cursor_survives_member_departure() {
-        // Regression: the cursor used to index a *filtered* snapshot of the
-        // coalition, so a departure shifted every position — skipping some
-        // members and double-counting others. It now walks the stable
-        // coalition list and skips inactive members in place.
-        let mut dir = Directory::new(100);
-        let coalition = coalition(&[10, 11, 12, 13, 14]);
-        let mut sel = PartnerSelector::new(SelectionPolicy::RoundRobinColluders {
-            colluders: coalition,
-        });
-        let mut rng = derive_rng(7, 0);
-        let first = sel.select(NodeId::new(10), 2, &dir, StreamId::PRIMARY, &mut rng);
-        assert_eq!(first, vec![NodeId::new(11), NodeId::new(12)]);
-        // Member 13 departs mid-cycle: the rotation resumes at 14 without
-        // re-serving 11/12 and without skipping anyone else.
-        dir.deactivate(NodeId::new(13));
-        let second = sel.select(NodeId::new(10), 1, &dir, StreamId::PRIMARY, &mut rng);
-        assert_eq!(second, vec![NodeId::new(14)]);
-        // 13 rejoins: the next full cycle serves every member exactly once.
-        dir.activate(NodeId::new(13));
-        let third = sel.select(NodeId::new(10), 4, &dir, StreamId::PRIMARY, &mut rng);
-        assert_eq!(
-            third,
-            vec![
-                NodeId::new(11),
-                NodeId::new(12),
-                NodeId::new(13),
-                NodeId::new(14)
-            ]
-        );
-    }
-
-    #[test]
-    fn round_robin_small_coalition_still_yields_full_fanout() {
-        // A coalition smaller than the fanout must not silently shrink the
-        // node's fanout: the selector tops up with distinct uniform picks.
-        let dir = Directory::new(100);
-        let mut sel = PartnerSelector::new(SelectionPolicy::RoundRobinColluders {
-            colluders: coalition(&[1, 2, 3]),
-        });
-        let mut rng = derive_rng(8, 0);
-        for _ in 0..50 {
-            let partners = sel.select(NodeId::new(1), 7, &dir, StreamId::PRIMARY, &mut rng);
-            assert_eq!(partners.len(), 7, "fanout must not silently shrink");
-            let unique: std::collections::HashSet<_> = partners.iter().collect();
-            assert_eq!(unique.len(), 7, "partners must be distinct");
-            assert!(!partners.contains(&NodeId::new(1)));
-            assert!(partners.contains(&NodeId::new(2)));
-            assert!(partners.contains(&NodeId::new(3)));
-        }
-    }
-
-    #[test]
-    fn round_robin_falls_back_to_uniform_without_active_colluders() {
-        let mut dir = Directory::new(50);
-        dir.deactivate(NodeId::new(20));
-        let mut sel = PartnerSelector::new(SelectionPolicy::RoundRobinColluders {
-            colluders: coalition(&[20]),
-        });
-        let mut rng = derive_rng(5, 0);
-        let partners = sel.select(NodeId::new(1), 6, &dir, StreamId::PRIMARY, &mut rng);
-        assert_eq!(partners.len(), 6);
     }
 
     #[test]

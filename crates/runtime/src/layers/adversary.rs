@@ -382,8 +382,7 @@ impl Adversary {
 
     /// Membership-plane partner selection on `stream` (colluders bias it
     /// towards the coalition — Section 4.1(iii)). Each plane gets its
-    /// **own** selector instance: round-robin cursors and the like are
-    /// plane-local state.
+    /// **own** selector instance.
     pub fn membership_plane(&self, _stream: StreamId) -> PartnerSelector {
         let Some(attack) = &self.0 else {
             return PartnerSelector::uniform();

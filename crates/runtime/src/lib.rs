@@ -51,10 +51,7 @@ pub use metrics::{
     ChurnStats, LayerTraffic, NodeOutcome, RecoveryReport, RunOutcome, ScoreSnapshot, StackLayer,
     StreamOutcome, WaveKind, WaveRecovery,
 };
-pub use registry::{
-    fig14_scenario_name, scenario_family, table03_scenario_name, table05_scenario_name, Scale,
-    ScenarioRegistry, FIG14_PDCCS, TABLE03_PDCCS, TABLE05_PDCCS, TABLE05_STREAM_KBPS,
-};
+pub use registry::{fig14_scenario_name, scenario_family, Scale, ScenarioRegistry, FIG14_PDCCS};
 pub use runner::{
     build_engine, run_jobs_parallel, run_scenario, run_scenario_sharded,
     run_scenario_with_snapshots, run_scenarios_parallel,

@@ -51,24 +51,8 @@ impl Scale {
     }
 }
 
-/// The pdcc sweep of Table 3 (analytical vs measured verification messages).
-pub const TABLE03_PDCCS: [f64; 4] = [0.0, 1.0 / 7.0, 0.5, 1.0];
-/// The stream rates of Table 5, in kbps.
-pub const TABLE05_STREAM_KBPS: [u64; 3] = [674, 1082, 2036];
-/// The pdcc values of Table 5.
-pub const TABLE05_PDCCS: [f64; 3] = [0.0, 0.5, 1.0];
 /// The pdcc values of Figure 14.
 pub const FIG14_PDCCS: [f64; 2] = [1.0, 0.5];
-
-/// The registered name of the Table 3 scenario for `pdcc`.
-pub fn table03_scenario_name(pdcc: f64) -> String {
-    format!("table03/pdcc-{pdcc:.3}")
-}
-
-/// The registered name of the Table 5 scenario for `(stream_kbps, pdcc)`.
-pub fn table05_scenario_name(stream_kbps: u64, pdcc: f64) -> String {
-    format!("table05/{stream_kbps}kbps-pdcc-{pdcc}")
-}
 
 /// The registered name of the Figure 14 scenario for `pdcc`.
 pub fn fig14_scenario_name(pdcc: f64) -> String {
@@ -289,10 +273,9 @@ const GRADIENT_FREERIDER: AdversaryFamily = AdversaryFamily::GradientFreerider {
     step: 0.25,
 };
 
-/// Every built-in scenario, in listing order. The name of each fig14,
-/// table03 and table05 row is what `fig14_scenario_name`,
-/// `table03_scenario_name` or `table05_scenario_name` prints for the row's
-/// grid point, which the experiments look it up by.
+/// Every built-in scenario, in listing order. The name of each fig14 row is
+/// what `fig14_scenario_name` prints for the row's pdcc, which the Figure 14
+/// experiment looks it up by.
 static SCENARIOS: [Scenario; 43] = [
     // ------------------------------------------------------------------
     // Figure 1 — stream health with/without freeriders and LiFTinG.
@@ -847,25 +830,14 @@ mod tests {
             "duplicate scenario name"
         );
 
-        // Each literal row must carry the name the readers of its grid ask
-        // for, and build the grid point that name promises.
-        let row = |name: String| {
-            registry
-                .try_build(&name, Scale::Quick, 1)
-                .unwrap_or_else(|| panic!("missing grid row {name}"))
-        };
-        for pdcc in TABLE03_PDCCS {
-            assert_eq!(row(table03_scenario_name(pdcc)).lifting.pdcc, pdcc);
-        }
-        for kbps in TABLE05_STREAM_KBPS {
-            for pdcc in TABLE05_PDCCS {
-                let config = row(table05_scenario_name(kbps, pdcc));
-                assert_eq!(config.lifting.pdcc, pdcc);
-                assert_eq!(config.streams[0].rate_bps, kbps * 1_000);
-            }
-        }
+        // Each fig14 row must carry the name the Figure 14 experiment asks
+        // for, and build the pdcc that name promises.
         for pdcc in FIG14_PDCCS {
-            assert_eq!(row(fig14_scenario_name(pdcc)).lifting.pdcc, pdcc);
+            let name = fig14_scenario_name(pdcc);
+            let config = registry
+                .try_build(&name, Scale::Quick, 1)
+                .unwrap_or_else(|| panic!("missing grid row {name}"));
+            assert_eq!(config.lifting.pdcc, pdcc);
         }
     }
 

@@ -1,7 +1,7 @@
 //! Experiment scenarios.
 
 use lifting_core::LiftingConfig;
-use lifting_gossip::{FreeriderConfig, GossipConfig};
+use lifting_gossip::{FreeriderConfig, GossipConfig, StreamClock};
 use lifting_membership::Workload;
 use lifting_net::{Capability, NetworkConfig};
 use lifting_sim::{ComponentError, SimDuration, StreamId};
@@ -293,6 +293,17 @@ impl ScenarioConfig {
                 spec.rate_bps > 0 && spec.chunk_size > 0,
                 "streams",
                 format!("stream {s} is empty"),
+            )?;
+            // The clock counts whole µs: a zero interval would emit every
+            // chunk at one instant, and the run would never advance.
+            let clock = StreamClock::new(StreamId::new(s as u16), spec.rate_bps, spec.chunk_size);
+            require(
+                !clock.interval.is_zero(),
+                "streams",
+                format!(
+                    "stream {s}'s {} B chunks at {} bps come under half a µs apart",
+                    spec.chunk_size, spec.rate_bps
+                ),
             )?;
             require(
                 spec.audience.size(nodes) >= 2,

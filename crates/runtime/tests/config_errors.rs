@@ -130,7 +130,7 @@ fn beyond_two_streams(u: f64) -> u64 {
 
 /// `(component, key, break)`: every out-of-range field and the error that
 /// must name it.
-const CASES: [(&str, &str, Break); 73] = [
+const CASES: [(&str, &str, Break); 74] = [
     // ScenarioConfig
     ("scenario", "nodes", |c, u| c.nodes = (u * 3.0) as usize),
     ("scenario", "lifting.managers", |c, u| {
@@ -141,6 +141,11 @@ const CASES: [(&str, &str, Break); 73] = [
     }),
     ("scenario", "streams", |c, _| c.streams[0].rate_bps = 0),
     ("scenario", "streams", |c, _| c.streams[0].chunk_size = 0),
+    // A chunk interval under half a µs rounds to zero.
+    ("scenario", "streams", |c, u| {
+        c.streams[0].rate_bps = 16_000_001 + (u * 1e9) as u64;
+        c.streams[0].chunk_size = 1;
+    }),
     ("scenario", "streams", |c, u| {
         c.streams[0].start_offset = SimDuration::from_micros(count(u) as u64)
     }),
