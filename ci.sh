@@ -72,9 +72,10 @@ cargo test -q --workspace
 # code (capacity growth, inlined pushes): pin them in release as well.
 cargo test -q --release -p lifting-sim --test zero_alloc --test queue_footprint
 # Likewise the chunk table against its naive reference model (the optimized
-# build is the one the digests and the benchmark run), and the bound on the
-# capacity the chunk table and the offers retain.
-cargo test -q --release -p lifting-gossip --test chunk_table_reference --test buffer_footprint
+# build is the one the digests and the benchmark run), the bound on the
+# capacity the chunk table and the offers retain, and the crate's unit tests
+# (the offers' window and the slot's round among them).
+cargo test -q --release -p lifting-gossip --lib --test chunk_table_reference --test buffer_footprint
 # And the verification history: against its naive model, and the bound on
 # the capacity its logs retain.
 cargo test -q --release -p lifting-core --test history_reference --test history_footprint
@@ -85,8 +86,8 @@ cargo test -q --release -p lifting-core --test check_table_reference --test chec
 # bound on what the buffer retains with its allocation-free steady state.
 cargo test -q --release -p lifting-runtime --test blame_delivery --test blame_footprint
 # The 43 scenario digests (sequentially and at 4 shards) on the build the
-# benchmark runs, and the memory bounds with the paper-scale scale/1k smoke,
-# which a debug build skips.
+# benchmark runs, and the memory bounds with the paper-scale scale/1k smoke
+# and headline offers check, which a debug build skips.
 cargo test -q --release -p lifting-bench --test scenario_digests
 # The pinned digest of the one run whose freeriders collude with all three
 # flags set, on the same build.

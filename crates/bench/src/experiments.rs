@@ -419,11 +419,11 @@ pub struct FamilyRow {
 }
 
 impl FamilyRow {
-    /// Projects the `outcome` of a run of `config` onto the reported numbers,
-    /// detection read at `eta`.
+    /// Projects the `outcome` of a run gossiping every `gossip_period` onto
+    /// the reported numbers, detection read at `eta`.
     pub fn read(
         scenario: &str,
-        config: &ScenarioConfig,
+        gossip_period: SimDuration,
         outcome: &RunOutcome,
         eta: f64,
     ) -> FamilyRow {
@@ -435,7 +435,7 @@ impl FamilyRow {
             .filter(|(c, _)| c.is_lifting_overhead())
             .map(|(_, v)| v.messages_sent)
             .sum();
-        let periods = outcome.duration.as_secs_f64() / config.gossip.gossip_period.as_secs_f64();
+        let periods = outcome.duration.as_secs_f64() / gossip_period.as_secs_f64();
         let honest = outcome.finals.honest_scores();
         let freeriders = outcome.finals.freerider_scores();
         let detection = outcome.detection_rate(eta);
@@ -516,18 +516,19 @@ pub fn family_sweep(family: &str, scale: Scale, seed: u64) -> Vec<FamilyRow> {
         .iter()
         .map(|name| registry.build(name, scale, seed))
         .collect();
-    let outcomes = run_scenarios_parallel(configs.clone());
+    let periods: Vec<SimDuration> = configs.iter().map(|c| c.gossip.gossip_period).collect();
+    let outcomes = run_scenarios_parallel(configs);
     members
         .iter()
-        .zip(&configs)
+        .zip(periods)
         .zip(outcomes)
-        .map(|((name, config), outcome)| {
+        .map(|((name, period), outcome)| {
             let eta = outcome
                 .recovery
                 .as_ref()
                 .and_then(|r| r.eta_trace.last().copied())
                 .unwrap_or(PAPER_ETA);
-            FamilyRow::read(name, config, &outcome, eta)
+            FamilyRow::read(name, period, &outcome, eta)
         })
         .collect()
 }
@@ -545,9 +546,10 @@ pub fn scale_sweep(scale: Scale, seed: u64) -> Vec<FamilyRow> {
         .filter(|name| !SCALE_SWEEP_SKIPS.contains(name))
         .map(|name| {
             let config = registry.build(name, scale, seed);
-            let outcome = run_scenario(config.clone());
+            let period = config.gossip.gossip_period;
+            let outcome = run_scenario(config);
             let eta = calibrated_eta(&outcome.finals.honest_scores(), 0.01);
-            FamilyRow::read(name, &config, &outcome, eta)
+            FamilyRow::read(name, period, &outcome, eta)
         })
         .collect()
 }
@@ -608,13 +610,14 @@ mod tests {
     #[test]
     fn family_row_reads_the_outcome_field_by_field() {
         let config = ScenarioRegistry::builtin().build("smoke/small", Scale::Quick, 9);
-        let outcome = run_scenario(config.clone());
+        let period = config.gossip.gossip_period;
+        let outcome = run_scenario(config);
         let honest = outcome.finals.honest_scores();
         let freeriders = outcome.finals.freerider_scores();
         // Two thresholds that split the populations differently from each
         // other and from the paper's η (which flags nobody in this run).
         for eta in [-1.0, 0.5] {
-            let r = FamilyRow::read("smoke/small", &config, &outcome, eta);
+            let r = FamilyRow::read("smoke/small", period, &outcome, eta);
             assert_eq!((r.scenario.as_str(), r.eta), ("smoke/small", eta));
             assert_eq!(r.nodes, outcome.finals.outcomes.len() + 1);
             assert_eq!(r.duration_secs, outcome.duration.as_secs_f64());
@@ -768,9 +771,10 @@ mod tests {
         // the same checks.
         for name in SCALE_SWEEP_SKIPS {
             let config = ScenarioRegistry::builtin().build(name, Scale::Quick, 9);
-            let outcome = run_scenario(config.clone());
+            let period = config.gossip.gossip_period;
+            let outcome = run_scenario(config);
             let eta = calibrated_eta(&outcome.finals.honest_scores(), 0.01);
-            rows.push(FamilyRow::read(name, &config, &outcome, eta));
+            rows.push(FamilyRow::read(name, period, &outcome, eta));
         }
         assert_eq!(names(&rows), family_members("scale"));
         // Populations ascend; every run reports a positive memory bill and a

@@ -7,14 +7,17 @@
 
 pub use serde::Value;
 
-/// Error type of the vendored serializers. Serialization into a string never
-/// fails here, so this is only a placeholder matching serde_json's signatures.
-#[derive(Debug)]
-pub struct Error(());
+/// Error of the vendored serializers: an object that repeats a key, which a
+/// reader would silently collapse to one entry.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Error {
+    /// The key the object repeats.
+    pub duplicate_key: String,
+}
 
 impl std::fmt::Display for Error {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("serialization error")
+        write!(f, "an object repeats the key {:?}", self.duplicate_key)
     }
 }
 
@@ -25,21 +28,37 @@ pub fn to_value<T: serde::Serialize + ?Sized>(value: &T) -> Value {
     value.to_json_value()
 }
 
-/// Serializes `value` to a compact JSON string.
+/// Serializes `value` to a compact JSON string; an object at any depth that
+/// repeats a key is an error naming it.
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&mut out, &value.to_json_value(), None, 0);
+    write_value(&mut out, &value.to_json_value(), None, 0)?;
     Ok(out)
 }
 
-/// Serializes `value` to a pretty-printed JSON string (two-space indent).
+/// Serializes `value` to a pretty-printed JSON string (two-space indent); an
+/// object at any depth that repeats a key is an error naming it.
 pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&mut out, &value.to_json_value(), Some(2), 0);
+    write_value(&mut out, &value.to_json_value(), Some(2), 0)?;
     Ok(out)
 }
 
-fn write_value(out: &mut String, value: &Value, indent: Option<usize>, depth: usize) {
+/// The first key `entries` repeats, if any.
+fn repeated_key(entries: &[(String, Value)]) -> Option<&str> {
+    let mut seen = std::collections::HashSet::with_capacity(entries.len());
+    entries
+        .iter()
+        .map(|(k, _)| k.as_str())
+        .find(|k| !seen.insert(*k))
+}
+
+fn write_value(
+    out: &mut String,
+    value: &Value,
+    indent: Option<usize>,
+    depth: usize,
+) -> Result<(), Error> {
     match value {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -61,7 +80,7 @@ fn write_value(out: &mut String, value: &Value, indent: Option<usize>, depth: us
         Value::Array(items) => {
             if items.is_empty() {
                 out.push_str("[]");
-                return;
+                return Ok(());
             }
             out.push('[');
             for (i, item) in items.iter().enumerate() {
@@ -69,7 +88,7 @@ fn write_value(out: &mut String, value: &Value, indent: Option<usize>, depth: us
                     out.push(',');
                 }
                 newline_indent(out, indent, depth + 1);
-                write_value(out, item, indent, depth + 1);
+                write_value(out, item, indent, depth + 1)?;
             }
             newline_indent(out, indent, depth);
             out.push(']');
@@ -77,7 +96,12 @@ fn write_value(out: &mut String, value: &Value, indent: Option<usize>, depth: us
         Value::Object(entries) => {
             if entries.is_empty() {
                 out.push_str("{}");
-                return;
+                return Ok(());
+            }
+            if let Some(key) = repeated_key(entries) {
+                return Err(Error {
+                    duplicate_key: key.to_string(),
+                });
             }
             out.push('{');
             for (i, (k, v)) in entries.iter().enumerate() {
@@ -90,12 +114,13 @@ fn write_value(out: &mut String, value: &Value, indent: Option<usize>, depth: us
                 if indent.is_some() {
                     out.push(' ');
                 }
-                write_value(out, v, indent, depth + 1);
+                write_value(out, v, indent, depth + 1)?;
             }
             newline_indent(out, indent, depth);
             out.push('}');
         }
     }
+    Ok(())
 }
 
 fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
@@ -159,6 +184,22 @@ mod tests {
         );
         let pretty = to_string_pretty(&v).unwrap();
         assert!(pretty.contains("\n  \"a\": 1"));
+    }
+
+    #[test]
+    fn a_repeated_key_is_an_error_naming_it() {
+        let flat = json!({"a": 1u64, "b": 2u64, "a": 3u64});
+        let nested = json!({"outer": json!([json!({"k": 1u64, "k": 2u64})])});
+        for (value, key) in [(flat, "a"), (nested, "k")] {
+            let expected = Err(Error {
+                duplicate_key: key.to_string(),
+            });
+            assert_eq!(to_string(&value), expected);
+            assert_eq!(to_string_pretty(&value), expected);
+        }
+        // The same key in sibling objects is no repeat.
+        let siblings = json!([json!({"k": 1u64}), json!({"k": 2u64})]);
+        assert_eq!(to_string(&siblings).unwrap(), r#"[{"k":1},{"k":2}]"#);
     }
 
     #[test]

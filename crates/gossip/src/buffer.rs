@@ -35,14 +35,29 @@ pub struct Receipt {
 const HELD: u64 = 1 << 63;
 /// The chunk was proposed, or deliberately skipped: infect-and-die.
 const PROPOSED: u64 = 1 << 62;
-/// The low 62 bits: a time in µs.
-const TIME: u64 = PROPOSED - 1;
+/// The low 38 bits: a time in µs (up to about 76 h).
+const TIME: u64 = (1 << 38) - 1;
+/// The 24 bits between the flags and the time: the round that proposed the
+/// chunk, plus one (zero: none — not proposed, or skipped).
+const ROUND: u64 = (PROPOSED - 1) & !TIME;
+/// Where the round field starts.
+const ROUND_SHIFT: u32 = TIME.count_ones();
+
+/// The first instant a chunk slot cannot record: a run whose duration plus
+/// one gossip period (the latest request expiry) reaches it cannot be
+/// represented.
+pub const SLOT_TIME_LIMIT: SimTime = SimTime::from_micros(TIME + 1);
+
+/// How many propose rounds a slot tells apart: rounds 0 to
+/// `SLOT_ROUNDS - 1` (one round field value means "none").
+pub const SLOT_ROUNDS: u64 = ROUND >> ROUND_SHIFT;
 
 /// Everything a node knows about one chunk index of one stream, in one word:
-/// the `HELD` and `PROPOSED` bits and a time — the first reception once
-/// held, before that the expiry of the outstanding request (zero: none). A
-/// reservation is never read for a held chunk, so the two share the word.
-/// The default (zero) means "never heard of".
+/// the `HELD` and `PROPOSED` bits, the round that proposed the chunk, and a
+/// time — the first reception once held, before that the expiry of the
+/// outstanding request (zero: none). A reservation is never read for a held
+/// chunk, so the two share the word. The default (zero) means "never heard
+/// of".
 #[derive(Debug, Clone, Copy, Default)]
 struct Slot(u64);
 
@@ -55,9 +70,19 @@ impl Slot {
         SimTime::from_micros(self.0 & TIME)
     }
 
-    /// This slot's flags with the time `at`.
+    /// This slot's flags and round with the time `at`.
     fn with_at(self, at: SimTime) -> Slot {
-        Slot(self.0 & !TIME | at.as_micros().min(TIME))
+        debug_assert!(at < SLOT_TIME_LIMIT, "{at:?} is past the slot's time field");
+        Slot(self.0 & !TIME | at.as_micros())
+    }
+
+    /// The round field naming `round` (`None`: no round). A round past the
+    /// field wraps within it and never reaches the flags.
+    fn round_field(round: Option<u64>) -> u64 {
+        round.map_or(0, |r| {
+            debug_assert!(r < SLOT_ROUNDS, "round {r} is past the slot's round field");
+            (r.wrapping_add(1) << ROUND_SHIFT) & ROUND
+        })
     }
 }
 
@@ -154,13 +179,26 @@ impl PlayoutBuffer {
         true
     }
 
-    /// Marks the held chunk `id` as proposed, returning true if it was not
-    /// yet marked.
-    pub(crate) fn mark_proposed(&mut self, id: ChunkId) -> bool {
+    /// Marks the held chunk `id` as proposed in `round` (`None`: skipped,
+    /// never to be proposed), returning true if it was not yet marked. A
+    /// chunk keeps the first round it was marked with.
+    pub(crate) fn mark_proposed(&mut self, id: ChunkId, round: Option<u64>) -> bool {
         let slot = &mut self.slots[id.index() as usize];
         let fresh = slot.0 & PROPOSED == 0;
-        slot.0 |= PROPOSED;
+        if fresh {
+            slot.0 |= PROPOSED | Slot::round_field(round);
+        }
         fresh
+    }
+
+    /// True if the chunk `id` is held and was proposed in `round`.
+    pub(crate) fn proposed_in(&self, id: ChunkId, round: u64) -> bool {
+        let want = HELD | PROPOSED | Slot::round_field(Some(round));
+        id.stream() == self.clock.stream
+            && self
+                .slots
+                .get(id.index() as usize)
+                .is_some_and(|s| s.0 & (HELD | PROPOSED | ROUND) == want)
     }
 
     /// The reception time of a received chunk of this stream (the read-out
@@ -349,9 +387,35 @@ mod tests {
         // ...and neither a duplicate nor a later proposal disturbs it.
         assert!(!buf.record(&c, ms(900)));
         assert_eq!(buf.lag_of(id), Some(SimDuration::from_millis(500)));
-        assert!(buf.mark_proposed(id));
-        assert!(!buf.mark_proposed(id), "infect-and-die");
+        assert!(buf.mark_proposed(id, Some(3)));
+        assert!(!buf.mark_proposed(id, Some(4)), "infect-and-die");
         assert_eq!(buf.lag_of(id), Some(SimDuration::from_millis(500)));
+    }
+
+    #[test]
+    fn a_slot_names_the_one_round_that_proposed_its_chunk() {
+        let mut buf = PlayoutBuffer::new(clock());
+        let last = SLOT_ROUNDS - 1;
+        for (i, round) in [(1, Some(0)), (2, Some(last)), (3, None)] {
+            assert!(buf.record(&chunk(i), SimTime::from_millis(900)));
+            assert!(buf.mark_proposed(ChunkId::primary(i), round));
+        }
+        let rounds = [0, 1, last - 1, last];
+        let proposed = |i| rounds.map(|r| buf.proposed_in(ChunkId::primary(i), r));
+        assert_eq!(proposed(1), [true, false, false, false]);
+        assert_eq!(proposed(2), [false, false, false, true]);
+        assert_eq!(proposed(3), [false; 4], "a skipped chunk names no round");
+        // The round leaves the reception time alone; another stream's chunk
+        // at the same index is not this one.
+        assert_eq!(
+            buf.lag_of(ChunkId::primary(2)),
+            Some(SimDuration::from_millis(700))
+        );
+        assert!(!buf.proposed_in(ChunkId::new(StreamId::new(1), 1), 0));
+        // The latest time the field holds round-trips.
+        let latest = SimTime::from_micros(SLOT_TIME_LIMIT.as_micros() - 1);
+        assert!(buf.reserve(ChunkId::primary(5), SimTime::ZERO, latest));
+        assert!(!buf.reserve(ChunkId::primary(5), SimTime::from_secs(3_600), latest));
     }
 
     #[test]

@@ -67,8 +67,8 @@ impl fmt::Display for ChunkId {
 /// The heap bytes of a shared list (of chunk ids, or of the node ids an ack
 /// names) charged to one of its holders: the allocation (two reference
 /// counts, then the items) divided by the number of `Arc`s pointing at it.
-/// One round's list is held by the wire payloads, the outstanding offers and
-/// checks and the sender's and receivers' histories; summed over the holders
+/// One round's list is held by the wire payloads, the outstanding checks and
+/// the sender's and receivers' histories; summed over the holders
 /// a capacity walk visits, it is counted once, not once per holder (holders
 /// the walk does not visit, such as in-flight payloads, keep their share).
 pub fn shared_list_heap_bytes<T>(list: &Arc<[T]>) -> usize {

@@ -26,7 +26,7 @@ pub struct ProposePayload {
     pub period: u64,
     /// Chunk ids on offer. Shared, not owned: one propose phase sends the
     /// identical list to `f` partners, each receiver's history keeps it, and
-    /// the proposer's outstanding offers reference it — all one allocation.
+    /// so does the proposer's — all one allocation.
     pub chunks: Arc<[ChunkId]>,
 }
 

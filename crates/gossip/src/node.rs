@@ -9,6 +9,7 @@
 //! the wire; they never perform I/O themselves, which keeps the protocol
 //! unit-testable without a network.
 
+use std::collections::VecDeque;
 use std::mem::size_of;
 use std::sync::Arc;
 
@@ -19,7 +20,7 @@ use rand::Rng;
 
 use crate::behavior::Behavior;
 use crate::buffer::PlayoutBuffer;
-use crate::chunk::{shared_list_heap_bytes, Chunk, ChunkId};
+use crate::chunk::{Chunk, ChunkId};
 use crate::config::GossipConfig;
 use crate::source::StreamClock;
 
@@ -29,8 +30,8 @@ pub struct ProposeRound {
     /// The node's gossip-period counter when this round ran.
     pub period: u64,
     /// Chunk ids included in the proposal (identical for every partner, so
-    /// the list is shared: the wire payloads, the outstanding offers and the
-    /// verification history all reference this one allocation).
+    /// the list is shared: the wire payloads and the verification history
+    /// reference this one allocation).
     pub chunks: Arc<[ChunkId]>,
     /// The partners the proposal is sent to.
     pub partners: Vec<NodeId>,
@@ -47,8 +48,8 @@ pub struct ProposeRound {
 ///
 /// A multi-channel node runs one `GossipNode` per stream it subscribes to:
 /// the playout buffer (held chunks, request reservations, infect-and-die
-/// markers — flat-indexed by the chunk's per-stream sequence number) and the
-/// offers are all plane-local.
+/// markers and the round that proposed each chunk — flat-indexed by the
+/// chunk's per-stream sequence number) and the offers are all plane-local.
 #[derive(Debug)]
 pub struct GossipNode {
     id: NodeId,
@@ -63,15 +64,20 @@ pub struct GossipNode {
     ///
     /// [`begin_propose_round`]: GossipNode::begin_propose_round
     fresh_by_source: DetHashMap<NodeId, Vec<ChunkId>>,
-    /// Latest proposal sent to each partner, kept to validate the subsequent
-    /// request ("nodes only serve chunks that were effectively proposed"):
-    /// `(partner id, chunk list)` pairs sorted by partner id, the list shared
-    /// with the round that produced it (refcount, not copy). A node only ever
-    /// holds one live offer per distinct partner it has gossiped with, so
-    /// this stays O(partners seen); the earlier partner-id-indexed vector
-    /// made every node's gossip state O(world size), an O(n²) memory bill
-    /// across the population.
-    offers_out: Vec<(u32, Arc<[ChunkId]>)>,
+    /// Who was proposed to in which of the last `nh` rounds, to validate
+    /// the subsequent request ("nodes only serve chunks that were
+    /// effectively proposed"): `(round, partner id)` pairs, oldest first, a
+    /// round's partners pushed at its propose phase and popped once the
+    /// round is more than `nh` rounds old. What was offered is not kept
+    /// here: infect-and-die proposes a chunk in one round only, and its
+    /// chunk-table slot names that round, so a chunk is in the latest offer
+    /// to `F` exactly when its slot names `F`'s newest round here. At most
+    /// `(nh + 1) × fanout` entries, however long the run or large the
+    /// population.
+    offers_out: VecDeque<(u32, u32)>,
+    /// How many rounds an offer stays answerable: the verifier's history
+    /// window `nh`.
+    offer_rounds: u64,
     /// Gossip-period counter (increments every propose phase).
     period: u64,
     /// The per-chunk table: every chunk this node holds (served from here,
@@ -86,13 +92,15 @@ pub struct GossipNode {
 
 impl GossipNode {
     /// Creates a node's gossip state for the paper's primary stream
-    /// ([`StreamClock::paper`]).
+    /// ([`StreamClock::paper`]), its offers answerable for the paper's
+    /// `nh` = 50 rounds.
     pub fn new(id: NodeId, config: GossipConfig, behavior: Behavior) -> Self {
-        GossipNode::for_stream(id, StreamClock::paper(), config, behavior)
+        GossipNode::for_stream(id, StreamClock::paper(), config, behavior, 50)
     }
 
     /// Creates a node's gossip state for the stream `clock` defines (one
-    /// plane of a multi-channel stack).
+    /// plane of a multi-channel stack), answering requests against offers
+    /// of the last `history_periods` rounds (the verifier's `nh`).
     ///
     /// # Panics
     ///
@@ -102,6 +110,7 @@ impl GossipNode {
         clock: StreamClock,
         config: GossipConfig,
         behavior: Behavior,
+        history_periods: usize,
     ) -> Self {
         config
             .validate()
@@ -112,7 +121,8 @@ impl GossipNode {
             config,
             behavior,
             fresh_by_source: DetHashMap::default(),
-            offers_out: Vec::new(),
+            offers_out: VecDeque::new(),
+            offer_rounds: history_periods as u64,
             period: 0,
             playout: PlayoutBuffer::new(clock),
             chunks_served: 0,
@@ -184,15 +194,9 @@ impl GossipNode {
         self.playout.estimated_heap_bytes() + self.offers_heap_bytes() + self.fresh_heap_bytes()
     }
 
-    /// Heap bytes of the outstanding offers: the sorted pair vector and each
-    /// offered list's share ([`shared_list_heap_bytes`]).
+    /// Heap bytes of the outstanding offers: the `(round, partner)` ring.
     pub fn offers_heap_bytes(&self) -> usize {
-        self.offers_out.capacity() * size_of::<(u32, Arc<[ChunkId]>)>()
-            + self
-                .offers_out
-                .iter()
-                .map(|(_, offered)| shared_list_heap_bytes(offered))
-                .sum::<usize>()
+        self.offers_out.capacity() * size_of::<(u32, u32)>()
     }
 
     /// Heap bytes of the fresh lists: the per-source table and its lists.
@@ -208,7 +212,8 @@ impl GossipNode {
     }
 
     /// `(name, entries, capacity)` of the chunk table (one slot per chunk
-    /// index up to the highest seen) and of the offers (one per partner):
+    /// index up to the highest seen) and of the offers (one per partner of
+    /// each of the last `nh` rounds):
     /// `tests/buffer_footprint.rs` bounds capacity by entries.
     pub fn table_occupancy(&self) -> [(&'static str, usize, usize); 2] {
         let (slots, capacity) = self.playout.slot_occupancy();
@@ -257,6 +262,13 @@ impl GossipNode {
     ) -> Option<ProposeRound> {
         let this_period = self.period;
         self.period += 1;
+        // Forget who was proposed to more than `nh` rounds ago.
+        while let Some(&(round, _)) = self.offers_out.front() {
+            if this_period - u64::from(round) <= self.offer_rounds {
+                break;
+            }
+            self.offers_out.pop_front();
+        }
 
         if self.behavior.skips_period(this_period) {
             return None; // gossip-period stretching: fresh chunks accumulate
@@ -282,13 +294,13 @@ impl GossipNode {
                 dropped_sources.push(source);
                 // Infect-and-die still applies: the chunks are never proposed.
                 for id in ids {
-                    self.playout.mark_proposed(id);
+                    self.playout.mark_proposed(id, None);
                 }
                 continue;
             }
             let mut kept: Vec<ChunkId> = Vec::with_capacity(ids.len());
             for id in ids {
-                if self.playout.mark_proposed(id) {
+                if self.playout.mark_proposed(id, Some(this_period)) {
                     kept.push(id);
                     chunks.push(id);
                 }
@@ -305,18 +317,10 @@ impl GossipNode {
         chunks.dedup();
         let chunks: Arc<[ChunkId]> = chunks.into();
 
-        for partner in &partners {
-            let idx = partner.index() as u32;
-            // Partners repeat across periods; insertion of a new partner is
-            // rare, so the sorted pair vector stays cheap to maintain.
-            match self.offers_out.binary_search_by_key(&idx, |(i, _)| *i) {
-                Ok(pos) => self.offers_out[pos].1 = chunks.clone(),
-                Err(pos) => {
-                    self.offers_out.reserve_bounded(1);
-                    self.offers_out.insert(pos, (idx, chunks.clone()));
-                }
-            }
-        }
+        let round = this_period as u32;
+        self.offers_out.reserve_bounded(partners.len());
+        self.offers_out
+            .extend(partners.iter().map(|p| (round, p.index() as u32)));
 
         Some(ProposeRound {
             period: this_period,
@@ -350,17 +354,14 @@ impl GossipNode {
         requested: &[ChunkId],
         rng: &mut R,
     ) -> Vec<Chunk> {
-        let Ok(pos) = self
-            .offers_out
-            .binary_search_by_key(&(from.index() as u32), |(i, _)| *i)
-        else {
-            return Vec::new(); // request without a proposal: ignored
+        let partner = from.index() as u32;
+        let Some(&(round, _)) = self.offers_out.iter().rev().find(|(_, p)| *p == partner) else {
+            return Vec::new(); // request without a live proposal: ignored
         };
-        let offer = &self.offers_out[pos].1;
         let mut valid: Vec<ChunkId> = requested
             .iter()
             .copied()
-            .filter(|id| offer.contains(id))
+            .filter(|id| self.playout.proposed_in(*id, u64::from(round)))
             .collect();
         valid.dedup();
         let to_serve = self.behavior.effective_serve(valid.len(), rng);
@@ -481,6 +482,81 @@ mod tests {
     }
 
     #[test]
+    fn a_request_reads_only_the_latest_offer_of_the_last_nh_rounds() {
+        let mut rng = derive_rng(10, 0);
+        let nh = 3;
+        let config = GossipConfig::planetlab();
+        let mut a = GossipNode::for_stream(
+            NodeId::new(0),
+            StreamClock::paper(),
+            config,
+            Behavior::Honest,
+            nh,
+        );
+        let (one, two) = (NodeId::new(1), NodeId::new(2));
+        let ids = |i: u64| vec![ChunkId::primary(i)];
+        let propose = |a: &mut GossipNode, i: u64, partners: Vec<NodeId>| {
+            a.inject_source_chunk(chunk(i), SimTime::ZERO);
+            a.begin_propose_round(SimTime::ZERO, partners, &mut derive_rng(10, i))
+                .expect("a fresh chunk");
+        };
+        // Round 0 offers chunk 0 to both partners, round 1 chunk 1 to node 1
+        // only: node 1's offer is now chunk 1's, node 2's still chunk 0's.
+        propose(&mut a, 0, vec![one, two]);
+        propose(&mut a, 1, vec![one]);
+        assert!(
+            a.on_request(one, &ids(0), &mut rng).is_empty(),
+            "overwritten"
+        );
+        assert_eq!(a.on_request(one, &ids(1), &mut rng).len(), 1);
+        assert_eq!(a.on_request(two, &ids(0), &mut rng).len(), 1);
+        // Rounds 2 and 3 go to node 1; round 0 is then 3 rounds old, still
+        // answerable. Round 4 makes it 4 rounds old: node 2's offer is gone.
+        propose(&mut a, 2, vec![one]);
+        propose(&mut a, 3, vec![one]);
+        assert_eq!(a.on_request(two, &ids(0), &mut rng).len(), 1);
+        propose(&mut a, 4, vec![one]);
+        assert!(a.on_request(two, &ids(0), &mut rng).is_empty(), "expired");
+        assert_eq!(a.on_request(one, &ids(4), &mut rng).len(), 1);
+        // Rounds 1 to 4 are left, one partner each.
+        assert_eq!(a.table_occupancy()[1].1, 4);
+    }
+
+    #[test]
+    fn a_chunk_dropped_by_partial_propose_is_never_served() {
+        let mut rng = derive_rng(12, 0);
+        let cfg = FreeriderConfig {
+            delta1: 0.0,
+            delta2: 1.0, // always drop another node's chunks
+            delta3: 0.0,
+            period_stretch: 1,
+        };
+        let mut f = GossipNode::new(
+            NodeId::new(0),
+            GossipConfig::planetlab(),
+            Behavior::Freerider(cfg),
+        );
+        // The node's own chunk is proposed; the one node 9 served is dropped.
+        f.inject_source_chunk(chunk(1), SimTime::ZERO);
+        assert!(f.on_serve(NodeId::new(9), chunk(2), SimTime::ZERO));
+        let round = f
+            .begin_propose_round(SimTime::ZERO, vec![NodeId::new(1)], &mut rng)
+            .unwrap();
+        assert_eq!(&round.chunks[..], &[ChunkId::primary(1)]);
+        assert_eq!(round.dropped_sources, vec![NodeId::new(9)]);
+        // A partner of that very round asks for both: only the proposed one
+        // is served, now and after later rounds.
+        let both = [ChunkId::primary(1), ChunkId::primary(2)];
+        let served = f.on_request(NodeId::new(1), &both, &mut rng);
+        assert_eq!(served, vec![chunk(1)]);
+        f.inject_source_chunk(chunk(3), SimTime::ZERO);
+        f.begin_propose_round(SimTime::ZERO, vec![NodeId::new(1)], &mut rng)
+            .unwrap();
+        let served = f.on_request(NodeId::new(1), &[ChunkId::primary(2)], &mut rng);
+        assert!(served.is_empty());
+    }
+
+    #[test]
     fn duplicate_serves_are_not_double_counted() {
         let mut b = honest(1);
         let c = chunk(3);
@@ -525,11 +601,10 @@ mod tests {
         assert_eq!(round.chunks.len(), 1000);
         drop(round);
         // One table per chunk index (grown by an eighth at a time, so at
-        // most 1 125 slots), and nothing else left but the two offers sharing
-        // the round's list, which is charged once between them.
-        let offers = b.offers_out.capacity() * size_of::<(u32, Arc<[ChunkId]>)>()
-            + 16
-            + 1000 * size_of::<ChunkId>();
+        // most 1 125 slots), and nothing else left but the two offers: one
+        // 8-byte (round, partner) pair each, the round's list not kept.
+        let offers = b.offers_out.capacity() * 8;
+        assert_eq!(b.offers_out.len(), 2);
         assert_eq!(b.offers_heap_bytes(), offers);
         assert_eq!(b.fresh_heap_bytes(), 0);
         assert!(

@@ -1,20 +1,25 @@
 //! The heap a node's chunk table and offers retain must follow what they
-//! hold. One honest node receives a 600-chunk stream 8 to 12 chunks per
-//! period, one in twenty a period late, and proposes what it received to 7
-//! partners drawn from 300 every period.
+//! hold. One honest node receives a stream 8 to 12 chunks per period for
+//! 2 000 periods, one chunk in twenty a period late, and proposes what it
+//! received to 7 partners drawn from 300 every period.
 //!
 //! Both tables never shrink and, when full, grow by an eighth of their
 //! length, at least four entries: capacity is at most the most entries held
-//! plus that step. The bound below is that growth rule, not a tuned figure.
+//! plus that step. The offers hold one entry per partner of each of the last
+//! `nh` + 1 rounds, so their bound is fixed by the window, not by the run's
+//! length or the population. The bounds below are that growth rule, not
+//! tuned figures.
 
 use lifting_gossip::{Behavior, GossipConfig, GossipNode, StreamClock};
 use lifting_sim::{derive_rng, NodeId, SimDuration, SimTime};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-const CHUNKS: u64 = 600;
+const PERIODS: u64 = 2_000;
 const PARTNERS: u32 = 300;
 const FANOUT: usize = 7;
+/// The paper's history window `nh`, in rounds.
+const NH: usize = 50;
 
 /// The most slots the growth rule lets a table retain after holding at most
 /// `peak` entries.
@@ -28,18 +33,19 @@ fn chunk_table_and_offers_follow_what_they_hold() {
     let clock = StreamClock::paper();
     let config = GossipConfig::planetlab();
     let me = NodeId::new(0);
-    let mut node = GossipNode::for_stream(me, clock, config, Behavior::Honest);
+    let mut node = GossipNode::for_stream(me, clock, config, Behavior::Honest, NH);
     let mut peaks = [0; 2];
-    let (mut next, mut period) = (0u64, 0u64);
+    let mut next = 0u64;
     let mut withheld: Vec<u64> = Vec::new();
-    while next < CHUNKS || !withheld.is_empty() {
+    for period in 0..PERIODS {
+        let last = period + 1 == PERIODS;
         let now = SimTime::ZERO + config.gossip_period.saturating_mul(period);
         let proposer = NodeId::new(rng.gen_range(1..=PARTNERS));
         // The next 8 to 12 chunks, a few held back to the next period.
         let mut offered = std::mem::take(&mut withheld);
-        let count = rng.gen_range(8..=12u64).min(CHUNKS - next);
+        let count = rng.gen_range(8..=12u64);
         for index in next..next + count {
-            if rng.gen_bool(0.05) {
+            if !last && rng.gen_bool(0.05) {
                 withheld.push(index);
             } else {
                 offered.push(index);
@@ -65,13 +71,20 @@ fn chunk_table_and_offers_follow_what_they_hold() {
                 grown_from(*peak)
             );
         }
-        period += 1;
+        let (_, offers, capacity) = node.table_occupancy()[1];
+        let window = (NH + 1) * FANOUT;
+        assert!(
+            offers <= window && capacity <= grown_from(window),
+            "period {period}: the offers hold {offers} entries in {capacity} slots, \
+             past the {NH}-round window's {window} (bound {})",
+            grown_from(window)
+        );
     }
     let [(_, slots, _), (_, offers, _)] = node.table_occupancy();
-    assert_eq!(slots, CHUNKS as usize, "one slot per chunk index");
+    assert_eq!(slots, next as usize, "one slot per chunk index");
     assert!(
-        offers > 200,
-        "{offers} distinct partners: the offers were exercised"
+        offers > NH * FANOUT,
+        "{offers} offers: the window filled, so expiry was exercised"
     );
     assert_eq!(
         node.playout().estimated_heap_bytes(),

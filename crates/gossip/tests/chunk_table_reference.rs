@@ -4,8 +4,10 @@
 //! hash collections keyed by chunk index. Public API only; the node is
 //! honest, so it draws no randomness and the model needs no RNG. Scripts mix
 //! fresh, duplicate, never-requested and out-of-order serves, sparse indices,
-//! proposals that repeat an id, requests with and without a matching offer,
-//! and propose rounds with and without partners, over non-decreasing time.
+//! proposals that repeat an id, requests with and without a matching offer
+//! (one overwritten by a later round, one older than the `nh`-round window
+//! the node answers), and propose rounds with and without partners, over
+//! non-decreasing time and up to a few hundred rounds.
 //! Every chunk comes from the stream's clock, as on the wire; the model keeps
 //! its own copy of each, the node rebuilds them from the clock.
 
@@ -38,7 +40,10 @@ struct NaiveNode {
     proposed: HashSet<u64>,
     /// Chunks received since the last propose phase, by serving node.
     fresh: Vec<(NodeId, Vec<ChunkId>)>,
-    offers: HashMap<NodeId, Vec<ChunkId>>,
+    /// The latest offer to each partner: its round and its chunk list.
+    offers: HashMap<NodeId, (u64, Vec<ChunkId>)>,
+    /// Rounds an offer stays answerable.
+    nh: u64,
     period: u64,
     chunks_served: u64,
 }
@@ -85,7 +90,12 @@ impl NaiveNode {
     }
 
     fn on_request(&mut self, from: NodeId, requested: &[ChunkId]) -> Vec<Chunk> {
-        let Some(offer) = self.offers.get(&from) else {
+        // Live while the latest round run is at most `nh` rounds after it.
+        let Some((_, offer)) = self
+            .offers
+            .get(&from)
+            .filter(|(round, _)| round + self.nh + 1 >= self.period)
+        else {
             return Vec::new();
         };
         let mut valid: Vec<ChunkId> = requested
@@ -126,7 +136,7 @@ impl NaiveNode {
         chunks.sort_unstable();
         chunks.dedup();
         for partner in &partners {
-            self.offers.insert(*partner, chunks.clone());
+            self.offers.insert(*partner, (period, chunks.clone()));
         }
         Some(ProposeRound {
             period,
@@ -223,13 +233,17 @@ proptest! {
     fn gossip_node_answers_like_the_naive_model(
         seed in 0u64..1_000_000,
         stream in 0usize..3,
-        steps in 50usize..400,
+        steps in 50usize..1_000,
+        window in 0usize..4,
     ) {
+        // Short windows expire offers within a script; the paper's 50 only
+        // in the longest ones.
+        let nh = [1u64, 3, 10, 50][window];
         let mut rng = SmallRng::seed_from_u64(seed);
         let stream = StreamId::new(stream as u16);
         let config = GossipConfig::planetlab();
         let clock = clock_of(stream);
-        let mut node = GossipNode::for_stream(ME, clock, config, Behavior::Honest);
+        let mut node = GossipNode::for_stream(ME, clock, config, Behavior::Honest, nh as usize);
         let mut naive = NaiveNode {
             stream,
             gossip_period: config.gossip_period,
@@ -239,6 +253,7 @@ proptest! {
             proposed: HashSet::new(),
             fresh: Vec::new(),
             offers: HashMap::new(),
+            nh,
             period: 0,
             chunks_served: 0,
         };

@@ -15,8 +15,8 @@
 //! oldest period pops that many entries off the front of each log; the
 //! audit-side readers are straight scans of one log. Chunk lists are never
 //! copied: a sent proposal holds its round's `Arc<[ChunkId]>` (shared with the
-//! wire payloads and the outstanding offers), a received one the payload's,
-//! and the partners of every sent proposal share one flat log.
+//! wire payloads), a received one the payload's, and the partners of every
+//! sent proposal share one flat log.
 
 use std::collections::hash_map::Entry;
 use std::collections::{vec_deque, VecDeque};
@@ -43,7 +43,7 @@ const WIRE_CONFIRM_BYTES: u64 = 2 * NODE_ID_BYTES;
 /// entries of the partner log are its partners.
 #[derive(Debug, Clone, PartialEq)]
 struct ProposalRecord {
-    /// Shared with the round's wire payloads and outstanding offers.
+    /// Shared with the round's wire payloads.
     chunks: Arc<[ChunkId]>,
     partners: u32,
 }

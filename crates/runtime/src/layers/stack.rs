@@ -224,7 +224,13 @@ impl NodeStack {
                 let collusion = adversary.verification_plane();
                 StreamPlane {
                     stream,
-                    gossip: GossipNode::for_stream(id, *clock, gossip_config, behavior),
+                    gossip: GossipNode::for_stream(
+                        id,
+                        *clock,
+                        gossip_config,
+                        behavior,
+                        lifting_config.history_periods,
+                    ),
                     selector: adversary.membership_plane(stream),
                     verifier: Verifier::new(id, fanout, lifting_config, collusion)
                         .for_stream(stream)

@@ -83,9 +83,10 @@ fn run_scenario_with_snapshots_sharded(
 /// engine, so the outcomes are **bit-identical** to running each scenario
 /// through [`run_scenario`] sequentially — the pool only changes wall-clock
 /// time, never results. Set `LIFTING_WORKERS=1` to force sequential
-/// execution (e.g. for timing comparisons).
+/// execution (e.g. for timing comparisons). Each config moves into its job:
+/// a caller that needs a field after the run reads it first.
 pub fn run_scenarios_parallel(configs: Vec<ScenarioConfig>) -> Vec<RunOutcome> {
-    pool::run_indexed(configs.len(), |i| run_scenario(configs[i].clone()))
+    pool::run_owned(configs, |_, config| run_scenario(config))
 }
 
 /// Runs `jobs` arbitrary indexed jobs on the same worker pool the scenario

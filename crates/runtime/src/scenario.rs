@@ -1,6 +1,7 @@
 //! Experiment scenarios.
 
 use lifting_core::LiftingConfig;
+use lifting_gossip::buffer::{SLOT_ROUNDS, SLOT_TIME_LIMIT};
 use lifting_gossip::{FreeriderConfig, GossipConfig, StreamClock};
 use lifting_membership::Workload;
 use lifting_net::{Capability, NetworkConfig};
@@ -252,7 +253,8 @@ impl ScenarioConfig {
     /// gossip, LiFTinG, link-fault and freerider-degree parameters, fewer
     /// managers and freeriders than nodes, one to 64 non-empty streams with
     /// two subscribers each and the primary on air from the start, a
-    /// positive duration and audit interval, a non-zero default uplink, and
+    /// positive duration that a chunk slot's time and round fields can
+    /// represent, a positive audit interval, a non-zero default uplink, and
     /// in-range capability, workload and adversary parameters (the family's
     /// cross-field rules included).
     pub fn validate(&self) -> Result<(), ComponentError> {
@@ -318,6 +320,30 @@ impl ScenarioConfig {
             !self.duration.is_zero(),
             "duration",
             "duration must be positive",
+        )?;
+        // A chunk slot records a time (the latest is a request's expiry, one
+        // gossip period past the end) and the round, one per gossip period,
+        // that proposed the chunk; each field has a fixed width.
+        let (duration, period) = (
+            self.duration.as_micros(),
+            self.gossip.gossip_period.as_micros(),
+        );
+        require(
+            duration.saturating_add(period) < SLOT_TIME_LIMIT.as_micros(),
+            "duration",
+            format!(
+                "{} s plus one gossip period reaches the {} s a chunk slot records",
+                self.duration.as_secs_f64(),
+                SLOT_TIME_LIMIT.as_secs_f64()
+            ),
+        )?;
+        require(
+            duration / period < SLOT_ROUNDS,
+            "duration",
+            format!(
+                "{} gossip rounds; a chunk slot tells {SLOT_ROUNDS} apart",
+                duration / period + 1
+            ),
         )?;
         require(
             !self.audit_interval.is_zero(),

@@ -14,6 +14,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use lifting_gossip::buffer::{SLOT_ROUNDS, SLOT_TIME_LIMIT};
 use lifting_membership::{
     Churn, DiurnalCycle, PartitionWaves, RegionalFailureWaves, Workload, ZapSwitching,
 };
@@ -130,7 +131,7 @@ fn beyond_two_streams(u: f64) -> u64 {
 
 /// `(component, key, break)`: every out-of-range field and the error that
 /// must name it.
-const CASES: [(&str, &str, Break); 74] = [
+const CASES: [(&str, &str, Break); 76] = [
     // ScenarioConfig
     ("scenario", "nodes", |c, u| c.nodes = (u * 3.0) as usize),
     ("scenario", "lifting.managers", |c, u| {
@@ -151,6 +152,17 @@ const CASES: [(&str, &str, Break); 74] = [
     }),
     ("scenario", "duration", |c, _| {
         c.duration = SimDuration::ZERO
+    }),
+    // Past a chunk slot's time field (the run plus one period), and more
+    // rounds than its round field tells apart (at a µs-scale period).
+    ("scenario", "duration", |c, u| {
+        let last = SLOT_TIME_LIMIT.as_micros() - c.gossip.gossip_period.as_micros();
+        c.duration = SimDuration::from_micros(last + (u * 1e15) as u64)
+    }),
+    ("scenario", "duration", |c, u| {
+        let period = 1 + (u * 1e3) as u64;
+        c.gossip.gossip_period = SimDuration::from_micros(period);
+        c.duration = SimDuration::from_micros(period * (SLOT_ROUNDS + count(u) as u64 - 1));
     }),
     ("scenario", "audit_interval", |c, _| {
         c.audit_interval = SimDuration::ZERO

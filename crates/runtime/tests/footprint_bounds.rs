@@ -5,14 +5,16 @@
 //! same numbers, so each bound is the measured value plus the small margin
 //! stated beside it.
 //!
-//! Plus the scale smoke: `scale/1k` at paper scale, sequentially and at 4
-//! shards, which only an optimised build runs in reasonable time.
+//! Plus two paper-scale runs, which only an optimised build runs in
+//! reasonable time: the scale smoke, `scale/1k` sequentially and at 4
+//! shards, and `headline/planetlab` read at 60 s and at 240 s, whose offers
+//! must not grow with the run.
 
 use lifting_runtime::{
     build_engine, run_scenario, run_scenario_sharded, Event, RunOutcome, Scale, ScenarioRegistry,
     SystemWorld,
 };
-use lifting_sim::{Engine, EventQueue, SimTime};
+use lifting_sim::{Engine, EventQueue, SimDuration, SimTime};
 use serde_json::Value;
 
 /// The engine of `name` at quick scale, seed 30, run to its end.
@@ -127,5 +129,31 @@ fn scale_1k_runs_the_same_at_4_shards_within_its_memory_budget() {
     assert!(
         clear.is_some_and(|clear| clear > 0.2),
         "scale/1k: the stream collapsed at n = 1 000 ({clear:?})"
+    );
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "paper scale: ci.sh's release group runs it"
+)]
+fn headline_offers_do_not_grow_with_the_run() {
+    // A node keeps the partners of its last nh = 50 rounds, so once that
+    // window fills the offers row stays put: 2 799 B/node at 60 s, 2 828 at
+    // 240 s (1.01x). Keeping one offer per partner ever proposed to read
+    // 12 725 and 15 577 (1.22x).
+    let mut config = ScenarioRegistry::builtin().build("headline/planetlab", Scale::Paper, 30);
+    config.duration = SimDuration::from_secs(240);
+    let nodes = config.nodes as u64;
+    let mut engine = build_engine(config);
+    let mut offers_at = |secs| {
+        engine.run_until(SimTime::ZERO + SimDuration::from_secs(secs));
+        per_node(&engine, nodes, "offers")
+    };
+    let (early, late) = (offers_at(60), offers_at(240));
+    assert!(
+        late as f64 <= 1.05 * early as f64,
+        "offers {early} B/node at 60 s, {late} at 240 s ({:.2}x, more than 1.05x)",
+        late as f64 / early as f64
     );
 }

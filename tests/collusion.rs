@@ -30,7 +30,7 @@ fn collusion_as_baseline_params_reproduces_the_pinned_run() {
         .export("collusion", -9.75, &outcome);
     assert_eq!(
         digest,
-        "collusion: 0x3bb152cadc1ad897 mem=15245.133333333333"
+        "collusion: 0x3bb152cadc1ad897 mem=15213.933333333332"
     );
 }
 
