@@ -85,6 +85,9 @@ cargo test -q --release -p lifting-core --test check_table_reference --test chec
 # And the blames in flight: against a naive replay of every copy, and the
 # bound on what the buffer retains with its allocation-free steady state.
 cargo test -q --release -p lifting-runtime --test blame_delivery --test blame_footprint
+# And the score book: against a dense book indexed by node id, whose vote
+# sweep returns every charge below the threshold.
+cargo test -q --release -p lifting-reputation --test score_book_reference
 # The 43 scenario digests (sequentially and at 4 shards) on the build the
 # benchmark runs, and the memory bounds with the paper-scale scale/1k smoke
 # and headline offers check, which a debug build skips.

@@ -160,19 +160,6 @@ impl Directory {
         self.active.get(node.index()).copied().unwrap_or(false)
     }
 
-    /// Adds a new node to the directory (subscribed to every stream),
-    /// returning its identifier.
-    pub fn join(&mut self) -> NodeId {
-        let id = NodeId::new(self.active.len() as u32);
-        self.active.push(true);
-        self.active_count += 1;
-        for subs in &mut self.subscriptions {
-            subs.subscribed.push(true);
-            subs.active_subscribed += 1;
-        }
-        id
-    }
-
     /// Marks a node inactive (expelled or departed). Idempotent. Activity
     /// acts on the node: its stream subscriptions are untouched (a rejoining
     /// node resumes the same channels), only the per-stream participant
@@ -229,23 +216,7 @@ impl Directory {
         count: usize,
         exclude: NodeId,
     ) -> Vec<NodeId> {
-        let mut picked = Vec::with_capacity(count);
-        self.sample_uniform_into(rng, count, exclude, &mut picked);
-        picked
-    }
-
-    /// Like [`sample_uniform`](Self::sample_uniform), but appends to `picked`
-    /// and never selects a node already present in it (nor `exclude`). With
-    /// an empty `picked`, the RNG draw sequence is identical to
-    /// `sample_uniform`.
-    pub fn sample_uniform_into<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        count: usize,
-        exclude: NodeId,
-        picked: &mut Vec<NodeId>,
-    ) {
-        self.sample_into_where(rng, count, exclude, picked, None);
+        self.sample_where(rng, count, exclude, None)
     }
 
     /// Samples `count` distinct **participants of `stream`** (active and
@@ -267,23 +238,21 @@ impl Directory {
         } else {
             Some(stream)
         };
-        let mut picked = Vec::with_capacity(count);
-        self.sample_into_where(rng, count, exclude, &mut picked, filter);
-        picked
+        self.sample_where(rng, count, exclude, filter)
     }
 
     /// The one sampling routine. `stream = None` means "any active node";
     /// `Some(s)` additionally requires subscription to `s`. The two modes
     /// share every draw site so the filter can only *reject more*, never
     /// reorder the sequence of RNG consumptions for the candidates it accepts.
-    fn sample_into_where<R: Rng + ?Sized>(
+    fn sample_where<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         count: usize,
         exclude: NodeId,
-        picked: &mut Vec<NodeId>,
         stream: Option<StreamId>,
-    ) {
+    ) -> Vec<NodeId> {
+        let mut picked = Vec::with_capacity(count);
         let eligible = |c: NodeId| match stream {
             None => self.is_active(c),
             Some(s) => self.is_participant(c, s),
@@ -292,20 +261,16 @@ impl Directory {
             None => self.active_count,
             Some(s) => self.participant_count(s),
         };
-        let already = picked.len();
-        let excluded_eligible: usize = usize::from(eligible(exclude) && !picked.contains(&exclude))
-            + picked.iter().filter(|p| eligible(**p)).count();
-        let available = pool.saturating_sub(excluded_eligible);
-        let target = count.min(available);
+        let target = count.min(pool.saturating_sub(usize::from(eligible(exclude))));
         if target == 0 {
-            return;
+            return picked;
         }
         // Rejection sampling: cheap because fanout << n in all experiments.
         // Falls back to a full scan if the eligible fraction is tiny.
         let n = self.active.len();
         let mut attempts = 0usize;
         let max_attempts = 50 * count.max(1) + 100;
-        while picked.len() - already < target && attempts < max_attempts {
+        while picked.len() < target && attempts < max_attempts {
             attempts += 1;
             let candidate = NodeId::new(rng.gen_range(0..n as u32));
             if candidate == exclude || !eligible(candidate) || picked.contains(&candidate) {
@@ -313,20 +278,21 @@ impl Directory {
             }
             picked.push(candidate);
         }
-        if picked.len() - already < target {
+        if picked.len() < target {
             // Dense fallback: enumerate remaining eligible nodes and fill up.
             let mut rest: Vec<NodeId> = self
                 .active_nodes()
                 .filter(|c| eligible(*c) && *c != exclude && !picked.contains(c))
                 .collect();
             // Fisher–Yates partial shuffle.
-            let need = target - (picked.len() - already);
+            let need = target - picked.len();
             for i in 0..need.min(rest.len()) {
                 let j = rng.gen_range(i..rest.len());
                 rest.swap(i, j);
                 picked.push(rest[i]);
             }
         }
+        picked
     }
 }
 
@@ -341,15 +307,13 @@ mod tests {
         let mut dir = Directory::new(3);
         assert_eq!(dir.len(), 3);
         assert_eq!(dir.active_count(), 3);
-        let new = dir.join();
-        assert_eq!(new, NodeId::new(3));
-        assert_eq!(dir.active_count(), 4);
         dir.deactivate(NodeId::new(1));
         dir.deactivate(NodeId::new(1));
-        assert_eq!(dir.active_count(), 3);
+        assert_eq!(dir.active_count(), 2);
         assert!(!dir.is_active(NodeId::new(1)));
         dir.activate(NodeId::new(1));
-        assert_eq!(dir.active_count(), 4);
+        dir.activate(NodeId::new(1));
+        assert_eq!(dir.active_count(), 3);
     }
 
     #[test]
@@ -397,34 +361,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_into_never_duplicates_prior_picks() {
-        let dir = Directory::new(20);
-        let mut rng = derive_rng(9, 0);
-        for _ in 0..100 {
-            let mut picked = vec![NodeId::new(1), NodeId::new(2), NodeId::new(3)];
-            dir.sample_uniform_into(&mut rng, 10, NodeId::new(0), &mut picked);
-            assert_eq!(picked.len(), 13);
-            let unique: HashSet<_> = picked.iter().collect();
-            assert_eq!(unique.len(), 13, "prior picks must not be re-selected");
-            assert!(!picked.contains(&NodeId::new(0)));
-        }
-    }
-
-    #[test]
-    fn sample_into_with_empty_prefix_matches_sample_uniform() {
-        let mut dir = Directory::new(40);
-        dir.deactivate(NodeId::new(7));
-        let mut a = derive_rng(11, 0);
-        let mut b = derive_rng(11, 0);
-        for _ in 0..50 {
-            let direct = dir.sample_uniform(&mut a, 6, NodeId::new(2));
-            let mut appended = Vec::new();
-            dir.sample_uniform_into(&mut b, 6, NodeId::new(2), &mut appended);
-            assert_eq!(direct, appended, "draw sequences must be identical");
-        }
-    }
-
-    #[test]
     fn subscriptions_gate_participation_but_not_activity() {
         use lifting_sim::StreamId;
         let s0 = StreamId::new(0);
@@ -450,9 +386,6 @@ mod tests {
         dir.activate(NodeId::new(3));
         dir.subscribe(NodeId::new(3), s1);
         assert_eq!(dir.participant_count(s1), 10);
-        // Joins subscribe everywhere.
-        let new = dir.join();
-        assert!(dir.is_participant(new, s0) && dir.is_participant(new, s1));
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //!   (practical overhead) is computed from.
 //! * Network faults can be injected deterministically: bursty
 //!   ([`LossModel::GilbertElliott`]) loss, latency spikes and duplication
-//!   ([`LinkFaults`]), and partition flags that cut both transports (set by
-//!   the runtime's partition waves) — the resilience plane's substrate.
+//!   ([`LinkFaults`]), and partitions that cut both transports (held and
+//!   healed by the runtime's partition waves, counted per node so that
+//!   overlapping waves compose) — the resilience plane's substrate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

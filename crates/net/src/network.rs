@@ -137,8 +137,9 @@ pub struct Network {
     config: NetworkConfig,
     capabilities: Vec<NodeCapability>,
     uplinks: Vec<UplinkState>,
-    cut_off: Vec<bool>,
-    partitioned: Vec<bool>,
+    /// Per node: how many partition waves hold it. A node hit by
+    /// overlapping waves stays partitioned until every one has healed.
+    partition_waves: Vec<u8>,
     burst: BurstState,
     stats: TrafficStats,
     rng: SmallRng,
@@ -153,8 +154,7 @@ impl Network {
         Network {
             capabilities: vec![NodeCapability::unconstrained(); n],
             uplinks: vec![UplinkState::new(); n],
-            cut_off: vec![false; n],
-            partitioned: vec![false; n],
+            partition_waves: vec![0; n],
             burst: BurstState::default(),
             config,
             stats: TrafficStats::new(),
@@ -173,8 +173,7 @@ impl Network {
         use std::mem::size_of;
         self.capabilities.capacity() * size_of::<NodeCapability>()
             + self.uplinks.capacity() * size_of::<UplinkState>()
-            + self.cut_off.capacity()
-            + self.partitioned.capacity()
+            + self.partition_waves.capacity()
     }
 
     /// True if the network has no nodes.
@@ -201,31 +200,31 @@ impl Network {
         self.capabilities[node.index()]
     }
 
-    /// Cuts a node off the network (or reconnects it): all traffic from and
-    /// to it is dropped while cut off. The runtime cuts off departed nodes,
-    /// which may later rejoin, and expelled ones, for good.
-    pub fn set_cut_off(&mut self, node: NodeId, cut_off: bool) {
-        self.cut_off[node.index()] = cut_off;
+    /// One more partition wave holds `node`. Unlike UDP loss, a partition is
+    /// a *routing* failure: it cuts **both** transports — the audits-over-TCP
+    /// plane included — and both directions. A partitioned node is still a
+    /// live member (it keeps its state and its stack keeps ticking); the
+    /// network around it just fails.
+    ///
+    /// # Panics
+    ///
+    /// Panics if 256 waves would hold one node: the partition-wave workload
+    /// declares at most 255.
+    pub fn partition(&mut self, node: NodeId) {
+        let waves = &mut self.partition_waves[node.index()];
+        *waves = waves.checked_add(1).expect("at most 255 waves hold a node");
     }
 
-    /// True if the node is currently cut off (departed or expelled).
-    pub fn is_cut_off(&self, node: NodeId) -> bool {
-        self.cut_off[node.index()]
+    /// One wave holding `node` heals; the node is reconnected once the last
+    /// one has. Healing a node no wave holds does nothing.
+    pub fn heal(&mut self, node: NodeId) {
+        let waves = &mut self.partition_waves[node.index()];
+        *waves = waves.saturating_sub(1);
     }
 
-    /// Partitions a node from the rest of the network (or heals it). Unlike
-    /// UDP loss, a partition is a *routing* failure: it cuts **both**
-    /// transports — the audits-over-TCP plane included — and both directions.
-    /// Distinct from [`set_cut_off`](Self::set_cut_off): a partitioned node
-    /// is still a live member (it keeps its state and its stack keeps
-    /// ticking), the network around it just fails.
-    pub fn set_partitioned(&mut self, node: NodeId, partitioned: bool) {
-        self.partitioned[node.index()] = partitioned;
-    }
-
-    /// True if the node is currently partitioned from the network.
+    /// True if some partition wave currently holds the node.
     pub fn is_partitioned(&self, node: NodeId) -> bool {
-        self.partitioned[node.index()]
+        self.partition_waves[node.index()] > 0
     }
 
     /// Accumulated traffic statistics.
@@ -238,9 +237,12 @@ impl Network {
     ///
     /// The transport is the category's ([`TrafficCategory::transport`]):
     /// audits over TCP, everything else over UDP.
-    /// The message is accounted to `category` whatever the outcome. Cut-off
-    /// endpoints, UDP loss and the sender's uplink serialization are all
-    /// applied here.
+    /// The message is accounted to `category` whatever the outcome.
+    /// Partitions, UDP loss and the sender's uplink serialization are all
+    /// applied here. Membership is not: the network does not know who is in,
+    /// and a caller that addresses a departed or expelled endpoint accounts
+    /// the message with [`send_undeliverable`](Self::send_undeliverable)
+    /// instead.
     pub fn send(
         &mut self,
         now: SimTime,
@@ -253,14 +255,10 @@ impl Network {
         let wire_bytes = payload_bytes + transport.header_bytes();
         self.stats.record_sent(category, wire_bytes);
 
-        if self.cut_off[from.index()] || self.cut_off[to.index()] {
-            return DeliveryOutcome::Lost;
-        }
-
         // A partition cuts every transport (TCP included) and both
         // directions, deterministically — no RNG is consumed, so runs
         // without partition waves are draw-for-draw unchanged.
-        if self.partitioned[from.index()] || self.partitioned[to.index()] {
+        if self.is_partitioned(from) || self.is_partitioned(to) {
             return DeliveryOutcome::Lost;
         }
 
@@ -315,6 +313,14 @@ impl Network {
             return DeliveryOutcome::Duplicated { at, duplicate_at };
         }
         DeliveryOutcome::Deliver { at }
+    }
+
+    /// Accounts a message of `payload_bytes` to an endpoint that is not
+    /// there (departed or expelled): sent, header included, and never
+    /// delivered. It touches no uplink and draws no randomness.
+    pub fn send_undeliverable(&mut self, payload_bytes: u64, category: TrafficCategory) {
+        let wire_bytes = payload_bytes + category.transport().header_bytes();
+        self.stats.record_sent(category, wire_bytes);
     }
 }
 
@@ -404,26 +410,60 @@ mod tests {
     }
 
     #[test]
-    fn expelled_nodes_are_cut_off() {
+    fn overlapping_partitions_hold_until_the_last_heals() {
         let mut net = net(3, NetworkConfig::ideal());
-        net.set_cut_off(NodeId::new(1), true);
-        assert!(net.is_cut_off(NodeId::new(1)));
-        let to_expelled = net.send(
-            SimTime::ZERO,
-            NodeId::new(0),
-            NodeId::new(1),
-            10,
-            TrafficCategory::GossipControl,
-        );
-        let from_expelled = net.send(
-            SimTime::ZERO,
-            NodeId::new(1),
-            NodeId::new(2),
-            10,
-            TrafficCategory::GossipControl,
-        );
-        assert_eq!(to_expelled, DeliveryOutcome::Lost);
-        assert_eq!(from_expelled, DeliveryOutcome::Lost);
+        let node = NodeId::new(1);
+        let reaches = |net: &mut Network| {
+            net.send(
+                SimTime::ZERO,
+                NodeId::new(0),
+                node,
+                10,
+                TrafficCategory::Audit,
+            )
+            .is_delivered()
+        };
+        net.partition(node);
+        net.partition(node);
+        net.heal(node);
+        assert!(net.is_partitioned(node), "one of two waves still holds it");
+        assert!(!reaches(&mut net));
+        net.heal(node);
+        assert!(!net.is_partitioned(node));
+        assert!(reaches(&mut net));
+        net.heal(node);
+        assert!(!net.is_partitioned(node), "a heal without a hold is inert");
+    }
+
+    #[test]
+    fn undeliverable_sends_count_as_sent_with_headers_and_never_delivered() {
+        let config = NetworkConfig::planetlab(0.5);
+        let (mut net, mut twin) = (net(2, config.clone()), net(2, config));
+        net.send_undeliverable(100, TrafficCategory::Verification);
+        net.send_undeliverable(100, TrafficCategory::Audit);
+        let udp = net.stats().category(TrafficCategory::Verification);
+        assert_eq!((udp.messages_sent, udp.bytes_sent), (1, 128));
+        let tcp = net.stats().category(TrafficCategory::Audit);
+        assert_eq!((tcp.messages_sent, tcp.bytes_sent), (1, 140));
+        for c in [udp, tcp] {
+            assert_eq!((c.messages_delivered, c.bytes_delivered), (0, 0));
+        }
+        // No draw and no uplink time: the next send matches a fresh twin's.
+        for n in [&mut net, &mut twin] {
+            n.set_capability(NodeId::new(0), NodeCapability::broadband(1_000_000));
+        }
+        let send = |n: &mut Network| {
+            n.send(
+                SimTime::ZERO,
+                NodeId::new(0),
+                NodeId::new(1),
+                1_000,
+                TrafficCategory::StreamData,
+            )
+        };
+        for _ in 0..20 {
+            assert_eq!(send(&mut net), send(&mut twin));
+        }
     }
 
     #[test]
@@ -466,7 +506,7 @@ mod tests {
     #[test]
     fn partition_cuts_both_transports_and_heals() {
         let mut net = net(3, NetworkConfig::ideal());
-        net.set_partitioned(NodeId::new(1), true);
+        net.partition(NodeId::new(1));
         assert!(net.is_partitioned(NodeId::new(1)));
         // Both directions, both transports (TCP audits included).
         for (from, to, category) in [
@@ -484,7 +524,7 @@ mod tests {
             );
             assert_eq!(out, DeliveryOutcome::Lost, "{from}->{to} {category:?}");
         }
-        net.set_partitioned(NodeId::new(1), false);
+        net.heal(NodeId::new(1));
         assert!(net
             .send(
                 SimTime::ZERO,

@@ -12,8 +12,6 @@ pub struct ScoreRecord {
     pub compensation: f64,
     /// Number of gossip periods the node has been observed for (`r` in Eq. 6).
     pub periods: u64,
-    /// True once the manager has voted to expel the node.
-    pub expelled: bool,
 }
 
 impl ScoreRecord {
@@ -150,30 +148,16 @@ impl ManagerState {
         self.record(node).map(|r| r.normalized_score())
     }
 
-    /// Marks `node` as expelled in this manager's book. Returns true if the
-    /// vote changed (i.e. the node was not already marked).
-    pub fn mark_expelled(&mut self, node: NodeId) -> bool {
-        let r = self.slot_mut(node);
-        let changed = !r.expelled;
-        r.expelled = true;
-        changed
-    }
-
-    /// True if this manager has voted to expel `node`.
-    pub fn has_expelled(&self, node: NodeId) -> bool {
-        self.record(node).map(|r| r.expelled).unwrap_or(false)
-    }
-
-    /// Checks every managed node against the detection threshold `eta` and
-    /// marks those whose normalized score dropped below it, appending the
-    /// nodes newly voted for expulsion to `out` in ascending id order. Nodes
-    /// with fewer than `min_periods` observed periods are exempt (their score
-    /// is not yet meaningful — Section 6.2 notes that the score of a joining
-    /// node is not comparable).
-    pub fn expulsion_votes_into(&mut self, eta: f64, min_periods: u64, out: &mut Vec<NodeId>) {
-        for (&idx, r) in self.ids.iter().zip(self.records.iter_mut()) {
-            if !r.expelled && r.periods >= min_periods && r.normalized_score() < eta {
-                r.expelled = true;
+    /// Checks every managed node against the detection threshold `eta`,
+    /// appending each one whose normalized score is below it to `out` in
+    /// ascending id order. Nodes with fewer than `min_periods` observed
+    /// periods are exempt (their score is not yet meaningful — Section 6.2
+    /// notes that the score of a joining node is not comparable). The book
+    /// keeps no record of its votes: a node that stays below `eta` is voted
+    /// against at every sweep, and the caller counts each manager once.
+    pub fn expulsion_votes_into(&self, eta: f64, min_periods: u64, out: &mut Vec<NodeId>) {
+        for (&idx, r) in self.ids.iter().zip(&self.records) {
+            if r.periods >= min_periods && r.normalized_score() < eta {
                 out.push(NodeId::new(idx));
             }
         }
@@ -257,13 +241,6 @@ mod tests {
         let mut votes = Vec::new();
         m.expulsion_votes_into(-9.75, 5, &mut votes);
         assert_eq!(votes, vec![bad]);
-        assert!(m.has_expelled(bad));
-        assert!(!m.has_expelled(good));
-        assert!(!m.has_expelled(young));
-        // Votes are not emitted twice.
-        votes.clear();
-        m.expulsion_votes_into(-9.75, 5, &mut votes);
-        assert!(votes.is_empty());
     }
 
     #[test]
@@ -339,10 +316,7 @@ mod tests {
     }
 
     #[test]
-    fn mark_expelled_is_idempotent() {
-        let mut m = ManagerState::new();
-        assert!(m.mark_expelled(NodeId::new(4)));
-        assert!(!m.mark_expelled(NodeId::new(4)));
-        assert!(m.has_expelled(NodeId::new(4)));
+    fn a_score_record_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<ScoreRecord>(), 24);
     }
 }

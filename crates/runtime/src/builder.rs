@@ -100,23 +100,11 @@ pub fn build_world(config: ScenarioConfig) -> Result<SystemWorld, ComponentError
                 .starting_at(SimTime::ZERO + spec.start_offset)
         })
         .collect();
-    let stacks: Vec<NodeStack> = (0..n)
-        .map(|i| {
-            NodeStack::with_streams(
-                NodeId::new(i as u32),
-                config.gossip,
-                config.lifting,
-                config.lifting_enabled,
-                config.adversary.spawn(&config, i, &coalition),
-                derive_rng(seed, 1000 + i as u64),
-                &clocks,
-                0,
-            )
-        })
+    let mut stacks: Vec<NodeStack> = (0..n)
+        .map(|i| NodeStack::new(&config, &clocks, &coalition, NodeId::new(i as u32), 0))
         .collect();
 
     let assignment = ManagerAssignment::new(n, config.lifting.managers, seed);
-    let mut stacks = stacks;
     // Register every scored node (the source is never scored or expelled),
     // each book sized to its manager's charges first.
     let mut charges = vec![0; n];
@@ -179,10 +167,10 @@ pub fn build_world(config: ScenarioConfig) -> Result<SystemWorld, ComponentError
 
     // Disturbances: the declared generator's plan, expanded once. Flash-crowd
     // members are held offline from the start (the directory is the single
-    // source of truth for activity, and the network drops traffic of cut-off
-    // nodes); a zap viewer watches only its home channel. Every membership
-    // generator counts each node online at the start as one session; rejoins
-    // add to the count as the run progresses.
+    // source of truth for activity: no traffic reaches an inactive node); a
+    // zap viewer watches only its home channel. Every membership generator
+    // counts each node online at the start as one session; rejoins add to
+    // the count as the run progresses.
     let workload = config
         .workload
         .map_or_else(WorkloadPlan::default, |workload| {
@@ -190,9 +178,7 @@ pub fn build_world(config: ScenarioConfig) -> Result<SystemWorld, ComponentError
         });
     for (i, held) in workload.held_offline.iter().enumerate() {
         if *held {
-            let node = NodeId::new(i as u32);
-            directory.deactivate(node);
-            network.set_cut_off(node, true);
+            directory.deactivate(NodeId::new(i as u32));
         }
     }
     for (i, home) in workload.initial_stream.iter().enumerate() {
@@ -235,7 +221,6 @@ pub fn build_world(config: ScenarioConfig) -> Result<SystemWorld, ComponentError
         mstream_rng: multistream_rng(seed),
         scratch_downcalls: Vec::new(),
         scratch_nodes: Vec::new(),
-        partition_holds: vec![0; n],
         period: PeriodPlane::new(&config, traced),
         config,
     })
@@ -259,27 +244,14 @@ pub(crate) fn initial_events(world: &SystemWorld) -> Vec<(SimTime, Event)> {
     let period = config.gossip.gossip_period;
     let n = config.nodes;
     for i in 0..n {
-        // Stagger gossip phases uniformly over one period, as real
-        // deployments do implicitly (nodes start at different times).
-        let offset = SimDuration::from_micros(period.as_micros() * i as u64 / n as u64);
-        events.push((
-            SimTime::ZERO + offset,
-            Event::GossipTick {
-                node: NodeId::new(i as u32),
-                epoch: 0,
-            },
-        ));
-        if config.audits_enabled && i != 0 {
-            let audit_offset =
-                SimDuration::from_micros(config.audit_interval.as_micros() * i as u64 / n as u64);
-            events.push((
-                SimTime::ZERO + config.audit_interval + audit_offset,
-                Event::AuditTick {
-                    auditor: NodeId::new(i as u32),
-                    epoch: 0,
-                },
-            ));
-        }
+        // Stagger gossip and audit phases uniformly over one period and one
+        // audit interval, as real deployments do implicitly (nodes start at
+        // different times).
+        let stagger =
+            |d: SimDuration| SimDuration::from_micros(d.as_micros() * i as u64 / n as u64);
+        let phases = (stagger(period), stagger(config.audit_interval));
+        let node = NodeId::new(i as u32);
+        events.extend(session_ticks(config, node, 0, SimTime::ZERO, phases));
     }
     events.push((SimTime::ZERO + period, Event::PeriodEnd));
     // Disturbance edges, in plan order (events at one instant keep it):
@@ -300,6 +272,25 @@ pub(crate) fn initial_events(world: &SystemWorld) -> Vec<(SimTime, Event)> {
         events.push((SimTime::ZERO + *at, event));
     }
     events
+}
+
+/// The first gossip tick and audit tick of `node`'s session `epoch`, begun
+/// at `start`: the gossip tick `gossip_phase` after it, the audit tick (when
+/// audits run; the source never audits) one audit interval plus
+/// `audit_phase` after it. The nodes online at t = 0 stagger their phases; a
+/// rejoin starts with both at zero.
+pub(crate) fn session_ticks(
+    config: &ScenarioConfig,
+    node: NodeId,
+    epoch: u32,
+    start: SimTime,
+    (gossip_phase, audit_phase): (SimDuration, SimDuration),
+) -> impl Iterator<Item = (SimTime, Event)> {
+    let gossip = (start + gossip_phase, Event::GossipTick { node, epoch });
+    let (auditor, at) = (node, start + config.audit_interval + audit_phase);
+    let audits = config.audits_enabled && node != NodeId::new(0);
+    let audit = audits.then_some((at, Event::AuditTick { auditor, epoch }));
+    std::iter::once(gossip).chain(audit)
 }
 
 #[cfg(test)]

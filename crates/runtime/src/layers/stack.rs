@@ -11,20 +11,18 @@
 
 use std::sync::Arc;
 
-use lifting_core::{
-    ConfirmResponsePayload, LiftingConfig, VerificationMessage, Verifier, VerifierTimer,
-};
+use lifting_core::{ConfirmResponsePayload, VerificationMessage, Verifier, VerifierTimer};
 use lifting_gossip::{
-    ChunkId, GossipConfig, GossipMessage, GossipNode, ProposePayload, RequestPayload, ServePayload,
-    StreamClock,
+    ChunkId, GossipMessage, GossipNode, ProposePayload, RequestPayload, ServePayload, StreamClock,
 };
 use lifting_membership::{Directory, PartnerSelector};
 use lifting_reputation::ManagerState;
-use lifting_sim::{NodeId, SimTime, StreamId};
+use lifting_sim::{derive_rng, NodeId, SimTime, StreamId};
 use rand::rngs::SmallRng;
 
 use super::{Adversary, Downcall};
 use crate::message::Message;
+use crate::scenario::ScenarioConfig;
 
 /// One stream's data plane on one node: the sans-IO dissemination and
 /// verification state machines and the one place that wires them.
@@ -195,25 +193,32 @@ pub struct NodeStack {
 }
 
 impl NodeStack {
-    /// Builds a node stack carrying one concurrent channel per clock (clock
-    /// `s` defines stream `s`), for the node's session `session` (0 at
-    /// start, one more at every rejoin: a rebuilt stack's verifiers issue
-    /// tokens no earlier session used). The adversary configures each plane
-    /// (possibly differently per stream — see
-    /// [`Adversary::dissemination_plane`]); the reputation book is one
-    /// and shared.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_streams(
-        id: NodeId,
-        gossip_config: GossipConfig,
-        lifting_config: LiftingConfig,
-        lifting_enabled: bool,
-        adversary: Adversary,
-        rng: SmallRng,
+    /// Builds `node`'s stack for its session `session` of a run of `config`
+    /// (0 at start, one more at every rejoin: a rebuilt stack's verifiers
+    /// issue tokens no earlier session used). It carries one concurrent
+    /// channel per clock (clock `s` defines stream `s`). The adversary the
+    /// node plays in `config` configures each plane (possibly differently
+    /// per stream — see [`Adversary::dissemination_plane`]); the reputation
+    /// book is one, shared and empty.
+    ///
+    /// Each session draws from its own RNG stream of the scenario's seed:
+    /// node `i`'s first from stream `1000 + i`, its later ones from
+    /// `1_000_000 + i + session × 1_000_003`, past the first sessions' block
+    /// and distinct for every `(node, session)`.
+    pub fn new(
+        config: &ScenarioConfig,
         clocks: &[StreamClock],
+        coalition: &Arc<Vec<NodeId>>,
+        node: NodeId,
         session: u32,
     ) -> Self {
-        let fanout = gossip_config.fanout;
+        let i = node.index() as u64;
+        let rng_stream = match u64::from(session) {
+            0 => 1000 + i,
+            later => 1_000_000 + i + later * 1_000_003,
+        };
+        let adversary = config.adversary.spawn(config, node.index(), coalition);
+        let (gossip_config, lifting_config) = (config.gossip, config.lifting);
         let planes = clocks
             .iter()
             .enumerate()
@@ -225,17 +230,17 @@ impl NodeStack {
                 StreamPlane {
                     stream,
                     gossip: GossipNode::for_stream(
-                        id,
+                        node,
                         *clock,
                         gossip_config,
                         behavior,
                         lifting_config.history_periods,
                     ),
                     selector: adversary.membership_plane(stream),
-                    verifier: Verifier::new(id, fanout, lifting_config, collusion)
+                    verifier: Verifier::new(node, gossip_config.fanout, lifting_config, collusion)
                         .for_stream(stream)
                         .in_session(session),
-                    lifting_on: lifting_enabled,
+                    lifting_on: config.lifting_enabled,
                 }
             })
             .collect();
@@ -243,7 +248,7 @@ impl NodeStack {
             planes,
             reputation: ManagerState::new(),
             adversary,
-            rng,
+            rng: derive_rng(config.seed, rng_stream),
         }
     }
 
@@ -376,9 +381,7 @@ impl NodeStack {
 mod tests {
     use super::*;
     use crate::layers::AdversaryFamily;
-    use crate::scenario::ScenarioConfig;
-    use lifting_core::CollusionConfig;
-    use lifting_sim::derive_rng;
+    use lifting_core::{CollusionConfig, LiftingConfig};
 
     /// One paper-rate clock per stream.
     fn clocks(streams: u16) -> Vec<StreamClock> {
@@ -391,28 +394,35 @@ mod tests {
             .collect()
     }
 
-    /// The adversary a freerider plays under `family`: node 9 of ten, the
-    /// last three of which freeride at PlanetLab's degree.
-    fn freerider(family: AdversaryFamily) -> Adversary {
-        let config = ScenarioConfig::small_test(10, 1).with_planetlab_freeriders(0.3);
-        family.spawn(&config, 9, &Arc::default())
-    }
-
-    fn stack(id: u32, adversary: Adversary) -> NodeStack {
-        stack_with_lifting(id, adversary, true)
-    }
-
-    fn stack_with_lifting(id: u32, adversary: Adversary, lifting: bool) -> NodeStack {
-        NodeStack::with_streams(
+    /// Node `id`'s stack in a run of `config` carrying `streams` channels.
+    fn stack_in(config: &ScenarioConfig, id: u32, streams: u16) -> NodeStack {
+        NodeStack::new(
+            config,
+            &clocks(streams),
+            &Arc::default(),
             NodeId::new(id),
-            GossipConfig::planetlab(),
-            LiftingConfig::planetlab(),
-            lifting,
-            adversary,
-            derive_rng(1, id as u64),
-            &[StreamClock::paper()],
             0,
         )
+    }
+
+    /// An honest node's stack in the paper's PlanetLab deployment.
+    fn stack(id: u32) -> NodeStack {
+        stack_with_lifting(id, true)
+    }
+
+    fn stack_with_lifting(id: u32, lifting: bool) -> NodeStack {
+        let mut config = ScenarioConfig::planetlab_baseline(1);
+        config.lifting_enabled = lifting;
+        stack_in(&config, id, 1)
+    }
+
+    /// The stack of a freerider playing `family`: the last node of the
+    /// PlanetLab deployment, whose last tenth freerides at the paper's
+    /// degree.
+    fn freerider(family: AdversaryFamily, streams: u16) -> NodeStack {
+        let mut config = ScenarioConfig::planetlab_baseline(1).with_planetlab_freeriders(0.1);
+        config.adversary = family;
+        stack_in(&config, 299, streams)
     }
 
     /// Delivers a proposal of chunk 9 from node 0 to node 1's stack.
@@ -439,7 +449,7 @@ mod tests {
     #[test]
     fn tick_begins_the_period_records_the_round_and_sends_proposes() {
         let directory = Directory::new(10);
-        let mut s = stack(0, Adversary::default());
+        let mut s = stack(0);
         let chunk = s.primary().gossip.playout().clock().chunk(1);
         s.planes[0].gossip.inject_source_chunk(chunk, SimTime::ZERO);
         let mut out = Vec::new();
@@ -457,7 +467,7 @@ mod tests {
 
     #[test]
     fn propose_inbound_is_recorded_and_answered_with_a_request() {
-        let mut s = stack(1, Adversary::default());
+        let mut s = stack(1);
         let out = deliver_propose(&mut s);
         assert_eq!(out.len(), 2, "serve-check timer, then the request");
         assert!(is_request(&out[1]));
@@ -471,7 +481,7 @@ mod tests {
 
     #[test]
     fn lifting_off_plane_builds_nothing_for_the_verifier() {
-        let mut s = stack_with_lifting(1, Adversary::default(), false);
+        let mut s = stack_with_lifting(1, false);
         let out = deliver_propose(&mut s);
         assert_eq!(out.len(), 1, "the request still goes on the wire");
         assert!(is_request(&out[0]));
@@ -488,7 +498,7 @@ mod tests {
         // The serving side: a tick proposes the node's chunk, a partner
         // requests it, and only the serve goes out — no ack check is armed.
         let directory = Directory::new(10);
-        let mut s = stack_with_lifting(0, Adversary::default(), false);
+        let mut s = stack_with_lifting(0, false);
         let chunk = s.primary().gossip.playout().clock().chunk(1);
         s.planes[0].gossip.inject_source_chunk(chunk, SimTime::ZERO);
         let mut out = Vec::new();
@@ -509,7 +519,7 @@ mod tests {
 
     #[test]
     fn request_sent_arms_a_serve_check_timer() {
-        let mut s = stack(1, Adversary::default());
+        let mut s = stack(1);
         let out = deliver_propose(&mut s);
         assert!(matches!(
             out[0],
@@ -524,7 +534,7 @@ mod tests {
 
     #[test]
     fn stack_wires_every_layer_with_the_same_identity() {
-        let s = stack(4, Adversary::default());
+        let s = stack(4);
         assert_eq!(s.id(), NodeId::new(4));
         assert_eq!(s.primary().gossip.id(), NodeId::new(4));
         assert_eq!(s.primary().verifier.id(), s.primary().gossip.id());
@@ -533,16 +543,7 @@ mod tests {
 
     #[test]
     fn multistream_stack_keys_every_plane_by_its_stream() {
-        let s = NodeStack::with_streams(
-            NodeId::new(2),
-            GossipConfig::planetlab(),
-            LiftingConfig::planetlab(),
-            true,
-            Adversary::default(),
-            derive_rng(1, 2),
-            &clocks(3),
-            0,
-        );
+        let s = stack_in(&ScenarioConfig::planetlab_baseline(1), 2, 3);
         assert_eq!(s.planes.len(), 3);
         for (i, plane) in s.planes.iter().enumerate() {
             let stream = StreamId::new(i as u16);
@@ -555,23 +556,14 @@ mod tests {
 
     #[test]
     fn selective_freerider_configures_planes_differently() {
-        let s = NodeStack::with_streams(
-            NodeId::new(3),
-            GossipConfig::planetlab(),
-            LiftingConfig::planetlab(),
-            true,
-            freerider(AdversaryFamily::SelectiveFreerider { silent_mask: 0b10 }),
-            derive_rng(1, 3),
-            &clocks(2),
-            0,
-        );
+        let s = freerider(AdversaryFamily::SelectiveFreerider { silent_mask: 0b10 }, 2);
         assert!(!s.plane(StreamId::new(0)).gossip.behavior().is_freerider());
         assert!(s.plane(StreamId::new(1)).gossip.behavior().is_freerider());
     }
 
     #[test]
     fn freerider_adversary_shapes_the_dissemination_plane() {
-        let s = stack(2, freerider(AdversaryFamily::default()));
+        let s = freerider(AdversaryFamily::default(), 1);
         assert!(s.primary().gossip.behavior().is_freerider());
         // Verification plane stays honest for an independent freerider.
         let collusion: &CollusionConfig = &CollusionConfig::none();
@@ -585,7 +577,7 @@ mod tests {
     #[test]
     fn blames_lower_the_managed_score_and_trigger_votes() {
         use crate::inflight::{land, InFlightBlame};
-        let mut s = stack(1, Adversary::default());
+        let mut s = stack(1);
         let target = NodeId::new(3);
         s.reputation.register(target);
         let copy = InFlightBlame {
@@ -601,15 +593,11 @@ mod tests {
         let mut votes = Vec::new();
         s.reputation.expulsion_votes_into(-9.75, 1, &mut votes);
         assert_eq!(votes, vec![target]);
-        // A second sweep does not re-vote.
-        votes.clear();
-        s.reputation.expulsion_votes_into(-9.75, 1, &mut votes);
-        assert!(votes.is_empty());
     }
 
     #[test]
     fn gossip_tick_on_empty_node_still_begins_a_period() {
-        let mut s = stack(1, Adversary::default());
+        let mut s = stack(1);
         let directory = Directory::new(8);
         let mut out = Vec::new();
         s.on_gossip_tick(NodeId::new(1), SimTime::ZERO, &directory, &mut out);

@@ -143,8 +143,7 @@ impl SystemWorld {
             + self.period.voter_heap_bytes()
             + self.blame_counts.capacity() * size_of::<u64>()
             + self.blame_values.capacity() * size_of::<f64>()
-            + self.expelled.capacity()
-            + self.partition_holds.capacity();
+            + self.expelled.capacity();
         [
             ("chunk tables", chunks),
             ("offers", offers),

@@ -53,9 +53,11 @@ pub(crate) struct PeriodPlane {
     /// Distinct voters needed to expel: `ceil(q·M)` with `q` =
     /// [`EXPULSION_QUORUM`], at least one.
     quorum: usize,
-    /// Per target: the distinct managers that voted to expel it. A set, not a
-    /// counter: a manager rebuilt after a rejoin starts from a blank book and
-    /// may re-derive its vote, which must not count twice.
+    /// Per target: the distinct managers that voted to expel it — the one
+    /// record of a vote. A set, not a counter: a manager votes at every
+    /// period end its charge scores below the threshold, and a manager
+    /// rebuilt after a rejoin starts from a blank book and may re-derive its
+    /// vote; neither counts twice.
     voters: Vec<Vec<NodeId>>,
     /// One manager's votes (recycled: no allocation once warm).
     scratch_votes: Vec<NodeId>,
@@ -157,10 +159,11 @@ impl PeriodPlane {
 
     /// Every manager that has not departed votes against its nodes scoring
     /// below the threshold. A vote joins its target's voter set as it is
-    /// cast; returns the targets whose set reached the quorum, in vote order.
+    /// cast, unless the manager is in it already; returns the targets whose
+    /// set reached the quorum, in vote order.
     pub(crate) fn vote<'a>(
         &mut self,
-        books: impl IntoIterator<Item = (NodeId, &'a mut ManagerState)>,
+        books: impl IntoIterator<Item = (NodeId, &'a ManagerState)>,
         directory: &Directory,
         expelled: &[bool],
     ) -> Vec<NodeId> {
@@ -265,6 +268,11 @@ mod tests {
         (0..).map(NodeId::new).zip(books.iter_mut())
     }
 
+    /// The same books, read-only: what a vote polls.
+    fn shared(books: &[ManagerState]) -> impl Iterator<Item = (NodeId, &ManagerState)> {
+        (0..).map(NodeId::new).zip(books)
+    }
+
     /// `N` books; manager 1 (and 2 when `two`) blames node 5 far below η.
     fn books(two: bool) -> Vec<ManagerState> {
         let mut books = vec![ManagerState::new(); N];
@@ -279,7 +287,7 @@ mod tests {
         let (dir, expelled) = (Directory::new(N), [false; N]);
         p.advance();
         p.age(ids(books), &dir, &expelled, &[0.0], |_| true);
-        p.vote(ids(books), &dir, &expelled)
+        p.vote(shared(books), &dir, &expelled)
     }
 
     /// Nodes `1..`, the first `freeriders` of them freeriders.
@@ -314,9 +322,12 @@ mod tests {
         assert_eq!(record(1, 6).periods, 2, "an expelled node keeps aging");
         assert_eq!(record(1, 7).periods, 1, "a departed node is not observed");
         assert_eq!(record(2, 5).periods, 1, "a departed manager's book freezes");
-        p.vote(ids(&mut books), &dir, &expelled);
+        p.vote(shared(&books), &dir, &expelled);
         assert_eq!(p.voters[5], [NodeId::new(1)]);
-        assert!(!books[2].has_expelled(T), "no votes while offline");
+        assert!(
+            !p.voters[5].contains(&NodeId::new(2)),
+            "no votes while offline"
+        );
     }
 
     #[test]
@@ -327,6 +338,20 @@ mod tests {
         books[1].apply_blame(T, 100.0);
         assert!(end(&mut p, &mut books).is_empty());
         assert_eq!(p.voters[5], [NodeId::new(1)]);
+    }
+
+    #[test]
+    fn a_charge_that_stays_below_eta_is_voted_against_once() {
+        let (mut p, mut books) = (plane(1, false), books(true));
+        books[3].apply_blame(T, 100.0);
+        let mut expelled = Vec::new();
+        for _ in 0..4 {
+            expelled.extend(end(&mut p, &mut books));
+            assert!(books[1].normalized_score(T).unwrap() < p.eta());
+        }
+        assert_eq!(expelled, [T], "the quorum is reached once");
+        let managers = [1, 2, 3].map(NodeId::new);
+        assert_eq!(p.voters[5], managers, "each manager counted once");
     }
 
     #[test]

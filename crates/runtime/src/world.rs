@@ -22,17 +22,20 @@
 //! **Membership invariant**: the [`Directory`] is the single source of truth
 //! for who participates. Every selection site — gossip partners, audit
 //! targets, audit witnesses — samples from the directory's active set, every
-//! event dispatch gates on it, and the network cuts inactive nodes off, so an
-//! expelled or departed node can never be handed a partner or witness slot
-//! nor receive traffic. `expelled` only records *why* a node is inactive
-//! (expulsion is permanent; departure is reversible).
+//! event dispatch gates on it, and the two sends that can address a node
+//! that has left (a gossip or verification message, a blame copy) ask it
+//! before the network sees them (`SystemWorld::transmit`), so an expelled or
+//! departed node can never be handed a partner or witness slot nor receive
+//! traffic. The network knows nothing of membership; it owns the partitions.
+//! `expelled` only records *why* a node is inactive (expulsion is permanent;
+//! departure is reversible).
 
 use lifting_core::Blame;
 use lifting_gossip::StreamSource;
 use lifting_membership::{Directory, Sessions, WorkloadPlan};
-use lifting_net::Network;
+use lifting_net::{DeliveryOutcome, Network, TrafficCategory};
 use lifting_reputation::{ManagerAssignment, ManagerState};
-use lifting_sim::{derive_rng, Context, NodeId, SimTime, StreamId, World};
+use lifting_sim::{Context, NodeId, SimDuration, SimTime, StreamId, World};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use std::sync::Arc;
@@ -109,10 +112,6 @@ pub struct SystemWorld {
     /// Recycled scratch for audit-target candidates, so the periodic events
     /// allocate nothing at steady state either.
     pub(crate) scratch_nodes: Vec<NodeId>,
-    /// Per node: how many partition waves currently hold it partitioned. A
-    /// node hit by overlapping waves stays partitioned until the count
-    /// drains.
-    pub(crate) partition_holds: Vec<u8>,
     /// Everything that changes only at a period end: the period count, the
     /// applied threshold, the expulsion voters and the recovery trace.
     pub(crate) period: PeriodPlane,
@@ -135,7 +134,7 @@ impl SystemWorld {
         &self.config
     }
 
-    /// The simulated network (traffic statistics, expulsions).
+    /// The simulated network (traffic statistics, partitions).
     pub fn network(&self) -> &Network {
         &self.network
     }
@@ -152,10 +151,10 @@ impl SystemWorld {
     }
 
     /// Forcibly removes `node` from the system mid-run, as a churn departure
-    /// would (deactivated in the directory, cut off the network, stack left
-    /// to be torn down on a later rejoin). Exposed for fault injection
-    /// between engine segments and for invariant tests; `now` is where the
-    /// last segment stopped, and the blames that arrived by then land first.
+    /// would (deactivated in the directory, stack left to be torn down on a
+    /// later rejoin). Exposed for fault injection between engine segments
+    /// and for invariant tests; `now` is where the last segment stopped, and
+    /// the blames that arrived by then land first.
     pub fn force_depart(&mut self, node: NodeId, now: SimTime) {
         self.settle_blames((now, u64::MAX));
         if node != NodeId::new(0) && self.directory.is_active(node) {
@@ -163,10 +162,9 @@ impl SystemWorld {
         }
     }
 
-    /// A departure: deactivated in the directory, cut off the network.
+    /// A departure: deactivated in the directory.
     fn depart(&mut self, node: NodeId) {
         self.directory.deactivate(node);
-        self.network.set_cut_off(node, true);
         self.churn_departures += 1;
     }
 
@@ -220,9 +218,7 @@ impl SystemWorld {
         message: Message,
         ctx: &mut Context<Event>,
     ) {
-        let outcome = self
-            .network
-            .send(now, from, to, message.wire_size(), message.category());
+        let outcome = self.transmit(now, from, to, message.wire_size(), message.category());
         // A witness's answer lands in the receiver's confirm check now, keyed
         // `(arrival, stamp)` like a blame in flight: a confirm check is read
         // only when its own timer fires, so the answer needs no event. If the
@@ -242,6 +238,27 @@ impl SystemWorld {
         let copies = std::iter::repeat_n(message, arrivals.len());
         for (at, message) in arrivals.zip(copies) {
             ctx.schedule_at(at, Event::Deliver { from, to, message });
+        }
+    }
+
+    /// Adjudicates one send between two nodes. A departed or expelled
+    /// endpoint has no address: the message counts as sent and never
+    /// arrives, and draws nothing. Between two members the network decides
+    /// (partitions, loss, latency, uplink). `send` and `route_blame` call
+    /// it; every other send has members at both ends.
+    fn transmit(
+        &mut self,
+        now: SimTime,
+        from: NodeId,
+        to: NodeId,
+        payload_bytes: u64,
+        category: TrafficCategory,
+    ) -> DeliveryOutcome {
+        if self.directory.is_active(from) && self.directory.is_active(to) {
+            self.network.send(now, from, to, payload_bytes, category)
+        } else {
+            self.network.send_undeliverable(payload_bytes, category);
+            DeliveryOutcome::Lost
         }
     }
 
@@ -308,7 +325,7 @@ impl SystemWorld {
         let (size, category) = (message.wire_size(), message.category());
         for k in 0..self.assignment.managers_of(blame.target).len() {
             let manager = self.assignment.managers_of(blame.target)[k];
-            let outcome = self.network.send(now, from, manager, size, category);
+            let outcome = self.transmit(now, from, manager, size, category);
             for at in outcome.arrivals() {
                 self.deliver_blame(at, manager, &blame, ctx);
             }
@@ -351,7 +368,6 @@ impl SystemWorld {
             return;
         }
         self.expelled[node.index()] = true;
-        self.network.set_cut_off(node, true);
         self.directory.deactivate(node);
     }
 
@@ -361,24 +377,9 @@ impl SystemWorld {
     /// session's check matches nothing), blank manager book (re-registered
     /// below) and a new session RNG stream.
     fn rebuild_stack(&mut self, node: NodeId) {
-        let i = node.index();
-        let session = self.epochs[i] as u64;
-        // A distinct, collision-free stream per (node, session): sessions ≥ 1
-        // land past the builder's `1000 + i` block.
-        let rng = derive_rng(self.config.seed, 1_000_000 + i as u64 + session * 1_000_003);
         let clocks: Vec<_> = self.sources.iter().map(StreamSource::clock).collect();
-        let mut stack = NodeStack::with_streams(
-            node,
-            self.config.gossip,
-            self.config.lifting,
-            self.config.lifting_enabled,
-            self.config
-                .adversary
-                .spawn(&self.config, i, &self.coalition),
-            rng,
-            &clocks,
-            self.epochs[i],
-        );
+        let session = self.epochs[node.index()];
+        let mut stack = NodeStack::new(&self.config, &clocks, &self.coalition, node, session);
         // A crash loses the manager book; re-register this manager's charges
         // (their records restart — the other replicas of the min-vote still
         // hold the accumulated scores), the book sized to them.
@@ -390,7 +391,7 @@ impl SystemWorld {
         for id in charges {
             stack.reputation.register(id);
         }
-        self.stacks[i] = stack;
+        self.stacks[node.index()] = stack;
     }
 
     /// Executes one membership transition: a departure or a (re)join of the
@@ -417,21 +418,14 @@ impl SystemWorld {
                 return; // expulsion is permanent; double joins are no-ops
             }
             self.directory.activate(node);
-            self.network.set_cut_off(node, false);
             self.epochs[node.index()] += 1;
             self.rebuild_stack(node);
             self.churn_rejoins += 1;
             self.churn_sessions += 1;
             let epoch = self.epochs[node.index()];
-            ctx.schedule_at(now, Event::GossipTick { node, epoch });
-            if self.config.audits_enabled {
-                ctx.schedule_after(
-                    self.config.audit_interval,
-                    Event::AuditTick {
-                        auditor: node,
-                        epoch,
-                    },
-                );
+            let at_once = (SimDuration::ZERO, SimDuration::ZERO);
+            for (at, event) in builder::session_ticks(&self.config, node, epoch, now, at_once) {
+                ctx.schedule_at(at, event);
             }
             if let Some(sessions) = self.churner(node) {
                 let session = sessions.session_length();
@@ -481,24 +475,19 @@ impl SystemWorld {
         self.period.eta()
     }
 
-    /// Applies one partition-wave transition: partitions the wave's members
-    /// on `begin`, releases them on heal. Hold counts make overlapping waves
-    /// compose — a node stays partitioned until the last wave covering it
-    /// heals.
+    /// Applies one partition-wave transition: the network partitions the
+    /// wave's members on `begin` and heals them at the end; it counts the
+    /// waves holding each node, so overlapping waves compose.
     fn handle_fault(&mut self, wave: u32, begin: bool) {
         for (i, hit) in self.workload.waves[wave as usize].iter().enumerate() {
             if !hit {
                 continue;
             }
-            let holds = &mut self.partition_holds[i];
-            let was = *holds > 0;
-            *holds = if begin {
-                *holds + 1
+            let node = NodeId::new(i as u32);
+            if begin {
+                self.network.partition(node);
             } else {
-                holds.saturating_sub(1)
-            };
-            if was != (*holds > 0) {
-                self.network.set_partitioned(NodeId::new(i as u32), !was);
+                self.network.heal(node);
             }
         }
         if begin {
@@ -523,10 +512,10 @@ impl SystemWorld {
             if let Some(snap) = &snap {
                 self.period.recalibrate(snap, &self.directory);
             }
-            let (directory, expelled) = (&self.directory, &self.expelled);
-            let expelling = self
-                .period
-                .vote(books_of(&mut self.stacks), directory, expelled);
+            let books = (0..)
+                .map(NodeId::new)
+                .zip(self.stacks.iter().map(|s| &s.reputation));
+            let expelling = self.period.vote(books, &self.directory, &self.expelled);
             for target in expelling {
                 self.expel(target);
             }
@@ -633,8 +622,7 @@ impl SystemWorld {
     }
 }
 
-/// Every node's manager book, by node id: what the period plane ages and
-/// polls for votes.
+/// Every node's manager book, by node id: what the period plane ages.
 fn books_of(stacks: &mut [NodeStack]) -> impl Iterator<Item = (NodeId, &mut ManagerState)> {
     let ids = (0..).map(NodeId::new);
     ids.zip(stacks.iter_mut().map(|stack| &mut stack.reputation))

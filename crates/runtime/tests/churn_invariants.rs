@@ -5,31 +5,32 @@
 //! must never receive traffic, and audits that depended on a departed
 //! witness must abort instead of converting churn into blame.
 
+use std::sync::Arc;
+
 use lifting_core::{
     AckPayload, Auditor, BlameReason, ConfirmResponsePayload, LiftingConfig, VerificationMessage,
     VerifierTimer,
 };
-use lifting_gossip::{ChunkId, GossipConfig, ProposeRound, StreamClock};
+use lifting_gossip::{ChunkId, ProposeRound, StreamClock};
 use lifting_membership::Directory;
 use lifting_membership::{Churn, Wave, Workload};
 use lifting_net::{Network, NetworkConfig, TrafficCategory};
-use lifting_runtime::layers::{Adversary, AuditCoordinator, AuditOutcome, Downcall, NodeStack};
+use lifting_runtime::layers::{AuditCoordinator, AuditOutcome, Downcall, NodeStack};
 use lifting_runtime::{
-    build_engine, run_scenario, run_scenarios_parallel, Message, Scale, ScenarioRegistry,
+    build_engine, run_scenario, run_scenarios_parallel, Message, Scale, ScenarioConfig,
+    ScenarioRegistry,
 };
 use lifting_sim::{derive_rng, NodeId, SimDuration, SimTime, StreamId};
 
+/// Node `id`'s stack, session `session`, in the PlanetLab deployment of
+/// `config` (honest, one stream).
+fn stack_of(config: &ScenarioConfig, id: u32, session: u32) -> NodeStack {
+    let clocks = [StreamClock::paper()];
+    NodeStack::new(config, &clocks, &Arc::default(), NodeId::new(id), session)
+}
+
 fn stack(id: u32) -> NodeStack {
-    NodeStack::with_streams(
-        NodeId::new(id),
-        GossipConfig::planetlab(),
-        LiftingConfig::planetlab(),
-        true,
-        Adversary::default(),
-        derive_rng(1, id as u64),
-        &[StreamClock::paper()],
-        0,
-    )
+    stack_of(&ScenarioConfig::planetlab_baseline(1), id, 0)
 }
 
 fn audit_traffic(network: &Network) -> (u64, u64) {
@@ -63,11 +64,6 @@ fn audit_with(directory: &Directory) -> (AuditOutcome, u64) {
         .verifier
         .on_propose_round_into(&round, SimTime::ZERO, &mut Vec::<Downcall>::new());
     let mut network = Network::new(4, NetworkConfig::ideal(), derive_rng(2, 0));
-    // Mirror directory state onto the network, as the runtime does.
-    for i in 0..4u32 {
-        let node = NodeId::new(i);
-        network.set_cut_off(node, !directory.is_active(node));
-    }
     let mut coordinator =
         AuditCoordinator::new(Auditor::with_threshold(LiftingConfig::planetlab(), 7, 0.5));
     let outcome = coordinator.audit(
@@ -131,7 +127,6 @@ fn departed_node_stops_receiving_traffic_and_partner_slots() {
         .world_mut()
         .force_depart(victim, SimTime::from_secs(3));
     assert!(!engine.world().directory().is_active(victim));
-    assert!(engine.world().network().is_cut_off(victim));
 
     engine.run_until(SimTime::from_secs(8));
     let after = engine.world().stacks()[victim.index()]
@@ -290,7 +285,6 @@ fn expelled_nodes_stay_out_under_churn() {
                 !world.directory().is_active(node),
                 "expelled node {node} is active in the directory"
             );
-            assert!(world.network().is_cut_off(node));
         }
     }
     // The scenario is tuned so expulsions actually happen; if this starts
@@ -300,16 +294,9 @@ fn expelled_nodes_stay_out_under_churn() {
 
 /// Node 1's stack in its `session`-th session, cross-checking every ack.
 fn session_stack(session: u32) -> NodeStack {
-    NodeStack::with_streams(
-        NodeId::new(1),
-        GossipConfig::planetlab(),
-        LiftingConfig::planetlab().with_pdcc(1.0),
-        true,
-        Adversary::default(),
-        derive_rng(1, 1),
-        &[StreamClock::paper()],
-        session,
-    )
+    let mut config = ScenarioConfig::planetlab_baseline(1);
+    config.lifting = LiftingConfig::planetlab().with_pdcc(1.0);
+    stack_of(&config, 1, session)
 }
 
 /// Delivers to `stack` an ack from `subject` naming `witnesses`, and returns

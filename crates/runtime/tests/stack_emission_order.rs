@@ -13,11 +13,11 @@ use std::sync::Arc;
 
 use lifting_core::{AckPayload, ConfirmPayload, LiftingConfig, VerificationMessage, VerifierTimer};
 use lifting_gossip::{
-    ChunkId, GossipConfig, GossipMessage, ProposePayload, RequestPayload, ServePayload, StreamClock,
+    ChunkId, GossipMessage, ProposePayload, RequestPayload, ServePayload, StreamClock,
 };
 use lifting_membership::Directory;
-use lifting_runtime::layers::{Adversary, Downcall, NodeStack};
-use lifting_runtime::Message;
+use lifting_runtime::layers::{Downcall, NodeStack};
+use lifting_runtime::{Message, ScenarioConfig};
 use lifting_sim::{derive_rng, NodeId, SimTime, StreamId};
 
 const ME: NodeId = NodeId::new(1);
@@ -82,16 +82,13 @@ impl Log {
 /// arms a timer, so the verification inputs cannot occur and are not fed;
 /// the gossip steps are identical.
 fn run_script(lifting_enabled: bool) -> (Vec<Step>, NodeStack) {
-    let mut stack = NodeStack::with_streams(
-        ME,
-        GossipConfig::planetlab(),
-        LiftingConfig::planetlab().with_pdcc(1.0),
-        lifting_enabled,
-        Adversary::default(),
-        derive_rng(11, 1),
-        &[StreamClock::paper()],
-        0,
-    );
+    let mut config = ScenarioConfig::planetlab_baseline(11);
+    config.lifting = LiftingConfig::planetlab().with_pdcc(1.0);
+    config.lifting_enabled = lifting_enabled;
+    let clocks = [StreamClock::paper()];
+    let mut stack = NodeStack::new(&config, &clocks, &Arc::default(), ME, 0);
+    // The script's own RNG stream: the constants were generated with it.
+    stack.rng = derive_rng(11, 1);
     let directory = Directory::new(12);
     let mut log = Log::default();
     let mut out: Vec<Downcall> = Vec::new();
